@@ -82,8 +82,8 @@ int run_thread_scaling(const trace::SessionSource& source,
     const auto end = std::chrono::steady_clock::now();
     const double wall_ms =
         std::chrono::duration<double, std::milli>(end - begin).count();
-    // Scheduling observability: zeros on the serial path (threads=1 never
-    // builds a job graph), live counters on the executor path.
+    // Scheduling observability: every thread count runs the job graph;
+    // threads=1 runs it inline on one worker, so it never steals.
     const auto& exec = system.executor_stats();
 
     const auto json = core::to_json(report, /*include_neighborhoods=*/true);

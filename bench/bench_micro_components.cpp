@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot components of the
-// simulator: event queue, rate meter, replacement strategies, segment
-// store, workload sampling, and the end-to-end event loop.
+// simulator: rate meter, replacement strategies, segment store, batched
+// boundary generation, workload sampling, and the end-to-end event loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "cache/oracle.hpp"
 #include "cache/segment_store.hpp"
 #include "core/vod_system.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rate_meter.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
@@ -21,22 +20,6 @@
 namespace {
 
 using namespace vodcache;
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  for (auto _ : state) {
-    sim::EventQueue<std::uint32_t> queue;
-    for (std::size_t i = 0; i < n; ++i) {
-      queue.push(sim::SimTime::millis(
-                     static_cast<std::int64_t>(rng.uniform_u64(1'000'000))),
-                 static_cast<std::uint32_t>(i));
-    }
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * 2);
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(65536);
 
 void BM_RateMeterAdd(benchmark::State& state) {
   sim::RateMeter meter(sim::SimTime::days(28), sim::SimTime::minutes(15));
@@ -171,8 +154,9 @@ BENCHMARK(BM_SegmentStoreEvict);
 void BM_BoundaryBatchMerge(benchmark::State& state) {
   // The shard's batched-boundary pattern in isolation: generate every
   // session's segment boundaries into a scratch buffer, sort once by
-  // (time, global index), scan.  Compare against BM_EventQueuePushPop at
-  // the same n — that is the per-event heap discipline this replaced.
+  // (time, global index), scan — the shard's replacement for a per-event
+  // (time, push-sequence) heap; ARCHITECTURE.md proves the two orders
+  // equal.
   const auto n = static_cast<std::size_t>(state.range(0));
   struct Boundary {
     std::int64_t time_ms;

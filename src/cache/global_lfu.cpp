@@ -1,40 +1,24 @@
 #include "cache/global_lfu.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace vodcache::cache {
 
-GlobalLfuStrategy::GlobalLfuStrategy(std::shared_ptr<PopularityBoard> board)
-    : board_(std::move(board)) {
-  VODCACHE_EXPECTS(board_ != nullptr);
-  reserve_for(board_->program_count());
-  if (board_->lag() == sim::SimTime{}) {
-    // Live mode: mark cached programs dirty when any neighborhood changes
-    // their global count; re-ranking happens at the next victim decision.
-    board_->subscribe([this](ProgramId program, sim::SimTime t) {
-      mark_dirty(program);
-      dirty_time_ = std::max(dirty_time_, t);
-    });
-  }
-}
-
 GlobalLfuStrategy::GlobalLfuStrategy(std::shared_ptr<const ReplayBoard> board,
                                      const sim::ReplayClock* clock)
-    : replay_(std::move(board)), clock_(clock) {
-  VODCACHE_EXPECTS(replay_ != nullptr);
+    : board_(std::move(board)), clock_(clock) {
+  VODCACHE_EXPECTS(board_ != nullptr);
   VODCACHE_EXPECTS(clock_ != nullptr);
-  reserve_for(replay_->program_count());
+  reserve_for(board_->program_count());
   ReplayCursor::ChangeCallback on_change;
-  if (replay_->lag() == sim::SimTime{}) {
+  if (board_->lag() == sim::SimTime{}) {
+    // Mark cached programs dirty when the system-wide count changes;
+    // re-ranking happens at the next victim decision.
     on_change = [this](ProgramId program) { mark_dirty(program); };
   }
-  cursor_ = std::make_unique<ReplayCursor>(*replay_, std::move(on_change));
-}
-
-sim::SimTime GlobalLfuStrategy::lag() const {
-  return board_ != nullptr ? board_->lag() : replay_->lag();
+  cursor_ = std::make_unique<ReplayCursor>(*board_, std::move(on_change));
 }
 
 void GlobalLfuStrategy::reserve_for(std::size_t program_count) {
@@ -55,9 +39,9 @@ void GlobalLfuStrategy::mark_dirty(ProgramId program) {
 
 void GlobalLfuStrategy::rerank_dirty(sim::SimTime t) {
   if (dirty_list_.empty()) return;
-  // Re-score on a drained copy: scoring can advance the live board (or the
-  // replay cursor), whose notifications would otherwise append to the list
-  // mid-iteration.  swap() recycles both buffers at their high-water marks.
+  // Re-score on a drained copy: scoring can advance the cursor, whose
+  // notifications would otherwise append to the list mid-iteration.  swap()
+  // recycles both buffers at their high-water marks.
   rerank_scratch_.clear();
   rerank_scratch_.swap(dirty_list_);
   for (const ProgramId program : rerank_scratch_) {
@@ -69,14 +53,8 @@ void GlobalLfuStrategy::rerank_dirty(sim::SimTime t) {
 }
 
 bool GlobalLfuStrategy::snapshot_turned(sim::SimTime t) {
-  std::uint64_t epoch = 0;
-  if (board_ != nullptr) {
-    board_->advance(t);
-    epoch = board_->snapshot_epoch();
-  } else {
-    cursor_->advance(t, clock_->position, clock_->visible);
-    epoch = cursor_->snapshot_epoch();
-  }
+  cursor_->advance(t, clock_->position, clock_->visible);
+  const std::uint64_t epoch = cursor_->snapshot_epoch();
   if (epoch == seen_epoch_) return false;
   seen_epoch_ = epoch;
   return true;
@@ -84,14 +62,10 @@ bool GlobalLfuStrategy::snapshot_turned(sim::SimTime t) {
 
 void GlobalLfuStrategy::refresh(sim::SimTime t) {
   if (lag() == sim::SimTime{}) {
-    // Replay mode advances its cursor first so that expiries between the
-    // shard's events are applied (and dirty-marked) before re-ranking; the
-    // live board is advanced by every record from every neighborhood, so
-    // its subscribers are already up to date.
-    if (cursor_ != nullptr) {
-      cursor_->advance(t, clock_->position, clock_->visible);
-    }
-    rerank_dirty(board_ != nullptr ? std::max(t, dirty_time_) : t);
+    // Advance the cursor first so that expiries between the shard's events
+    // are applied (and dirty-marked) before re-ranking.
+    cursor_->advance(t, clock_->position, clock_->visible);
+    rerank_dirty(t);
     return;
   }
   if (!snapshot_turned(t)) return;
@@ -107,11 +81,7 @@ void GlobalLfuStrategy::record_access(ProgramId program, sim::SimTime t) {
   std::int64_t* seq = last_access_.find(program.value());
   if (seq == nullptr) seq = &last_access_.insert(program.value(), 0);
   *seq = next_sequence();
-  if (board_ != nullptr) {
-    board_->record(program, t);
-  } else {
-    cursor_->ingest_local(program, t, clock_->visible);
-  }
+  cursor_->ingest_local(program, t, clock_->visible);
   if (lag() > sim::SimTime{}) {
     std::int64_t* delta = local_since_snapshot_.find(program.value());
     if (delta == nullptr) delta = &local_since_snapshot_.insert(program.value(), 0);
@@ -122,7 +92,6 @@ void GlobalLfuStrategy::record_access(ProgramId program, sim::SimTime t) {
 
 std::int64_t GlobalLfuStrategy::global_count(ProgramId program,
                                              sim::SimTime t) {
-  if (board_ != nullptr) return board_->visible_count(program, t);
   cursor_->advance(t, clock_->position, clock_->visible);
   return cursor_->visible_count(program);
 }

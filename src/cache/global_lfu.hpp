@@ -6,18 +6,11 @@
 //   lag > 0  : (global count at last snapshot + local accesses since that
 //               snapshot, local recency)
 //
-// The strategy runs in one of two modes over the same scoring logic:
-//
-//  * live mode — every neighborhood's strategy shares one mutable
-//    PopularityBoard and learns of remote accesses through its
-//    subscription.  This is the directly-testable spec of the semantics,
-//    and requires all neighborhoods to advance through time together.
-//  * replay mode — the strategy reads an immutable, trace-prebuilt
-//    ReplayBoard through its own ReplayCursor, paced by the owning shard's
-//    ReplayClock.  No cross-neighborhood synchronization, so shards can
-//    run on different threads; counts are exact at every decision point
-//    (the live board's lazily-deferred expiries are applied eagerly, see
-//    README "Architecture").
+// The strategy reads the trace-prebuilt ReplayBoard through its own
+// ReplayCursor, paced by the owning shard's ReplayClock.  No
+// cross-neighborhood synchronization, so shards can run on different
+// threads; counts are exact at every decision point (expiries are applied
+// eagerly, see ARCHITECTURE.md "Cross-shard couplings").
 #pragma once
 
 #include <memory>
@@ -32,10 +25,8 @@ namespace vodcache::cache {
 
 class GlobalLfuStrategy final : public ScoredStrategy {
  public:
-  // Live mode: one shared mutable board.
-  explicit GlobalLfuStrategy(std::shared_ptr<PopularityBoard> board);
-  // Replay mode: immutable prebuilt board, paced by the shard's clock
-  // (both must outlive the strategy; the clock is owned by the shard).
+  // The prebuilt board, paced by the shard's clock (both must outlive the
+  // strategy; the clock is owned by the shard).
   GlobalLfuStrategy(std::shared_ptr<const ReplayBoard> board,
                     const sim::ReplayClock* clock);
 
@@ -48,7 +39,7 @@ class GlobalLfuStrategy final : public ScoredStrategy {
 
  private:
   void refresh(sim::SimTime t) override;
-  [[nodiscard]] sim::SimTime lag() const;
+  [[nodiscard]] sim::SimTime lag() const { return board_->lag(); }
   [[nodiscard]] std::int64_t global_count(ProgramId program, sim::SimTime t);
   void reserve_for(std::size_t program_count);
   void mark_dirty(ProgramId program);
@@ -57,10 +48,7 @@ class GlobalLfuStrategy final : public ScoredStrategy {
   // (lag > 0 only); updates the seen epoch as a side effect.
   [[nodiscard]] bool snapshot_turned(sim::SimTime t);
 
-  // Live mode.
-  std::shared_ptr<PopularityBoard> board_;
-  // Replay mode.
-  std::shared_ptr<const ReplayBoard> replay_;
+  std::shared_ptr<const ReplayBoard> board_;
   const sim::ReplayClock* clock_ = nullptr;
   std::unique_ptr<ReplayCursor> cursor_;
 
@@ -79,7 +67,6 @@ class GlobalLfuStrategy final : public ScoredStrategy {
   std::vector<std::uint8_t> dirty_flag_;
   std::vector<ProgramId> dirty_list_;
   std::vector<ProgramId> rerank_scratch_;
-  sim::SimTime dirty_time_;
 };
 
 }  // namespace vodcache::cache

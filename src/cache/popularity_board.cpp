@@ -6,72 +6,6 @@
 
 namespace vodcache::cache {
 
-PopularityBoard::PopularityBoard(std::size_t program_count, sim::SimTime window,
-                                 sim::SimTime lag)
-    : window_(window), lag_(lag), live_(program_count, 0) {
-  VODCACHE_EXPECTS(program_count > 0);
-  VODCACHE_EXPECTS(window > sim::SimTime{});
-  VODCACHE_EXPECTS(lag >= sim::SimTime{});
-  if (lag_ > sim::SimTime{}) {
-    snapshot_.assign(program_count, 0);
-    next_batch_ = lag_;
-  }
-}
-
-void PopularityBoard::notify(ProgramId program, sim::SimTime t) {
-  for (const auto& callback : subscribers_) callback(program, t);
-}
-
-void PopularityBoard::expire(sim::SimTime cutoff, sim::SimTime now) {
-  while (!events_.empty() && events_.front().time < cutoff) {
-    const ProgramId program = events_.front().program;
-    events_.pop_front();
-    VODCACHE_ASSERT(live_[program.value()] > 0);
-    --live_[program.value()];
-    if (lag_ == sim::SimTime{}) notify(program, now);
-  }
-}
-
-void PopularityBoard::publish_snapshots(sim::SimTime t) {
-  // Catch up on every batch boundary passed; only the last one's contents
-  // matter, so expire once to the final boundary and copy.
-  if (lag_ == sim::SimTime{} || t < next_batch_) return;
-  sim::SimTime boundary = next_batch_;
-  while (boundary + lag_ <= t) boundary += lag_;
-  expire(boundary - window_, boundary);
-  snapshot_ = live_;
-  next_batch_ = boundary + lag_;
-  ++epoch_;
-}
-
-void PopularityBoard::advance(sim::SimTime t) {
-  publish_snapshots(t);
-  expire(t - window_, t);
-}
-
-void PopularityBoard::record(ProgramId program, sim::SimTime t) {
-  VODCACHE_EXPECTS(program.value() < live_.size());
-  VODCACHE_EXPECTS(events_.empty() || t >= events_.back().time);
-  advance(t);
-  events_.push_back({t, program});
-  ++live_[program.value()];
-  if (lag_ == sim::SimTime{}) notify(program, t);
-}
-
-std::int64_t PopularityBoard::visible_count(ProgramId program, sim::SimTime t) {
-  VODCACHE_EXPECTS(program.value() < live_.size());
-  advance(t);
-  if (lag_ == sim::SimTime{}) return live_[program.value()];
-  return snapshot_[program.value()];
-}
-
-void PopularityBoard::subscribe(
-    std::function<void(ProgramId, sim::SimTime)> callback) {
-  subscribers_.push_back(std::move(callback));
-}
-
-// ---------------------------------------------------------------- replay
-
 ReplayBoard::ReplayBoard(std::size_t program_count, sim::SimTime window,
                          sim::SimTime lag)
     : window_(window), lag_(lag), program_count_(program_count) {
@@ -113,8 +47,7 @@ void ReplayCursor::ingest_to(std::size_t upto) {
 }
 
 void ReplayCursor::expire_to(sim::SimTime cutoff) {
-  // Only visible (ingested) accesses can expire, exactly like the live
-  // board's event deque.
+  // Only visible (ingested) accesses can expire.
   while (expire_ < ingest_ && board_->access(expire_).time < cutoff) {
     const ProgramId program = board_->access(expire_).program;
     VODCACHE_ASSERT(live_[program.value()] > 0);
@@ -131,7 +64,7 @@ void ReplayCursor::publish_snapshots(sim::SimTime t, std::size_t bound) {
   // The snapshot counts accesses in [boundary - window, boundary): every
   // session start before the boundary was recorded before the first query
   // at or past it, and one exactly at the boundary is recorded just after
-  // the live board would have published.  A pure function of the trace.
+  // the publish.  A pure function of the trace.
   // `bound` cannot cut this scan short: boundary <= t, and every entry at
   // or past a chunk watermark has time >= the chunk end > t.
   std::size_t before_boundary = ingest_;
@@ -162,7 +95,7 @@ void ReplayCursor::ingest_local(ProgramId program, sim::SimTime t,
   VODCACHE_EXPECTS(ingest_ < bound);
   // The caller's own session start must be the next access on the shared
   // timeline — the strongest cheap check that shard replay and prebuild
-  // agree on the serial order.
+  // agree on the trace order.
   VODCACHE_ASSERT(board_->access(ingest_).program == program);
   VODCACHE_ASSERT(board_->access(ingest_).time == t);
   ingest_to(ingest_ + 1);

@@ -1,11 +1,11 @@
-// PopularityBoard: system-wide program popularity, shared by every
-// neighborhood's Global-LFU strategy (paper section VI-A, figure 13).
+// System-wide program popularity for every neighborhood's Global-LFU
+// strategy (paper section VI-A, figure 13).
 //
 // The board keeps a sliding window of all session starts across the whole
 // deployment.  Two visibility modes:
 //
 //  * lag == 0 ("Global"): neighborhoods see live counts.  Every count
-//    change (new access or window expiry) is pushed to subscribers so they
+//    change (new access or window expiry) is reported to the reader so it
 //    can re-rank cached programs exactly.
 //  * lag > 0 ("Global, 30 minute lag" / "Global, 2 hour lag"): counts are
 //    frozen at batch boundaries (multiples of the lag); between batches,
@@ -13,25 +13,16 @@
 //    local accesses — "the local data is only augmented with global
 //    information in batches after a certain length of time has passed".
 //
-// Time must be fed in non-decreasing order, which the single-threaded
-// discrete-event simulation guarantees.
-//
-// Two forms live here:
-//
-//  * PopularityBoard — the live, mutable board: one shared instance fed by
-//    every neighborhood as the (serial) simulation discovers accesses.
-//  * ReplayBoard + ReplayCursor — the sharded form.  Because the board is
-//    only ever fed at *session starts*, and session starts come straight
-//    from the sorted trace, the entire access timeline can be prebuilt
-//    before the run (exactly like FutureIndex does for the oracle).  The
-//    ReplayBoard is that immutable timeline; each shard then owns a
-//    ReplayCursor, a cheap mutable read position that reproduces the live
-//    board's visible counts at any (time, trace-position) pair without any
-//    cross-shard synchronization.
+// The board is only ever fed at *session starts*, and session starts come
+// straight from the sorted trace, so the entire access timeline can be
+// prebuilt before the replay (exactly like FutureIndex does for the
+// oracle).  The ReplayBoard is that timeline; each shard then owns a
+// ReplayCursor, a cheap mutable read position that yields the visible
+// counts at any (time, trace-position) pair without any cross-shard
+// synchronization.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -42,62 +33,16 @@
 
 namespace vodcache::cache {
 
-class PopularityBoard {
- public:
-  PopularityBoard(std::size_t program_count, sim::SimTime window,
-                  sim::SimTime lag);
-
-  // A session started anywhere in the system.
-  void record(ProgramId program, sim::SimTime t);
-
-  // Advance the clock (expiry + snapshot batching) without recording.
-  void advance(sim::SimTime t);
-
-  // Accesses for `program` visible to neighborhoods at time `t`:
-  // live in-window count when lag == 0, last snapshot otherwise.
-  [[nodiscard]] std::int64_t visible_count(ProgramId program, sim::SimTime t);
-
-  // Incremented every time a snapshot is published (lag > 0).
-  [[nodiscard]] std::uint64_t snapshot_epoch() const { return epoch_; }
-
-  [[nodiscard]] sim::SimTime window() const { return window_; }
-  [[nodiscard]] sim::SimTime lag() const { return lag_; }
-  [[nodiscard]] std::size_t program_count() const { return live_.size(); }
-
-  // Live-mode change notifications: called as (program, time) whenever the
-  // live count of `program` changes.  Only fired when lag == 0.
-  void subscribe(std::function<void(ProgramId, sim::SimTime)> callback);
-
- private:
-  void expire(sim::SimTime cutoff, sim::SimTime now);
-  void publish_snapshots(sim::SimTime t);
-  void notify(ProgramId program, sim::SimTime t);
-
-  struct Event {
-    sim::SimTime time;
-    ProgramId program;
-  };
-
-  sim::SimTime window_;
-  sim::SimTime lag_;
-  std::deque<Event> events_;
-  std::vector<std::int64_t> live_;
-  std::vector<std::int64_t> snapshot_;
-  sim::SimTime next_batch_;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::function<void(ProgramId, sim::SimTime)>> subscribers_;
-};
-
-// The trace-prebuilt access timeline.  In the serial engine it is built in
-// full, frozen, then shared read-only by all shards.  Under the job-graph
-// executor it is instead appended *chunk by chunk* by the prepass chain
-// while earlier entries are already being read by feed jobs on other
-// workers — which is why the storage is a StableVector (appends never move
-// existing elements) and why every scanning API takes an explicit `limit`:
-// a reader may only look at entries [0, limit) for a watermark `limit` it
-// learned through a graph edge (happens-before), and must never consult
-// size() while a writer is live.  kNoLimit means "no concurrent writer
-// exists; clamp to size()" — the serial path's contract.
+// The trace-prebuilt access timeline.  The job graph's prepass chain
+// appends it *chunk by chunk* while earlier entries are already being read
+// by feed jobs on other workers — which is why the storage is a
+// StableVector (appends never move existing elements) and why every
+// scanning API takes an explicit `limit`: a reader may only look at
+// entries [0, limit) for a watermark `limit` it learned through a graph
+// edge (happens-before), and must never consult size() while a writer is
+// live.  kNoLimit means "no concurrent writer exists; clamp to size()" —
+// the contract for a finished board (finish jobs, or a caller that builds
+// and freezes the board before replaying).
 class ReplayBoard {
  public:
   struct Access {
@@ -121,7 +66,7 @@ class ReplayBoard {
   // Index of the first access with time >= t, scanning forward from `from`
   // (which must be at or before that index), never past `limit`.  Because
   // the timeline is exactly the trace's session sequence, this doubles as
-  // the serial engine's replay position at a boundary event at time t —
+  // the replay position at a boundary event at time t —
   // each shard advances its own monotone cursor through it.  Bounding by a
   // chunk watermark is lossless: every entry at index >= the watermark has
   // time >= the chunk end, and boundary queries only ask about times
@@ -151,12 +96,11 @@ class ReplayBoard {
   bool frozen_ = false;
 };
 
-// A shard-local read position over a frozen ReplayBoard.  Reproduces the
-// live board's semantics:
+// A shard-local read position over a ReplayBoard:
 //
 //   * advance(t, upto) makes the first `upto` accesses visible and expires
-//     ones older than t - window — the state a live board would hold after
-//     the serial engine replayed `upto` records and the clock reached t.
+//     ones older than t - window — the system-wide state once the replay
+//     has reached `upto` records and the clock reads t.
 //     Both arguments are clamped monotone, so out-of-order no-op calls
 //     (same event, several queries) are safe.  Under the job-graph
 //     executor the additional `limit` bounds every board scan to the
@@ -164,9 +108,8 @@ class ReplayBoard {
 //   * lag > 0 publishes a snapshot whenever a batch boundary is crossed;
 //     the snapshot counts accesses in [boundary - window, boundary), which
 //     depends only on the trace, never on which shard asks first.
-//   * the change callback mirrors PopularityBoard::subscribe: it fires for
-//     every program whose live count changes (only wired up in live/lag==0
-//     mode, matching the board).
+//   * the change callback fires for every program whose live count
+//     changes (Global-LFU only wires it up when lag == 0).
 class ReplayCursor {
  public:
   using ChangeCallback = std::function<void(ProgramId)>;
@@ -186,8 +129,7 @@ class ReplayCursor {
                     std::size_t limit = ReplayBoard::kNoLimit);
 
   [[nodiscard]] std::int64_t visible_count(ProgramId program) const;
-  // Incremented once per advance that crossed >= 1 batch boundary,
-  // mirroring the live board's lazily-published epochs.
+  // Incremented once per advance that crossed >= 1 batch boundary.
   [[nodiscard]] std::uint64_t snapshot_epoch() const { return epoch_; }
   [[nodiscard]] const ReplayBoard& board() const { return *board_; }
 

@@ -7,8 +7,7 @@
 // thief takes the work least related to the victim's current locality).
 // Worker 0 is the caller: run() blocks and participates, so an executor
 // with `workers == 1` runs the whole graph inline on the calling thread
-// with no pool at all — the serial path and the pooled path execute the
-// same code.
+// with no pool at all — one worker and many execute the same code.
 //
 // Correctness is carried entirely by the graph's edges, not by scheduling
 // order: a job is pushed only when its last dependency finishes

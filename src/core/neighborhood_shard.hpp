@@ -123,8 +123,9 @@ class NeighborhoodShard {
   void finish(sim::SimTime failure_flush);
 
   // How many ReplayBoard entries this shard's next feed() may scan (the
-  // prepass watermark its gating edge guarantees).  Serial callers never
-  // need this — the default sentinel reads the whole board.
+  // prepass watermark its gating edge guarantees).  A caller that builds
+  // the whole board before feeding never needs this — the default sentinel
+  // reads the whole board.
   void set_board_visible(std::size_t visible) { clock_.visible = visible; }
 
   [[nodiscard]] NeighborhoodId id() const { return server_.id(); }

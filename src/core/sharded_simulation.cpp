@@ -1,7 +1,6 @@
 #include "core/sharded_simulation.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -76,62 +75,6 @@ void ShardedSimulation::allocate_prepass_outputs(const PrepassNeeds& need) {
   }
 }
 
-void ShardedSimulation::prepass() {
-  const PrepassNeeds need = needs();
-  if (!need.any()) return;
-
-  // GlobalLFU: popularity is only ever recorded at session starts, which
-  // come straight from the sorted stream — so the whole system-wide access
-  // timeline is known before the run.  Prebuild it once; shards read it
-  // through private cursors without synchronization.
-  allocate_prepass_outputs(need);
-
-  // Failure flush: the time of the last event the serial engine would
-  // process — the latest segment-boundary event across all sessions (a
-  // session's boundaries fall at start + k * segment for every k with
-  // k * segment < duration).  Failure waves up to this time are applied
-  // system-wide even in neighborhoods whose own events end earlier; later
-  // waves never fire.  Stays negative when the trace is empty, so nothing
-  // flushes.
-  const auto segment_ms = config_.segment_duration.millis_count();
-
-  std::unique_ptr<TierPlanBuilder> plan_builder;
-  if (need.tiers) {
-    plan_builder = std::make_unique<TierPlanBuilder>(topology_, config_,
-                                                     source_->catalog());
-  }
-
-  auto stream = source_->open();
-  trace::SessionRecord record;
-  while (stream->next(record)) {
-    if (need.board) board_->add(record.program, record.start);
-    if (need.future || need.tiers) {
-      const auto neighborhood = topology_.neighborhood_of(record.user);
-      if (need.future) {
-        future_[neighborhood.value()].add(record.program, record.start);
-      }
-      if (need.tiers) {
-        plan_builder->observe(neighborhood, record.program, record.start);
-      }
-    }
-    if (need.flush) {
-      const auto duration_ms = record.duration.millis_count();
-      const auto full_boundaries =
-          duration_ms > 0 ? (duration_ms - 1) / segment_ms : 0;
-      failure_flush_ =
-          std::max(failure_flush_,
-                   record.start +
-                       sim::SimTime::millis(full_boundaries * segment_ms));
-    }
-  }
-
-  if (need.board) board_->freeze();
-  for (auto& index : future_) index.freeze();
-  if (plan_builder) {
-    tiers_->set_plans(plan_builder->finish(source_->horizon()));
-  }
-}
-
 void ShardedSimulation::build_shards() {
   const auto neighborhoods = topology_.neighborhood_count();
 
@@ -169,53 +112,6 @@ void ShardedSimulation::build_shards() {
   }
 }
 
-void ShardedSimulation::stream_shards() {
-  const auto chunk_ms = config_.stream_chunk.millis_count();
-  const auto user_count = topology_.user_count();
-  const auto catalog_size = source_->catalog().size();
-  const auto shard_count = shards_.size();
-
-  // Per-shard batch buffers, reused across chunks (clear keeps capacity),
-  // plus the list of shards the current chunk actually touches.
-  std::vector<std::vector<NeighborhoodShard::StreamSession>> batches(
-      shard_count);
-  std::vector<std::uint32_t> active;
-
-  auto stream = source_->open();
-  trace::SessionRecord record;
-  bool more = stream->next(record);
-  std::uint64_t index = 0;
-  sim::SimTime prev;  // 0: sources must not emit negative starts
-
-  while (more) {
-    // The chunk containing the next session (empty stretches are skipped
-    // outright — chunk edges are fixed multiples of stream_chunk, so which
-    // chunks exist never depends on how the workload is paced).
-    const auto chunk_end = sim::SimTime::millis(
-        (record.start.millis_count() / chunk_ms + 1) * chunk_ms);
-    while (more && record.start < chunk_end) {
-      // The sorted/ranged contract every source carries; cheap enough to
-      // hold even external sources to it record by record.
-      VODCACHE_EXPECTS(record.start >= prev);
-      VODCACHE_EXPECTS(record.user.value() < user_count);
-      VODCACHE_EXPECTS(record.program.value() < catalog_size);
-      prev = record.start;
-      const auto n = topology_.neighborhood_of(record.user).value();
-      if (batches[n].empty()) active.push_back(n);
-      batches[n].push_back({record, index, topology_.peer_of(record.user)});
-      ++index;
-      more = stream->next(record);
-    }
-
-    for (const auto n : active) shards_[n]->feed(batches[n]);
-    for (const auto n : active) batches[n].clear();
-    active.clear();
-  }
-
-  // Drain every shard's boundary queue and flush trailing failure waves.
-  for (const auto& shard : shards_) shard->finish(failure_flush_);
-}
-
 void ShardedSimulation::run_graph(const PrepassNeeds& need,
                                   MediaServer& media) {
   const auto shard_count = shards_.size();
@@ -244,9 +140,13 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
   // Batch ring: demux[k] fills slot k % W, every feed[s][k] reads from it,
   // and demux[k + W] may only overwrite it once all of chunk k's feeds are
   // done — the edges below say exactly that, bounding live batch memory to
-  // W chunks however far the pipeline runs ahead.
+  // W chunks however far the pipeline runs ahead.  One worker runs the
+  // graph inline and can never run ahead, so it gets one slot: more would
+  // only hold idle per-shard batch capacity.
+  JobExecutor executor(config_.threads);
   constexpr std::size_t kRingWindow = 4;
-  const std::size_t window = std::min(kRingWindow, chunks);
+  const std::size_t window =
+      std::min(executor.worker_count() > 1 ? kRingWindow : 1, chunks);
   std::vector<std::vector<std::vector<NeighborhoodShard::StreamSession>>>
       batches(window,
               std::vector<std::vector<NeighborhoodShard::StreamSession>>(
@@ -309,6 +209,12 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
                                         pre_record.start);
                 }
               }
+              // Failure flush: the latest segment boundary of any session
+              // (boundaries fall at start + k * segment for every k with
+              // k * segment < duration).  Waves up to this time are
+              // applied system-wide even in neighborhoods whose own events
+              // end earlier; later waves never fire.  Stays negative on an
+              // empty trace, so nothing flushes.
               if (need.flush) {
                 const auto duration_ms = pre_record.duration.millis_count();
                 const auto full_boundaries =
@@ -427,7 +333,6 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
       "merge");
   for (const JobId fin : finish_id) graph.depend(fin, merge);
 
-  JobExecutor executor(config_.threads);
   executor_stats_ = executor.run(graph);
 }
 
@@ -436,18 +341,10 @@ SimulationReport ShardedSimulation::run() {
   ran_ = true;
 
   MediaServer media(source_->horizon(), config_.meter_bucket);
-  if (config_.threads <= 1) {
-    // Serial path: prepass, shards, inline chunk loop, fixed-order merge.
-    prepass();
-    build_shards();
-    stream_shards();
-    for (const auto& shard : shards_) media.merge(shard->media_server());
-  } else {
-    const PrepassNeeds need = needs();
-    allocate_prepass_outputs(need);
-    build_shards();
-    run_graph(need, media);
-  }
+  const PrepassNeeds need = needs();
+  allocate_prepass_outputs(need);
+  build_shards();
+  run_graph(need, media);
   return build_report(media);
 }
 

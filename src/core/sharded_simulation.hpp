@@ -17,16 +17,13 @@
 // failure-wave flush time.  LRU/LFU/None with no failure waves skip the
 // prepass — those runs read the workload exactly once.
 //
-// Two execution paths share the same per-shard event code:
-//
-//  * threads <= 1: the serial path.  Prepass (if any), then the chunked
-//    demux loop feeding every shard inline on the calling thread.
-//  * threads > 1: the job-graph path.  The run is decomposed into an
-//    explicit task DAG — prepass chunks, demux chunks, per-(shard x chunk)
-//    feed tasks, per-shard finish, and the fixed-order merge sink — and
-//    handed to the work-stealing JobExecutor, so the prepass overlaps the
-//    main pass and a hot shard's chunks pipeline across workers.  See
-//    ARCHITECTURE.md, "The job graph", for the node kinds and edges.
+// The run is decomposed into an explicit task DAG — prepass chunks, demux
+// chunks, per-(shard x chunk) feed tasks, per-shard finish, and the
+// fixed-order merge sink — and handed to the work-stealing JobExecutor, so
+// the prepass overlaps the main pass and a hot shard's chunks pipeline
+// across workers.  With one worker (threads == 1) the executor runs the
+// same graph inline on the calling thread.
+// See ARCHITECTURE.md, "The job graph", for the node kinds and edges.
 //
 // Determinism contract: every shard's computation depends only on
 // immutable shared inputs (source, config, topology partition, prebuilt
@@ -75,10 +72,10 @@ class ShardedSimulation {
   [[nodiscard]] const hfc::Topology& topology() const { return topology_; }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
 
-  // Scheduling observability for the last run().  All-zero on the serial
-  // path (threads <= 1), which never builds a graph.  Never part of the
-  // SimulationReport — the report is pinned byte-identical across thread
-  // counts, and these numbers are exactly the nondeterministic part.
+  // Scheduling observability for the last run(), at every thread count.
+  // Never part of the SimulationReport — the report is pinned
+  // byte-identical across thread counts, and these numbers are exactly the
+  // nondeterministic part.
   [[nodiscard]] const ExecutorStats& executor_stats() const {
     return executor_stats_;
   }
@@ -94,16 +91,12 @@ class ShardedSimulation {
   };
   [[nodiscard]] PrepassNeeds needs() const;
 
-  // Serial path: streaming pass 1 building every needed prepass product.
-  void prepass();
-  // Graph path: allocate the (empty) prepass products the shards point at;
-  // the graph's prepass chain fills them.
+  // Allocate the (empty) prepass products the shards point at; the
+  // graph's prepass chain fills them.
   void allocate_prepass_outputs(const PrepassNeeds& need);
   void build_shards();
-  // Serial path: chunked demux into per-shard batches, replayed inline.
-  void stream_shards();
-  // Graph path: build the prepass/demux/feed/finish/merge DAG and run it
-  // on the work-stealing executor.  Merges into `media` (the sink node).
+  // Build the prepass/demux/feed/finish/merge DAG and run it on the
+  // work-stealing executor.  Merges into `media` (the sink node).
   void run_graph(const PrepassNeeds& need, MediaServer& media);
   [[nodiscard]] SimulationReport build_report(const MediaServer& media) const;
 

@@ -12,13 +12,12 @@
 // Each session of length L plays ceil(L / 300 s) consecutive segments; each
 // segment transmission runs at the 8.06 Mb/s playback rate for
 // min(300 s, remaining).  Session starts come straight from the (sorted)
-// trace; segment boundaries run through a deterministic event queue.
+// trace; segment boundaries are generated in deterministic batches.
 //
 // The engine itself is sharded by neighborhood (see NeighborhoodShard and
 // ShardedSimulation): VodSystem is the stable facade.  With the default
-// config.threads == 1 the shards replay inline on the calling thread — the
-// serial path — and any higher thread count produces a bit-identical
-// report, just sooner.
+// config.threads == 1 the job graph runs inline on the calling thread, and
+// any higher thread count produces a bit-identical report, just sooner.
 #pragma once
 
 #include "core/config.hpp"
@@ -55,9 +54,9 @@ class VodSystem {
   [[nodiscard]] const SystemConfig& config() const {
     return simulation_.config();
   }
-  // Work-stealing scheduler observability for the last run(); all-zero on
-  // the serial path.  Deliberately outside SimulationReport: the report is
-  // byte-identical across thread counts, these numbers are not.
+  // Work-stealing scheduler observability for the last run().  Deliberately
+  // outside SimulationReport: the report is byte-identical across thread
+  // counts, these numbers are not.
   [[nodiscard]] const ExecutorStats& executor_stats() const {
     return simulation_.executor_stats();
   }

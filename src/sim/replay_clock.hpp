@@ -27,10 +27,10 @@ struct ReplayClock {
   SimTime now;
   // Number of trace records replayed system-wide before the current event.
   std::size_t position = 0;
-  // How many ReplayBoard entries this shard may scan.  Under the job-graph
-  // executor the orchestrator sets this to the prepass chunk watermark the
-  // shard's current feed job is gated on; the sentinel means "no concurrent
-  // writer — clamp to the board's size" (the serial engine's contract).
+  // How many ReplayBoard entries this shard may scan.  The orchestrator
+  // sets this to the prepass chunk watermark the shard's current feed job
+  // is gated on; the sentinel means "no concurrent writer — clamp to the
+  // board's size" (a finished board).
   std::size_t visible = std::numeric_limits<std::size_t>::max();
 };
 

@@ -303,124 +303,6 @@ TEST(Oracle, RefreshRerANKSAfterDrift) {
   EXPECT_EQ(oracle.victim(at_min(400)), ProgramId{0});
 }
 
-// --------------------------------------------------------- PopularityBoard
-
-TEST(PopularityBoard, LiveCountsWithNoLag) {
-  PopularityBoard board(4, sim::SimTime::hours(1), sim::SimTime{});
-  board.record(ProgramId{1}, at_min(0));
-  board.record(ProgramId{1}, at_min(10));
-  EXPECT_EQ(board.visible_count(ProgramId{1}, at_min(20)), 2);
-  // First record expires at t=60.
-  EXPECT_EQ(board.visible_count(ProgramId{1}, at_min(61)), 1);
-}
-
-TEST(PopularityBoard, LiveNotificationsFire) {
-  PopularityBoard board(2, sim::SimTime::hours(1), sim::SimTime{});
-  int notifications = 0;
-  board.subscribe([&](ProgramId, sim::SimTime) { ++notifications; });
-  board.record(ProgramId{0}, at_min(0));
-  EXPECT_EQ(notifications, 1);
-  // Expiry also notifies.
-  board.advance(at_min(70));
-  EXPECT_EQ(notifications, 2);
-}
-
-TEST(PopularityBoard, LaggedCountsFreezeAtBatch) {
-  PopularityBoard board(2, sim::SimTime::hours(24),
-                        /*lag=*/sim::SimTime::minutes(30));
-  board.record(ProgramId{0}, at_min(5));
-  // Before the first batch boundary, the snapshot is empty.
-  EXPECT_EQ(board.visible_count(ProgramId{0}, at_min(10)), 0);
-  // After the 30-minute boundary the access becomes visible.
-  EXPECT_EQ(board.visible_count(ProgramId{0}, at_min(31)), 1);
-  // An access at t=40 stays invisible until t=60.
-  board.record(ProgramId{0}, at_min(40));
-  EXPECT_EQ(board.visible_count(ProgramId{0}, at_min(45)), 1);
-  EXPECT_EQ(board.visible_count(ProgramId{0}, at_min(61)), 2);
-}
-
-TEST(PopularityBoard, SnapshotEpochAdvances) {
-  PopularityBoard board(1, sim::SimTime::hours(24),
-                        sim::SimTime::minutes(30));
-  EXPECT_EQ(board.snapshot_epoch(), 0u);
-  board.advance(at_min(31));
-  EXPECT_EQ(board.snapshot_epoch(), 1u);
-  board.advance(at_min(95));
-  EXPECT_EQ(board.snapshot_epoch(), 2u);
-}
-
-TEST(PopularityBoard, LaggedExpiryHonorsWindowAtBoundary) {
-  PopularityBoard board(1, sim::SimTime::hours(1), sim::SimTime::minutes(30));
-  board.record(ProgramId{0}, at_min(0));
-  // At the t=90 boundary the access is 90 > 60 minutes old: expired.
-  EXPECT_EQ(board.visible_count(ProgramId{0}, at_min(95)), 0);
-  // At the t=30 boundary it was visible.
-  PopularityBoard board2(1, sim::SimTime::hours(1), sim::SimTime::minutes(30));
-  board2.record(ProgramId{0}, at_min(0));
-  EXPECT_EQ(board2.visible_count(ProgramId{0}, at_min(35)), 1);
-}
-
-// --------------------------------------------------------------- GlobalLFU
-
-TEST(GlobalLfu, SeesAccessesFromOtherNeighborhoods) {
-  auto board = std::make_shared<PopularityBoard>(4, sim::SimTime::hours(24),
-                                                 sim::SimTime{});
-  GlobalLfuStrategy a(board);
-  GlobalLfuStrategy b(board);
-
-  // Neighborhood A sees lots of program 1; B has never seen it locally.
-  for (int i = 0; i < 5; ++i) a.record_access(ProgramId{1}, at_min(i));
-  b.record_access(ProgramId{2}, at_min(6));
-  // B's scoring still ranks 1 above 2 thanks to global data.
-  EXPECT_GT(b.score(ProgramId{1}, at_min(7)), b.score(ProgramId{2}, at_min(7)));
-}
-
-TEST(GlobalLfu, LiveModeRerANKSRemoteCachedPrograms) {
-  auto board = std::make_shared<PopularityBoard>(4, sim::SimTime::hours(24),
-                                                 sim::SimTime{});
-  GlobalLfuStrategy a(board);
-  GlobalLfuStrategy b(board);
-
-  b.record_access(ProgramId{1}, at_min(0));
-  b.on_admit(ProgramId{1}, at_min(0));
-  b.record_access(ProgramId{2}, at_min(1));
-  b.record_access(ProgramId{2}, at_min(1));
-  b.on_admit(ProgramId{2}, at_min(1));
-  EXPECT_EQ(b.victim(at_min(2)), ProgramId{1});
-
-  // A's traffic boosts program 1 globally; B's victim flips to 2 without B
-  // seeing any local access.
-  for (int i = 0; i < 4; ++i) a.record_access(ProgramId{1}, at_min(3));
-  EXPECT_EQ(b.victim(at_min(4)), ProgramId{2});
-}
-
-TEST(GlobalLfu, LaggedModeAugmentsSnapshotWithLocal) {
-  auto board = std::make_shared<PopularityBoard>(
-      4, sim::SimTime::hours(24), /*lag=*/sim::SimTime::minutes(30));
-  GlobalLfuStrategy a(board);
-  GlobalLfuStrategy b(board);
-
-  // Before any batch: A's local accesses count for A but not for B.
-  a.record_access(ProgramId{1}, at_min(1));
-  a.record_access(ProgramId{1}, at_min(2));
-  b.record_access(ProgramId{2}, at_min(3));
-  EXPECT_EQ(a.score(ProgramId{1}, at_min(4)).first, 2);
-  EXPECT_EQ(b.score(ProgramId{1}, at_min(4)).first, 0);
-  EXPECT_EQ(b.score(ProgramId{2}, at_min(4)).first, 1);
-
-  // After the batch, B sees A's traffic.
-  EXPECT_EQ(b.score(ProgramId{1}, at_min(31)).first, 2);
-}
-
-TEST(GlobalLfu, NameReflectsLag) {
-  auto live = std::make_shared<PopularityBoard>(1, sim::SimTime::hours(1),
-                                                sim::SimTime{});
-  auto lagged = std::make_shared<PopularityBoard>(1, sim::SimTime::hours(1),
-                                                  sim::SimTime::minutes(30));
-  EXPECT_EQ(GlobalLfuStrategy(live).name(), "GlobalLFU");
-  EXPECT_EQ(GlobalLfuStrategy(lagged).name(), "GlobalLFU(lagged)");
-}
-
 // ----------------------------------------------- ReplayBoard / ReplayCursor
 
 std::shared_ptr<const ReplayBoard> frozen_board(
@@ -446,8 +328,8 @@ TEST(ReplayCursor, LiveCountsWithNoLag) {
 
 TEST(ReplayCursor, VisibilityHonorsTracePosition) {
   // Both accesses are at t=0, but only the first is before the reader's
-  // trace position — the cursor must not count records the serial engine
-  // would not yet have replayed.
+  // trace position — the cursor must not count records the replay has not
+  // reached yet.
   const auto board = frozen_board(2, sim::SimTime::hours(1), sim::SimTime{},
                                   {{at_min(0), ProgramId{1}},
                                    {at_min(0), ProgramId{1}}});
@@ -496,8 +378,8 @@ TEST(ReplayCursor, SnapshotEpochAdvancesPerCrossing) {
   EXPECT_EQ(cursor.snapshot_epoch(), 0u);
   cursor.advance(at_min(31), 0);
   EXPECT_EQ(cursor.snapshot_epoch(), 1u);
-  // Crossing two boundaries in one advance publishes once, like the live
-  // board's lazy catch-up.
+  // Crossing two boundaries in one advance publishes once: only the last
+  // boundary's snapshot matters.
   cursor.advance(at_min(95), 0);
   EXPECT_EQ(cursor.snapshot_epoch(), 2u);
 }
@@ -522,12 +404,38 @@ TEST(ReplayCursor, LaggedExpiryHonorsWindowAtBoundary) {
   }
 }
 
-// Cross-validation of the replay cursor against the live board: any
-// non-decreasing access sequence, replayed through both, must show the
-// same visible counts at every step, live and lagged alike.
+// The paper's Global-LFU visibility rule, counted from scratch: what a
+// neighborhood may see of `program` once accesses [0, upto) are recorded
+// and the clock reads t.  Lag 0: the in-window count, time >= t - window.
+// Lag > 0: the snapshot at B, the last multiple of lag <= t — accesses with
+// time in [B - window, B) (an access exactly at B lands after the publish).
+std::int64_t brute_force_visible(const std::vector<ReplayBoard::Access>& accesses,
+                                 std::size_t upto, ProgramId program,
+                                 sim::SimTime t, sim::SimTime window,
+                                 sim::SimTime lag) {
+  const bool lagged = lag > sim::SimTime{};
+  const sim::SimTime as_of =
+      lagged ? sim::SimTime::millis(t.millis_count() / lag.millis_count() *
+                                    lag.millis_count())
+             : t;
+  std::int64_t count = 0;
+  for (std::size_t i = 0; i < upto; ++i) {
+    const auto& access = accesses[i];
+    if (access.program == program && access.time >= as_of - window &&
+        (!lagged || access.time < as_of)) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// Cross-validation of the replay cursor against the brute-force rule: any
+// non-decreasing access sequence must show the same visible counts at
+// every step, live and lagged alike.
 TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
   Rng rng(2026);
   constexpr std::size_t kPrograms = 6;
+  const auto window = sim::SimTime::hours(2);
   std::vector<ReplayBoard::Access> accesses;
   sim::SimTime t;
   for (int i = 0; i < 300; ++i) {
@@ -537,16 +445,14 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
   }
 
   for (const auto lag : {sim::SimTime{}, sim::SimTime::minutes(30)}) {
-    PopularityBoard live(kPrograms, sim::SimTime::hours(2), lag);
-    const auto replay = frozen_board(kPrograms, sim::SimTime::hours(2), lag,
-                                     accesses);
+    const auto replay = frozen_board(kPrograms, window, lag, accesses);
     ReplayCursor cursor(*replay);
     for (std::size_t i = 0; i < accesses.size(); ++i) {
-      live.record(accesses[i].program, accesses[i].time);
       cursor.advance(accesses[i].time, i + 1);
       for (std::uint32_t p = 0; p < kPrograms; ++p) {
         ASSERT_EQ(cursor.visible_count(ProgramId{p}),
-                  live.visible_count(ProgramId{p}, accesses[i].time))
+                  brute_force_visible(accesses, i + 1, ProgramId{p},
+                                      accesses[i].time, window, lag))
             << "program " << p << " after access " << i << " (lag "
             << lag.minutes_f() << "m)";
       }

@@ -124,6 +124,11 @@ struct TieredGoldenCase {
   std::uint64_t golden;
 };
 
+// Without this, gtest lists the parameter as its raw bytes, and the first
+// eight are the address of `name`, which moves with every run under ASLR:
+// the listed test name would differ from one build to the next.
+void PrintTo(const TieredGoldenCase& c, std::ostream* os) { *os << c.name; }
+
 const TieredGoldenCase kTieredGoldenCases[] = {
     {"TopPopular", PrefetchKind::TopPopular, 0.0, false,
      0xB5F144F22C847EC8ULL},

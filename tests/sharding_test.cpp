@@ -136,6 +136,20 @@ TEST(ThreadCountInvarianceExtras, ChunkSizeInvisibleOnExecutorPath) {
   }
 }
 
+// One worker runs the same job graph inline, so its scheduling stats
+// describe a real run: jobs executed on the one worker, nothing to steal.
+TEST(ThreadCountInvarianceExtras, SingleWorkerReportsExecutorStats) {
+  auto config = sharding_config(StrategyKind::GlobalLfu);
+  config.threads = 1;
+  VodSystem system(sharding_trace(), config);
+  (void)system.run();
+  const auto& stats = system.executor_stats();
+  EXPECT_GT(stats.executed, 0u);
+  EXPECT_EQ(stats.cancelled, 0u);
+  EXPECT_EQ(stats.worker_busy_ms.size(), 1u);
+  EXPECT_EQ(stats.steals, 0u);
+}
+
 TEST(ThreadCountInvarianceExtras, FailureWavesAcrossShards) {
   auto config = sharding_config(StrategyKind::Lfu);
   config.peer_failures.push_back({sim::SimTime::hours(20), 0.4, 11});

@@ -1,12 +1,9 @@
-// Unit tests for src/sim: simulated time, hour windows, the stable event
-// queue, the engine, bandwidth meters, and peak statistics.
+// Unit tests for src/sim: simulated time, hour windows, bandwidth meters,
+// and peak statistics.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/peak_stats.hpp"
 #include "sim/rate_meter.hpp"
 #include "sim/time.hpp"
@@ -85,180 +82,6 @@ TEST(HourWindow, WrappingWindow) {
 TEST(HourWindow, FullDayWindow) {
   const HourWindow all{0, 24};
   for (int h = 0; h < 24; ++h) EXPECT_TRUE(all.contains(SimTime::hours(h)));
-}
-
-// -------------------------------------------------------------- EventQueue
-
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue<int> q;
-  q.push(SimTime::seconds(30), 3);
-  q.push(SimTime::seconds(10), 1);
-  q.push(SimTime::seconds(20), 2);
-  EXPECT_EQ(q.pop().payload, 1);
-  EXPECT_EQ(q.pop().payload, 2);
-  EXPECT_EQ(q.pop().payload, 3);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, StableForEqualTimes) {
-  EventQueue<int> q;
-  for (int i = 0; i < 50; ++i) q.push(SimTime::seconds(5), i);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(q.pop().payload, i);
-}
-
-TEST(EventQueue, InterleavedPushPop) {
-  EventQueue<int> q;
-  q.push(SimTime::seconds(10), 10);
-  q.push(SimTime::seconds(5), 5);
-  EXPECT_EQ(q.pop().payload, 5);
-  q.push(SimTime::seconds(7), 7);
-  q.push(SimTime::seconds(12), 12);
-  EXPECT_EQ(q.pop().payload, 7);
-  EXPECT_EQ(q.pop().payload, 10);
-  EXPECT_EQ(q.pop().payload, 12);
-}
-
-TEST(EventQueue, SizeAndClear) {
-  EventQueue<int> q;
-  q.push(SimTime::seconds(1), 1);
-  q.push(SimTime::seconds(2), 2);
-  EXPECT_EQ(q.size(), 2u);
-  q.clear();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, FifoHoldsWhenPushingDuringSameTimestampDrain) {
-  // The reschedule pattern: while draining events at time T, handlers push
-  // more events at the same T.  Every pop replaces the heap root with the
-  // back element, so this exercises sift_down with equal keys; the sequence
-  // number must still order new arrivals after everything pushed earlier.
-  EventQueue<int> q;
-  const auto t = SimTime::seconds(42);
-  for (int i = 0; i < 8; ++i) q.push(t, i);
-  std::vector<int> order;
-  int next = 8;
-  while (!q.empty()) {
-    const int got = q.pop().payload;
-    order.push_back(got);
-    if (next < 16) q.push(t, next++);
-  }
-  ASSERT_EQ(order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, EarlierTimestampJumpsReorderedQueueDeterministically) {
-  // Pops at a mixed set of timestamps interleaved with pushes at already
-  // drained-to timestamps: FIFO must hold per timestamp across the churn.
-  EventQueue<int> q;
-  q.push(SimTime::seconds(10), 100);
-  q.push(SimTime::seconds(10), 101);
-  q.push(SimTime::seconds(20), 200);
-  EXPECT_EQ(q.pop().payload, 100);
-  q.push(SimTime::seconds(10), 102);  // same timestamp as the current front
-  q.push(SimTime::seconds(20), 201);
-  EXPECT_EQ(q.pop().payload, 101);
-  EXPECT_EQ(q.pop().payload, 102);
-  EXPECT_EQ(q.pop().payload, 200);
-  EXPECT_EQ(q.pop().payload, 201);
-}
-
-TEST(EventQueue, LargeRandomOrderIsSorted) {
-  EventQueue<int> q;
-  std::uint64_t state = 12345;
-  for (int i = 0; i < 5000; ++i) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    q.push(SimTime::millis(static_cast<std::int64_t>(state % 100000)), i);
-  }
-  SimTime last;
-  while (!q.empty()) {
-    const auto e = q.pop();
-    EXPECT_GE(e.time, last);
-    last = e.time;
-  }
-}
-
-// ------------------------------------------------------------------ Engine
-
-TEST(Engine, RunsHandlersInOrder) {
-  Engine engine;
-  std::vector<int> order;
-  engine.schedule_at(SimTime::seconds(3), [&](SimTime) { order.push_back(3); });
-  engine.schedule_at(SimTime::seconds(1), [&](SimTime) { order.push_back(1); });
-  engine.schedule_at(SimTime::seconds(2), [&](SimTime) { order.push_back(2); });
-  EXPECT_EQ(engine.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Engine, ClockAdvancesToEventTime) {
-  Engine engine;
-  SimTime seen;
-  engine.schedule_at(SimTime::minutes(90), [&](SimTime now) { seen = now; });
-  engine.run();
-  EXPECT_EQ(seen, SimTime::minutes(90));
-  EXPECT_EQ(engine.now(), SimTime::minutes(90));
-}
-
-TEST(Engine, HandlersCanScheduleMoreEvents) {
-  Engine engine;
-  int fired = 0;
-  std::function<void(SimTime)> chain = [&](SimTime now) {
-    ++fired;
-    if (fired < 5) {
-      engine.schedule_at(now + SimTime::seconds(10), chain);
-    }
-  };
-  engine.schedule_at(SimTime::seconds(0), chain);
-  engine.run();
-  EXPECT_EQ(fired, 5);
-  EXPECT_EQ(engine.now(), SimTime::seconds(40));
-}
-
-TEST(Engine, ZeroDelayRescheduleRunsAfterPendingSameTimeHandlers) {
-  // A handler rescheduling at the current instant must run after the other
-  // handlers already queued for that instant — FIFO within a timestamp.
-  Engine engine;
-  std::vector<int> order;
-  engine.schedule_at(SimTime::seconds(5), [&](SimTime) {
-    order.push_back(1);
-    engine.schedule_after(SimTime{}, [&](SimTime) { order.push_back(3); });
-  });
-  engine.schedule_at(SimTime::seconds(5), [&](SimTime) { order.push_back(2); });
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Engine, ScheduleAfterUsesCurrentClock) {
-  Engine engine;
-  SimTime second_fire;
-  engine.schedule_at(SimTime::seconds(100), [&](SimTime) {
-    engine.schedule_after(SimTime::seconds(50),
-                          [&](SimTime now) { second_fire = now; });
-  });
-  engine.run();
-  EXPECT_EQ(second_fire, SimTime::seconds(150));
-}
-
-TEST(Engine, RunUntilLeavesLaterEventsQueued) {
-  Engine engine;
-  int fired = 0;
-  engine.schedule_at(SimTime::seconds(10), [&](SimTime) { ++fired; });
-  engine.schedule_at(SimTime::seconds(20), [&](SimTime) { ++fired; });
-  engine.schedule_at(SimTime::seconds(30), [&](SimTime) { ++fired; });
-  EXPECT_EQ(engine.run_until(SimTime::seconds(20)), 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(engine.pending(), 1u);
-  EXPECT_EQ(engine.now(), SimTime::seconds(20));
-  engine.run();
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(Engine, ProcessedCounterAccumulates) {
-  Engine engine;
-  for (int i = 0; i < 7; ++i) {
-    engine.schedule_at(SimTime::seconds(i), [](SimTime) {});
-  }
-  engine.run();
-  EXPECT_EQ(engine.processed(), 7u);
 }
 
 // --------------------------------------------------------------- RateMeter

@@ -10,8 +10,9 @@ when a PR makes the engine faster, never to make a regression pass.
 Two file shapes are understood, keyed off their contents:
 
 * BENCH_scaling.json — a runs[] array.  Two rows are ratcheted:
-  threads=1 measures the serial hot path itself, and threads=8 measures
-  the job-graph executor end to end (graph build, steal traffic, chunk
+  threads=1 runs the job graph inline on one worker (the shard hot path
+  plus per-job overhead, no stealing), and threads=8 measures the
+  job-graph executor end to end (graph build, steal traffic, chunk
   hand-off) — a scheduler regression shows up there while leaving the
   single-thread row untouched.  The in-between rows fold in core-count
   noise on small runners, so they are printed for context but only warn.
