@@ -51,6 +51,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_support.hpp"
@@ -136,11 +137,11 @@ int main() {
   std::vector<ScenarioResult> results;
   for (const auto& file : files) {
     ScenarioResult result;
-    result.spec = scenario::load_scenario_file(file);
-
-    core::SystemConfig base;
-    base.strategy.kind = core::StrategyKind::Lfu;
-    scenario::apply_system(result.spec, base);
+    scenario::RunConfig loaded;
+    loaded.system.strategy.kind = core::StrategyKind::Lfu;
+    loaded = scenario::load_scenario_file(file, std::move(loaded));
+    result.spec = loaded.scenario;
+    core::SystemConfig base = loaded.system;
     base.shadow_matrix = true;
 
     // Materialize the scenario once (these are bench-sized workloads);

@@ -4,11 +4,13 @@
 // a usage line and exit(2), not trip a library precondition and abort.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <string_view>
 
+#include "scenario/config_keys.hpp"
 #include "util/parse.hpp"
 #include "util/units.hpp"
 
@@ -59,14 +61,18 @@ inline double positive_double_arg(int argc, char** argv, int index,
 }
 
 // Each option can be individually in range while their product still
-// overflows the int64 bit count of the total neighborhood cache.  Reject
-// that combination.
+// overflows the int64 bit count of the total neighborhood cache; the
+// config-key table's cross-field check rejects that combination.
 inline void require_capacity_fits(char** argv, std::string_view usage,
                                   int per_peer_gb, int neighborhood_size) {
-  if (!DataSize::gigabytes(per_peer_gb).multipliable_by(neighborhood_size)) {
-    usage_error(argv[0], usage,
-                "per_peer_GB x neighborhood_size overflows the total "
-                "neighborhood capacity");
+  scenario::RunConfig config;
+  config.system.per_peer_storage = DataSize::gigabytes(per_peer_gb);
+  config.system.neighborhood_size =
+      static_cast<std::uint32_t>(neighborhood_size);
+  try {
+    scenario::check_config(config);
+  } catch (const scenario::ConfigError& error) {
+    usage_error(argv[0], usage, error.what());
   }
 }
 

@@ -85,6 +85,7 @@ struct PrefetchConfig {
   PrefetchKind kind = PrefetchKind::TopPopular;
   // How often each tier node's resident set rotates.
   sim::SimTime refresh = sim::SimTime::hours(24);
+  bool operator==(const PrefetchConfig&) const = default;
 };
 
 struct StrategyConfig {
@@ -97,6 +98,7 @@ struct StrategyConfig {
   sim::SimTime oracle_refresh = sim::SimTime::hours(1);
   // GlobalLFU: batching lag for global popularity (0 = continuous).
   sim::SimTime global_lag;
+  bool operator==(const StrategyConfig&) const = default;
 };
 
 struct AdmissionPolicyConfig {
@@ -124,6 +126,7 @@ struct AdmissionPolicyConfig {
   // AdaptiveHeadroom: hill-climb rotation window and per-window step.
   sim::SimTime adapt_window = sim::SimTime::hours(6);
   double adapt_step = 0.05;
+  bool operator==(const AdmissionPolicyConfig&) const = default;
 };
 
 struct SystemConfig {
@@ -161,6 +164,7 @@ struct SystemConfig {
     sim::SimTime time;
     double fraction = 0.0;
     std::uint64_t seed = 0xFA11;
+    bool operator==(const PeerFailure&) const = default;
   };
   std::vector<PeerFailure> peer_failures;
 
@@ -248,6 +252,7 @@ struct SystemConfig {
   }
 
   void validate() const;
+  bool operator==(const SystemConfig&) const = default;
 };
 
 }  // namespace vodcache::core

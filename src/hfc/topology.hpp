@@ -40,6 +40,7 @@ struct CoaxSpec {
   [[nodiscard]] bool vod_headroom(DataRate current, double fraction) const {
     return current.bps() < fraction * available_low().bps();
   }
+  bool operator==(const CoaxSpec&) const = default;
 };
 
 // A planned unavailability window of one tier level (plant maintenance,
@@ -52,6 +53,7 @@ struct TierOutage {
   [[nodiscard]] bool covers(sim::SimTime t) const {
     return t >= start && t < start + duration;
   }
+  bool operator==(const TierOutage&) const = default;
 };
 
 // One aggregation level above the neighborhoods in the tier tree (e.g. a
@@ -76,6 +78,7 @@ struct TierLevelSpec {
     }
     return false;
   }
+  bool operator==(const TierLevelSpec&) const = default;
 };
 
 class Topology {

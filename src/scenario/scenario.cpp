@@ -1,62 +1,17 @@
 #include "scenario/scenario.hpp"
 
+#include <filesystem>
 #include <fstream>
-#include <functional>
 #include <istream>
 #include <map>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
-#include "core/policy_registry.hpp"
 #include "scenario/adaptors.hpp"
-#include "util/parse.hpp"
+#include "scenario/config_keys.hpp"
 
 namespace vodcache::scenario {
 
 namespace {
-
-// The recognized sections — the parser's dispatch table, the validator's
-// vocabulary, and --list-scenarios all read this one array.
-constexpr SectionEntry kSections[] = {
-    {"scenario", "name and free-text summary of the workload",
-     "summary"},
-    {"workload", "base generator sizing (trace/generator.hpp defaults)",
-     "days, users, programs, sessions_per_day, seed"},
-    {"popularity",
-     "popularity regime: Zipf shape and freshness decay (figure 12 knobs)",
-     "zipf_exponent, zipf_offset, freshness_boost, freshness_tau_days, "
-     "freshness_floor, back_catalog_fraction"},
-    {"system", "topology and measurement overrides",
-     "neighborhood, per_peer_gb, warmup_days, policy_switch, "
-     "switch_window_hours, switch_windows_k"},
-    {"flash_crowd",
-     "redirect a share of in-window sessions onto one hot title",
-     "title_rank, start_hour, duration_hours, capture, seed"},
-    {"release_waves",
-     "rotate the popularity head through the catalog, one block per period",
-     "period_hours, window_hours, wave_size, capture, seed"},
-    {"neighborhood_skew",
-     "concentrate population into hot neighborhoods; regional catalog mixes",
-     "hot_neighborhoods, population_share, regions, regional_affinity, seed"},
-    {"failure_storm", "scheduled waves of peer disk wipes",
-     "start_hour, waves, period_hours, fraction, seed"},
-    {"tiers",
-     "regional-hub cache tier between the neighborhoods and the origin",
-     "hub_fan_in, hub_capacity_gb, hub_link_gbps, hub_cost_per_gb, "
-     "origin_cost_per_gb, prefetch, refresh_hours, outage_start_hour, "
-     "outage_hours"},
-};
-
-[[noreturn]] void parse_fail(std::size_t line_number, const std::string& what) {
-  std::ostringstream message;
-  message << "scenario parse error at line " << line_number << ": " << what;
-  throw std::runtime_error(message.str());
-}
-
-[[noreturn]] void validate_fail(const std::string& what) {
-  throw std::runtime_error("scenario: " + what);
-}
 
 std::string_view trim(std::string_view text) {
   while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
@@ -69,324 +24,23 @@ std::string_view trim(std::string_view text) {
   return text;
 }
 
-template <typename T>
-T number(std::string_view value, std::size_t line_number,
-         std::string_view key) {
-  const auto parsed = util::parse_strict<T>(value);
-  if (!parsed) {
-    parse_fail(line_number, std::string("malformed value for '") +
-                                std::string(key) + "': '" +
-                                std::string(value) + "'");
-  }
-  return *parsed;
-}
-
-// Bounds shared with the CLI (one definition in util/parse.hpp).
-using util::kMaxDays;
-using util::kMaxHours;
-constexpr std::int64_t kMaxCount = util::kMaxIdCount;
-
-std::int64_t bounded(std::string_view value, std::size_t line_number,
-                     std::string_view key, std::int64_t lo, std::int64_t hi) {
-  const auto v = number<std::int64_t>(value, line_number, key);
-  if (v < lo || v > hi) {
-    std::ostringstream message;
-    message << "'" << key << "' must be in [" << lo << ", " << hi << "], got "
-            << v;
-    parse_fail(line_number, message.str());
-  }
-  return v;
-}
-
-double fraction(std::string_view value, std::size_t line_number,
-                std::string_view key, double lo, double hi) {
-  const auto v = number<double>(value, line_number, key);
-  if (v < lo || v > hi) {
-    std::ostringstream message;
-    message << "'" << key << "' must be in [" << lo << ", " << hi << "], got "
-            << v;
-    parse_fail(line_number, message.str());
-  }
-  return v;
-}
-
-// Seeds are full-range uint64: parse as the target type, so 2^63.. is
-// accepted and a negative value is malformed rather than silently
-// wrapping.
-std::uint64_t seed_value(std::string_view value, std::size_t line_number,
-                         std::string_view key) {
-  return number<std::uint64_t>(value, line_number, key);
+[[noreturn]] void parse_fail(std::size_t line_number, const std::string& what) {
+  throw ConfigError("scenario parse error at line " +
+                    std::to_string(line_number) + ": " + what);
 }
 
 }  // namespace
 
-std::span<const SectionEntry> section_registry() { return kSections; }
-
-const SectionEntry* find_section(std::string_view key) {
-  for (const auto& entry : kSections) {
-    if (entry.key == key) return &entry;
-  }
-  return nullptr;
-}
-
-std::string section_keys() {
-  std::string keys;
-  for (const auto& entry : kSections) {
-    if (!keys.empty()) keys += '|';
-    keys += entry.key;
-  }
-  return keys;
-}
-
-ScenarioSpec parse_scenario(std::istream& in, std::string name,
-                            const trace::GeneratorConfig& base) {
-  ScenarioSpec spec;
-  spec.name = std::move(name);
-  spec.workload = base;
+RunConfig parse_scenario(std::istream& in, std::string name, RunConfig base) {
+  RunConfig config = std::move(base);
+  config.scenario.name = std::move(name);
 
   std::string line;
   std::size_t line_number = 0;
-  std::string section;
+  const SectionEntry* section = nullptr;
   // (section, key) pairs already seen: a silently-ignored second value is
   // exactly the kind of config drift this format exists to prevent.
   std::map<std::pair<std::string, std::string>, std::size_t> seen;
-
-  auto handle = [&](std::string_view key, std::string_view value) {
-    const auto s = [&](std::string_view want) { return key == want; };
-    if (section == "scenario") {
-      if (s("summary")) {
-        spec.summary = std::string(value);
-        return;
-      }
-    } else if (section == "workload") {
-      auto& w = spec.workload;
-      if (s("days")) {
-        w.days = static_cast<std::int32_t>(
-            bounded(value, line_number, key, 1, kMaxDays));
-        return;
-      }
-      if (s("users")) {
-        w.user_count = static_cast<std::uint32_t>(
-            bounded(value, line_number, key, 1, kMaxCount));
-        return;
-      }
-      if (s("programs")) {
-        w.program_count = static_cast<std::uint32_t>(
-            bounded(value, line_number, key, 1, kMaxCount));
-        return;
-      }
-      if (s("sessions_per_day")) {
-        w.sessions_per_user_per_day =
-            fraction(value, line_number, key, 1e-6, 1e3);
-        return;
-      }
-      if (s("seed")) {
-        w.seed = seed_value(value, line_number, key);
-        return;
-      }
-    } else if (section == "popularity") {
-      auto& w = spec.workload;
-      if (s("zipf_exponent")) {
-        w.zipf_exponent = fraction(value, line_number, key, 0.0, 10.0);
-        return;
-      }
-      if (s("zipf_offset")) {
-        w.zipf_offset = fraction(value, line_number, key, 0.0, 1e6);
-        return;
-      }
-      if (s("freshness_boost")) {
-        w.freshness_boost = fraction(value, line_number, key, 0.0, 1e6);
-        return;
-      }
-      if (s("freshness_tau_days")) {
-        w.freshness_tau_days = fraction(value, line_number, key, 1e-3, 1e4);
-        return;
-      }
-      if (s("freshness_floor")) {
-        w.freshness_floor = fraction(value, line_number, key, 1e-6, 1e3);
-        return;
-      }
-      if (s("back_catalog_fraction")) {
-        w.back_catalog_fraction = fraction(value, line_number, key, 0.0, 1.0);
-        return;
-      }
-    } else if (section == "system") {
-      if (s("neighborhood")) {
-        spec.neighborhood_size = static_cast<std::uint32_t>(
-            bounded(value, line_number, key, 1, kMaxCount));
-        return;
-      }
-      if (s("per_peer_gb")) {
-        spec.per_peer_gb =
-            bounded(value, line_number, key, 1, util::kMaxGigabytes);
-        return;
-      }
-      if (s("warmup_days")) {
-        spec.warmup_days = bounded(value, line_number, key, 0, kMaxDays);
-        return;
-      }
-      if (s("policy_switch")) {
-        spec.policy_switch = bounded(value, line_number, key, 0, 1) != 0;
-        return;
-      }
-      if (s("switch_window_hours")) {
-        spec.switch_window_hours =
-            bounded(value, line_number, key, 1, kMaxDays * 24);
-        return;
-      }
-      if (s("switch_windows_k")) {
-        spec.switch_windows_k = bounded(value, line_number, key, 1, 1000);
-        return;
-      }
-    } else if (section == "flash_crowd") {
-      auto& f = spec.flash_crowd;
-      if (s("title_rank")) {
-        f.title_rank = static_cast<std::uint32_t>(
-            bounded(value, line_number, key, 1, kMaxCount));
-        return;
-      }
-      if (s("start_hour")) {
-        f.start = sim::SimTime::hours(
-            bounded(value, line_number, key, 0, kMaxHours));
-        return;
-      }
-      if (s("duration_hours")) {
-        f.duration = sim::SimTime::hours(
-            bounded(value, line_number, key, 1, kMaxHours));
-        return;
-      }
-      if (s("capture")) {
-        f.capture = fraction(value, line_number, key, 0.0, 1.0);
-        return;
-      }
-      if (s("seed")) {
-        f.seed = seed_value(value, line_number, key);
-        return;
-      }
-    } else if (section == "release_waves") {
-      auto& r = spec.release_waves;
-      if (s("period_hours")) {
-        r.period = sim::SimTime::hours(
-            bounded(value, line_number, key, 1, kMaxHours));
-        return;
-      }
-      if (s("window_hours")) {
-        r.window = sim::SimTime::hours(
-            bounded(value, line_number, key, 1, kMaxHours));
-        return;
-      }
-      if (s("wave_size")) {
-        r.wave_size = static_cast<std::uint32_t>(
-            bounded(value, line_number, key, 1, kMaxCount));
-        return;
-      }
-      if (s("capture")) {
-        r.capture = fraction(value, line_number, key, 0.0, 1.0);
-        return;
-      }
-      if (s("seed")) {
-        r.seed = seed_value(value, line_number, key);
-        return;
-      }
-    } else if (section == "neighborhood_skew") {
-      auto& k = spec.skew;
-      if (s("hot_neighborhoods")) {
-        k.hot_neighborhoods = static_cast<std::uint32_t>(
-            bounded(value, line_number, key, 1, kMaxCount));
-        return;
-      }
-      if (s("population_share")) {
-        k.population_share = fraction(value, line_number, key, 0.0, 1.0);
-        return;
-      }
-      if (s("regions")) {
-        k.regions = static_cast<std::uint32_t>(
-            bounded(value, line_number, key, 0, kMaxCount));
-        return;
-      }
-      if (s("regional_affinity")) {
-        k.regional_affinity = fraction(value, line_number, key, 0.0, 1.0);
-        return;
-      }
-      if (s("seed")) {
-        k.seed = seed_value(value, line_number, key);
-        return;
-      }
-    } else if (section == "failure_storm") {
-      auto& f = spec.storm;
-      if (s("start_hour")) {
-        f.start = sim::SimTime::hours(
-            bounded(value, line_number, key, 0, kMaxHours));
-        return;
-      }
-      if (s("waves")) {
-        f.waves = static_cast<std::uint32_t>(
-            bounded(value, line_number, key, 1, 10'000));
-        return;
-      }
-      if (s("period_hours")) {
-        f.period = sim::SimTime::hours(
-            bounded(value, line_number, key, 1, kMaxHours));
-        return;
-      }
-      if (s("fraction")) {
-        f.fraction = fraction(value, line_number, key, 1e-9, 1.0);
-        return;
-      }
-      if (s("seed")) {
-        f.seed = seed_value(value, line_number, key);
-        return;
-      }
-    } else if (section == "tiers") {
-      auto& t = spec.tiers;
-      if (s("hub_fan_in")) {
-        t.hub_fan_in = static_cast<std::uint32_t>(
-            bounded(value, line_number, key, 1, kMaxCount));
-        return;
-      }
-      if (s("hub_capacity_gb")) {
-        t.hub_capacity_gb =
-            bounded(value, line_number, key, 0, util::kMaxGigabytes);
-        return;
-      }
-      if (s("hub_link_gbps")) {
-        t.hub_link_gbps = fraction(value, line_number, key, 0.0, 1e6);
-        return;
-      }
-      if (s("hub_cost_per_gb")) {
-        t.hub_cost_per_gb = fraction(value, line_number, key, 0.0, 1e6);
-        return;
-      }
-      if (s("origin_cost_per_gb")) {
-        t.origin_cost_per_gb = fraction(value, line_number, key, 0.0, 1e6);
-        return;
-      }
-      if (s("prefetch")) {
-        if (core::find_prefetch(value) == nullptr) {
-          parse_fail(line_number, std::string("unknown prefetch policy '") +
-                                      std::string(value) + "' (use " +
-                                      core::prefetch_keys() + ")");
-        }
-        t.prefetch = std::string(value);
-        return;
-      }
-      if (s("refresh_hours")) {
-        t.refresh_hours = bounded(value, line_number, key, 1, kMaxHours);
-        return;
-      }
-      if (s("outage_start_hour")) {
-        t.outage_start_hour = bounded(value, line_number, key, 0, kMaxHours);
-        return;
-      }
-      if (s("outage_hours")) {
-        t.outage_hours = bounded(value, line_number, key, 1, kMaxHours);
-        return;
-      }
-    }
-    parse_fail(line_number, std::string("unknown key '") + std::string(key) +
-                                "' in section [" + section + "] (see " +
-                                find_section(section)->keys + ")");
-  };
 
   while (std::getline(in, line)) {
     ++line_number;
@@ -398,25 +52,18 @@ ScenarioSpec parse_scenario(std::istream& in, std::string name,
         parse_fail(line_number, "malformed section header (use [name])");
       }
       const auto header = trim(text.substr(1, text.size() - 2));
-      const auto* entry = find_section(header);
-      if (entry == nullptr) {
-        parse_fail(line_number, std::string("unknown section [") +
-                                    std::string(header) + "] (use " +
-                                    section_keys() + ")");
+      section = find_section(header);
+      if (section == nullptr) {
+        parse_fail(line_number, "unknown section [" + std::string(header) +
+                                    "] (use " + section_keys() + ")");
       }
-      if (seen.count({std::string(header), ""}) != 0) {
-        parse_fail(line_number, std::string("duplicate section [") +
-                                    std::string(header) + "]");
+      if (!seen.emplace(std::pair{section->key, ""}, line_number).second) {
+        parse_fail(line_number,
+                   "duplicate section [" + std::string(header) + "]");
       }
-      seen.emplace(std::pair{std::string(header), std::string()}, line_number);
-      section = header;
-      // A mechanism section's presence enables it, even when empty (the
-      // defaults in its Spec struct then apply).
-      if (section == "flash_crowd") spec.flash_crowd.enabled = true;
-      if (section == "release_waves") spec.release_waves.enabled = true;
-      if (section == "neighborhood_skew") spec.skew.enabled = true;
-      if (section == "failure_storm") spec.storm.enabled = true;
-      if (section == "tiers") spec.tiers.enabled = true;
+      // A section's presence alone takes effect (an adaptor is enabled
+      // with its spec defaults; [tiers] creates the hub).
+      if (section->enter != nullptr) section->enter(config);
       continue;
     }
 
@@ -424,160 +71,73 @@ ScenarioSpec parse_scenario(std::istream& in, std::string name,
     if (eq == std::string_view::npos) {
       parse_fail(line_number, "expected 'key = value' or '[section]'");
     }
-    if (section.empty()) {
+    if (section == nullptr) {
       parse_fail(line_number, "key before any [section] header");
     }
     const auto key = trim(text.substr(0, eq));
     const auto value = trim(text.substr(eq + 1));
     if (key.empty()) parse_fail(line_number, "empty key");
     if (value.empty()) {
-      parse_fail(line_number,
-                 std::string("empty value for '") + std::string(key) + "'");
+      parse_fail(line_number, "empty value for '" + std::string(key) + "'");
     }
-    const auto [it, inserted] =
-        seen.emplace(std::pair{section, std::string(key)}, line_number);
+    const auto [it, inserted] = seen.emplace(
+        std::pair{std::string(section->key), std::string(key)}, line_number);
     if (!inserted) {
-      std::ostringstream message;
-      message << "duplicate key '" << key << "' in section [" << section
-              << "] (first set at line " << it->second << ")";
-      parse_fail(line_number, message.str());
+      parse_fail(line_number, "duplicate key '" + std::string(key) +
+                                  "' in section [" + section->key +
+                                  "] (first set at line " +
+                                  std::to_string(it->second) + ")");
     }
-    handle(key, value);
+    const auto* row = find_scenario_key(section->key, key);
+    if (row == nullptr) {
+      parse_fail(line_number, "unknown key '" + std::string(key) +
+                                  "' in section [" + section->key + "] (see " +
+                                  section_key_list(section->key) + ")");
+    }
+    try {
+      apply_key(*row, key, value, config);
+    } catch (const ConfigError& error) {
+      parse_fail(line_number, error.what());
+    }
   }
-  return spec;
+  // The storm expands only once all of its keys are known.
+  if (seen.count({"failure_storm", ""}) != 0) {
+    apply_storm(config.scenario.storm, config.system);
+  }
+  try {
+    check_config(config);
+  } catch (const ConfigError& error) {
+    throw ConfigError("scenario error at end of file (line " +
+                      std::to_string(line_number) + "): " + error.what());
+  }
+  return config;
 }
 
-ScenarioSpec load_scenario_file(const std::string& path,
-                                const trace::GeneratorConfig& base) {
+RunConfig load_scenario_file(const std::string& path, RunConfig base) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open scenario file: " + path);
+  if (!in) throw ConfigError("cannot open scenario file: " + path);
   // File stem as the scenario's name: "examples/scenarios/flash_crowd.scn"
   // -> "flash_crowd".
-  auto stem = path;
-  if (const auto slash = stem.find_last_of("/\\");
-      slash != std::string::npos) {
-    stem = stem.substr(slash + 1);
-  }
-  if (const auto dot = stem.find_last_of('.'); dot != std::string::npos) {
-    stem = stem.substr(0, dot);
-  }
-  return parse_scenario(in, std::move(stem), base);
+  return parse_scenario(in, std::filesystem::path(path).stem().string(),
+                        std::move(base));
 }
 
-void ScenarioSpec::validate() const {
-  const auto horizon = sim::SimTime::days(workload.days);
-  if (flash_crowd.enabled) {
-    if (flash_crowd.start + flash_crowd.duration > horizon) {
-      validate_fail(std::string("flash_crowd window ends past the workload "
-                                "horizon (") +
-                    std::to_string(workload.days) + " days)");
-    }
-  }
-  if (release_waves.enabled) {
-    if (release_waves.period > horizon) {
-      validate_fail("release_waves period exceeds the workload horizon");
-    }
-    if (release_waves.wave_size > workload.program_count) {
-      validate_fail("release_waves wave_size exceeds the catalog size");
-    }
-  }
-  if (skew.enabled) {
-    if (skew.regions > workload.program_count) {
-      validate_fail("neighborhood_skew regions exceeds the catalog size");
-    }
-    if (skew.population_share == 0.0 && skew.regions == 0) {
-      validate_fail(
-          "neighborhood_skew enabled but both population_share and regions "
-          "are off — delete the section or give it an effect");
-    }
-    if (skew.regions > 0 && skew.regional_affinity == 0.0) {
-      validate_fail(
-          "neighborhood_skew has regions but regional_affinity = 0; set an "
-          "affinity or drop the regions key");
-    }
-  }
-  if (storm.enabled) {
-    if (storm.start > horizon) {
-      validate_fail("failure_storm starts past the workload horizon");
-    }
-  }
-  if (tiers.enabled) {
-    // The hub pools hub_fan_in neighborhoods' worth of demand; reject a
-    // capacity x fan-in product that would overflow downstream byte math
-    // with a named error instead of wrapping silently.
-    if (!DataSize::gigabytes(tiers.hub_capacity_gb)
-             .multipliable_by(tiers.hub_fan_in)) {
-      validate_fail(
-          "tiers hub_capacity_gb x hub_fan_in overflows the byte range — "
-          "shrink the hub or its fan-in");
-    }
-    if (core::find_prefetch(tiers.prefetch) == nullptr) {
-      validate_fail(std::string("tiers prefetch '") + tiers.prefetch +
-                    "' is not a registered policy (use " +
-                    core::prefetch_keys() + ")");
-    }
-    if ((tiers.outage_start_hour >= 0) != (tiers.outage_hours > 0)) {
-      validate_fail(
-          "tiers outage needs both outage_start_hour and outage_hours");
-    }
-    if (tiers.outage_start_hour >= 0 &&
-        sim::SimTime::hours(tiers.outage_start_hour) > horizon) {
-      validate_fail("tiers outage starts past the workload horizon");
-    }
-  }
-}
-
-void apply_system(const ScenarioSpec& spec, core::SystemConfig& config) {
-  if (spec.neighborhood_size) config.neighborhood_size = *spec.neighborhood_size;
-  if (spec.per_peer_gb) {
-    config.per_peer_storage = DataSize::gigabytes(*spec.per_peer_gb);
-  }
-  if (spec.warmup_days) {
-    config.warmup = sim::SimTime::days(*spec.warmup_days);
-  }
-  if (spec.policy_switch) config.policy_switch = *spec.policy_switch;
-  if (spec.switch_window_hours) {
-    config.switch_window = sim::SimTime::hours(*spec.switch_window_hours);
-  }
-  if (spec.switch_windows_k) {
-    config.switch_windows_k = static_cast<int>(*spec.switch_windows_k);
-  }
-  if (spec.storm.enabled) {
-    for (std::uint32_t k = 0; k < spec.storm.waves; ++k) {
-      core::SystemConfig::PeerFailure wave;
-      wave.time = spec.storm.start + sim::SimTime::millis(
-          static_cast<std::int64_t>(k) * spec.storm.period.millis_count());
-      wave.fraction = spec.storm.fraction;
-      // Distinct seed per wave: a storm that wipes the same peers every
-      // time would measure one failure, not a storm.
-      wave.seed = spec.storm.seed + k;
-      config.peer_failures.push_back(wave);
-    }
-  }
-  if (spec.tiers.enabled) {
-    hfc::TierLevelSpec hub;
-    hub.name = "hub";
-    hub.fan_in = spec.tiers.hub_fan_in;
-    hub.capacity = DataSize::gigabytes(spec.tiers.hub_capacity_gb);
-    hub.uplink = DataRate::gigabits_per_second(spec.tiers.hub_link_gbps);
-    hub.cost_per_gb = spec.tiers.hub_cost_per_gb;
-    if (spec.tiers.outage_start_hour >= 0) {
-      hub.outages.push_back(
-          {sim::SimTime::hours(spec.tiers.outage_start_hour),
-           sim::SimTime::hours(spec.tiers.outage_hours)});
-    }
-    config.tiers.push_back(std::move(hub));
-    // validate() vouched for the key; entry lookup cannot fail here.
-    config.prefetch.kind = core::find_prefetch(spec.tiers.prefetch)->kind;
-    config.prefetch.refresh = sim::SimTime::hours(spec.tiers.refresh_hours);
-    config.origin_cost_per_gb = spec.tiers.origin_cost_per_gb;
+void apply_storm(const FailureStormSpec& storm, core::SystemConfig& config) {
+  for (std::uint32_t k = 0; k < storm.waves; ++k) {
+    core::SystemConfig::PeerFailure wave;
+    wave.time = storm.start + sim::SimTime::millis(
+        static_cast<std::int64_t>(k) * storm.period.millis_count());
+    wave.fraction = storm.fraction;
+    // Distinct seed per wave: a storm that wipes the same peers every
+    // time would measure one failure, not a storm.
+    wave.seed = storm.seed + k;
+    config.peer_failures.push_back(wave);
   }
 }
 
 void stack_adaptors(std::vector<std::unique_ptr<trace::SessionSource>>& parts,
                     const ScenarioSpec& spec,
                     std::uint32_t neighborhood_size) {
-  spec.validate();
   // Skew first, flash crowd last: the premiere spike overrides background
   // churn, not the other way round (documented in scenario.hpp).
   if (spec.skew.enabled) {

@@ -20,12 +20,11 @@
 // File format: line-oriented `key = value` under `[section]` headers.
 // '#' lines are comments.  Sections and keys are strict: an unknown
 // section or key, a malformed value, or a duplicate key is a parse error
-// (std::runtime_error with the line number), never a silent default.
-// Numbers go through util::parse_strict — trailing garbage and overflow
-// are errors too.  The recognized sections live in section_registry(),
-// the single source of truth behind the parser's dispatch, its error
-// messages, and the CLI's --list-scenarios table (mirroring how
-// core::PolicyRegistry anchors --list-strategies).
+// (ConfigError with the line number), never a silent default.  Every
+// section's keys, their bounds and their setters are rows of the
+// config-key table (scenario/config_keys.hpp) — the single source of truth
+// behind this parser, the CLI's flags, `vodcache --help` and
+// `--list-scenarios` — so a scenario key and its CLI flag cannot drift.
 //
 // Everything stays streaming: adaptors are single-pass
 // trace::SessionSource wrappers that draw their RNG in input order, so a
@@ -37,10 +36,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -107,26 +103,6 @@ struct FailureStormSpec {
   std::uint64_t seed = 0xFA11;
 };
 
-// [tiers]: stack a regional-hub cache tier between the neighborhoods and
-// the origin (SystemConfig::tiers + prefetch).  `hub_fan_in` neighborhoods
-// share one hub node of `hub_capacity_gb`; `prefetch` names a
-// core::PolicyRegistry prior-storing policy whose plans rotate every
-// `refresh_hours`, pulling at most hub_link_gbps x refresh of new content
-// per rotation (0 = unconstrained).  An optional outage window takes the
-// whole tier offline.  Costs feed the report's cost-vs-hit-rate frontier.
-struct TiersSpec {
-  bool enabled = false;
-  std::uint32_t hub_fan_in = 8;
-  std::int64_t hub_capacity_gb = 0;  // 0: the hub stores nothing
-  double hub_link_gbps = 0.0;        // 0: unconstrained rotation budget
-  double hub_cost_per_gb = 0.01;
-  double origin_cost_per_gb = 0.05;
-  std::string prefetch = "top-popular";
-  std::int64_t refresh_hours = 24;
-  std::int64_t outage_start_hour = -1;  // < 0: no outage
-  std::int64_t outage_hours = 0;
-};
-
 struct ScenarioSpec {
   std::string name;     // file stem (or caller-provided hint)
   std::string summary;  // [scenario] summary = ...
@@ -134,61 +110,38 @@ struct ScenarioSpec {
   // [workload] + [popularity] overrides applied onto the defaults.
   trace::GeneratorConfig workload;
 
-  // [system] overrides; unset fields leave the caller's config alone.
-  std::optional<std::uint32_t> neighborhood_size;
-  std::optional<std::int64_t> per_peer_gb;
-  std::optional<std::int64_t> warmup_days;
-  std::optional<bool> policy_switch;
-  std::optional<std::int64_t> switch_window_hours;
-  std::optional<std::int64_t> switch_windows_k;
-
   FlashCrowdSpec flash_crowd;
   ReleaseWavesSpec release_waves;
   NeighborhoodSkewSpec skew;
   FailureStormSpec storm;
-  TiersSpec tiers;
-
-  // Cross-field validation against the *final* workload (the CLI may
-  // override days/users/programs after loading the file): windows inside
-  // the horizon, ranks inside the catalog, fractions in range.  Throws
-  // std::runtime_error — scenario data is untrusted input, not a
-  // programming error.
-  void validate() const;
 };
 
-// One recognized section of the file format: its header spelling, a
-// one-line summary, and its key list (documentation + --list-scenarios).
-struct SectionEntry {
-  const char* key;
-  const char* summary;
-  const char* keys;
+// Everything the config keys (scenario/config_keys.hpp) set: a generated
+// workload and its adaptors, the system under test, and the CLI's
+// source-chain knobs.
+struct RunConfig {
+  ScenarioSpec scenario;
+  core::SystemConfig system;
+  std::uint32_t scale_pop = 1;  // trace/scaler.hpp population copies
+  std::uint32_t scale_cat = 1;  // trace/scaler.hpp catalog remaps
+  bool materialize = false;     // buffer the workload as a Trace
 };
 
-[[nodiscard]] std::span<const SectionEntry> section_registry();
-[[nodiscard]] const SectionEntry* find_section(std::string_view key);
-// "scenario|workload|..." — for error messages, derived so they cannot
-// drift from the registry.
-[[nodiscard]] std::string section_keys();
+// Parses a scenario from a stream / file onto `base`: each key the file
+// sets overwrites its field, every other field keeps the caller's value
+// (e.g. the CLI's earlier --days), the [failure_storm] schedule is
+// appended to system.peer_failures, and check_config() runs last.  Throws
+// ConfigError with a line number on any malformed input.
+[[nodiscard]] RunConfig parse_scenario(std::istream& in, std::string name,
+                                       RunConfig base = {});
+[[nodiscard]] RunConfig load_scenario_file(const std::string& path,
+                                           RunConfig base = {});
 
-// Parses a scenario from a stream / file.  Throws std::runtime_error with
-// a line number on any malformed input.  `base` seeds the workload the
-// file's [workload]/[popularity] keys override — pass the surrounding
-// configuration (e.g. the CLI's current --days/--users state) so a file
-// that omits a key inherits the caller's value instead of silently
-// resetting it to the generator default.
-[[nodiscard]] ScenarioSpec parse_scenario(
-    std::istream& in, std::string name,
-    const trace::GeneratorConfig& base = trace::GeneratorConfig{});
-[[nodiscard]] ScenarioSpec load_scenario_file(
-    const std::string& path,
-    const trace::GeneratorConfig& base = trace::GeneratorConfig{});
+// Appends the storm's waves to config.peer_failures.
+void apply_storm(const FailureStormSpec& storm, core::SystemConfig& config);
 
-// Applies the spec's system-side effects onto `config`: topology/warmup
-// overrides and the failure-storm schedule (appended to peer_failures).
-void apply_system(const ScenarioSpec& spec, core::SystemConfig& config);
-
-// Validates the spec and stacks its enabled adaptors (skew, then release
-// waves, then flash crowd — so the spike wins over background churn) onto
+// Stacks the spec's enabled adaptors (skew, then release waves, then
+// flash crowd — so the spike wins over background churn) onto
 // `parts.back()`; every new link is appended so the caller keeps the whole
 // chain alive.  `neighborhood_size` must be the value the simulation will
 // actually run with (the skew adaptor replays the topology's placement).

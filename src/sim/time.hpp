@@ -103,6 +103,7 @@ class HourWindow {
 
   [[nodiscard]] constexpr int begin_hour() const { return begin_; }
   [[nodiscard]] constexpr int end_hour() const { return end_; }
+  constexpr bool operator==(const HourWindow&) const = default;
 
  private:
   int begin_;

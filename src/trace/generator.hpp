@@ -79,6 +79,7 @@ struct GeneratorConfig {
   struct LengthBucket {
     double minutes;
     double probability;
+    bool operator==(const LengthBucket&) const = default;
   };
   std::array<LengthBucket, 7> length_mix = {{{20, 0.15},
                                              {30, 0.20},
@@ -89,6 +90,7 @@ struct GeneratorConfig {
                                              {120, 0.05}}};
 
   void validate() const;
+  bool operator==(const GeneratorConfig&) const = default;
 };
 
 // The generator as a lazy SessionSource: the catalog is built eagerly (it

@@ -8,23 +8,11 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdint>
 #include <optional>
 #include <string_view>
 #include <type_traits>
 
 namespace vodcache::util {
-
-// Shared option bounds for every user-facing configuration surface (CLI
-// flags and scenario files): generous enough for any realistic
-// deployment, tight enough that downstream millisecond/bit conversions
-// cannot overflow int64.  One definition so the surfaces cannot drift —
-// a days value the scenario format accepts is a days value --days
-// accepts.
-inline constexpr std::int64_t kMaxDays = 100'000;  // ~270 years
-inline constexpr std::int64_t kMaxHours = kMaxDays * 24;
-inline constexpr std::int64_t kMaxIdCount = 0xFFFFFFFF;  // uint32 ids
-inline constexpr std::int64_t kMaxGigabytes = 1'000'000'000;  // 1 exabyte
 
 // Parses all of `text` as a T.  Returns nullopt on empty input, trailing
 // garbage, overflow (from_chars reports result_out_of_range), or — for

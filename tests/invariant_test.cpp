@@ -142,7 +142,7 @@ RandomCase draw_case(std::uint64_t seed) {
     storm.period = sim::SimTime::hours(rng.uniform_int(2, 12));
     storm.fraction = rng.uniform_double(0.1, 0.5);
     storm.seed = rng.next_u64();
-    scenario::apply_system(c.spec, config);  // expand the storm schedule
+    scenario::apply_storm(storm, config);  // expand the storm schedule
   }
   // Tier axis: a hub level with a random prefetch policy, sometimes
   // capacity-starved, link-capped, or knocked out mid-horizon — the
@@ -381,7 +381,7 @@ TEST_P(RandomConfig, SteadyStateShardLoopIsAllocationFree) {
   c.config.shadow_matrix = false;
   c.config.policy_switch = false;  // same clamp reason as shadow_matrix
   c.config.tiers.clear();
-  c.config.peer_failures.clear();  // apply_system expanded storms into here
+  c.config.peer_failures.clear();  // apply_storm expanded storms into here
   c.spec.storm.enabled = false;
   c.spec.flash_crowd.enabled = false;
   c.spec.release_waves.enabled = false;

@@ -71,6 +71,8 @@ struct GoldenCase {
 
 // Hashes generated at the last commit before the policy-engine
 // decomposition (PR 3 head), with the monolithic ReplacementStrategy.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
 const GoldenCase kGoldenCases[] = {
     {"None", StrategyKind::None, 0, CacheAdmission::WholeProgram, false,
      0x920B3F4F8AD09931ULL},

@@ -84,15 +84,15 @@ AdmissionKind admission_kind(const std::string& display) {
 TEST(PolicySwitcher, SwitchLogByteIdenticalAcrossThreadsAndChunks) {
   const auto path = std::filesystem::path(VODCACHE_SCENARIO_DIR) /
                     "neighborhood_skew.scn";
-  const auto spec = scenario::load_scenario_file(path.string());
-
-  SystemConfig config;
-  config.strategy.kind = StrategyKind::Lru;
-  scenario::apply_system(spec, config);
+  scenario::RunConfig base;
+  base.system.strategy.kind = StrategyKind::Lru;
+  const auto loaded = scenario::load_scenario_file(path.string(), base);
+  auto config = loaded.system;
   config.policy_switch = true;
   config.switch_window = sim::SimTime::hours(3);
   config.switch_windows_k = 2;
-  const scenario::ScenarioWorkload workload(spec, config.neighborhood_size);
+  const scenario::ScenarioWorkload workload(loaded.scenario,
+                                            config.neighborhood_size);
 
   config.threads = 1;
   std::string reference;

@@ -13,6 +13,7 @@
 #include "core/report_json.hpp"
 #include "core/vod_system.hpp"
 #include "scenario/adaptors.hpp"
+#include "scenario/config_keys.hpp"
 #include "scenario/scenario.hpp"
 #include "test_support.hpp"
 #include "trace/generator.hpp"
@@ -20,7 +21,7 @@
 namespace vodcache::scenario {
 namespace {
 
-ScenarioSpec parse_text(const std::string& text) {
+RunConfig parse_text(const std::string& text) {
   std::istringstream in(text);
   return parse_scenario(in, "inline");
 }
@@ -45,7 +46,7 @@ void expect_parse_error(const std::string& text,
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioParser, FullSpecRoundTrips) {
-  const auto spec = parse_text(R"(# comment
+  const auto config = parse_text(R"(# comment
 [scenario]
 summary = the kitchen sink
 
@@ -90,6 +91,7 @@ waves = 3
 period_hours = 6
 fraction = 0.15
 )");
+  const auto& spec = config.scenario;
   EXPECT_EQ(spec.name, "inline");
   EXPECT_EQ(spec.summary, "the kitchen sink");
   EXPECT_EQ(spec.workload.days, 9);
@@ -99,12 +101,9 @@ fraction = 0.15
   EXPECT_EQ(spec.workload.seed, 42u);
   EXPECT_DOUBLE_EQ(spec.workload.zipf_exponent, 0.8);
   EXPECT_DOUBLE_EQ(spec.workload.freshness_tau_days, 0.75);
-  ASSERT_TRUE(spec.neighborhood_size);
-  EXPECT_EQ(*spec.neighborhood_size, 111u);
-  ASSERT_TRUE(spec.per_peer_gb);
-  EXPECT_EQ(*spec.per_peer_gb, 2);
-  ASSERT_TRUE(spec.warmup_days);
-  EXPECT_EQ(*spec.warmup_days, 2);
+  EXPECT_EQ(config.system.neighborhood_size, 111u);
+  EXPECT_EQ(config.system.per_peer_storage, DataSize::gigabytes(2));
+  EXPECT_EQ(config.system.warmup, sim::SimTime::days(2));
 
   EXPECT_TRUE(spec.flash_crowd.enabled);
   EXPECT_EQ(spec.flash_crowd.title_rank, 3u);
@@ -127,6 +126,7 @@ fraction = 0.15
   EXPECT_EQ(spec.storm.start, sim::SimTime::hours(24));
   EXPECT_EQ(spec.storm.waves, 3u);
   EXPECT_DOUBLE_EQ(spec.storm.fraction, 0.15);
+  EXPECT_EQ(config.system.peer_failures.size(), 3u);  // the expanded storm
 }
 
 TEST(ScenarioParser, BaseWorkloadSeedsUnsetKeys) {
@@ -134,17 +134,17 @@ TEST(ScenarioParser, BaseWorkloadSeedsUnsetKeys) {
   // CLI passes its current --days/--users state), never the raw
   // generator default — `--days 10` before `--scenario` survives a file
   // that only sets users.
-  trace::GeneratorConfig base;
-  base.days = 10;
-  base.user_count = 5000;
+  RunConfig base;
+  base.scenario.workload.days = 10;
+  base.scenario.workload.user_count = 5000;
   std::istringstream in("[workload]\nusers = 77\n");
-  const auto spec = parse_scenario(in, "inline", base);
-  EXPECT_EQ(spec.workload.days, 10);
-  EXPECT_EQ(spec.workload.user_count, 77u);
+  const auto config = parse_scenario(in, "inline", base);
+  EXPECT_EQ(config.scenario.workload.days, 10);
+  EXPECT_EQ(config.scenario.workload.user_count, 77u);
 }
 
 TEST(ScenarioParser, SectionsWithoutKeysAreEnabledWithDefaults) {
-  const auto spec = parse_text("[flash_crowd]\n");
+  const auto spec = parse_text("[flash_crowd]\n").scenario;
   EXPECT_TRUE(spec.flash_crowd.enabled);
   EXPECT_EQ(spec.flash_crowd.title_rank, 1u);
   EXPECT_FALSE(spec.release_waves.enabled);
@@ -154,7 +154,8 @@ TEST(ScenarioParser, SectionsWithoutKeysAreEnabledWithDefaults) {
 
 TEST(ScenarioParser, CrlfAndWhitespaceAreTolerated) {
   const auto spec =
-      parse_text("[workload]\r\n  days   =  5 \r\n\r\n# c\r\nusers = 77\r\n");
+      parse_text("[workload]\r\n  days   =  5 \r\n\r\n# c\r\nusers = 77\r\n")
+          .scenario;
   EXPECT_EQ(spec.workload.days, 5);
   EXPECT_EQ(spec.workload.user_count, 77u);
 }
@@ -182,7 +183,7 @@ TEST(ScenarioParser, RejectsOutOfRangeValue) {
 TEST(ScenarioParser, SeedsAreFullRangeUnsigned) {
   // uint64 seeds beyond int64 range are legal...
   const auto spec =
-      parse_text("[workload]\nseed = 9223372036854775808\n");
+      parse_text("[workload]\nseed = 9223372036854775808\n").scenario;
   EXPECT_EQ(spec.workload.seed, 9223372036854775808ULL);
   // ...and a negative seed is malformed, not a silent wraparound.
   expect_parse_error("[workload]\nseed = -1\n",
@@ -224,26 +225,26 @@ TEST(ScenarioRegistry, EverySectionIsFindableAndListed) {
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioValidate, WindowsMustFitTheHorizon) {
-  auto spec = parse_text("[workload]\ndays = 2\n[flash_crowd]\n"
-                         "start_hour = 47\nduration_hours = 2\n");
-  EXPECT_THROW(spec.validate(), std::runtime_error);
-  spec.flash_crowd.start = sim::SimTime::hours(40);
-  EXPECT_NO_THROW(spec.validate());
-
-  auto storm = parse_text("[workload]\ndays = 2\n[failure_storm]\n"
-                          "start_hour = 72\n");
-  EXPECT_THROW(storm.validate(), std::runtime_error);
+  // Cross-field rules run at the end of the file, against its workload.
+  expect_parse_error("[workload]\ndays = 2\n[flash_crowd]\n"
+                     "start_hour = 47\nduration_hours = 2\n",
+                     {"line 5", "flash_crowd window", "horizon"});
+  EXPECT_NO_THROW(parse_text("[workload]\ndays = 2\n[flash_crowd]\n"
+                             "start_hour = 40\nduration_hours = 2\n"));
+  expect_parse_error("[workload]\ndays = 2\n[failure_storm]\n"
+                     "start_hour = 72\n",
+                     {"line 4", "failure_storm starts past"});
 }
 
 TEST(ScenarioValidate, SkewMustHaveAnEffect) {
-  auto spec = parse_text("[neighborhood_skew]\nhot_neighborhoods = 1\n");
-  EXPECT_THROW(spec.validate(), std::runtime_error);
-  spec.skew.population_share = 0.5;
-  EXPECT_NO_THROW(spec.validate());
+  expect_parse_error("[neighborhood_skew]\nhot_neighborhoods = 1\n",
+                     {"line 2", "neighborhood_skew"});
+  EXPECT_NO_THROW(parse_text("[neighborhood_skew]\nhot_neighborhoods = 1\n"
+                             "population_share = 0.5\n"));
 }
 
 TEST(ScenarioApplySystem, OverridesAndStormSchedule) {
-  const auto spec = parse_text(R"([system]
+  const auto config = parse_text(R"([system]
 neighborhood = 123
 per_peer_gb = 3
 warmup_days = 2
@@ -253,9 +254,7 @@ waves = 3
 period_hours = 5
 fraction = 0.2
 seed = 99
-)");
-  core::SystemConfig config;
-  apply_system(spec, config);
+)").system;
   EXPECT_EQ(config.neighborhood_size, 123u);
   EXPECT_EQ(config.per_peer_storage, DataSize::gigabytes(3));
   EXPECT_EQ(config.warmup, sim::SimTime::days(2));
@@ -439,7 +438,7 @@ TEST(NeighborhoodSkewAdaptor, RejectsTooManyHotNeighborhoods) {
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioTiers, SectionRoundTripsAndAppliesToConfig) {
-  const auto spec = parse_text(R"([workload]
+  const auto config = parse_text(R"([workload]
 days = 4
 
 [tiers]
@@ -452,16 +451,7 @@ prefetch = oracle
 refresh_hours = 12
 outage_start_hour = 60
 outage_hours = 6
-)");
-  ASSERT_TRUE(spec.tiers.enabled);
-  EXPECT_EQ(spec.tiers.hub_fan_in, 4u);
-  EXPECT_EQ(spec.tiers.hub_capacity_gb, 120);
-  EXPECT_DOUBLE_EQ(spec.tiers.hub_link_gbps, 0.5);
-  EXPECT_EQ(spec.tiers.prefetch, "oracle");
-  EXPECT_NO_THROW(spec.validate());
-
-  core::SystemConfig config;
-  apply_system(spec, config);
+)").system;
   ASSERT_EQ(config.tiers.size(), 1u);
   EXPECT_EQ(config.tiers[0].name, "hub");
   EXPECT_EQ(config.tiers[0].fan_in, 4u);
@@ -470,20 +460,19 @@ outage_hours = 6
   EXPECT_DOUBLE_EQ(config.tiers[0].cost_per_gb, 0.02);
   ASSERT_EQ(config.tiers[0].outages.size(), 1u);
   EXPECT_EQ(config.tiers[0].outages[0].start, sim::SimTime::hours(60));
+  EXPECT_EQ(config.tiers[0].outages[0].duration, sim::SimTime::hours(6));
   EXPECT_EQ(config.prefetch.kind, core::PrefetchKind::Oracle);
   EXPECT_EQ(config.prefetch.refresh, sim::SimTime::hours(12));
   EXPECT_DOUBLE_EQ(config.origin_cost_per_gb, 0.07);
 }
 
 TEST(ScenarioTiers, PresenceEnablesWithDefaults) {
-  const auto spec = parse_text("[tiers]\n");
-  EXPECT_TRUE(spec.tiers.enabled);
-  EXPECT_EQ(spec.tiers.prefetch, "top-popular");
-  EXPECT_NO_THROW(spec.validate());
+  const auto config = parse_text("[tiers]\n").system;
+  ASSERT_EQ(config.tiers.size(), 1u);
+  EXPECT_EQ(config.tiers[0].fan_in, 8u);
+  EXPECT_EQ(config.prefetch.kind, core::PrefetchKind::TopPopular);
   // Absent section leaves the two-level world alone.
-  core::SystemConfig config;
-  apply_system(parse_text("[workload]\ndays = 2\n"), config);
-  EXPECT_TRUE(config.tiers.empty());
+  EXPECT_TRUE(parse_text("[workload]\ndays = 2\n").system.tiers.empty());
 }
 
 TEST(ScenarioTiers, UnknownPrefetchIsALineNumberedParseError) {
@@ -504,29 +493,23 @@ TEST(ScenarioTiers, UnknownKeyListsTheSectionVocabulary) {
 }
 
 TEST(ScenarioTiers, CapacityFanInOverflowIsANamedValidateError) {
-  auto spec = parse_text("[tiers]\nhub_capacity_gb = 1000000000\n");
-  spec.tiers.hub_fan_in = 4'000'000'000u;  // 1e9 GB x 4e9 overflows bytes
-  try {
-    spec.validate();
-    FAIL() << "expected a validate error";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("hub_capacity_gb x hub_fan_in"),
-              std::string::npos)
-        << error.what();
-  }
+  // 1e9 GB x 4e9 overflows the byte range; each key alone is in bounds.
+  expect_parse_error("[tiers]\nhub_capacity_gb = 1000000000\n"
+                     "hub_fan_in = 4000000000\n",
+                     {"line 3", "hub_capacity_gb x hub_fan_in"});
 }
 
 TEST(ScenarioTiers, OutageNeedsBothKeys) {
-  const auto spec = parse_text("[workload]\ndays = 4\n"
-                               "[tiers]\noutage_start_hour = 10\n");
-  EXPECT_THROW(spec.validate(), std::runtime_error);
+  expect_parse_error("[workload]\ndays = 4\n[tiers]\noutage_start_hour = 10\n",
+                     {"line 4", "outage needs both"});
+  expect_parse_error("[workload]\ndays = 4\n[tiers]\noutage_hours = 10\n",
+                     {"line 4", "outage needs both"});
 }
 
 TEST(ScenarioTiers, OutagePastHorizonRejected) {
-  const auto spec = parse_text("[workload]\ndays = 2\n"
-                               "[tiers]\noutage_start_hour = 49\n"
-                               "outage_hours = 2\n");
-  EXPECT_THROW(spec.validate(), std::runtime_error);
+  expect_parse_error("[workload]\ndays = 2\n"
+                     "[tiers]\noutage_start_hour = 49\noutage_hours = 2\n",
+                     {"line 5", "outage starts past"});
 }
 
 // ---------------------------------------------------------------------------
@@ -549,10 +532,9 @@ TEST(ShippedScenarios, AtLeastFiveFilesAndAllParse) {
   const auto files = shipped_files();
   EXPECT_GE(files.size(), 5u);
   for (const auto& file : files) {
-    const auto spec = load_scenario_file(file);
+    const auto spec = load_scenario_file(file).scenario;
     EXPECT_FALSE(spec.name.empty());
     EXPECT_FALSE(spec.summary.empty()) << file << " needs a summary";
-    EXPECT_NO_THROW(spec.validate()) << file;
   }
 }
 
@@ -574,12 +556,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(ShippedScenarioIdentity, BitIdenticalAcrossThreadsAndMaterialization) {
-  const auto spec = load_scenario_file(GetParam());
-
-  core::SystemConfig config;
-  config.strategy.kind = core::StrategyKind::Lfu;
-  apply_system(spec, config);
-  const ScenarioWorkload workload(spec, config.neighborhood_size);
+  RunConfig base;
+  base.system.strategy.kind = core::StrategyKind::Lfu;
+  const auto loaded = load_scenario_file(GetParam(), base);
+  const auto& config = loaded.system;
+  const ScenarioWorkload workload(loaded.scenario, config.neighborhood_size);
 
   std::string reference;
   for (const std::uint32_t threads : {1u, 2u, 8u}) {

@@ -212,13 +212,13 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, ScenarioExecutorIdentity,
 TEST_P(ScenarioExecutorIdentity, ByteIdenticalAcrossThreadsAndChunks) {
   const auto path = std::filesystem::path(VODCACHE_SCENARIO_DIR) /
                     (std::string(GetParam()) + ".scn");
-  const auto spec = scenario::load_scenario_file(path.string());
-
-  SystemConfig config;
-  config.strategy.kind = StrategyKind::GlobalLfu;
-  config.strategy.lfu_history = sim::SimTime::hours(24);
-  scenario::apply_system(spec, config);
-  const scenario::ScenarioWorkload workload(spec, config.neighborhood_size);
+  scenario::RunConfig base;
+  base.system.strategy.kind = StrategyKind::GlobalLfu;
+  base.system.strategy.lfu_history = sim::SimTime::hours(24);
+  const auto loaded = scenario::load_scenario_file(path.string(), base);
+  auto config = loaded.system;
+  const scenario::ScenarioWorkload workload(loaded.scenario,
+                                            config.neighborhood_size);
 
   config.threads = 1;
   std::string reference;

@@ -4,82 +4,19 @@
 // the trace, and reports what the central servers, headend fiber feeds,
 // and neighborhood coax must sustain.
 //
-//   vodcache run   [options]        simulate and report
-//   vodcache gen   [options] FILE   write a synthetic trace as CSV
-//   vodcache demand [options]       no-cache demand profile only (fast)
-//
 // The workload is streamed: sessions are generated (or read) lazily and
 // consumed incrementally, so memory stays flat in the horizon and the user
 // count — a million-user multi-day run fits in commodity RAM.  `--materialize`
 // forces the old buffer-everything path; its report is byte-identical.
 //
-// Common options:
-//   --days N              workload horizon in days            [21]
-//   --users N             subscriber count                    [41698]
-//   --programs N          catalog size                        [8278]
-//   --seed N              workload seed                       [20070625]
-//   --trace FILE          load trace CSV instead of generating
-//   --scenario FILE       load a declarative scenario (workload + adaptors
-//                         + failure schedule; see --list-scenarios and
-//                         examples/scenarios/).  Applied when parsed:
-//                         later options override the file's settings.
-//   --list-scenarios      print every scenario file section the engine
-//                         understands (the scenario registry is the single
-//                         source of truth for these names), then exit
-//   --scale-pop N         population x N (paper sec. V-A jittered copies)
-//   --scale-cat N         catalog x N (paper sec. V-A random remap)
-//   --materialize         buffer the whole trace in memory (cross-check
-//                         path; the streamed report is byte-identical)
-// System options (run):
-//   --neighborhood N      subscribers per neighborhood        [1000]
-//   --per-peer-gb N       storage contribution per set-top    [10]
-//   --strategy S          eviction scorer (see --list-strategies)  [lfu]
-//   --admission-policy P  admission gate (see --list-strategies)   [always]
-//   --probation-hours N   second-hit probation window         [24]
-//   --headroom F          coax-headroom admission fraction    [0.9]
-//   --history-hours N     LFU/global history window           [72]
-//   --lag-minutes N       global popularity batching lag      [0]
-//   --segment-admission   charge only stored bytes (ablation)
-//   --list-strategies     print every registered scorer and admission
-//                         policy (the registry is the single source of
-//                         truth for these names), then exit
-//   --shadow-matrix       shadow every (scorer x admission) pair against
-//                         the primary's replay in the same single pass
-//   --policy-switch       let each neighborhood promote a shadow pair
-//                         that out-hits its primary for k consecutive
-//                         windows (warm switch; report gains
-//                         policy_switches, drops shadow_matrix)
-//   --switch-window N     policy-switch comparison window, hours  [6]
-//   --switch-k N          consecutive windows a pair must win     [3]
-//   --replicate           replicate stream-saturated segments
-// Tier options (run; any --hub-* flag adds a regional hub tier between
-// the neighborhoods and the origin):
-//   --hub-capacity-gb N   pooled storage per hub node         [0]
-//   --hub-fan-in N        neighborhoods per hub node          [8]
-//   --hub-link-gbps F     hub refresh uplink cap, 0 = none    [0]
-//   --hub-cost-per-gb F   transfer cost per GB served by hub  [0.01]
-//   --origin-cost-per-gb F  transfer cost per GB from origin  [0.05]
-//   --prefetch P          hub prior-storing policy (see --list-tiers)
-//   --prefetch-refresh-hours N  prefetch plan rotation period [24]
-//   --list-tiers          print every registered prefetch policy (the
-//                         registry is the single source of truth for
-//                         these names), then exit
-//   --threads N           worker threads for the sharded replay;
-//                         the report is bit-identical for any N  [1]
-//   --warmup-days N       measurement warmup exclusion        [7]
-//   --fail T F            wipe fraction F of peers at hour T (repeatable)
-//   --json [FILE]         emit the full report as JSON
+// `vodcache --help` lists the commands and every option; it is generated
+// from the config-key table (src/scenario/config_keys.hpp) that also parses
+// the flags and the scenario files.
 #include <algorithm>
-#include <cstdint>
-#include <optional>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/load_analysis.hpp"
@@ -87,338 +24,39 @@
 #include "core/policy_registry.hpp"
 #include "core/report_json.hpp"
 #include "core/vod_system.hpp"
-#include "scenario/scenario.hpp"
+#include "scenario/config_keys.hpp"
 #include "trace/csv_io.hpp"
-#include "trace/generator.hpp"
 #include "trace/scaler.hpp"
 #include "trace/session_source.hpp"
-#include "util/parse.hpp"
 
 namespace {
 
 using namespace vodcache;
 
-struct CliOptions {
-  std::string command;
-  trace::GeneratorConfig workload;
-  core::SystemConfig system;
-  std::optional<scenario::ScenarioSpec> scenario;
-  std::string trace_path;
-  std::uint32_t scale_pop = 1;
-  std::uint32_t scale_cat = 1;
-  bool materialize = false;
-  std::string output_path;   // gen: trace CSV destination
-  std::string json_path;     // run: "-" = stdout
-  bool emit_json = false;
-};
+using scenario::CliOptions;
 
-[[noreturn]] void usage(const char* message = nullptr) {
-  if (message != nullptr) std::cerr << "vodcache: " << message << "\n\n";
-  std::cerr <<
-      "usage: vodcache run|gen|demand [options]  (see source header or "
-      "README)\n";
-  std::exit(message == nullptr ? 0 : 2);
-}
-
-// Option bounds shared with the scenario-file parser (one definition in
-// util/parse.hpp, so the two surfaces cannot drift).
-using util::kMaxDays;
-using util::kMaxGigabytes;
-using util::kMaxHours;
-constexpr std::int64_t kMaxCount = util::kMaxIdCount;
-
-// Strict numeric option parsing: malformed, overflowing, or out-of-range
-// values are usage errors (exit 2), never library precondition aborts and
-// never silent narrowing wraps.
-std::int64_t parse_int(const std::string& text, const char* option,
-                       std::int64_t min_value, std::int64_t max_value) {
-  const auto value = util::parse_strict<std::int64_t>(text);
-  if (!value || *value < min_value || *value > max_value) {
-    usage((std::string(option) + " needs an integer in [" +
-           std::to_string(min_value) + ", " + std::to_string(max_value) +
-           "], got '" + text + "'")
-              .c_str());
+// One registry as a table: key, report name, summary.
+template <typename Entries>
+void print_registry(const char* title, const char* column,
+                    const Entries& entries) {
+  analysis::Table table({column, "report name", "what it does"});
+  for (const auto& entry : entries) {
+    table.add_row({entry.key, entry.display, entry.summary});
   }
-  return *value;
+  std::cout << title;
+  table.print(std::cout);
 }
 
-double parse_double(const std::string& text, const char* option,
-                    double min_value, double max_value) {
-  const auto value = util::parse_strict<double>(text);
-  if (!value || *value < min_value || *value > max_value) {
-    usage((std::string(option) + " needs a number in [" +
-           std::to_string(min_value) + ", " + std::to_string(max_value) +
-           "], got '" + text + "'")
-              .c_str());
-  }
-  return *value;
-}
-
-double parse_fraction(const std::string& text, const char* option) {
-  const auto value = util::parse_strict<double>(text);
-  if (!value || *value <= 0.0 || *value > 1.0) {
-    usage((std::string(option) + " needs a fraction in (0, 1], got '" + text +
-           "'")
-              .c_str());
-  }
-  return *value;
-}
-
-// Both parsers read the policy registry, so the accepted names and the
-// error text can never drift from what the engine actually instantiates.
-core::StrategyKind parse_strategy(const std::string& name) {
-  if (const auto* entry = core::find_scorer(name)) return entry->kind;
-  usage(("unknown strategy (use " + core::scorer_keys() + ")").c_str());
-}
-
-core::AdmissionKind parse_admission(const std::string& name) {
-  if (const auto* entry = core::find_admission(name)) return entry->kind;
-  usage(("unknown admission policy (use " + core::admission_keys() + ")")
-            .c_str());
-}
-
-core::PrefetchKind parse_prefetch(const std::string& name) {
-  if (const auto* entry = core::find_prefetch(name)) return entry->kind;
-  usage(("unknown prefetch policy (use " + core::prefetch_keys() + ")")
-            .c_str());
-}
-
-[[noreturn]] void list_strategies() {
-  analysis::Table scorers({"strategy", "report name", "what it does"});
-  for (const auto& entry : core::scorer_registry()) {
-    scorers.add_row({entry.key, entry.display, entry.summary});
-  }
-  std::cout << "eviction strategies (--strategy):\n";
-  scorers.print(std::cout);
-
-  analysis::Table admissions({"policy", "report name", "what it does"});
-  for (const auto& entry : core::admission_registry()) {
-    admissions.add_row({entry.key, entry.display, entry.summary});
-  }
-  std::cout << "\nadmission policies (--admission-policy):\n";
-  admissions.print(std::cout);
-  std::exit(0);
-}
-
-[[noreturn]] void list_tiers() {
-  analysis::Table prefetches({"prefetch", "report name", "what it does"});
-  for (const auto& entry : core::prefetch_registry()) {
-    prefetches.add_row({entry.key, entry.display, entry.summary});
-  }
-  std::cout << "hub prefetch policies (--prefetch):\n";
-  prefetches.print(std::cout);
-  std::exit(0);
-}
-
-[[noreturn]] void list_scenarios() {
+int list_scenarios() {
   analysis::Table sections({"section", "keys", "what it does"});
   for (const auto& entry : scenario::section_registry()) {
-    sections.add_row({entry.key, entry.keys, entry.summary});
+    sections.add_row(
+        {entry.key, scenario::section_key_list(entry.key), entry.summary});
   }
   std::cout << "scenario file sections (--scenario; see "
                "examples/scenarios/*.scn):\n";
   sections.print(std::cout);
-  std::exit(0);
-}
-
-CliOptions parse(int argc, char** argv) {
-  if (argc < 2) usage("missing command");
-  CliOptions options;
-  options.command = argv[1];
-  if (options.command == "--list-strategies") list_strategies();
-  if (options.command == "--list-scenarios") list_scenarios();
-  if (options.command == "--list-tiers") list_tiers();
-  options.workload.days = 21;
-
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage("missing value for option");
-    return argv[++i];
-  };
-
-  // The hub tier any --hub-* flag configures, created on first use (a
-  // scenario file's [tiers] hub, if one was loaded earlier, is reused so
-  // later flags override the file, matching every other option).
-  auto hub = [&]() -> hfc::TierLevelSpec& {
-    if (options.system.tiers.empty()) {
-      options.system.tiers.push_back(hfc::TierLevelSpec{});
-    }
-    return options.system.tiers.back();
-  };
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--days") {
-      options.workload.days = static_cast<int>(
-          parse_int(need_value(i), "--days", 1, kMaxDays));
-    } else if (arg == "--users") {
-      options.workload.user_count = static_cast<std::uint32_t>(
-          parse_int(need_value(i), "--users", 1, kMaxCount));
-    } else if (arg == "--programs") {
-      options.workload.program_count = static_cast<std::uint32_t>(
-          parse_int(need_value(i), "--programs", 1, kMaxCount));
-    } else if (arg == "--seed") {
-      options.workload.seed = static_cast<std::uint64_t>(parse_int(
-          need_value(i), "--seed", 0, std::numeric_limits<std::int64_t>::max()));
-    } else if (arg == "--trace") {
-      options.trace_path = need_value(i);
-    } else if (arg == "--scenario") {
-      if (options.scenario) usage("--scenario given twice");
-      // Applied in option order: the file's settings override flags given
-      // before it (only the keys the file actually sets — the current
-      // workload seeds the parse, so the 21-day CLI default and earlier
-      // flags survive), and any later flag overrides the file.
-      try {
-        options.scenario =
-            scenario::load_scenario_file(need_value(i), options.workload);
-      } catch (const std::exception& error) {
-        usage(error.what());
-      }
-      options.workload = options.scenario->workload;
-      scenario::apply_system(*options.scenario, options.system);
-    } else if (arg == "--list-scenarios") {
-      list_scenarios();
-    } else if (arg == "--scale-pop") {
-      options.scale_pop = static_cast<std::uint32_t>(
-          parse_int(need_value(i), "--scale-pop", 1, 10'000));
-    } else if (arg == "--scale-cat") {
-      options.scale_cat = static_cast<std::uint32_t>(
-          parse_int(need_value(i), "--scale-cat", 1, 10'000));
-    } else if (arg == "--materialize") {
-      options.materialize = true;
-    } else if (arg == "--neighborhood") {
-      options.system.neighborhood_size = static_cast<std::uint32_t>(
-          parse_int(need_value(i), "--neighborhood", 1, kMaxCount));
-    } else if (arg == "--per-peer-gb") {
-      options.system.per_peer_storage = DataSize::gigabytes(
-          parse_int(need_value(i), "--per-peer-gb", 1, kMaxGigabytes));
-    } else if (arg == "--strategy") {
-      options.system.strategy.kind = parse_strategy(need_value(i));
-    } else if (arg == "--admission-policy") {
-      options.system.admission_policy.kind = parse_admission(need_value(i));
-    } else if (arg == "--probation-hours") {
-      options.system.admission_policy.probation_window = sim::SimTime::hours(
-          parse_int(need_value(i), "--probation-hours", 0, kMaxHours));
-    } else if (arg == "--headroom") {
-      options.system.admission_policy.headroom_fraction =
-          parse_fraction(need_value(i), "--headroom");
-    } else if (arg == "--list-strategies") {
-      list_strategies();
-    } else if (arg == "--history-hours") {
-      options.system.strategy.lfu_history = sim::SimTime::hours(
-          parse_int(need_value(i), "--history-hours", 0, kMaxHours));
-    } else if (arg == "--lag-minutes") {
-      options.system.strategy.global_lag = sim::SimTime::minutes(
-          parse_int(need_value(i), "--lag-minutes", 0, kMaxHours * 60));
-    } else if (arg == "--segment-admission") {
-      options.system.admission = core::CacheAdmission::Segment;
-    } else if (arg == "--hub-capacity-gb") {
-      hub().capacity = DataSize::gigabytes(
-          parse_int(need_value(i), "--hub-capacity-gb", 0, kMaxGigabytes));
-    } else if (arg == "--hub-fan-in") {
-      hub().fan_in = static_cast<std::uint32_t>(
-          parse_int(need_value(i), "--hub-fan-in", 1, kMaxCount));
-    } else if (arg == "--hub-link-gbps") {
-      hub().uplink = DataRate::gigabits_per_second(
-          parse_double(need_value(i), "--hub-link-gbps", 0.0, 1e6));
-    } else if (arg == "--hub-cost-per-gb") {
-      hub().cost_per_gb =
-          parse_double(need_value(i), "--hub-cost-per-gb", 0.0, 1e6);
-    } else if (arg == "--origin-cost-per-gb") {
-      options.system.origin_cost_per_gb =
-          parse_double(need_value(i), "--origin-cost-per-gb", 0.0, 1e6);
-    } else if (arg == "--prefetch") {
-      options.system.prefetch.kind = parse_prefetch(need_value(i));
-    } else if (arg == "--prefetch-refresh-hours") {
-      options.system.prefetch.refresh = sim::SimTime::hours(
-          parse_int(need_value(i), "--prefetch-refresh-hours", 1, kMaxHours));
-    } else if (arg == "--list-tiers") {
-      list_tiers();
-    } else if (arg == "--replicate") {
-      options.system.replicate_on_busy = true;
-    } else if (arg == "--shadow-matrix") {
-      options.system.shadow_matrix = true;
-    } else if (arg == "--policy-switch") {
-      options.system.policy_switch = true;
-    } else if (arg == "--switch-window") {
-      options.system.switch_window = sim::SimTime::hours(
-          parse_int(need_value(i), "--switch-window", 1, kMaxHours));
-    } else if (arg == "--switch-k") {
-      options.system.switch_windows_k = static_cast<int>(
-          parse_int(need_value(i), "--switch-k", 1, 1000));
-    } else if (arg == "--threads") {
-      options.system.threads = static_cast<std::uint32_t>(
-          parse_int(need_value(i), "--threads", 1, 4096));
-    } else if (arg == "--warmup-days") {
-      options.system.warmup = sim::SimTime::days(
-          parse_int(need_value(i), "--warmup-days", 0, kMaxDays));
-    } else if (arg == "--fail") {
-      core::SystemConfig::PeerFailure failure;
-      failure.time = sim::SimTime::hours(
-          parse_int(need_value(i), "--fail", 0, kMaxHours));
-      failure.fraction = parse_fraction(need_value(i), "--fail");
-      options.system.peer_failures.push_back(failure);
-    } else if (arg == "--json") {
-      options.emit_json = true;
-      // Optional value: a path, or an explicit "-" for stdout (also the
-      // default when the next token is another option).
-      if (i + 1 < argc &&
-          (argv[i + 1][0] != '-' || std::strcmp(argv[i + 1], "-") == 0)) {
-        options.json_path = argv[++i];
-      } else {
-        options.json_path = "-";
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-    } else if (options.command == "gen" && options.output_path.empty() &&
-               arg[0] != '-') {
-      options.output_path = arg;
-    } else {
-      usage(("unknown option: " + arg).c_str());
-    }
-  }
-  if (options.scenario && !options.trace_path.empty()) {
-    usage("--scenario defines its own generated workload; it cannot combine "
-          "with --trace");
-  }
-  // Scaling adaptors on top would quietly change the declared workload:
-  // population copies land outside the skew adaptor's topology and random
-  // catalog remaps dissolve flash-crowd/release-wave targets.  Scale a
-  // scenario inside the file (users/programs keys) instead.
-  if (options.scenario && (options.scale_pop > 1 || options.scale_cat > 1)) {
-    usage("--scenario cannot combine with --scale-pop/--scale-cat; set the "
-          "scenario file's [workload] users/programs instead");
-  }
-  // Each option is individually bounded, but their product is the int64 bit
-  // count of a neighborhood cache — reject combinations that overflow it.
-  if (!options.system.per_peer_storage.multipliable_by(
-          options.system.neighborhood_size)) {
-    usage("--per-peer-gb x --neighborhood overflows total capacity");
-  }
-  // Same product guard one tier up: a hub pools fan-in neighborhoods'
-  // worth of demand against its capacity.
-  for (const auto& tier : options.system.tiers) {
-    if (!tier.capacity.multipliable_by(tier.fan_in)) {
-      usage(("--hub-capacity-gb x --hub-fan-in overflows total " +
-             tier.name + " capacity")
-                .c_str());
-    }
-  }
-  // Generated workloads: the scaled id spaces are known before the (costly)
-  // source is built — reject overflow here.  CSV workloads re-check after
-  // the file's header is read (open_source).
-  if (options.trace_path.empty()) {
-    if (static_cast<std::uint64_t>(options.workload.user_count) *
-            options.scale_pop >
-        0xFFFFFFFFULL) {
-      usage("--users x --scale-pop overflows the 32-bit user id space");
-    }
-    if (static_cast<std::uint64_t>(options.workload.program_count) *
-            options.scale_cat >
-        0xFFFFFFFFULL) {
-      usage("--programs x --scale-cat overflows the 32-bit program id space");
-    }
-  }
-  return options;
+  return 0;
 }
 
 // The workload as a lazy source chain: generator or CSV file at the base,
@@ -444,10 +82,11 @@ struct SourceChain {
 };
 
 SourceChain open_source(const CliOptions& options) {
+  const auto& config = options.config;
   SourceChain chain;
   if (!options.trace_path.empty()) {
     std::cerr << "loading trace " << options.trace_path << "...\n";
-    if (options.materialize) {
+    if (config.materialize) {
       // The materialized loader tolerates what a streaming pass cannot
       // (unsorted sessions, meta after sessions): it buffers and re-sorts.
       chain.traces.push_back(std::make_unique<trace::Trace>(
@@ -459,50 +98,39 @@ SourceChain open_source(const CliOptions& options) {
           std::make_unique<trace::CsvSource>(options.trace_path));
     }
   } else {
-    std::cerr << "generating " << options.workload.days << "-day workload ("
-              << options.workload.user_count << " users, "
-              << options.workload.program_count << " programs)...\n";
+    const auto& spec = config.scenario;
+    std::cerr << "generating " << spec.workload.days << "-day workload ("
+              << spec.workload.user_count << " users, "
+              << spec.workload.program_count << " programs)...\n";
     chain.parts.push_back(
-        std::make_unique<trace::GeneratorSource>(options.workload));
-    if (options.scenario) {
-      std::cerr << "applying scenario '" << options.scenario->name << "'";
-      if (!options.scenario->summary.empty()) {
-        std::cerr << " (" << options.scenario->summary << ")";
-      }
+        std::make_unique<trace::GeneratorSource>(spec.workload));
+    if (options.has_scenario) {
+      std::cerr << "applying scenario '" << spec.name << "'";
+      if (!spec.summary.empty()) std::cerr << " (" << spec.summary << ")";
       std::cerr << "...\n";
-      // Validate against the *final* workload — later CLI flags may have
-      // overridden the file's days/users/programs — and the final
-      // neighborhood sizing (the skew adaptor replays the placement).
-      auto spec = *options.scenario;
-      spec.workload = options.workload;
+      // The skew adaptor replays the placement of the final neighborhood
+      // sizing, which later flags may have changed.
       scenario::stack_adaptors(chain.parts, spec,
-                               options.system.neighborhood_size);
+                               config.system.neighborhood_size);
     }
   }
-  const bool scaled = options.scale_pop > 1 || options.scale_cat > 1;
-  if (options.scale_pop > 1) {
-    if (static_cast<std::uint64_t>(chain.tip().user_count()) *
-            options.scale_pop >
-        0xFFFFFFFFULL) {
-      usage("--scale-pop overflows the 32-bit user id space");
-    }
+  const bool scaled = config.scale_pop > 1 || config.scale_cat > 1;
+  // A CSV workload's id spaces are known only now (a ConfigError: exit 2).
+  scenario::check_id_space(chain.tip().user_count(),
+                           chain.tip().catalog().size(), config);
+  if (config.scale_pop > 1) {
     const auto& base = chain.tip();
     chain.parts.push_back(std::make_unique<trace::PopulationScaledSource>(
-        base, options.scale_pop));
+        base, config.scale_pop));
   }
-  if (options.scale_cat > 1) {
-    if (static_cast<std::uint64_t>(chain.tip().catalog().size()) *
-            options.scale_cat >
-        0xFFFFFFFFULL) {
-      usage("--scale-cat overflows the 32-bit program id space");
-    }
+  if (config.scale_cat > 1) {
     const auto& base = chain.tip();
     chain.parts.push_back(std::make_unique<trace::CatalogScaledSource>(
-        base, options.scale_cat));
+        base, config.scale_cat));
   }
   // A loaded --materialize trace is already in memory; only re-materialize
   // when adaptors (or the generator) sit on top.
-  if (options.materialize && (scaled || options.trace_path.empty())) {
+  if (config.materialize && (scaled || options.trace_path.empty())) {
     std::cerr << "materializing " << (scaled ? "scaled " : "")
               << "trace in memory...\n";
     chain.materialize_tip();
@@ -511,7 +139,6 @@ SourceChain open_source(const CliOptions& options) {
 }
 
 int cmd_gen(const CliOptions& options) {
-  if (options.output_path.empty()) usage("gen needs an output file");
   const auto chain = open_source(options);
   const auto count =
       trace::write_csv_file(chain.tip(), options.output_path);
@@ -521,11 +148,12 @@ int cmd_gen(const CliOptions& options) {
 }
 
 int cmd_demand(const CliOptions& options) {
+  const auto& config = options.config.system;
   const auto chain = open_source(options);
   // One metering pass serves both views (a pass regenerates the whole
   // stream, which is the dominant cost at scale).
   const auto meter =
-      analysis::demand_meter(chain.tip(), options.system.stream_rate);
+      analysis::demand_meter(chain.tip(), config.stream_rate);
   const auto profile = meter.hourly_profile();
   analysis::Table table({"hour", "Gb/s"});
   for (int h = 0; h < 24; ++h) {
@@ -536,33 +164,33 @@ int cmd_demand(const CliOptions& options) {
   const auto half_horizon =
       sim::SimTime::millis(chain.tip().horizon().millis_count() / 2);
   const auto peak =
-      sim::peak_stats(meter, options.system.peak_window,
-                      std::min(options.system.warmup, half_horizon));
+      sim::peak_stats(meter, config.peak_window,
+                      std::min(config.warmup, half_horizon));
   std::cout << "peak-window demand: " << peak.mean.gbps() << " Gb/s\n";
   return 0;
 }
 
 int cmd_run(const CliOptions& options) {
+  const auto& config = options.config.system;
   const auto chain = open_source(options);
   const auto& source = chain.tip();
-  const auto demand =
-      analysis::demand_peak(source, options.system.stream_rate,
-                            options.system.peak_window, options.system.warmup);
+  const auto demand = analysis::demand_peak(source, config.stream_rate,
+                                            config.peak_window, config.warmup);
 
-  std::cerr << "simulating " << core::to_string(options.system.strategy.kind);
-  if (options.system.strategy.kind != core::StrategyKind::None &&
-      options.system.admission_policy.kind != core::AdmissionKind::Always) {
-    std::cerr << " + " << core::to_string(options.system.admission_policy.kind)
+  std::cerr << "simulating " << core::to_string(config.strategy.kind);
+  if (config.strategy.kind != core::StrategyKind::None &&
+      config.admission_policy.kind != core::AdmissionKind::Always) {
+    std::cerr << " + " << core::to_string(config.admission_policy.kind)
               << " admission";
   }
-  std::cerr << " / " << options.system.neighborhood_size << " peers x "
-            << options.system.per_peer_storage.as_gigabytes() << " GB ("
-            << core::to_string(options.system.admission) << " admission, "
-            << options.system.threads << " thread"
-            << (options.system.threads == 1 ? "" : "s") << ", "
-            << (options.materialize ? "materialized" : "streaming")
+  std::cerr << " / " << config.neighborhood_size << " peers x "
+            << config.per_peer_storage.as_gigabytes() << " GB ("
+            << core::to_string(config.admission) << " admission, "
+            << config.threads << " thread"
+            << (config.threads == 1 ? "" : "s") << ", "
+            << (options.config.materialize ? "materialized" : "streaming")
             << ")...\n";
-  core::VodSystem system(source, options.system);
+  core::VodSystem system(source, config);
   const auto report = system.run();
 
   // With --json to stdout, stdout must stay machine-parseable: route the
@@ -604,14 +232,32 @@ int cmd_run(const CliOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = parse(argc, argv);
   try {
+    const auto options =
+        scenario::parse_cli(std::vector<std::string>(argv + 1, argv + argc));
     if (options.command == "run") return cmd_run(options);
     if (options.command == "gen") return cmd_gen(options);
     if (options.command == "demand") return cmd_demand(options);
+    if (options.command == "--list-scenarios") return list_scenarios();
+    if (options.command == "--list-strategies") {
+      print_registry("eviction strategies (--strategy):\n", "strategy",
+                     core::scorer_registry());
+      print_registry("\nadmission policies (--admission-policy):\n",
+                     "policy", core::admission_registry());
+    } else if (options.command == "--list-tiers") {
+      print_registry("hub prefetch policies (--prefetch):\n", "prefetch",
+                     core::prefetch_registry());
+    } else {
+      std::cout << scenario::cli_usage();  // --help, -h
+    }
+    return 0;
+  } catch (const scenario::ConfigError& error) {
+    std::cerr << "vodcache: " << error.what()
+              << "\n\nusage: vodcache run|gen|demand [options]  (vodcache "
+                 "--help lists them)\n";
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "vodcache: " << error.what() << '\n';
     return 1;
   }
-  usage("unknown command");
 }
