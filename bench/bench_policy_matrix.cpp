@@ -98,8 +98,9 @@ const core::ShadowCellReport& find_cell(const core::SimulationReport& report,
 // Re-runs one (scorer x admission) cell standalone — shadows off, that
 // pair primary — and asserts the shadow cell predicted its counters
 // exactly.  This is the whole shadow-matrix correctness claim at bench
-// scale; any drift between IndexServer and ShadowBank replay logic fails
-// here loudly.
+// scale.  The primary and every shadow run the same cache::CacheCell code,
+// so a failure here means the shard fed the bank a different event order,
+// or a primary-only side effect leaked into a placement decision.
 bool crosscheck_cell(const trace::Trace& trace, core::SystemConfig config,
                      core::StrategyKind scorer_kind,
                      core::AdmissionKind admission_kind,

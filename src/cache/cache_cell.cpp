@@ -1,0 +1,163 @@
+#include "cache/cache_cell.hpp"
+
+#include <utility>
+
+#include "util/assert.hpp"
+
+namespace vodcache::cache {
+
+// admission_ == nullptr is the always-admit fast path: no virtual call, no
+// rate-meter query — byte-for-byte the pre-policy-engine request flow.
+CacheCell::CacheCell(Policy policy, const Settings& settings,
+                     std::uint32_t peer_count, const sim::RateMeter* coax)
+    : scorer_display_(policy.scorer_display),
+      admission_display_(policy.admission_display),
+      scorer_(std::move(policy.scorer)),
+      admission_(std::move(policy.admission)),
+      settings_(settings),
+      coax_(coax),
+      store_(std::vector<DataSize>(peer_count, settings.per_peer_storage)) {
+  VODCACHE_EXPECTS(coax != nullptr);
+  VODCACHE_EXPECTS(peer_count > 0);
+  VODCACHE_EXPECTS(settings.per_peer_storage >= DataSize{});
+  slots_.reserve(peer_count);
+  for (std::uint32_t i = 0; i < peer_count; ++i) {
+    slots_.emplace_back(settings.peer_stream_limit);
+  }
+}
+
+bool CacheCell::admission_allows(ProgramId program, sim::SimTime t,
+                                 CellCounters& ledger) {
+  if (admission_ == nullptr) return true;
+  if (admission_->admit({program, t, coax_->rate_at(t)})) return true;
+  ++ledger.admission_denials;
+  return false;
+}
+
+template <class Full>
+bool CacheCell::make_room(ProgramId incoming, sim::SimTime t,
+                          CellCounters& ledger, Full full) {
+  while (full()) {
+    const auto victim = scorer_->victim(t);
+    if (!victim) return false;  // nothing cached, yet no room
+    if (*victim == incoming) return false;  // would evict ourselves
+    if (scorer_->score(incoming, t) <= scorer_->score(*victim, t)) {
+      return false;  // incoming does not outrank the cheapest cached program
+    }
+    store_.evict_program(*victim);
+    scorer_->on_evict(*victim);
+    ++ledger.evictions;
+  }
+  return true;
+}
+
+bool CacheCell::start_session(ProgramId program, DataSize program_size,
+                              sim::SimTime t, CellCounters& ledger) {
+  ++ledger.sessions;
+  if (scorer_ == nullptr) return false;  // StrategyKind::None
+  scorer_->record_access(program, t);
+  if (admission_ != nullptr) admission_->record_access(program, t);
+
+  if (settings_.whole_program) {
+    // Already admitted: keep filling it.
+    if (store_.has_commitment(program)) return true;
+    if (!admission_allows(program, t, ledger)) return false;
+    // Charge the whole program against capacity now, evicting victims the
+    // scorer ranks below it ("it locates a collection of peers to store
+    // the segments ... instruct peers to delete programs").
+    const auto over_capacity = [&] {
+      return store_.committed_total() + program_size > store_.capacity();
+    };
+    if (!make_room(program, t, ledger, over_capacity)) return false;
+    store_.commit_program(program, program_size);
+    scorer_->on_admit(program, t);
+    return true;
+  }
+
+  // Segment-granularity ablation.
+  // Already (partially) cached: keep filling it.
+  if (store_.has_program(program)) return true;
+  if (!admission_allows(program, t, ledger)) return false;
+  // Free space: caching one more program costs nothing.
+  if (store_.free_space() > DataSize{}) return true;
+  // Full: admit only if the program outranks the current victim.
+  const auto victim = scorer_->victim(t);
+  if (!victim) return false;
+  return scorer_->score(program, t) > scorer_->score(*victim, t);
+}
+
+void CacheCell::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
+  slots_[viewer.value()].acquire_unchecked(interval);
+}
+
+void CacheCell::try_fill(SegmentKey key, DataSize bytes, sim::SimTime t,
+                         CellCounters& ledger) {
+  if (scorer_ == nullptr) return;
+  if (settings_.whole_program && !store_.has_commitment(key.program)) {
+    // The session's admit decision went stale: the program was evicted
+    // mid-session (or replication pushed past its commitment).
+    return;
+  }
+  // Per-peer placement: aggregate free space is not enough.
+  const auto no_place = [&] { return !store_.can_place(key, bytes); };
+  if (!make_room(key.program, t, ledger, no_place)) return;
+  const auto peer = store_.store(key, bytes);
+  VODCACHE_ASSERT(peer.has_value());  // make_room guaranteed placement
+  if (store_.has_program(key.program) && !scorer_->is_cached(key.program)) {
+    scorer_->on_admit(key.program, t);
+  }
+  ++ledger.fills;
+}
+
+ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
+                                     bool admit, bool full_slice,
+                                     CellCounters& ledger) {
+  ++ledger.segments;
+  const double bits =
+      settings_.stream_rate.bps() * interval.duration_seconds();
+
+  // Span into the replica arena — read fully before try_fill() below can
+  // mutate the store.
+  const auto replicas = store_.locate(key);
+  for (const PeerId replica : replicas) {
+    if (slots_[replica.value()].try_acquire(interval)) {
+      ++ledger.hits;
+      ledger.hit_bits += bits;
+      if (admission_ != nullptr) admission_->on_serve(true, interval.begin);
+      return ServeResult::PeerHit;
+    }
+  }
+
+  const bool was_cached = !replicas.empty();
+  if (was_cached) {
+    ++ledger.busy_misses;
+  } else {
+    ++ledger.cold_misses;
+  }
+  ledger.miss_bits += bits;
+  if (admission_ != nullptr) admission_->on_serve(false, interval.begin);
+
+  // Opportunistic fill off the broadcast: only whole segments, and only if
+  // the program was admitted for this session.  On a busy miss a fill adds
+  // a *replica* — every existing copy's peer was stream-saturated — which
+  // is only done when the replication extension is on.
+  if (admit && full_slice && (!was_cached || settings_.replicate_on_busy)) {
+    const DataSize segment_bytes =
+        settings_.stream_rate.over_seconds(interval.duration_seconds());
+    try_fill(key, segment_bytes, interval.begin, ledger);
+  }
+  return was_cached ? ServeResult::MissBusy : ServeResult::MissCold;
+}
+
+SegmentStore::WipeResult CacheCell::fail_peer(PeerId peer) {
+  VODCACHE_EXPECTS(peer.value() < slots_.size());
+  auto wiped = store_.wipe_peer(peer);
+  if (scorer_ != nullptr && !settings_.whole_program) {
+    for (const ProgramId program : wiped.emptied_programs) {
+      if (scorer_->is_cached(program)) scorer_->on_evict(program);
+    }
+  }
+  return wiped;
+}
+
+}  // namespace vodcache::cache

@@ -1,0 +1,167 @@
+// CacheCell: one neighborhood cache under one (eviction scorer x admission
+// policy) pair — every placement decision the paper's index server makes
+// (section IV-B, figures 4 and 5), and nothing else.
+//
+// A cell records each access, admits or refuses the program, evicts
+// lower-ranked programs to make room, classifies each segment request as a
+// peer hit, a busy miss or a cold miss, and fills the cache off the miss
+// broadcast.  It owns the state those decisions read: the scorer, the
+// admission policy (null means always-admit, the paper's behaviour), the
+// SegmentStore, and every peer's stream-slot occupancy (busy misses depend
+// on replica placement and slot contention, so membership alone cannot
+// reproduce them).
+//
+// The cell moves no bytes.  The primary (core::IndexServer) wraps one cell
+// with the side effects that are not decisions — coax/peer/tier metering,
+// the tier walk, the media-server serve — and every shadow
+// (cache::ShadowBank) is a bare cell.  Both run this one code path, which
+// is what makes a shadow's counters equal a standalone run of its pair.
+//
+// The counters a cell's decisions bump live outside it, in a CellCounters
+// ledger passed to each call: a live policy switch swaps two cells whole
+// (std::swap), while each side's ledger keeps accumulating in place.
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "cache/admission.hpp"
+#include "cache/segment_store.hpp"
+#include "cache/strategy.hpp"
+#include "hfc/settop.hpp"
+#include "sim/rate_meter.hpp"
+#include "sim/time.hpp"
+#include "util/ids.hpp"
+#include "util/units.hpp"
+
+namespace vodcache::cache {
+
+enum class ServeResult {
+  // A peer broadcast the segment from its cache slice.
+  PeerHit,
+  // Segment not in the neighborhood cache; central server streamed it.
+  MissCold,
+  // Segment cached, but the storing peer was at its stream limit
+  // (section V-C: "the cache will trigger a miss if a segment is requested
+  // from a peer that has more than two active streams").
+  MissBusy,
+};
+
+// The policy-dependent counters of one cell's replay.  Policy-independent
+// ones (peer failures, wiped bytes, metered totals) are the primary's.
+struct CellCounters {
+  std::uint64_t sessions = 0;
+  std::uint64_t segments = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t cold_misses = 0;
+  std::uint64_t busy_misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t fills = 0;
+  // Sessions whose program the admission policy refused to cache
+  // (always 0 under always-admit).
+  std::uint64_t admission_denials = 0;
+  double hit_bits = 0.0;
+  double miss_bits = 0.0;
+};
+
+class CacheCell {
+ public:
+  // The slice of the system configuration a cell reads (this layer cannot
+  // see core::SystemConfig).
+  struct Settings {
+    bool whole_program = true;  // CacheAdmission::WholeProgram vs Segment
+    bool replicate_on_busy = false;
+    int peer_stream_limit = 2;
+    DataRate stream_rate;
+    DataSize per_peer_storage;
+  };
+
+  // The pair and the registry display names that label it in reports and
+  // switch logs.  `scorer` may be null only for the no-cache primary
+  // (StrategyKind::None), which then admits and stores nothing.
+  struct Policy {
+    const char* scorer_display = "";
+    const char* admission_display = "";
+    std::unique_ptr<EvictionScorer> scorer;
+    std::unique_ptr<AdmissionPolicy> admission;
+  };
+
+  // `coax` is the owning neighborhood's coax meter (fed by the primary);
+  // headroom-gated admissions read it.  It must outlive the cell.  Coax
+  // metering is policy-independent — every transmission is metered once
+  // whatever policy runs — so every cell of a neighborhood reads the rate
+  // a standalone run of its pair would have read.
+  CacheCell(Policy policy, const Settings& settings, std::uint32_t peer_count,
+            const sim::RateMeter* coax);
+
+  // Session begins: records the popularity signal and decides whether this
+  // program should (now) be in the cache.  `program_size` is the program's
+  // full footprint at the stream rate (whole-program admission charges it
+  // against capacity immediately).  The decision holds for the whole
+  // session's opportunistic fills.
+  [[nodiscard]] bool start_session(ProgramId program, DataSize program_size,
+                                   sim::SimTime t, CellCounters& ledger);
+
+  // Viewer playback occupies a slot on the viewer's box for the whole
+  // session (it counts against the limit when the box is asked to serve).
+  void occupy_viewer_slot(PeerId viewer, sim::Interval interval);
+
+  // One segment transmission: a hit if some replica's peer has a free
+  // stream slot; otherwise a miss, filled off the broadcast when `admit`
+  // (the session's start_session decision) holds, the transmission covers
+  // the whole segment, and — on a busy miss — replication is on.
+  ServeResult serve_segment(SegmentKey key, sim::Interval interval,
+                            bool admit, bool full_slice, CellCounters& ledger);
+
+  // Failure injection: the peer's disk contents are lost.  Whole-program
+  // admissions survive (the cell re-fills from future broadcasts); under
+  // segment-granularity admission, programs that lost their last segment
+  // leave the scorer's cached set.  Returns what was wiped.
+  SegmentStore::WipeResult fail_peer(PeerId peer);
+
+  [[nodiscard]] const char* scorer_name() const { return scorer_display_; }
+  [[nodiscard]] const char* admission_name() const {
+    return admission_display_;
+  }
+  // Sets the display names (the shard labels its primary's pair).
+  void label(const char* scorer_display, const char* admission_display) {
+    scorer_display_ = scorer_display;
+    admission_display_ = admission_display;
+  }
+  [[nodiscard]] std::uint32_t peer_count() const {
+    return static_cast<std::uint32_t>(slots_.size());
+  }
+  [[nodiscard]] const SegmentStore& store() const { return store_; }
+  // Null only for the no-cache primary.
+  [[nodiscard]] const EvictionScorer* scorer() const { return scorer_.get(); }
+  // Null means always-admit.
+  [[nodiscard]] const AdmissionPolicy* admission() const {
+    return admission_.get();
+  }
+
+ private:
+  // The admission policy's verdict for `program` at `t` (counts a
+  // denial).  True when no policy is configured.
+  [[nodiscard]] bool admission_allows(ProgramId program, sim::SimTime t,
+                                      CellCounters& ledger);
+  // Evicts the scorer's victims while `full()` holds.  Returns false —
+  // leaving the cache short — once nothing is left to evict, the victim is
+  // `incoming` itself, or `incoming` stops strictly outranking it.
+  template <class Full>
+  [[nodiscard]] bool make_room(ProgramId incoming, sim::SimTime t,
+                               CellCounters& ledger, Full full);
+  void try_fill(SegmentKey key, DataSize bytes, sim::SimTime t,
+                CellCounters& ledger);
+
+  const char* scorer_display_;
+  const char* admission_display_;
+  std::unique_ptr<EvictionScorer> scorer_;
+  std::unique_ptr<AdmissionPolicy> admission_;
+  Settings settings_;
+  const sim::RateMeter* coax_;
+  SegmentStore store_;
+  std::vector<hfc::StreamSlots> slots_;
+};
+
+}  // namespace vodcache::cache

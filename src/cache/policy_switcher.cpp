@@ -16,7 +16,7 @@ PolicySwitcher::PolicySwitcher(sim::SimTime window, int windows_k,
 }
 
 std::optional<PolicySwitcher::Decision> PolicySwitcher::evaluate(
-    sim::SimTime t, const PrimarySample& primary, const ShadowBank& bank) {
+    sim::SimTime t, const CellCounters& primary, const ShadowBank& bank) {
   if (t < window_end_) return std::nullopt;
 
   // Jump the boundary past t arithmetically; every window between the one

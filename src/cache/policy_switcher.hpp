@@ -3,9 +3,8 @@
 // session stream with exact standalone-counter equivalence; this class
 // watches those counters per window and decides when a neighborhood should
 // *switch* its primary policy to a cell that has been beating it — the
-// warm-switch mechanics (swapping the cell's private SegmentStore, stream
-// slots, and policy state into the primary) are the shard's job, this
-// class only decides and records.
+// warm switch itself (swapping the winning cache::CacheCell with the
+// primary's) is the shard's job, this class only decides and records.
 //
 // Determinism: a switch decision is a pure function of the event stream.
 // Windows rotate at event times only (the first event at or past the
@@ -59,13 +58,6 @@ struct SwitchEvent {
 
 class PolicySwitcher {
  public:
-  // The primary-side cumulative counters the comparison reads (the cache
-  // layer cannot see core::IndexServer::Counters).
-  struct PrimarySample {
-    std::uint64_t segments = 0;
-    std::uint64_t hits = 0;
-  };
-
   // The verdict of a closed window streak: promote `cell`.
   struct Decision {
     std::size_t cell = 0;
@@ -83,7 +75,7 @@ class PolicySwitcher {
   // streak restarts from zero afterwards (the next switch needs k fresh
   // wins against the new primary).
   [[nodiscard]] std::optional<Decision> evaluate(sim::SimTime t,
-                                                 const PrimarySample& primary,
+                                                 const CellCounters& primary,
                                                  const ShadowBank& bank);
 
  private:

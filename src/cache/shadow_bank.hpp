@@ -1,46 +1,31 @@
-// ShadowBank: one neighborhood's shadow caches — the cached-set
-// bookkeeping of every registered (eviction scorer x admission policy)
-// pair, maintained against the same session stream the primary policy is
-// replaying, in the same single pass.
+// ShadowBank: one neighborhood's shadow caches — one cache::CacheCell per
+// registered (eviction scorer x admission policy) pair, replayed against
+// the same session stream as the primary, in the same single pass.
 //
-// A shadow is bookkeeping only.  It owns a full SegmentStore and per-peer
-// stream-slot occupancy (busy misses depend on replica placement and slot
-// contention, so membership alone cannot reproduce a standalone run's
-// counters), but it moves no bytes, feeds no rate meter, walks no tier
-// tree, and never touches the primary's state — which is the whole
-// determinism argument: with shadows on, the primary's event sequence is
-// instruction-for-instruction the no-shadow sequence, so its report stays
-// byte-identical (pinned in tests/shadow_bank_test.cpp).
+// A shadow is a bare cell: the primary (core::IndexServer) runs the same
+// CacheCell code and adds only the side effects a shadow must not have —
+// meter adds, tier walks, media-server serves.  None of those changes a
+// hit/miss classification or a fill decision, so each cell's ledger equals
+// a standalone run of its pair (pinned per replay mode in
+// tests/shadow_bank_test.cpp).  The shard calls each bank method right
+// after the primary's counterpart, so every cell sees the standalone event
+// order; and because a cell never touches the primary's state, the
+// primary's report stays byte-identical with shadows on.
 //
-// The one read a shadow performs outside itself is the primary's coax
-// meter, for the headroom-gated admissions.  That is sound because coax
-// metering is policy-independent: every segment transmission is metered
-// exactly once whatever policy runs (paper section VI-B — the broadcast
-// consumes the wire whether a peer or the server sends it), so the rate a
-// shadow's gate reads at time t equals what a standalone run of that pair
-// would have read.  The cross-check mode asserts exactly this equivalence:
-// one shadow-matrix pass reproduces the counters of every standalone
-// (scorer x admission) run.
+// The one read a cell performs outside itself is the neighborhood's coax
+// meter, for the headroom-gated admissions — sound because coax metering
+// is policy-independent (see cache/cache_cell.hpp).
 //
-// Call protocol mirrors core::IndexServer call for call —
-// start_session -> occupy_viewer_slot -> serve_segment per boundary, and
-// fail_peer per failure draw — invoked by the shard immediately after the
-// primary's counterpart, so each shadow sees the standalone event order.
-//
-// Zero steady-state allocations: stores are FlatMap64/PooledArena (PR 7),
-// stream slots are high-water vectors, admission histories are flat tables
-// or fixed sketch arrays (enforced by tests/allocation_audit_test.cpp with
+// Zero steady-state allocations: stores are FlatMap64/PooledArena, stream
+// slots are high-water vectors, admission histories are flat tables or
+// fixed sketch arrays (enforced by tests/allocation_audit_test.cpp with
 // shadows on).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "cache/admission.hpp"
-#include "cache/segment_store.hpp"
-#include "cache/strategy.hpp"
-#include "hfc/settop.hpp"
+#include "cache/cache_cell.hpp"
 #include "sim/rate_meter.hpp"
 #include "sim/time.hpp"
 #include "util/ids.hpp"
@@ -48,125 +33,51 @@
 
 namespace vodcache::cache {
 
-// Mirror of IndexServer's policy-dependent counters.  Policy-independent
-// ones (peer failures, wiped bytes, metered totals) are deliberately
-// absent — they are identical across the matrix and already in the primary
-// report.
-struct ShadowCounters {
-  std::uint64_t sessions = 0;
-  std::uint64_t segments = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t cold_misses = 0;
-  std::uint64_t busy_misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t fills = 0;
-  std::uint64_t admission_denials = 0;
-  double hit_bits = 0.0;
-  double miss_bits = 0.0;
-};
-
 class ShadowBank {
  public:
-  // One (scorer x admission) pair to shadow.  The display names label the
-  // report cell; `scorer` must be non-null (a no-cache shadow would count
-  // nothing), `admission` may be null for the always-admit fast path —
-  // exactly the IndexServer convention.
-  struct PairSpec {
-    const char* scorer_display = "";
-    const char* admission_display = "";
-    std::unique_ptr<EvictionScorer> scorer;
-    std::unique_ptr<AdmissionPolicy> admission;
-  };
-
-  // The slice of the system configuration the shadow replay logic reads,
-  // decoupled from core::SystemConfig (this layer cannot see core).
-  struct Settings {
-    bool whole_program = true;  // CacheAdmission::WholeProgram vs Segment
-    bool replicate_on_busy = false;
-    int peer_stream_limit = 2;
-    DataRate stream_rate;
-    DataSize per_peer_storage;
-  };
-
   // Admit bitmasks cap the matrix at 64 pairs per bank.
   static constexpr std::size_t kMaxPairs = 64;
 
-  // `primary_coax` (the owning neighborhood's coax meter, fed by the
+  // Every pair's scorer must be non-null (a no-cache shadow would count
+  // nothing).  `coax` (the owning neighborhood's coax meter, fed by the
   // primary) must outlive the bank.
-  ShadowBank(std::vector<PairSpec> pairs, const Settings& settings,
-             std::uint32_t peer_count, const sim::RateMeter* primary_coax);
+  ShadowBank(std::vector<CacheCell::Policy> pairs,
+             const CacheCell::Settings& settings, std::uint32_t peer_count,
+             const sim::RateMeter* coax);
 
   ShadowBank(const ShadowBank&) = delete;
   ShadowBank& operator=(const ShadowBank&) = delete;
 
-  [[nodiscard]] std::size_t pair_count() const { return shadows_.size(); }
+  [[nodiscard]] std::size_t pair_count() const { return cells_.size(); }
   [[nodiscard]] const char* scorer_name(std::size_t pair) const {
-    return shadows_[pair].scorer_display;
+    return cells_[pair].scorer_name();
   }
   [[nodiscard]] const char* admission_name(std::size_t pair) const {
-    return shadows_[pair].admission_display;
+    return cells_[pair].admission_name();
   }
-  [[nodiscard]] const ShadowCounters& counters(std::size_t pair) const {
-    return shadows_[pair].counters;
+  [[nodiscard]] const CellCounters& counters(std::size_t pair) const {
+    return ledgers_[pair];
   }
+  // Live policy switching swaps a cell with the primary's whole; the
+  // ledgers stay put, so each side's history keeps accumulating.
+  [[nodiscard]] CacheCell& cell(std::size_t pair) { return cells_[pair]; }
 
-  // Mirrors IndexServer::start_session for every pair; bit p of the result
-  // is pair p's whole-session admit decision.
+  // Bit p of the result is pair p's whole-session admit decision.
   [[nodiscard]] std::uint64_t start_session(ProgramId program,
                                             DataSize program_size,
                                             sim::SimTime t);
 
-  // Mirrors IndexServer::occupy_viewer_slot (playback occupancy counts
-  // against the serve limit in every shadow, as it does in the primary).
   void occupy_viewer_slot(PeerId viewer, sim::Interval interval);
 
-  // Mirrors IndexServer::serve_segment; bit p of `admit_mask` is pair p's
-  // decision from start_session.
-  void serve_segment(PeerId viewer, SegmentKey key, sim::Interval interval,
+  // Bit p of `admit_mask` is pair p's decision from start_session.
+  void serve_segment(SegmentKey key, sim::Interval interval,
                      std::uint64_t admit_mask, bool full_slice);
 
-  // Mirrors IndexServer::fail_peer.
   void fail_peer(PeerId peer);
 
-  // Live policy switching (cache::PolicySwitcher): mutable references into
-  // one cell's private state, so the shard can exchange it wholesale with
-  // the primary's — the cell's store/slots/policy state is promoted to be
-  // the primary's warm cached set, and the demoted primary state drops into
-  // the cell.  Counters are deliberately absent: both ledgers keep
-  // accumulating in place across a switch (the primary's report stays one
-  // continuous history; conservation — segments == hits + misses — holds
-  // on both sides because each serve still bumps exactly one bucket).
-  struct CellState {
-    const char*& scorer_display;
-    const char*& admission_display;
-    std::unique_ptr<EvictionScorer>& scorer;
-    std::unique_ptr<AdmissionPolicy>& admission;
-    SegmentStore& store;
-    std::vector<hfc::StreamSlots>& slots;
-  };
-  [[nodiscard]] CellState cell_state(std::size_t pair);
-
  private:
-  struct Shadow {
-    const char* scorer_display;
-    const char* admission_display;
-    std::unique_ptr<EvictionScorer> scorer;
-    std::unique_ptr<AdmissionPolicy> admission;
-    SegmentStore store;
-    std::vector<hfc::StreamSlots> slots;
-    ShadowCounters counters;
-  };
-
-  [[nodiscard]] bool allows(Shadow& shadow, ProgramId program, sim::SimTime t);
-  [[nodiscard]] bool start_one(Shadow& shadow, ProgramId program,
-                               DataSize program_size, sim::SimTime t);
-  [[nodiscard]] bool make_room(Shadow& shadow, SegmentKey key, DataSize bytes,
-                               sim::SimTime t);
-  void try_fill(Shadow& shadow, SegmentKey key, DataSize bytes, sim::SimTime t);
-
-  Settings settings_;
-  const sim::RateMeter* primary_coax_;
-  std::vector<Shadow> shadows_;
+  std::vector<CacheCell> cells_;
+  std::vector<CellCounters> ledgers_;
 };
 
 }  // namespace vodcache::cache

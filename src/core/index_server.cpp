@@ -7,17 +7,16 @@
 
 namespace vodcache::core {
 
-namespace {
-
-std::vector<DataSize> contributions(std::uint32_t peer_count,
-                                    DataSize per_peer) {
-  return std::vector<DataSize>(peer_count, per_peer);
+cache::CacheCell::Settings cell_settings(const SystemConfig& config) {
+  cache::CacheCell::Settings settings;
+  settings.whole_program = config.admission == CacheAdmission::WholeProgram;
+  settings.replicate_on_busy = config.replicate_on_busy;
+  settings.peer_stream_limit = config.peer_stream_limit;
+  settings.stream_rate = config.stream_rate;
+  settings.per_peer_storage = config.per_peer_storage;
+  return settings;
 }
 
-}  // namespace
-
-// admission_ == nullptr is the always-admit fast path: no virtual call, no
-// rate-meter query — byte-for-byte the pre-policy-engine request flow.
 IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
                          const SystemConfig& config,
                          std::unique_ptr<cache::EvictionScorer> scorer,
@@ -26,21 +25,14 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
                          const TierSystem* tiers,
                          std::vector<std::uint32_t> tier_nodes)
     : id_(id),
-      config_(config),
-      scorer_(std::move(scorer)),
-      admission_(std::move(admission)),
+      stream_rate_(config.stream_rate),
       media_server_(media_server),
-      store_(contributions(peer_count, config.per_peer_storage)),
       coax_meter_(horizon, config.meter_bucket),
       peer_meter_(horizon, config.meter_bucket),
+      cell_({"", "", std::move(scorer), std::move(admission)},
+            cell_settings(config), peer_count, &coax_meter_),
       tiers_(tiers),
       tier_nodes_(std::move(tier_nodes)) {
-  VODCACHE_EXPECTS(peer_count > 0);
-  peers_.reserve(peer_count);
-  for (std::uint32_t i = 0; i < peer_count; ++i) {
-    peers_.emplace_back(PeerId{i}, config.per_peer_storage,
-                        config.peer_stream_limit);
-  }
   if (tiers_ != nullptr) {
     VODCACHE_EXPECTS(tier_nodes_.size() == tiers_->level_count());
     counters_.tier_hits.assign(tiers_->level_count(), 0);
@@ -51,187 +43,55 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
   }
 }
 
-bool IndexServer::admission_allows(ProgramId program, sim::SimTime t) {
-  if (admission_ == nullptr) return true;
-  if (admission_->admit({program, t, coax_meter_.rate_at(t)})) return true;
-  ++counters_.admission_denials;
-  return false;
-}
-
 bool IndexServer::start_session(ProgramId program, DataSize program_size,
                                 sim::SimTime t) {
-  ++counters_.sessions;
-  if (scorer_ == nullptr) return false;  // StrategyKind::None
-  scorer_->record_access(program, t);
-  if (admission_ != nullptr) admission_->record_access(program, t);
-
-  if (config_.admission == CacheAdmission::WholeProgram) {
-    // Already admitted: keep filling it.
-    if (store_.has_commitment(program)) return true;
-    if (!admission_allows(program, t)) return false;
-    // Charge the whole program against capacity now, evicting victims the
-    // scorer ranks below it ("it locates a collection of peers to store
-    // the segments ... instruct peers to delete programs").
-    while (store_.committed_total() + program_size > store_.capacity()) {
-      const auto victim = scorer_->victim(t);
-      if (!victim) return false;  // program larger than the whole cache
-      if (*victim == program) return false;
-      if (scorer_->score(program, t) <= scorer_->score(*victim, t)) {
-        return false;
-      }
-      store_.evict_program(*victim);
-      scorer_->on_evict(*victim);
-      ++counters_.evictions;
-    }
-    store_.commit_program(program, program_size);
-    scorer_->on_admit(program, t);
-    return true;
-  }
-
-  // Segment-granularity ablation.
-  // Already (partially) cached: keep filling it.
-  if (store_.has_program(program)) return true;
-  if (!admission_allows(program, t)) return false;
-  // Free space: caching one more program costs nothing.
-  if (store_.free_space() > DataSize{}) return true;
-  // Full: admit only if the program outranks the current victim.
-  const auto victim = scorer_->victim(t);
-  if (!victim) return false;
-  return scorer_->score(program, t) > scorer_->score(*victim, t);
+  return cell_.start_session(program, program_size, t, counters_);
 }
 
 void IndexServer::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
-  VODCACHE_EXPECTS(viewer.value() < peers_.size());
-  peers_[viewer.value()].slots().acquire_unchecked(interval);
+  VODCACHE_EXPECTS(viewer.value() < peer_count());
+  cell_.occupy_viewer_slot(viewer, interval);
 }
 
 void IndexServer::fail_peer(PeerId peer) {
-  VODCACHE_EXPECTS(peer.value() < peers_.size());
-  const auto wiped = store_.wipe_peer(peer);
+  const auto wiped = cell_.fail_peer(peer);
   ++counters_.peer_failures;
   counters_.wiped_bytes += wiped.freed.byte_count();
-  if (scorer_ != nullptr &&
-      config_.admission == CacheAdmission::Segment) {
-    for (const ProgramId program : wiped.emptied_programs) {
-      if (scorer_->is_cached(program)) scorer_->on_evict(program);
-    }
-  }
-}
-
-bool IndexServer::make_room(cache::SegmentKey key, DataSize bytes,
-                            sim::SimTime t) {
-  while (!store_.can_place(key, bytes)) {
-    const auto victim = scorer_->victim(t);
-    if (!victim) return false;  // nothing cached, yet no room: bytes > capacity
-    if (*victim == key.program) return false;  // would evict ourselves
-    if (scorer_->score(key.program, t) <= scorer_->score(*victim, t)) {
-      return false;  // incoming does not outrank the cheapest cached program
-    }
-    store_.evict_program(*victim);
-    scorer_->on_evict(*victim);
-    ++counters_.evictions;
-  }
-  return true;
-}
-
-void IndexServer::try_fill(cache::SegmentKey key, DataSize bytes,
-                           sim::SimTime t) {
-  if (scorer_ == nullptr) return;
-  if (config_.admission == CacheAdmission::WholeProgram &&
-      !store_.has_commitment(key.program)) {
-    // The session's admit decision went stale: the program was evicted
-    // mid-session (or replication pushed past its commitment).
-    return;
-  }
-  if (!make_room(key, bytes, t)) return;
-  const auto peer = store_.store(key, bytes);
-  VODCACHE_ASSERT(peer.has_value());  // make_room guaranteed placement
-  if (store_.has_program(key.program) &&
-      !scorer_->is_cached(key.program)) {
-    scorer_->on_admit(key.program, t);
-  }
-  ++counters_.fills;
 }
 
 ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
                                        sim::Interval interval, bool admit,
                                        bool full_slice) {
-  VODCACHE_EXPECTS(viewer.value() < peers_.size());
+  VODCACHE_EXPECTS(viewer.value() < peer_count());
   VODCACHE_EXPECTS(interval.valid());
-  ++counters_.segments;
-
-  const DataRate rate = config_.stream_rate;
-  const double bits = rate.bps() * interval.duration_seconds();
 
   // Broadcast coax carries the segment exactly once regardless of source
   // (paper section VI-B: "each file must consume the same bandwidth whether
   // it is sent from a peer or the index server").
-  coax_meter_.add(interval, rate);
+  coax_meter_.add(interval, stream_rate_);
 
-  // Span into the replica arena — read fully before try_fill() below can
-  // mutate the store.
-  const auto replicas = store_.locate(key);
-  for (const PeerId replica : replicas) {
-    auto& slots = peers_[replica.value()].slots();
-    if (slots.try_acquire(interval)) {
-      ++counters_.hits;
-      counters_.hit_bits += bits;
-      peer_meter_.add(interval, rate);
-      if (admission_ != nullptr) admission_->on_serve(true, interval.begin);
-      return ServeResult::PeerHit;
-    }
+  const ServeResult result =
+      cell_.serve_segment(key, interval, admit, full_slice, counters_);
+  if (result == ServeResult::PeerHit) {
+    peer_meter_.add(interval, stream_rate_);
+    return result;
   }
-
-  const bool was_cached = !replicas.empty();
-  if (was_cached) {
-    ++counters_.busy_misses;
-  } else {
-    ++counters_.cold_misses;
-  }
-  counters_.miss_bits += bits;
-  if (admission_ != nullptr) admission_->on_serve(false, interval.begin);
 
   // Multi-tier walk: the lowest tier node holding the program absorbs the
   // miss; only a full walk-through reaches the origin.  tiers_ == nullptr
   // (the two-level world) is structurally the pre-tier path — no lookup,
-  // the origin serves every miss.
-  bool origin_serves = true;
+  // the origin serves every miss.  The walk reads only the prebuilt
+  // prefetch plan, so it may follow the cell's fill.
   if (tiers_ != nullptr) {
     if (const auto level =
             tiers_->serving_level(tier_nodes_, key.program, interval.begin)) {
       ++counters_.tier_hits[*level];
-      tier_meters_[*level].add(interval, rate);
-      origin_serves = false;
+      tier_meters_[*level].add(interval, stream_rate_);
+      return result;
     }
   }
-  if (origin_serves) media_server_.serve(interval, rate);
-
-  // Opportunistic fill off the broadcast: only whole segments, and only if
-  // the index server admitted the program for this session.  On a busy
-  // miss a fill adds a *replica* — every existing copy's peer was stream-
-  // saturated — which is only done when the replication extension is on.
-  if (admit && full_slice && (!was_cached || config_.replicate_on_busy)) {
-    const DataSize segment_bytes =
-        rate.over_seconds(interval.duration_seconds());
-    try_fill(key, segment_bytes, interval.begin);
-  }
-  return was_cached ? ServeResult::MissBusy : ServeResult::MissCold;
-}
-
-void IndexServer::swap_policy_state(
-    std::unique_ptr<cache::EvictionScorer>& scorer,
-    std::unique_ptr<cache::AdmissionPolicy>& admission,
-    cache::SegmentStore& store, std::vector<hfc::StreamSlots>& slots) {
-  // A null incoming scorer would demote the server to StrategyKind::None
-  // mid-run; config validation forbids switching in that world.
-  VODCACHE_EXPECTS(scorer != nullptr && scorer_ != nullptr);
-  VODCACHE_EXPECTS(slots.size() == peers_.size());
-  std::swap(scorer_, scorer);
-  std::swap(admission_, admission);
-  std::swap(store_, store);
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    std::swap(peers_[i].slots(), slots[i]);
-  }
+  media_server_.serve(interval, stream_rate_);
+  return result;
 }
 
 }  // namespace vodcache::core

@@ -17,6 +17,12 @@
 // origin.  Tier traffic still rides this neighborhood's fiber feed, so
 // coax and fiber metering are unchanged — only who pays for the bytes
 // moves.
+//
+// Every placement decision — admit, evict, fill, hit or miss — is made by
+// the server's cache::CacheCell, the same code every shadow cell runs.
+// The server adds only the primary's side effects: coax, peer and tier
+// metering, the tier walk and media-server serve, and the failure
+// counters.
 #pragma once
 
 #include <cstdint>
@@ -24,27 +30,23 @@
 #include <vector>
 
 #include "cache/admission.hpp"
+#include "cache/cache_cell.hpp"
 #include "cache/segment_store.hpp"
 #include "cache/strategy.hpp"
 #include "core/config.hpp"
 #include "core/media_server.hpp"
-#include "hfc/settop.hpp"
 #include "sim/rate_meter.hpp"
 
 namespace vodcache::core {
 
 class TierSystem;
 
-enum class ServeResult {
-  // A peer broadcast the segment from its cache slice.
-  PeerHit,
-  // Segment not in the neighborhood cache; central server streamed it.
-  MissCold,
-  // Segment cached, but the storing peer was at its stream limit
-  // (section V-C: "the cache will trigger a miss if a segment is requested
-  // from a peer that has more than two active streams").
-  MissBusy,
-};
+using cache::ServeResult;
+
+// The cell settings a SystemConfig implies (shared by the primary and the
+// shard's shadow bank).
+[[nodiscard]] cache::CacheCell::Settings cell_settings(
+    const SystemConfig& config);
 
 class IndexServer {
  public:
@@ -64,17 +66,21 @@ class IndexServer {
               const TierSystem* tiers = nullptr,
               std::vector<std::uint32_t> tier_nodes = {});
 
-  // Session begins: records the popularity signal and decides whether this
-  // program should (now) be in the cache.  `program_size` is the program's
-  // full footprint at the stream rate (whole-program admission charges it
-  // against capacity immediately).  The decision holds for the whole
-  // session's opportunistic fills.
+  // The cell keeps the server's coax meter address: neither copyable nor
+  // movable.
+  IndexServer(const IndexServer&) = delete;
+  IndexServer& operator=(const IndexServer&) = delete;
+
+  // The cell's session admit decision (cache::CacheCell::start_session).
   [[nodiscard]] bool start_session(ProgramId program, DataSize program_size,
                                    sim::SimTime t);
 
-  // Serve one segment transmission for a viewer in this neighborhood.
-  // `full_slice` says the transmission covers the segment's entire nominal
-  // duration (only fully-broadcast segments can be cached off the wire).
+  // Serve one segment transmission for a viewer in this neighborhood: the
+  // cell classifies it (and fills off a miss broadcast); the server meters
+  // the coax, and a peer hit on the peer meter, a miss on the serving tier
+  // or the media server.  `full_slice` says the transmission covers the
+  // segment's entire nominal duration (only fully-broadcast segments can
+  // be cached off the wire).
   ServeResult serve_segment(PeerId viewer, cache::SegmentKey key,
                             sim::Interval interval, bool admit,
                             bool full_slice);
@@ -83,36 +89,26 @@ class IndexServer {
   // the whole session (counts against its limit when asked to serve).
   void occupy_viewer_slot(PeerId viewer, sim::Interval interval);
 
-  // Failure injection: the peer's disk contents are lost (box swap/crash).
-  // Whole-program admissions survive (the index server re-fills from
-  // future broadcasts); under segment-granularity admission, programs that
-  // lost their last segment are dropped from the strategy's cached set.
+  // Failure injection: the peer's disk contents are lost (box swap/crash);
+  // see cache::CacheCell::fail_peer.  Counts the failure and the bytes.
   void fail_peer(PeerId peer);
 
-  // Warm policy switch (cache::PolicySwitcher): exchange this server's
-  // cached set and policy state with a shadow cell's — the cell's
-  // SegmentStore, per-peer stream slots, scorer, and admission policy
-  // become the primary's (no cold restart), and the old primary state
-  // moves out through the same references (demotion into the cell).
-  // `slots` must hold exactly peer_count() entries.  Counters and meters
-  // stay put: the report remains one continuous per-neighborhood history,
-  // and metering is policy-independent anyway.
-  void swap_policy_state(std::unique_ptr<cache::EvictionScorer>& scorer,
-                         std::unique_ptr<cache::AdmissionPolicy>& admission,
-                         cache::SegmentStore& store,
-                         std::vector<hfc::StreamSlots>& slots);
+  // Live policy switching swaps this cell with a shadow cell whole
+  // (cache::PolicySwitcher); counters and meters stay put, so the report
+  // remains one continuous per-neighborhood history.
+  [[nodiscard]] cache::CacheCell& cell() { return cell_; }
 
   [[nodiscard]] NeighborhoodId id() const { return id_; }
-  [[nodiscard]] std::uint32_t peer_count() const {
-    return static_cast<std::uint32_t>(peers_.size());
+  [[nodiscard]] std::uint32_t peer_count() const { return cell_.peer_count(); }
+  [[nodiscard]] const cache::SegmentStore& store() const {
+    return cell_.store();
   }
-  [[nodiscard]] const cache::SegmentStore& store() const { return store_; }
   [[nodiscard]] const cache::EvictionScorer& scorer() const {
-    return *scorer_;
+    return *cell_.scorer();
   }
   // Null means no policy gates admission (always-admit, the paper path).
   [[nodiscard]] const cache::AdmissionPolicy* admission() const {
-    return admission_.get();
+    return cell_.admission();
   }
   // All traffic on this neighborhood's coax (hits and misses alike).
   [[nodiscard]] const sim::RateMeter& coax_meter() const { return coax_meter_; }
@@ -125,20 +121,9 @@ class IndexServer {
     return tier_meters_[level];
   }
 
-  struct Counters {
-    std::uint64_t sessions = 0;
-    std::uint64_t segments = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t cold_misses = 0;
-    std::uint64_t busy_misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t fills = 0;
-    // Sessions whose program the admission policy refused to cache
-    // (always 0 under always-admit; reported only when a gate is active).
-    std::uint64_t admission_denials = 0;
+  // The cell's ledger plus the primary-only counters.
+  struct Counters : cache::CellCounters {
     std::uint64_t peer_failures = 0;
-    double hit_bits = 0.0;
-    double miss_bits = 0.0;
     double wiped_bytes = 0.0;
     // Per tier level (SystemConfig::tiers order): neighborhood misses the
     // level's node absorbed.  Empty in the two-level world.
@@ -147,25 +132,13 @@ class IndexServer {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  // Evict strictly-lower-scored programs until the store can physically
-  // place `bytes` for `key` (per-peer placement: aggregate free space is
-  // not enough).  Returns false if the incoming program stops outranking
-  // the next victim first.
-  bool make_room(cache::SegmentKey key, DataSize bytes, sim::SimTime t);
-  void try_fill(cache::SegmentKey key, DataSize bytes, sim::SimTime t);
-  // The admission policy's verdict for a program missed at `t` (counts a
-  // denial).  True when no policy is configured.
-  [[nodiscard]] bool admission_allows(ProgramId program, sim::SimTime t);
-
   NeighborhoodId id_;
-  const SystemConfig& config_;
-  std::unique_ptr<cache::EvictionScorer> scorer_;
-  std::unique_ptr<cache::AdmissionPolicy> admission_;
+  DataRate stream_rate_;
   MediaServer& media_server_;
-  cache::SegmentStore store_;
-  std::vector<hfc::SetTopBox> peers_;
   sim::RateMeter coax_meter_;
   sim::RateMeter peer_meter_;
+  // Reads coax_meter_, so it is declared after it.
+  cache::CacheCell cell_;
   const TierSystem* tiers_;
   std::vector<std::uint32_t> tier_nodes_;
   std::vector<sim::RateMeter> tier_meters_;

@@ -1,6 +1,7 @@
 #include "core/neighborhood_shard.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/policy_registry.hpp"
 #include "util/assert.hpp"
@@ -30,9 +31,9 @@ NeighborhoodShard::NeighborhoodShard(
     switcher_ = std::make_unique<cache::PolicySwitcher>(
         config_.switch_window, config_.switch_windows_k,
         shadow_->pair_count());
-    primary_scorer_name_ = scorer_entry(config_.strategy.kind).display;
-    primary_admission_name_ =
-        admission_entry(config_.admission_policy.kind).display;
+    server_.cell().label(
+        scorer_entry(config_.strategy.kind).display,
+        admission_entry(config_.admission_policy.kind).display);
   }
 }
 
@@ -56,27 +57,17 @@ std::unique_ptr<cache::ShadowBank> NeighborhoodShard::make_shadow_bank(
   // PrepassNeeds treats shadow_matrix like running those strategies.
   const ScorerContext context{config_.strategy, catalog_, future_, board_,
                               &clock_};
-  std::vector<cache::ShadowBank::PairSpec> pairs;
+  std::vector<cache::CacheCell::Policy> pairs;
   for (const auto& scorer : scorer_registry()) {
     if (scorer.kind == StrategyKind::None) continue;
     for (const auto& admission : admission_registry()) {
-      cache::ShadowBank::PairSpec pair;
-      pair.scorer_display = scorer.display;
-      pair.admission_display = admission.display;
-      pair.scorer = scorer.make(context);
-      pair.admission = admission.make(config_);
-      pairs.push_back(std::move(pair));
+      pairs.push_back({scorer.display, admission.display,
+                       scorer.make(context), admission.make(config_)});
     }
   }
-  cache::ShadowBank::Settings settings;
-  settings.whole_program = config_.admission == CacheAdmission::WholeProgram;
-  settings.replicate_on_busy = config_.replicate_on_busy;
-  settings.peer_stream_limit = config_.peer_stream_limit;
-  settings.stream_rate = config_.stream_rate;
-  settings.per_peer_storage = config_.per_peer_storage;
-  return std::make_unique<cache::ShadowBank>(std::move(pairs), settings,
-                                             peer_count,
-                                             &server_.coax_meter());
+  return std::make_unique<cache::ShadowBank>(
+      std::move(pairs), cell_settings(config_), peer_count,
+      &server_.coax_meter());
 }
 
 void NeighborhoodShard::apply_failures(sim::SimTime now) {
@@ -93,16 +84,15 @@ void NeighborhoodShard::apply_failures(sim::SimTime now) {
 void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   if (switcher_ == nullptr) return;
   const auto& counters = server_.counters();
-  const auto decision = switcher_->evaluate(
-      t, {counters.segments, counters.hits}, *shadow_);
+  const auto decision = switcher_->evaluate(t, counters, *shadow_);
   if (!decision) return;
 
   const std::size_t winner = decision->cell;
-  const cache::ShadowCounters& winner_counters = shadow_->counters(winner);
+  const cache::CellCounters& winner_counters = shadow_->counters(winner);
   cache::SwitchEvent event;
   event.time = t;
-  event.from_scorer = primary_scorer_name_;
-  event.from_admission = primary_admission_name_;
+  event.from_scorer = server_.cell().scorer_name();
+  event.from_admission = server_.cell().admission_name();
   event.to_scorer = shadow_->scorer_name(winner);
   event.to_admission = shadow_->admission_name(winner);
   event.cell = winner;
@@ -116,16 +106,13 @@ void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   event.winner_busy_misses = winner_counters.busy_misses;
   switch_log_.push_back(event);
 
-  // The warm swap: the winning cell's store/slots/policy state becomes the
-  // primary's, the demoted primary state drops into the cell.  From here
-  // on the primary replays exactly what the cell's standalone run would —
-  // which is what makes the at-switch counter snapshots above a pinnable
-  // equivalence (tests/policy_switcher_test.cpp).
-  auto cell = shadow_->cell_state(winner);
-  server_.swap_policy_state(cell.scorer, cell.admission, cell.store,
-                            cell.slots);
-  std::swap(primary_scorer_name_, cell.scorer_display);
-  std::swap(primary_admission_name_, cell.admission_display);
+  // The warm swap: the winning cell (store, stream slots, policy state,
+  // display names) becomes the primary's, the demoted primary cell takes
+  // its bank slot.  Both ledgers stay put.  From here on the primary
+  // replays exactly what the cell's standalone run would — which is what
+  // makes the at-switch counter snapshots above a pinnable equivalence
+  // (tests/policy_switcher_test.cpp).
+  std::swap(server_.cell(), shadow_->cell(winner));
 
   // In-flight sessions carry their whole-session admit decisions in the
   // slot lanes; those decisions belong to the *state* that made them, so
@@ -247,8 +234,7 @@ void NeighborhoodShard::play_segment(std::uint32_t slot, sim::SimTime at) {
                         cache::SegmentKey{program, segment_index},
                         {at, tx_end}, slot_admit_[slot] != 0, full_slice);
   if (shadow_ != nullptr) {
-    shadow_->serve_segment(PeerId{slot_viewer_[slot]},
-                           cache::SegmentKey{program, segment_index},
+    shadow_->serve_segment(cache::SegmentKey{program, segment_index},
                            {at, tx_end}, slot_shadow_admit_[slot], full_slice);
   }
 

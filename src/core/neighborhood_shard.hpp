@@ -166,8 +166,8 @@ class NeighborhoodShard {
   void apply_failures(sim::SimTime now);
   // Live policy switching: asks the switcher whether a shadow cell's
   // k-window streak completed at `t`, and if so performs the warm swap —
-  // cell state into the primary, primary state into the cell, in-flight
-  // admit decisions exchanged slot by slot — and logs the promotion.
+  // the winning cell and the primary's exchanged whole, in-flight admit
+  // decisions exchanged slot by slot — and logs the promotion.
   // Called before every event (boundary or session start); no-op unless
   // SystemConfig::policy_switch is on.
   void maybe_switch(sim::SimTime t);
@@ -200,10 +200,6 @@ class NeighborhoodShard {
   std::unique_ptr<cache::ShadowBank> shadow_;
   // Policy-switch mode only (null otherwise).
   std::unique_ptr<cache::PolicySwitcher> switcher_;
-  // The primary's current pair, for the switch log (registry display
-  // names; exchanged with the cell's on every swap).
-  const char* primary_scorer_name_ = "";
-  const char* primary_admission_name_ = "";
   std::vector<cache::SwitchEvent> switch_log_;
 
   // Session slots, structure-of-arrays.  A free slot holds kFreeSlot in

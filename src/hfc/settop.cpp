@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/assert.hpp"
+
 namespace vodcache::hfc {
 
 StreamSlots::StreamSlots(int limit) : limit_(limit) {
@@ -34,11 +36,6 @@ void StreamSlots::acquire_unchecked(sim::Interval interval) {
   VODCACHE_EXPECTS(interval.valid());
   prune(interval.begin);
   active_ends_.push_back(interval.end);
-}
-
-SetTopBox::SetTopBox(PeerId id, DataSize storage_contribution, int stream_limit)
-    : id_(id), contribution_(storage_contribution), slots_(stream_limit) {
-  VODCACHE_EXPECTS(storage_contribution >= DataSize{});
 }
 
 }  // namespace vodcache::hfc

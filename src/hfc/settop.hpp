@@ -4,16 +4,13 @@
 // (no churn), a fixed storage contribution to the neighborhood cache
 // (<= 10 GB of a ~40 GB disk), and at most two concurrently active streams
 // in either direction (section V-C).  Storage *contents* are tracked by
-// cache::SegmentStore; the box itself tracks its stream occupancy.
+// cache::SegmentStore; StreamSlots tracks a box's stream occupancy.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "sim/time.hpp"
-#include "util/assert.hpp"
-#include "util/ids.hpp"
-#include "util/units.hpp"
 
 namespace vodcache::hfc {
 
@@ -43,21 +40,6 @@ class StreamSlots {
 
   int limit_;
   std::vector<sim::SimTime> active_ends_;
-};
-
-class SetTopBox {
- public:
-  SetTopBox(PeerId id, DataSize storage_contribution, int stream_limit);
-
-  [[nodiscard]] PeerId id() const { return id_; }
-  [[nodiscard]] DataSize storage_contribution() const { return contribution_; }
-  [[nodiscard]] StreamSlots& slots() { return slots_; }
-  [[nodiscard]] const StreamSlots& slots() const { return slots_; }
-
- private:
-  PeerId id_;
-  DataSize contribution_;
-  StreamSlots slots_;
 };
 
 }  // namespace vodcache::hfc

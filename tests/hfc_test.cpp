@@ -252,14 +252,5 @@ TEST(StreamSlots, ZeroLimitRefusesAll) {
   EXPECT_FALSE(slots.try_acquire(span(0, 1)));
 }
 
-// ---------------------------------------------------------------- SetTopBox
-
-TEST(SetTopBox, HoldsContributionAndSlots) {
-  SetTopBox box(PeerId{7}, DataSize::gigabytes(10), 2);
-  EXPECT_EQ(box.id(), PeerId{7});
-  EXPECT_EQ(box.storage_contribution(), DataSize::gigabytes(10));
-  EXPECT_EQ(box.slots().limit(), 2);
-}
-
 }  // namespace
 }  // namespace vodcache::hfc

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,48 @@ RandomCase draw_case(std::uint64_t seed) {
   return c;
 }
 
+// One line that names the failing case and everything it drew, so a
+// failure can be re-run from its log alone:
+//   ./build/invariant_test --gtest_filter='Seeds/RandomConfig.*/cfg<seed>'
+std::string repro_line(std::uint64_t seed, const RandomCase& c) {
+  const auto& w = c.spec.workload;
+  const auto& cfg = c.config;
+  const auto hours = [](sim::SimTime t) {
+    return t.millis_count() / 3'600'000;
+  };
+  std::ostringstream line;
+  line << "repro: cfg" << seed
+       << " strategy=" << core::to_string(cfg.strategy.kind)
+       << " admission=" << core::to_string(cfg.admission_policy.kind)
+       << " granularity=" << core::to_string(cfg.admission)
+       << " threads=" << cfg.threads
+       << " chunk_min=" << cfg.stream_chunk.millis_count() / 60'000
+       << " days=" << w.days << " users=" << w.user_count
+       << " programs=" << w.program_count
+       << " nsize=" << cfg.neighborhood_size
+       << " storage_mb=" << cfg.per_peer_storage.byte_count() / 1e6
+       << " warmup_h=" << hours(cfg.warmup)
+       << " lfu_h=" << hours(cfg.strategy.lfu_history)
+       << " shadow_matrix=" << cfg.shadow_matrix
+       << " policy_switch=" << cfg.policy_switch;
+  if (cfg.policy_switch) {
+    line << " switch_window_h=" << hours(cfg.switch_window)
+         << " switch_k=" << cfg.switch_windows_k;
+  }
+  line << " tiers=" << cfg.tiers.size();
+  if (!cfg.tiers.empty()) {
+    line << " prefetch=" << core::to_string(cfg.prefetch.kind)
+         << " refresh_h=" << hours(cfg.prefetch.refresh);
+  }
+  std::string adaptors;
+  if (c.spec.flash_crowd.enabled) adaptors += ",flash_crowd";
+  if (c.spec.release_waves.enabled) adaptors += ",release_waves";
+  if (c.spec.skew.enabled) adaptors += ",skew";
+  if (c.spec.storm.enabled) adaptors += ",storm";
+  line << " adaptors=" << (adaptors.empty() ? "none" : adaptors.substr(1));
+  return line.str();
+}
+
 void expect_non_negative(const sim::PeakStats& peak, const char* what) {
   EXPECT_GE(peak.mean.bps(), 0.0) << what;
   EXPECT_GE(peak.q05.bps(), 0.0) << what;
@@ -185,11 +228,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomConfig, ::testing::Range<std::uint64_t>(1,
 
 TEST_P(RandomConfig, ConservationInvariantsHoldOnEveryReport) {
   const auto c = draw_case(GetParam());
-  SCOPED_TRACE("strategy=" +
-               std::string(core::to_string(c.config.strategy.kind)) +
-               " admission=" +
-               std::string(core::to_string(c.config.admission_policy.kind)) +
-               " threads=" + std::to_string(c.config.threads));
+  SCOPED_TRACE(repro_line(GetParam(), c));
 
   const scenario::ScenarioWorkload workload(c.spec,
                                             c.config.neighborhood_size);
@@ -385,15 +424,7 @@ TEST_P(RandomConfig, SteadyStateShardLoopIsAllocationFree) {
   c.spec.storm.enabled = false;
   c.spec.flash_crowd.enabled = false;
   c.spec.release_waves.enabled = false;
-  SCOPED_TRACE("strategy=" +
-               std::string(core::to_string(c.config.strategy.kind)) +
-               " admission whole=" +
-               std::to_string(c.config.admission == core::CacheAdmission::WholeProgram) +
-               " days=" + std::to_string(c.spec.workload.days) +
-               " users=" + std::to_string(c.spec.workload.user_count) +
-               " programs=" + std::to_string(c.spec.workload.program_count) +
-               " nsize=" + std::to_string(c.config.neighborhood_size) +
-               " lfu_h=" + std::to_string(c.config.strategy.lfu_history.millis_count() / 3600000));
+  SCOPED_TRACE(repro_line(GetParam(), c));
 
   const scenario::ScenarioWorkload workload(c.spec,
                                             c.config.neighborhood_size);

@@ -8,7 +8,9 @@
 // exhaustively at test scale (bench_policy_matrix's cross-check mode is
 // the bench-scale spot check):
 //
-//  * every cell of the matrix vs its standalone run, all 8 counters;
+//  * every cell of the matrix vs its standalone run, all 8 counters, in
+//    each of 8 replay modes (whole-program vs segment admission x
+//    replicate-on-busy off/on x no failures vs two failure waves);
 //  * the shadow matrix itself is bit-identical across worker thread
 //    counts {1, 2, 8, 16} (per-shard single-owner shadows, fixed-order
 //    merge);
@@ -16,6 +18,7 @@
 //    exactly the bytes of a shadow-off run, for every thread count.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -62,12 +65,53 @@ const ShadowCellReport* find_cell(const SimulationReport& report,
   return nullptr;
 }
 
+// The replay modes whose branches the shadow cells must reproduce: both
+// admission granularities, with and without replicate-on-busy, with and
+// without peer-failure waves (two waves wipe about half the peers).
+struct ModeCase {
+  const char* name;
+  CacheAdmission admission;
+  bool replicate_on_busy;
+  bool failures;
+};
+
+// Without this, gtest lists the parameter as its raw bytes, the first
+// eight of which are the address of `name`: the listed name would change
+// from one build to the next.
+void PrintTo(const ModeCase& c, std::ostream* os) { *os << c.name; }
+
+const ModeCase kModes[] = {
+    {"WholeProgram", CacheAdmission::WholeProgram, false, false},
+    {"WholeProgramFailures", CacheAdmission::WholeProgram, false, true},
+    {"WholeProgramReplicate", CacheAdmission::WholeProgram, true, false},
+    {"WholeProgramReplicateFailures", CacheAdmission::WholeProgram, true,
+     true},
+    {"Segment", CacheAdmission::Segment, false, false},
+    {"SegmentFailures", CacheAdmission::Segment, false, true},
+    {"SegmentReplicate", CacheAdmission::Segment, true, false},
+    {"SegmentReplicateFailures", CacheAdmission::Segment, true, true},
+};
+
+SystemConfig mode_config(const ModeCase& mode) {
+  auto config = shadow_config();
+  config.admission = mode.admission;
+  config.replicate_on_busy = mode.replicate_on_busy;
+  if (mode.failures) {
+    config.peer_failures.push_back({sim::SimTime::hours(30), 0.25, 7});
+    config.peer_failures.push_back({sim::SimTime::hours(50), 0.3, 8});
+  }
+  return config;
+}
+
+class ShadowBankModes : public ::testing::TestWithParam<ModeCase> {};
+
 // Every (scorer x admission) cell of one shadow pass must reproduce the
 // counters of a standalone run of that pair — the registry sweep the
-// single pass replaces.
-TEST(ShadowBank, EveryCellMatchesItsStandaloneRun) {
+// single pass replaces — in every replay mode.
+TEST_P(ShadowBankModes, EveryCellMatchesItsStandaloneRun) {
+  const ModeCase& mode = GetParam();
   const auto trace = shadow_trace();
-  auto config = shadow_config();
+  auto config = mode_config(mode);
   config.shadow_matrix = true;
   config.threads = 2;
   VodSystem shadow_system(trace, config);
@@ -76,6 +120,11 @@ TEST(ShadowBank, EveryCellMatchesItsStandaloneRun) {
   const std::size_t scorers = scorer_registry().size() - 1;  // minus None
   ASSERT_EQ(shadow_report.shadow_matrix.size(),
             scorers * admission_registry().size());
+  if (mode.failures) {
+    EXPECT_GT(shadow_report.peer_failures, 0u);
+  } else {
+    EXPECT_EQ(shadow_report.peer_failures, 0u);
+  }
 
   for (const auto& scorer : scorer_registry()) {
     if (scorer.kind == StrategyKind::None) continue;
@@ -85,7 +134,7 @@ TEST(ShadowBank, EveryCellMatchesItsStandaloneRun) {
       ASSERT_NE(cell, nullptr)
           << scorer.display << " x " << admission.display;
 
-      auto standalone_config = shadow_config();
+      auto standalone_config = mode_config(mode);
       standalone_config.strategy.kind = scorer.kind;
       standalone_config.admission_policy.kind = admission.kind;
       VodSystem standalone(trace, standalone_config);
@@ -114,6 +163,12 @@ TEST(ShadowBank, EveryCellMatchesItsStandaloneRun) {
   EXPECT_NE(always->fills, gated->fills);
   EXPECT_GT(gated->admission_denials, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ShadowBankModes, ::testing::ValuesIn(kModes),
+    [](const ::testing::TestParamInfo<ModeCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // The shadow matrix is merged shard-by-shard in shard order, so every
 // worker thread count must produce the identical report — shadows add no

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 #include <string>
 
 #include "core/report_json.hpp"
@@ -53,6 +54,10 @@ struct StrategyCase {
   std::int64_t lag_minutes;
   const char* name;
 };
+
+// Without this, gtest lists the parameter as its raw bytes, which end in
+// the address of `name`: the listed test name would change per build.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
 
 class ThreadCountInvariance : public ::testing::TestWithParam<StrategyCase> {};
 
