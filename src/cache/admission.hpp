@@ -63,16 +63,6 @@ class AdmissionPolicy {
   virtual void on_serve(bool /*hit*/, sim::SimTime /*t*/) {}
 };
 
-// The paper's behaviour: every miss is a caching opportunity.  Composing
-// any scorer with this policy reproduces the monolithic strategy's
-// decisions bit for bit (pinned in tests/policy_identity_test.cpp).
-class AlwaysAdmitPolicy final : public AdmissionPolicy {
- public:
-  [[nodiscard]] std::string_view name() const override { return "always"; }
-  void record_access(ProgramId, sim::SimTime) override {}
-  [[nodiscard]] bool admit(const AdmissionRequest&) override { return true; }
-};
-
 // Probationary admission: a program enters the cache only on its second
 // access within `probation_window` — one-hit wonders (the long tail of the
 // Zipf catalog) never displace proven programs, at the cost of caching

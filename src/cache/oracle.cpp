@@ -10,8 +10,8 @@ OracleStrategy::OracleStrategy(const FutureIndex& future, sim::SimTime lookahead
       lookahead_(lookahead),
       refresh_interval_(refresh_interval) {
   // `future` need not be frozen yet: under the job-graph executor the
-  // prepass fills it after the strategy is built, and the graph gates any
-  // query behind the full pass.  count_in() still asserts frozen at use.
+  // prepass job fills it after the strategy is built, and the graph gates
+  // any query behind it.  count_in() still asserts frozen at use.
   VODCACHE_EXPECTS(lookahead > sim::SimTime{});
   VODCACHE_EXPECTS(refresh_interval > sim::SimTime{});
   last_access_.reserve(future.program_count());

@@ -14,9 +14,9 @@
 //    information in batches after a certain length of time has passed".
 //
 // The board is only ever fed at *session starts*, and session starts come
-// straight from the sorted trace, so the entire access timeline can be
-// prebuilt before the replay (exactly like FutureIndex does for the
-// oracle).  The ReplayBoard is that timeline; each shard then owns a
+// straight from the sorted trace, so the entire access timeline is the
+// order the demux already walks.  The ReplayBoard is that timeline,
+// appended by the demux ahead of the shards that read it; each shard owns a
 // ReplayCursor, a cheap mutable read position that yields the visible
 // counts at any (time, trace-position) pair without any cross-shard
 // synchronization.
@@ -33,7 +33,7 @@
 
 namespace vodcache::cache {
 
-// The trace-prebuilt access timeline.  The job graph's prepass chain
+// The trace-ordered access timeline.  The job graph's demux chain
 // appends it *chunk by chunk* while earlier entries are already being read
 // by feed jobs on other workers — which is why the storage is a
 // StableVector (appends never move existing elements) and why every
@@ -115,7 +115,7 @@ class ReplayCursor {
   using ChangeCallback = std::function<void(ProgramId)>;
 
   // The board need not be frozen yet: under the job-graph executor the
-  // cursor is created while the prepass chain is still appending.  Only
+  // cursor is created before the demux chain has appended anything.  Only
   // the board's configuration (program count, window, lag) is read here.
   explicit ReplayCursor(const ReplayBoard& board,
                         ChangeCallback on_change = {});

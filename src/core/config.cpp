@@ -37,20 +37,10 @@ void SystemConfig::validate() const {
   VODCACHE_EXPECTS(segment_duration > sim::SimTime{});
   VODCACHE_EXPECTS(meter_bucket > sim::SimTime{});
   VODCACHE_EXPECTS(strategy.lfu_history >= sim::SimTime{});
-  VODCACHE_EXPECTS(strategy.oracle_lookahead > sim::SimTime{});
-  VODCACHE_EXPECTS(strategy.oracle_refresh > sim::SimTime{});
   VODCACHE_EXPECTS(strategy.global_lag >= sim::SimTime{});
   VODCACHE_EXPECTS(admission_policy.probation_window >= sim::SimTime{});
   VODCACHE_EXPECTS(admission_policy.headroom_fraction > 0.0 &&
                    admission_policy.headroom_fraction <= 1.0);
-  VODCACHE_EXPECTS(admission_policy.sketch_width > 0);
-  VODCACHE_EXPECTS(admission_policy.sketch_depth > 0 &&
-                   admission_policy.sketch_depth <= 16);
-  VODCACHE_EXPECTS(admission_policy.sketch_halve_period > 0);
-  VODCACHE_EXPECTS(admission_policy.sketch_min_estimate >= 1);
-  VODCACHE_EXPECTS(admission_policy.adapt_window > sim::SimTime{});
-  VODCACHE_EXPECTS(admission_policy.adapt_step > 0.0 &&
-                   admission_policy.adapt_step < 1.0);
   VODCACHE_EXPECTS(switch_window > sim::SimTime{});
   VODCACHE_EXPECTS(switch_windows_k >= 1);
   // A no-cache primary has no cached set to hand over in a warm switch.

@@ -64,8 +64,9 @@ enum class CacheAdmission {
 
 // Prefetch ("prior storing") policy selector for the tier caches above the
 // neighborhoods: which programs a hub node pulls ahead of demand at each
-// refresh.  The third axis of the policy matrix; name mapping and
-// factories live in the PolicyRegistry next to scorers and admissions.
+// refresh.  The third axis of the policy matrix; the name mapping lives in
+// the PolicyRegistry next to scorers and admissions, and TierPlanBuilder
+// (core/tier_system.hpp) implements all three kinds.
 enum class PrefetchKind {
   // Tier nodes store nothing: every neighborhood miss rides to the origin
   // (useful as the tiered-but-idle baseline).
@@ -93,9 +94,6 @@ struct StrategyConfig {
   // LFU/GlobalLFU: length of the access history ("N hours").  The paper's
   // figure 11 sweeps 0..12 days and finds 2-7 days the sweet spot.
   sim::SimTime lfu_history = sim::SimTime::hours(72);
-  // Oracle: how far ahead the impossible strategy looks (paper: 3 days).
-  sim::SimTime oracle_lookahead = sim::SimTime::days(3);
-  sim::SimTime oracle_refresh = sim::SimTime::hours(1);
   // GlobalLFU: batching lag for global popularity (0 = continuous).
   sim::SimTime global_lag;
   bool operator==(const StrategyConfig&) const = default;
@@ -109,23 +107,9 @@ struct AdmissionPolicyConfig {
   // CoaxHeadroom: admission is refused once the coax bucket rate reaches
   // this fraction of the plant's available downstream band
   // (CoaxSpec::available_low, the conservative figure).  AdaptiveHeadroom
-  // starts its climb from the same value.
+  // starts its climb from the same value.  (SketchLfu's geometry and
+  // AdaptiveHeadroom's climb are fixed; see core/policy_registry.cpp.)
   double headroom_fraction = 0.9;
-  // SketchLfu: count-min sketch geometry, the halving (decay) period in
-  // recorded accesses, and the estimate a program needs to be admitted.
-  // The short default halving period makes the sketch a *sliding-window*
-  // frequency estimate: a flash crowd blasts past the threshold within
-  // seconds, while a program whose accesses trickle in slower than the
-  // decay never accumulates enough — a sharper filter than second-hit's
-  // fixed probation window (bench_scenarios gates on exactly that, under
-  // LRU eviction, where churn protection actually pays).
-  std::uint32_t sketch_width = 1024;
-  std::uint32_t sketch_depth = 4;
-  std::uint64_t sketch_halve_period = 256;
-  std::uint32_t sketch_min_estimate = 2;
-  // AdaptiveHeadroom: hill-climb rotation window and per-window step.
-  sim::SimTime adapt_window = sim::SimTime::hours(6);
-  double adapt_step = 0.05;
   bool operator==(const AdmissionPolicyConfig&) const = default;
 };
 
@@ -149,7 +133,7 @@ struct SystemConfig {
   // Extension (off by default to match the paper): when every replica of a
   // cached segment is stream-saturated (busy miss), let the index server
   // tell one more peer to read the miss broadcast off the wire, adaptively
-  // replicating hot segments.  See bench_ablation_replication.
+  // replicating hot segments.  bench_ablation_design sweeps it.
   bool replicate_on_busy = false;
 
   // Admission/eviction granularity; see CacheAdmission.

@@ -53,8 +53,8 @@ std::unique_ptr<cache::ShadowBank> NeighborhoodShard::make_shadow_bank(
     std::uint32_t peer_count) {
   // Every pair shares this shard's scorer context: GlobalLFU shadows read
   // the same replay board through the same clock, Oracle shadows the same
-  // future index — the orchestrator's prepass gating covers them because
-  // PrepassNeeds treats shadow_matrix like running those strategies.
+  // future index — the orchestrator builds both for them because its
+  // needs() treats shadow_matrix like running those strategies.
   const ScorerContext context{config_.strategy, catalog_, future_, board_,
                               &clock_};
   std::vector<cache::CacheCell::Policy> pairs;

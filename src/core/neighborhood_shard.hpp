@@ -86,9 +86,9 @@ class NeighborhoodShard {
   // `catalog`, `config`, `future`, and `board` must outlive the shard.
   // `failures` must be in time order.  `future` (never null; empty for
   // non-Oracle strategies) is held by pointer because under the job-graph
-  // executor the orchestrator's prepass jobs fill it *after* shard
+  // executor the orchestrator's prepass job fills it *after* shard
   // construction — the Oracle scorer keeps a reference and only reads once
-  // its gating edge has run.
+  // the prepass -> feed#s.0 edge has run.
   // `tiers` (nullable; owned by the orchestrator like `catalog`) enables
   // the multi-tier miss walk with `tier_nodes` as this neighborhood's node
   // path — read-only prebuilt state, so the no-shared-mutable-state
@@ -119,11 +119,11 @@ class NeighborhoodShard {
   // neighborhoods were still active (pass a negative time when the trace
   // has no events at all).  It is a finish() argument rather than a
   // constructor one because under the job-graph executor the shard is
-  // built before the streaming prepass has seen the whole trace.
+  // built before the demux has seen the whole trace.
   void finish(sim::SimTime failure_flush);
 
   // How many ReplayBoard entries this shard's next feed() may scan (the
-  // prepass watermark its gating edge guarantees).  A caller that builds
+  // watermark the demux wrote for that chunk).  A caller that builds
   // the whole board before feeding never needs this — the default sentinel
   // reads the whole board.
   void set_board_visible(std::size_t visible) { clock_.visible = visible; }

@@ -5,7 +5,6 @@
 #include "cache/lfu.hpp"
 #include "cache/lru.hpp"
 #include "cache/oracle.hpp"
-#include "core/tier_system.hpp"
 #include "util/assert.hpp"
 
 namespace vodcache::core {
@@ -24,11 +23,15 @@ std::unique_ptr<cache::EvictionScorer> make_lfu(const ScorerContext& ctx) {
   return std::make_unique<cache::LfuStrategy>(ctx.strategy.lfu_history);
 }
 
+// Oracle: how far ahead the impossible strategy looks (paper: 3 days) and
+// how often it re-ranks the cached set.
+constexpr sim::SimTime kOracleLookahead = sim::SimTime::days(3);
+constexpr sim::SimTime kOracleRefresh = sim::SimTime::hours(1);
+
 std::unique_ptr<cache::EvictionScorer> make_oracle(const ScorerContext& ctx) {
   VODCACHE_EXPECTS(ctx.future != nullptr);
-  return std::make_unique<cache::OracleStrategy>(*ctx.future,
-                                                 ctx.strategy.oracle_lookahead,
-                                                 ctx.strategy.oracle_refresh);
+  return std::make_unique<cache::OracleStrategy>(*ctx.future, kOracleLookahead,
+                                                 kOracleRefresh);
 }
 
 std::unique_ptr<cache::EvictionScorer> make_global_lfu(
@@ -64,8 +67,7 @@ std::unique_ptr<cache::AdmissionPolicy> make_always(const SystemConfig&) {
   // Deliberately no policy object: the index server's null-admission fast
   // path *is* always-admit — the pre-refactor code path, with no virtual
   // call and no rate-meter query per session.  That makes the
-  // byte-identity argument structural.  (AlwaysAdmitPolicy still exists
-  // for direct composition in tests.)
+  // byte-identity argument structural.
   return nullptr;
 }
 
@@ -81,19 +83,33 @@ std::unique_ptr<cache::AdmissionPolicy> make_coax_headroom(
       config.coax, config.admission_policy.headroom_fraction);
 }
 
-std::unique_ptr<cache::AdmissionPolicy> make_sketch_lfu(
-    const SystemConfig& config) {
-  const auto& p = config.admission_policy;
+// SketchLfu: count-min sketch geometry, the halving (decay) period in
+// recorded accesses, and the estimate a program needs to be admitted.
+// The short halving period makes the sketch a *sliding-window* frequency
+// estimate: a flash crowd blasts past the threshold within seconds, while
+// a program whose accesses trickle in slower than the decay never
+// accumulates enough — a sharper filter than second-hit's fixed probation
+// window (bench_scenarios gates on exactly that, under LRU eviction, where
+// churn protection actually pays).
+constexpr std::uint32_t kSketchWidth = 1024;
+constexpr std::uint32_t kSketchDepth = 4;
+constexpr std::uint64_t kSketchHalvePeriod = 256;
+constexpr std::uint32_t kSketchMinEstimate = 2;
+
+std::unique_ptr<cache::AdmissionPolicy> make_sketch_lfu(const SystemConfig&) {
   return std::make_unique<cache::SketchLFUPolicy>(
-      p.sketch_width, p.sketch_depth, p.sketch_halve_period,
-      p.sketch_min_estimate);
+      kSketchWidth, kSketchDepth, kSketchHalvePeriod, kSketchMinEstimate);
 }
+
+// AdaptiveHeadroom: hill-climb rotation window and per-window step.
+constexpr sim::SimTime kAdaptWindow = sim::SimTime::hours(6);
+constexpr double kAdaptStep = 0.05;
 
 std::unique_ptr<cache::AdmissionPolicy> make_adaptive_headroom(
     const SystemConfig& config) {
-  const auto& p = config.admission_policy;
   return std::make_unique<cache::AdaptiveHeadroomPolicy>(
-      config.coax, p.headroom_fraction, p.adapt_window, p.adapt_step);
+      config.coax, config.admission_policy.headroom_fraction, kAdaptWindow,
+      kAdaptStep);
 }
 
 constexpr AdmissionEntry kAdmissions[] = {
@@ -113,30 +129,13 @@ constexpr AdmissionEntry kAdmissions[] = {
      make_adaptive_headroom},
 };
 
-std::unique_ptr<PrefetchPolicy> make_no_prefetch(const SystemConfig&) {
-  // No policy object: the orchestrator skips the plan prepass outright and
-  // TierSystem::serving_level answers "origin" without a lookup.
-  return nullptr;
-}
-
-std::unique_ptr<PrefetchPolicy> make_top_popular(const SystemConfig&) {
-  return std::make_unique<TopPopularPrefetch>();
-}
-
-std::unique_ptr<PrefetchPolicy> make_oracle_prefetch(const SystemConfig&) {
-  return std::make_unique<OraclePrefetch>();
-}
-
 constexpr PrefetchEntry kPrefetches[] = {
     {PrefetchKind::None, "none", "none",
-     "tier nodes store nothing; every neighborhood miss rides to the origin",
-     make_no_prefetch},
+     "tier nodes store nothing; every neighborhood miss rides to the origin"},
     {PrefetchKind::TopPopular, "top-popular", "top-popular",
-     "store each node's most-accessed programs of the previous refresh window",
-     make_top_popular},
+     "store each node's most-accessed programs of the previous refresh window"},
     {PrefetchKind::Oracle, "oracle", "oracle",
-     "clairvoyant: plan each window from its own accesses (upper bound)",
-     make_oracle_prefetch},
+     "clairvoyant: plan each window from its own accesses (upper bound)"},
 };
 
 template <typename Entry>

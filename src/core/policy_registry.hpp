@@ -56,17 +56,14 @@ struct AdmissionEntry {
   std::unique_ptr<cache::AdmissionPolicy> (*make)(const SystemConfig&);
 };
 
-// The tier caches' prior-storing seam (core/tier_system.hpp) — the third
-// policy axis.  Only consulted when SystemConfig::tiers is non-empty.
-class PrefetchPolicy;
-
+// The tier caches' prior-storing policy (core/tier_system.hpp) — the third
+// policy axis.  Only consulted when SystemConfig::tiers is non-empty; the
+// plan builder reads the kind itself, so there is no factory.
 struct PrefetchEntry {
   PrefetchKind kind;
   const char* key;
   const char* display;
   const char* summary;
-  // Returns nullptr only for PrefetchKind::None (tier nodes store nothing).
-  std::unique_ptr<PrefetchPolicy> (*make)(const SystemConfig&);
 };
 
 [[nodiscard]] std::span<const ScorerEntry> scorer_registry();

@@ -1,6 +1,7 @@
 #include "core/sharded_simulation.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -36,10 +37,8 @@ ShardedSimulation::ShardedSimulation(const trace::Trace& trace,
   }
 }
 
-ShardedSimulation::PrepassNeeds ShardedSimulation::needs() const {
-  // Each requirement needs whole-trace knowledge before the replay;
-  // everything else streams in a single pass.
-  PrepassNeeds need;
+ShardedSimulation::Needs ShardedSimulation::needs() const {
+  Needs need;
   // Shadow-matrix and policy-switch modes instantiate *every* registered
   // scorer, so the GlobalLFU board and Oracle future index must exist
   // whatever the primary strategy is.
@@ -50,7 +49,7 @@ ShardedSimulation::PrepassNeeds ShardedSimulation::needs() const {
   need.flush = !config_.peer_failures.empty();
   // Tier prefetch plans are whole-trace knowledge too: a no-op prefetch
   // (None) or all-zero tier capacities leaves every plan empty, so those
-  // runs skip the pass like any other single-pass config.
+  // runs skip the prepass like any other single-pass config.
   need.tiers =
       tiers_ != nullptr && config_.prefetch.kind != PrefetchKind::None &&
       std::any_of(config_.tiers.begin(), config_.tiers.end(),
@@ -58,7 +57,7 @@ ShardedSimulation::PrepassNeeds ShardedSimulation::needs() const {
   return need;
 }
 
-void ShardedSimulation::allocate_prepass_outputs(const PrepassNeeds& need) {
+void ShardedSimulation::allocate_products(const Needs& need) {
   if (need.board) {
     board_ = std::make_shared<cache::ReplayBoard>(
         source_->catalog().size(), config_.strategy.lfu_history,
@@ -112,7 +111,7 @@ void ShardedSimulation::build_shards() {
   }
 }
 
-void ShardedSimulation::run_graph(const PrepassNeeds& need,
+void ShardedSimulation::run_graph(const Needs& need,
                                   MediaServer& media) {
   const auto shard_count = shards_.size();
   const auto user_count = topology_.user_count();
@@ -152,111 +151,33 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
               std::vector<std::vector<NeighborhoodShard::StreamSession>>(
                   shard_count));
 
-  // ---- prepass chain state (only touched by the prepass jobs, which form
-  // a dependency chain — exclusive access without synchronization).
-  std::unique_ptr<trace::SessionStream> pre_stream;
-  trace::SessionRecord pre_record;
-  bool pre_more = false;
-  std::unique_ptr<TierPlanBuilder> plan_builder;
-  // watermark[k]: board entries appended by prepass chunks 0..k — all
-  // accesses with time < chunk_end(k).  Written by prepass[k], read by
-  // feed[s][k] through its gating edge.
-  std::vector<std::size_t> watermark(need.board ? chunks : 0, 0);
-  const auto segment_ms = config_.segment_duration.millis_count();
-  if (need.any()) {
-    pre_stream = source_->open();
-    pre_more = pre_stream->next(pre_record);
-    if (need.tiers) {
-      plan_builder = std::make_unique<TierPlanBuilder>(topology_, config_,
-                                                       source_->catalog());
-    }
-  }
-
-  // ---- demux chain state (same exclusivity argument).
+  // ---- demux chain state (only touched by the demux jobs, which form a
+  // dependency chain — exclusive access without synchronization).
   auto demux_stream = source_->open();
   trace::SessionRecord record;
   bool more = demux_stream->next(record);
   std::uint64_t index = 0;
   sim::SimTime prev;  // 0: sources must not emit negative starts
+  // watermark[k]: board entries appended by demux chunks 0..k — all
+  // accesses with time < chunk_end(k).  Written by demux#k, read by
+  // feed#s.k through the demux#k -> feed#s.k edge.
+  std::vector<std::size_t> watermark(need.board ? chunks : 0, 0);
+  const auto segment_ms = config_.segment_duration.millis_count();
 
   JobGraph graph;
 
-  // Prepass nodes: the streaming pass 1, cut at the same chunk edges as
-  // the demux so GlobalLFU feeds can be gated chunk-by-chunk instead of on
-  // the whole pass.
-  std::vector<JobId> prepass_id;
-  JobId prepass_done = 0;
-  if (need.any()) {
-    prepass_id.reserve(chunks);
-    for (std::size_t k = 0; k < chunks; ++k) {
-      prepass_id.push_back(graph.add(
-          [this, &need, &pre_stream, &pre_record, &pre_more, &plan_builder,
-           &watermark, chunk_end_ms, segment_ms, k, chunks] {
-            const auto end_ms = chunk_end_ms(k);
-            const bool last = k + 1 == chunks;
-            while (pre_more &&
-                   (last || pre_record.start.millis_count() < end_ms)) {
-              if (need.board) {
-                board_->add(pre_record.program, pre_record.start);
-              }
-              if (need.future || need.tiers) {
-                const auto n = topology_.neighborhood_of(pre_record.user);
-                if (need.future) {
-                  future_[n.value()].add(pre_record.program, pre_record.start);
-                }
-                if (need.tiers) {
-                  plan_builder->observe(n, pre_record.program,
-                                        pre_record.start);
-                }
-              }
-              // Failure flush: the latest segment boundary of any session
-              // (boundaries fall at start + k * segment for every k with
-              // k * segment < duration).  Waves up to this time are
-              // applied system-wide even in neighborhoods whose own events
-              // end earlier; later waves never fire.  Stays negative on an
-              // empty trace, so nothing flushes.
-              if (need.flush) {
-                const auto duration_ms = pre_record.duration.millis_count();
-                const auto full_boundaries =
-                    duration_ms > 0 ? (duration_ms - 1) / segment_ms : 0;
-                failure_flush_ = std::max(
-                    failure_flush_,
-                    pre_record.start +
-                        sim::SimTime::millis(full_boundaries * segment_ms));
-              }
-              pre_more = pre_stream->next(pre_record);
-            }
-            if (need.board) watermark[k] = board_->size();
-          },
-          "prepass#" + std::to_string(k)));
-      if (k > 0) graph.depend(prepass_id[k - 1], prepass_id[k]);
-    }
-    prepass_done = graph.add(
-        [this, &need, &plan_builder] {
-          if (need.board) board_->freeze();
-          for (auto& future : future_) future.freeze();
-          if (need.tiers) {
-            tiers_->set_plans(plan_builder->finish(source_->horizon()));
-          }
-        },
-        "prepass-done");
-    graph.depend(prepass_id.back(), prepass_done);
-  }
-  // Oracle clairvoyance and tier plans are whole-trace products: any feed
-  // may read them, so every feed waits for the full pass.  The failure
-  // flush time is only read by finish.  GlobalLFU needs no full-pass gate —
-  // its feeds gate on their own chunk's watermark.
-  const bool gate_feeds_on_done = need.future || need.tiers;
-
   // Demux nodes: chunk k of the stream into per-shard batches.  Chained —
   // the stream is a single-pass cursor — but free to run ahead of the
-  // feeds up to the ring window.
+  // feeds up to the ring window.  The demux walks the stream in trace
+  // order, so it also builds the two stream-order products: the GlobalLFU
+  // board and the failure flush time.
   std::vector<JobId> demux_id;
   demux_id.reserve(chunks);
   for (std::size_t k = 0; k < chunks; ++k) {
     demux_id.push_back(graph.add(
-        [this, &batches, &demux_stream, &record, &more, &index, &prev,
-         chunk_end_ms, user_count, catalog_size, window, k, chunks] {
+        [this, &need, &batches, &demux_stream, &record, &more, &index, &prev,
+         &watermark, chunk_end_ms, segment_ms, user_count, catalog_size,
+         window, k, chunks] {
           auto& slot = batches[k % window];
           for (auto& batch : slot) batch.clear();
           const auto end_ms = chunk_end_ms(k);
@@ -268,14 +189,58 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
             VODCACHE_EXPECTS(record.user.value() < user_count);
             VODCACHE_EXPECTS(record.program.value() < catalog_size);
             prev = record.start;
+            if (need.board) board_->add(record.program, record.start);
+            // Failure flush: the latest segment boundary of any session
+            // (boundaries fall at start + k * segment for every k with
+            // k * segment < duration).  Waves up to this time are applied
+            // system-wide even in neighborhoods whose own events end
+            // earlier; later waves never fire.  Stays negative on an empty
+            // trace, so nothing flushes.
+            if (need.flush) {
+              const auto duration_ms = record.duration.millis_count();
+              const auto full_boundaries =
+                  duration_ms > 0 ? (duration_ms - 1) / segment_ms : 0;
+              failure_flush_ = std::max(
+                  failure_flush_,
+                  record.start +
+                      sim::SimTime::millis(full_boundaries * segment_ms));
+            }
             const auto n = topology_.neighborhood_of(record.user).value();
             slot[n].push_back({record, index, topology_.peer_of(record.user)});
             ++index;
             more = demux_stream->next(record);
           }
+          if (need.board) {
+            watermark[k] = board_->size();
+            if (last) board_->freeze();
+          }
         },
         "demux#" + std::to_string(k)));
     if (k > 0) graph.depend(demux_id[k - 1], demux_id[k]);
+  }
+
+  // Prepass node: Oracle clairvoyance and tier plans are whole-trace
+  // products — any feed may read them — so one job reads the whole stream
+  // and every shard's first feed waits for it.  Both streams are opened
+  // here, on the calling thread, so sources need not open concurrently.
+  std::optional<JobId> prepass;
+  std::unique_ptr<trace::SessionStream> pre_stream;
+  if (need.future || need.tiers) {
+    pre_stream = source_->open();
+    prepass = graph.add(
+        [this, &need, &pre_stream] {
+          std::optional<TierPlanBuilder> plans;
+          if (need.tiers) plans.emplace(topology_, config_, source_->catalog());
+          trace::SessionRecord r;
+          while (pre_stream->next(r)) {
+            const auto n = topology_.neighborhood_of(r.user);
+            if (need.future) future_[n.value()].add(r.program, r.start);
+            if (plans) plans->observe(n, r.program, r.start);
+          }
+          for (auto& future : future_) future.freeze();
+          if (plans) tiers_->set_plans(plans->finish(source_->horizon()));
+        },
+        "prepass");
   }
 
   // Feed nodes: shard s replays its slice of chunk k.  feed[s][k-1] ->
@@ -293,10 +258,7 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
           "feed#" + std::to_string(s) + "." + std::to_string(k));
       graph.depend(demux_id[k], feed_id[s][k]);
       if (k > 0) graph.depend(feed_id[s][k - 1], feed_id[s][k]);
-      if (need.board) graph.depend(prepass_id[k], feed_id[s][k]);
-      if (gate_feeds_on_done && k == 0) {
-        graph.depend(prepass_done, feed_id[s][k]);
-      }
+      if (prepass && k == 0) graph.depend(*prepass, feed_id[s][k]);
       // Ring: chunk k's slot may be overwritten once its feeds are done.
       if (k + window < chunks) {
         graph.depend(feed_id[s][k], demux_id[k + window]);
@@ -305,9 +267,8 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
   }
 
   // Finish nodes: drain boundaries and flush trailing failure waves.  By
-  // now the prepass chain is complete (transitively through the feed
-  // gates, or the explicit flush gate below), so the whole board is
-  // readable again.
+  // now the whole demux chain is complete (transitively through the feed
+  // chain), so the board is frozen and the flush time is final.
   std::vector<JobId> finish_id;
   finish_id.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
@@ -320,7 +281,6 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
         },
         "finish#" + std::to_string(s)));
     graph.depend(feed_id[s].back(), finish_id[s]);
-    if (need.flush) graph.depend(prepass_done, finish_id[s]);
   }
 
   // Merge sink: reduce the per-shard central-server slices in neighborhood
@@ -341,8 +301,8 @@ SimulationReport ShardedSimulation::run() {
   ran_ = true;
 
   MediaServer media(source_->horizon(), config_.meter_bucket);
-  const PrepassNeeds need = needs();
-  allocate_prepass_outputs(need);
+  const Needs need = needs();
+  allocate_products(need);
   build_shards();
   run_graph(need, media);
   return build_report(media);

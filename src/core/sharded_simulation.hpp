@@ -11,18 +11,19 @@
 // (`trace::TraceSource`), so both paths share this code and produce
 // identical bytes.
 //
-// Strategies that need whole-trace knowledge get it from a *prepass*: a
-// first streaming pass over the same source builds GlobalLFU's ReplayBoard,
-// the oracle's per-neighborhood FutureIndex, tier prefetch plans, and the
-// failure-wave flush time.  LRU/LFU/None with no failure waves skip the
-// prepass — those runs read the workload exactly once.
+// Stream-order products ride on that same pass: the demux appends every
+// session start to GlobalLFU's ReplayBoard and folds it into the
+// failure-wave flush time.  Only whole-trace products — the oracle's
+// per-neighborhood FutureIndex and tier prefetch plans — need a *prepass*:
+// one job that reads the source once more before any shard replays.
+// Every other config reads the workload exactly once.
 //
-// The run is decomposed into an explicit task DAG — prepass chunks, demux
-// chunks, per-(shard x chunk) feed tasks, per-shard finish, and the
-// fixed-order merge sink — and handed to the work-stealing JobExecutor, so
-// the prepass overlaps the main pass and a hot shard's chunks pipeline
-// across workers.  With one worker (threads == 1) the executor runs the
-// same graph inline on the calling thread.
+// The run is decomposed into an explicit task DAG — demux chunks, the
+// optional prepass, per-(shard x chunk) feed tasks, per-shard finish, and
+// the fixed-order merge sink — and handed to the work-stealing
+// JobExecutor, so a hot shard's chunks pipeline across workers.  With one
+// worker (threads == 1) the executor runs the same graph inline on the
+// calling thread.
 // See ARCHITECTURE.md, "The job graph", for the node kinds and edges.
 //
 // Determinism contract: every shard's computation depends only on
@@ -81,23 +82,24 @@ class ShardedSimulation {
   }
 
  private:
-  // Which whole-trace prepass products this config needs.
-  struct PrepassNeeds {
+  // Which shared products this config needs.  The demux builds the
+  // stream-order ones (board, flush); the prepass the whole-trace ones
+  // (future, tiers), and it runs only when one of those is needed.
+  struct Needs {
     bool board = false;   // GlobalLFU popularity timeline
     bool future = false;  // Oracle clairvoyance
     bool flush = false;   // failure waves: last-event flush time
     bool tiers = false;   // tier prefetch plans
-    [[nodiscard]] bool any() const { return board || future || flush || tiers; }
   };
-  [[nodiscard]] PrepassNeeds needs() const;
+  [[nodiscard]] Needs needs() const;
 
-  // Allocate the (empty) prepass products the shards point at; the
-  // graph's prepass chain fills them.
-  void allocate_prepass_outputs(const PrepassNeeds& need);
+  // Allocate the (empty) shared products the shards point at; the graph's
+  // demux and prepass jobs fill them.
+  void allocate_products(const Needs& need);
   void build_shards();
-  // Build the prepass/demux/feed/finish/merge DAG and run it on the
+  // Build the demux/prepass/feed/finish/merge DAG and run it on the
   // work-stealing executor.  Merges into `media` (the sink node).
-  void run_graph(const PrepassNeeds& need, MediaServer& media);
+  void run_graph(const Needs& need, MediaServer& media);
   [[nodiscard]] SimulationReport build_report(const MediaServer& media) const;
 
   std::unique_ptr<trace::SessionSource> owned_source_;  // Trace ctor only
@@ -105,7 +107,7 @@ class ShardedSimulation {
   SystemConfig config_;
   hfc::Topology topology_;
   // GlobalLFU only: the popularity timeline all shards read.  Owned
-  // mutably here so the graph's prepass chain can append to it after the
+  // mutably here so the graph's demux chain can append to it after the
   // shards (which hold const views) are built.
   std::shared_ptr<cache::ReplayBoard> board_;
   // Tiered topologies only: the tier specs plus the prepass-built prefetch

@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/policy_registry.hpp"
 #include "util/assert.hpp"
 
 namespace vodcache::core {
@@ -15,10 +14,10 @@ TierPlanBuilder::TierPlanBuilder(const hfc::Topology& topology,
     : topology_(topology),
       config_(config),
       catalog_(catalog),
-      policy_(prefetch_entry(config.prefetch.kind).make(config)),
       refresh_ms_(config.prefetch.refresh.millis_count()) {
   VODCACHE_EXPECTS(topology.tier_count() > 0);
-  VODCACHE_EXPECTS(policy_ != nullptr);  // None skips the build entirely
+  // None skips the build entirely.
+  VODCACHE_EXPECTS(config.prefetch.kind != PrefetchKind::None);
   VODCACHE_EXPECTS(refresh_ms_ > 0);
   const auto levels = topology.tier_count();
   counts_.resize(levels);
@@ -66,14 +65,10 @@ void TierPlanBuilder::observe(NeighborhoodId neighborhood, ProgramId program,
 PeriodSet TierPlanBuilder::pack_window(const hfc::TierLevelSpec& spec,
                                        std::vector<WindowCount> window,
                                        const PeriodSet& previous) const {
-  // Highest retention value first, lower id on ties.
+  // Highest demand first, lower id on ties.
   std::stable_sort(window.begin(), window.end(),
-                   [&](const WindowCount& a, const WindowCount& b) {
-                     const double va =
-                         policy_->value(a.program, a.count, catalog_);
-                     const double vb =
-                         policy_->value(b.program, b.count, catalog_);
-                     if (va != vb) return va > vb;
+                   [](const WindowCount& a, const WindowCount& b) {
+                     if (a.count != b.count) return a.count > b.count;
                      return a.program.value() < b.program.value();
                    });
 
@@ -116,6 +111,9 @@ std::vector<LevelPlan> TierPlanBuilder::finish(sim::SimTime horizon) {
   while (current_window_ < needed) flush_window();
 
   const std::size_t window_count = static_cast<std::size_t>(current_window_);
+  // The oracle plans window k from its own accesses; top-popular from
+  // window k-1's.
+  const bool clairvoyant = config_.prefetch.kind == PrefetchKind::Oracle;
   std::vector<LevelPlan> plans(windows_.size());
   for (std::size_t l = 0; l < windows_.size(); ++l) {
     const auto& spec = topology_.tier(l);
@@ -127,7 +125,7 @@ std::vector<LevelPlan> TierPlanBuilder::finish(sim::SimTime horizon) {
       static const std::vector<WindowCount> kNoWindow;
       for (std::size_t k = 0; k < window_count; ++k) {
         const auto& source =
-            policy_->clairvoyant()
+            clairvoyant
                 ? windows_[l][node][k]
                 : (k > 0 ? windows_[l][node][k - 1] : kNoWindow);
         node_plan[k] = pack_window(spec, source,

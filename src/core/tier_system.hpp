@@ -8,7 +8,7 @@
 // interleaving of their misses.  So the tier caches follow the related
 // work's "prior storing" model instead: each tier node's resident set is an
 // *immutable prefetch plan* built in the orchestrator's prepass (the same
-// pattern as GlobalLFU's ReplayBoard), rotated once per refresh window.
+// pattern as the oracle's FutureIndex), rotated once per refresh window.
 // During the replay, shards only ever ask "was this program resident at
 // node X at time t?" — a pure function of prebuilt state, so tiered runs
 // keep every invariance the two-level runs have.
@@ -19,13 +19,15 @@
 //     from the previous one) are capped by uplink x refresh;
 //   * outages — a level serves nothing while an outage window covers t.
 //
-// The prefetch policy (which programs a node values) is the third axis of
-// the policy matrix, registered in core::PolicyRegistry next to eviction
+// Every prefetch policy ranks a window's programs by demand (ties to the
+// lower id); they differ only in which window they plan from: top-popular
+// packs window k from window k-1's accesses, the oracle from window k's
+// own (the clairvoyant upper bound).  The kind is the third axis of the
+// policy matrix, registered in core::PolicyRegistry next to eviction
 // scorers and admission policies.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -43,44 +45,6 @@ struct WindowCount {
   std::uint64_t count = 0;
 };
 
-// The prior-storing seam: ranks a window's observed programs for
-// retention.  Stateless and shared across nodes; instantiated through the
-// PolicyRegistry.
-class PrefetchPolicy {
- public:
-  virtual ~PrefetchPolicy() = default;
-
-  // Clairvoyant policies plan window k from window k's own accesses (the
-  // upper bound); reactive ones from window k-1.
-  [[nodiscard]] virtual bool clairvoyant() const { return false; }
-
-  // Retention value of a program that saw `count` accesses in the planning
-  // window; the planner keeps the highest-valued programs that fit
-  // capacity and rotation budget (ties broken by lower program id).
-  [[nodiscard]] virtual double value(ProgramId program, std::uint64_t count,
-                                     const trace::Catalog& catalog) const = 0;
-};
-
-// Reactive: demand is value — each node keeps its previous window's most
-// accessed programs.
-class TopPopularPrefetch final : public PrefetchPolicy {
- public:
-  [[nodiscard]] double value(ProgramId, std::uint64_t count,
-                             const trace::Catalog&) const override {
-    return static_cast<double>(count);
-  }
-};
-
-// Clairvoyant twin of TopPopularPrefetch.
-class OraclePrefetch final : public PrefetchPolicy {
- public:
-  [[nodiscard]] bool clairvoyant() const override { return true; }
-  [[nodiscard]] double value(ProgramId, std::uint64_t count,
-                             const trace::Catalog&) const override {
-    return static_cast<double>(count);
-  }
-};
-
 // Programs resident at one node for one refresh window, sorted by id.
 using PeriodSet = std::vector<ProgramId>;
 using NodePlan = std::vector<PeriodSet>;  // indexed by window
@@ -91,8 +55,8 @@ using LevelPlan = std::vector<NodePlan>;  // indexed by node
 class TierPlanBuilder {
  public:
   // All three references must outlive the builder.  The topology must
-  // carry at least one tier and config.prefetch.kind must name a real
-  // policy (the orchestrator skips the build entirely otherwise).
+  // carry at least one tier and config.prefetch.kind must not be None
+  // (the orchestrator skips the build entirely then).
   TierPlanBuilder(const hfc::Topology& topology, const SystemConfig& config,
                   const trace::Catalog& catalog);
 
@@ -114,7 +78,6 @@ class TierPlanBuilder {
   const hfc::Topology& topology_;
   const SystemConfig& config_;
   const trace::Catalog& catalog_;
-  std::unique_ptr<PrefetchPolicy> policy_;
   std::int64_t refresh_ms_;
   std::int64_t current_window_ = 0;
   // counts_[level][node]: program ids observed in the current window, one

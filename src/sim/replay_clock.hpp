@@ -28,8 +28,8 @@ struct ReplayClock {
   // Number of trace records replayed system-wide before the current event.
   std::size_t position = 0;
   // How many ReplayBoard entries this shard may scan.  The orchestrator
-  // sets this to the prepass chunk watermark the shard's current feed job
-  // is gated on; the sentinel means "no concurrent writer — clamp to the
+  // sets this to the watermark the demux wrote for the shard's current
+  // feed chunk; the sentinel means "no concurrent writer — clamp to the
   // board's size" (a finished board).
   std::size_t visible = std::numeric_limits<std::size_t>::max();
 };

@@ -21,8 +21,8 @@
 //
 // Sources are immutable once constructed; `open()` may be called any number
 // of times and each stream replays the identical sequence (the simulation
-// uses this for its prepasses: GlobalLFU's replay board and the oracle's
-// future index are built from a first streaming pass over the same source).
+// uses this for its prepass: the oracle's future index and tier prefetch
+// plans are built from a second stream over the same source).
 #pragma once
 
 #include <cstdint>

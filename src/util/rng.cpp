@@ -100,13 +100,6 @@ double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::exponential(double lambda) {
-  VODCACHE_EXPECTS(lambda > 0.0);
-  double u = uniform_double();
-  while (u <= 0.0) u = uniform_double();
-  return -std::log(u) / lambda;
-}
-
 std::uint64_t Rng::poisson(double lambda) {
   VODCACHE_EXPECTS(lambda >= 0.0);
   if (lambda == 0.0) return 0;
@@ -123,12 +116,6 @@ std::uint64_t Rng::poisson(double lambda) {
   // Normal approximation with continuity correction; adequate above 30.
   const double draw = normal(lambda, std::sqrt(lambda));
   return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
-}
-
-Rng Rng::fork() {
-  Rng child(0);
-  for (auto& word : child.state_) word = next_u64();
-  return child;
 }
 
 AliasTable::AliasTable(std::span<const double> weights) {

@@ -48,16 +48,9 @@ class Rng {
   // exp(N(mu, sigma)).
   [[nodiscard]] double lognormal(double mu, double sigma);
 
-  // Mean 1/lambda.
-  [[nodiscard]] double exponential(double lambda);
-
   // Knuth multiplication below lambda=30, normal approximation above (the
   // workload model only cares about the first two moments at large lambda).
   [[nodiscard]] std::uint64_t poisson(double lambda);
-
-  // Forks an independent stream (used to give each generated day/component
-  // its own stream so that changing one knob does not reshuffle everything).
-  [[nodiscard]] Rng fork();
 
   // UniformRandomBitGenerator interface for std::shuffle.
   static constexpr result_type min() { return 0; }

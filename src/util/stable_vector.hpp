@@ -2,7 +2,7 @@
 //
 // std::vector reallocates on growth, which rules it out as the backing
 // store for anything appended by one job while earlier entries are read
-// concurrently by others (the job-graph executor's chunked prepass does
+// concurrently by others (the job-graph executor's demux chain does
 // exactly that to the ReplayBoard).  StableVector instead allocates
 // geometrically sized blocks — block b holds `kFirstBlock << b` elements —
 // and indexes into them with bit math, so:

@@ -33,23 +33,4 @@ struct Summary {
 
 [[nodiscard]] Summary summarize(std::span<const double> xs);
 
-// Streaming accumulator (Welford) for mean/variance without storing samples.
-class RunningStats {
- public:
-  void add(double x);
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return mean_; }
-  [[nodiscard]] double variance() const;  // population
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace vodcache

@@ -54,7 +54,7 @@ inline ShardAuditResult audit_shard_allocations(
   // An Oracle primary needs the future index, a GlobalLFU primary the
   // replay board, and shadow-matrix mode instantiates every registered
   // scorer so it needs both — built here exactly as the orchestrator's
-  // prepass would (outside the measured region either way).
+  // demux and prepass would (outside the measured region either way).
   const bool needs_future =
       config.shadow_matrix ||
       config.strategy.kind == core::StrategyKind::Oracle;

@@ -4,6 +4,7 @@
 // materialized, at any thread count and any demux chunk size.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -480,6 +481,61 @@ TEST(StreamedSimulation, FailureWavesMatchMaterialized) {
   threaded.threads = 8;
   threaded.stream_chunk = sim::SimTime::minutes(45);
   EXPECT_EQ(run_streamed(source, threaded), expected);
+}
+
+// Forwards to another source and counts how many streams it opens.
+class CountingSource final : public SessionSource {
+ public:
+  explicit CountingSource(const SessionSource& inner) : inner_(&inner) {}
+
+  [[nodiscard]] const Catalog& catalog() const override {
+    return inner_->catalog();
+  }
+  [[nodiscard]] std::uint32_t user_count() const override {
+    return inner_->user_count();
+  }
+  [[nodiscard]] sim::SimTime horizon() const override {
+    return inner_->horizon();
+  }
+  [[nodiscard]] std::unique_ptr<SessionStream> open() const override {
+    ++opens_;
+    return inner_->open();
+  }
+  [[nodiscard]] std::uint64_t session_count_hint() const override {
+    return inner_->session_count_hint();
+  }
+  [[nodiscard]] int opens() const { return opens_; }
+
+ private:
+  const SessionSource* inner_;
+  mutable std::atomic<int> opens_{0};
+};
+
+// The demux builds the GlobalLFU board and the failure flush time on its
+// own pass; only whole-trace products (Oracle's future index, tier
+// prefetch plans) cost a second read of the workload.
+TEST(StreamedSimulation, ReadsTheWorkloadOnceUnlessAWholeTraceProductIsNeeded) {
+  const GeneratorSource base(identity_workload());
+  const auto opens_for = [&](const core::SystemConfig& config) {
+    const CountingSource source(base);
+    core::VodSystem system(source, config);
+    (void)system.run();
+    return source.opens();
+  };
+
+  EXPECT_EQ(opens_for(small_system(core::StrategyKind::GlobalLfu)), 1);
+
+  auto failures = small_system(core::StrategyKind::Lru);
+  failures.peer_failures.push_back({sim::SimTime::hours(20), 0.4, 11});
+  EXPECT_EQ(opens_for(failures), 1);
+
+  EXPECT_EQ(opens_for(small_system(core::StrategyKind::Oracle)), 2);
+
+  auto hub = small_system(core::StrategyKind::Lru);
+  hub.prefetch.kind = core::PrefetchKind::TopPopular;
+  hub.tiers.push_back(hfc::TierLevelSpec{});
+  hub.tiers.back().capacity = DataSize::gigabytes(20);
+  EXPECT_EQ(opens_for(hub), 2);
 }
 
 TEST(StreamedSimulation, ScaledSourceMatchesScaledTrace) {

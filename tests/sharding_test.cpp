@@ -201,7 +201,7 @@ TEST(FailureFlush, LateWaveHitsIdleNeighborhoods) {
 // Executor-path pins on the two shipped scenarios that stress the job
 // graph hardest: neighborhood_skew (one hot shard whose chunk chain must
 // pipeline across workers while cold shards starve) and failure_storm
-// (the prepass flush gate plus pre-rolled failure waves).  Byte-identity
+// (the demux-computed flush time plus pre-rolled failure waves).  Byte-identity
 // across threads 1/2/8/16 and across chunk sizes, under GlobalLFU so the
 // watermark-bounded board reads are on the hook too.
 class ScenarioExecutorIdentity : public ::testing::TestWithParam<const char*> {
