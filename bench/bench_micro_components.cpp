@@ -1,18 +1,25 @@
 // Microbenchmarks (google-benchmark) for the hot components of the
-// simulator: rate meter, replacement strategies, segment store, batched
+// simulator: rate meter, replacement strategies, segment store, one cache
+// cell's segment serve, one shard's feed at 1 and 25 cells, batched
 // boundary generation, workload sampling, and the end-to-end event loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "cache/cache_cell.hpp"
+#include "cache/future_index.hpp"
 #include "cache/lfu.hpp"
 #include "cache/lru.hpp"
 #include "cache/oracle.hpp"
+#include "cache/popularity_board.hpp"
 #include "cache/segment_store.hpp"
+#include "core/neighborhood_shard.hpp"
 #include "core/vod_system.hpp"
+#include "hfc/topology.hpp"
 #include "sim/rate_meter.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
@@ -150,6 +157,129 @@ void BM_SegmentStoreEvict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 11);
 }
 BENCHMARK(BM_SegmentStoreEvict);
+
+// One CacheCell::serve_segment, by outcome: 0 = peer hit, 1 = busy miss
+// (the only replica's peer is at its stream limit), 2 = cold miss.  The
+// misses pass admit = false, so they classify without filling.
+void BM_CacheCellServe(benchmark::State& state) {
+  const auto outcome = state.range(0);
+  state.SetLabel(outcome == 0 ? "hit" : outcome == 1 ? "busy miss"
+                                                     : "cold miss");
+  constexpr std::uint32_t kPeers = 1000;
+  constexpr std::int64_t kSegmentMs = 300'000;
+  cache::CacheCell::Settings settings;
+  settings.stream_rate = DataRate::megabits_per_second(8.06);
+  settings.per_peer_storage = DataSize::gigabytes(10);
+  const sim::RateMeter coax(sim::SimTime::days(28),
+                            sim::SimTime::minutes(15));
+  cache::CacheCell cell({"LRU", "always",
+                         std::make_unique<cache::LruStrategy>(), nullptr},
+                        settings, kPeers, &coax);
+  // Cache one segment of each of 200 programs, one program per session.
+  for (std::uint32_t p = 0; p < 200; ++p) {
+    const auto t = sim::SimTime::millis(p * kSegmentMs);
+    const bool admit = cell.start_session(
+        ProgramId{p}, settings.stream_rate.over_seconds(1800), t);
+    (void)cell.serve_segment({ProgramId{p}, 0},
+                             {t, t + sim::SimTime::millis(kSegmentMs)}, admit,
+                             true);
+  }
+  const cache::SegmentKey stored{ProgramId{7}, 0};
+  if (outcome == 1) {
+    // Saturate the storing peer for the whole run.
+    for (const PeerId peer : cell.store().locate(stored)) {
+      for (int s = 0; s < settings.peer_stream_limit; ++s) {
+        cell.occupy_viewer_slot(
+            peer, {sim::SimTime{},
+                   sim::SimTime::millis(
+                       std::numeric_limits<std::int64_t>::max())});
+      }
+    }
+  }
+  const cache::SegmentKey key =
+      outcome == 2 ? cache::SegmentKey{ProgramId{500}, 0} : stored;
+  // Back-to-back transmissions: a hit's slot frees before the next one.
+  const auto outcome_count = [&] {
+    const auto& c = cell.counters();
+    return outcome == 0 ? c.hits : outcome == 1 ? c.busy_misses
+                                                : c.cold_misses;
+  };
+  const std::uint64_t before = outcome_count();
+  std::int64_t t = 200 * kSegmentMs;
+  for (auto _ : state) {
+    const sim::Interval interval{sim::SimTime::millis(t),
+                                 sim::SimTime::millis(t + kSegmentMs)};
+    benchmark::DoNotOptimize(cell.serve_segment(key, interval, false, true));
+    t += kSegmentMs;
+  }
+  if (outcome_count() - before !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a serve had another outcome than the one timed");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheCellServe)->Arg(0)->Arg(1)->Arg(2);
+
+// One neighborhood shard's feed + finish over two days of its sessions in
+// hourly batches (the orchestrator's default chunk), with 1 cell (LFU
+// alone) or 25 (the shadow matrix: every registered pair).  Items are
+// segment transmissions, so ns per item is the shard's cost per segment.
+void BM_ShardFeed(benchmark::State& state) {
+  trace::GeneratorConfig workload;
+  workload.days = 2;
+  workload.user_count = 1'000;
+  workload.program_count = 1'000;
+  const auto trace = trace::generate_power_info_like(workload);
+  const auto& catalog = trace.catalog();
+
+  core::SystemConfig config;
+  config.neighborhood_size = workload.user_count;
+  config.per_peer_storage = DataSize::gigabytes(1);
+  config.strategy.kind = core::StrategyKind::Lfu;
+  config.shadow_matrix = state.range(0) > 1;
+  const auto topology =
+      hfc::Topology::build(trace.user_count(), config.neighborhood_size);
+
+  // The matrix's GlobalLFU and Oracle cells read whole-trace products.
+  auto board = std::make_shared<cache::ReplayBoard>(
+      catalog.size(), config.strategy.lfu_history,
+      config.strategy.global_lag);
+  cache::FutureIndex future(catalog.size());
+  std::vector<std::vector<core::NeighborhoodShard::StreamSession>> batches;
+  std::int64_t batch_end = -1;
+  std::uint64_t index = 0;
+  for (const auto& r : trace.sessions()) {
+    board->add(r.program, r.start);
+    future.add(r.program, r.start);
+    if (r.start.millis_count() >= batch_end) {
+      batches.emplace_back();
+      batch_end = (r.start.millis_count() / config.stream_chunk.millis_count() +
+                   1) * config.stream_chunk.millis_count();
+    }
+    batches.back().push_back({r, index++, topology.peer_of(r.user)});
+  }
+  board->freeze();
+  future.freeze();
+
+  std::uint64_t segments = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto shard = std::make_unique<core::NeighborhoodShard>(
+        NeighborhoodId{0}, topology.size_of(NeighborhoodId{0}), catalog,
+        trace.horizon(), config, &future, board,
+        std::vector<core::NeighborhoodShard::PendingFailure>{});
+    state.ResumeTiming();
+    for (const auto& batch : batches) shard->feed(batch);
+    shard->finish(sim::SimTime::millis(-1));
+    segments += shard->index_server().counters().segments;
+    state.PauseTiming();
+    shard.reset();
+    state.ResumeTiming();
+  }
+  state.SetLabel(config.shadow_matrix ? "25 cells" : "1 cell");
+  state.SetItemsProcessed(static_cast<std::int64_t>(segments));
+}
+BENCHMARK(BM_ShardFeed)->Arg(1)->Arg(25)->Unit(benchmark::kMillisecond);
 
 void BM_BoundaryBatchMerge(benchmark::State& state) {
   // The shard's batched-boundary pattern in isolation: generate every

@@ -6,6 +6,34 @@
 
 namespace vodcache::cache {
 
+CellCounters& CellCounters::operator+=(const CellCounters& other) {
+  sessions += other.sessions;
+  segments += other.segments;
+  hits += other.hits;
+  cold_misses += other.cold_misses;
+  busy_misses += other.busy_misses;
+  evictions += other.evictions;
+  fills += other.fills;
+  admission_denials += other.admission_denials;
+  hit_bits += other.hit_bits;
+  miss_bits += other.miss_bits;
+  return *this;
+}
+
+CellCounters& CellCounters::operator-=(const CellCounters& other) {
+  sessions -= other.sessions;
+  segments -= other.segments;
+  hits -= other.hits;
+  cold_misses -= other.cold_misses;
+  busy_misses -= other.busy_misses;
+  evictions -= other.evictions;
+  fills -= other.fills;
+  admission_denials -= other.admission_denials;
+  hit_bits -= other.hit_bits;
+  miss_bits -= other.miss_bits;
+  return *this;
+}
+
 // admission_ == nullptr is the always-admit fast path: no virtual call, no
 // rate-meter query — byte-for-byte the pre-policy-engine request flow.
 CacheCell::CacheCell(Policy policy, const Settings& settings,
@@ -26,17 +54,15 @@ CacheCell::CacheCell(Policy policy, const Settings& settings,
   }
 }
 
-bool CacheCell::admission_allows(ProgramId program, sim::SimTime t,
-                                 CellCounters& ledger) {
+bool CacheCell::admission_allows(ProgramId program, sim::SimTime t) {
   if (admission_ == nullptr) return true;
   if (admission_->admit({program, t, coax_->rate_at(t)})) return true;
-  ++ledger.admission_denials;
+  ++counters_.admission_denials;
   return false;
 }
 
 template <class Full>
-bool CacheCell::make_room(ProgramId incoming, sim::SimTime t,
-                          CellCounters& ledger, Full full) {
+bool CacheCell::make_room(ProgramId incoming, sim::SimTime t, Full full) {
   while (full()) {
     const auto victim = scorer_->victim(t);
     if (!victim) return false;  // nothing cached, yet no room
@@ -46,14 +72,14 @@ bool CacheCell::make_room(ProgramId incoming, sim::SimTime t,
     }
     store_.evict_program(*victim);
     scorer_->on_evict(*victim);
-    ++ledger.evictions;
+    ++counters_.evictions;
   }
   return true;
 }
 
 bool CacheCell::start_session(ProgramId program, DataSize program_size,
-                              sim::SimTime t, CellCounters& ledger) {
-  ++ledger.sessions;
+                              sim::SimTime t) {
+  ++counters_.sessions;
   if (scorer_ == nullptr) return false;  // StrategyKind::None
   scorer_->record_access(program, t);
   if (admission_ != nullptr) admission_->record_access(program, t);
@@ -61,14 +87,14 @@ bool CacheCell::start_session(ProgramId program, DataSize program_size,
   if (settings_.whole_program) {
     // Already admitted: keep filling it.
     if (store_.has_commitment(program)) return true;
-    if (!admission_allows(program, t, ledger)) return false;
+    if (!admission_allows(program, t)) return false;
     // Charge the whole program against capacity now, evicting victims the
     // scorer ranks below it ("it locates a collection of peers to store
     // the segments ... instruct peers to delete programs").
     const auto over_capacity = [&] {
       return store_.committed_total() + program_size > store_.capacity();
     };
-    if (!make_room(program, t, ledger, over_capacity)) return false;
+    if (!make_room(program, t, over_capacity)) return false;
     store_.commit_program(program, program_size);
     scorer_->on_admit(program, t);
     return true;
@@ -77,7 +103,7 @@ bool CacheCell::start_session(ProgramId program, DataSize program_size,
   // Segment-granularity ablation.
   // Already (partially) cached: keep filling it.
   if (store_.has_program(program)) return true;
-  if (!admission_allows(program, t, ledger)) return false;
+  if (!admission_allows(program, t)) return false;
   // Free space: caching one more program costs nothing.
   if (store_.free_space() > DataSize{}) return true;
   // Full: admit only if the program outranks the current victim.
@@ -90,8 +116,7 @@ void CacheCell::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
   slots_[viewer.value()].acquire_unchecked(interval);
 }
 
-void CacheCell::try_fill(SegmentKey key, DataSize bytes, sim::SimTime t,
-                         CellCounters& ledger) {
+void CacheCell::try_fill(SegmentKey key, DataSize bytes, sim::SimTime t) {
   if (scorer_ == nullptr) return;
   if (settings_.whole_program && !store_.has_commitment(key.program)) {
     // The session's admit decision went stale: the program was evicted
@@ -100,19 +125,18 @@ void CacheCell::try_fill(SegmentKey key, DataSize bytes, sim::SimTime t,
   }
   // Per-peer placement: aggregate free space is not enough.
   const auto no_place = [&] { return !store_.can_place(key, bytes); };
-  if (!make_room(key.program, t, ledger, no_place)) return;
+  if (!make_room(key.program, t, no_place)) return;
   const auto peer = store_.store(key, bytes);
   VODCACHE_ASSERT(peer.has_value());  // make_room guaranteed placement
   if (store_.has_program(key.program) && !scorer_->is_cached(key.program)) {
     scorer_->on_admit(key.program, t);
   }
-  ++ledger.fills;
+  ++counters_.fills;
 }
 
 ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
-                                     bool admit, bool full_slice,
-                                     CellCounters& ledger) {
-  ++ledger.segments;
+                                     bool admit, bool full_slice) {
+  ++counters_.segments;
   const double bits =
       settings_.stream_rate.bps() * interval.duration_seconds();
 
@@ -121,8 +145,8 @@ ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
   const auto replicas = store_.locate(key);
   for (const PeerId replica : replicas) {
     if (slots_[replica.value()].try_acquire(interval)) {
-      ++ledger.hits;
-      ledger.hit_bits += bits;
+      ++counters_.hits;
+      counters_.hit_bits += bits;
       if (admission_ != nullptr) admission_->on_serve(true, interval.begin);
       return ServeResult::PeerHit;
     }
@@ -130,11 +154,11 @@ ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
 
   const bool was_cached = !replicas.empty();
   if (was_cached) {
-    ++ledger.busy_misses;
+    ++counters_.busy_misses;
   } else {
-    ++ledger.cold_misses;
+    ++counters_.cold_misses;
   }
-  ledger.miss_bits += bits;
+  counters_.miss_bits += bits;
   if (admission_ != nullptr) admission_->on_serve(false, interval.begin);
 
   // Opportunistic fill off the broadcast: only whole segments, and only if
@@ -144,7 +168,7 @@ ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
   if (admit && full_slice && (!was_cached || settings_.replicate_on_busy)) {
     const DataSize segment_bytes =
         settings_.stream_rate.over_seconds(interval.duration_seconds());
-    try_fill(key, segment_bytes, interval.begin, ledger);
+    try_fill(key, segment_bytes, interval.begin);
   }
   return was_cached ? ServeResult::MissBusy : ServeResult::MissCold;
 }

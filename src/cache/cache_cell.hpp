@@ -9,17 +9,16 @@
 // admission policy (null means always-admit, the paper's behaviour), the
 // SegmentStore, and every peer's stream-slot occupancy (busy misses depend
 // on replica placement and slot contention, so membership alone cannot
-// reproduce them).
+// reproduce them).  It also owns the counters those decisions bump: a
+// cell never moves after construction, so its counters are always a
+// standalone run of its pair.
 //
-// The cell moves no bytes.  The primary (core::IndexServer) wraps one cell
-// with the side effects that are not decisions — coax/peer/tier metering,
-// the tier walk, the media-server serve — and every shadow
-// (cache::ShadowBank) is a bare cell.  Both run this one code path, which
-// is what makes a shadow's counters equal a standalone run of its pair.
-//
-// The counters a cell's decisions bump live outside it, in a CellCounters
-// ledger passed to each call: a live policy switch swaps two cells whole
-// (std::swap), while each side's ledger keeps accumulating in place.
+// The cell moves no bytes.  A neighborhood's cells live in one
+// cache::ShadowBank; core::IndexServer serves from one of them (the
+// primary) and adds the side effects that are not decisions — coax/peer/
+// tier metering, the tier walk, the media-server serve.  Every cell runs
+// this one code path, which is what makes each cell's counters equal a
+// standalone run of its pair.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +62,13 @@ struct CellCounters {
   std::uint64_t admission_denials = 0;
   double hit_bits = 0.0;
   double miss_bits = 0.0;
+
+  // Field-wise sums and differences (matrix merges, the primary's history
+  // across promotions).  The counts wrap, so an offset taken by
+  // subtraction restores the exact count when added back; the bit totals
+  // are exact up to rounding.
+  CellCounters& operator+=(const CellCounters& other);
+  CellCounters& operator-=(const CellCounters& other);
 };
 
 class CacheCell {
@@ -101,7 +107,7 @@ class CacheCell {
   // against capacity immediately).  The decision holds for the whole
   // session's opportunistic fills.
   [[nodiscard]] bool start_session(ProgramId program, DataSize program_size,
-                                   sim::SimTime t, CellCounters& ledger);
+                                   sim::SimTime t);
 
   // Viewer playback occupies a slot on the viewer's box for the whole
   // session (it counts against the limit when the box is asked to serve).
@@ -112,7 +118,7 @@ class CacheCell {
   // (the session's start_session decision) holds, the transmission covers
   // the whole segment, and — on a busy miss — replication is on.
   ServeResult serve_segment(SegmentKey key, sim::Interval interval,
-                            bool admit, bool full_slice, CellCounters& ledger);
+                            bool admit, bool full_slice);
 
   // Failure injection: the peer's disk contents are lost.  Whole-program
   // admissions survive (the cell re-fills from future broadcasts); under
@@ -124,11 +130,7 @@ class CacheCell {
   [[nodiscard]] const char* admission_name() const {
     return admission_display_;
   }
-  // Sets the display names (the shard labels its primary's pair).
-  void label(const char* scorer_display, const char* admission_display) {
-    scorer_display_ = scorer_display;
-    admission_display_ = admission_display;
-  }
+  [[nodiscard]] const CellCounters& counters() const { return counters_; }
   [[nodiscard]] std::uint32_t peer_count() const {
     return static_cast<std::uint32_t>(slots_.size());
   }
@@ -143,16 +145,13 @@ class CacheCell {
  private:
   // The admission policy's verdict for `program` at `t` (counts a
   // denial).  True when no policy is configured.
-  [[nodiscard]] bool admission_allows(ProgramId program, sim::SimTime t,
-                                      CellCounters& ledger);
+  [[nodiscard]] bool admission_allows(ProgramId program, sim::SimTime t);
   // Evicts the scorer's victims while `full()` holds.  Returns false —
   // leaving the cache short — once nothing is left to evict, the victim is
   // `incoming` itself, or `incoming` stops strictly outranking it.
   template <class Full>
-  [[nodiscard]] bool make_room(ProgramId incoming, sim::SimTime t,
-                               CellCounters& ledger, Full full);
-  void try_fill(SegmentKey key, DataSize bytes, sim::SimTime t,
-                CellCounters& ledger);
+  [[nodiscard]] bool make_room(ProgramId incoming, sim::SimTime t, Full full);
+  void try_fill(SegmentKey key, DataSize bytes, sim::SimTime t);
 
   const char* scorer_display_;
   const char* admission_display_;
@@ -162,6 +161,7 @@ class CacheCell {
   const sim::RateMeter* coax_;
   SegmentStore store_;
   std::vector<hfc::StreamSlots> slots_;
+  CellCounters counters_;
 };
 
 }  // namespace vodcache::cache

@@ -5,18 +5,18 @@
 namespace vodcache::cache {
 
 PolicySwitcher::PolicySwitcher(sim::SimTime window, int windows_k,
-                               std::size_t pair_count)
+                               std::size_t cell_count)
     : window_(window),
       windows_k_(windows_k),
       window_end_(window),
-      cell_hits_marks_(pair_count, 0) {
+      cell_hits_marks_(cell_count, 0) {
   VODCACHE_EXPECTS(window > sim::SimTime{});
   VODCACHE_EXPECTS(windows_k >= 1);
-  VODCACHE_EXPECTS(pair_count > 0 && pair_count <= ShadowBank::kMaxPairs);
+  VODCACHE_EXPECTS(cell_count > 0 && cell_count <= ShadowBank::kMaxCells);
 }
 
 std::optional<PolicySwitcher::Decision> PolicySwitcher::evaluate(
-    sim::SimTime t, const CellCounters& primary, const ShadowBank& bank) {
+    sim::SimTime t, const ShadowBank& bank, std::size_t primary) {
   if (t < window_end_) return std::nullopt;
 
   // Jump the boundary past t arithmetically; every window between the one
@@ -28,30 +28,29 @@ std::optional<PolicySwitcher::Decision> PolicySwitcher::evaluate(
 
   // An empty window (no segment served since the last close) neither ends
   // nor extends the streak — a quiet night is no evidence either way.
-  if (primary.segments == primary_segments_mark_) return std::nullopt;
-  primary_segments_mark_ = primary.segments;
-
-  const std::uint64_t primary_delta = primary.hits - primary_hits_mark_;
-  primary_hits_mark_ = primary.hits;
+  const std::uint64_t segments = bank.counters(primary).segments;
+  if (segments == segments_mark_) return std::nullopt;
+  segments_mark_ = segments;
 
   // Best cell of the window: maximum hit delta, ties to the lowest index
-  // (registry order — deterministic, and stable across the swap because a
-  // promoted cell keeps its index).
+  // (registry order — deterministic, because cells never move).
   std::size_t best = 0;
   std::uint64_t best_delta = 0;
-  for (std::size_t p = 0; p < cell_hits_marks_.size(); ++p) {
-    const std::uint64_t hits = bank.counters(p).hits;
-    const std::uint64_t delta = hits - cell_hits_marks_[p];
-    cell_hits_marks_[p] = hits;
-    if (p == 0 || delta > best_delta) {
-      best = p;
+  std::uint64_t primary_delta = 0;
+  for (std::size_t c = 0; c < cell_hits_marks_.size(); ++c) {
+    const std::uint64_t hits = bank.counters(c).hits;
+    const std::uint64_t delta = hits - cell_hits_marks_[c];
+    cell_hits_marks_[c] = hits;
+    if (c == primary) primary_delta = delta;
+    if (c == 0 || delta > best_delta) {
+      best = c;
       best_delta = delta;
     }
   }
 
-  // Only a *strict* lead over the primary counts as a win: the primary's
-  // own pair rides the bank too, so an equal-best window must never
-  // trigger a self-switch.
+  // Only a *strict* lead over the primary counts as a win: the primary is
+  // a cell of the bank too, so an equal-best window must never trigger a
+  // self-switch.
   if (best_delta <= primary_delta) {
     streak_ = 0;
     streak_cell_ = kNoCell;

@@ -2,17 +2,18 @@
 // bookkeeps every registered (scorer x admission) pair against the live
 // session stream with exact standalone-counter equivalence; this class
 // watches those counters per window and decides when a neighborhood should
-// *switch* its primary policy to a cell that has been beating it — the
-// warm switch itself (swapping the winning cache::CacheCell with the
-// primary's) is the shard's job, this class only decides and records.
+// *switch* its primary to a cell that has been beating it.  The switch
+// itself — the index server serving from the winning cell from then on —
+// is the shard's job; this class only decides.
 //
 // Determinism: a switch decision is a pure function of the event stream.
 // Windows rotate at event times only (the first event at or past the
 // boundary closes the window before it is processed), the comparison reads
 // nothing but cumulative counters, and ties break on the lowest cell
-// index.  No wall clock, no thread identity — so the per-shard switch log,
-// like every other report section, is bit-identical across thread counts
-// and chunk sizes.
+// index, which is registry order because cells never move.  No wall
+// clock, no thread identity — so the per-shard switch log, like every
+// other report section, is bit-identical across thread counts and chunk
+// sizes.
 //
 // The empty-window jump is arithmetic: counters only move at events, so at
 // most the oldest pending window carries data; every later boundary up to
@@ -30,32 +31,6 @@
 
 namespace vodcache::cache {
 
-// One promotion, as the shard logs it: who beat whom, when, by how much in
-// the triggering window, and both sides' cumulative serve counters at the
-// switch instant.  The snapshots make the warm switch auditable from the
-// report alone: because a shadow cell's counters equal a standalone run of
-// its pair exactly (PR 9's pinned equivalence), the post-switch primary
-// deltas must equal the standalone run's deltas from these marks
-// (pinned in tests/policy_switcher_test.cpp).
-struct SwitchEvent {
-  sim::SimTime time;
-  const char* from_scorer = "";
-  const char* from_admission = "";
-  const char* to_scorer = "";
-  const char* to_admission = "";
-  std::size_t cell = 0;  // winning cell's bank index
-  // The triggering window's hit counts (the k-th consecutive win).
-  std::uint64_t window_primary_hits = 0;
-  std::uint64_t window_winner_hits = 0;
-  // Cumulative counters at the switch instant.
-  std::uint64_t primary_hits = 0;
-  std::uint64_t primary_cold_misses = 0;
-  std::uint64_t primary_busy_misses = 0;
-  std::uint64_t winner_hits = 0;
-  std::uint64_t winner_cold_misses = 0;
-  std::uint64_t winner_busy_misses = 0;
-};
-
 class PolicySwitcher {
  public:
   // The verdict of a closed window streak: promote `cell`.
@@ -66,17 +41,18 @@ class PolicySwitcher {
   };
 
   // Windows of `window` must be won `windows_k` consecutive times.
-  PolicySwitcher(sim::SimTime window, int windows_k, std::size_t pair_count);
+  PolicySwitcher(sim::SimTime window, int windows_k, std::size_t cell_count);
 
   // Called at every shard event *before* the event is processed.  Closes
-  // the pending window when `t` reached its boundary, compares hit deltas,
-  // and returns the cell to promote when the same cell's strict lead has
-  // lasted k data-carrying windows.  The caller performs the swap; the
-  // streak restarts from zero afterwards (the next switch needs k fresh
-  // wins against the new primary).
+  // the pending window when `t` reached its boundary, compares every
+  // cell's hit delta with cell `primary`'s, and returns the cell to
+  // promote when the same cell's strict lead has lasted k data-carrying
+  // windows.  The caller performs the switch; the streak restarts from
+  // zero afterwards (the next switch needs k fresh wins against the new
+  // primary).
   [[nodiscard]] std::optional<Decision> evaluate(sim::SimTime t,
-                                                 const CellCounters& primary,
-                                                 const ShadowBank& bank);
+                                                 const ShadowBank& bank,
+                                                 std::size_t primary);
 
  private:
   static constexpr std::size_t kNoCell = ~std::size_t{0};
@@ -85,9 +61,9 @@ class PolicySwitcher {
   int windows_k_;
   sim::SimTime window_end_;
   // Cumulative-counter marks taken at the last window close; the next
-  // window's score is the delta against them.
-  std::uint64_t primary_segments_mark_ = 0;
-  std::uint64_t primary_hits_mark_ = 0;
+  // window's score is the delta against them.  Every cell serves every
+  // segment, so one segments mark covers them all.
+  std::uint64_t segments_mark_ = 0;
   std::vector<std::uint64_t> cell_hits_marks_;
   std::size_t streak_cell_ = kNoCell;
   int streak_ = 0;

@@ -168,16 +168,15 @@ struct SystemConfig {
   // byte-identical to a run with this off.
   bool shadow_matrix = false;
 
-  // Live policy switching (cache::PolicySwitcher): per neighborhood, the
-  // primary's windowed hit count is compared against every shadow cell's,
-  // and when one cell wins `switch_windows_k` consecutive data-carrying
-  // windows of `switch_window` it is promoted — the shadow's cached-set
-  // bookkeeping becomes the primary's state (warm switch) and the old
-  // primary demotes into that cell's shadow slot.  Implies the shadow bank
-  // (shadows run even with shadow_matrix off); the report gains a
-  // `policy_switches` log and drops `shadow_matrix` (post-swap cells no
-  // longer align across neighborhoods).  Requires a real strategy
-  // (StrategyKind::None has no cached set to hand over).
+  // Live policy switching (cache::PolicySwitcher): per neighborhood, every
+  // cell's windowed hit count is compared against the primary cell's, and
+  // when one cell wins `switch_windows_k` consecutive data-carrying
+  // windows of `switch_window` the index server serves from it from then
+  // on (warm switch: its cached set is already built; the old primary
+  // keeps running as a shadow).  Implies every pair's cell (they run even
+  // with shadow_matrix off); the report gains a `policy_switches` log.
+  // Requires a real strategy (StrategyKind::None has no cached set to
+  // hand over).
   bool policy_switch = false;
   sim::SimTime switch_window = sim::SimTime::hours(6);
   int switch_windows_k = 3;

@@ -7,6 +7,9 @@
 
 namespace vodcache::core {
 
+namespace {
+
+// The cell settings a SystemConfig implies.
 cache::CacheCell::Settings cell_settings(const SystemConfig& config) {
   cache::CacheCell::Settings settings;
   settings.whole_program = config.admission == CacheAdmission::WholeProgram;
@@ -17,10 +20,11 @@ cache::CacheCell::Settings cell_settings(const SystemConfig& config) {
   return settings;
 }
 
+}  // namespace
+
 IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
                          const SystemConfig& config,
-                         std::unique_ptr<cache::EvictionScorer> scorer,
-                         std::unique_ptr<cache::AdmissionPolicy> admission,
+                         cache::ShadowBank::Plan plan,
                          MediaServer& media_server, sim::SimTime horizon,
                          const TierSystem* tiers,
                          std::vector<std::uint32_t> tier_nodes)
@@ -29,10 +33,12 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
       media_server_(media_server),
       coax_meter_(horizon, config.meter_bucket),
       peer_meter_(horizon, config.meter_bucket),
-      cell_({"", "", std::move(scorer), std::move(admission)},
-            cell_settings(config), peer_count, &coax_meter_),
+      cells_(std::move(plan.cells), plan.rows, cell_settings(config),
+             peer_count, &coax_meter_),
+      primary_(plan.primary),
       tiers_(tiers),
       tier_nodes_(std::move(tier_nodes)) {
+  VODCACHE_EXPECTS(primary_ < cells_.cell_count());
   if (tiers_ != nullptr) {
     VODCACHE_EXPECTS(tier_nodes_.size() == tiers_->level_count());
     counters_.tier_hits.assign(tiers_->level_count(), 0);
@@ -43,24 +49,39 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
   }
 }
 
-bool IndexServer::start_session(ProgramId program, DataSize program_size,
-                                sim::SimTime t) {
-  return cell_.start_session(program, program_size, t, counters_);
+std::uint64_t IndexServer::start_session(ProgramId program,
+                                         DataSize program_size,
+                                         sim::SimTime t) {
+  return cells_.start_session(program, program_size, t);
 }
 
 void IndexServer::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
   VODCACHE_EXPECTS(viewer.value() < peer_count());
-  cell_.occupy_viewer_slot(viewer, interval);
+  cells_.occupy_viewer_slot(viewer, interval);
 }
 
 void IndexServer::fail_peer(PeerId peer) {
-  const auto wiped = cell_.fail_peer(peer);
+  const DataSize wiped = cells_.fail_peer(peer, primary_);
   ++counters_.peer_failures;
-  counters_.wiped_bytes += wiped.freed.byte_count();
+  counters_.wiped_bytes += wiped.byte_count();
+}
+
+void IndexServer::promote(std::size_t cell) {
+  VODCACHE_EXPECTS(cell < cells_.cell_count());
+  counters_ += cells_.counters(primary_);
+  counters_ -= cells_.counters(cell);
+  primary_ = cell;
+}
+
+IndexServer::Counters IndexServer::counters() const {
+  Counters counters = counters_;
+  counters += cells_.counters(primary_);
+  return counters;
 }
 
 ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
-                                       sim::Interval interval, bool admit,
+                                       sim::Interval interval,
+                                       std::uint64_t admit_mask,
                                        bool full_slice) {
   VODCACHE_EXPECTS(viewer.value() < peer_count());
   VODCACHE_EXPECTS(interval.valid());
@@ -71,7 +92,7 @@ ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
   coax_meter_.add(interval, stream_rate_);
 
   const ServeResult result =
-      cell_.serve_segment(key, interval, admit, full_slice, counters_);
+      cells_.serve_segment(key, interval, admit_mask, full_slice, primary_);
   if (result == ServeResult::PeerHit) {
     peer_meter_.add(interval, stream_rate_);
     return result;
@@ -81,7 +102,7 @@ ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
   // miss; only a full walk-through reaches the origin.  tiers_ == nullptr
   // (the two-level world) is structurally the pre-tier path — no lookup,
   // the origin serves every miss.  The walk reads only the prebuilt
-  // prefetch plan, so it may follow the cell's fill.
+  // prefetch plan, so it may follow the cells' fills.
   if (tiers_ != nullptr) {
     if (const auto level =
             tiers_->serving_level(tier_nodes_, key.program, interval.begin)) {

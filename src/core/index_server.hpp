@@ -19,20 +19,19 @@
 // moves.
 //
 // Every placement decision — admit, evict, fill, hit or miss — is made by
-// the server's cache::CacheCell, the same code every shadow cell runs.
-// The server adds only the primary's side effects: coax, peer and tier
-// metering, the tier walk and media-server serve, and the failure
-// counters.
+// the neighborhood's cache cells (cache::ShadowBank), which the server
+// owns.  One of them is the primary: the server meters and serves off its
+// classification, and adds only the side effects a shadow must not have —
+// coax, peer and tier metering, the tier walk and media-server serve, and
+// the failure counters.  A policy switch makes another cell the primary.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "cache/admission.hpp"
 #include "cache/cache_cell.hpp"
 #include "cache/segment_store.hpp"
-#include "cache/strategy.hpp"
+#include "cache/shadow_bank.hpp"
 #include "core/config.hpp"
 #include "core/media_server.hpp"
 #include "sim/rate_meter.hpp"
@@ -43,72 +42,64 @@ class TierSystem;
 
 using cache::ServeResult;
 
-// The cell settings a SystemConfig implies (shared by the primary and the
-// shard's shadow bank).
-[[nodiscard]] cache::CacheCell::Settings cell_settings(
-    const SystemConfig& config);
-
 class IndexServer {
  public:
-  // Composes one eviction scorer with one admission policy.  `scorer` may
-  // be null (StrategyKind::None: no cache at all); `admission` may be null,
-  // which means always-admit (the paper's behaviour) — convenient for
-  // direct construction in tests, while the shard always passes a policy
-  // built from the registry.
+  // Builds the plan's cells and serves from `plan.primary`.  A cell's
+  // scorer may be null (StrategyKind::None: no cache at all); its
+  // admission may be null, which means always-admit (the paper's
+  // behaviour).
   // `tiers` (owned by the orchestrator, outliving the server) enables the
   // multi-tier miss walk; null is the paper's two-level world.
   // `tier_nodes` is this neighborhood's node path, one node id per level.
   IndexServer(NeighborhoodId id, std::uint32_t peer_count,
-              const SystemConfig& config,
-              std::unique_ptr<cache::EvictionScorer> scorer,
-              std::unique_ptr<cache::AdmissionPolicy> admission,
+              const SystemConfig& config, cache::ShadowBank::Plan plan,
               MediaServer& media_server, sim::SimTime horizon,
               const TierSystem* tiers = nullptr,
               std::vector<std::uint32_t> tier_nodes = {});
 
-  // The cell keeps the server's coax meter address: neither copyable nor
+  // The cells keep the server's coax meter address: neither copyable nor
   // movable.
   IndexServer(const IndexServer&) = delete;
   IndexServer& operator=(const IndexServer&) = delete;
 
-  // The cell's session admit decision (cache::CacheCell::start_session).
-  [[nodiscard]] bool start_session(ProgramId program, DataSize program_size,
-                                   sim::SimTime t);
+  // Every cell's session admit decision (cache::CacheCell::start_session):
+  // bit c is cell c's.
+  [[nodiscard]] std::uint64_t start_session(ProgramId program,
+                                            DataSize program_size,
+                                            sim::SimTime t);
 
-  // Serve one segment transmission for a viewer in this neighborhood: the
-  // cell classifies it (and fills off a miss broadcast); the server meters
-  // the coax, and a peer hit on the peer meter, a miss on the serving tier
-  // or the media server.  `full_slice` says the transmission covers the
-  // segment's entire nominal duration (only fully-broadcast segments can
-  // be cached off the wire).
+  // Serve one segment transmission for a viewer in this neighborhood:
+  // every cell classifies it (and fills off a miss broadcast) under its
+  // bit of `admit_mask`; the server meters the coax, and — by the
+  // primary's classification — a peer hit on the peer meter, a miss on the
+  // serving tier or the media server.  `full_slice` says the transmission
+  // covers the segment's entire nominal duration (only fully-broadcast
+  // segments can be cached off the wire).
   ServeResult serve_segment(PeerId viewer, cache::SegmentKey key,
-                            sim::Interval interval, bool admit,
+                            sim::Interval interval, std::uint64_t admit_mask,
                             bool full_slice);
 
   // Viewer playback always occupies a receive slot on the viewer's box for
   // the whole session (counts against its limit when asked to serve).
   void occupy_viewer_slot(PeerId viewer, sim::Interval interval);
 
-  // Failure injection: the peer's disk contents are lost (box swap/crash);
-  // see cache::CacheCell::fail_peer.  Counts the failure and the bytes.
+  // Failure injection: the peer's disk contents are lost (box swap/crash)
+  // in every cell; see cache::CacheCell::fail_peer.  Counts the failure
+  // and the primary's bytes.
   void fail_peer(PeerId peer);
 
-  // Live policy switching swaps this cell with a shadow cell whole
-  // (cache::PolicySwitcher); counters and meters stay put, so the report
-  // remains one continuous per-neighborhood history.
-  [[nodiscard]] cache::CacheCell& cell() { return cell_; }
+  // Live policy switching (cache::PolicySwitcher): serve from `cell` from
+  // now on.  No state moves; the counters stay one continuous history.
+  void promote(std::size_t cell);
 
   [[nodiscard]] NeighborhoodId id() const { return id_; }
-  [[nodiscard]] std::uint32_t peer_count() const { return cell_.peer_count(); }
+  [[nodiscard]] std::uint32_t peer_count() const {
+    return cells_.cell(primary_).peer_count();
+  }
+  [[nodiscard]] const cache::ShadowBank& cells() const { return cells_; }
+  [[nodiscard]] std::size_t primary() const { return primary_; }
   [[nodiscard]] const cache::SegmentStore& store() const {
-    return cell_.store();
-  }
-  [[nodiscard]] const cache::EvictionScorer& scorer() const {
-    return *cell_.scorer();
-  }
-  // Null means no policy gates admission (always-admit, the paper path).
-  [[nodiscard]] const cache::AdmissionPolicy* admission() const {
-    return cell_.admission();
+    return cells_.cell(primary_).store();
   }
   // All traffic on this neighborhood's coax (hits and misses alike).
   [[nodiscard]] const sim::RateMeter& coax_meter() const { return coax_meter_; }
@@ -121,7 +112,8 @@ class IndexServer {
     return tier_meters_[level];
   }
 
-  // The cell's ledger plus the primary-only counters.
+  // The primary's cell counters — one continuous history across
+  // promotions — plus the primary-only counters.
   struct Counters : cache::CellCounters {
     std::uint64_t peer_failures = 0;
     double wiped_bytes = 0.0;
@@ -129,7 +121,7 @@ class IndexServer {
     // level's node absorbed.  Empty in the two-level world.
     std::vector<std::uint64_t> tier_hits;
   };
-  [[nodiscard]] const Counters& counters() const { return counters_; }
+  [[nodiscard]] Counters counters() const;
 
  private:
   NeighborhoodId id_;
@@ -138,10 +130,14 @@ class IndexServer {
   sim::RateMeter coax_meter_;
   sim::RateMeter peer_meter_;
   // Reads coax_meter_, so it is declared after it.
-  cache::CacheCell cell_;
+  cache::ShadowBank cells_;
+  std::size_t primary_;
   const TierSystem* tiers_;
   std::vector<std::uint32_t> tier_nodes_;
   std::vector<sim::RateMeter> tier_meters_;
+  // The primary-only counters; the CellCounters base holds the offset that
+  // makes counters() continuous: what earlier primaries counted, minus
+  // what the current primary cell had counted when it was promoted.
   Counters counters_;
 };
 

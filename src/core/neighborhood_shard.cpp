@@ -20,54 +20,45 @@ NeighborhoodShard::NeighborhoodShard(
       future_(future),
       board_(std::move(board)),
       media_(horizon, config.meter_bucket),
-      server_(id, peer_count, config, make_scorer(), make_admission(), media_,
-              horizon, tiers, std::move(tier_nodes)),
+      server_(id, peer_count, config, make_cells(), media_, horizon, tiers,
+              std::move(tier_nodes)),
       failures_(std::move(failures)) {
   VODCACHE_EXPECTS(future_ != nullptr);
-  if (config_.shadow_matrix || config_.policy_switch) {
-    shadow_ = make_shadow_bank(peer_count);
-  }
   if (config_.policy_switch) {
     switcher_ = std::make_unique<cache::PolicySwitcher>(
         config_.switch_window, config_.switch_windows_k,
-        shadow_->pair_count());
-    server_.cell().label(
-        scorer_entry(config_.strategy.kind).display,
-        admission_entry(config_.admission_policy.kind).display);
+        server_.cells().cell_count());
   }
 }
 
-std::unique_ptr<cache::EvictionScorer> NeighborhoodShard::make_scorer() {
+cache::ShadowBank::Plan NeighborhoodShard::make_cells() {
+  // Every cell shares this shard's scorer context: GlobalLFU cells read
+  // the same replay board through the same clock, Oracle cells the same
+  // future index — the orchestrator builds both for the matrix because
+  // its needs() treats shadow_matrix like running those strategies.
   const ScorerContext context{config_.strategy, catalog_, future_, board_,
                               &clock_};
-  return scorer_entry(config_.strategy.kind).make(context);
-}
-
-std::unique_ptr<cache::AdmissionPolicy> NeighborhoodShard::make_admission() {
-  // No cache, no admission question.
-  if (config_.strategy.kind == StrategyKind::None) return nullptr;
-  return admission_entry(config_.admission_policy.kind).make(config_);
-}
-
-std::unique_ptr<cache::ShadowBank> NeighborhoodShard::make_shadow_bank(
-    std::uint32_t peer_count) {
-  // Every pair shares this shard's scorer context: GlobalLFU shadows read
-  // the same replay board through the same clock, Oracle shadows the same
-  // future index — the orchestrator builds both for them because its
-  // needs() treats shadow_matrix like running those strategies.
-  const ScorerContext context{config_.strategy, catalog_, future_, board_,
-                              &clock_};
-  std::vector<cache::CacheCell::Policy> pairs;
+  const bool matrix = config_.shadow_matrix || config_.policy_switch;
+  cache::ShadowBank::Plan plan;
   for (const auto& scorer : scorer_registry()) {
     if (scorer.kind == StrategyKind::None) continue;
     for (const auto& admission : admission_registry()) {
-      pairs.push_back({scorer.display, admission.display,
-                       scorer.make(context), admission.make(config_)});
+      const bool configured =
+          scorer.kind == config_.strategy.kind &&
+          admission.kind == config_.admission_policy.kind;
+      if (!matrix && !configured) continue;
+      if (configured) plan.primary = plan.cells.size();
+      plan.cells.push_back({scorer.display, admission.display,
+                            scorer.make(context), admission.make(config_)});
     }
   }
-  return std::make_unique<cache::ShadowBank>(
-      std::move(pairs), cell_settings(config_), peer_count,
-      &server_.coax_meter());
+  if (matrix) plan.rows = plan.cells.size();
+  if (config_.strategy.kind == StrategyKind::None) {
+    // No cache, no admission question: a cell with neither.
+    plan.primary = plan.cells.size();
+    plan.cells.emplace_back();
+  }
+  return plan;
 }
 
 void NeighborhoodShard::apply_failures(sim::SimTime now) {
@@ -75,7 +66,6 @@ void NeighborhoodShard::apply_failures(sim::SimTime now) {
          failures_[next_failure_].time <= now) {
     for (const PeerId peer : failures_[next_failure_].peers) {
       server_.fail_peer(peer);
-      if (shadow_ != nullptr) shadow_->fail_peer(peer);
     }
     ++next_failure_;
   }
@@ -83,55 +73,27 @@ void NeighborhoodShard::apply_failures(sim::SimTime now) {
 
 void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   if (switcher_ == nullptr) return;
-  const auto& counters = server_.counters();
-  const auto decision = switcher_->evaluate(t, counters, *shadow_);
+  const cache::ShadowBank& cells = server_.cells();
+  const auto decision = switcher_->evaluate(t, cells, server_.primary());
   if (!decision) return;
 
-  const std::size_t winner = decision->cell;
-  const cache::CellCounters& winner_counters = shadow_->counters(winner);
-  cache::SwitchEvent event;
-  event.time = t;
-  event.from_scorer = server_.cell().scorer_name();
-  event.from_admission = server_.cell().admission_name();
-  event.to_scorer = shadow_->scorer_name(winner);
-  event.to_admission = shadow_->admission_name(winner);
-  event.cell = winner;
-  event.window_primary_hits = decision->window_primary_hits;
-  event.window_winner_hits = decision->window_winner_hits;
-  event.primary_hits = counters.hits;
-  event.primary_cold_misses = counters.cold_misses;
-  event.primary_busy_misses = counters.busy_misses;
-  event.winner_hits = winner_counters.hits;
-  event.winner_cold_misses = winner_counters.cold_misses;
-  event.winner_busy_misses = winner_counters.busy_misses;
-  switch_log_.push_back(event);
-
-  // The warm swap: the winning cell (store, stream slots, policy state,
-  // display names) becomes the primary's, the demoted primary cell takes
-  // its bank slot.  Both ledgers stay put.  From here on the primary
-  // replays exactly what the cell's standalone run would — which is what
-  // makes the at-switch counter snapshots above a pinnable equivalence
-  // (tests/policy_switcher_test.cpp).
-  std::swap(server_.cell(), shadow_->cell(winner));
-
-  // In-flight sessions carry their whole-session admit decisions in the
-  // slot lanes; those decisions belong to the *state* that made them, so
-  // they swap too — the primary lane takes the cell's bit, the cell's bit
-  // takes the primary lane.  Without this, a session admitted by the old
-  // primary would keep filling the winner's store it was never admitted
-  // into (and vice versa), breaking the standalone equivalence.
-  const std::uint64_t bit = std::uint64_t{1} << winner;
-  const auto slot_count = static_cast<std::uint32_t>(slot_start_ms_.size());
-  for (std::uint32_t slot = 0; slot < slot_count; ++slot) {
-    if (slot_start_ms_[slot] == kFreeSlot) continue;
-    const bool cell_admit = (slot_shadow_admit_[slot] & bit) != 0;
-    if (slot_admit_[slot] != 0) {
-      slot_shadow_admit_[slot] |= bit;
-    } else {
-      slot_shadow_admit_[slot] &= ~bit;
-    }
-    slot_admit_[slot] = cell_admit ? 1 : 0;
-  }
+  // Both sides' cumulative counts at the switch instant: the primary's
+  // continuous history, and the winner's own counts — a standalone run of
+  // its pair.  From here on the index server serves from the winner's
+  // cell, whose admit bits are already in every live slot's mask, so the
+  // primary replays that run's continuation exactly and the snapshots pin
+  // the warm switch (tests/policy_switcher_test.cpp).
+  const cache::CacheCell& from = cells.cell(server_.primary());
+  const cache::CacheCell& to = cells.cell(decision->cell);
+  const auto primary = server_.counters();
+  switch_log_.push_back({id().value(), t, from.scorer_name(),
+                         from.admission_name(), to.scorer_name(),
+                         to.admission_name(), decision->window_primary_hits,
+                         decision->window_winner_hits, primary.hits,
+                         primary.cold_misses, primary.busy_misses,
+                         to.counters().hits, to.counters().cold_misses,
+                         to.counters().busy_misses});
+  server_.promote(decision->cell);
 }
 
 void NeighborhoodShard::advance_clock_to_boundary(sim::SimTime t) {
@@ -157,7 +119,6 @@ std::uint32_t NeighborhoodShard::assign_slot(const StreamSession& session) {
     slot_program_.push_back(0);
     slot_viewer_.push_back(0);
     slot_admit_.push_back(0);
-    slot_shadow_admit_.push_back(0);
   }
   const auto& record = session.record;
   const std::int64_t start_ms = record.start.millis_count();
@@ -169,7 +130,6 @@ std::uint32_t NeighborhoodShard::assign_slot(const StreamSession& session) {
   slot_program_[slot] = record.program.value();
   slot_viewer_[slot] = session.viewer.value();
   slot_admit_[slot] = 0;
-  slot_shadow_admit_[slot] = 0;
   return slot;
 }
 
@@ -190,20 +150,11 @@ void NeighborhoodShard::start_session(const StreamSession& stream_session,
   const auto& record = stream_session.record;
   const DataSize program_size =
       catalog_.program_size(record.program, config_.stream_rate);
-  const bool admit =
+  slot_admit_[slot] =
       server_.start_session(record.program, program_size, record.start);
-  slot_admit_[slot] = admit ? 1 : 0;
-  if (shadow_ != nullptr) {
-    slot_shadow_admit_[slot] =
-        shadow_->start_session(record.program, program_size, record.start);
-  }
-
-  const sim::Interval playback{record.start,
-                               sim::SimTime::millis(slot_end_ms_[slot])};
-  server_.occupy_viewer_slot(stream_session.viewer, playback);
-  if (shadow_ != nullptr) {
-    shadow_->occupy_viewer_slot(stream_session.viewer, playback);
-  }
+  server_.occupy_viewer_slot(
+      stream_session.viewer,
+      {record.start, sim::SimTime::millis(slot_end_ms_[slot])});
 
   play_segment(slot, record.start);
 }
@@ -232,11 +183,7 @@ void NeighborhoodShard::play_segment(std::uint32_t slot, sim::SimTime at) {
 
   server_.serve_segment(PeerId{slot_viewer_[slot]},
                         cache::SegmentKey{program, segment_index},
-                        {at, tx_end}, slot_admit_[slot] != 0, full_slice);
-  if (shadow_ != nullptr) {
-    shadow_->serve_segment(cache::SegmentKey{program, segment_index},
-                           {at, tx_end}, slot_shadow_admit_[slot], full_slice);
-  }
+                        {at, tx_end}, slot_admit_[slot], full_slice);
 
   if (tx_end >= end) {
     // Final slice: the session is over.  The slot returns to the freelist

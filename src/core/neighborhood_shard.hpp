@@ -56,6 +56,7 @@
 #include "core/config.hpp"
 #include "core/index_server.hpp"
 #include "core/media_server.hpp"
+#include "core/report.hpp"
 #include "sim/replay_clock.hpp"
 #include "trace/catalog.hpp"
 #include "trace/trace.hpp"
@@ -131,13 +132,15 @@ class NeighborhoodShard {
   [[nodiscard]] NeighborhoodId id() const { return server_.id(); }
   [[nodiscard]] const IndexServer& index_server() const { return server_; }
   [[nodiscard]] const MediaServer& media_server() const { return media_; }
-  // Null unless SystemConfig::shadow_matrix or policy_switch is on.
+  // The index server's cells as the shadow matrix; null unless
+  // SystemConfig::shadow_matrix or policy_switch is on.
   [[nodiscard]] const cache::ShadowBank* shadow_bank() const {
-    return shadow_.get();
+    const cache::ShadowBank& cells = server_.cells();
+    return cells.pair_count() > 0 ? &cells : nullptr;
   }
   // The promotions this neighborhood performed, in event order.  Empty
   // unless SystemConfig::policy_switch is on.
-  [[nodiscard]] std::span<const cache::SwitchEvent> switch_log() const {
+  [[nodiscard]] std::span<const PolicySwitchRecord> switch_log() const {
     return switch_log_;
   }
 
@@ -165,24 +168,22 @@ class NeighborhoodShard {
   // Applies pre-rolled peer failures whose time has come (<= now).
   void apply_failures(sim::SimTime now);
   // Live policy switching: asks the switcher whether a shadow cell's
-  // k-window streak completed at `t`, and if so performs the warm swap —
-  // the winning cell and the primary's exchanged whole, in-flight admit
-  // decisions exchanged slot by slot — and logs the promotion.
-  // Called before every event (boundary or session start); no-op unless
+  // k-window streak completed at `t`, and if so logs the promotion and
+  // makes that cell the index server's primary.  Called before every
+  // event (boundary or session start); no-op unless
   // SystemConfig::policy_switch is on.
   void maybe_switch(sim::SimTime t);
   // Moves the replay clock to a boundary event at `t`: position = first
   // trace record with start >= t (all earlier starts ran before us).
   void advance_clock_to_boundary(sim::SimTime t);
 
-  // Policy-engine instantiation through the registry (config's strategy
-  // and admission kinds, this shard's context).
-  [[nodiscard]] std::unique_ptr<cache::EvictionScorer> make_scorer();
-  [[nodiscard]] std::unique_ptr<cache::AdmissionPolicy> make_admission();
-  // Shadow-matrix mode: one shadow per registered (scorer x admission)
-  // pair, scorer-major in registry order, StrategyKind::None skipped.
-  [[nodiscard]] std::unique_ptr<cache::ShadowBank> make_shadow_bank(
-      std::uint32_t peer_count);
+  // Policy-engine instantiation through one registry walk (this shard's
+  // context): the configured pair alone, or — with the shadow matrix or
+  // policy switching on — every registered (scorer x admission) pair,
+  // scorer-major in registry order, StrategyKind::None skipped.  The
+  // primary is the configured pair's cell; a no-cache primary is one
+  // extra cell after the rows.
+  [[nodiscard]] cache::ShadowBank::Plan make_cells();
 
   const trace::Catalog& catalog_;
   const SystemConfig& config_;
@@ -194,13 +195,9 @@ class NeighborhoodShard {
 
   MediaServer media_;
   IndexServer server_;
-  // Shadow-matrix / policy-switch modes only (null otherwise).  Must
-  // follow server_: the bank's headroom-gated shadows read the primary's
-  // coax meter.
-  std::unique_ptr<cache::ShadowBank> shadow_;
   // Policy-switch mode only (null otherwise).
   std::unique_ptr<cache::PolicySwitcher> switcher_;
-  std::vector<cache::SwitchEvent> switch_log_;
+  std::vector<PolicySwitchRecord> switch_log_;
 
   // Session slots, structure-of-arrays.  A free slot holds kFreeSlot in
   // its start lane; live slots keep the next boundary still to generate in
@@ -214,10 +211,9 @@ class NeighborhoodShard {
   std::vector<std::uint64_t> slot_index_;
   std::vector<std::uint32_t> slot_program_;
   std::vector<std::uint32_t> slot_viewer_;
-  std::vector<std::uint8_t> slot_admit_;
-  // Shadow-matrix mode: bit p is shadow pair p's admit decision for the
-  // session in this slot (ShadowBank::kMaxPairs bounds the matrix at 64).
-  std::vector<std::uint64_t> slot_shadow_admit_;
+  // Bit c is cell c's admit decision for the session in this slot
+  // (ShadowBank::kMaxCells bounds the bank at 64).
+  std::vector<std::uint64_t> slot_admit_;
   std::vector<std::uint32_t> free_slots_;
 
   // Per-feed scratch (high-water capacity, reused every batch).

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache_cell.hpp"
 #include "core/config.hpp"
 #include "sim/peak_stats.hpp"
 #include "util/units.hpp"
@@ -52,23 +53,13 @@ struct TierUsageReport {
   double cost = 0.0;
 };
 
-// One cell of the shadow-matrix breakdown: the counters a standalone run
+// One row of the shadow-matrix breakdown: the counters a standalone run
 // of (scorer x admission) would have produced, measured by that pair's
-// shadow cache riding the single shadow-matrix pass (pinned against real
+// cache cell riding the single shadow-matrix pass (pinned against real
 // standalone runs in tests/shadow_bank_test.cpp).
-struct ShadowCellReport {
+struct ShadowCellReport : cache::CellCounters {
   std::string scorer;
   std::string admission;
-  std::uint64_t sessions = 0;
-  std::uint64_t segments = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t cold_misses = 0;
-  std::uint64_t busy_misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t fills = 0;
-  std::uint64_t admission_denials = 0;
-  double hit_bits = 0.0;
-  double miss_bits = 0.0;
 
   [[nodiscard]] double hit_ratio() const {
     const std::uint64_t total = hits + cold_misses + busy_misses;
@@ -78,11 +69,13 @@ struct ShadowCellReport {
 };
 
 // One live policy promotion (SystemConfig::policy_switch): at `time`,
-// neighborhood `neighborhood` swapped its primary (from_*) for the shadow
+// neighborhood `neighborhood` switched its primary (from_*) to the shadow
 // cell (to_*) that had out-hit it for k consecutive windows.  The window_*
-// fields are the triggering window's hit counts; the cumulative snapshots
-// pin the warm-switch equivalence — post-switch primary counter deltas
-// equal a standalone run of the winning pair measured from the same marks
+// fields are the triggering window's hit counts.  The cumulative snapshots
+// are the primary's continuous history and the winner's own counts — a
+// standalone run of its pair — at the switch instant; they pin the
+// warm-switch equivalence: post-switch primary counter deltas equal a
+// standalone run of the winning pair measured from the same marks
 // (tests/policy_switcher_test.cpp).
 struct PolicySwitchRecord {
   std::uint32_t neighborhood = 0;
@@ -148,10 +141,7 @@ struct SimulationReport {
   // Live policy switching (SystemConfig::policy_switch).  The flag — not
   // emptiness — gates serialization, so a switching run where no
   // neighborhood ever switched still declares the (empty) log; switch-off
-  // reports keep their pre-existing bytes.  `shadow_matrix` is suppressed
-  // in switching runs: after a swap the cells no longer mean the same
-  // pair in every neighborhood, so the cross-shard cell merge would sum
-  // unlike ledgers.
+  // reports keep their pre-existing bytes.
   bool policy_switching = false;
   std::vector<PolicySwitchRecord> policy_switches;
 

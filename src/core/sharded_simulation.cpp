@@ -389,36 +389,22 @@ SimulationReport ShardedSimulation::build_report(
   // Shadow-matrix reduction: sum each pair's counters across shards in
   // shard order (fixed order keeps the bit sums bit-identical across
   // thread counts, same rule as every other merge).  Every shard built
-  // its bank from the same registry walk, so pair p means the same
-  // (scorer x admission) everywhere — which is exactly what a policy
-  // switch breaks: after a swap, a cell holds the *demoted* pair's ledger
-  // under the promoted pair's index, per neighborhood.  Switching runs
-  // therefore suppress the matrix and report the switch log instead.
-  if (config_.shadow_matrix && !config_.policy_switch && !shards_.empty()) {
+  // its cells from the same registry walk and cells never move, so row p
+  // means the same (scorer x admission) everywhere, switching or not.
+  if (config_.shadow_matrix && !shards_.empty()) {
     const cache::ShadowBank* first = shards_.front()->shadow_bank();
     VODCACHE_ASSERT(first != nullptr);
     report.shadow_matrix.resize(first->pair_count());
     for (std::size_t p = 0; p < first->pair_count(); ++p) {
-      report.shadow_matrix[p].scorer = first->scorer_name(p);
-      report.shadow_matrix[p].admission = first->admission_name(p);
+      report.shadow_matrix[p].scorer = first->cell(p).scorer_name();
+      report.shadow_matrix[p].admission = first->cell(p).admission_name();
     }
     for (const auto& shard : shards_) {
       const cache::ShadowBank* bank = shard->shadow_bank();
       VODCACHE_ASSERT(bank != nullptr &&
                       bank->pair_count() == report.shadow_matrix.size());
       for (std::size_t p = 0; p < bank->pair_count(); ++p) {
-        const auto& c = bank->counters(p);
-        auto& cell = report.shadow_matrix[p];
-        cell.sessions += c.sessions;
-        cell.segments += c.segments;
-        cell.hits += c.hits;
-        cell.cold_misses += c.cold_misses;
-        cell.busy_misses += c.busy_misses;
-        cell.evictions += c.evictions;
-        cell.fills += c.fills;
-        cell.admission_denials += c.admission_denials;
-        cell.hit_bits += c.hit_bits;
-        cell.miss_bits += c.miss_bits;
+        report.shadow_matrix[p] += bank->counters(p);
       }
     }
   }
@@ -431,24 +417,9 @@ SimulationReport ShardedSimulation::build_report(
   if (config_.policy_switch) {
     report.policy_switching = true;
     for (const auto& shard : shards_) {
-      for (const cache::SwitchEvent& event : shard->switch_log()) {
-        PolicySwitchRecord rec;
-        rec.neighborhood = shard->id().value();
-        rec.time = event.time;
-        rec.from_scorer = event.from_scorer;
-        rec.from_admission = event.from_admission;
-        rec.to_scorer = event.to_scorer;
-        rec.to_admission = event.to_admission;
-        rec.window_primary_hits = event.window_primary_hits;
-        rec.window_winner_hits = event.window_winner_hits;
-        rec.primary_hits = event.primary_hits;
-        rec.primary_cold_misses = event.primary_cold_misses;
-        rec.primary_busy_misses = event.primary_busy_misses;
-        rec.winner_hits = event.winner_hits;
-        rec.winner_cold_misses = event.winner_cold_misses;
-        rec.winner_busy_misses = event.winner_busy_misses;
-        report.policy_switches.push_back(std::move(rec));
-      }
+      const auto log = shard->switch_log();
+      report.policy_switches.insert(report.policy_switches.end(), log.begin(),
+                                    log.end());
     }
   }
 

@@ -319,6 +319,17 @@ constexpr std::pair<const char*, const char*> kOtherOptions[] = {
     {"--help", "print this text"},
 };
 
+// True when `text` is one whole entry of the "a|b|c" list `names` (so
+// "a|b" is not a name).
+bool is_entry(std::string_view names, std::string_view text) {
+  for (;;) {
+    const auto bar = names.find('|');
+    if (names.substr(0, bar) == text) return true;
+    if (bar == std::string_view::npos) return false;
+    names.remove_prefix(bar + 1);
+  }
+}
+
 bool is_listing(std::string_view arg) {
   return arg == "--help" || arg == "-h" || arg == "--list-strategies" ||
          arg == "--list-scenarios" || arg == "--list-tiers";
@@ -348,11 +359,7 @@ const ConfigKey* find_scenario_key(std::string_view section,
 void apply_key(const ConfigKey& row, std::string_view spelling,
                std::string_view text, RunConfig& config) {
   const auto value = parse_value(row.kind, row.bounds, spelling, text);
-  // A name must be one whole entry of "a|b|c" (so "a|b" is not a name).
-  if (row.kind == K::Name &&
-      (text.find('|') != std::string_view::npos ||
-       ("|" + row.names() + "|").find("|" + std::string(text) + "|") ==
-           std::string::npos)) {
+  if (row.kind == K::Name && !is_entry(row.names(), text)) {
     throw ConfigError("unknown value '" + std::string(text) + "' for '" +
                       std::string(spelling) + "' (use " + row.names() + ")");
   }
@@ -582,15 +589,20 @@ std::string cli_usage() {
   for (const auto& row : kKeys) {
     // A bare CLI flag takes no value; its scenario key takes 0|1.
     const bool bare = row.cli != nullptr && row.kind == K::Flag;
-    const std::string key =
-        row.section == nullptr ? "" : "[" + std::string(row.section) + "] " +
-                                          row.key;
+    std::string key;
+    if (row.section != nullptr) {
+      key += '[';
+      key += row.section;
+      key += "] ";
+      key += row.key;
+    }
     const char* metavar = bare ? "" : row.kind == K::Name ? " NAME" : " N";
     line(row.cli == nullptr ? key : row.cli + std::string(metavar), row.help);
     std::string detail = bare ? "" : values(row);
     if (row.cli != nullptr && row.section != nullptr) {
-      detail += (bare ? "scenario: " : "; scenario: ") + key +
-                (bare ? " = 0|1" : "");
+      detail += bare ? "scenario: " : "; scenario: ";
+      detail += key;
+      if (bare) detail += " = 0|1";
     }
     if (!detail.empty()) line("", detail);
   }

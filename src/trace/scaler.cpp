@@ -160,22 +160,4 @@ std::unique_ptr<SessionStream> CatalogScaledSource::open() const {
       static_cast<std::uint32_t>(input_->catalog().size()), seed_);
 }
 
-Trace scale_population(const Trace& input, std::uint32_t factor,
-                       std::uint64_t seed) {
-  VODCACHE_EXPECTS(factor >= 1);
-  if (factor == 1) return input;
-  const TraceSource base(input);
-  const PopulationScaledSource scaled(base, factor, seed);
-  return materialize(scaled);
-}
-
-Trace scale_catalog(const Trace& input, std::uint32_t factor,
-                    std::uint64_t seed) {
-  VODCACHE_EXPECTS(factor >= 1);
-  if (factor == 1) return input;
-  const TraceSource base(input);
-  const CatalogScaledSource scaled(base, factor, seed);
-  return materialize(scaled);
-}
-
 }  // namespace vodcache::trace

@@ -7,14 +7,11 @@
 //  * Catalog x n: create n copies of every program; every event is remapped
 //    to one of the n copies uniformly at random.
 //
-// Both transforms exist in two forms with identical output:
-//
-//  * streaming adaptors (`PopulationScaledSource`, `CatalogScaledSource`) —
-//    O(1)-memory `SessionSource` wrappers, the way figure-15 sweeps scale
-//    without materializing n copies of the workload;
-//  * materialized functions (`scale_population`, `scale_catalog`) — drain
-//    the corresponding adaptor into a `Trace` (kept for small workloads and
-//    as the cross-validation twin).
+// Both transforms are streaming adaptors (`PopulationScaledSource`,
+// `CatalogScaledSource`): O(1)-memory `SessionSource` wrappers, the way
+// figure-15 sweeps scale without materializing n copies of the workload.
+// `trace::materialize(adaptor)` is the materialized form (the tests'
+// cross-validation twin).
 #pragma once
 
 #include <cstdint>
@@ -94,17 +91,5 @@ class CatalogScaledSource final : public SessionSource {
   std::uint64_t seed_;
   Catalog catalog_;
 };
-
-// Returns a trace with factor x users and factor x events (see
-// PopulationScaledSource for the exact semantics).  factor == 1 returns the
-// input unchanged.
-[[nodiscard]] Trace scale_population(const Trace& input, std::uint32_t factor,
-                                     std::uint64_t seed = 0x5ca1ab1e);
-
-// Returns a trace whose catalog holds factor x programs with every event
-// remapped to a uniformly-random copy (see CatalogScaledSource).
-// factor == 1 returns the input unchanged.
-[[nodiscard]] Trace scale_catalog(const Trace& input, std::uint32_t factor,
-                                  std::uint64_t seed = 0xcab1e5);
 
 }  // namespace vodcache::trace

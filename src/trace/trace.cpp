@@ -25,14 +25,6 @@ bool Trace::is_sorted() const {
                         });
 }
 
-DataSize Trace::total_demand(DataRate rate) const {
-  DataSize total;
-  for (const auto& s : sessions_) {
-    total += rate.over_seconds(s.duration.seconds_f());
-  }
-  return total;
-}
-
 std::optional<std::string> Trace::validation_error() const {
   if (!is_sorted()) return "sessions not sorted by start time";
   for (std::size_t i = 0; i < sessions_.size(); ++i) {

@@ -41,10 +41,6 @@ class Trace {
 
   [[nodiscard]] bool is_sorted() const;
 
-  // Total viewer-facing traffic if every session streams at `rate`
-  // (the paper's "no cache" server demand).
-  [[nodiscard]] DataSize total_demand(DataRate rate) const;
-
   // First internal-consistency violation, if any: sorting, ids in range,
   // durations within program lengths, sessions inside [0, horizon), no
   // pre-release sessions.  Loaders turn this into exceptions.

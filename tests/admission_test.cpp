@@ -255,7 +255,8 @@ struct GatedFixture {
       : config(cfg),
         media(sim::SimTime::days(1), config.meter_bucket),
         server(NeighborhoodId{0}, config.neighborhood_size, config,
-               std::make_unique<cache::LruStrategy>(), std::move(admission),
+               test::one_cell(std::make_unique<cache::LruStrategy>(),
+                              std::move(admission)),
                media, sim::SimTime::days(1)) {}
 
   SystemConfig config;
@@ -274,7 +275,8 @@ TEST(IndexServerAdmission, RefusalLeavesCacheUntouchedAndCounts) {
                          {sim::SimTime{}, sim::SimTime::seconds(300)}, admit,
                          true);
   EXPECT_EQ(f.server.store().used(), DataSize{});
-  EXPECT_EQ(f.server.scorer().cached_count(), 0u);
+  EXPECT_EQ(f.server.cells().cell(f.server.primary()).scorer()->cached_count(),
+            0u);
   EXPECT_EQ(f.server.counters().fills, 0u);
   EXPECT_EQ(f.server.counters().admission_denials, 1u);
 

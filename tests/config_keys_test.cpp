@@ -423,9 +423,15 @@ TEST(ConfigGrammarFuzz, EveryDrawParsesToAValidConfigOrANamedError) {
     const char* section = nullptr;
     for (const auto* row : drawn) {
       const auto value = draw_value(rng, *row);
-      repro += " " + (cli ? std::string(row->cli)
-                          : std::string(row->section) + "." + row->key) +
-               "='" + value + "'";
+      repro += ' ';
+      if (cli) {
+        repro += row->cli;
+      } else {
+        repro += row->section;
+        repro += '.';
+        repro += row->key;
+      }
+      repro += "='" + value + "'";
       if (cli) {
         args.push_back(row->cli);
         // A bare flag takes no value; sometimes pass one anyway.

@@ -42,8 +42,8 @@ struct Fixture {
       : config(cfg),
         media(sim::SimTime::days(1), config.meter_bucket),
         server(NeighborhoodId{0}, config.neighborhood_size, config,
-               std::make_unique<cache::LruStrategy>(), /*admission=*/nullptr,
-               media, sim::SimTime::days(1)) {}
+               test::one_cell(std::make_unique<cache::LruStrategy>()), media,
+               sim::SimTime::days(1)) {}
 
   SystemConfig config;
   MediaServer media;
@@ -230,10 +230,11 @@ TEST(IndexServer, StrategyAndStoreStayConsistent) {
   }
   // Every stored program is tracked by the scorer, and the scorer's
   // cached set mirrors the store's whole-program commitments exactly.
+  const auto& scorer = *f.server.cells().cell(f.server.primary()).scorer();
   for (const auto program : f.server.store().stored_programs()) {
-    EXPECT_TRUE(f.server.scorer().is_cached(program));
+    EXPECT_TRUE(scorer.is_cached(program));
   }
-  EXPECT_EQ(f.server.scorer().cached_count(),
+  EXPECT_EQ(scorer.cached_count(),
             f.server.store().committed_program_count());
 }
 
@@ -252,7 +253,7 @@ TEST(VodSystem, NoCacheServerLoadEqualsDemand) {
   const auto report = system.run();
 
   const double demand_bits =
-      static_cast<double>(trace.total_demand(config.stream_rate).bit_count());
+      static_cast<double>(test::total_demand(trace, config.stream_rate).bit_count());
   EXPECT_NEAR(report.server_bits, demand_bits, demand_bits * 1e-9);
   EXPECT_EQ(report.hits, 0u);
   EXPECT_EQ(report.sessions, 3u);

@@ -83,7 +83,7 @@ TEST_P(EveryStrategy, ServerLoadNeverExceedsDemand) {
       trace::generate_power_info_like(test::small_workload(3));
   const auto report = run(trace, base_config(GetParam(), 50, 500));
   const double demand =
-      static_cast<double>(trace.total_demand(DataRate::megabits_per_second(8.06))
+      static_cast<double>(test::total_demand(trace, DataRate::megabits_per_second(8.06))
                               .bit_count());
   EXPECT_LE(report.server_bits, demand * (1.0 + 1e-9));
 }
@@ -178,7 +178,7 @@ TEST(PaperProperties, PopulationScalingIsLinear) {
   // Figure 16(b): doubling the population roughly doubles the server load;
   // the percentage saving stays fixed.
   const auto trace1 = medium_trace();
-  const auto trace2 = trace::scale_population(trace1, 2);
+  const auto trace2 = test::scale_population(trace1, 2);
   const auto config = base_config(StrategyKind::Lfu, 100, 200);
   const auto r1 = run(trace1, config);
   const auto r2 = run(trace2, config);
@@ -190,7 +190,7 @@ TEST(PaperProperties, PopulationScalingIsLinear) {
 TEST(PaperProperties, CatalogScalingDegradesCache) {
   // Figure 16(c): a bigger catalog dilutes the cache.
   const auto trace1 = medium_trace();
-  const auto trace3 = trace::scale_catalog(trace1, 3);
+  const auto trace3 = test::scale_catalog(trace1, 3);
   const auto config = base_config(StrategyKind::Lfu, 100, 2000);
   const auto r1 = run(trace1, config);
   const auto r3 = run(trace3, config);
@@ -198,7 +198,7 @@ TEST(PaperProperties, CatalogScalingDegradesCache) {
   // But demand is unchanged: degradation only, no amplification.
   EXPECT_LE(r3.server_bits,
             static_cast<double>(
-                trace1.total_demand(DataRate::megabits_per_second(8.06))
+                test::total_demand(trace1, DataRate::megabits_per_second(8.06))
                     .bit_count()) *
                 (1.0 + 1e-9));
 }

@@ -285,9 +285,7 @@ TEST_P(RandomConfig, ConservationInvariantsHoldOnEveryReport) {
   }
 
   // --- shadow matrix ----------------------------------------------------
-  // Switching runs suppress the matrix: after a swap the cells no longer
-  // mean the same pair in every neighborhood (the switch log replaces it).
-  if (c.config.shadow_matrix && !c.config.policy_switch) {
+  if (c.config.shadow_matrix) {
     const std::size_t scorers = core::scorer_registry().size() - 1;  // -None
     EXPECT_EQ(report.shadow_matrix.size(),
               scorers * core::admission_registry().size());

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,12 @@
 
 namespace vodcache::core {
 namespace {
+
+// The one line a failing stress iteration prints (through SCOPED_TRACE)
+// to rerun it: the test, then its draws as key=value pairs.
+std::string repro(const char* test, const std::string& draws) {
+  return std::string("repro: JobExecutor.") + test + " " + draws;
+}
 
 // ------------------------------------------------------------- JobGraph
 
@@ -115,6 +122,11 @@ TEST(JobExecutor, RandomDagsRespectTopologicalOrder) {
     const double edge_p = 0.05 + 0.25 * rng.uniform_double();
     const std::uint32_t worker_choices[] = {1, 2, 3, 4, 8, 16};
     const auto workers = worker_choices[rng.uniform_u64(6)];
+    // The seed is also the iteration: Rng(seed) redraws the whole DAG.
+    SCOPED_TRACE(repro("RandomDagsRespectTopologicalOrder",
+                       "seed=" + std::to_string(seed) +
+                           " workers=" + std::to_string(workers) +
+                           " iteration=" + std::to_string(seed)));
 
     std::vector<std::atomic<std::uint32_t>> ran(nodes);
     for (auto& r : ran) r.store(0);
@@ -142,16 +154,15 @@ TEST(JobExecutor, RandomDagsRespectTopologicalOrder) {
     JobExecutor executor(workers);
     const ExecutorStats stats = executor.run(graph);
 
-    ASSERT_EQ(stats.executed, nodes) << "seed " << seed;
-    ASSERT_EQ(stats.cancelled, 0u) << "seed " << seed;
+    ASSERT_EQ(stats.executed, nodes);
+    ASSERT_EQ(stats.cancelled, 0u);
     for (std::size_t n = 0; n < nodes; ++n) {
-      ASSERT_EQ(ran[n].load(), 1u) << "seed " << seed << " node " << n;
-      ASSERT_GT(stamp[n], 0u) << "seed " << seed << " node " << n;
+      ASSERT_EQ(ran[n].load(), 1u) << "node " << n;
+      ASSERT_GT(stamp[n], 0u) << "node " << n;
     }
     for (const auto& [parent, child] : edges) {
       ASSERT_LT(stamp[parent], stamp[child])
-          << "seed " << seed << ": node " << child << " ran before its "
-          << "dependency " << parent;
+          << "node " << child << " ran before its dependency " << parent;
     }
   }
 }
@@ -159,12 +170,18 @@ TEST(JobExecutor, RandomDagsRespectTopologicalOrder) {
 // One root fans out into a horde of tiny tasks, all initially queued on the
 // deque of whichever worker ran the root — every other worker has to steal
 // to participate.  Retried because a pathologically fast owner could in
-// principle drain the whole horde before anyone else wakes.
+// principle drain the whole horde before anyone else wakes.  Nothing is
+// drawn, so the repro line has no seed.
 TEST(JobExecutor, StealsUnderContention) {
   constexpr std::uint32_t kWorkers = 8;
   constexpr std::size_t kTasks = 4000;
+  constexpr int kAttempts = 5;
+  const std::string shape = "workers=" + std::to_string(kWorkers) +
+                            " tasks=" + std::to_string(kTasks);
   std::uint64_t steals = 0;
-  for (int attempt = 0; attempt < 5 && steals == 0; ++attempt) {
+  for (int attempt = 0; attempt < kAttempts && steals == 0; ++attempt) {
+    SCOPED_TRACE(repro("StealsUnderContention",
+                       shape + " iteration=" + std::to_string(attempt)));
     std::atomic<std::uint64_t> sum{0};
     JobGraph graph;
     const JobId root = graph.add({});
@@ -184,7 +201,9 @@ TEST(JobExecutor, StealsUnderContention) {
     ASSERT_EQ(stats.worker_busy_ms.size(), kWorkers);
     steals = stats.steals;
   }
-  EXPECT_GT(steals, 0u);
+  EXPECT_GT(steals, 0u) << repro("StealsUnderContention",
+                                 shape + " iterations=" +
+                                     std::to_string(kAttempts));
 }
 
 TEST(JobExecutor, ExceptionPropagatesAndCancelsDependents) {

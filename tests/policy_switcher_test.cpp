@@ -14,7 +14,7 @@
 //    switch, the post-switch counter deltas equal the same deltas of a
 //    standalone run of the winning pair from t = 0 (valid because the
 //    shadow cell is counter-exact vs standalone, pinned in
-//    shadow_bank_test, and the swap moves state but never counters);
+//    shadow_bank_test, and a switch moves no state and no counters);
 //  * with switching off, no switch ever fires and the report bytes carry
 //    no trace of the feature.
 #include <gtest/gtest.h>

@@ -10,6 +10,8 @@ namespace vodcache::trace {
 namespace {
 
 using test::make_trace;
+using test::scale_catalog;
+using test::scale_population;
 using test::uniform_catalog;
 
 Trace base_trace() {

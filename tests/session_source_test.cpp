@@ -22,6 +22,9 @@
 namespace vodcache::trace {
 namespace {
 
+using test::scale_catalog;
+using test::scale_population;
+
 std::vector<SessionRecord> drain(const SessionSource& source) {
   std::vector<SessionRecord> sessions;
   auto stream = source.open();

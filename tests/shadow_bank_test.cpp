@@ -10,7 +10,9 @@
 //
 //  * every cell of the matrix vs its standalone run, all 8 counters, in
 //    each of 8 replay modes (whole-program vs segment admission x
-//    replicate-on-busy off/on x no failures vs two failure waves);
+//    replicate-on-busy off/on x no failures vs two failure waves), and
+//    with live policy switching on (a switch changes which cell is the
+//    primary and moves no state, so every row stays standalone);
 //  * the shadow matrix itself is bit-identical across worker thread
 //    counts {1, 2, 8, 16} (per-shard single-owner shadows, fixed-order
 //    merge);
@@ -18,6 +20,8 @@
 //    exactly the bytes of a shadow-off run, for every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -67,12 +71,14 @@ const ShadowCellReport* find_cell(const SimulationReport& report,
 
 // The replay modes whose branches the shadow cells must reproduce: both
 // admission granularities, with and without replicate-on-busy, with and
-// without peer-failure waves (two waves wipe about half the peers).
+// without peer-failure waves (two waves wipe about half the peers), and
+// whole-program admission under live policy switching.
 struct ModeCase {
   const char* name;
   CacheAdmission admission;
   bool replicate_on_busy;
   bool failures;
+  bool switching = false;
 };
 
 // Without this, gtest lists the parameter as its raw bytes, the first
@@ -90,6 +96,8 @@ const ModeCase kModes[] = {
     {"SegmentFailures", CacheAdmission::Segment, false, true},
     {"SegmentReplicate", CacheAdmission::Segment, true, false},
     {"SegmentReplicateFailures", CacheAdmission::Segment, true, true},
+    {"WholeProgramSwitching", CacheAdmission::WholeProgram, false, false,
+     true},
 };
 
 SystemConfig mode_config(const ModeCase& mode) {
@@ -99,6 +107,12 @@ SystemConfig mode_config(const ModeCase& mode) {
   if (mode.failures) {
     config.peer_failures.push_back({sim::SimTime::hours(30), 0.25, 7});
     config.peer_failures.push_back({sim::SimTime::hours(50), 0.3, 8});
+  }
+  if (mode.switching) {
+    // Short windows and k = 1 make neighborhoods switch repeatedly.
+    config.policy_switch = true;
+    config.switch_window = sim::SimTime::hours(3);
+    config.switch_windows_k = 1;
   }
   return config;
 }
@@ -125,6 +139,16 @@ TEST_P(ShadowBankModes, EveryCellMatchesItsStandaloneRun) {
   } else {
     EXPECT_EQ(shadow_report.peer_failures, 0u);
   }
+  if (mode.switching) {
+    // Rows must stay standalone across repeated promotions, so some
+    // neighborhood has to switch at least twice.
+    std::map<std::uint32_t, int> switches;
+    int most = 0;
+    for (const auto& rec : shadow_report.policy_switches) {
+      most = std::max(most, ++switches[rec.neighborhood]);
+    }
+    EXPECT_GE(most, 2);
+  }
 
   for (const auto& scorer : scorer_registry()) {
     if (scorer.kind == StrategyKind::None) continue;
@@ -135,6 +159,7 @@ TEST_P(ShadowBankModes, EveryCellMatchesItsStandaloneRun) {
           << scorer.display << " x " << admission.display;
 
       auto standalone_config = mode_config(mode);
+      standalone_config.policy_switch = false;
       standalone_config.strategy.kind = scorer.kind;
       standalone_config.admission_policy.kind = admission.kind;
       VodSystem standalone(trace, standalone_config);

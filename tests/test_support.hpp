@@ -3,12 +3,27 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "cache/shadow_bank.hpp"
 #include "trace/generator.hpp"
+#include "trace/scaler.hpp"
+#include "trace/session_source.hpp"
 #include "trace/trace.hpp"
 
 namespace vodcache::test {
+
+// An index server's cells for direct construction: `scorer` x `admission`
+// (null = always-admit) alone, as the primary.
+inline cache::ShadowBank::Plan one_cell(
+    std::unique_ptr<cache::EvictionScorer> scorer,
+    std::unique_ptr<cache::AdmissionPolicy> admission = nullptr) {
+  cache::ShadowBank::Plan plan;
+  plan.cells.push_back({"", "", std::move(scorer), std::move(admission)});
+  return plan;
+}
 
 // A catalog of `n` programs, all `minutes` long, introduced at time 0 (so
 // any session time is valid), unit base weight.
@@ -57,6 +72,35 @@ inline trace::GeneratorConfig small_workload(std::int32_t days = 4,
   config.sessions_per_user_per_day = 4.0;
   config.seed = seed;
   return config;
+}
+
+// Total viewer-facing traffic if every session of `trace` streams at
+// `rate` (the paper's "no cache" server demand).
+inline DataSize total_demand(const trace::Trace& trace, DataRate rate) {
+  DataSize total;
+  for (const auto& s : trace.sessions()) {
+    total += rate.over_seconds(s.duration.seconds_f());
+  }
+  return total;
+}
+
+// The materialized scaling transforms: `input` drained through
+// trace::PopulationScaledSource / trace::CatalogScaledSource (see
+// trace/scaler.hpp for the semantics).  factor == 1 returns the input.
+inline trace::Trace scale_population(const trace::Trace& input,
+                                     std::uint32_t factor,
+                                     std::uint64_t seed = 0x5ca1ab1e) {
+  if (factor == 1) return input;
+  const trace::TraceSource base(input);
+  return trace::materialize(trace::PopulationScaledSource(base, factor, seed));
+}
+
+inline trace::Trace scale_catalog(const trace::Trace& input,
+                                  std::uint32_t factor,
+                                  std::uint64_t seed = 0xcab1e5) {
+  if (factor == 1) return input;
+  const trace::TraceSource base(input);
+  return trace::materialize(trace::CatalogScaledSource(base, factor, seed));
 }
 
 }  // namespace vodcache::test

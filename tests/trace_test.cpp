@@ -73,7 +73,7 @@ TEST(Trace, TotalDemand) {
   const auto trace = make_trace(uniform_catalog(1),
                                 {{0, 0, 0, 100}, {500, 0, 0, 200}},
                                 /*user_count=*/1);
-  const auto demand = trace.total_demand(DataRate::megabits_per_second(8.0));
+  const auto demand = test::total_demand(trace, DataRate::megabits_per_second(8.0));
   EXPECT_EQ(demand.bit_count(), static_cast<std::int64_t>(8e6 * 300));
 }
 
