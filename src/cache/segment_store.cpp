@@ -1,264 +1,230 @@
 #include "cache/segment_store.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace vodcache::cache {
 
+namespace {
+// Smallest slot block: eight 8-byte slots, one cache line.
+constexpr std::uint8_t kMinSlotsLog2 = 3;
+}  // namespace
+
 SegmentStore::SegmentStore(std::vector<DataSize> peer_contributions)
-    : contribution_(std::move(peer_contributions)),
-      used_by_peer_(contribution_.size()),
-      heap_bound_(std::max<std::size_t>(64, contribution_.size() * 4)) {
+    : contribution_(std::move(peer_contributions)) {
   VODCACHE_EXPECTS(!contribution_.empty());
-  free_heap_.reserve(heap_bound_ + 1);
-  parked_.reserve(heap_bound_ + 1);
+  while (leaves_ < contribution_.size()) leaves_ *= 2;
+  free_bits_.assign(leaves_, -1);
+  tree_.assign(leaves_, 0);
   for (std::size_t i = 0; i < contribution_.size(); ++i) {
     VODCACHE_EXPECTS(contribution_[i] >= DataSize{});
     capacity_ += contribution_[i];
-    push_heap_entry(static_cast<std::uint32_t>(i));
+    free_bits_[i] = contribution_[i].bit_count();
   }
+  for (std::size_t i = leaves_ - 1; i > 0; --i) pull(i);
 }
 
-void SegmentStore::compact_heap() {
-  // Rebuild with exactly one fresh (hence valid) entry per peer.  Stale
-  // entries never survive a pop and duplicate valid entries are identical
-  // pairs, so the multiset of valid entries — the only thing top() and the
-  // best_peer scan depend on — is preserved exactly.
-  free_heap_.clear();
-  for (std::uint32_t peer = 0;
-       peer < static_cast<std::uint32_t>(contribution_.size()); ++peer) {
-    const DataSize free = contribution_[peer] - used_by_peer_[peer];
-    free_heap_.emplace_back(free.bit_count(), peer);
-  }
-  std::make_heap(free_heap_.begin(), free_heap_.end());
+void SegmentStore::pull(std::size_t node) {
+  const std::uint32_t a = winner(2 * node);
+  const std::uint32_t b = winner(2 * node + 1);
+  // Ties go to the larger id.
+  tree_[node] =
+      std::pair{free_bits_[a], a} < std::pair{free_bits_[b], b} ? b : a;
 }
 
-void SegmentStore::push_heap_entry(std::uint32_t peer) {
-  if (free_heap_.size() >= heap_bound_) compact_heap();
-  const DataSize free = contribution_[peer] - used_by_peer_[peer];
-  free_heap_.emplace_back(free.bit_count(), peer);
-  std::push_heap(free_heap_.begin(), free_heap_.end());
+void SegmentStore::set_free(std::uint32_t peer, std::int64_t free_bits) {
+  free_bits_[peer] = free_bits;
+  for (std::size_t i = (leaves_ + peer) / 2; i > 0; i /= 2) pull(i);
 }
 
 std::optional<PeerId> SegmentStore::best_peer(DataSize bytes,
                                               std::span<const PeerId> exclude) {
-  // Valid-but-excluded entries are parked and re-pushed afterwards so the
-  // heap keeps its "true maximum always present" invariant.
-  parked_.clear();
-  std::optional<PeerId> chosen;
-  while (!free_heap_.empty()) {
-    const auto [claimed_free, peer] = free_heap_.front();
-    const DataSize actual_free = contribution_[peer] - used_by_peer_[peer];
-    if (claimed_free != actual_free.bit_count()) {
-      // Stale entry; a fresh one was pushed when the peer last changed.
-      std::pop_heap(free_heap_.begin(), free_heap_.end());
-      free_heap_.pop_back();
-      continue;
-    }
-    if (actual_free < bytes) break;  // max free can't fit
-    if (std::find(exclude.begin(), exclude.end(), PeerId{peer}) !=
-        exclude.end()) {
-      parked_.push_back(free_heap_.front());
-      std::pop_heap(free_heap_.begin(), free_heap_.end());
-      free_heap_.pop_back();
-      continue;
-    }
-    chosen = PeerId{peer};
-    break;
+  // Mask the peers that already hold a replica, read the root, restore.
+  // Masking complements a peer's free bits: negative, so it never fits,
+  // and complementing again restores it.
+  for (const PeerId peer : exclude) {
+    set_free(peer.value(), ~free_bits_[peer.value()]);
   }
-  for (const auto& entry : parked_) {
-    free_heap_.push_back(entry);
-    std::push_heap(free_heap_.begin(), free_heap_.end());
+  const std::uint32_t best = winner(1);
+  const std::int64_t best_free = free_bits_[best];
+  for (const PeerId peer : exclude) {
+    set_free(peer.value(), ~free_bits_[peer.value()]);
   }
-  return chosen;
+  if (best_free < bytes.bit_count()) return std::nullopt;
+  return PeerId{best};
 }
 
-bool SegmentStore::contains(SegmentKey key) const {
-  return segments_.contains(pack(key));
+SegmentStore::ProgramEntry& SegmentStore::program_entry(ProgramId program) {
+  ProgramEntry* prog = programs_.find(program.value());
+  return prog != nullptr ? *prog : programs_.insert(program.value(), {});
+}
+
+SegmentStore::SegmentEntry& SegmentStore::slot_for(ProgramEntry& prog,
+                                                   std::uint32_t index) {
+  if (prog.stored == 0) {
+    prog.cap_log2 = kMinSlotsLog2;
+    prog.off = slots_.allocate(prog.cap_log2);
+    std::fill_n(slots_.data(prog.off), 1u << prog.cap_log2, SegmentEntry{});
+  }
+  // A higher segment index grows the block a class at a time; the new
+  // upper half starts empty.
+  while ((index >> prog.cap_log2) != 0) {
+    const std::uint32_t half = 1u << prog.cap_log2;
+    prog.off = slots_.grow(prog.off, prog.cap_log2, half);
+    ++prog.cap_log2;
+    std::fill_n(slots_.data(prog.off) + half, half, SegmentEntry{});
+  }
+  return slots_.data(prog.off)[index];
 }
 
 std::span<const PeerId> SegmentStore::locate(SegmentKey key) const {
-  const SegmentEntry* entry = segments_.find(pack(key));
-  if (entry == nullptr) return {};
-  return {replica_peers_.data(entry->off), entry->count};
+  const ProgramEntry* prog = programs_.find(key.program.value());
+  if (prog == nullptr || prog->stored == 0 ||
+      (key.index >> prog->cap_log2) != 0) {
+    return {};
+  }
+  // An empty slot has count 0: an empty span.
+  const SegmentEntry& slot = slots_.data(prog->off)[key.index];
+  return {replica_peers_.data(slot.off), slot.count};
 }
 
 bool SegmentStore::has_program(ProgramId program) const {
-  return programs_.contains(program.value());
+  const ProgramEntry* prog = programs_.find(program.value());
+  return prog != nullptr && prog->stored > 0;
 }
 
 std::optional<PeerId> SegmentStore::store(SegmentKey key, DataSize bytes) {
   VODCACHE_EXPECTS(bytes > DataSize{});
-  const std::uint64_t packed = pack(key);
-  SegmentEntry* entry = segments_.find(packed);
-  const std::span<const PeerId> exclude =
-      entry != nullptr
-          ? std::span<const PeerId>{replica_peers_.data(entry->off),
-                                    entry->count}
-          : std::span<const PeerId>{};
-  const auto peer = best_peer(bytes, exclude);
+  const auto peer = best_peer(bytes, locate(key));
   if (!peer) return std::nullopt;
 
   const auto p = peer->value();
-  used_by_peer_[p] += bytes;
+  set_free(p, free_bits_[p] - bytes.bit_count());
   used_ += bytes;
-  push_heap_entry(p);
 
-  if (entry == nullptr) {
-    SegmentEntry fresh;
-    fresh.cap_log2 = 0;
-    fresh.off = replica_peers_.allocate(0);
+  ProgramEntry& prog = program_entry(key.program);
+  SegmentEntry& slot = slot_for(prog, key.index);
+  if (slot.count == 0) {
+    slot.cap_log2 = 0;
+    slot.off = replica_peers_.allocate(0);
     // The bytes arena mirrors the peers arena class for class, so the two
     // blocks always share one offset.
     const std::uint32_t bytes_off = replica_bytes_.allocate(0);
-    VODCACHE_ASSERT(bytes_off == fresh.off);
-    entry = &segments_.insert(packed, fresh);
-
-    // First replica of this (program, index): register the segment index
-    // under its program.
-    ProgramEntry* prog = programs_.find(key.program.value());
-    if (prog == nullptr) {
-      ProgramEntry fresh_prog;
-      fresh_prog.cap_log2 = 2;
-      fresh_prog.off = segment_lists_.allocate(fresh_prog.cap_log2);
-      prog = &programs_.insert(key.program.value(), fresh_prog);
-    }
-    if (prog->count == (1u << prog->cap_log2)) {
-      prog->off = segment_lists_.grow(prog->off, prog->cap_log2, prog->count);
-      ++prog->cap_log2;
-    }
-    segment_lists_.data(prog->off)[prog->count++] = key.index;
-  } else if (entry->count == (1u << entry->cap_log2)) {
-    const std::uint32_t old_off = entry->off;
-    entry->off = replica_peers_.grow(old_off, entry->cap_log2, entry->count);
+    VODCACHE_ASSERT(bytes_off == slot.off);
+    ++prog.stored;
+  } else if (slot.count == (1u << slot.cap_log2)) {
+    const std::uint32_t old_off = slot.off;
+    slot.off = replica_peers_.grow(old_off, slot.cap_log2, slot.count);
     const std::uint32_t bytes_off =
-        replica_bytes_.grow(old_off, entry->cap_log2, entry->count);
-    VODCACHE_ASSERT(bytes_off == entry->off);
-    ++entry->cap_log2;
+        replica_bytes_.grow(old_off, slot.cap_log2, slot.count);
+    VODCACHE_ASSERT(bytes_off == slot.off);
+    ++slot.cap_log2;
   }
-  replica_peers_.data(entry->off)[entry->count] = *peer;
-  replica_bytes_.data(entry->off)[entry->count] = bytes.bit_count();
-  ++entry->count;
+  replica_peers_.data(slot.off)[slot.count] = *peer;
+  replica_bytes_.data(slot.off)[slot.count] = bytes.bit_count();
+  ++slot.count;
   return peer;
 }
 
 DataSize SegmentStore::evict_program(ProgramId program) {
+  const ProgramEntry* prog = programs_.find(program.value());
+  if (prog == nullptr) return DataSize{};
   // Release the whole-program commitment (if any) even when no segment has
   // materialized yet.
-  if (const std::int64_t* bits = commitment_bits_.find(program.value())) {
-    committed_total_ -= DataSize::bits(*bits);
-    commitment_bits_.erase(program.value());
-  }
-  ProgramEntry* prog = programs_.find(program.value());
-  if (prog == nullptr) return DataSize{};
+  committed_total_ -= DataSize::bits(prog->commitment_bits);
   DataSize freed;
-  const std::uint32_t* indexes = segment_lists_.data(prog->off);
-  for (std::uint32_t i = 0; i < prog->count; ++i) {
-    const std::uint64_t packed = pack({program, indexes[i]});
-    SegmentEntry* entry = segments_.find(packed);
-    VODCACHE_ASSERT(entry != nullptr);
-    const PeerId* peers = replica_peers_.data(entry->off);
-    const std::int64_t* bytes = replica_bytes_.data(entry->off);
-    for (std::uint16_t r = 0; r < entry->count; ++r) {
-      const auto p = peers[r].value();
-      const DataSize replica = DataSize::bits(bytes[r]);
-      used_by_peer_[p] -= replica;
-      used_ -= replica;
-      push_heap_entry(p);
-      freed += replica;
+  if (prog->stored > 0) {
+    const SegmentEntry* slots = slots_.data(prog->off);
+    for (std::uint32_t i = 0; i < (1u << prog->cap_log2); ++i) {
+      const SegmentEntry& slot = slots[i];
+      if (slot.count == 0) continue;
+      const PeerId* peers = replica_peers_.data(slot.off);
+      const std::int64_t* bytes = replica_bytes_.data(slot.off);
+      for (std::uint16_t r = 0; r < slot.count; ++r) {
+        const auto p = peers[r].value();
+        set_free(p, free_bits_[p] + bytes[r]);
+        freed += DataSize::bits(bytes[r]);
+      }
+      replica_peers_.release(slot.off, slot.cap_log2);
+      replica_bytes_.release(slot.off, slot.cap_log2);
     }
-    replica_peers_.release(entry->off, entry->cap_log2);
-    replica_bytes_.release(entry->off, entry->cap_log2);
-    segments_.erase(packed);
+    slots_.release(prog->off, prog->cap_log2);
   }
-  segment_lists_.release(prog->off, prog->cap_log2);
   programs_.erase(program.value());
+  used_ -= freed;
   VODCACHE_ENSURES(used_ >= DataSize{});
   return freed;
 }
 
 SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
-  VODCACHE_EXPECTS(peer.value() < used_by_peer_.size());
+  VODCACHE_EXPECTS(peer.value() < contribution_.size());
   WipeResult result;
   // Flat-table slot order depends on insert/erase history; visiting
   // programs in ascending id order keeps the wipe — and the emptied-program
   // report driving segment-admission untracking — a pure function of the
   // stored contents.
   wipe_programs_.clear();
-  programs_.for_each([this](std::uint64_t key, const ProgramEntry&) {
-    wipe_programs_.push_back(static_cast<std::uint32_t>(key));
+  programs_.for_each([this](std::uint64_t key, const ProgramEntry& prog) {
+    if (prog.stored > 0) {
+      wipe_programs_.push_back(static_cast<std::uint32_t>(key));
+    }
   });
   std::sort(wipe_programs_.begin(), wipe_programs_.end());
 
   for (const std::uint32_t program : wipe_programs_) {
-    ProgramEntry* prog = programs_.find(program);
-    std::uint32_t* indexes = segment_lists_.data(prog->off);
-    for (std::uint32_t i = 0; i < prog->count;) {
-      const std::uint64_t packed = pack({ProgramId{program}, indexes[i]});
-      SegmentEntry* entry = segments_.find(packed);
-      VODCACHE_ASSERT(entry != nullptr);
-      PeerId* peers = replica_peers_.data(entry->off);
+    ProgramEntry& prog = *programs_.find(program);
+    SegmentEntry* slots = slots_.data(prog.off);
+    for (std::uint32_t i = 0; i < (1u << prog.cap_log2); ++i) {
+      SegmentEntry& slot = slots[i];
+      PeerId* peers = replica_peers_.data(slot.off);
+      std::int64_t* bytes = replica_bytes_.data(slot.off);
       std::uint16_t r = 0;
-      while (r < entry->count && peers[r] != peer) ++r;
-      if (r == entry->count) {
-        ++i;
-        continue;  // this replica set survives the wipe
+      while (r < slot.count && peers[r] != peer) ++r;
+      if (r == slot.count) continue;  // this replica set survives the wipe
+      result.freed += DataSize::bits(bytes[r]);
+      // Survivors keep their insertion order: locate() reports it.
+      for (std::uint16_t j = r + 1; j < slot.count; ++j) {
+        peers[j - 1] = peers[j];
+        bytes[j - 1] = bytes[j];
       }
-      // drop_replica erases the segment (invalidating `entry`) when this is
-      // the last replica — decide before calling.
-      const bool emptied = entry->count == 1;
-      result.freed += drop_replica(packed, *entry, r);
-      if (emptied) {
-        // Last replica gone: the segment itself is gone; drop its index
-        // from the program's list (order preserved for determinism).
-        for (std::uint32_t j = i + 1; j < prog->count; ++j) {
-          indexes[j - 1] = indexes[j];
-        }
-        --prog->count;
-      } else {
-        ++i;
+      if (--slot.count == 0) {
+        replica_peers_.release(slot.off, slot.cap_log2);
+        replica_bytes_.release(slot.off, slot.cap_log2);
+        --prog.stored;
       }
     }
-    if (prog->count == 0) {
+    if (prog.stored == 0) {
       result.emptied_programs.push_back(ProgramId{program});
-      segment_lists_.release(prog->off, prog->cap_log2);
-      programs_.erase(program);
+      slots_.release(prog.off, prog.cap_log2);
+      // A commitment outlives the wipe of all its segments.
+      if (prog.commitment_bits == 0) programs_.erase(program);
     }
   }
 
-  used_by_peer_[peer.value()] -= result.freed;
+  set_free(peer.value(), free_bits_[peer.value()] + result.freed.bit_count());
   used_ -= result.freed;
-  push_heap_entry(peer.value());
-  VODCACHE_ENSURES(used_by_peer_[peer.value()] >= DataSize{});
+  VODCACHE_ENSURES(peer_used(peer) >= DataSize{});
   return result;
-}
-
-DataSize SegmentStore::drop_replica(std::uint64_t packed, SegmentEntry& entry,
-                                    std::uint16_t r) {
-  PeerId* peers = replica_peers_.data(entry.off);
-  std::int64_t* bytes = replica_bytes_.data(entry.off);
-  const DataSize dropped = DataSize::bits(bytes[r]);
-  for (std::uint16_t j = r + 1; j < entry.count; ++j) {
-    peers[j - 1] = peers[j];
-    bytes[j - 1] = bytes[j];
-  }
-  --entry.count;
-  if (entry.count == 0) {
-    replica_peers_.release(entry.off, entry.cap_log2);
-    replica_bytes_.release(entry.off, entry.cap_log2);
-    segments_.erase(packed);
-  }
-  return dropped;
 }
 
 void SegmentStore::commit_program(ProgramId program, DataSize full_size) {
   VODCACHE_EXPECTS(full_size > DataSize{});
   VODCACHE_EXPECTS(!has_commitment(program));
-  commitment_bits_.insert(program.value(), full_size.bit_count());
+  program_entry(program).commitment_bits = full_size.bit_count();
   committed_total_ += full_size;
 }
 
 bool SegmentStore::has_commitment(ProgramId program) const {
-  return commitment_bits_.contains(program.value());
+  const ProgramEntry* prog = programs_.find(program.value());
+  return prog != nullptr && prog->commitment_bits != 0;
+}
+
+std::size_t SegmentStore::committed_program_count() const {
+  std::size_t count = 0;
+  programs_.for_each([&count](std::uint64_t, const ProgramEntry& prog) {
+    if (prog.commitment_bits != 0) ++count;
+  });
+  return count;
 }
 
 bool SegmentStore::can_place(SegmentKey key, DataSize bytes) {
@@ -266,32 +232,28 @@ bool SegmentStore::can_place(SegmentKey key, DataSize bytes) {
   return best_peer(bytes, locate(key)).has_value();
 }
 
-std::size_t SegmentStore::replica_count(SegmentKey key) const {
-  const SegmentEntry* entry = segments_.find(pack(key));
-  return entry == nullptr ? 0 : entry->count;
-}
-
 DataSize SegmentStore::peer_used(PeerId peer) const {
-  VODCACHE_EXPECTS(peer.value() < used_by_peer_.size());
-  return used_by_peer_[peer.value()];
+  VODCACHE_EXPECTS(peer.value() < contribution_.size());
+  return contribution_[peer.value()] -
+         DataSize::bits(free_bits_[peer.value()]);
 }
 
-DataSize SegmentStore::peer_contribution(PeerId peer) const {
-  VODCACHE_EXPECTS(peer.value() < contribution_.size());
-  return contribution_[peer.value()];
+std::size_t SegmentStore::stored_segment_count() const {
+  std::size_t count = 0;
+  programs_.for_each([&count](std::uint64_t, const ProgramEntry& prog) {
+    count += prog.stored;
+  });
+  return count;
 }
 
 DataSize SegmentStore::program_bytes(ProgramId program) const {
-  const ProgramEntry* prog = programs_.find(program.value());
-  if (prog == nullptr) return DataSize{};
   DataSize total;
-  const std::uint32_t* indexes = segment_lists_.data(prog->off);
-  for (std::uint32_t i = 0; i < prog->count; ++i) {
-    const SegmentEntry* entry =
-        segments_.find(pack({program, indexes[i]}));
-    VODCACHE_ASSERT(entry != nullptr);
-    const std::int64_t* bytes = replica_bytes_.data(entry->off);
-    for (std::uint16_t r = 0; r < entry->count; ++r) {
+  const ProgramEntry* prog = programs_.find(program.value());
+  if (prog == nullptr || prog->stored == 0) return total;
+  const SegmentEntry* slots = slots_.data(prog->off);
+  for (std::uint32_t i = 0; i < (1u << prog->cap_log2); ++i) {
+    const std::int64_t* bytes = replica_bytes_.data(slots[i].off);
+    for (std::uint16_t r = 0; r < slots[i].count; ++r) {
       total += DataSize::bits(bytes[r]);
     }
   }
@@ -300,9 +262,10 @@ DataSize SegmentStore::program_bytes(ProgramId program) const {
 
 std::vector<ProgramId> SegmentStore::stored_programs() const {
   std::vector<ProgramId> out;
-  out.reserve(programs_.size());
-  programs_.for_each([&out](std::uint64_t key, const ProgramEntry&) {
-    out.push_back(ProgramId{static_cast<std::uint32_t>(key)});
+  programs_.for_each([&out](std::uint64_t key, const ProgramEntry& prog) {
+    if (prog.stored > 0) {
+      out.push_back(ProgramId{static_cast<std::uint32_t>(key)});
+    }
   });
   std::sort(out.begin(), out.end());
   return out;

@@ -7,25 +7,24 @@
 // most free contributed storage; eviction is whole-program and frees every
 // peer's slice.
 //
-// Layout: everything the event loop touches lives in flat tables and pooled
-// arrays (util/flat_map.hpp) —
+// Layout: everything the event loop touches lives in one flat table and
+// pooled arrays (util/flat_map.hpp) —
 //
-//   segments_  : packed (program, index) key -> replica block handle.  A
-//                segment's replica peers are one contiguous run in a pooled
-//                arena, so locate() returns a span without allocating;
-//                per-replica byte counts ride in a parallel arena block.
-//   programs_  : program -> pooled list of its stored segment indexes
-//                (whole-program eviction walks this instead of a per-replica
-//                node list).
-//   commitment_bits_ : program -> committed whole-program footprint.
+//   programs_ : program -> its commitment, its stored-segment count and a
+//               dense block of segment slots indexed by segment number, so
+//               the program is looked up once and a segment is an array
+//               index.  A slot's replica peers are one contiguous run in a
+//               pooled arena, so locate() returns a span without
+//               allocating; per-replica byte counts ride in a parallel
+//               arena block.  An entry lives while the program has a
+//               commitment or a stored segment.
 //
 // Evict and failure-wipe release blocks back onto the arenas' freelists, so
-// steady-state churn stores and evicts without heap traffic.  The placement
-// heap is a lazy max-heap over (free space, peer) kept in a bounded vector:
-// every entry is revalidated against live accounting before use, so which
-// entries happen to coexist — and when the heap compacts back to one fresh
-// entry per peer — cannot change any placement decision (the comparator is
-// a total order; top() depends only on the multiset of valid entries).
+// steady-state churn stores and evicts without heap traffic.  Placement
+// reads a tournament tree over the peers: every node holds the peer with
+// the most free space beneath it, ties to the larger id.  The tree is a pure
+// function of the peers' free space, so the order in which updates arrive
+// cannot change any placement decision.
 #pragma once
 
 #include <cstdint>
@@ -47,20 +46,14 @@ struct SegmentKey {
   friend bool operator==(SegmentKey, SegmentKey) = default;
 };
 
-struct SegmentKeyHash {
-  std::size_t operator()(SegmentKey key) const noexcept {
-    const std::uint64_t mixed =
-        (static_cast<std::uint64_t>(key.program.value()) << 32) | key.index;
-    return std::hash<std::uint64_t>{}(mixed);
-  }
-};
-
 class SegmentStore {
  public:
   // One entry per peer: its contributed storage.
   explicit SegmentStore(std::vector<DataSize> peer_contributions);
 
-  [[nodiscard]] bool contains(SegmentKey key) const;
+  [[nodiscard]] bool contains(SegmentKey key) const {
+    return !locate(key).empty();
+  }
   // All peers holding a replica of the segment (possibly empty), in the
   // order the replicas were stored.  The span points into the replica
   // arena: valid until the next store/evict/wipe.
@@ -89,11 +82,10 @@ class SegmentStore {
   void commit_program(ProgramId program, DataSize full_size);
   [[nodiscard]] bool has_commitment(ProgramId program) const;
   [[nodiscard]] DataSize committed_total() const { return committed_total_; }
-  [[nodiscard]] std::size_t committed_program_count() const {
-    return commitment_bits_.size();
-  }
+  [[nodiscard]] std::size_t committed_program_count() const;
 
-  // Removes every segment of `program`; returns bytes freed.
+  // Removes every segment of `program` and its commitment; returns bytes
+  // freed.
   DataSize evict_program(ProgramId program);
 
   // Failure injection: drop every replica stored on `peer` (disk loss /
@@ -113,77 +105,75 @@ class SegmentStore {
   [[nodiscard]] DataSize capacity() const { return capacity_; }
   [[nodiscard]] DataSize free_space() const { return capacity_ - used_; }
   [[nodiscard]] DataSize peer_used(PeerId peer) const;
-  [[nodiscard]] DataSize peer_contribution(PeerId peer) const;
-  [[nodiscard]] std::size_t peer_count() const { return used_by_peer_.size(); }
+  [[nodiscard]] std::size_t peer_count() const { return contribution_.size(); }
 
   // Distinct segment keys stored (replicas count once).
-  [[nodiscard]] std::size_t stored_segment_count() const {
-    return segments_.size();
+  [[nodiscard]] std::size_t stored_segment_count() const;
+  [[nodiscard]] std::size_t replica_count(SegmentKey key) const {
+    return locate(key).size();
   }
-  [[nodiscard]] std::size_t replica_count(SegmentKey key) const;
   [[nodiscard]] std::size_t stored_program_count() const {
-    return programs_.size();
+    return stored_programs().size();
   }
   [[nodiscard]] DataSize program_bytes(ProgramId program) const;
   // Programs with at least one stored segment, ascending by id.
   [[nodiscard]] std::vector<ProgramId> stored_programs() const;
 
  private:
-  // Replica block of one stored segment: `count` peers at replica arena
-  // offset `off`, with the per-replica byte counts at the same offset in
-  // the parallel bytes arena; both blocks hold 2^cap_log2 slots.
+  // Slot of one segment: `count` replica peers at replica arena offset
+  // `off`, with the per-replica byte counts at the same offset in the
+  // parallel bytes arena; both blocks hold 2^cap_log2 entries.  count == 0
+  // marks an empty slot.
   struct SegmentEntry {
     std::uint32_t off = 0;
     std::uint16_t count = 0;
     std::uint8_t cap_log2 = 0;
   };
-  // Pooled list of a program's stored segment indexes.
+  // One program: commitment bits (0 = none), and while `stored` > 0 a
+  // block of 2^cap_log2 segment slots at slot arena offset `off`.
   struct ProgramEntry {
+    std::int64_t commitment_bits = 0;
     std::uint32_t off = 0;
-    std::uint32_t count = 0;
+    std::uint32_t stored = 0;
     std::uint8_t cap_log2 = 0;
   };
 
-  [[nodiscard]] static std::uint64_t pack(SegmentKey key) {
-    return (static_cast<std::uint64_t>(key.program.value()) << 32) |
-           key.index;
-  }
+  // The program's entry, inserted empty when absent.
+  ProgramEntry& program_entry(ProgramId program);
+  // The program's slot for `index`, allocating or growing its block.
+  SegmentEntry& slot_for(ProgramEntry& prog, std::uint32_t index);
 
   [[nodiscard]] std::optional<PeerId> best_peer(
       DataSize bytes, std::span<const PeerId> exclude);
-  void push_heap_entry(std::uint32_t peer);
-  void compact_heap();
-  // Drops replica `r` of the segment at `packed`, adjusting global (but not
-  // per-peer) accounting; erases the segment when it was the last replica.
-  // Returns the replica's bytes.
-  DataSize drop_replica(std::uint64_t packed, SegmentEntry& entry,
-                        std::uint16_t r);
+  // The peer that wins tree node `node`; nodes from `leaves_` on are the
+  // peers themselves.
+  [[nodiscard]] std::uint32_t winner(std::size_t node) const {
+    return node >= leaves_ ? static_cast<std::uint32_t>(node - leaves_)
+                           : tree_[node];
+  }
+  // Recomputes one internal node from its two children.
+  void pull(std::size_t node);
+  // Sets the peer's free bits and recomputes its path to the root.
+  void set_free(std::uint32_t peer, std::int64_t free_bits);
 
   std::vector<DataSize> contribution_;
-  std::vector<DataSize> used_by_peer_;
   DataSize capacity_;
   DataSize used_;
 
-  util::FlatMap64<SegmentEntry> segments_;
   util::FlatMap64<ProgramEntry> programs_;
-  util::FlatMap64<std::int64_t> commitment_bits_;
   DataSize committed_total_;
 
+  util::PooledArena<SegmentEntry> slots_;
   util::PooledArena<PeerId> replica_peers_;
   util::PooledArena<std::int64_t> replica_bytes_;
-  util::PooledArena<std::uint32_t> segment_lists_;
 
-  // Lazy max-heap of (free bits, peer): entries are revalidated on pop.
-  // Free space only changes via store/evict/wipe, all of which push a
-  // fresh entry, so the true maximum is always present.  When the vector
-  // fills its bound it compacts to exactly one fresh entry per peer —
-  // the multiset of *valid* entries (what every read depends on) is
-  // unchanged, so compaction is invisible to placement.
-  using HeapEntry = std::pair<std::int64_t, std::uint32_t>;
-  std::vector<HeapEntry> free_heap_;
-  std::size_t heap_bound_;
-  std::vector<HeapEntry> parked_;               // best_peer scratch
-  std::vector<std::uint32_t> wipe_programs_;    // wipe_peer scratch
+  // Tournament tree over (free bits, peer), heap-indexed from 1: tree_[i]
+  // for i < leaves_ is the winning peer of node i.  free_bits_ holds the
+  // leaves, padded to a power of two with -1.
+  std::vector<std::int64_t> free_bits_;
+  std::vector<std::uint32_t> tree_;
+  std::size_t leaves_ = 1;
+  std::vector<std::uint32_t> wipe_programs_;  // wipe_peer scratch
 };
 
 }  // namespace vodcache::cache

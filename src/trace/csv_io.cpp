@@ -1,6 +1,7 @@
 #include "trace/csv_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -77,6 +78,7 @@ SessionRecord parse_session_line(
 // The header records (meta + program) shared by both loaders.
 struct HeaderState {
   bool seen_meta = false;
+  std::size_t meta_line = 0;
   std::uint32_t user_count = 0;
   sim::SimTime horizon;
   std::vector<ProgramInfo> programs;
@@ -98,7 +100,14 @@ bool consume_header_line(const std::vector<std::string_view>& fields,
     header.user_count = parse_number<std::uint32_t>(fields[1], line_number);
     header.horizon = sim::SimTime::millis(
         parse_number<std::int64_t>(fields[2], line_number));
+    if (header.user_count == 0) {
+      parse_error(line_number, "meta user count must be at least 1");
+    }
+    if (header.horizon <= sim::SimTime{}) {
+      parse_error(line_number, "meta horizon must be positive");
+    }
     header.seen_meta = true;
+    header.meta_line = line_number;
     return true;
   }
   if (kind == "program") {
@@ -120,10 +129,29 @@ bool consume_header_line(const std::vector<std::string_view>& fields,
     if (fields.size() == 6) {
       info.fresh_weight = parse_number<double>(fields[5], line_number);
     }
+    if (info.length <= sim::SimTime{}) {
+      parse_error(line_number, "program length must be positive");
+    }
+    for (const double weight : {info.base_weight, info.fresh_weight}) {
+      if (!std::isfinite(weight) || weight < 0.0) {
+        parse_error(line_number,
+                    "program weights must be finite and non-negative");
+      }
+    }
     header.programs.push_back(info);
     return true;
   }
   parse_error(line_number, "unknown record kind");
+}
+
+// The checks that need the whole file, after both loaders' last line.
+void finish_header(const HeaderState& header) {
+  if (!header.seen_meta) {
+    throw std::runtime_error("vodcache trace: missing meta line");
+  }
+  if (header.programs.empty()) {
+    parse_error(header.meta_line, "trace has no program records");
+  }
 }
 
 }  // namespace
@@ -185,9 +213,7 @@ Trace read_csv(std::istream& in) {
     }
     sessions.push_back(s);
   }
-  if (!header.seen_meta) {
-    throw std::runtime_error("vodcache trace: missing meta line");
-  }
+  finish_header(header);
 
   Trace trace(Catalog(std::move(header.programs)), std::move(sessions),
               header.user_count, header.horizon);
@@ -306,9 +332,7 @@ CsvSource::CsvSource(std::string path) : path_(std::move(path)) {
     any_session = true;
     ++session_count_;
   }
-  if (!header.seen_meta) {
-    throw std::runtime_error("vodcache trace: missing meta line");
-  }
+  finish_header(header);
   user_count_ = header.user_count;
   horizon_ = header.horizon;
   catalog_ = Catalog(std::move(header.programs));

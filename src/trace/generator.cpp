@@ -150,8 +150,9 @@ class GeneratorStream final : public SessionStream {
         available_.push_back(i);
       }
     }
-    VODCACHE_ASSERT(!weights_.empty());
-    program_sampler_ = AliasTable(weights_);
+    // Before the first release there is nothing to sample; such hours emit
+    // no sessions (generate_next_hour).
+    if (!weights_.empty()) program_sampler_ = AliasTable(weights_);
   }
 
   // Draws one hour's arrivals into batch_; false once past the horizon.
@@ -165,7 +166,10 @@ class GeneratorStream final : public SessionStream {
     }
     const double lambda =
         sessions_per_day_ * config_->hourly_weights[hour_] / hour_weight_sum_;
-    const std::uint64_t count = rng_.poisson(lambda);
+    // No released program: no arrivals and no RNG draw, so runs that never
+    // reach this state keep their bytes.
+    const std::uint64_t count =
+        available_.empty() ? 0 : rng_.poisson(lambda);
     batch_.clear();
     cursor_ = 0;
     batch_.reserve(count);

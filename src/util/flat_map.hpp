@@ -13,7 +13,7 @@
 //    platform (unlike std::unordered_map's bucket order).
 //
 //  * PooledArena<T> — block allocator for the small dynamic arrays hanging
-//    off map entries (replica lists, per-program segment lists).  Blocks
+//    off map entries (replica lists, per-program segment slots).  Blocks
 //    come in power-of-two capacity classes; freed blocks go on an intrusive
 //    per-class freelist (the next-pointer lives in the freed block's first
 //    bytes), so steady-state churn recycles without touching the heap.
@@ -140,8 +140,8 @@ class FlatMap64 {
     return (i + 1) & (capacity() - 1);
   }
   [[nodiscard]] std::size_t ideal_slot(std::uint64_t key) const {
-    // Fibonacci mixing spreads packed keys (program << 32 | index) whose
-    // entropy sits in scattered bits; capacity is a power of two.
+    // Fibonacci mixing spreads keys whose entropy sits in a few low or
+    // scattered bits (dense ids, packed pairs); capacity is a power of two.
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
                                     shift_);
   }

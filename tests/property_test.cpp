@@ -125,30 +125,50 @@ TEST_P(Seeded, LfuFrequencyMatchesBruteForce) {
 TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
   Rng rng(GetParam());
   constexpr std::uint32_t kPeers = 6;
+  constexpr std::uint32_t kPrograms = 15;
+  // Wide enough that a program's slot block grows after its first store;
+  // draws arrive out of order.
+  constexpr std::uint32_t kSegments = 40;
   const auto per_peer = DataSize::megabytes(1000);
   cache::SegmentStore store(std::vector<DataSize>(kPeers, per_peer));
   std::vector<std::int64_t> used(kPeers, 0);
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::uint32_t>>
       placed;  // (program, seg) -> peers
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::int64_t>>
+      placed_bytes;  // (program, seg) -> replica bytes, parallel to `placed`
+  std::map<std::uint32_t, std::int64_t> committed;  // program -> bytes
+  const auto model_has_program = [&](std::uint32_t program) {
+    for (const auto& [key, peers] : placed) {
+      if (key.first == program && !peers.empty()) return true;
+    }
+    return false;
+  };
 
   for (int step = 0; step < 1500; ++step) {
-    if (rng.bernoulli(0.7)) {
+    const std::uint64_t action = rng.uniform_u64(20);
+    if (action < 12) {
       const std::uint32_t program =
-          static_cast<std::uint32_t>(rng.uniform_u64(15));
-      const std::uint32_t seg = static_cast<std::uint32_t>(rng.uniform_u64(4));
+          static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
+      const std::uint32_t seg =
+          static_cast<std::uint32_t>(rng.uniform_u64(kSegments));
       const auto bytes =
           DataSize::megabytes(rng.uniform_int(50, 400));
       const auto& existing = placed[{program, seg}];
 
-      // Brute-force eligibility: max free among peers without this key.
+      // Brute-force eligibility: max free among peers without this key,
+      // ties to the larger id.
       std::int64_t best_free = -1;
+      std::uint32_t best_peer = 0;
       for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
         if (std::find(existing.begin(), existing.end(), peer) !=
             existing.end()) {
           continue;
         }
-        best_free = std::max(best_free,
-                             per_peer.bit_count() / 8 - used[peer]);
+        const std::int64_t free = per_peer.bit_count() / 8 - used[peer];
+        if (free >= best_free) {
+          best_free = free;
+          best_peer = peer;
+        }
       }
       const bool expect_success = best_free >= bytes.byte_count();
 
@@ -161,13 +181,24 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
                       static_cast<std::int64_t>(bytes.byte_count()),
                   true);
         ASSERT_EQ(per_peer.bit_count() / 8 - used[chosen], best_free);
+        ASSERT_EQ(chosen, best_peer) << "at step " << step;
         used[chosen] += static_cast<std::int64_t>(bytes.byte_count());
         placed[{program, seg}].push_back(chosen);
+        placed_bytes[{program, seg}].push_back(
+            static_cast<std::int64_t>(bytes.byte_count()));
       }
-    } else {
+    } else if (action < 16) {
       const std::uint32_t program =
-          static_cast<std::uint32_t>(rng.uniform_u64(15));
-      store.evict_program(ProgramId{program});
+          static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
+      std::int64_t expect_freed = 0;
+      for (auto& [key, sizes] : placed_bytes) {
+        if (key.first != program) continue;
+        for (const std::int64_t size : sizes) expect_freed += size;
+        sizes.clear();
+      }
+      const DataSize freed = store.evict_program(ProgramId{program});
+      ASSERT_EQ(static_cast<std::int64_t>(freed.byte_count()), expect_freed);
+      committed.erase(program);
       for (auto& [key, peers] : placed) {
         if (key.first != program) continue;
         peers.clear();
@@ -177,7 +208,71 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
         used[peer] = static_cast<std::int64_t>(
             store.peer_used(PeerId{peer}).byte_count());
       }
+    } else if (action < 18) {
+      const std::uint32_t program =
+          static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
+      if (!committed.contains(program)) {
+        const auto size = DataSize::megabytes(rng.uniform_int(500, 3000));
+        store.commit_program(ProgramId{program}, size);
+        committed[program] = static_cast<std::int64_t>(size.byte_count());
+      }
+    } else {
+      const std::uint32_t peer =
+          static_cast<std::uint32_t>(rng.uniform_u64(kPeers));
+      std::vector<ProgramId> expect_emptied;
+      for (std::uint32_t program = 0; program < kPrograms; ++program) {
+        if (model_has_program(program)) {
+          expect_emptied.push_back(ProgramId{program});
+        }
+      }
+      std::int64_t expect_freed = 0;
+      for (auto& [key, peers] : placed) {
+        const auto it = std::find(peers.begin(), peers.end(), peer);
+        if (it == peers.end()) continue;
+        auto& sizes = placed_bytes[key];
+        const auto r = it - peers.begin();
+        expect_freed += sizes[r];
+        peers.erase(it);
+        sizes.erase(sizes.begin() + r);
+      }
+      std::erase_if(expect_emptied, [&](ProgramId program) {
+        return model_has_program(program.value());
+      });
+      const auto wiped = store.wipe_peer(PeerId{peer});
+      ASSERT_EQ(static_cast<std::int64_t>(wiped.freed.byte_count()),
+                expect_freed)
+          << "at step " << step;
+      ASSERT_EQ(wiped.emptied_programs, expect_emptied) << "at step " << step;
+      used[peer] -= expect_freed;
+      ASSERT_EQ(used[peer], 0);
     }
+    // Model agreement: every key's replicas in insertion order, every
+    // program's presence, and commitments (which outlive wipes).
+    std::size_t stored_keys = 0;
+    for (std::uint32_t program = 0; program < kPrograms; ++program) {
+      for (std::uint32_t seg = 0; seg < kSegments; ++seg) {
+        const auto found = placed.find({program, seg});
+        const auto located = store.locate({ProgramId{program}, seg});
+        const std::size_t expect =
+            found == placed.end() ? 0 : found->second.size();
+        ASSERT_EQ(located.size(), expect);
+        for (std::size_t r = 0; r < expect; ++r) {
+          ASSERT_EQ(located[r].value(), found->second[r]);
+        }
+        stored_keys += expect > 0;
+      }
+      ASSERT_EQ(store.has_program(ProgramId{program}),
+                model_has_program(program))
+          << "at step " << step;
+      ASSERT_EQ(store.has_commitment(ProgramId{program}),
+                committed.contains(program))
+          << "at step " << step;
+    }
+    ASSERT_EQ(store.stored_segment_count(), stored_keys);
+    std::int64_t committed_bytes = 0;
+    for (const auto& [program, size] : committed) committed_bytes += size;
+    ASSERT_EQ(static_cast<std::int64_t>(store.committed_total().byte_count()),
+              committed_bytes);
     // Global invariants.
     DataSize total;
     for (std::uint32_t peer = 0; peer < kPeers; ++peer) {

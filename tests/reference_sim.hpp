@@ -2,8 +2,8 @@
 // semantics (flat vectors and linear scans; no heaps, no ordered indexes,
 // no lazy maintenance).  Property tests replay random workloads through
 // both this and core::VodSystem and demand identical counters — catching
-// bugs in the production engine's clever data structures (lazy max-heaps,
-// ordered cached-set indexes, deferred re-ranking).
+// bugs in the production engine's clever data structures (lazy heaps,
+// the placement tree, ordered cached-set indexes, deferred re-ranking).
 //
 // Supports StrategyKind::{None, Lru, Lfu} with whole-program admission,
 // with and without busy-miss replication.

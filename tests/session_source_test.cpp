@@ -347,6 +347,34 @@ TEST_F(CsvSourceTest, DuplicateIdsRejected) {
                    {"line 2", "duplicate meta"});
 }
 
+TEST_F(CsvSourceTest, HeaderFieldsRangeChecked) {
+  // Each of these once reached a downstream precondition and aborted.
+  expect_csv_error(write_temp("meta,0,86400000\n"
+                              "program,0,1800000,0,1\n"),
+                   {"line 1", "user count"});
+  expect_csv_error(write_temp("meta,4,0\n"
+                              "program,0,1800000,0,1\n"),
+                   {"line 1", "horizon"});
+  expect_csv_error(write_temp("meta,4,86400000\n"
+                              "program,0,1800000,0,1\n"
+                              "program,1,0,0,1\n"),
+                   {"line 3", "length"});
+  expect_csv_error(write_temp("meta,4,86400000\n"
+                              "program,0,-5,0,1\n"),
+                   {"line 2", "length"});
+  expect_csv_error(write_temp("meta,4,86400000\n"
+                              "program,0,1800000,0,nan\n"),
+                   {"line 2", "weights"});
+  expect_csv_error(write_temp("meta,4,86400000\n"
+                              "program,0,1800000,0,-0.5\n"),
+                   {"line 2", "weights"});
+  expect_csv_error(write_temp("meta,4,86400000\n"
+                              "program,0,1800000,0,1,-inf\n"),
+                   {"line 2", "weights"});
+  expect_csv_error(write_temp("meta,4,86400000\n"),
+                   {"line 1", "no program records"});
+}
+
 TEST_F(CsvSourceTest, SortBoundaryIsHalfOpen) {
   // Equal start times are sorted — the stable tie order is the file
   // order, exactly what a stable sort would have produced.

@@ -196,6 +196,35 @@ TEST(CsvIo, SemanticViolationsThrowRatherThanAbort) {
                              c.session);
     EXPECT_THROW((void)read_csv(buffer), std::runtime_error) << c.label;
   }
+  // Header fields feed preconditions downstream (topology, rate meter,
+  // catalog, popularity board), so each is range-checked at its line.
+  const struct {
+    const char* label;
+    const char* file;
+    const char* line;
+  } header_cases[] = {
+      {"zero users", "meta,0,86400000\nprogram,0,600000,0,1\n", "line 1"},
+      {"zero horizon", "meta,1,0\nprogram,0,600000,0,1\n", "line 1"},
+      {"zero length", "meta,1,86400000\nprogram,0,0,0,1\n", "line 2"},
+      {"negative length", "meta,1,86400000\nprogram,0,-1,0,1\n", "line 2"},
+      {"nan base weight", "meta,1,86400000\nprogram,0,600000,0,nan\n",
+       "line 2"},
+      {"negative base weight", "meta,1,86400000\nprogram,0,600000,0,-1\n",
+       "line 2"},
+      {"infinite fresh weight",
+       "meta,1,86400000\nprogram,0,600000,0,1,inf\n", "line 2"},
+      {"no program records", "# header only\nmeta,1,86400000\n", "line 2"},
+  };
+  for (const auto& c : header_cases) {
+    std::stringstream buffer(c.file);
+    try {
+      (void)read_csv(buffer);
+      ADD_FAILURE() << "expected rejection: " << c.label;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(c.line), std::string::npos)
+          << c.label << ": " << error.what();
+    }
+  }
 }
 
 TEST(CsvIo, PreReleaseSessionThrows) {
