@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot components of the
-// simulator: rate meter, replacement strategies, segment store, one cache
-// cell's segment serve, one shard's feed at 1 and 25 cells, batched
-// boundary generation, workload sampling, and the end-to-end event loop.
+// simulator: rate meter, replacement strategies, segment store, a set-top's
+// stream slots, one cache cell's segment serve, one shard's feed at 1 and
+// 25 cells, batched boundary generation, workload sampling, and the
+// end-to-end event loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "cache/segment_store.hpp"
 #include "core/neighborhood_shard.hpp"
 #include "core/vod_system.hpp"
+#include "hfc/settop.hpp"
 #include "hfc/topology.hpp"
 #include "sim/rate_meter.hpp"
 #include "trace/generator.hpp"
@@ -157,6 +159,36 @@ void BM_SegmentStoreEvict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 11);
 }
 BENCHMARK(BM_SegmentStoreEvict);
+
+// A set-top's StreamSlots at the default limit of 2, two try_acquire calls
+// per iteration: one while two transmissions are live (refused), then one
+// after the older has ended (granted).  The pair leaves the same two-live
+// pattern shifted by one step, so every iteration does the same work.
+void BM_StreamSlotsTryAcquire(benchmark::State& state) {
+  constexpr std::int64_t kStepMs = 1000;
+  const auto at = [](std::int64_t ms) { return sim::SimTime::millis(ms); };
+  hfc::StreamSlots slots(2);
+  (void)slots.try_acquire({at(0), at(kStepMs / 2)});
+  (void)slots.try_acquire({at(0), at(kStepMs * 3 / 2)});
+  std::int64_t t = 0;
+  std::int64_t refused = 0;
+  std::int64_t granted = 0;
+  for (auto _ : state) {
+    const bool both_live = slots.try_acquire({at(t), at(t + 2 * kStepMs)});
+    const bool one_ended =
+        slots.try_acquire({at(t + kStepMs / 2), at(t + kStepMs * 5 / 2)});
+    benchmark::DoNotOptimize(both_live);
+    benchmark::DoNotOptimize(one_ended);
+    refused += both_live ? 0 : 1;
+    granted += one_ended ? 1 : 0;
+    t += kStepMs;
+  }
+  if (refused != state.iterations() || granted != state.iterations()) {
+    state.SkipWithError("a call had another outcome than the one timed");
+  }
+  state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_StreamSlotsTryAcquire);
 
 // One CacheCell::serve_segment, by outcome: 0 = peer hit, 1 = busy miss
 // (the only replica's peer is at its stream limit), 2 = cold miss.  The

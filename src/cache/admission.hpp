@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "cache/sketch.hpp"
@@ -46,8 +45,6 @@ class AdmissionPolicy {
   AdmissionPolicy(const AdmissionPolicy&) = delete;
   AdmissionPolicy& operator=(const AdmissionPolicy&) = delete;
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
-
   // A session for `program` started at `t` — called once per session,
   // whether or not the program is cached, before any admit() for it.
   virtual void record_access(ProgramId program, sim::SimTime t) = 0;
@@ -71,7 +68,6 @@ class SecondHitPolicy final : public AdmissionPolicy {
  public:
   explicit SecondHitPolicy(sim::SimTime probation_window);
 
-  [[nodiscard]] std::string_view name() const override { return "second-hit"; }
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] bool admit(const AdmissionRequest& request) override;
 
@@ -121,9 +117,6 @@ class CoaxHeadroomPolicy final : public AdmissionPolicy {
   // `spec` (the conservative low-quality-plant band).
   CoaxHeadroomPolicy(const hfc::CoaxSpec& spec, double fraction);
 
-  [[nodiscard]] std::string_view name() const override {
-    return "coax-headroom";
-  }
   void record_access(ProgramId, sim::SimTime) override {}
   [[nodiscard]] bool admit(const AdmissionRequest& request) override;
 
@@ -143,7 +136,6 @@ class SketchLFUPolicy final : public AdmissionPolicy {
   SketchLFUPolicy(std::uint32_t width, std::uint32_t depth,
                   std::uint64_t halve_period, std::uint32_t min_estimate);
 
-  [[nodiscard]] std::string_view name() const override { return "sketch-lfu"; }
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] bool admit(const AdmissionRequest& request) override;
 
@@ -171,9 +163,6 @@ class AdaptiveHeadroomPolicy final : public AdmissionPolicy {
 
   static constexpr double kMinFraction = 0.05;
 
-  [[nodiscard]] std::string_view name() const override {
-    return "adaptive-headroom";
-  }
   void record_access(ProgramId, sim::SimTime) override {}
   [[nodiscard]] bool admit(const AdmissionRequest& request) override;
   void on_serve(bool hit, sim::SimTime t) override;

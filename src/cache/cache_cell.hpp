@@ -137,10 +137,6 @@ class CacheCell {
   [[nodiscard]] const SegmentStore& store() const { return store_; }
   // Null only for the no-cache primary.
   [[nodiscard]] const EvictionScorer* scorer() const { return scorer_.get(); }
-  // Null means always-admit.
-  [[nodiscard]] const AdmissionPolicy* admission() const {
-    return admission_.get();
-  }
 
  private:
   // The admission policy's verdict for `program` at `t` (counts a

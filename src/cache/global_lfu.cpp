@@ -11,27 +11,20 @@ GlobalLfuStrategy::GlobalLfuStrategy(std::shared_ptr<const ReplayBoard> board,
     : board_(std::move(board)), clock_(clock) {
   VODCACHE_EXPECTS(board_ != nullptr);
   VODCACHE_EXPECTS(clock_ != nullptr);
-  reserve_for(board_->program_count());
   ReplayCursor::ChangeCallback on_change;
   if (board_->lag() == sim::SimTime{}) {
     // Mark cached programs dirty when the system-wide count changes;
     // re-ranking happens at the next victim decision.
+    dirty_flag_.resize(board_->program_count(), 0);
     on_change = [this](ProgramId program) { mark_dirty(program); };
+  } else {
+    local_since_snapshot_.reserve(board_->program_count());
   }
   cursor_ = std::make_unique<ReplayCursor>(*board_, std::move(on_change));
 }
 
-void GlobalLfuStrategy::reserve_for(std::size_t program_count) {
-  last_access_.reserve(program_count);
-  local_since_snapshot_.reserve(program_count);
-  dirty_flag_.resize(program_count, 0);
-}
-
 void GlobalLfuStrategy::mark_dirty(ProgramId program) {
   if (!is_cached(program)) return;
-  if (program.value() >= dirty_flag_.size()) {
-    dirty_flag_.resize(program.value() + 1, 0);
-  }
   if (dirty_flag_[program.value()] != 0) return;
   dirty_flag_[program.value()] = 1;
   dirty_list_.push_back(program);
@@ -78,9 +71,7 @@ void GlobalLfuStrategy::refresh(sim::SimTime t) {
 
 void GlobalLfuStrategy::record_access(ProgramId program, sim::SimTime t) {
   refresh(t);
-  std::int64_t* seq = last_access_.find(program.value());
-  if (seq == nullptr) seq = &last_access_.insert(program.value(), 0);
-  *seq = next_sequence();
+  touch(program);
   cursor_->ingest_local(program, t, clock_->visible);
   if (lag() > sim::SimTime{}) {
     std::int64_t* delta = local_since_snapshot_.find(program.value());
@@ -97,14 +88,12 @@ std::int64_t GlobalLfuStrategy::global_count(ProgramId program,
 }
 
 Score GlobalLfuStrategy::score(ProgramId program, sim::SimTime t) {
-  const std::int64_t* last = last_access_.find(program.value());
-  const std::int64_t seq = last == nullptr ? 0 : *last;
   std::int64_t count = global_count(program, t);
   if (lag() > sim::SimTime{}) {
     const std::int64_t* delta = local_since_snapshot_.find(program.value());
     if (delta != nullptr) count += *delta;
   }
-  return {count, seq};
+  return {count, recency(program)};
 }
 
 }  // namespace vodcache::cache

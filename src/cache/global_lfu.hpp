@@ -23,16 +23,12 @@
 
 namespace vodcache::cache {
 
-class GlobalLfuStrategy final : public ScoredStrategy {
+class GlobalLfuStrategy final : public EvictionScorer {
  public:
   // The prebuilt board, paced by the shard's clock (both must outlive the
   // strategy; the clock is owned by the shard).
   GlobalLfuStrategy(std::shared_ptr<const ReplayBoard> board,
                     const sim::ReplayClock* clock);
-
-  [[nodiscard]] std::string_view name() const override {
-    return lag() == sim::SimTime{} ? "GlobalLFU" : "GlobalLFU(lagged)";
-  }
 
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
@@ -41,7 +37,6 @@ class GlobalLfuStrategy final : public ScoredStrategy {
   void refresh(sim::SimTime t) override;
   [[nodiscard]] sim::SimTime lag() const { return board_->lag(); }
   [[nodiscard]] std::int64_t global_count(ProgramId program, sim::SimTime t);
-  void reserve_for(std::size_t program_count);
   void mark_dirty(ProgramId program);
   void rerank_dirty(sim::SimTime t);
   // True when a new global snapshot became visible since the last refresh
@@ -52,11 +47,9 @@ class GlobalLfuStrategy final : public ScoredStrategy {
   const sim::ReplayClock* clock_ = nullptr;
   std::unique_ptr<ReplayCursor> cursor_;
 
-  // Flat and pre-sized for the catalog: the record path must not allocate
-  // in steady state (the zero-alloc audit covers shadow GlobalLFUs riding
-  // the shard hot path).
-  util::FlatMap64<std::int64_t> last_access_;
-  // lag > 0 only: local accesses since the snapshot we last saw.
+  // lag > 0 only: local accesses since the snapshot we last saw.  Reserved
+  // for the catalog when lagged, so the record path never allocates (the
+  // zero-alloc audit covers shadow GlobalLFUs riding the shard hot path).
   util::FlatMap64<std::int64_t> local_since_snapshot_;
   std::uint64_t seen_epoch_ = 0;
   // lag == 0 only: cached programs whose global count changed since the

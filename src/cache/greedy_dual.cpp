@@ -7,9 +7,7 @@
 namespace vodcache::cache {
 
 GreedyDualScorer::GreedyDualScorer(const trace::Catalog& catalog)
-    : catalog_(catalog),
-      counts_(catalog.size(), 0),
-      last_access_(catalog.size(), 0) {}
+    : catalog_(catalog), counts_(catalog.size(), 0) {}
 
 std::int64_t GreedyDualScorer::credit(ProgramId program) const {
   VODCACHE_EXPECTS(program.value() < counts_.size());
@@ -21,8 +19,7 @@ std::int64_t GreedyDualScorer::credit(ProgramId program) const {
 void GreedyDualScorer::record_access(ProgramId program, sim::SimTime t) {
   VODCACHE_EXPECTS(program.value() < counts_.size());
   ++counts_[program.value()];
-  const std::int64_t seq = next_sequence();
-  last_access_[program.value()] = seq;
+  const std::int64_t seq = touch(program);
   // A touch re-prices the resident at the current inflation level —
   // exactly the GreedyDual "restore H on hit" rule.
   cached().update(program, {inflation_ + credit(program), seq});
@@ -34,7 +31,7 @@ Score GreedyDualScorer::score(ProgramId program, sim::SimTime /*t*/) {
   // candidates are priced at today's L.  This asymmetry is the aging.
   if (const auto stored = cached().score_of(program)) return *stored;
   VODCACHE_EXPECTS(program.value() < counts_.size());
-  return {inflation_ + credit(program), last_access_[program.value()]};
+  return {inflation_ + credit(program), recency(program)};
 }
 
 void GreedyDualScorer::on_evict(ProgramId program) {
@@ -46,7 +43,7 @@ void GreedyDualScorer::on_evict(ProgramId program) {
       inflation_ = std::max(inflation_, stored->first);
     }
   }
-  ScoredStrategy::on_evict(program);
+  EvictionScorer::on_evict(program);
 }
 
 }  // namespace vodcache::cache

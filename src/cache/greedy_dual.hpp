@@ -28,15 +28,13 @@
 
 namespace vodcache::cache {
 
-class GreedyDualScorer final : public ScoredStrategy {
+class GreedyDualScorer final : public EvictionScorer {
  public:
   // Lengths are read from the shared immutable catalog (one per run, not
   // per neighborhood — at a thousand shards an owned copy of the length
   // table would be pure duplication).  The catalog must outlive the
   // scorer, exactly as it already outlives the shard that owns it.
   explicit GreedyDualScorer(const trace::Catalog& catalog);
-
-  [[nodiscard]] std::string_view name() const override { return "GreedyDual"; }
 
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
@@ -55,7 +53,6 @@ class GreedyDualScorer final : public ScoredStrategy {
 
   const trace::Catalog& catalog_;
   std::vector<std::int64_t> counts_;
-  std::vector<std::int64_t> last_access_;
   std::int64_t inflation_ = 0;
 };
 

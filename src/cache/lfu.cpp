@@ -23,12 +23,7 @@ void LfuStrategy::expire(sim::SimTime now) {
 
 void LfuStrategy::record_access(ProgramId program, sim::SimTime t) {
   expire(t);
-  const std::int64_t seq = next_sequence();
-  if (std::int64_t* last = last_access_.find(program.value())) {
-    *last = seq;
-  } else {
-    last_access_.insert(program.value(), seq);
-  }
+  touch(program);
   if (history_ > sim::SimTime{}) {
     window_.push_back({t, program});
     if (std::int64_t* count = counts_.find(program.value())) {
@@ -41,13 +36,8 @@ void LfuStrategy::record_access(ProgramId program, sim::SimTime t) {
 }
 
 Score LfuStrategy::score(ProgramId program, sim::SimTime /*t*/) {
-  const std::int64_t* last = last_access_.find(program.value());
-  return {frequency(program), last == nullptr ? 0 : *last};
-}
-
-std::int64_t LfuStrategy::frequency(ProgramId program) const {
   const std::int64_t* count = counts_.find(program.value());
-  return count == nullptr ? 0 : *count;
+  return {count == nullptr ? 0 : *count, recency(program)};
 }
 
 }  // namespace vodcache::cache

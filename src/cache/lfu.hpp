@@ -11,8 +11,8 @@
 //
 // State lives in flat containers (util/flat_map.hpp): the event window in
 // a ring buffer that grows to its high-water mark and then cycles
-// allocation-free, the per-program counts and recency sequences in
-// open-addressed tables sized by the touched content set.
+// allocation-free, the per-program counts in an open-addressed table sized
+// by the touched content set (recency is the base's table, same sizing).
 //
 // history == 0 degenerates to pure LRU (the paper's figure 11 uses this as
 // its leftmost point).
@@ -23,18 +23,12 @@
 
 namespace vodcache::cache {
 
-class LfuStrategy final : public ScoredStrategy {
+class LfuStrategy final : public EvictionScorer {
  public:
   explicit LfuStrategy(sim::SimTime history);
 
-  [[nodiscard]] std::string_view name() const override { return "LFU"; }
-
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
-
-  [[nodiscard]] sim::SimTime history() const { return history_; }
-  // Current in-window access count (exposed for tests).
-  [[nodiscard]] std::int64_t frequency(ProgramId program) const;
 
  private:
   void expire(sim::SimTime now);
@@ -47,7 +41,6 @@ class LfuStrategy final : public ScoredStrategy {
   sim::SimTime history_;
   util::RingBuffer<HistoryEvent> window_;
   util::FlatMap64<std::int64_t> counts_;
-  util::FlatMap64<std::int64_t> last_access_;
 };
 
 }  // namespace vodcache::cache

@@ -3,19 +3,12 @@
 namespace vodcache::cache {
 
 void LruStrategy::record_access(ProgramId program, sim::SimTime t) {
-  const std::int64_t seq = next_sequence();
-  if (std::int64_t* last = last_access_.find(program.value())) {
-    *last = seq;
-  } else {
-    last_access_.insert(program.value(), seq);
-  }
+  touch(program);
   cached().update(program, score(program, t));
 }
 
 Score LruStrategy::score(ProgramId program, sim::SimTime /*t*/) {
-  const std::int64_t* it = last_access_.find(program.value());
-  // Never-accessed programs (possible when a store is pre-seeded) rank last.
-  return {it == nullptr ? 0 : *it, 0};
+  return {recency(program), 0};
 }
 
 }  // namespace vodcache::cache

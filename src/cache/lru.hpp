@@ -10,19 +10,13 @@
 #pragma once
 
 #include "cache/strategy.hpp"
-#include "util/flat_map.hpp"
 
 namespace vodcache::cache {
 
-class LruStrategy final : public ScoredStrategy {
+class LruStrategy final : public EvictionScorer {
  public:
-  [[nodiscard]] std::string_view name() const override { return "LRU"; }
-
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
-
- private:
-  util::FlatMap64<std::int64_t> last_access_;
 };
 
 }  // namespace vodcache::cache

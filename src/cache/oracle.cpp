@@ -14,7 +14,6 @@ OracleStrategy::OracleStrategy(const FutureIndex& future, sim::SimTime lookahead
   // any query behind it.  count_in() still asserts frozen at use.
   VODCACHE_EXPECTS(lookahead > sim::SimTime{});
   VODCACHE_EXPECTS(refresh_interval > sim::SimTime{});
-  last_access_.reserve(future.program_count());
 }
 
 void OracleStrategy::refresh(sim::SimTime t) {
@@ -26,16 +25,12 @@ void OracleStrategy::refresh(sim::SimTime t) {
 
 void OracleStrategy::record_access(ProgramId program, sim::SimTime t) {
   refresh(t);
-  std::int64_t* seq = last_access_.find(program.value());
-  if (seq == nullptr) seq = &last_access_.insert(program.value(), 0);
-  *seq = next_sequence();
+  touch(program);
   cached().update(program, score(program, t));
 }
 
 Score OracleStrategy::score(ProgramId program, sim::SimTime t) {
-  const std::int64_t* seq = last_access_.find(program.value());
-  return {future_.count_in(program, t, lookahead_),
-          seq == nullptr ? 0 : *seq};
+  return {future_.count_in(program, t, lookahead_), recency(program)};
 }
 
 }  // namespace vodcache::cache

@@ -15,17 +15,14 @@
 
 #include "cache/future_index.hpp"
 #include "cache/strategy.hpp"
-#include "util/flat_map.hpp"
 
 namespace vodcache::cache {
 
-class OracleStrategy final : public ScoredStrategy {
+class OracleStrategy final : public EvictionScorer {
  public:
   // `future` must outlive the strategy and be frozen.
   OracleStrategy(const FutureIndex& future, sim::SimTime lookahead,
                  sim::SimTime refresh_interval = sim::SimTime::hours(1));
-
-  [[nodiscard]] std::string_view name() const override { return "Oracle"; }
 
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
@@ -37,10 +34,6 @@ class OracleStrategy final : public ScoredStrategy {
   sim::SimTime lookahead_;
   sim::SimTime refresh_interval_;
   sim::SimTime next_refresh_;
-  // Recency sequence per program, flat and pre-sized for the catalog so
-  // the record path never allocates (the zero-alloc audit covers shadow
-  // oracles riding the shard hot path).
-  util::FlatMap64<std::int64_t> last_access_;
 };
 
 }  // namespace vodcache::cache

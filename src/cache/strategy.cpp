@@ -2,22 +2,14 @@
 
 namespace vodcache::cache {
 
-std::optional<ProgramId> ScoredStrategy::victim(sim::SimTime t) {
+std::optional<ProgramId> EvictionScorer::victim(sim::SimTime t) {
   refresh(t);
   return cached_.min();
 }
 
-void ScoredStrategy::on_admit(ProgramId program, sim::SimTime t) {
+void EvictionScorer::on_admit(ProgramId program, sim::SimTime t) {
   refresh(t);
   cached_.insert(program, score(program, t));
 }
-
-void ScoredStrategy::on_evict(ProgramId program) { cached_.erase(program); }
-
-bool ScoredStrategy::is_cached(ProgramId program) const {
-  return cached_.contains(program);
-}
-
-std::size_t ScoredStrategy::cached_count() const { return cached_.size(); }
 
 }  // namespace vodcache::cache

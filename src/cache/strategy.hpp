@@ -12,16 +12,19 @@
 //
 // Scores are ordered pairs: bigger means more valuable.  LFU's "ties are
 // resolved using an LRU strategy" falls out of the pair comparison
-// (primary = frequency, secondary = recency sequence number).
+// (primary = frequency, secondary = recency sequence number).  Every scorer
+// breaks ties that way, so the base owns the one recency table: a scorer's
+// record_access() calls touch(), and its score() reads recency().  Each
+// concrete scorer adds only its own primary signal.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 #include <utility>
 
 #include "cache/victim_index.hpp"
 #include "sim/time.hpp"
+#include "util/flat_map.hpp"
 #include "util/ids.hpp"
 
 namespace vodcache::cache {
@@ -36,8 +39,6 @@ class EvictionScorer {
   EvictionScorer(const EvictionScorer&) = delete;
   EvictionScorer& operator=(const EvictionScorer&) = delete;
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
-
   // A session for `program` started at `t` in this neighborhood.
   virtual void record_access(ProgramId program, sim::SimTime t) = 0;
 
@@ -45,31 +46,33 @@ class EvictionScorer {
   [[nodiscard]] virtual Score score(ProgramId program, sim::SimTime t) = 0;
 
   // The cached program with the lowest score, if any program is cached.
-  [[nodiscard]] virtual std::optional<ProgramId> victim(sim::SimTime t) = 0;
+  [[nodiscard]] std::optional<ProgramId> victim(sim::SimTime t);
 
   // Store feedback: `program` gained its first stored segment / lost all.
-  virtual void on_admit(ProgramId program, sim::SimTime t) = 0;
-  virtual void on_evict(ProgramId program) = 0;
+  void on_admit(ProgramId program, sim::SimTime t);
+  virtual void on_evict(ProgramId program) { cached_.erase(program); }
 
-  [[nodiscard]] virtual bool is_cached(ProgramId program) const = 0;
-  [[nodiscard]] virtual std::size_t cached_count() const = 0;
-};
-
-// Common machinery shared by every concrete scorer: the cached-set score
-// index plus a monotone access sequence for recency tie-breaking.
-class ScoredStrategy : public EvictionScorer {
- public:
-  [[nodiscard]] std::optional<ProgramId> victim(sim::SimTime t) override;
-  void on_admit(ProgramId program, sim::SimTime t) override;
-  void on_evict(ProgramId program) override;
-  [[nodiscard]] bool is_cached(ProgramId program) const override;
-  [[nodiscard]] std::size_t cached_count() const override;
+  [[nodiscard]] bool is_cached(ProgramId program) const {
+    return cached_.contains(program);
+  }
+  [[nodiscard]] std::size_t cached_count() const { return cached_.size(); }
 
  protected:
-  [[nodiscard]] std::int64_t next_sequence() { return ++sequence_; }
-  [[nodiscard]] std::int64_t current_sequence() const { return sequence_; }
   [[nodiscard]] CachedSet& cached() { return cached_; }
   [[nodiscard]] const CachedSet& cached() const { return cached_; }
+
+  // Stamps `program` with the next access sequence number and returns it.
+  std::int64_t touch(ProgramId program) {
+    std::int64_t* last = last_touch_.find(program.value());
+    if (last == nullptr) last = &last_touch_.insert(program.value(), 0);
+    return *last = ++sequence_;
+  }
+  // The sequence number of `program`'s latest touch(); 0 if never touched
+  // (possible when a store is pre-seeded), so such programs rank last.
+  [[nodiscard]] std::int64_t recency(ProgramId program) const {
+    const std::int64_t* last = last_touch_.find(program.value());
+    return last == nullptr ? 0 : *last;
+  }
 
   // Hook for scorers that refresh lazily (oracle, lagged global LFU)
   // before the cached-set ordering is consulted.
@@ -77,6 +80,9 @@ class ScoredStrategy : public EvictionScorer {
 
  private:
   CachedSet cached_;
+  // Grows with the programs this neighborhood actually touches: at a
+  // thousand shards a catalog-sized table per scorer would dwarf it.
+  util::FlatMap64<std::int64_t> last_touch_;
   std::int64_t sequence_ = 0;
 };
 

@@ -65,13 +65,4 @@ std::optional<ProgramId> CachedSet::min() const {
   return std::nullopt;
 }
 
-std::vector<ProgramId> CachedSet::programs() const {
-  std::vector<ProgramId> out;
-  out.reserve(by_program_.size());
-  by_program_.for_each([&out](std::uint64_t key, const Score&) {
-    out.push_back(ProgramId{static_cast<std::uint32_t>(key)});
-  });
-  return out;
-}
-
 }  // namespace vodcache::cache

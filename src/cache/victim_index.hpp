@@ -43,13 +43,11 @@ class CachedSet {
   // Program with the smallest (score, program) — the evict-first candidate.
   [[nodiscard]] std::optional<ProgramId> min() const;
 
-  [[nodiscard]] std::vector<ProgramId> programs() const;
-
-  // Visits every cached program in slot order (the same order programs()
-  // returns) without materializing a vector — scorers that re-rank the
-  // whole cached set call this from their refresh hot path, where
-  // programs()'s allocation would break the zero-alloc audit.  The visitor
-  // may update() scores during the visit (no insert/erase).
+  // Visits every cached program in slot order without materializing a
+  // vector — scorers that re-rank the whole cached set call this from
+  // their refresh hot path, where an allocation would break the zero-alloc
+  // audit.  The visitor may update() scores during the visit (no
+  // insert/erase).
   template <typename Fn>
   void for_each_program(Fn&& fn) const {
     by_program_.for_each([&fn](std::uint64_t key, const Score&) {

@@ -37,6 +37,9 @@ void SystemConfig::validate() const {
   VODCACHE_EXPECTS(segment_duration > sim::SimTime{});
   VODCACHE_EXPECTS(meter_bucket > sim::SimTime{});
   VODCACHE_EXPECTS(strategy.lfu_history >= sim::SimTime{});
+  // A zero window is LFU's pure-LRU point, but the board needs a window.
+  VODCACHE_EXPECTS(strategy.lfu_history > sim::SimTime{} ||
+                   !builds_global_board());
   VODCACHE_EXPECTS(strategy.global_lag >= sim::SimTime{});
   VODCACHE_EXPECTS(admission_policy.probation_window >= sim::SimTime{});
   VODCACHE_EXPECTS(admission_policy.headroom_fraction > 0.0 &&

@@ -234,6 +234,14 @@ struct SystemConfig {
     return per_peer_storage * neighborhood_size;
   }
 
+  // True when the run builds the GlobalLFU popularity board, windowed to
+  // `strategy.lfu_history`: a global primary, or a mode that instantiates
+  // every registered scorer.
+  [[nodiscard]] bool builds_global_board() const {
+    return strategy.kind == StrategyKind::GlobalLfu || shadow_matrix ||
+           policy_switch;
+  }
+
   void validate() const;
   bool operator==(const SystemConfig&) const = default;
 };

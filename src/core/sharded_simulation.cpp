@@ -42,8 +42,7 @@ ShardedSimulation::Needs ShardedSimulation::needs() const {
   // Shadow-matrix and policy-switch modes instantiate *every* registered
   // scorer, so the GlobalLFU board and Oracle future index must exist
   // whatever the primary strategy is.
-  need.board = config_.strategy.kind == StrategyKind::GlobalLfu ||
-               config_.shadow_matrix || config_.policy_switch;
+  need.board = config_.builds_global_board();
   need.future = config_.strategy.kind == StrategyKind::Oracle ||
                 config_.shadow_matrix || config_.policy_switch;
   need.flush = !config_.peer_failures.empty();

@@ -33,8 +33,6 @@ class StreamSlots {
   // *serve* (the serving side is where the paper enforces the limit).
   void acquire_unchecked(sim::Interval interval);
 
-  [[nodiscard]] int limit() const { return limit_; }
-
  private:
   void prune(sim::SimTime now);
 

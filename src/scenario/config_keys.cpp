@@ -438,6 +438,13 @@ void check_config(const RunConfig& config) {
         "policy_switch (--policy-switch) needs a caching strategy: "
         "--strategy none has no cached set to hand over");
   }
+  if (system.strategy.lfu_history == sim::SimTime{} &&
+      system.builds_global_board()) {
+    throw ConfigError(
+        "--history-hours 0 leaves the GlobalLFU popularity board no window: "
+        "--strategy global, --shadow-matrix and --policy-switch need "
+        "--history-hours >= 1");
+  }
 }
 
 void check_id_space(std::uint64_t users, std::uint64_t programs,

@@ -77,14 +77,6 @@ TEST(CachedSet, ScoreOf) {
   EXPECT_EQ(set.score_of(ProgramId{5}), std::nullopt);
 }
 
-TEST(CachedSet, ProgramsListsAll) {
-  CachedSet set;
-  set.insert(ProgramId{1}, {1, 0});
-  set.insert(ProgramId{2}, {2, 0});
-  const auto programs = set.programs();
-  EXPECT_EQ(programs.size(), 2u);
-}
-
 // --------------------------------------------------------------------- LRU
 
 TEST(Lru, VictimIsLeastRecentlyUsed) {
@@ -158,12 +150,12 @@ TEST(Lfu, FrequencyCountsWindowOnly) {
   LfuStrategy lfu(sim::SimTime::hours(1));
   lfu.record_access(ProgramId{1}, at_min(0));
   lfu.record_access(ProgramId{1}, at_min(10));
-  EXPECT_EQ(lfu.frequency(ProgramId{1}), 2);
+  EXPECT_EQ(lfu.score(ProgramId{1}, at_min(10)).first, 2);
   // Advance past the window: first event expires.
   lfu.record_access(ProgramId{2}, at_min(65));
-  EXPECT_EQ(lfu.frequency(ProgramId{1}), 1);
+  EXPECT_EQ(lfu.score(ProgramId{1}, at_min(65)).first, 1);
   lfu.record_access(ProgramId{2}, at_min(75));
-  EXPECT_EQ(lfu.frequency(ProgramId{1}), 0);
+  EXPECT_EQ(lfu.score(ProgramId{1}, at_min(75)).first, 0);
 }
 
 TEST(Lfu, ExpiryRerANKSCachedPrograms) {
@@ -200,7 +192,7 @@ TEST(Lfu, ZeroHistoryDegeneratesToLru) {
   lfu.on_admit(ProgramId{2}, at_min(6));
   // Despite program 1's five accesses, frequency is always 0 with an empty
   // history; recency decides and 1 is older.
-  EXPECT_EQ(lfu.frequency(ProgramId{1}), 0);
+  EXPECT_EQ(lfu.score(ProgramId{1}, at_min(6)).first, 0);
   EXPECT_EQ(lfu.victim(at_min(7)), ProgramId{1});
 }
 
@@ -546,15 +538,6 @@ TEST(GlobalLfuReplay, LaggedModeAugmentsSnapshotWithLocal) {
   // After the batch, B sees A's traffic.
   clock_b = {at_min(31), 3};
   EXPECT_EQ(b.score(ProgramId{1}, at_min(31)).first, 2);
-}
-
-TEST(GlobalLfuReplay, NameReflectsLag) {
-  const auto live = frozen_board(1, sim::SimTime::hours(1), sim::SimTime{}, {});
-  const auto lagged =
-      frozen_board(1, sim::SimTime::hours(1), sim::SimTime::minutes(30), {});
-  sim::ReplayClock clock;
-  EXPECT_EQ(GlobalLfuStrategy(live, &clock).name(), "GlobalLFU");
-  EXPECT_EQ(GlobalLfuStrategy(lagged, &clock).name(), "GlobalLFU(lagged)");
 }
 
 }  // namespace

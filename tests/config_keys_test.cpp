@@ -238,6 +238,34 @@ TEST(CrossFieldChecks, PolicySwitchWithoutACacheIsANamedErrorOnBothSurfaces) {
       parse_cli({"run", "--scenario", path}).config.system.policy_switch);
 }
 
+// The GlobalLFU board needs a nonempty window; LFU alone at history 0 is
+// pure LRU (figure 11's leftmost point) and stays legal.
+TEST(CrossFieldChecks, ZeroHistoryWithAGlobalBoardIsANamedError) {
+  for (const char* mode : {"--shadow-matrix", "--policy-switch"}) {
+    expect_config_error(
+        [&] { (void)parse_cli({"run", "--history-hours", "0", mode}); },
+        {"--history-hours", "--strategy global", "--shadow-matrix",
+         "--policy-switch"});
+  }
+  expect_config_error(
+      [] {
+        (void)parse_cli(
+            {"run", "--strategy", "global", "--history-hours", "0"});
+      },
+      {"--history-hours"});
+
+  RunConfig zero_history;
+  zero_history.system.strategy.lfu_history = sim::SimTime{};
+  expect_config_error(
+      [&] { (void)parse_text("[system]\npolicy_switch = 1\n", zero_history); },
+      {"line 2", "--history-hours"});
+
+  const auto lru_point =
+      parse_cli({"run", "--strategy", "lfu", "--history-hours", "0"}).config;
+  EXPECT_EQ(lru_point.system.strategy.lfu_history, sim::SimTime{});
+  lru_point.system.validate();
+}
+
 TEST(CrossFieldChecks, OverflowGuardsAreNamedOnBothSurfaces) {
   expect_config_error(
       [] {

@@ -116,7 +116,7 @@ TEST_P(Seeded, LfuFrequencyMatchesBruteForce) {
     for (const auto& [t, program] : log) {
       if (program == probe && t >= now - history) ++expected;
     }
-    ASSERT_EQ(lfu.frequency(probe), expected) << "at step " << step;
+    ASSERT_EQ(lfu.score(probe, now).first, expected) << "at step " << step;
   }
 }
 
