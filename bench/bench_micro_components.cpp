@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot components of the
-// simulator: rate meter, replacement strategies, segment store, a set-top's
-// stream slots, one cache cell's segment serve, one shard's feed at 1 and
-// 25 cells, batched boundary generation, workload sampling, and the
-// end-to-end event loop.
+// simulator: rate meter, replacement strategies, segment store, one box of
+// a cell's stream-slot table, one cache cell's segment serve, one shard's
+// feed at 1 and 25 cells, batched boundary generation, workload sampling,
+// and the end-to-end event loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -160,23 +160,26 @@ void BM_SegmentStoreEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentStoreEvict);
 
-// A set-top's StreamSlots at the default limit of 2, two try_acquire calls
-// per iteration: one while two transmissions are live (refused), then one
-// after the older has ended (granted).  The pair leaves the same two-live
-// pattern shifted by one step, so every iteration does the same work.
+// One box of a 1,000-box StreamSlots table at the default limit of 2, two
+// try_acquire calls per iteration: one while two transmissions are live
+// (refused), then one after the older has ended (granted).  The pair
+// leaves the same two-live pattern shifted by one step, so every iteration
+// does the same work.
 void BM_StreamSlotsTryAcquire(benchmark::State& state) {
   constexpr std::int64_t kStepMs = 1000;
+  constexpr std::uint32_t kBox = 500;
   const auto at = [](std::int64_t ms) { return sim::SimTime::millis(ms); };
-  hfc::StreamSlots slots(2);
-  (void)slots.try_acquire({at(0), at(kStepMs / 2)});
-  (void)slots.try_acquire({at(0), at(kStepMs * 3 / 2)});
+  hfc::StreamSlots slots(1000, 2);
+  (void)slots.try_acquire(kBox, {at(0), at(kStepMs / 2)});
+  (void)slots.try_acquire(kBox, {at(0), at(kStepMs * 3 / 2)});
   std::int64_t t = 0;
   std::int64_t refused = 0;
   std::int64_t granted = 0;
   for (auto _ : state) {
-    const bool both_live = slots.try_acquire({at(t), at(t + 2 * kStepMs)});
-    const bool one_ended =
-        slots.try_acquire({at(t + kStepMs / 2), at(t + kStepMs * 5 / 2)});
+    const bool both_live =
+        slots.try_acquire(kBox, {at(t), at(t + 2 * kStepMs)});
+    const bool one_ended = slots.try_acquire(
+        kBox, {at(t + kStepMs / 2), at(t + kStepMs * 5 / 2)});
     benchmark::DoNotOptimize(both_live);
     benchmark::DoNotOptimize(one_ended);
     refused += both_live ? 0 : 1;

@@ -1,6 +1,7 @@
 #include "cache/cache_cell.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -44,14 +45,12 @@ CacheCell::CacheCell(Policy policy, const Settings& settings,
       admission_(std::move(policy.admission)),
       settings_(settings),
       coax_(coax),
-      store_(std::vector<DataSize>(peer_count, settings.per_peer_storage)) {
+      store_(std::vector<DataSize>(peer_count, settings.per_peer_storage)),
+      slots_(peer_count,
+             scorer_ == nullptr ? 0 : settings.peer_stream_limit) {
   VODCACHE_EXPECTS(coax != nullptr);
   VODCACHE_EXPECTS(peer_count > 0);
   VODCACHE_EXPECTS(settings.per_peer_storage >= DataSize{});
-  slots_.reserve(peer_count);
-  for (std::uint32_t i = 0; i < peer_count; ++i) {
-    slots_.emplace_back(settings.peer_stream_limit);
-  }
 }
 
 bool CacheCell::admission_allows(ProgramId program, sim::SimTime t) {
@@ -113,7 +112,7 @@ bool CacheCell::start_session(ProgramId program, DataSize program_size,
 }
 
 void CacheCell::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
-  slots_[viewer.value()].acquire_unchecked(interval);
+  slots_.acquire_unchecked(viewer.value(), interval);
 }
 
 void CacheCell::try_fill(SegmentKey key, DataSize bytes, sim::SimTime t) {
@@ -144,7 +143,7 @@ ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
   // mutate the store.
   const auto replicas = store_.locate(key);
   for (const PeerId replica : replicas) {
-    if (slots_[replica.value()].try_acquire(interval)) {
+    if (slots_.try_acquire(replica.value(), interval)) {
       ++counters_.hits;
       counters_.hit_bits += bits;
       if (admission_ != nullptr) admission_->on_serve(true, interval.begin);
@@ -174,7 +173,7 @@ ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
 }
 
 SegmentStore::WipeResult CacheCell::fail_peer(PeerId peer) {
-  VODCACHE_EXPECTS(peer.value() < slots_.size());
+  VODCACHE_EXPECTS(peer.value() < slots_.peer_count());
   auto wiped = store_.wipe_peer(peer);
   if (scorer_ != nullptr && !settings_.whole_program) {
     for (const ProgramId program : wiped.emptied_programs) {

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "cache/admission.hpp"
 #include "cache/segment_store.hpp"
@@ -131,9 +130,7 @@ class CacheCell {
     return admission_display_;
   }
   [[nodiscard]] const CellCounters& counters() const { return counters_; }
-  [[nodiscard]] std::uint32_t peer_count() const {
-    return static_cast<std::uint32_t>(slots_.size());
-  }
+  [[nodiscard]] std::uint32_t peer_count() const { return slots_.peer_count(); }
   [[nodiscard]] const SegmentStore& store() const { return store_; }
   // Null only for the no-cache primary.
   [[nodiscard]] const EvictionScorer* scorer() const { return scorer_.get(); }
@@ -156,7 +153,10 @@ class CacheCell {
   Settings settings_;
   const sim::RateMeter* coax_;
   SegmentStore store_;
-  std::vector<hfc::StreamSlots> slots_;
+  // Every box's stream occupancy in one table.  The no-cache cell's has
+  // limit 0 and keeps nothing: it stores no segment, so none of its boxes
+  // is ever asked to serve, and viewer playback needs no record.
+  hfc::StreamSlots slots_;
   CellCounters counters_;
 };
 

@@ -20,8 +20,8 @@
 // is policy-independent (see cache/cache_cell.hpp).
 //
 // Zero steady-state allocations: stores are FlatMap64/PooledArena, stream
-// slots are high-water vectors, admission histories are flat tables or
-// fixed sketch arrays (enforced by tests/allocation_audit_test.cpp with
+// slots are one fixed table per cell, admission histories are flat tables
+// or fixed sketch arrays (enforced by tests/allocation_audit_test.cpp with
 // shadows on).
 #pragma once
 

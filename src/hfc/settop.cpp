@@ -1,41 +1,53 @@
 #include "hfc/settop.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <limits>
 
 #include "util/assert.hpp"
 
 namespace vodcache::hfc {
 
-StreamSlots::StreamSlots(int limit) : limit_(limit) {
+namespace {
+
+constexpr sim::SimTime kNever =
+    sim::SimTime::millis(std::numeric_limits<std::int64_t>::min());
+
+}  // namespace
+
+StreamSlots::StreamSlots(std::uint32_t peer_count, int limit)
+    : peer_count_(peer_count), limit_(limit) {
   VODCACHE_EXPECTS(limit >= 0);
-  // Serving is capped at `limit`, but viewer playback goes through
-  // acquire_unchecked and can stack one user's overlapping sessions past
-  // it.  Reserve generous slack so a box's first concurrency peak — which
-  // can land arbitrarily late in a run — does not reallocate mid-replay.
-  active_ends_.reserve(static_cast<std::size_t>(limit) + 8);
+  ends_.assign(static_cast<std::size_t>(peer_count) *
+                   static_cast<std::size_t>(limit),
+               kNever);
 }
 
-void StreamSlots::prune(sim::SimTime now) {
-  // Transmissions occupy [begin, end); one ending exactly at `now` is free.
-  std::erase_if(active_ends_, [now](sim::SimTime end) { return end <= now; });
+sim::SimTime* StreamSlots::earliest(std::uint32_t peer) {
+  sim::SimTime* lane =
+      ends_.data() + static_cast<std::size_t>(peer) *
+                         static_cast<std::size_t>(limit_);
+  return std::min_element(lane, lane + limit_);
 }
 
-int StreamSlots::active(sim::SimTime now) {
-  prune(now);
-  return static_cast<int>(active_ends_.size());
-}
-
-bool StreamSlots::try_acquire(sim::Interval interval) {
+// Transmissions occupy [begin, end); one ending exactly at `begin` is free.
+bool StreamSlots::try_acquire(std::uint32_t peer, sim::Interval interval) {
   VODCACHE_EXPECTS(interval.valid());
-  if (active(interval.begin) >= limit_) return false;
-  active_ends_.push_back(interval.end);
+  VODCACHE_EXPECTS(peer < peer_count_);
+  if (limit_ == 0) return false;
+  sim::SimTime* slot = earliest(peer);
+  if (*slot > interval.begin) return false;
+  *slot = interval.end;
   return true;
 }
 
-void StreamSlots::acquire_unchecked(sim::Interval interval) {
+void StreamSlots::acquire_unchecked(std::uint32_t peer,
+                                    sim::Interval interval) {
   VODCACHE_EXPECTS(interval.valid());
-  prune(interval.begin);
-  active_ends_.push_back(interval.end);
+  VODCACHE_EXPECTS(peer < peer_count_);
+  if (limit_ == 0) return;
+  sim::SimTime* slot = earliest(peer);
+  if (interval.end > *slot) *slot = interval.end;
 }
 
 }  // namespace vodcache::hfc

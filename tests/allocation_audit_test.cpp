@@ -24,9 +24,18 @@
 // lookups, the TinyLFU sketch, all of them — must be equally
 // allocation-free once warm.  Failure storms stay out of scope
 // (wipe_peer returns the emptied-program vector by design).
+//
+// The stacked-viewer case puts more overlapping sessions on one viewer on
+// day 3 than any box carried during warmup.  Viewer playback is never
+// blocked, so a box's stream-slot state must not grow with that stack;
+// the same number of overlapping sessions on day 1, spread over other
+// users, carries the shard's own session tables to that peak in warmup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "alloc_audit_support.hpp"
 #include "alloc_probe.hpp"
@@ -46,6 +55,38 @@ trace::Trace audit_trace() {
   workload.sessions_per_user_per_day = 5.0;
   workload.seed = 20260808;
   return trace::generate_power_info_like(workload);
+}
+
+// audit_trace() plus kStack overlapping sessions on day 1, one each for
+// users 1..kStack at prime time, and kStack overlapping sessions on day 3,
+// all for user 0, in the small hours.
+trace::Trace stacked_viewer_trace() {
+  constexpr int kStack = 12;
+  const auto base = audit_trace();
+  const auto& catalog = base.catalog();
+  ProgramId program{0};
+  while (catalog.introduced(program) > sim::SimTime::days(0) ||
+         catalog.length(program) < sim::SimTime::minutes(30)) {
+    program = ProgramId{program.value() + 1};
+  }
+  std::vector<trace::SessionRecord> sessions = base.sessions();
+  const auto stack = [&](sim::SimTime at, bool one_viewer) {
+    for (int i = 0; i < kStack; ++i) {
+      const UserId user{one_viewer ? 0u : static_cast<std::uint32_t>(i + 1)};
+      sessions.push_back({at + sim::SimTime::seconds(i), user, program,
+                          sim::SimTime::minutes(30)});
+    }
+  };
+  stack(sim::SimTime::days(1) + sim::SimTime::hours(20), false);
+  stack(sim::SimTime::days(2) + sim::SimTime::hours(4), true);
+  std::stable_sort(sessions.begin(), sessions.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.start < b.start;
+                   });
+  trace::Trace stacked(catalog, std::move(sessions), base.user_count(),
+                       base.horizon());
+  stacked.validate();
+  return stacked;
 }
 
 core::SystemConfig audit_config(core::StrategyKind strategy) {
@@ -83,7 +124,9 @@ INSTANTIATE_TEST_SUITE_P(
         AuditCase{core::StrategyKind::Lfu, core::CacheAdmission::WholeProgram,
                   true, "lfu_replicate"},
         AuditCase{core::StrategyKind::Lfu, core::CacheAdmission::WholeProgram,
-                  false, "lfu_shadow_matrix"}),
+                  false, "lfu_shadow_matrix"},
+        AuditCase{core::StrategyKind::Lfu, core::CacheAdmission::WholeProgram,
+                  false, "lfu_stacked_viewer"}),
     [](const auto& info) { return std::string(info.param.label); });
 
 TEST_P(AllocationAudit, SteadyStateShardLoopIsAllocationFree) {
@@ -97,7 +140,9 @@ TEST_P(AllocationAudit, SteadyStateShardLoopIsAllocationFree) {
   config.shadow_matrix =
       std::string(c.label) == "lfu_shadow_matrix";
 
-  const auto trace = audit_trace();
+  const auto trace = std::string(c.label) == "lfu_stacked_viewer"
+                         ? stacked_viewer_trace()
+                         : audit_trace();
   const auto result =
       test::audit_shard_allocations(trace, config, sim::SimTime::days(2));
 

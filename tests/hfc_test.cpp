@@ -200,56 +200,75 @@ sim::Interval span(std::int64_t from_s, std::int64_t to_s) {
 }
 
 TEST(StreamSlots, AcquireUpToLimit) {
-  StreamSlots slots(2);
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
-  EXPECT_FALSE(slots.try_acquire(span(0, 300)));
+  StreamSlots slots(1, 2);
+  EXPECT_TRUE(slots.try_acquire(0, span(0, 300)));
+  EXPECT_TRUE(slots.try_acquire(0, span(0, 300)));
+  EXPECT_FALSE(slots.try_acquire(0, span(0, 300)));
 }
 
 TEST(StreamSlots, ReleasesAfterExpiry) {
-  StreamSlots slots(2);
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
-  // Both transmissions ended by t=300.
-  EXPECT_TRUE(slots.try_acquire(span(300, 600)));
-  EXPECT_EQ(slots.active(sim::SimTime::seconds(300)), 1);
+  StreamSlots slots(1, 2);
+  EXPECT_TRUE(slots.try_acquire(0, span(0, 300)));
+  EXPECT_TRUE(slots.try_acquire(0, span(0, 300)));
+  // Both transmissions ended by t=300: both slots are free again.
+  EXPECT_TRUE(slots.try_acquire(0, span(300, 600)));
+  EXPECT_TRUE(slots.try_acquire(0, span(300, 600)));
+  EXPECT_FALSE(slots.try_acquire(0, span(300, 600)));
 }
 
 TEST(StreamSlots, EndExactlyAtQueryIsFree) {
-  StreamSlots slots(1);
-  EXPECT_TRUE(slots.try_acquire(span(0, 100)));
-  EXPECT_EQ(slots.active(sim::SimTime::seconds(100)), 0);
+  StreamSlots slots(1, 1);
+  EXPECT_TRUE(slots.try_acquire(0, span(0, 100)));
+  EXPECT_FALSE(slots.try_acquire(0, span(99, 200)));
+  EXPECT_TRUE(slots.try_acquire(0, span(100, 200)));
 }
 
 TEST(StreamSlots, OverlappingWindows) {
-  StreamSlots slots(2);
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
-  EXPECT_TRUE(slots.try_acquire(span(100, 400)));
-  EXPECT_FALSE(slots.try_acquire(span(200, 500)));
-  EXPECT_TRUE(slots.try_acquire(span(300, 600)));  // first expired
+  StreamSlots slots(1, 2);
+  EXPECT_TRUE(slots.try_acquire(0, span(0, 300)));
+  EXPECT_TRUE(slots.try_acquire(0, span(100, 400)));
+  EXPECT_FALSE(slots.try_acquire(0, span(200, 500)));
+  EXPECT_TRUE(slots.try_acquire(0, span(300, 600)));  // first expired
 }
 
 TEST(StreamSlots, UncheckedExceedsLimit) {
-  StreamSlots slots(2);
-  slots.acquire_unchecked(span(0, 300));
-  slots.acquire_unchecked(span(0, 300));
-  slots.acquire_unchecked(span(0, 300));  // viewer playback never blocked
-  EXPECT_EQ(slots.active(sim::SimTime::seconds(1)), 3);
-  EXPECT_FALSE(slots.try_acquire(span(1, 10)));
+  StreamSlots slots(1, 2);
+  slots.acquire_unchecked(0, span(0, 300));
+  slots.acquire_unchecked(0, span(0, 400));
+  slots.acquire_unchecked(0, span(0, 500));  // viewer playback never blocked
+  // Three stacked streams are live, then two, then one: only the third
+  // leaves a slot free.
+  EXPECT_FALSE(slots.try_acquire(0, span(1, 10)));
+  EXPECT_FALSE(slots.try_acquire(0, span(300, 310)));
+  EXPECT_TRUE(slots.try_acquire(0, span(400, 410)));
 }
 
 TEST(StreamSlots, ViewerOccupancyBlocksServing) {
   // The paper's serving-side rule: a box already watching 2 streams cannot
   // serve a third.
-  StreamSlots slots(2);
-  slots.acquire_unchecked(span(0, 1000));  // viewer's own playback
-  EXPECT_TRUE(slots.try_acquire(span(10, 310)));   // one serve fits
-  EXPECT_FALSE(slots.try_acquire(span(20, 320)));  // second serve refused
+  StreamSlots slots(1, 2);
+  slots.acquire_unchecked(0, span(0, 1000));  // viewer's own playback
+  EXPECT_TRUE(slots.try_acquire(0, span(10, 310)));   // one serve fits
+  EXPECT_FALSE(slots.try_acquire(0, span(20, 320)));  // second serve refused
 }
 
 TEST(StreamSlots, ZeroLimitRefusesAll) {
-  StreamSlots slots(0);
-  EXPECT_FALSE(slots.try_acquire(span(0, 1)));
+  StreamSlots slots(3, 0);
+  slots.acquire_unchecked(1, span(0, 1));
+  EXPECT_FALSE(slots.try_acquire(1, span(0, 1)));
+  EXPECT_FALSE(slots.try_acquire(2, span(5, 6)));
+  EXPECT_EQ(slots.peer_count(), 3u);
+}
+
+TEST(StreamSlots, SaturatedBoxDoesNotBlockAnother) {
+  StreamSlots slots(2, 2);
+  slots.acquire_unchecked(0, span(0, 1000));
+  EXPECT_TRUE(slots.try_acquire(0, span(10, 500)));
+  EXPECT_FALSE(slots.try_acquire(0, span(20, 500)));  // box 0 saturated
+  EXPECT_TRUE(slots.try_acquire(1, span(20, 500)));
+  EXPECT_TRUE(slots.try_acquire(1, span(30, 500)));
+  EXPECT_FALSE(slots.try_acquire(1, span(40, 500)));  // box 1 saturated too
+  EXPECT_TRUE(slots.try_acquire(0, span(500, 600)));  // box 0's serve ended
 }
 
 }  // namespace

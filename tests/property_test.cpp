@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "analysis/ecdf.hpp"
 #include "cache/lfu.hpp"
 #include "cache/segment_store.hpp"
 #include "cache/victim_index.hpp"
+#include "hfc/settop.hpp"
+#include "reference_sim.hpp"
 #include "sim/rate_meter.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -280,6 +283,48 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
       total += store.peer_used(PeerId{peer});
     }
     ASSERT_EQ(total, store.used());
+  }
+}
+
+// The flat StreamSlots table grants exactly what the reference simulator's
+// prune-and-count peer grants, box by box, under non-decreasing query times:
+// serves mixed with viewer playback stacked past the limit, and ends that
+// coincide with later query times.
+TEST_P(Seeded, StreamSlotsMatchReferencePeer) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 40; ++round) {
+    const auto peers = static_cast<std::uint32_t>(1 + rng.uniform_u64(8));
+    const int limit = static_cast<int>(rng.uniform_u64(5));
+    hfc::StreamSlots slots(peers, limit);
+    std::vector<test::detail::RefPeer> model(peers);
+    std::int64_t now = 0;
+    for (int step = 0; step < 300; ++step) {
+      // Small steps and short spans: many queries share a time, and many
+      // ends land exactly on a later query time.
+      now += rng.uniform_int(0, 3);
+      const auto peer = static_cast<std::uint32_t>(rng.uniform_u64(peers));
+      const sim::Interval interval{
+          sim::SimTime::seconds(now),
+          sim::SimTime::seconds(now + rng.uniform_int(0, 12))};
+      auto& ref = model[peer];
+      const auto repro = [&] {
+        return "repro: --gtest_filter='Seeds/Seeded."
+               "StreamSlotsMatchReferencePeer/seed" +
+               std::to_string(GetParam()) + "' round=" +
+               std::to_string(round) + " step=" + std::to_string(step) +
+               " peers=" + std::to_string(peers) +
+               " limit=" + std::to_string(limit);
+      };
+      if (rng.bernoulli(0.5)) {
+        const bool want = ref.active(interval.begin) < limit;
+        if (want) ref.active_ends.push_back(interval.end);
+        ASSERT_EQ(slots.try_acquire(peer, interval), want) << repro();
+      } else {
+        ref.active(interval.begin);
+        ref.active_ends.push_back(interval.end);
+        slots.acquire_unchecked(peer, interval);
+      }
+    }
   }
 }
 
