@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot components of the
 // simulator: rate meter, replacement strategies, segment store, one box of
 // a cell's stream-slot table, one cache cell's segment serve, one shard's
-// feed at 1 and 25 cells, batched boundary generation, workload sampling,
-// and the end-to-end event loop.
+// feed at 1 and 25 cells, one GlobalLFU shard's feed against a 40-shard
+// board, batched boundary generation, workload sampling, and the
+// end-to-end event loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -315,6 +316,68 @@ void BM_ShardFeed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(segments));
 }
 BENCHMARK(BM_ShardFeed)->Arg(1)->Arg(25)->Unit(benchmark::kMillisecond);
+
+// One GlobalLFU shard's feed + finish over neighborhood 0 of a 40,000-user,
+// 40-neighborhood, 3-day trace in hourly batches, reading the whole
+// deployment's board live (arg 0) or with the arg's lag in minutes: the
+// per-shard cost of reading every neighborhood's accesses.  Items are the
+// shard's segment transmissions.
+void BM_GlobalLfuShardFeed(benchmark::State& state) {
+  static const trace::Trace trace = [] {
+    trace::GeneratorConfig workload;
+    workload.days = 3;
+    workload.user_count = 40'000;
+    return trace::generate_power_info_like(workload);
+  }();
+  const auto& catalog = trace.catalog();
+
+  core::SystemConfig config;
+  config.neighborhood_size = 1'000;
+  config.per_peer_storage = DataSize::gigabytes(1);
+  config.strategy.kind = core::StrategyKind::GlobalLfu;
+  config.strategy.global_lag = sim::SimTime::minutes(state.range(0));
+  const auto topology =
+      hfc::Topology::build(trace.user_count(), config.neighborhood_size);
+
+  auto board = std::make_shared<cache::ReplayBoard>(
+      catalog.size(), config.strategy.lfu_history,
+      config.strategy.global_lag);
+  const cache::FutureIndex future;
+  std::vector<std::vector<core::NeighborhoodShard::StreamSession>> batches;
+  std::int64_t batch_end = -1;
+  const auto& records = trace.sessions();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& r = records[i];
+    board->add(r.program, r.start);
+    if (topology.neighborhood_of(r.user) != NeighborhoodId{0}) continue;
+    if (r.start.millis_count() >= batch_end) {
+      batches.emplace_back();
+      batch_end = (r.start.millis_count() / config.stream_chunk.millis_count() +
+                   1) * config.stream_chunk.millis_count();
+    }
+    batches.back().push_back({r, i, topology.peer_of(r.user)});
+  }
+  board->freeze();
+
+  std::uint64_t segments = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto shard = std::make_unique<core::NeighborhoodShard>(
+        NeighborhoodId{0}, topology.size_of(NeighborhoodId{0}), catalog,
+        trace.horizon(), config, &future, board,
+        std::vector<core::NeighborhoodShard::PendingFailure>{});
+    state.ResumeTiming();
+    for (const auto& batch : batches) shard->feed(batch);
+    shard->finish(sim::SimTime::millis(-1));
+    segments += shard->index_server().counters().segments;
+    benchmark::DoNotOptimize(segments);
+    state.PauseTiming();
+    shard.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(segments));
+}
+BENCHMARK(BM_GlobalLfuShardFeed)->Arg(0)->Arg(30)->Unit(benchmark::kMillisecond);
 
 void BM_BoundaryBatchMerge(benchmark::State& state) {
   // The shard's batched-boundary pattern in isolation: generate every

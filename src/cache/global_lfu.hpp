@@ -1,65 +1,57 @@
 // Global LFU (paper section VI-A, figure 13): an LFU whose popularity data
 // comes from every neighborhood in the system, not just the local one.
 //
-// Score:
-//   lag == 0 : (live global in-window count, local recency)
-//   lag > 0  : (global count at last snapshot + local accesses since that
-//               snapshot, local recency)
+// Score: (the shard's ReplayCursor count, local recency).  At lag 0 that
+// count is the live global in-window count; at lag > 0 it is the count at
+// the last batch boundary plus the neighborhood's own accesses since (see
+// popularity_board.hpp).
 //
-// The strategy reads the trace-prebuilt ReplayBoard through its own
-// ReplayCursor, paced by the owning shard's ReplayClock.  No
+// The owning shard moves the cursor from its own events before any cell
+// runs, and every GlobalLFU cell of the shard reads the same cursor.  No
 // cross-neighborhood synchronization, so shards can run on different
 // threads; counts are exact at every decision point (expiries are applied
 // eagerly, see ARCHITECTURE.md "Cross-shard couplings").
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "cache/popularity_board.hpp"
 #include "cache/strategy.hpp"
-#include "sim/replay_clock.hpp"
-#include "util/flat_map.hpp"
 
 namespace vodcache::cache {
 
 class GlobalLfuStrategy final : public EvictionScorer {
  public:
-  // The prebuilt board, paced by the shard's clock (both must outlive the
-  // strategy; the clock is owned by the shard).
-  GlobalLfuStrategy(std::shared_ptr<const ReplayBoard> board,
-                    const sim::ReplayClock* clock);
+  // `cursor` must outlive the strategy; at lag 0 the strategy attaches
+  // itself to hear of count changes.
+  explicit GlobalLfuStrategy(ReplayCursor& cursor);
 
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
 
+  // Lag 0: the cursor's live count of `program` changed.  A cached program
+  // is queued for re-ranking at the next refresh.
+  void on_count_change(ProgramId program) {
+    if (!is_cached(program) || dirty_flag_[program.value()] != 0) return;
+    dirty_flag_[program.value()] = 1;
+    dirty_list_.push_back(program);
+  }
+
  private:
+  // Brings the cached set's scores up to the cursor before a victim or
+  // admission decision: the dirty programs at lag 0, the whole cached set
+  // once per batch at lag > 0.
   void refresh(sim::SimTime t) override;
-  [[nodiscard]] sim::SimTime lag() const { return board_->lag(); }
-  [[nodiscard]] std::int64_t global_count(ProgramId program, sim::SimTime t);
-  void mark_dirty(ProgramId program);
-  void rerank_dirty(sim::SimTime t);
-  // True when a new global snapshot became visible since the last refresh
-  // (lag > 0 only); updates the seen epoch as a side effect.
-  [[nodiscard]] bool snapshot_turned(sim::SimTime t);
 
-  std::shared_ptr<const ReplayBoard> board_;
-  const sim::ReplayClock* clock_ = nullptr;
-  std::unique_ptr<ReplayCursor> cursor_;
-
-  // lag > 0 only: local accesses since the snapshot we last saw.  Reserved
-  // for the catalog when lagged, so the record path never allocates (the
-  // zero-alloc audit covers shadow GlobalLFUs riding the shard hot path).
-  util::FlatMap64<std::int64_t> local_since_snapshot_;
+  const ReplayCursor* cursor_;
   std::uint64_t seen_epoch_ = 0;
-  // lag == 0 only: cached programs whose global count changed since the
-  // last refresh.  Re-ranking is deferred to the next victim decision so a
-  // burst of remote accesses costs one update, not one per access.  A flat
-  // dedup set — per-program flag plus a compact list — whose buffers (and
-  // the rerank scratch they swap with) recycle at their high-water marks.
+  // Lag 0 only: cached programs whose count changed since the last
+  // refresh, as a flat dedup set — per-program flag plus a compact list.
+  // Both are reserved to the catalog, so a burst of remote accesses never
+  // allocates on the shard's hot path.
   std::vector<std::uint8_t> dirty_flag_;
   std::vector<ProgramId> dirty_list_;
-  std::vector<ProgramId> rerank_scratch_;
 };
 
 }  // namespace vodcache::cache

@@ -1,7 +1,6 @@
 #include "cache/popularity_board.hpp"
 
-#include <algorithm>
-
+#include "cache/global_lfu.hpp"
 #include "util/assert.hpp"
 
 namespace vodcache::cache {
@@ -23,18 +22,20 @@ void ReplayBoard::add(ProgramId program, sim::SimTime t) {
 
 void ReplayBoard::freeze() { frozen_ = true; }
 
-ReplayCursor::ReplayCursor(const ReplayBoard& board, ChangeCallback on_change)
-    : board_(&board),
-      on_change_(std::move(on_change)),
-      live_(board.program_count(), 0) {
-  if (board.lag() > sim::SimTime{}) {
-    snapshot_.assign(board.program_count(), 0);
-    next_batch_ = board.lag();
-  }
+ReplayCursor::ReplayCursor(const ReplayBoard& board)
+    : board_(&board), live_(board.program_count(), 0) {}
+
+void ReplayCursor::attach(GlobalLfuStrategy& cell) {
+  VODCACHE_EXPECTS(!lagged());
+  cells_.push_back(&cell);
 }
 
-void ReplayCursor::notify(ProgramId program) {
-  if (on_change_) on_change_(program);
+std::size_t ReplayCursor::bound() const {
+  return limit_ == ReplayBoard::kNoLimit ? board_->size() : limit_;
+}
+
+void ReplayCursor::changed(ProgramId program) {
+  for (GlobalLfuStrategy* cell : cells_) cell->on_count_change(program);
 }
 
 void ReplayCursor::ingest_to(std::size_t upto) {
@@ -42,8 +43,15 @@ void ReplayCursor::ingest_to(std::size_t upto) {
     const ProgramId program = board_->access(ingest_).program;
     ++live_[program.value()];
     ++ingest_;
-    notify(program);
+    changed(program);
   }
+}
+
+void ReplayCursor::ingest_before(sim::SimTime t) {
+  const std::size_t limit = bound();
+  std::size_t upto = ingest_;
+  while (upto < limit && board_->access(upto).time < t) ++upto;
+  ingest_to(upto);
 }
 
 void ReplayCursor::expire_to(sim::SimTime cutoff) {
@@ -53,58 +61,50 @@ void ReplayCursor::expire_to(sim::SimTime cutoff) {
     VODCACHE_ASSERT(live_[program.value()] > 0);
     --live_[program.value()];
     ++expire_;
-    notify(program);
+    changed(program);
   }
 }
 
-void ReplayCursor::publish_snapshots(sim::SimTime t, std::size_t bound) {
-  if (board_->lag() == sim::SimTime{} || t < next_batch_) return;
-  sim::SimTime boundary = next_batch_;
-  while (boundary + board_->lag() <= t) boundary += board_->lag();
-  // The snapshot counts accesses in [boundary - window, boundary): every
-  // session start before the boundary was recorded before the first query
-  // at or past it, and one exactly at the boundary is recorded just after
-  // the publish.  A pure function of the trace.
-  // `bound` cannot cut this scan short: boundary <= t, and every entry at
-  // or past a chunk watermark has time >= the chunk end > t.
-  std::size_t before_boundary = ingest_;
-  while (before_boundary < bound &&
-         board_->access(before_boundary).time < boundary) {
-    ++before_boundary;
-  }
-  ingest_to(before_boundary);
-  expire_to(boundary - board_->window());
-  snapshot_ = live_;
-  next_batch_ = boundary + board_->lag();
+void ReplayCursor::move_batch(sim::SimTime t) {
+  const std::int64_t lag_ms = board_->lag().millis_count();
+  const auto batch = sim::SimTime::millis(t.millis_count() / lag_ms * lag_ms);
+  if (batch == batch_) return;
+  // The own accesses come back in through the board once they fall before
+  // the new boundary; until then the board entries past ingest_ hold them.
+  for (const ProgramId program : own_since_batch_) --live_[program.value()];
+  own_since_batch_.clear();
+  ingest_before(batch);
+  expire_to(batch - board_->window());
+  batch_ = batch;
   ++epoch_;
 }
 
-void ReplayCursor::advance(sim::SimTime t, std::size_t upto,
-                           std::size_t limit) {
-  const std::size_t bound =
-      limit == ReplayBoard::kNoLimit ? board_->size() : limit;
-  publish_snapshots(t, bound);
-  ingest_to(std::min(upto, bound));
+void ReplayCursor::on_boundary(sim::SimTime t) {
+  if (lagged()) {
+    move_batch(t);
+    return;
+  }
+  ingest_before(t);
   expire_to(t - board_->window());
 }
 
-void ReplayCursor::ingest_local(ProgramId program, sim::SimTime t,
-                                std::size_t limit) {
-  const std::size_t bound =
-      limit == ReplayBoard::kNoLimit ? board_->size() : limit;
-  VODCACHE_EXPECTS(ingest_ < bound);
-  // The caller's own session start must be the next access on the shared
-  // timeline — the strongest cheap check that shard replay and prebuild
-  // agree on the trace order.
-  VODCACHE_ASSERT(board_->access(ingest_).program == program);
-  VODCACHE_ASSERT(board_->access(ingest_).time == t);
-  ingest_to(ingest_ + 1);
-}
-
-std::int64_t ReplayCursor::visible_count(ProgramId program) const {
-  VODCACHE_EXPECTS(program.value() < live_.size());
-  if (board_->lag() == sim::SimTime{}) return live_[program.value()];
-  return snapshot_[program.value()];
+void ReplayCursor::on_session_start(std::size_t index, ProgramId program,
+                                    sim::SimTime t) {
+  VODCACHE_EXPECTS(index < bound());
+  // The session's own start must be its entry on the shared timeline —
+  // the strongest cheap check that shard replay and prebuild agree on the
+  // trace order.
+  VODCACHE_ASSERT(board_->access(index).program == program);
+  VODCACHE_ASSERT(board_->access(index).time == t);
+  if (lagged()) {
+    move_batch(t);
+    ++live_[program.value()];
+    own_since_batch_.push_back(program);
+    return;
+  }
+  VODCACHE_ASSERT(ingest_ <= index);
+  ingest_to(index + 1);
+  expire_to(t - board_->window());
 }
 
 }  // namespace vodcache::cache

@@ -5,29 +5,28 @@
 // deployment.  Two visibility modes:
 //
 //  * lag == 0 ("Global"): neighborhoods see live counts.  Every count
-//    change (new access or window expiry) is reported to the reader so it
-//    can re-rank cached programs exactly.
+//    change (new access or window expiry) is reported to the readers so
+//    they can re-rank cached programs exactly.
 //  * lag > 0 ("Global, 30 minute lag" / "Global, 2 hour lag"): counts are
 //    frozen at batch boundaries (multiples of the lag); between batches,
-//    neighborhoods see the last snapshot and augment it with their own
-//    local accesses — "the local data is only augmented with global
+//    neighborhoods see the last batch's counts and augment them with their
+//    own local accesses — "the local data is only augmented with global
 //    information in batches after a certain length of time has passed".
 //
 // The board is only ever fed at *session starts*, and session starts come
 // straight from the sorted trace, so the entire access timeline is the
 // order the demux already walks.  The ReplayBoard is that timeline,
-// appended by the demux ahead of the shards that read it; each shard owns a
-// ReplayCursor, a cheap mutable read position that yields the visible
-// counts at any (time, trace-position) pair without any cross-shard
-// synchronization.
+// appended by the demux ahead of the shards that read it; each shard owns
+// one ReplayCursor, a read position its own events move, which yields the
+// visible counts without any cross-shard synchronization.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/assert.hpp"
 #include "util/ids.hpp"
 #include "util/stable_vector.hpp"
 
@@ -36,8 +35,8 @@ namespace vodcache::cache {
 // The trace-ordered access timeline.  The job graph's demux chain
 // appends it *chunk by chunk* while earlier entries are already being read
 // by feed jobs on other workers — which is why the storage is a
-// StableVector (appends never move existing elements) and why every
-// scanning API takes an explicit `limit`: a reader may only look at
+// StableVector (appends never move existing elements) and why the reader
+// (ReplayCursor) scans below an explicit `limit`: it may only look at
 // entries [0, limit) for a watermark `limit` it learned through a graph
 // edge (happens-before), and must never consult size() while a writer is
 // live.  kNoLimit means "no concurrent writer exists; clamp to size()" —
@@ -63,21 +62,6 @@ class ReplayBoard {
   // Sizing hint for streaming construction (pre-allocates blocks).
   void reserve(std::size_t count) { accesses_.reserve(count); }
 
-  // Index of the first access with time >= t, scanning forward from `from`
-  // (which must be at or before that index), never past `limit`.  Because
-  // the timeline is exactly the trace's session sequence, this doubles as
-  // the replay position at a boundary event at time t —
-  // each shard advances its own monotone cursor through it.  Bounding by a
-  // chunk watermark is lossless: every entry at index >= the watermark has
-  // time >= the chunk end, and boundary queries only ask about times
-  // inside the chunk.
-  [[nodiscard]] std::size_t position_at(sim::SimTime t, std::size_t from,
-                                        std::size_t limit = kNoLimit) const {
-    const std::size_t bound = limit == kNoLimit ? accesses_.size() : limit;
-    while (from < bound && accesses_[from].time < t) ++from;
-    return from;
-  }
-
   [[nodiscard]] const Access& access(std::size_t i) const {
     return accesses_[i];
   }
@@ -96,56 +80,78 @@ class ReplayBoard {
   bool frozen_ = false;
 };
 
-// A shard-local read position over a ReplayBoard:
+class GlobalLfuStrategy;
+
+// A shard's read position over a ReplayBoard, moved by the shard's own
+// events and read by every GlobalLFU cell of the shard:
 //
-//   * advance(t, upto) makes the first `upto` accesses visible and expires
-//     ones older than t - window — the system-wide state once the replay
-//     has reached `upto` records and the clock reads t.
-//     Both arguments are clamped monotone, so out-of-order no-op calls
-//     (same event, several queries) are safe.  Under the job-graph
-//     executor the additional `limit` bounds every board scan to the
-//     entries the caller's graph edges make visible (see ReplayBoard).
-//   * lag > 0 publishes a snapshot whenever a batch boundary is crossed;
-//     the snapshot counts accesses in [boundary - window, boundary), which
-//     depends only on the trace, never on which shard asks first.
-//   * the change callback fires for every program whose live count
-//     changes (Global-LFU only wires it up when lag == 0).
+//   * on_boundary(t) — a segment boundary at t runs after every session
+//     start before t and before any at t, so every access before t is
+//     visible;
+//   * on_session_start(index, program, t) — the session at global trace
+//     index `index` starts: every access up to and including its own is
+//     visible.
+//
+// Lag 0: count() is the live in-window count, accesses at or after
+// t - window, and every live-count change is reported to each attached
+// cell.  Lag > 0: with B the last multiple of the lag <= t, count() is the
+// accesses in [B - window, B) plus this shard's own accesses at or after B
+// (an access exactly at B lands after the batch).  The cursor moves only
+// when B moves; epoch() counts those moves.  Both are pure functions of
+// the trace, never of which shard reads first.
 class ReplayCursor {
  public:
-  using ChangeCallback = std::function<void(ProgramId)>;
-
   // The board need not be frozen yet: under the job-graph executor the
   // cursor is created before the demux chain has appended anything.  Only
   // the board's configuration (program count, window, lag) is read here.
-  explicit ReplayCursor(const ReplayBoard& board,
-                        ChangeCallback on_change = {});
+  explicit ReplayCursor(const ReplayBoard& board);
+  // Cells hold the cursor's address, and it holds theirs.
+  ReplayCursor(const ReplayCursor&) = delete;
+  ReplayCursor& operator=(const ReplayCursor&) = delete;
 
-  void advance(sim::SimTime t, std::size_t upto,
-               std::size_t limit = ReplayBoard::kNoLimit);
-  // Count in the caller's own session start (the access at the current
-  // read position).  The caller names it so the cursor can check that the
-  // shard's replay and the prebuilt timeline agree.
-  void ingest_local(ProgramId program, sim::SimTime t,
-                    std::size_t limit = ReplayBoard::kNoLimit);
+  // How many board entries the cursor may scan: the watermark the demux
+  // wrote for the shard's current feed chunk (see ReplayBoard).  Bounding
+  // by it is lossless: every entry at or past the watermark has time >=
+  // the chunk end, and events only ask about times inside the chunk.
+  void set_limit(std::size_t limit) { limit_ = limit; }
 
-  [[nodiscard]] std::int64_t visible_count(ProgramId program) const;
-  // Incremented once per advance that crossed >= 1 batch boundary.
-  [[nodiscard]] std::uint64_t snapshot_epoch() const { return epoch_; }
+  void on_boundary(sim::SimTime t);
+  // The session names its program and time so the cursor can check that
+  // the shard's replay and the prebuilt timeline agree.
+  void on_session_start(std::size_t index, ProgramId program, sim::SimTime t);
+
+  // Lag 0 only: `cell` hears of every live-count change from now on.
+  void attach(GlobalLfuStrategy& cell);
+
+  [[nodiscard]] std::int64_t count(ProgramId program) const {
+    VODCACHE_EXPECTS(program.value() < live_.size());
+    return live_[program.value()];
+  }
+  // Lag > 0: incremented each time the batch boundary moves.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] const ReplayBoard& board() const { return *board_; }
 
  private:
-  void publish_snapshots(sim::SimTime t, std::size_t bound);
+  [[nodiscard]] std::size_t bound() const;
+  [[nodiscard]] bool lagged() const { return board_->lag() > sim::SimTime{}; }
+  // Counts in every access before time t (within the bound).
+  void ingest_before(sim::SimTime t);
   void ingest_to(std::size_t upto);
   void expire_to(sim::SimTime cutoff);
-  void notify(ProgramId program);
+  // Lag > 0: moves the batch to the last boundary <= t, if it moved.
+  void move_batch(sim::SimTime t);
+  void changed(ProgramId program);
 
   const ReplayBoard* board_;
-  ChangeCallback on_change_;
+  std::vector<GlobalLfuStrategy*> cells_;
   std::vector<std::int64_t> live_;
-  std::vector<std::int64_t> snapshot_;  // lag > 0 only
-  std::size_t ingest_ = 0;              // next access index to count in
-  std::size_t expire_ = 0;              // next access index to expire out
-  sim::SimTime next_batch_;
+  std::size_t ingest_ = 0;  // next access index to count in
+  std::size_t expire_ = 0;  // next access index to expire out
+  std::size_t limit_ = ReplayBoard::kNoLimit;
+  // Lag > 0 only: the current batch boundary B, and this shard's own
+  // accesses at or after it (counted in live_ ahead of the board).
+  sim::SimTime batch_;
+  std::vector<ProgramId> own_since_batch_;
   std::uint64_t epoch_ = 0;
 };
 

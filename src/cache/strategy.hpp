@@ -74,8 +74,8 @@ class EvictionScorer {
     return last == nullptr ? 0 : *last;
   }
 
-  // Hook for scorers that refresh lazily (oracle, lagged global LFU)
-  // before the cached-set ordering is consulted.
+  // Hook for scorers that refresh lazily (oracle, global LFU) before the
+  // cached-set ordering is consulted.
   virtual void refresh(sim::SimTime /*t*/) {}
 
  private:

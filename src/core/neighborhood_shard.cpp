@@ -19,6 +19,9 @@ NeighborhoodShard::NeighborhoodShard(
       config_(config),
       future_(future),
       board_(std::move(board)),
+      cursor_(board_ != nullptr && config.builds_global_board()
+                  ? std::make_unique<cache::ReplayCursor>(*board_)
+                  : nullptr),
       media_(horizon, config.meter_bucket),
       server_(id, peer_count, config, make_cells(), media_, horizon, tiers,
               std::move(tier_nodes)),
@@ -33,11 +36,11 @@ NeighborhoodShard::NeighborhoodShard(
 
 cache::ShadowBank::Plan NeighborhoodShard::make_cells() {
   // Every cell shares this shard's scorer context: GlobalLFU cells read
-  // the same replay board through the same clock, Oracle cells the same
-  // future index — the orchestrator builds both for the matrix because
-  // its needs() treats shadow_matrix like running those strategies.
-  const ScorerContext context{config_.strategy, catalog_, future_, board_,
-                              &clock_};
+  // the same replay cursor, Oracle cells the same future index — the
+  // orchestrator builds both for the matrix because its needs() treats
+  // shadow_matrix like running those strategies.
+  const ScorerContext context{config_.strategy, catalog_, future_,
+                              cursor_.get()};
   const bool matrix = config_.shadow_matrix || config_.policy_switch;
   cache::ShadowBank::Plan plan;
   for (const auto& scorer : scorer_registry()) {
@@ -94,15 +97,6 @@ void NeighborhoodShard::maybe_switch(sim::SimTime t) {
                          to.counters().hits, to.counters().cold_misses,
                          to.counters().busy_misses});
   server_.promote(decision->cell);
-}
-
-void NeighborhoodShard::advance_clock_to_boundary(sim::SimTime t) {
-  clock_.now = t;
-  // Only GlobalLFU reads the position; skip the timeline scan for every
-  // other strategy so per-shard work stays proportional to the shard.
-  if (board_ == nullptr) return;
-  record_scan_ = board_->position_at(t, record_scan_, clock_.visible);
-  clock_.position = record_scan_;
 }
 
 std::uint32_t NeighborhoodShard::assign_slot(const StreamSession& session) {
@@ -242,13 +236,15 @@ void NeighborhoodShard::feed(std::span<const StreamSession> batch) {
     while (ei < scratch_.size() && scratch_[ei].time_ms <= start_ms) {
       const BoundaryEvent& event = scratch_[ei++];
       const auto t = sim::SimTime::millis(event.time_ms);
-      advance_clock_to_boundary(t);
+      if (cursor_ != nullptr) cursor_->on_boundary(t);
       apply_failures(t);
       maybe_switch(t);
       play_segment(event.slot, t);
     }
-    clock_.now = start;
-    clock_.position = static_cast<std::size_t>(stream_session.index);
+    if (cursor_ != nullptr) {
+      cursor_->on_session_start(static_cast<std::size_t>(stream_session.index),
+                                stream_session.record.program, start);
+    }
     apply_failures(start);
     maybe_switch(start);
     start_session(stream_session, new_slots_[s]);
@@ -277,7 +273,7 @@ void NeighborhoodShard::finish(sim::SimTime failure_flush) {
             });
   for (const BoundaryEvent& event : scratch_) {
     const auto t = sim::SimTime::millis(event.time_ms);
-    advance_clock_to_boundary(t);
+    if (cursor_ != nullptr) cursor_->on_boundary(t);
     apply_failures(t);
     maybe_switch(t);
     play_segment(event.slot, t);

@@ -34,10 +34,11 @@
 //
 //  * central-server bandwidth: each shard meters misses into its own
 //    MediaServer; the orchestrator reduces them in shard-index order;
-//  * global popularity (GlobalLFU): the shard's strategy reads an
-//    immutable ReplayBoard prebuilt from a streaming pass over the same
-//    session source, paced by the shard's ReplayClock (see
-//    sim/replay_clock.hpp for the position contract).
+//  * global popularity (GlobalLFU): an immutable ReplayBoard prebuilt
+//    from a streaming pass over the same session source; the shard's one
+//    ReplayCursor walks it, moved by the shard's own events, and every
+//    GlobalLFU cell of the shard reads its counts (see
+//    cache/popularity_board.hpp for the position contract).
 //
 // A shard touches no mutable state outside itself, so shards can run on
 // any thread, in any order, and produce bit-identical results.
@@ -57,7 +58,6 @@
 #include "core/index_server.hpp"
 #include "core/media_server.hpp"
 #include "core/report.hpp"
-#include "sim/replay_clock.hpp"
 #include "trace/catalog.hpp"
 #include "trace/trace.hpp"
 
@@ -67,8 +67,8 @@ class NeighborhoodShard {
  public:
   // One of this shard's sessions as delivered by the streaming demux: the
   // record itself (by value — there is no global session vector to point
-  // into), its position in the global sorted sequence (the replay clock's
-  // currency), and the viewer's peer slot, resolved from the topology up
+  // into), its position in the global sorted sequence (its ReplayBoard
+  // entry), and the viewer's peer slot, resolved from the topology up
   // front so the shard never needs the topology itself.
   struct StreamSession {
     trace::SessionRecord record;
@@ -127,7 +127,9 @@ class NeighborhoodShard {
   // watermark the demux wrote for that chunk).  A caller that builds
   // the whole board before feeding never needs this — the default sentinel
   // reads the whole board.
-  void set_board_visible(std::size_t visible) { clock_.visible = visible; }
+  void set_board_visible(std::size_t visible) {
+    if (cursor_ != nullptr) cursor_->set_limit(visible);
+  }
 
   [[nodiscard]] NeighborhoodId id() const { return server_.id(); }
   [[nodiscard]] const IndexServer& index_server() const { return server_; }
@@ -173,9 +175,6 @@ class NeighborhoodShard {
   // event (boundary or session start); no-op unless
   // SystemConfig::policy_switch is on.
   void maybe_switch(sim::SimTime t);
-  // Moves the replay clock to a boundary event at `t`: position = first
-  // trace record with start >= t (all earlier starts ran before us).
-  void advance_clock_to_boundary(sim::SimTime t);
 
   // Policy-engine instantiation through one registry walk (this shard's
   // context): the configured pair alone, or — with the shadow matrix or
@@ -188,10 +187,12 @@ class NeighborhoodShard {
   const trace::Catalog& catalog_;
   const SystemConfig& config_;
 
-  // Strategy backing state; must precede server_ (make_strategy reads it).
+  // Strategy backing state; must precede server_ (make_cells reads it).
   const cache::FutureIndex* future_;                   // Oracle
   std::shared_ptr<const cache::ReplayBoard> board_;    // GlobalLFU
-  sim::ReplayClock clock_;
+  // Over board_, moved by this shard's events; null unless a GlobalLFU
+  // cell reads it.
+  std::unique_ptr<cache::ReplayCursor> cursor_;
 
   MediaServer media_;
   IndexServer server_;
@@ -222,10 +223,6 @@ class NeighborhoodShard {
 
   std::vector<PendingFailure> failures_;
   std::size_t next_failure_ = 0;
-  // Monotone scan position for boundary-event replay-clock updates
-  // (GlobalLFU only; indexes the board's access timeline, which is the
-  // global session sequence).
-  std::size_t record_scan_ = 0;
 
   bool finished_ = false;
 };

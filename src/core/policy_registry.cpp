@@ -36,8 +36,8 @@ std::unique_ptr<cache::EvictionScorer> make_oracle(const ScorerContext& ctx) {
 
 std::unique_ptr<cache::EvictionScorer> make_global_lfu(
     const ScorerContext& ctx) {
-  VODCACHE_EXPECTS(ctx.board != nullptr && ctx.clock != nullptr);
-  return std::make_unique<cache::GlobalLfuStrategy>(ctx.board, ctx.clock);
+  VODCACHE_EXPECTS(ctx.cursor != nullptr);
+  return std::make_unique<cache::GlobalLfuStrategy>(*ctx.cursor);
 }
 
 std::unique_ptr<cache::EvictionScorer> make_greedy_dual(

@@ -20,20 +20,19 @@
 #include "cache/popularity_board.hpp"
 #include "cache/strategy.hpp"
 #include "core/config.hpp"
-#include "sim/replay_clock.hpp"
 #include "trace/catalog.hpp"
 
 namespace vodcache::core {
 
 // Everything a scorer factory may need.  Per-shard: the oracle's future
-// index, GlobalLFU's replay board, and the shard's clock are shard-local
-// state owned by the caller and must outlive the scorer.
+// index and the shard's replay cursor, which every GlobalLFU cell of the
+// shard reads, are shard-local state owned by the caller and must outlive
+// the scorer.
 struct ScorerContext {
   const StrategyConfig& strategy;
   const trace::Catalog& catalog;
-  const cache::FutureIndex* future = nullptr;              // Oracle
-  std::shared_ptr<const cache::ReplayBoard> board;         // GlobalLFU
-  const sim::ReplayClock* clock = nullptr;                 // GlobalLFU
+  const cache::FutureIndex* future = nullptr;  // Oracle
+  cache::ReplayCursor* cursor = nullptr;       // GlobalLFU
 };
 
 struct ScorerEntry {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/future_index.hpp"
@@ -12,7 +13,6 @@
 #include "cache/oracle.hpp"
 #include "cache/popularity_board.hpp"
 #include "cache/victim_index.hpp"
-#include "sim/replay_clock.hpp"
 #include "util/rng.hpp"
 
 namespace vodcache::cache {
@@ -311,37 +311,37 @@ TEST(ReplayCursor, LiveCountsWithNoLag) {
                                   {{at_min(0), ProgramId{1}},
                                    {at_min(10), ProgramId{1}}});
   ReplayCursor cursor(*board);
-  cursor.advance(at_min(20), 2);
-  EXPECT_EQ(cursor.visible_count(ProgramId{1}), 2);
+  cursor.on_boundary(at_min(20));
+  EXPECT_EQ(cursor.count(ProgramId{1}), 2);
   // First access expires at t=60.
-  cursor.advance(at_min(61), 2);
-  EXPECT_EQ(cursor.visible_count(ProgramId{1}), 1);
+  cursor.on_boundary(at_min(61));
+  EXPECT_EQ(cursor.count(ProgramId{1}), 1);
 }
 
 TEST(ReplayCursor, VisibilityHonorsTracePosition) {
-  // Both accesses are at t=0, but only the first is before the reader's
-  // trace position — the cursor must not count records the replay has not
-  // reached yet.
+  // Both accesses are at t=0, but a boundary at t=0 runs before either
+  // session starts, and the first session start sees only itself — the
+  // cursor must not count records the replay has not reached yet.
   const auto board = frozen_board(2, sim::SimTime::hours(1), sim::SimTime{},
                                   {{at_min(0), ProgramId{1}},
                                    {at_min(0), ProgramId{1}}});
   ReplayCursor cursor(*board);
-  cursor.advance(at_min(0), 1);
-  EXPECT_EQ(cursor.visible_count(ProgramId{1}), 1);
-  cursor.advance(at_min(0), 2);
-  EXPECT_EQ(cursor.visible_count(ProgramId{1}), 2);
+  cursor.on_boundary(at_min(0));
+  EXPECT_EQ(cursor.count(ProgramId{1}), 0);
+  cursor.on_session_start(0, ProgramId{1}, at_min(0));
+  EXPECT_EQ(cursor.count(ProgramId{1}), 1);
+  cursor.on_session_start(1, ProgramId{1}, at_min(0));
+  EXPECT_EQ(cursor.count(ProgramId{1}), 2);
 }
 
-TEST(ReplayCursor, ChangeCallbackFiresOnIngestAndExpiry) {
-  const auto board = frozen_board(2, sim::SimTime::hours(1), sim::SimTime{},
-                                  {{at_min(0), ProgramId{0}}});
-  int changes = 0;
-  ReplayCursor cursor(*board, [&](ProgramId) { ++changes; });
-  cursor.advance(at_min(0), 1);
-  EXPECT_EQ(changes, 1);
-  // Expiry also fires.
-  cursor.advance(at_min(70), 1);
-  EXPECT_EQ(changes, 2);
+TEST(ReplayCursor, AccessExactlyOneWindowOldStillCounts) {
+  const auto board = frozen_board(1, sim::SimTime::hours(1), sim::SimTime{},
+                                  {{at_min(10), ProgramId{0}}});
+  ReplayCursor cursor(*board);
+  cursor.on_boundary(at_min(70));
+  EXPECT_EQ(cursor.count(ProgramId{0}), 1);
+  cursor.on_boundary(at_min(70) + sim::SimTime::millis(1));
+  EXPECT_EQ(cursor.count(ProgramId{0}), 0);
 }
 
 TEST(ReplayCursor, LaggedCountsFreezeAtBatch) {
@@ -350,30 +350,33 @@ TEST(ReplayCursor, LaggedCountsFreezeAtBatch) {
                                   {{at_min(5), ProgramId{0}},
                                    {at_min(40), ProgramId{0}}});
   ReplayCursor cursor(*board);
-  // Before the first batch boundary, the snapshot is empty.
-  cursor.advance(at_min(10), 1);
-  EXPECT_EQ(cursor.visible_count(ProgramId{0}), 0);
+  // Before the first batch boundary, no remote access is visible.
+  cursor.on_boundary(at_min(10));
+  EXPECT_EQ(cursor.count(ProgramId{0}), 0);
   // After the 30-minute boundary the first access becomes visible.
-  cursor.advance(at_min(31), 1);
-  EXPECT_EQ(cursor.visible_count(ProgramId{0}), 1);
+  cursor.on_boundary(at_min(31));
+  EXPECT_EQ(cursor.count(ProgramId{0}), 1);
   // The access at t=40 stays invisible until t=60.
-  cursor.advance(at_min(45), 2);
-  EXPECT_EQ(cursor.visible_count(ProgramId{0}), 1);
-  cursor.advance(at_min(61), 2);
-  EXPECT_EQ(cursor.visible_count(ProgramId{0}), 2);
+  cursor.on_boundary(at_min(45));
+  EXPECT_EQ(cursor.count(ProgramId{0}), 1);
+  cursor.on_boundary(at_min(61));
+  EXPECT_EQ(cursor.count(ProgramId{0}), 2);
 }
 
 TEST(ReplayCursor, SnapshotEpochAdvancesPerCrossing) {
   const auto board = frozen_board(1, sim::SimTime::hours(24),
                                   sim::SimTime::minutes(30), {});
   ReplayCursor cursor(*board);
-  EXPECT_EQ(cursor.snapshot_epoch(), 0u);
-  cursor.advance(at_min(31), 0);
-  EXPECT_EQ(cursor.snapshot_epoch(), 1u);
-  // Crossing two boundaries in one advance publishes once: only the last
-  // boundary's snapshot matters.
-  cursor.advance(at_min(95), 0);
-  EXPECT_EQ(cursor.snapshot_epoch(), 2u);
+  EXPECT_EQ(cursor.epoch(), 0u);
+  cursor.on_boundary(at_min(31));
+  EXPECT_EQ(cursor.epoch(), 1u);
+  // Crossing two boundaries in one move counts once: only the last
+  // boundary's counts matter.
+  cursor.on_boundary(at_min(95));
+  EXPECT_EQ(cursor.epoch(), 2u);
+  // Within a batch nothing moves.
+  cursor.on_boundary(at_min(110));
+  EXPECT_EQ(cursor.epoch(), 2u);
 }
 
 TEST(ReplayCursor, LaggedExpiryHonorsWindowAtBoundary) {
@@ -383,25 +386,27 @@ TEST(ReplayCursor, LaggedExpiryHonorsWindowAtBoundary) {
                                     sim::SimTime::minutes(30), accesses);
     ReplayCursor cursor(*board);
     // At the t=90 boundary the access is 90 > 60 minutes old: expired.
-    cursor.advance(at_min(95), 1);
-    EXPECT_EQ(cursor.visible_count(ProgramId{0}), 0);
+    cursor.on_boundary(at_min(95));
+    EXPECT_EQ(cursor.count(ProgramId{0}), 0);
   }
   {
     const auto board = frozen_board(1, sim::SimTime::hours(1),
                                     sim::SimTime::minutes(30), accesses);
     ReplayCursor cursor(*board);
     // At the t=30 boundary it was visible.
-    cursor.advance(at_min(35), 1);
-    EXPECT_EQ(cursor.visible_count(ProgramId{0}), 1);
+    cursor.on_boundary(at_min(35));
+    EXPECT_EQ(cursor.count(ProgramId{0}), 1);
   }
 }
 
 // The paper's Global-LFU visibility rule, counted from scratch: what a
 // neighborhood may see of `program` once accesses [0, upto) are recorded
 // and the clock reads t.  Lag 0: the in-window count, time >= t - window.
-// Lag > 0: the snapshot at B, the last multiple of lag <= t — accesses with
-// time in [B - window, B) (an access exactly at B lands after the publish).
+// Lag > 0, with B the last multiple of lag <= t: accesses with time in
+// [B - window, B) (an access exactly at B lands after the batch), plus the
+// neighborhood's own accesses (`own[i]`) at or after B.
 std::int64_t brute_force_visible(const std::vector<ReplayBoard::Access>& accesses,
+                                 const std::vector<bool>& own,
                                  std::size_t upto, ProgramId program,
                                  sim::SimTime t, sim::SimTime window,
                                  sim::SimTime lag) {
@@ -413,46 +418,79 @@ std::int64_t brute_force_visible(const std::vector<ReplayBoard::Access>& accesse
   std::int64_t count = 0;
   for (std::size_t i = 0; i < upto; ++i) {
     const auto& access = accesses[i];
-    if (access.program == program && access.time >= as_of - window &&
-        (!lagged || access.time < as_of)) {
-      ++count;
+    if (access.program != program) continue;
+    if (!lagged || access.time < as_of) {
+      count += access.time >= as_of - window ? 1 : 0;
+    } else {
+      count += own[i] ? 1 : 0;
     }
   }
   return count;
 }
 
-// Cross-validation of the replay cursor against the brute-force rule: any
-// non-decreasing access sequence must show the same visible counts at
-// every step, live and lagged alike.
+// Cross-validation of the replay cursor against the brute-force rule: a
+// shard owning a random share of a non-decreasing access sequence must
+// see the same counts at each of its session starts and at a boundary
+// strictly between consecutive starts, live and lagged alike.
 TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
-  Rng rng(2026);
   constexpr std::size_t kPrograms = 6;
   const auto window = sim::SimTime::hours(2);
-  std::vector<ReplayBoard::Access> accesses;
-  sim::SimTime t;
-  for (int i = 0; i < 300; ++i) {
-    t += sim::SimTime::seconds(static_cast<std::int64_t>(rng.uniform_u64(600)));
-    accesses.push_back(
-        {t, ProgramId{static_cast<std::uint32_t>(rng.uniform_u64(kPrograms))}});
-  }
+  for (const std::uint64_t seed : {2026u, 1u, 2u, 3u}) {
+    Rng rng(seed);
+    std::vector<ReplayBoard::Access> accesses;
+    std::vector<bool> own;
+    sim::SimTime t;
+    for (int i = 0; i < 300; ++i) {
+      t += sim::SimTime::seconds(
+          static_cast<std::int64_t>(rng.uniform_u64(600)));
+      accesses.push_back({t, ProgramId{static_cast<std::uint32_t>(
+                                 rng.uniform_u64(kPrograms))}});
+      own.push_back(rng.uniform_u64(3) == 0);
+    }
 
-  for (const auto lag : {sim::SimTime{}, sim::SimTime::minutes(30)}) {
-    const auto replay = frozen_board(kPrograms, window, lag, accesses);
-    ReplayCursor cursor(*replay);
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-      cursor.advance(accesses[i].time, i + 1);
-      for (std::uint32_t p = 0; p < kPrograms; ++p) {
-        ASSERT_EQ(cursor.visible_count(ProgramId{p}),
-                  brute_force_visible(accesses, i + 1, ProgramId{p},
-                                      accesses[i].time, window, lag))
-            << "program " << p << " after access " << i << " (lag "
-            << lag.minutes_f() << "m)";
+    for (const auto lag : {sim::SimTime{}, sim::SimTime::minutes(30)}) {
+      const std::string repro = "repro: seed=" + std::to_string(seed) +
+                                " lag_minutes=" +
+                                std::to_string(lag.millis_count() / 60'000);
+      const auto replay = frozen_board(kPrograms, window, lag, accesses);
+      ReplayCursor cursor(*replay);
+      const auto check = [&](std::size_t upto, sim::SimTime at,
+                             const char* event) {
+        for (std::uint32_t p = 0; p < kPrograms; ++p) {
+          ASSERT_EQ(cursor.count(ProgramId{p}),
+                    brute_force_visible(accesses, own, upto, ProgramId{p}, at,
+                                        window, lag))
+              << repro << " program " << p << " at " << event << " after "
+              << upto << " accesses";
+        }
+      };
+      for (std::size_t i = 0; i < accesses.size(); ++i) {
+        if (own[i]) {
+          cursor.on_session_start(i, accesses[i].program, accesses[i].time);
+          check(i + 1, accesses[i].time, "a session start");
+        }
+        if (i + 1 < accesses.size() &&
+            accesses[i + 1].time - accesses[i].time >
+                sim::SimTime::millis(1)) {
+          const auto mid = sim::SimTime::millis(
+              (accesses[i].time.millis_count() +
+               accesses[i + 1].time.millis_count()) / 2);
+          cursor.on_boundary(mid);
+          check(i + 1, mid, "a boundary");
+        }
       }
     }
   }
 }
 
 // ------------------------------------------------------- GlobalLFU, replay
+
+// One session start as a shard runs it: the cursor first, then the cell.
+void start(ReplayCursor& cursor, GlobalLfuStrategy& cell, std::size_t index,
+           ProgramId program, sim::SimTime t) {
+  cursor.on_session_start(index, program, t);
+  cell.record_access(program, t);
+}
 
 TEST(GlobalLfuReplay, SeesAccessesFromOtherNeighborhoods) {
   std::vector<ReplayBoard::Access> accesses;
@@ -461,19 +499,17 @@ TEST(GlobalLfuReplay, SeesAccessesFromOtherNeighborhoods) {
   const auto board =
       frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
 
-  sim::ReplayClock clock_a, clock_b;
-  GlobalLfuStrategy a(board, &clock_a);
-  GlobalLfuStrategy b(board, &clock_b);
+  ReplayCursor cursor_a(*board), cursor_b(*board);
+  GlobalLfuStrategy a(cursor_a);
+  GlobalLfuStrategy b(cursor_b);
 
   // Neighborhood A sees lots of program 1; B has never seen it locally.
   for (std::size_t i = 0; i < 5; ++i) {
-    clock_a = {at_min(static_cast<std::int64_t>(i)), i};
-    a.record_access(ProgramId{1}, clock_a.now);
+    start(cursor_a, a, i, ProgramId{1}, at_min(static_cast<std::int64_t>(i)));
   }
-  clock_b = {at_min(6), 5};
-  b.record_access(ProgramId{2}, at_min(6));
+  start(cursor_b, b, 5, ProgramId{2}, at_min(6));
   // B's scoring still ranks 1 above 2 thanks to global data.
-  clock_b = {at_min(7), 6};
+  cursor_b.on_boundary(at_min(7));
   EXPECT_GT(b.score(ProgramId{1}, at_min(7)), b.score(ProgramId{2}, at_min(7)));
 }
 
@@ -485,29 +521,51 @@ TEST(GlobalLfuReplay, ReranksRemoteCachedPrograms) {
   const auto board =
       frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
 
-  sim::ReplayClock clock_a, clock_b;
-  GlobalLfuStrategy a(board, &clock_a);
-  GlobalLfuStrategy b(board, &clock_b);
+  ReplayCursor cursor_a(*board), cursor_b(*board);
+  GlobalLfuStrategy a(cursor_a);
+  GlobalLfuStrategy b(cursor_b);
 
-  clock_b = {at_min(0), 0};
-  b.record_access(ProgramId{1}, at_min(0));
+  start(cursor_b, b, 0, ProgramId{1}, at_min(0));
   b.on_admit(ProgramId{1}, at_min(0));
-  clock_b = {at_min(1), 1};
-  b.record_access(ProgramId{2}, at_min(1));
-  clock_b = {at_min(1), 2};
-  b.record_access(ProgramId{2}, at_min(1));
+  start(cursor_b, b, 1, ProgramId{2}, at_min(1));
+  start(cursor_b, b, 2, ProgramId{2}, at_min(1));
   b.on_admit(ProgramId{2}, at_min(1));
-  clock_b = {at_min(2), 3};
+  cursor_b.on_boundary(at_min(2));
   EXPECT_EQ(b.victim(at_min(2)), ProgramId{1});
 
   // A's traffic boosts program 1 globally; B's victim flips to 2 without B
   // seeing any local access.
   for (std::size_t i = 0; i < 4; ++i) {
-    clock_a = {at_min(3), 3 + i};
-    a.record_access(ProgramId{1}, at_min(3));
+    start(cursor_a, a, 3 + i, ProgramId{1}, at_min(3));
   }
-  clock_b = {at_min(4), 7};
+  cursor_b.on_boundary(at_min(4));
   EXPECT_EQ(b.victim(at_min(4)), ProgramId{2});
+}
+
+TEST(GlobalLfuReplay, ExpiringRemoteAccessDropsCachedRank) {
+  // Program 1 leads on two remote accesses (neighborhood A's, t=0 and 1);
+  // once they leave the one-hour window, B's own two accesses of program
+  // 2 outrank its one of program 1.
+  const auto board = frozen_board(4, sim::SimTime::hours(1), sim::SimTime{},
+                                  {{at_min(0), ProgramId{1}},
+                                   {at_min(1), ProgramId{1}},
+                                   {at_min(10), ProgramId{2}},
+                                   {at_min(11), ProgramId{2}},
+                                   {at_min(12), ProgramId{1}}});
+  ReplayCursor cursor(*board);
+  GlobalLfuStrategy b(cursor);
+  start(cursor, b, 2, ProgramId{2}, at_min(10));
+  b.on_admit(ProgramId{2}, at_min(10));
+  start(cursor, b, 3, ProgramId{2}, at_min(11));
+  start(cursor, b, 4, ProgramId{1}, at_min(12));
+  b.on_admit(ProgramId{1}, at_min(12));
+  cursor.on_boundary(at_min(30));
+  EXPECT_EQ(b.victim(at_min(30)), ProgramId{2});
+
+  const auto later = at_min(61) + sim::SimTime::seconds(30);
+  cursor.on_boundary(later);
+  EXPECT_EQ(b.score(ProgramId{1}, later).first, 1);
+  EXPECT_EQ(b.victim(later), ProgramId{1});
 }
 
 TEST(GlobalLfuReplay, LaggedModeAugmentsSnapshotWithLocal) {
@@ -517,27 +575,25 @@ TEST(GlobalLfuReplay, LaggedModeAugmentsSnapshotWithLocal) {
                                    {at_min(2), ProgramId{1}},
                                    {at_min(3), ProgramId{2}}});
 
-  sim::ReplayClock clock_a, clock_b;
-  GlobalLfuStrategy a(board, &clock_a);
-  GlobalLfuStrategy b(board, &clock_b);
+  ReplayCursor cursor_a(*board), cursor_b(*board);
+  GlobalLfuStrategy a(cursor_a);
+  GlobalLfuStrategy b(cursor_b);
 
   // Before any batch: A's local accesses count for A but not for B.
-  clock_a = {at_min(1), 0};
-  a.record_access(ProgramId{1}, at_min(1));
-  clock_a = {at_min(2), 1};
-  a.record_access(ProgramId{1}, at_min(2));
-  clock_b = {at_min(3), 2};
-  b.record_access(ProgramId{2}, at_min(3));
+  start(cursor_a, a, 0, ProgramId{1}, at_min(1));
+  start(cursor_a, a, 1, ProgramId{1}, at_min(2));
+  start(cursor_b, b, 2, ProgramId{2}, at_min(3));
 
-  clock_a = {at_min(4), 3};
-  clock_b = {at_min(4), 3};
+  cursor_a.on_boundary(at_min(4));
+  cursor_b.on_boundary(at_min(4));
   EXPECT_EQ(a.score(ProgramId{1}, at_min(4)).first, 2);
   EXPECT_EQ(b.score(ProgramId{1}, at_min(4)).first, 0);
   EXPECT_EQ(b.score(ProgramId{2}, at_min(4)).first, 1);
 
-  // After the batch, B sees A's traffic.
-  clock_b = {at_min(31), 3};
+  // After the batch, B sees A's traffic, and its own access counts once.
+  cursor_b.on_boundary(at_min(31));
   EXPECT_EQ(b.score(ProgramId{1}, at_min(31)).first, 2);
+  EXPECT_EQ(b.score(ProgramId{2}, at_min(31)).first, 1);
 }
 
 }  // namespace

@@ -74,13 +74,11 @@ TEST(PolicyRegistry, FactoriesProduceTheNamedScorer) {
   StrategyConfig strategy;
   cache::FutureIndex future(catalog.size());
   future.freeze();
-  auto board = std::make_shared<cache::ReplayBoard>(
-      catalog.size(), sim::SimTime::hours(1), sim::SimTime{});
-  board->freeze();
-  sim::ReplayClock clock;
-  const ScorerContext context{strategy, catalog, &future,
-                              std::shared_ptr<const cache::ReplayBoard>(board),
-                              &clock};
+  cache::ReplayBoard board(catalog.size(), sim::SimTime::hours(1),
+                          sim::SimTime{});
+  board.freeze();
+  cache::ReplayCursor cursor(board);
+  const ScorerContext context{strategy, catalog, &future, &cursor};
 
   for (const auto& entry : scorer_registry()) {
     const auto scorer = entry.make(context);

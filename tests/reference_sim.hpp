@@ -5,8 +5,10 @@
 // bugs in the production engine's clever data structures (lazy heaps,
 // the placement tree, ordered cached-set indexes, deferred re-ranking).
 //
-// Supports StrategyKind::{None, Lru, Lfu} with whole-program admission,
-// with and without busy-miss replication.
+// Supports StrategyKind::{None, Lru, Lfu, GlobalLfu} with whole-program
+// admission, with and without busy-miss replication.  GlobalLFU counts by
+// scanning one global access log, the whole system's session starts so far
+// in the merged event order.
 #pragma once
 
 #include <algorithm>
@@ -86,24 +88,70 @@ inline void ref_expire(RefNeighborhood& n, sim::SimTime t,
   }
 }
 
-// Retention score, mirroring LruStrategy / LfuStrategy.
+// Every session start in the system so far, per program, in event order.
+struct RefGlobalLog {
+  struct Entry {
+    sim::SimTime time;
+    std::uint32_t neighborhood;
+  };
+  std::vector<std::vector<Entry>> by_program;
+  sim::SimTime window;
+  sim::SimTime lag;
+
+  // The paper's Global-LFU count as neighborhood `nb` sees it at `now`.
+  // Lag 0: accesses with time >= now - window.  Lag > 0, with B the last
+  // multiple of the lag <= now: accesses in [B - window, B), plus nb's own
+  // accesses at or after B.
+  [[nodiscard]] std::int64_t count(std::uint32_t program, std::uint32_t nb,
+                                   sim::SimTime now) const {
+    const bool lagged = lag > sim::SimTime{};
+    const sim::SimTime batch =
+        lagged ? sim::SimTime::millis(now.millis_count() / lag.millis_count() *
+                                      lag.millis_count())
+               : now;
+    std::int64_t count = 0;
+    for (const auto& entry : by_program[program]) {
+      if (!lagged) {
+        count += entry.time >= now - window ? 1 : 0;
+      } else if (entry.time < batch) {
+        count += entry.time >= batch - window ? 1 : 0;
+      } else {
+        count += entry.neighborhood == nb ? 1 : 0;
+      }
+    }
+    return count;
+  }
+};
+
+// What a score reads besides the neighborhood itself: the strategy, and
+// for GlobalLFU the global log, this neighborhood's id and the event time.
+struct RefScoring {
+  core::StrategyKind kind;
+  const RefGlobalLog* global = nullptr;
+  std::uint32_t neighborhood = 0;
+  sim::SimTime now;
+};
+
+// Retention score, mirroring LruStrategy / LfuStrategy / GlobalLfuStrategy.
 inline std::pair<std::int64_t, std::int64_t> ref_score(
-    const RefNeighborhood& n, std::uint32_t program,
-    core::StrategyKind kind) {
+    const RefNeighborhood& n, std::uint32_t program, const RefScoring& by) {
   const auto seq_it = n.last_seq.find(program);
   const std::int64_t seq = seq_it == n.last_seq.end() ? 0 : seq_it->second;
-  if (kind == core::StrategyKind::Lru) return {seq, 0};
+  if (by.kind == core::StrategyKind::Lru) return {seq, 0};
+  if (by.kind == core::StrategyKind::GlobalLfu) {
+    return {by.global->count(program, by.neighborhood, by.now), seq};
+  }
   const auto count_it = n.counts.find(program);
   return {count_it == n.counts.end() ? 0 : count_it->second, seq};
 }
 
 // Lowest-scoring committed program (ties impossible: seqs are unique).
 inline std::optional<std::uint32_t> ref_victim(const RefNeighborhood& n,
-                                               core::StrategyKind kind) {
+                                               const RefScoring& by) {
   std::optional<std::uint32_t> victim;
   std::pair<std::int64_t, std::int64_t> best{0, 0};
   for (const auto& [program, bytes] : n.committed) {
-    const auto score = ref_score(n, program, kind);
+    const auto score = ref_score(n, program, by);
     if (!victim || score < best) {
       victim = program;
       best = score;
@@ -158,7 +206,8 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
   VODCACHE_EXPECTS(config.admission == core::CacheAdmission::WholeProgram);
   VODCACHE_EXPECTS(config.strategy.kind == core::StrategyKind::None ||
                    config.strategy.kind == core::StrategyKind::Lru ||
-                   config.strategy.kind == core::StrategyKind::Lfu);
+                   config.strategy.kind == core::StrategyKind::Lfu ||
+                   config.strategy.kind == core::StrategyKind::GlobalLfu);
   using namespace detail;
 
   const auto topology =
@@ -174,6 +223,13 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
   for (std::uint32_t i = 0; i < neighborhoods.size(); ++i) {
     neighborhoods[i].peers.resize(topology.size_of(NeighborhoodId{i}));
   }
+
+  RefGlobalLog global{
+      std::vector<std::vector<RefGlobalLog::Entry>>(trace.catalog().size()),
+      config.strategy.lfu_history, config.strategy.global_lag};
+  auto scoring = [&](std::uint32_t nb, sim::SimTime now) {
+    return RefScoring{kind, &global, nb, now};
+  };
 
   ReferenceResult result;
   std::int64_t next_seq = 0;
@@ -248,12 +304,13 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
         const auto bytes = static_cast<std::int64_t>(
             rate_bps * (tx_end - at).seconds_f() / 8.0 + 0.5);
         // Evict until placement is possible.
+        const auto by = scoring(session.neighborhood, at);
         for (;;) {
           if (ref_best_peer(n, per_peer, bytes, session.program, seg)) break;
-          const auto victim = ref_victim(n, kind);
+          const auto victim = ref_victim(n, by);
           if (!victim || *victim == session.program) break;
-          if (ref_score(n, session.program, kind) <=
-              ref_score(n, *victim, kind)) {
+          if (ref_score(n, session.program, by) <=
+              ref_score(n, *victim, by)) {
             break;
           }
           ref_evict(n, *victim);
@@ -288,6 +345,8 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
         ++n.counts[program];
       } else if (kind == core::StrategyKind::Lru) {
         n.log.push_back({record.start, program});  // unused, keeps shape
+      } else if (kind == core::StrategyKind::GlobalLfu) {
+        global.by_program[program].push_back({record.start, nb});
       }
     }
 
@@ -302,10 +361,11 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
                 .program_size(record.program, config.stream_rate)
                 .byte_count());
         admit = true;
+        const auto by = scoring(nb, record.start);
         while (n.committed_total + full > n.capacity_bytes(per_peer)) {
-          const auto victim = ref_victim(n, kind);
+          const auto victim = ref_victim(n, by);
           if (!victim || *victim == program ||
-              ref_score(n, program, kind) <= ref_score(n, *victim, kind)) {
+              ref_score(n, program, by) <= ref_score(n, *victim, by)) {
             admit = false;
             break;
           }

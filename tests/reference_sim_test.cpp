@@ -21,6 +21,8 @@ struct Case {
   std::uint32_t neighborhood;
   std::int64_t per_peer_mb;
   bool replicate;
+  // GlobalLFU's batch lag; 0 is the live board.
+  std::int64_t lag_minutes = 0;
 };
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
@@ -28,13 +30,22 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
          std::to_string(info.param.seed) + "_n" +
          std::to_string(info.param.neighborhood) + "_mb" +
          std::to_string(info.param.per_peer_mb) +
-         (info.param.replicate ? "_rep" : "");
+         (info.param.replicate ? "_rep" : "") +
+         (info.param.lag_minutes > 0
+              ? "_lag" + std::to_string(info.param.lag_minutes)
+              : "");
 }
 
 class CrossValidation : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CrossValidation, MatchesReferenceExactly) {
   const auto& param = GetParam();
+  SCOPED_TRACE("repro: seed=" + std::to_string(param.seed) + " kind=" +
+               to_string(param.kind) + " neighborhood=" +
+               std::to_string(param.neighborhood) + " per_peer_mb=" +
+               std::to_string(param.per_peer_mb) + " replicate=" +
+               (param.replicate ? "1" : "0") + " lag_minutes=" +
+               std::to_string(param.lag_minutes));
 
   auto workload = test::small_workload(3, param.seed);
   workload.user_count = 300;
@@ -47,6 +58,7 @@ TEST_P(CrossValidation, MatchesReferenceExactly) {
   config.per_peer_storage = DataSize::megabytes(param.per_peer_mb);
   config.strategy.kind = param.kind;
   config.strategy.lfu_history = sim::SimTime::hours(24);
+  config.strategy.global_lag = sim::SimTime::minutes(param.lag_minutes);
   config.replicate_on_busy = param.replicate;
   config.warmup = sim::SimTime{};
 
@@ -87,7 +99,17 @@ INSTANTIATE_TEST_SUITE_P(
         Case{7, StrategyKind::Lfu, 30, 600, true},
         // Larger caches: little eviction, lots of hits.
         Case{8, StrategyKind::Lru, 100, 4000, false},
-        Case{8, StrategyKind::Lfu, 100, 4000, true}),
+        Case{8, StrategyKind::Lfu, 100, 4000, true},
+        // GlobalLFU, live: every neighborhood's accesses count at once.
+        Case{1, StrategyKind::GlobalLfu, 60, 500, false},
+        Case{2, StrategyKind::GlobalLfu, 60, 500, false},
+        Case{5, StrategyKind::GlobalLfu, 10, 800, false},
+        Case{6, StrategyKind::GlobalLfu, 40, 250, false},
+        Case{7, StrategyKind::GlobalLfu, 30, 600, true},
+        // GlobalLFU, lagged: batch snapshots plus the local accesses since.
+        Case{1, StrategyKind::GlobalLfu, 60, 500, false, 30},
+        Case{6, StrategyKind::GlobalLfu, 40, 250, false, 30},
+        Case{7, StrategyKind::GlobalLfu, 30, 600, true, 120}),
     case_name);
 
 }  // namespace
