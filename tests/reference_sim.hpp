@@ -5,10 +5,15 @@
 // bugs in the production engine's clever data structures (lazy heaps,
 // the placement tree, ordered cached-set indexes, deferred re-ranking).
 //
-// Supports StrategyKind::{None, Lru, Lfu, GlobalLfu} with whole-program
-// admission, with and without busy-miss replication.  GlobalLFU counts by
+// Supports StrategyKind::{None, Lru, Lfu, GlobalLfu, GreedyDual} with
+// whole-program admission, with and without busy-miss replication, gated
+// by AdmissionKind::{Always, SecondHit, SketchLfu}.  GlobalLFU counts by
 // scanning one global access log, the whole system's session starts so far
-// in the merged event order.
+// in the merged event order.  GreedyDual prices from lifetime access
+// counts, an inflation level and each resident's H as of its last touch.
+// Second-hit reads each program's last two accesses, never aged; the
+// sketch gate replays the neighborhood's whole access log into a fresh
+// count-min sketch at every question.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "cache/sketch.hpp"
 #include "core/config.hpp"
 #include "hfc/topology.hpp"
 #include "trace/trace.hpp"
@@ -30,6 +36,7 @@ struct ReferenceResult {
   std::uint64_t busy_misses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t fills = 0;
+  std::uint64_t admission_denials = 0;
   double server_bits = 0.0;
   double coax_bits = 0.0;
 };
@@ -68,6 +75,21 @@ struct RefNeighborhood {
   std::map<std::uint32_t, std::int64_t> last_seq;
   std::map<std::uint32_t, std::int64_t> counts;   // LFU in-window counts
   std::size_t window_begin = 0;                   // log index of window head
+
+  // GreedyDual: accesses since the start, the inflation level L, and each
+  // resident's (H, sequence) as of its admission or latest access.
+  std::map<std::uint32_t, std::int64_t> lifetime;
+  std::int64_t inflation = 0;
+  std::map<std::uint32_t, std::pair<std::int64_t, std::int64_t>> resident_h;
+
+  // Admission gates: every access's program in order (sketch-lfu), and
+  // each program's latest and previous access times (second-hit).
+  std::vector<std::uint32_t> accessed;
+  struct LastTwo {
+    sim::SimTime last;
+    std::optional<sim::SimTime> previous;
+  };
+  std::map<std::uint32_t, LastTwo> last_two;
 
   [[nodiscard]] std::int64_t capacity_bytes(std::int64_t per_peer) const {
     return static_cast<std::int64_t>(peers.size()) * per_peer;
@@ -123,16 +145,31 @@ struct RefGlobalLog {
   }
 };
 
-// What a score reads besides the neighborhood itself: the strategy, and
-// for GlobalLFU the global log, this neighborhood's id and the event time.
+// What a score reads besides the neighborhood itself: the strategy, for
+// GlobalLFU the global log, this neighborhood's id and the event time, and
+// for GreedyDual the catalog's program lengths.
 struct RefScoring {
   core::StrategyKind kind;
   const RefGlobalLog* global = nullptr;
   std::uint32_t neighborhood = 0;
   sim::SimTime now;
+  const trace::Catalog* catalog = nullptr;
 };
 
-// Retention score, mirroring LruStrategy / LfuStrategy / GlobalLfuStrategy.
+// GreedyDual's H at today's inflation: L + accesses x 1,000,000 / length
+// in whole seconds (at least 1).
+inline std::int64_t ref_greedy_dual_h(const RefNeighborhood& n,
+                                      std::uint32_t program,
+                                      const trace::Catalog& catalog) {
+  const auto it = n.lifetime.find(program);
+  const std::int64_t accesses = it == n.lifetime.end() ? 0 : it->second;
+  const std::int64_t seconds = std::max<std::int64_t>(
+      1, catalog.length(ProgramId{program}).millis_count() / 1000);
+  return n.inflation + accesses * 1'000'000 / seconds;
+}
+
+// Retention score, mirroring LruStrategy / LfuStrategy / GlobalLfuStrategy
+// / GreedyDualScorer.
 inline std::pair<std::int64_t, std::int64_t> ref_score(
     const RefNeighborhood& n, std::uint32_t program, const RefScoring& by) {
   const auto seq_it = n.last_seq.find(program);
@@ -140,6 +177,13 @@ inline std::pair<std::int64_t, std::int64_t> ref_score(
   if (by.kind == core::StrategyKind::Lru) return {seq, 0};
   if (by.kind == core::StrategyKind::GlobalLfu) {
     return {by.global->count(program, by.neighborhood, by.now), seq};
+  }
+  if (by.kind == core::StrategyKind::GreedyDual) {
+    // A resident keeps the H it had at its last touch; a candidate is
+    // priced at today's L.
+    const auto resident = n.resident_h.find(program);
+    if (resident != n.resident_h.end()) return resident->second;
+    return {ref_greedy_dual_h(n, program, *by.catalog), seq};
   }
   const auto count_it = n.counts.find(program);
   return {count_it == n.counts.end() ? 0 : count_it->second, seq};
@@ -160,7 +204,14 @@ inline std::optional<std::uint32_t> ref_victim(const RefNeighborhood& n,
   return victim;
 }
 
+// Removes `program` from the cache.  A capacity eviction always takes
+// the minimum, so under GreedyDual it lifts L to the victim's H.
 inline void ref_evict(RefNeighborhood& n, std::uint32_t program) {
+  if (const auto resident = n.resident_h.find(program);
+      resident != n.resident_h.end()) {
+    n.inflation = std::max(n.inflation, resident->second.first);
+    n.resident_h.erase(resident);
+  }
   for (const auto& segment : n.segments) {
     if (segment.program == program) {
       n.peers[segment.peer].used_bytes -= segment.bytes;
@@ -199,6 +250,33 @@ inline std::optional<std::uint32_t> ref_best_peer(
   return best;
 }
 
+// The sketch-lfu gate's estimate for `program`: the neighborhood's whole
+// access log so far, replayed into a fresh sketch of the registry's
+// geometry (1024 x 4, halving every 256 accesses).
+inline std::uint32_t ref_sketch_estimate(const RefNeighborhood& n,
+                                         std::uint32_t program) {
+  cache::CountMinSketch sketch(1024, 4, 256);
+  for (const std::uint32_t accessed : n.accessed) sketch.increment(accessed);
+  return sketch.estimate(program);
+}
+
+// May `program`, missed at `now`, enter the cache?  Mirrors the registry's
+// second-hit (probation window) and sketch-lfu (estimate >= 2) gates.
+inline bool ref_gate_admits(const RefNeighborhood& n, std::uint32_t program,
+                            sim::SimTime now,
+                            const core::AdmissionPolicyConfig& gate) {
+  switch (gate.kind) {
+    case core::AdmissionKind::SecondHit: {
+      const auto& previous = n.last_two.at(program).previous;
+      return previous && now - *previous <= gate.probation_window;
+    }
+    case core::AdmissionKind::SketchLfu:
+      return ref_sketch_estimate(n, program) >= 2;
+    default:
+      return true;
+  }
+}
+
 }  // namespace detail
 
 inline ReferenceResult reference_simulate(const trace::Trace& trace,
@@ -207,7 +285,12 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
   VODCACHE_EXPECTS(config.strategy.kind == core::StrategyKind::None ||
                    config.strategy.kind == core::StrategyKind::Lru ||
                    config.strategy.kind == core::StrategyKind::Lfu ||
-                   config.strategy.kind == core::StrategyKind::GlobalLfu);
+                   config.strategy.kind == core::StrategyKind::GlobalLfu ||
+                   config.strategy.kind == core::StrategyKind::GreedyDual);
+  const auto& gate = config.admission_policy;
+  VODCACHE_EXPECTS(gate.kind == core::AdmissionKind::Always ||
+                   gate.kind == core::AdmissionKind::SecondHit ||
+                   gate.kind == core::AdmissionKind::SketchLfu);
   using namespace detail;
 
   const auto topology =
@@ -228,7 +311,7 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
       std::vector<std::vector<RefGlobalLog::Entry>>(trace.catalog().size()),
       config.strategy.lfu_history, config.strategy.global_lag};
   auto scoring = [&](std::uint32_t nb, sim::SimTime now) {
-    return RefScoring{kind, &global, nb, now};
+    return RefScoring{kind, &global, nb, now, &trace.catalog()};
   };
 
   ReferenceResult result;
@@ -347,6 +430,21 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
         n.log.push_back({record.start, program});  // unused, keeps shape
       } else if (kind == core::StrategyKind::GlobalLfu) {
         global.by_program[program].push_back({record.start, nb});
+      } else if (kind == core::StrategyKind::GreedyDual) {
+        ++n.lifetime[program];
+        // A touch re-prices the resident at today's L.
+        if (const auto resident = n.resident_h.find(program);
+            resident != n.resident_h.end()) {
+          resident->second = {
+              ref_greedy_dual_h(n, program, trace.catalog()), next_seq};
+        }
+      }
+      n.accessed.push_back(program);
+      const auto seen = n.last_two.find(program);
+      if (seen == n.last_two.end()) {
+        n.last_two.emplace(program, RefNeighborhood::LastTwo{record.start, {}});
+      } else {
+        seen->second = {record.start, seen->second.last};
       }
     }
 
@@ -355,6 +453,8 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
     if (kind != core::StrategyKind::None) {
       if (n.committed.contains(program)) {
         admit = true;
+      } else if (!ref_gate_admits(n, program, record.start, gate)) {
+        ++result.admission_denials;
       } else {
         const auto full = static_cast<std::int64_t>(
             trace.catalog()
@@ -375,6 +475,9 @@ inline ReferenceResult reference_simulate(const trace::Trace& trace,
         if (admit) {
           n.committed.emplace(program, full);
           n.committed_total += full;
+          if (kind == core::StrategyKind::GreedyDual) {
+            n.resident_h[program] = ref_score(n, program, by);
+          }
         }
       }
     }

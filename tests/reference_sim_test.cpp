@@ -115,5 +115,108 @@ INSTANTIATE_TEST_SUITE_P(
         Case{7, StrategyKind::GlobalLfu, 30, 600, true, 120}),
     case_name);
 
+// Admission gates and GreedyDual, whole-program admission.  A separate
+// suite, so the cases above keep their names.
+struct PolicyCase {
+  std::uint64_t seed;
+  StrategyKind kind;
+  AdmissionKind admission;
+  std::uint32_t neighborhood;
+  std::int64_t per_peer_mb;
+  bool replicate;
+};
+
+std::string admission_tag(AdmissionKind kind) {
+  switch (kind) {
+    case AdmissionKind::SecondHit:
+      return "secondhit";
+    case AdmissionKind::SketchLfu:
+      return "sketch";
+    default:
+      return "always";
+  }
+}
+
+std::string policy_case_name(
+    const ::testing::TestParamInfo<PolicyCase>& info) {
+  const auto& c = info.param;
+  return std::string(to_string(c.kind)) + "_" + admission_tag(c.admission) +
+         "_s" + std::to_string(c.seed) + "_n" +
+         std::to_string(c.neighborhood) + "_mb" +
+         std::to_string(c.per_peer_mb) + (c.replicate ? "_rep" : "");
+}
+
+class PolicyCrossValidation : public ::testing::TestWithParam<PolicyCase> {};
+
+TEST_P(PolicyCrossValidation, MatchesReferenceExactly) {
+  const auto& param = GetParam();
+  SCOPED_TRACE("repro: seed=" + std::to_string(param.seed) + " kind=" +
+               to_string(param.kind) + " admission=" +
+               to_string(param.admission) + " neighborhood=" +
+               std::to_string(param.neighborhood) + " per_peer_mb=" +
+               std::to_string(param.per_peer_mb) + " replicate=" +
+               (param.replicate ? "1" : "0"));
+
+  auto workload = test::small_workload(3, param.seed);
+  workload.user_count = 300;
+  workload.program_count = 80;
+  workload.sessions_per_user_per_day = 6.0;
+  const auto trace = trace::generate_power_info_like(workload);
+
+  SystemConfig config;
+  config.neighborhood_size = param.neighborhood;
+  config.per_peer_storage = DataSize::megabytes(param.per_peer_mb);
+  config.strategy.kind = param.kind;
+  config.strategy.lfu_history = sim::SimTime::hours(24);
+  config.admission_policy.kind = param.admission;
+  // Short enough that stale first accesses are refused.
+  config.admission_policy.probation_window = sim::SimTime::hours(6);
+  config.replicate_on_busy = param.replicate;
+  config.warmup = sim::SimTime{};
+
+  VodSystem system(trace, config);
+  const auto report = system.run();
+  const auto reference = test::reference_simulate(trace, config);
+
+  EXPECT_EQ(report.hits, reference.hits);
+  EXPECT_EQ(report.cold_misses, reference.cold_misses);
+  EXPECT_EQ(report.busy_misses, reference.busy_misses);
+  EXPECT_EQ(report.evictions, reference.evictions);
+  EXPECT_EQ(report.fills, reference.fills);
+  EXPECT_EQ(report.admission_denials, reference.admission_denials);
+  EXPECT_NEAR(report.server_bits, reference.server_bits,
+              1.0 + report.server_bits * 1e-12);
+  EXPECT_NEAR(report.coax_bits, reference.coax_bits,
+              1.0 + report.coax_bits * 1e-12);
+}
+
+constexpr auto kSecondHit = AdmissionKind::SecondHit;
+constexpr auto kSketch = AdmissionKind::SketchLfu;
+constexpr auto kAlways = AdmissionKind::Always;
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomWorkloads, PolicyCrossValidation,
+    ::testing::Values(
+        // Both gates under LRU and LFU, three seeds each.
+        PolicyCase{1, StrategyKind::Lru, kSecondHit, 60, 500, false},
+        PolicyCase{5, StrategyKind::Lru, kSecondHit, 10, 800, false},
+        PolicyCase{7, StrategyKind::Lru, kSecondHit, 30, 600, true},
+        PolicyCase{1, StrategyKind::Lfu, kSecondHit, 60, 500, false},
+        PolicyCase{6, StrategyKind::Lfu, kSecondHit, 40, 400, false},
+        PolicyCase{7, StrategyKind::Lfu, kSecondHit, 30, 600, true},
+        PolicyCase{1, StrategyKind::Lru, kSketch, 60, 500, false},
+        PolicyCase{6, StrategyKind::Lru, kSketch, 40, 400, false},
+        PolicyCase{7, StrategyKind::Lru, kSketch, 30, 600, true},
+        PolicyCase{2, StrategyKind::Lfu, kSketch, 60, 500, false},
+        PolicyCase{5, StrategyKind::Lfu, kSketch, 10, 800, false},
+        PolicyCase{7, StrategyKind::Lfu, kSketch, 30, 600, true},
+        // GreedyDual: inflation, frozen resident H, lifetime counts.
+        PolicyCase{1, StrategyKind::GreedyDual, kAlways, 60, 500, false},
+        PolicyCase{6, StrategyKind::GreedyDual, kAlways, 40, 400, false},
+        PolicyCase{7, StrategyKind::GreedyDual, kAlways, 30, 600, true},
+        PolicyCase{2, StrategyKind::GreedyDual, kSecondHit, 60, 500, false},
+        PolicyCase{5, StrategyKind::GreedyDual, kSketch, 10, 800, false}),
+    policy_case_name);
+
 }  // namespace
 }  // namespace vodcache::core
