@@ -55,15 +55,19 @@ void BM_AliasTableSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasTableSample);
 
+// One access as a shard runs it — the neighborhood's history records it,
+// then the scorer re-ranks — plus the admit/evict the cell would do.
 template <typename Strategy>
-void run_strategy_loop(benchmark::State& state, Strategy& strategy) {
+void run_strategy_loop(benchmark::State& state, cache::AccessHistory& history,
+                       Strategy& strategy) {
   Rng rng(4);
   std::int64_t t = 0;
   // Keep ~200 programs cached, churning.
   for (auto _ : state) {
     t += 1000;
     const ProgramId p{static_cast<std::uint32_t>(rng.uniform_u64(2000))};
-    strategy.record_access(p, sim::SimTime::millis(t));
+    history.record(p, sim::SimTime::millis(t));
+    strategy.on_access(p, sim::SimTime::millis(t));
     if (!strategy.is_cached(p)) {
       if (strategy.cached_count() >= 200) {
         const auto victim = strategy.victim(sim::SimTime::millis(t));
@@ -76,14 +80,16 @@ void run_strategy_loop(benchmark::State& state, Strategy& strategy) {
 }
 
 void BM_LruStrategy(benchmark::State& state) {
-  cache::LruStrategy lru;
-  run_strategy_loop(state, lru);
+  cache::AccessHistory history;
+  cache::LruStrategy lru(history);
+  run_strategy_loop(state, history, lru);
 }
 BENCHMARK(BM_LruStrategy);
 
 void BM_LfuStrategy(benchmark::State& state) {
-  cache::LfuStrategy lfu(sim::SimTime::hours(72));
-  run_strategy_loop(state, lfu);
+  cache::AccessHistory history;
+  cache::LfuStrategy lfu(history, sim::SimTime::hours(72));
+  run_strategy_loop(state, history, lfu);
 }
 BENCHMARK(BM_LfuStrategy);
 
@@ -96,8 +102,9 @@ void BM_OracleStrategy(benchmark::State& state) {
                    static_cast<std::int64_t>(rng.uniform_u64(1'000'000'000))));
   }
   future.freeze();
-  cache::OracleStrategy oracle(future, sim::SimTime::days(3));
-  run_strategy_loop(state, oracle);
+  cache::AccessHistory history;
+  cache::OracleStrategy oracle(history, future, sim::SimTime::days(3));
+  run_strategy_loop(state, history, oracle);
 }
 BENCHMARK(BM_OracleStrategy);
 
@@ -208,12 +215,15 @@ void BM_CacheCellServe(benchmark::State& state) {
   settings.per_peer_storage = DataSize::gigabytes(10);
   const sim::RateMeter coax(sim::SimTime::days(28),
                             sim::SimTime::minutes(15));
+  cache::AccessHistory history;
   cache::CacheCell cell({"LRU", "always",
-                         std::make_unique<cache::LruStrategy>(), nullptr},
+                         std::make_unique<cache::LruStrategy>(history),
+                         nullptr},
                         settings, kPeers, &coax);
   // Cache one segment of each of 200 programs, one program per session.
   for (std::uint32_t p = 0; p < 200; ++p) {
     const auto t = sim::SimTime::millis(p * kSegmentMs);
+    history.record(ProgramId{p}, t);
     const bool admit = cell.start_session(
         ProgramId{p}, settings.stream_rate.over_seconds(1800), t);
     (void)cell.serve_segment({ProgramId{p}, 0},

@@ -6,43 +6,6 @@
 
 namespace vodcache::cache {
 
-SecondHitPolicy::SecondHitPolicy(sim::SimTime probation_window)
-    : window_(probation_window) {
-  VODCACHE_EXPECTS(probation_window >= sim::SimTime{});
-}
-
-void SecondHitPolicy::maybe_age(std::int64_t t_ms) {
-  if (t_ms < next_sweep_ms_) return;
-  // Sweep cadence of one window keeps the table within one window's worth
-  // of fresh programs past the 2x cutoff (a zero window degenerates to
-  // sweeping every millisecond tick, which a zero window has already made
-  // an always-refuse policy anyway).
-  next_sweep_ms_ = t_ms + std::max<std::int64_t>(window_.millis_count(), 1);
-  const std::int64_t cutoff = t_ms - 2 * window_.millis_count();
-  expired_.clear();
-  history_.for_each([&](std::uint64_t key, const History& entry) {
-    if (entry.last_ms < cutoff) expired_.push_back(key);
-  });
-  for (const std::uint64_t key : expired_) history_.erase(key);
-}
-
-void SecondHitPolicy::record_access(ProgramId program, sim::SimTime t) {
-  maybe_age(t.millis_count());
-  auto* entry = history_.find(program.value());
-  if (entry == nullptr) entry = &history_.insert(program.value(), History{});
-  entry->previous_ms = entry->last_ms;
-  entry->last_ms = t.millis_count();
-  ++entry->count;
-}
-
-bool SecondHitPolicy::admit(const AdmissionRequest& request) {
-  // record_access for the current session already ran: `last` is the
-  // current access, `previous` the one before it (if any).
-  const auto* entry = history_.find(request.program.value());
-  if (entry == nullptr || entry->count < 2) return false;
-  return request.time - sim::SimTime::millis(entry->previous_ms) <= window_;
-}
-
 CoaxHeadroomPolicy::CoaxHeadroomPolicy(const hfc::CoaxSpec& spec,
                                        double fraction)
     : spec_(spec), fraction_(fraction) {
@@ -51,24 +14,6 @@ CoaxHeadroomPolicy::CoaxHeadroomPolicy(const hfc::CoaxSpec& spec,
 
 bool CoaxHeadroomPolicy::admit(const AdmissionRequest& request) {
   return spec_.vod_headroom(request.coax_rate, fraction_);
-}
-
-SketchLFUPolicy::SketchLFUPolicy(std::uint32_t width, std::uint32_t depth,
-                                 std::uint64_t halve_period,
-                                 std::uint32_t min_estimate)
-    : sketch_(width, depth, halve_period), min_estimate_(min_estimate) {
-  VODCACHE_EXPECTS(min_estimate >= 1);
-}
-
-void SketchLFUPolicy::record_access(ProgramId program, sim::SimTime) {
-  sketch_.increment(program.value());
-}
-
-bool SketchLFUPolicy::admit(const AdmissionRequest& request) {
-  // record_access for the current session already ran, so a program's very
-  // first access reads estimate >= 1: min_estimate == 1 degenerates to
-  // always-admit, 2 behaves like a probation with geometric forgetting.
-  return sketch_.estimate(request.program.value()) >= min_estimate_;
 }
 
 AdaptiveHeadroomPolicy::AdaptiveHeadroomPolicy(const hfc::CoaxSpec& spec,

@@ -3,10 +3,11 @@
 // The monolithic ReplacementStrategy hardwired "every miss may enter the
 // cache"; that is now one policy among several.  An AdmissionPolicy decides
 // whether a missed program may enter the cache at all — before any victim
-// is nominated — so a refusal leaves the cached set untouched.  It observes
-// the same per-session popularity signal as the eviction scorer but keeps
-// its own state, which is what makes the two sides composable: any scorer
-// runs against any admission policy.
+// is nominated — so a refusal leaves the cached set untouched.  A policy
+// keeps only its decision: the popularity signal it reads lives in the
+// neighborhood's AccessHistory, shared with the scorer, so neither side
+// keeps state the other depends on — any scorer runs against any
+// admission policy.
 //
 // Decision granularity follows core::CacheAdmission exactly as before: the
 // index server asks once per session at the point the program would be
@@ -14,19 +15,18 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "cache/sketch.hpp"
+#include "cache/access_history.hpp"
 #include "hfc/topology.hpp"
 #include "sim/time.hpp"
-#include "util/flat_map.hpp"
+#include "util/assert.hpp"
 #include "util/ids.hpp"
 #include "util/units.hpp"
 
 namespace vodcache::cache {
 
 // The admission moment, as the index server sees it.  Everything a policy
-// may consult beyond its own recorded history.
+// may consult beyond the neighborhood's access history.
 struct AdmissionRequest {
   ProgramId program;
   sim::SimTime time;
@@ -45,12 +45,9 @@ class AdmissionPolicy {
   AdmissionPolicy(const AdmissionPolicy&) = delete;
   AdmissionPolicy& operator=(const AdmissionPolicy&) = delete;
 
-  // A session for `program` started at `t` — called once per session,
-  // whether or not the program is cached, before any admit() for it.
-  virtual void record_access(ProgramId program, sim::SimTime t) = 0;
-
   // May `request.program`, missed at `request.time`, enter the cache?
-  // Called only when the program is not already (being) cached.
+  // Called only when the program is not already (being) cached, after the
+  // history has recorded the session.
   [[nodiscard]] virtual bool admit(const AdmissionRequest& request) = 0;
 
   // Outcome feedback: one segment transmission finished at `t`, served by a
@@ -66,42 +63,23 @@ class AdmissionPolicy {
 // every popular program one session later.
 class SecondHitPolicy final : public AdmissionPolicy {
  public:
-  explicit SecondHitPolicy(sim::SimTime probation_window);
+  // `history` must outlive the policy.
+  SecondHitPolicy(AccessHistory& history, sim::SimTime probation_window)
+      : history_(history), window_(probation_window) {
+    VODCACHE_EXPECTS(probation_window >= sim::SimTime{});
+    history.keep_probation(probation_window);
+  }
 
-  void record_access(ProgramId program, sim::SimTime t) override;
-  [[nodiscard]] bool admit(const AdmissionRequest& request) override;
-
-  // Live probation histories (aging drops the rest); test hook for the
-  // bounded-growth assertion.
-  [[nodiscard]] std::size_t history_size() const { return history_.size(); }
+  // The history already holds the current session, so its previous access
+  // is the one before.
+  [[nodiscard]] bool admit(const AdmissionRequest& request) override {
+    const auto previous = history_.previous_access(request.program);
+    return previous && request.time - *previous <= window_;
+  }
 
  private:
-  struct History {
-    std::int64_t last_ms = 0;      // most recent access (current session)
-    std::int64_t previous_ms = 0;  // the access before it (valid: count >= 2)
-    std::uint64_t count = 0;
-  };
-
-  // Drops every entry whose last access fell out of 2x the probation
-  // window, once per elapsed window of event time.  Decision-invariant:
-  // a program re-accessed after the drop re-inserts at count 1 and is
-  // refused, exactly as the kept entry would be — its previous access is
-  // older than 2x window, so the recency test fails regardless of count.
-  // Without aging the table grows with every program ever seen, which is
-  // unbounded heap growth inside the zero-alloc audit scope on large
-  // scaled catalogs.
-  void maybe_age(std::int64_t t_ms);
-
+  const AccessHistory& history_;
   sim::SimTime window_;
-  // Flat table keyed by program id: the history is read once per session on
-  // the shard hot path, and shadow evaluation runs one instance per
-  // (scorer x admission) pair — node-based buckets would put pointer
-  // chasing and per-program heap nodes back into the audited loop.
-  util::FlatMap64<History> history_;
-  std::int64_t next_sweep_ms_ = 0;
-  // Reused across sweeps (high-water capacity): keys cannot be erased
-  // mid-for_each, so they are staged here first.
-  std::vector<std::uint64_t> expired_;
 };
 
 // Coax-headroom gate: refuses admission while the neighborhood coax is
@@ -117,7 +95,6 @@ class CoaxHeadroomPolicy final : public AdmissionPolicy {
   // `spec` (the conservative low-quality-plant band).
   CoaxHeadroomPolicy(const hfc::CoaxSpec& spec, double fraction);
 
-  void record_access(ProgramId, sim::SimTime) override {}
   [[nodiscard]] bool admit(const AdmissionRequest& request) override;
 
  private:
@@ -133,16 +110,26 @@ class CoaxHeadroomPolicy final : public AdmissionPolicy {
 // program re-accessed after a quiet day keeps the credit it has earned.
 class SketchLFUPolicy final : public AdmissionPolicy {
  public:
-  SketchLFUPolicy(std::uint32_t width, std::uint32_t depth,
-                  std::uint64_t halve_period, std::uint32_t min_estimate);
+  // Reads `history`'s sketch (`width` x `depth`, halving every
+  // `halve_period` accesses); `history` must outlive the policy.
+  SketchLFUPolicy(AccessHistory& history, std::uint32_t width,
+                  std::uint32_t depth, std::uint64_t halve_period,
+                  std::uint32_t min_estimate)
+      : history_(history), min_estimate_(min_estimate) {
+    VODCACHE_EXPECTS(min_estimate >= 1);
+    history.keep_sketch(width, depth, halve_period);
+  }
 
-  void record_access(ProgramId program, sim::SimTime t) override;
-  [[nodiscard]] bool admit(const AdmissionRequest& request) override;
-
-  [[nodiscard]] const CountMinSketch& sketch() const { return sketch_; }
+  // The history already counts the current session, so a program's very
+  // first access reads estimate >= 1: min_estimate == 1 degenerates to
+  // always-admit, 2 behaves like a probation with geometric forgetting.
+  [[nodiscard]] bool admit(const AdmissionRequest& request) override {
+    return history_.sketch().estimate(request.program.value()) >=
+           min_estimate_;
+  }
 
  private:
-  CountMinSketch sketch_;
+  const AccessHistory& history_;
   std::uint32_t min_estimate_;
 };
 
@@ -163,7 +150,6 @@ class AdaptiveHeadroomPolicy final : public AdmissionPolicy {
 
   static constexpr double kMinFraction = 0.05;
 
-  void record_access(ProgramId, sim::SimTime) override {}
   [[nodiscard]] bool admit(const AdmissionRequest& request) override;
   void on_serve(bool hit, sim::SimTime t) override;
 

@@ -80,8 +80,7 @@ bool CacheCell::start_session(ProgramId program, DataSize program_size,
                               sim::SimTime t) {
   ++counters_.sessions;
   if (scorer_ == nullptr) return false;  // StrategyKind::None
-  scorer_->record_access(program, t);
-  if (admission_ != nullptr) admission_->record_access(program, t);
+  scorer_->on_access(program, t);
 
   if (settings_.whole_program) {
     // Already admitted: keep filling it.

@@ -2,16 +2,17 @@
 // policy) pair — every placement decision the paper's index server makes
 // (section IV-B, figures 4 and 5), and nothing else.
 //
-// A cell records each access, admits or refuses the program, evicts
-// lower-ranked programs to make room, classifies each segment request as a
-// peer hit, a busy miss or a cold miss, and fills the cache off the miss
-// broadcast.  It owns the state those decisions read: the scorer, the
-// admission policy (null means always-admit, the paper's behaviour), the
-// SegmentStore, and every peer's stream-slot occupancy (busy misses depend
-// on replica placement and slot contention, so membership alone cannot
-// reproduce them).  It also owns the counters those decisions bump: a
-// cell never moves after construction, so its counters are always a
-// standalone run of its pair.
+// A cell admits or refuses each accessed program, evicts lower-ranked
+// programs to make room, classifies each segment request as a peer hit, a
+// busy miss or a cold miss, and fills the cache off the miss broadcast.
+// It owns the state those decisions read beyond the neighborhood's access
+// history (cache/access_history.hpp): the scorer, the admission policy
+// (null means always-admit, the paper's behaviour), the SegmentStore, and
+// every peer's stream-slot occupancy (busy misses depend on replica
+// placement and slot contention, so membership alone cannot reproduce
+// them).  It also owns the counters those decisions bump: a cell never
+// moves after construction, so its counters are always a standalone run
+// of its pair.
 //
 // The cell moves no bytes.  A neighborhood's cells live in one
 // cache::ShadowBank; core::IndexServer serves from one of them (the
@@ -100,7 +101,7 @@ class CacheCell {
   CacheCell(Policy policy, const Settings& settings, std::uint32_t peer_count,
             const sim::RateMeter* coax);
 
-  // Session begins: records the popularity signal and decides whether this
+  // Session begins, and the access history holds it: decides whether this
   // program should (now) be in the cache.  `program_size` is the program's
   // full footprint at the stream rate (whole-program admission charges it
   // against capacity immediately).  The decision holds for the whole

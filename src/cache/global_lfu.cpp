@@ -2,7 +2,9 @@
 
 namespace vodcache::cache {
 
-GlobalLfuStrategy::GlobalLfuStrategy(ReplayCursor& cursor) : cursor_(&cursor) {
+GlobalLfuStrategy::GlobalLfuStrategy(AccessHistory& history,
+                                     ReplayCursor& cursor)
+    : EvictionScorer(history), cursor_(&cursor) {
   if (cursor.board().lag() == sim::SimTime{}) {
     dirty_flag_.resize(cursor.board().program_count(), 0);
     dirty_list_.reserve(cursor.board().program_count());
@@ -24,15 +26,6 @@ void GlobalLfuStrategy::refresh(sim::SimTime t) {
   seen_epoch_ = cursor_->epoch();
   cached().for_each_program(
       [&](ProgramId program) { cached().update(program, score(program, t)); });
-}
-
-void GlobalLfuStrategy::record_access(ProgramId program, sim::SimTime t) {
-  touch(program);
-  cached().update(program, score(program, t));
-}
-
-Score GlobalLfuStrategy::score(ProgramId program, sim::SimTime /*t*/) {
-  return {cursor_->count(program), recency(program)};
 }
 
 }  // namespace vodcache::cache

@@ -25,10 +25,11 @@ class GlobalLfuStrategy final : public EvictionScorer {
  public:
   // `cursor` must outlive the strategy; at lag 0 the strategy attaches
   // itself to hear of count changes.
-  explicit GlobalLfuStrategy(ReplayCursor& cursor);
+  GlobalLfuStrategy(AccessHistory& history, ReplayCursor& cursor);
 
-  void record_access(ProgramId program, sim::SimTime t) override;
-  [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
+  [[nodiscard]] Score score(ProgramId program, sim::SimTime) override {
+    return {cursor_->count(program), recency(program)};
+  }
 
   // Lag 0: the cursor's live count of `program` changed.  A cached program
   // is queued for re-ranking at the next refresh.

@@ -2,35 +2,30 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace vodcache::cache {
 
-GreedyDualScorer::GreedyDualScorer(const trace::Catalog& catalog)
-    : catalog_(catalog), counts_(catalog.size(), 0) {}
-
-std::int64_t GreedyDualScorer::credit(ProgramId program) const {
-  VODCACHE_EXPECTS(program.value() < counts_.size());
-  const auto seconds = std::max<std::int64_t>(
-      1, catalog_.length(program).millis_count() / 1000);
-  return counts_[program.value()] * kCreditScale / seconds;
+GreedyDualScorer::GreedyDualScorer(AccessHistory& history,
+                                   const trace::Catalog& catalog)
+    : EvictionScorer(history), catalog_(catalog) {
+  history.keep_lifetime(catalog.size());
 }
 
-void GreedyDualScorer::record_access(ProgramId program, sim::SimTime t) {
-  VODCACHE_EXPECTS(program.value() < counts_.size());
-  ++counts_[program.value()];
-  const std::int64_t seq = touch(program);
+std::int64_t GreedyDualScorer::credit(ProgramId program) const {
+  const auto seconds = std::max<std::int64_t>(
+      1, catalog_.length(program).millis_count() / 1000);
+  return history().lifetime_count(program) * kCreditScale / seconds;
+}
+
+void GreedyDualScorer::on_access(ProgramId program, sim::SimTime /*t*/) {
   // A touch re-prices the resident at the current inflation level —
   // exactly the GreedyDual "restore H on hit" rule.
-  cached().update(program, {inflation_ + credit(program), seq});
-  (void)t;
+  cached().update(program, {inflation_ + credit(program), recency(program)});
 }
 
 Score GreedyDualScorer::score(ProgramId program, sim::SimTime /*t*/) {
   // Residents keep the H frozen at their last touch (an older, smaller L);
   // candidates are priced at today's L.  This asymmetry is the aging.
   if (const auto stored = cached().score_of(program)) return *stored;
-  VODCACHE_EXPECTS(program.value() < counts_.size());
   return {inflation_ + credit(program), recency(program)};
 }
 

@@ -12,7 +12,8 @@
 // evicted victim's H on every capacity eviction, so programs that have not
 // been touched since cheaper times age out against freshly-admitted ones.
 // Long, rarely-watched programs get the smallest H and leave first.
-// Ties resolve by recency, like every other scorer here.
+// Ties resolve by recency, like every other scorer here.  accesses(p) is
+// the neighborhood's AccessHistory lifetime count.
 //
 // Deterministic by construction: integer credits, integer inflation, and
 // the inflation update only fires on victim (minimum-H) evictions — disk
@@ -20,8 +21,6 @@
 // a surviving resident's H, which would break GreedyDual's L <= min H
 // invariant.
 #pragma once
-
-#include <vector>
 
 #include "cache/strategy.hpp"
 #include "trace/catalog.hpp"
@@ -34,9 +33,9 @@ class GreedyDualScorer final : public EvictionScorer {
   // per neighborhood — at a thousand shards an owned copy of the length
   // table would be pure duplication).  The catalog must outlive the
   // scorer, exactly as it already outlives the shard that owns it.
-  explicit GreedyDualScorer(const trace::Catalog& catalog);
+  GreedyDualScorer(AccessHistory& history, const trace::Catalog& catalog);
 
-  void record_access(ProgramId program, sim::SimTime t) override;
+  void on_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
   void on_evict(ProgramId program) override;
 
@@ -52,7 +51,6 @@ class GreedyDualScorer final : public EvictionScorer {
   [[nodiscard]] std::int64_t credit(ProgramId program) const;
 
   const trace::Catalog& catalog_;
-  std::vector<std::int64_t> counts_;
   std::int64_t inflation_ = 0;
 };
 

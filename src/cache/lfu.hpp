@@ -5,42 +5,38 @@
 // in the cache, with ties being resolved using an LRU strategy."
 //
 // Score = (accesses within the sliding window, recency sequence).  The
-// window advances on every access; expiring an event decrements its
-// program's count and, if that program is cached, re-ranks it — CachedSet
-// absorbs the downward move by pushing a fresh heap entry.
-//
-// State lives in flat containers (util/flat_map.hpp): the event window in
-// a ring buffer that grows to its high-water mark and then cycles
-// allocation-free, the per-program counts in an open-addressed table sized
-// by the touched content set (recency is the base's table, same sizing).
+// window is the neighborhood's (cache/access_history.hpp): one per shard,
+// advanced once per session, read by every LFU cell.  A cell keeps only
+// its ranking: after each access it re-ranks the cached programs the
+// window just expired, then the accessed one — CachedSet absorbs the
+// downward moves by pushing fresh heap entries.
 //
 // history == 0 degenerates to pure LRU (the paper's figure 11 uses this as
 // its leftmost point).
 #pragma once
 
 #include "cache/strategy.hpp"
-#include "util/flat_map.hpp"
+#include "util/assert.hpp"
 
 namespace vodcache::cache {
 
 class LfuStrategy final : public EvictionScorer {
  public:
-  explicit LfuStrategy(sim::SimTime history);
+  LfuStrategy(AccessHistory& history, sim::SimTime window)
+      : EvictionScorer(history) {
+    VODCACHE_EXPECTS(window >= sim::SimTime{});
+    history.keep_window(window);
+  }
 
-  void record_access(ProgramId program, sim::SimTime t) override;
-  [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
-
- private:
-  void expire(sim::SimTime now);
-
-  struct HistoryEvent {
-    sim::SimTime time;
-    ProgramId program;
-  };
-
-  sim::SimTime history_;
-  util::RingBuffer<HistoryEvent> window_;
-  util::FlatMap64<std::int64_t> counts_;
+  void on_access(ProgramId program, sim::SimTime t) override {
+    for (const ProgramId expired : history().expired()) {
+      cached().update(expired, score(expired, t));
+    }
+    EvictionScorer::on_access(program, t);
+  }
+  [[nodiscard]] Score score(ProgramId program, sim::SimTime) override {
+    return {history().window_count(program), recency(program)};
+  }
 };
 
 }  // namespace vodcache::cache

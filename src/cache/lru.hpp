@@ -15,8 +15,11 @@ namespace vodcache::cache {
 
 class LruStrategy final : public EvictionScorer {
  public:
-  void record_access(ProgramId program, sim::SimTime t) override;
-  [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
+  using EvictionScorer::EvictionScorer;
+
+  [[nodiscard]] Score score(ProgramId program, sim::SimTime) override {
+    return {recency(program), 0};
+  }
 };
 
 }  // namespace vodcache::cache

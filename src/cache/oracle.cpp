@@ -4,9 +4,12 @@
 
 namespace vodcache::cache {
 
-OracleStrategy::OracleStrategy(const FutureIndex& future, sim::SimTime lookahead,
+OracleStrategy::OracleStrategy(AccessHistory& history,
+                               const FutureIndex& future,
+                               sim::SimTime lookahead,
                                sim::SimTime refresh_interval)
-    : future_(future),
+    : EvictionScorer(history),
+      future_(future),
       lookahead_(lookahead),
       refresh_interval_(refresh_interval) {
   // `future` need not be frozen yet: under the job-graph executor the
@@ -21,16 +24,6 @@ void OracleStrategy::refresh(sim::SimTime t) {
   next_refresh_ = t + refresh_interval_;
   cached().for_each_program(
       [&](ProgramId program) { cached().update(program, score(program, t)); });
-}
-
-void OracleStrategy::record_access(ProgramId program, sim::SimTime t) {
-  refresh(t);
-  touch(program);
-  cached().update(program, score(program, t));
-}
-
-Score OracleStrategy::score(ProgramId program, sim::SimTime t) {
-  return {future_.count_in(program, t, lookahead_), recency(program)};
 }
 
 }  // namespace vodcache::cache

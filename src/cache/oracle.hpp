@@ -21,11 +21,17 @@ namespace vodcache::cache {
 class OracleStrategy final : public EvictionScorer {
  public:
   // `future` must outlive the strategy and be frozen.
-  OracleStrategy(const FutureIndex& future, sim::SimTime lookahead,
+  OracleStrategy(AccessHistory& history, const FutureIndex& future,
+                 sim::SimTime lookahead,
                  sim::SimTime refresh_interval = sim::SimTime::hours(1));
 
-  void record_access(ProgramId program, sim::SimTime t) override;
-  [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
+  void on_access(ProgramId program, sim::SimTime t) override {
+    refresh(t);
+    EvictionScorer::on_access(program, t);
+  }
+  [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override {
+    return {future_.count_in(program, t, lookahead_), recency(program)};
+  }
 
  private:
   void refresh(sim::SimTime t) override;

@@ -15,13 +15,14 @@
 // primary's report stays byte-identical with shadows on.  A policy switch
 // changes which cell is the primary and moves no state.
 //
-// The one read a cell performs outside itself is the neighborhood's coax
-// meter, for the headroom-gated admissions — sound because coax metering
-// is policy-independent (see cache/cache_cell.hpp).
+// A cell reads two things outside itself: the shard's AccessHistory, a
+// pure function of the session stream, and the neighborhood's coax meter,
+// for the headroom-gated admissions — sound because coax metering is
+// policy-independent (see cache/cache_cell.hpp).
 //
 // Zero steady-state allocations: stores are FlatMap64/PooledArena, stream
-// slots are one fixed table per cell, admission histories are flat tables
-// or fixed sketch arrays (enforced by tests/allocation_audit_test.cpp with
+// slots are one fixed table per cell, the shared history is flat tables
+// and a fixed sketch (enforced by tests/allocation_audit_test.cpp with
 // shadows on).
 #pragma once
 

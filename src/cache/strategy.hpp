@@ -3,18 +3,18 @@
 // The index server composes two independent policies: an EvictionScorer —
 // this file — ranking what stays in the cache, and an AdmissionPolicy
 // (cache/admission.hpp) deciding whether a missed program may enter at all.
-// The index server consults the scorer for three things: recording the
-// popularity signal (one access per *session*, matching the paper's use of
-// "accesses"), scoring a program's retention value, and nominating the
-// cheapest cached program to evict.  The segment store performs the actual
-// evictions and reports admissions back, so a scorer always knows the
-// current cached set.
+// The popularity signal (one access per *session*, matching the paper's
+// use of "accesses") is the neighborhood's AccessHistory.  The index
+// server consults the scorer for three things: re-ranking its cached set
+// after an access, scoring a program's retention value, and nominating
+// the cheapest cached program to evict.  The segment store performs the
+// actual evictions and reports admissions back, so a scorer always knows
+// the current cached set.
 //
 // Scores are ordered pairs: bigger means more valuable.  LFU's "ties are
 // resolved using an LRU strategy" falls out of the pair comparison
 // (primary = frequency, secondary = recency sequence number).  Every scorer
-// breaks ties that way, so the base owns the one recency table: a scorer's
-// record_access() calls touch(), and its score() reads recency().  Each
+// breaks ties that way, reading recency() from the history.  Each
 // concrete scorer adds only its own primary signal.
 #pragma once
 
@@ -22,9 +22,9 @@
 #include <optional>
 #include <utility>
 
+#include "cache/access_history.hpp"
 #include "cache/victim_index.hpp"
 #include "sim/time.hpp"
-#include "util/flat_map.hpp"
 #include "util/ids.hpp"
 
 namespace vodcache::cache {
@@ -35,21 +35,33 @@ class EvictionScorer {
  public:
   virtual ~EvictionScorer() = default;
 
-  EvictionScorer() = default;
+  // `history` must outlive the scorer.
+  explicit EvictionScorer(AccessHistory& history) : history_(history) {
+    history.keep_recency();
+  }
   EvictionScorer(const EvictionScorer&) = delete;
   EvictionScorer& operator=(const EvictionScorer&) = delete;
 
-  // A session for `program` started at `t` in this neighborhood.
-  virtual void record_access(ProgramId program, sim::SimTime t) = 0;
+  // A session for `program` started at `t` in this neighborhood, and the
+  // history has recorded it: re-rank what that access moved.
+  virtual void on_access(ProgramId program, sim::SimTime t) {
+    cached_.update(program, score(program, t));
+  }
 
   // Current retention value of `program` (cached or candidate).
   [[nodiscard]] virtual Score score(ProgramId program, sim::SimTime t) = 0;
 
   // The cached program with the lowest score, if any program is cached.
-  [[nodiscard]] std::optional<ProgramId> victim(sim::SimTime t);
+  [[nodiscard]] std::optional<ProgramId> victim(sim::SimTime t) {
+    refresh(t);
+    return cached_.min();
+  }
 
   // Store feedback: `program` gained its first stored segment / lost all.
-  void on_admit(ProgramId program, sim::SimTime t);
+  void on_admit(ProgramId program, sim::SimTime t) {
+    refresh(t);
+    cached_.insert(program, score(program, t));
+  }
   virtual void on_evict(ProgramId program) { cached_.erase(program); }
 
   [[nodiscard]] bool is_cached(ProgramId program) const {
@@ -60,18 +72,9 @@ class EvictionScorer {
  protected:
   [[nodiscard]] CachedSet& cached() { return cached_; }
   [[nodiscard]] const CachedSet& cached() const { return cached_; }
-
-  // Stamps `program` with the next access sequence number and returns it.
-  std::int64_t touch(ProgramId program) {
-    std::int64_t* last = last_touch_.find(program.value());
-    if (last == nullptr) last = &last_touch_.insert(program.value(), 0);
-    return *last = ++sequence_;
-  }
-  // The sequence number of `program`'s latest touch(); 0 if never touched
-  // (possible when a store is pre-seeded), so such programs rank last.
+  [[nodiscard]] const AccessHistory& history() const { return history_; }
   [[nodiscard]] std::int64_t recency(ProgramId program) const {
-    const std::int64_t* last = last_touch_.find(program.value());
-    return last == nullptr ? 0 : *last;
+    return history_.recency(program);
   }
 
   // Hook for scorers that refresh lazily (oracle, global LFU) before the
@@ -79,11 +82,8 @@ class EvictionScorer {
   virtual void refresh(sim::SimTime /*t*/) {}
 
  private:
+  const AccessHistory& history_;
   CachedSet cached_;
-  // Grows with the programs this neighborhood actually touches: at a
-  // thousand shards a catalog-sized table per scorer would dwarf it.
-  util::FlatMap64<std::int64_t> last_touch_;
-  std::int64_t sequence_ = 0;
 };
 
 }  // namespace vodcache::cache

@@ -22,11 +22,13 @@ NeighborhoodShard::NeighborhoodShard(
       cursor_(board_ != nullptr && config.builds_global_board()
                   ? std::make_unique<cache::ReplayCursor>(*board_)
                   : nullptr),
+      history_(std::make_unique<cache::AccessHistory>()),
       media_(horizon, config.meter_bucket),
       server_(id, peer_count, config, make_cells(), media_, horizon, tiers,
               std::move(tier_nodes)),
       failures_(std::move(failures)) {
   VODCACHE_EXPECTS(future_ != nullptr);
+  if (history_->empty()) history_.reset();
   if (config_.policy_switch) {
     switcher_ = std::make_unique<cache::PolicySwitcher>(
         config_.switch_window, config_.switch_windows_k,
@@ -35,11 +37,11 @@ NeighborhoodShard::NeighborhoodShard(
 }
 
 cache::ShadowBank::Plan NeighborhoodShard::make_cells() {
-  // Every cell shares this shard's scorer context: GlobalLFU cells read
-  // the same replay cursor, Oracle cells the same future index — the
-  // orchestrator builds both for the matrix because its needs() treats
-  // shadow_matrix like running those strategies.
-  const ScorerContext context{config_.strategy, catalog_, future_,
+  // Every cell shares this shard's policy context: one access history, and
+  // GlobalLFU cells read the same replay cursor, Oracle cells the same
+  // future index — the orchestrator builds both for the matrix because its
+  // needs() treats shadow_matrix like running those strategies.
+  const PolicyContext context{config_, catalog_, *history_, future_,
                               cursor_.get()};
   const bool matrix = config_.shadow_matrix || config_.policy_switch;
   cache::ShadowBank::Plan plan;
@@ -52,7 +54,7 @@ cache::ShadowBank::Plan NeighborhoodShard::make_cells() {
       if (!matrix && !configured) continue;
       if (configured) plan.primary = plan.cells.size();
       plan.cells.push_back({scorer.display, admission.display,
-                            scorer.make(context), admission.make(config_)});
+                            scorer.make(context), admission.make(context)});
     }
   }
   if (matrix) plan.rows = plan.cells.size();
@@ -232,6 +234,7 @@ void NeighborhoodShard::feed(std::span<const StreamSession> batch) {
   for (std::size_t s = 0; s < batch.size(); ++s) {
     const auto& stream_session = batch[s];
     const auto start = stream_session.record.start;
+    const ProgramId program = stream_session.record.program;
     const std::int64_t start_ms = start.millis_count();
     while (ei < scratch_.size() && scratch_[ei].time_ms <= start_ms) {
       const BoundaryEvent& event = scratch_[ei++];
@@ -243,8 +246,9 @@ void NeighborhoodShard::feed(std::span<const StreamSession> batch) {
     }
     if (cursor_ != nullptr) {
       cursor_->on_session_start(static_cast<std::size_t>(stream_session.index),
-                                stream_session.record.program, start);
+                                program, start);
     }
+    if (history_ != nullptr) history_->record(program, start);
     apply_failures(start);
     maybe_switch(start);
     start_session(stream_session, new_slots_[s]);

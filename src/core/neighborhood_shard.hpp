@@ -38,7 +38,8 @@
 //    from a streaming pass over the same session source; the shard's one
 //    ReplayCursor walks it, moved by the shard's own events, and every
 //    GlobalLFU cell of the shard reads its counts (see
-//    cache/popularity_board.hpp for the position contract).
+//    cache/popularity_board.hpp for the position contract); the shard's
+//    one AccessHistory is local popularity, read by every cell alike.
 //
 // A shard touches no mutable state outside itself, so shards can run on
 // any thread, in any order, and produce bit-identical results.
@@ -50,6 +51,7 @@
 #include <span>
 #include <vector>
 
+#include "cache/access_history.hpp"
 #include "cache/future_index.hpp"
 #include "cache/policy_switcher.hpp"
 #include "cache/popularity_board.hpp"
@@ -193,6 +195,8 @@ class NeighborhoodShard {
   // Over board_, moved by this shard's events; null unless a GlobalLFU
   // cell reads it.
   std::unique_ptr<cache::ReplayCursor> cursor_;
+  // Null when no cell reads it (a no-cache shard).
+  std::unique_ptr<cache::AccessHistory> history_;
 
   MediaServer media_;
   IndexServer server_;

@@ -11,16 +11,17 @@ namespace vodcache::core {
 
 namespace {
 
-std::unique_ptr<cache::EvictionScorer> make_none(const ScorerContext&) {
+std::unique_ptr<cache::EvictionScorer> make_none(const PolicyContext&) {
   return nullptr;
 }
 
-std::unique_ptr<cache::EvictionScorer> make_lru(const ScorerContext&) {
-  return std::make_unique<cache::LruStrategy>();
+std::unique_ptr<cache::EvictionScorer> make_lru(const PolicyContext& ctx) {
+  return std::make_unique<cache::LruStrategy>(ctx.history);
 }
 
-std::unique_ptr<cache::EvictionScorer> make_lfu(const ScorerContext& ctx) {
-  return std::make_unique<cache::LfuStrategy>(ctx.strategy.lfu_history);
+std::unique_ptr<cache::EvictionScorer> make_lfu(const PolicyContext& ctx) {
+  return std::make_unique<cache::LfuStrategy>(ctx.history,
+                                              ctx.config.strategy.lfu_history);
 }
 
 // Oracle: how far ahead the impossible strategy looks (paper: 3 days) and
@@ -28,21 +29,21 @@ std::unique_ptr<cache::EvictionScorer> make_lfu(const ScorerContext& ctx) {
 constexpr sim::SimTime kOracleLookahead = sim::SimTime::days(3);
 constexpr sim::SimTime kOracleRefresh = sim::SimTime::hours(1);
 
-std::unique_ptr<cache::EvictionScorer> make_oracle(const ScorerContext& ctx) {
+std::unique_ptr<cache::EvictionScorer> make_oracle(const PolicyContext& ctx) {
   VODCACHE_EXPECTS(ctx.future != nullptr);
-  return std::make_unique<cache::OracleStrategy>(*ctx.future, kOracleLookahead,
-                                                 kOracleRefresh);
+  return std::make_unique<cache::OracleStrategy>(
+      ctx.history, *ctx.future, kOracleLookahead, kOracleRefresh);
 }
 
 std::unique_ptr<cache::EvictionScorer> make_global_lfu(
-    const ScorerContext& ctx) {
+    const PolicyContext& ctx) {
   VODCACHE_EXPECTS(ctx.cursor != nullptr);
-  return std::make_unique<cache::GlobalLfuStrategy>(*ctx.cursor);
+  return std::make_unique<cache::GlobalLfuStrategy>(ctx.history, *ctx.cursor);
 }
 
 std::unique_ptr<cache::EvictionScorer> make_greedy_dual(
-    const ScorerContext& ctx) {
-  return std::make_unique<cache::GreedyDualScorer>(ctx.catalog);
+    const PolicyContext& ctx) {
+  return std::make_unique<cache::GreedyDualScorer>(ctx.history, ctx.catalog);
 }
 
 constexpr ScorerEntry kScorers[] = {
@@ -63,7 +64,7 @@ constexpr ScorerEntry kScorers[] = {
      make_greedy_dual},
 };
 
-std::unique_ptr<cache::AdmissionPolicy> make_always(const SystemConfig&) {
+std::unique_ptr<cache::AdmissionPolicy> make_always(const PolicyContext&) {
   // Deliberately no policy object: the index server's null-admission fast
   // path *is* always-admit — the pre-refactor code path, with no virtual
   // call and no rate-meter query per session.  That makes the
@@ -72,15 +73,15 @@ std::unique_ptr<cache::AdmissionPolicy> make_always(const SystemConfig&) {
 }
 
 std::unique_ptr<cache::AdmissionPolicy> make_second_hit(
-    const SystemConfig& config) {
+    const PolicyContext& ctx) {
   return std::make_unique<cache::SecondHitPolicy>(
-      config.admission_policy.probation_window);
+      ctx.history, ctx.config.admission_policy.probation_window);
 }
 
 std::unique_ptr<cache::AdmissionPolicy> make_coax_headroom(
-    const SystemConfig& config) {
+    const PolicyContext& ctx) {
   return std::make_unique<cache::CoaxHeadroomPolicy>(
-      config.coax, config.admission_policy.headroom_fraction);
+      ctx.config.coax, ctx.config.admission_policy.headroom_fraction);
 }
 
 // SketchLfu: count-min sketch geometry, the halving (decay) period in
@@ -96,9 +97,11 @@ constexpr std::uint32_t kSketchDepth = 4;
 constexpr std::uint64_t kSketchHalvePeriod = 256;
 constexpr std::uint32_t kSketchMinEstimate = 2;
 
-std::unique_ptr<cache::AdmissionPolicy> make_sketch_lfu(const SystemConfig&) {
+std::unique_ptr<cache::AdmissionPolicy> make_sketch_lfu(
+    const PolicyContext& ctx) {
   return std::make_unique<cache::SketchLFUPolicy>(
-      kSketchWidth, kSketchDepth, kSketchHalvePeriod, kSketchMinEstimate);
+      ctx.history, kSketchWidth, kSketchDepth, kSketchHalvePeriod,
+      kSketchMinEstimate);
 }
 
 // AdaptiveHeadroom: hill-climb rotation window and per-window step.
@@ -106,10 +109,10 @@ constexpr sim::SimTime kAdaptWindow = sim::SimTime::hours(6);
 constexpr double kAdaptStep = 0.05;
 
 std::unique_ptr<cache::AdmissionPolicy> make_adaptive_headroom(
-    const SystemConfig& config) {
+    const PolicyContext& ctx) {
   return std::make_unique<cache::AdaptiveHeadroomPolicy>(
-      config.coax, config.admission_policy.headroom_fraction, kAdaptWindow,
-      kAdaptStep);
+      ctx.config.coax, ctx.config.admission_policy.headroom_fraction,
+      kAdaptWindow, kAdaptStep);
 }
 
 constexpr AdmissionEntry kAdmissions[] = {

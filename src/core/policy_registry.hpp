@@ -15,6 +15,7 @@
 #include <string>
 #include <string_view>
 
+#include "cache/access_history.hpp"
 #include "cache/admission.hpp"
 #include "cache/future_index.hpp"
 #include "cache/popularity_board.hpp"
@@ -24,13 +25,13 @@
 
 namespace vodcache::core {
 
-// Everything a scorer factory may need.  Per-shard: the oracle's future
-// index and the shard's replay cursor, which every GlobalLFU cell of the
-// shard reads, are shard-local state owned by the caller and must outlive
-// the scorer.
-struct ScorerContext {
-  const StrategyConfig& strategy;
+// Everything a policy factory may need.  The access history, future index
+// and replay cursor are shard-local state, owned by the caller; they must
+// outlive the policy.
+struct PolicyContext {
+  const SystemConfig& config;
   const trace::Catalog& catalog;
+  cache::AccessHistory& history;
   const cache::FutureIndex* future = nullptr;  // Oracle
   cache::ReplayCursor* cursor = nullptr;       // GlobalLFU
 };
@@ -44,7 +45,7 @@ struct ScorerEntry {
   // One-liner for --list-strategies.
   const char* summary;
   // Returns nullptr only for StrategyKind::None (no cache at all).
-  std::unique_ptr<cache::EvictionScorer> (*make)(const ScorerContext&);
+  std::unique_ptr<cache::EvictionScorer> (*make)(const PolicyContext&);
 };
 
 struct AdmissionEntry {
@@ -52,7 +53,7 @@ struct AdmissionEntry {
   const char* key;
   const char* display;
   const char* summary;
-  std::unique_ptr<cache::AdmissionPolicy> (*make)(const SystemConfig&);
+  std::unique_ptr<cache::AdmissionPolicy> (*make)(const PolicyContext&);
 };
 
 // The tier caches' prior-storing policy (core/tier_system.hpp) — the third

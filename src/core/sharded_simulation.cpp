@@ -26,15 +26,13 @@ ShardedSimulation::ShardedSimulation(const trace::SessionSource& source,
 
 ShardedSimulation::ShardedSimulation(const trace::Trace& trace,
                                      SystemConfig config)
-    : owned_source_(std::make_unique<trace::TraceSource>(trace)),
-      source_(owned_source_.get()),
-      config_(config),
-      topology_(hfc::Topology::build(trace.user_count(),
-                                     config.neighborhood_size, config.tiers)) {
-  config_.validate();
-  if (!config_.tiers.empty()) {
-    tiers_ = std::make_unique<TierSystem>(topology_, config_.prefetch.refresh);
-  }
+    : ShardedSimulation(std::make_unique<trace::TraceSource>(trace),
+                        std::move(config)) {}
+
+ShardedSimulation::ShardedSimulation(
+    std::unique_ptr<trace::SessionSource> owned, SystemConfig config)
+    : ShardedSimulation(*owned, std::move(config)) {
+  owned_source_ = std::move(owned);
 }
 
 ShardedSimulation::Needs ShardedSimulation::needs() const {

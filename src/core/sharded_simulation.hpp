@@ -82,6 +82,10 @@ class ShardedSimulation {
   }
 
  private:
+  // The Trace form owns its source.
+  ShardedSimulation(std::unique_ptr<trace::SessionSource> owned,
+                    SystemConfig config);
+
   // Which shared products this config needs.  The demux builds the
   // stream-order ones (board, flush); the prepass the whole-trace ones
   // (future, tiers), and it runs only when one of those is needed.

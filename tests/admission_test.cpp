@@ -35,43 +35,48 @@ cache::AdmissionRequest request(std::uint32_t program, sim::SimTime t,
 // ------------------------------------------------------------ second-hit
 
 TEST(SecondHitPolicy, FirstAccessNeverAdmits) {
-  cache::SecondHitPolicy policy(sim::SimTime::hours(24));
-  policy.record_access(ProgramId{7}, at_hours(1));
+  cache::AccessHistory history;
+  cache::SecondHitPolicy policy(history, sim::SimTime::hours(24));
+  history.record(ProgramId{7}, at_hours(1));
   EXPECT_FALSE(policy.admit(request(7, at_hours(1))));
 }
 
 TEST(SecondHitPolicy, SecondAccessWithinWindowAdmits) {
-  cache::SecondHitPolicy policy(sim::SimTime::hours(24));
-  policy.record_access(ProgramId{7}, at_hours(1));
-  policy.record_access(ProgramId{7}, at_hours(10));
+  cache::AccessHistory history;
+  cache::SecondHitPolicy policy(history, sim::SimTime::hours(24));
+  history.record(ProgramId{7}, at_hours(1));
+  history.record(ProgramId{7}, at_hours(10));
   EXPECT_TRUE(policy.admit(request(7, at_hours(10))));
 }
 
 TEST(SecondHitPolicy, StaleFirstAccessDoesNotAdmit) {
-  cache::SecondHitPolicy policy(sim::SimTime::hours(24));
-  policy.record_access(ProgramId{7}, at_hours(1));
-  policy.record_access(ProgramId{7}, at_hours(30));  // 29 h later: stale
+  cache::AccessHistory history;
+  cache::SecondHitPolicy policy(history, sim::SimTime::hours(24));
+  history.record(ProgramId{7}, at_hours(1));
+  history.record(ProgramId{7}, at_hours(30));  // 29 h later: stale
   EXPECT_FALSE(policy.admit(request(7, at_hours(30))));
   // But the probation clock restarted: a third access within the window of
   // the second admits.
-  policy.record_access(ProgramId{7}, at_hours(40));
+  history.record(ProgramId{7}, at_hours(40));
   EXPECT_TRUE(policy.admit(request(7, at_hours(40))));
 }
 
 TEST(SecondHitPolicy, ProgramsAreIndependent) {
-  cache::SecondHitPolicy policy(sim::SimTime::hours(24));
-  policy.record_access(ProgramId{1}, at_hours(1));
-  policy.record_access(ProgramId{1}, at_hours(2));
-  policy.record_access(ProgramId{2}, at_hours(2));
+  cache::AccessHistory history;
+  cache::SecondHitPolicy policy(history, sim::SimTime::hours(24));
+  history.record(ProgramId{1}, at_hours(1));
+  history.record(ProgramId{1}, at_hours(2));
+  history.record(ProgramId{2}, at_hours(2));
   EXPECT_TRUE(policy.admit(request(1, at_hours(2))));
   EXPECT_FALSE(policy.admit(request(2, at_hours(2))));
 }
 
 TEST(SecondHitPolicy, AccessAtTimeZeroCounts) {
   // A first access at t=0 must not be mistaken for "never accessed".
-  cache::SecondHitPolicy policy(sim::SimTime::hours(24));
-  policy.record_access(ProgramId{3}, sim::SimTime{});
-  policy.record_access(ProgramId{3}, at_hours(1));
+  cache::AccessHistory history;
+  cache::SecondHitPolicy policy(history, sim::SimTime::hours(24));
+  history.record(ProgramId{3}, sim::SimTime{});
+  history.record(ProgramId{3}, at_hours(1));
   EXPECT_TRUE(policy.admit(request(3, at_hours(1))));
 }
 
@@ -80,14 +85,15 @@ TEST(SecondHitPolicy, AgingBoundsHistoryOnChurningCatalogs) {
   // unbounded growth on a churning catalog.  With aging, entries whose
   // last access fell out of 2x the probation window are swept, so the
   // live table tracks only the recent access set.
-  cache::SecondHitPolicy policy(sim::SimTime::hours(1));
+  cache::AccessHistory history;
+  cache::SecondHitPolicy policy(history, sim::SimTime::hours(1));
   std::size_t high_water = 0;
   for (std::int64_t hour = 0; hour < 500; ++hour) {
     for (std::uint32_t k = 0; k < 4; ++k) {
-      policy.record_access(ProgramId{static_cast<std::uint32_t>(hour) * 4 + k},
+      history.record(ProgramId{static_cast<std::uint32_t>(hour) * 4 + k},
                            at_hours(hour));
     }
-    high_water = std::max(high_water, policy.history_size());
+    high_water = std::max(high_water, history.probation_size());
   }
   // 2000 distinct programs seen; only the last ~3 hours' worth (sweep
   // cadence one window, cutoff two windows) may be live at once.
@@ -96,9 +102,9 @@ TEST(SecondHitPolicy, AgingBoundsHistoryOnChurningCatalogs) {
   // Aging is decision-invariant: a swept program re-accessed later is
   // refused exactly as a kept-but-stale entry would be, and its probation
   // clock restarts the same way.
-  policy.record_access(ProgramId{0}, at_hours(600));
+  history.record(ProgramId{0}, at_hours(600));
   EXPECT_FALSE(policy.admit(request(0, at_hours(600))));
-  policy.record_access(ProgramId{0}, at_hours(600));
+  history.record(ProgramId{0}, at_hours(600));
   EXPECT_TRUE(policy.admit(request(0, at_hours(600))));
 }
 
@@ -106,12 +112,13 @@ TEST(SecondHitPolicy, SteadyStateIsAllocationFree) {
   // With aging bounding the live set, the flat table and the sweep's
   // scratch vector reach a high-water capacity and stay there: after a
   // warm phase, driving the same churn pattern must allocate nothing.
-  cache::SecondHitPolicy policy(sim::SimTime::hours(1));
+  cache::AccessHistory history;
+  cache::SecondHitPolicy policy(history, sim::SimTime::hours(1));
   auto drive = [&](std::int64_t from_hour, std::int64_t hours) {
     for (std::int64_t hour = from_hour; hour < from_hour + hours; ++hour) {
       for (std::uint32_t k = 0; k < 4; ++k) {
         const auto id = static_cast<std::uint32_t>(hour) * 4 + k;
-        policy.record_access(ProgramId{id}, at_hours(hour));
+        history.record(ProgramId{id}, at_hours(hour));
         (void)policy.admit(request(id, at_hours(hour)));
       }
     }
@@ -145,12 +152,13 @@ TEST(CoaxSpec, VodHeadroomQuery) {
 // ------------------------------------------------------------ sketch-lfu
 
 TEST(SketchLFUPolicy, AdmitsOnceEstimateReachesThreshold) {
-  cache::SketchLFUPolicy policy(1024, 4, 1ull << 40, 3);
-  policy.record_access(ProgramId{7}, at_hours(1));
+  cache::AccessHistory history;
+  cache::SketchLFUPolicy policy(history, 1024, 4, 1ull << 40, 3);
+  history.record(ProgramId{7}, at_hours(1));
   EXPECT_FALSE(policy.admit(request(7, at_hours(1))));
-  policy.record_access(ProgramId{7}, at_hours(2));
+  history.record(ProgramId{7}, at_hours(2));
   EXPECT_FALSE(policy.admit(request(7, at_hours(2))));
-  policy.record_access(ProgramId{7}, at_hours(3));
+  history.record(ProgramId{7}, at_hours(3));
   EXPECT_TRUE(policy.admit(request(7, at_hours(3))));
   // An untouched program stays refused whatever program 7 accumulated.
   EXPECT_FALSE(policy.admit(request(8, at_hours(3))));
@@ -161,10 +169,11 @@ TEST(SketchLFUPolicy, HalvingRevokesDecayedCredit) {
   // driven by the sustained traffic for program 2 — re-probation through
   // geometric aging, where second-hit would have admitted program 1 on any
   // two close accesses.
-  cache::SketchLFUPolicy policy(1024, 4, 8, 2);
-  for (int i = 0; i < 4; ++i) policy.record_access(ProgramId{1}, at_hours(1));
+  cache::AccessHistory history;
+  cache::SketchLFUPolicy policy(history, 1024, 4, 8, 2);
+  for (int i = 0; i < 4; ++i) history.record(ProgramId{1}, at_hours(1));
   EXPECT_TRUE(policy.admit(request(1, at_hours(1))));
-  for (int i = 0; i < 64; ++i) policy.record_access(ProgramId{2}, at_hours(2));
+  for (int i = 0; i < 64; ++i) history.record(ProgramId{2}, at_hours(2));
   EXPECT_FALSE(policy.admit(request(1, at_hours(2))));
   EXPECT_TRUE(policy.admit(request(2, at_hours(2))));
 }
@@ -249,27 +258,38 @@ SystemConfig gated_config() {
 
 constexpr auto kProgramSize = DataSize::megabytes(600);
 
+// `make_admission` builds the gate over the fixture's access history.
 struct GatedFixture {
-  GatedFixture(std::unique_ptr<cache::AdmissionPolicy> admission,
-               SystemConfig cfg = gated_config())
+  template <typename MakeAdmission>
+  explicit GatedFixture(MakeAdmission make_admission,
+                        SystemConfig cfg = gated_config())
       : config(cfg),
         media(sim::SimTime::days(1), config.meter_bucket),
         server(NeighborhoodId{0}, config.neighborhood_size, config,
-               test::one_cell(std::make_unique<cache::LruStrategy>(),
-                              std::move(admission)),
+               test::one_cell(std::make_unique<cache::LruStrategy>(history),
+                              make_admission(history)),
                media, sim::SimTime::days(1)) {}
+
+  // A session start as the shard runs it: the history records it first.
+  std::uint64_t start(ProgramId program, DataSize size, sim::SimTime t) {
+    history.record(program, t);
+    return server.start_session(program, size, t);
+  }
 
   SystemConfig config;
   MediaServer media;
+  cache::AccessHistory history;
   IndexServer server;
 };
 
 TEST(IndexServerAdmission, RefusalLeavesCacheUntouchedAndCounts) {
-  GatedFixture f(std::make_unique<cache::SecondHitPolicy>(at_hours(24)));
+  GatedFixture f([](cache::AccessHistory& history) {
+    return std::make_unique<cache::SecondHitPolicy>(history, at_hours(24));
+  });
 
   // First-ever session: second-hit refuses, nothing fills.
   const bool admit =
-      f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+      f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   EXPECT_FALSE(admit);
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0},
                          {sim::SimTime{}, sim::SimTime::seconds(300)}, admit,
@@ -281,7 +301,7 @@ TEST(IndexServerAdmission, RefusalLeavesCacheUntouchedAndCounts) {
   EXPECT_EQ(f.server.counters().admission_denials, 1u);
 
   // Second session for the same program: admitted, fills.
-  const bool admit2 = f.server.start_session(ProgramId{0}, kProgramSize,
+  const bool admit2 = f.start(ProgramId{0}, kProgramSize,
                                              sim::SimTime::seconds(400));
   EXPECT_TRUE(admit2);
   f.server.serve_segment(
@@ -296,23 +316,26 @@ TEST(IndexServerAdmission, CoaxGateClosesUnderLoadAndReopens) {
   auto cfg = gated_config();
   cfg.coax.downstream_low = DataRate::megabits_per_second(20);
   cfg.coax.tv_broadcast = DataRate::megabits_per_second(10);
-  GatedFixture f(std::make_unique<cache::CoaxHeadroomPolicy>(cfg.coax, 0.5),
-                 cfg);
+  GatedFixture f(
+      [&](cache::AccessHistory&) {
+        return std::make_unique<cache::CoaxHeadroomPolicy>(cfg.coax, 0.5);
+      },
+      cfg);
 
   // Idle coax: admitted.
   const bool admit =
-      f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+      f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   EXPECT_TRUE(admit);
   // One full-bucket transmission pushes the first bucket's average to
   // 8 Mb/s, past the 5 Mb/s threshold...
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0},
                          {sim::SimTime{}, sim::SimTime::minutes(15)}, admit,
                          false);
-  EXPECT_FALSE(f.server.start_session(ProgramId{1}, kProgramSize,
+  EXPECT_FALSE(f.start(ProgramId{1}, kProgramSize,
                                       sim::SimTime::minutes(5)));
   EXPECT_EQ(f.server.counters().admission_denials, 1u);
   // ...but the next bucket is quiet again: the gate reopens.
-  EXPECT_TRUE(f.server.start_session(ProgramId{2}, kProgramSize,
+  EXPECT_TRUE(f.start(ProgramId{2}, kProgramSize,
                                      sim::SimTime::minutes(20)));
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/access_history.hpp"
 #include "cache/future_index.hpp"
 #include "cache/global_lfu.hpp"
 #include "cache/lfu.hpp"
@@ -13,12 +14,15 @@
 #include "cache/oracle.hpp"
 #include "cache/popularity_board.hpp"
 #include "cache/victim_index.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace vodcache::cache {
 namespace {
 
 sim::SimTime at_min(std::int64_t minutes) { return sim::SimTime::minutes(minutes); }
+
+using test::access;
 
 // ---------------------------------------------------------------- CachedSet
 
@@ -80,33 +84,36 @@ TEST(CachedSet, ScoreOf) {
 // --------------------------------------------------------------------- LRU
 
 TEST(Lru, VictimIsLeastRecentlyUsed) {
-  LruStrategy lru;
-  lru.record_access(ProgramId{1}, at_min(1));
+  AccessHistory history;
+  LruStrategy lru(history);
+  access(history, lru, ProgramId{1}, at_min(1));
   lru.on_admit(ProgramId{1}, at_min(1));
-  lru.record_access(ProgramId{2}, at_min(2));
+  access(history, lru, ProgramId{2}, at_min(2));
   lru.on_admit(ProgramId{2}, at_min(2));
-  lru.record_access(ProgramId{3}, at_min(3));
+  access(history, lru, ProgramId{3}, at_min(3));
   lru.on_admit(ProgramId{3}, at_min(3));
   EXPECT_EQ(lru.victim(at_min(4)), ProgramId{1});
 
   // Touch 1 -> victim moves to 2.
-  lru.record_access(ProgramId{1}, at_min(5));
+  access(history, lru, ProgramId{1}, at_min(5));
   EXPECT_EQ(lru.victim(at_min(6)), ProgramId{2});
 }
 
 TEST(Lru, CandidateAlwaysOutranksVictim) {
   // "If it is not in the cache already, it is added immediately."
-  LruStrategy lru;
-  lru.record_access(ProgramId{1}, at_min(1));
+  AccessHistory history;
+  LruStrategy lru(history);
+  access(history, lru, ProgramId{1}, at_min(1));
   lru.on_admit(ProgramId{1}, at_min(1));
-  lru.record_access(ProgramId{9}, at_min(2));  // the candidate, just accessed
+  access(history, lru, ProgramId{9}, at_min(2));  // the candidate
   EXPECT_GT(lru.score(ProgramId{9}, at_min(2)),
             lru.score(*lru.victim(at_min(2)), at_min(2)));
 }
 
 TEST(Lru, EvictRemovesFromCachedSet) {
-  LruStrategy lru;
-  lru.record_access(ProgramId{1}, at_min(1));
+  AccessHistory history;
+  LruStrategy lru(history);
+  access(history, lru, ProgramId{1}, at_min(1));
   lru.on_admit(ProgramId{1}, at_min(1));
   lru.on_evict(ProgramId{1});
   EXPECT_FALSE(lru.is_cached(ProgramId{1}));
@@ -114,8 +121,9 @@ TEST(Lru, EvictRemovesFromCachedSet) {
 }
 
 TEST(Lru, NeverAccessedScoresLowest) {
-  LruStrategy lru;
-  lru.record_access(ProgramId{1}, at_min(1));
+  AccessHistory history;
+  LruStrategy lru(history);
+  access(history, lru, ProgramId{1}, at_min(1));
   EXPECT_LT(lru.score(ProgramId{42}, at_min(2)),
             lru.score(ProgramId{1}, at_min(2)));
 }
@@ -123,72 +131,78 @@ TEST(Lru, NeverAccessedScoresLowest) {
 TEST(Lru, ClassicReferenceSequence) {
   // Reference string 1,2,3,1,4 with capacity 3 (admissions driven manually
   // the way the index server would): 4 must evict 2.
-  LruStrategy lru;
+  AccessHistory history;
+  LruStrategy lru(history);
   for (const auto& [p, t] :
        {std::pair{1, 1}, {2, 2}, {3, 3}, {1, 4}}) {
-    lru.record_access(ProgramId{static_cast<std::uint32_t>(p)}, at_min(t));
+    access(history, lru, ProgramId{static_cast<std::uint32_t>(p)}, at_min(t));
     if (!lru.is_cached(ProgramId{static_cast<std::uint32_t>(p)})) {
       lru.on_admit(ProgramId{static_cast<std::uint32_t>(p)}, at_min(t));
     }
   }
-  lru.record_access(ProgramId{4}, at_min(5));
+  access(history, lru, ProgramId{4}, at_min(5));
   EXPECT_EQ(lru.victim(at_min(5)), ProgramId{2});
 }
 
 // --------------------------------------------------------------------- LFU
 
 TEST(Lfu, VictimIsLeastFrequent) {
-  LfuStrategy lfu(sim::SimTime::hours(24));
-  for (int i = 0; i < 3; ++i) lfu.record_access(ProgramId{1}, at_min(i));
+  AccessHistory history;
+  LfuStrategy lfu(history, sim::SimTime::hours(24));
+  for (int i = 0; i < 3; ++i) access(history, lfu, ProgramId{1}, at_min(i));
   lfu.on_admit(ProgramId{1}, at_min(3));
-  lfu.record_access(ProgramId{2}, at_min(4));
+  access(history, lfu, ProgramId{2}, at_min(4));
   lfu.on_admit(ProgramId{2}, at_min(4));
   EXPECT_EQ(lfu.victim(at_min(5)), ProgramId{2});
 }
 
 TEST(Lfu, FrequencyCountsWindowOnly) {
-  LfuStrategy lfu(sim::SimTime::hours(1));
-  lfu.record_access(ProgramId{1}, at_min(0));
-  lfu.record_access(ProgramId{1}, at_min(10));
+  AccessHistory history;
+  LfuStrategy lfu(history, sim::SimTime::hours(1));
+  access(history, lfu, ProgramId{1}, at_min(0));
+  access(history, lfu, ProgramId{1}, at_min(10));
   EXPECT_EQ(lfu.score(ProgramId{1}, at_min(10)).first, 2);
   // Advance past the window: first event expires.
-  lfu.record_access(ProgramId{2}, at_min(65));
+  access(history, lfu, ProgramId{2}, at_min(65));
   EXPECT_EQ(lfu.score(ProgramId{1}, at_min(65)).first, 1);
-  lfu.record_access(ProgramId{2}, at_min(75));
+  access(history, lfu, ProgramId{2}, at_min(75));
   EXPECT_EQ(lfu.score(ProgramId{1}, at_min(75)).first, 0);
 }
 
 TEST(Lfu, ExpiryRerANKSCachedPrograms) {
-  LfuStrategy lfu(sim::SimTime::hours(1));
+  AccessHistory history;
+  LfuStrategy lfu(history, sim::SimTime::hours(1));
   // Program 1: burst of 3 accesses at t=0; program 2: steady 2 accesses.
-  for (int i = 0; i < 3; ++i) lfu.record_access(ProgramId{1}, at_min(0));
+  for (int i = 0; i < 3; ++i) access(history, lfu, ProgramId{1}, at_min(0));
   lfu.on_admit(ProgramId{1}, at_min(0));
-  lfu.record_access(ProgramId{2}, at_min(30));
-  lfu.record_access(ProgramId{2}, at_min(55));
+  access(history, lfu, ProgramId{2}, at_min(30));
+  access(history, lfu, ProgramId{2}, at_min(55));
   lfu.on_admit(ProgramId{2}, at_min(55));
   EXPECT_EQ(lfu.victim(at_min(56)), ProgramId{2});
   // After t=60+30, program 1's burst has fully expired but program 2 keeps
   // one in-window access: victim flips to 1.
-  lfu.record_access(ProgramId{3}, at_min(80));
+  access(history, lfu, ProgramId{3}, at_min(80));
   EXPECT_EQ(lfu.victim(at_min(80)), ProgramId{1});
 }
 
 TEST(Lfu, TiesResolveByRecency) {
   // "with ties being resolved using an LRU strategy"
-  LfuStrategy lfu(sim::SimTime::hours(24));
-  lfu.record_access(ProgramId{1}, at_min(1));
+  AccessHistory history;
+  LfuStrategy lfu(history, sim::SimTime::hours(24));
+  access(history, lfu, ProgramId{1}, at_min(1));
   lfu.on_admit(ProgramId{1}, at_min(1));
-  lfu.record_access(ProgramId{2}, at_min(2));
+  access(history, lfu, ProgramId{2}, at_min(2));
   lfu.on_admit(ProgramId{2}, at_min(2));
   // Equal frequency (1 each); 1 is older -> victim.
   EXPECT_EQ(lfu.victim(at_min(3)), ProgramId{1});
 }
 
 TEST(Lfu, ZeroHistoryDegeneratesToLru) {
-  LfuStrategy lfu(sim::SimTime{});
-  for (int i = 0; i < 5; ++i) lfu.record_access(ProgramId{1}, at_min(i));
+  AccessHistory history;
+  LfuStrategy lfu(history, sim::SimTime{});
+  for (int i = 0; i < 5; ++i) access(history, lfu, ProgramId{1}, at_min(i));
   lfu.on_admit(ProgramId{1}, at_min(5));
-  lfu.record_access(ProgramId{2}, at_min(6));
+  access(history, lfu, ProgramId{2}, at_min(6));
   lfu.on_admit(ProgramId{2}, at_min(6));
   // Despite program 1's five accesses, frequency is always 0 with an empty
   // history; recency decides and 1 is older.
@@ -197,10 +211,11 @@ TEST(Lfu, ZeroHistoryDegeneratesToLru) {
 }
 
 TEST(Lfu, CandidateComparisonUsesFrequency) {
-  LfuStrategy lfu(sim::SimTime::hours(24));
-  for (int i = 0; i < 5; ++i) lfu.record_access(ProgramId{1}, at_min(i));
+  AccessHistory history;
+  LfuStrategy lfu(history, sim::SimTime::hours(24));
+  for (int i = 0; i < 5; ++i) access(history, lfu, ProgramId{1}, at_min(i));
   lfu.on_admit(ProgramId{1}, at_min(5));
-  lfu.record_access(ProgramId{2}, at_min(6));
+  access(history, lfu, ProgramId{2}, at_min(6));
   // Candidate 2 accessed once: does NOT outrank cached program 1.
   EXPECT_LT(lfu.score(ProgramId{2}, at_min(6)),
             lfu.score(ProgramId{1}, at_min(6)));
@@ -255,9 +270,10 @@ TEST(Oracle, VictimHasFewestFutureAccesses) {
   index.add(ProgramId{1}, at_min(100));
   index.freeze();
 
-  OracleStrategy oracle(index, sim::SimTime::days(3));
+  AccessHistory history;
+  OracleStrategy oracle(history, index, sim::SimTime::days(3));
   for (std::uint32_t p = 0; p < 3; ++p) {
-    oracle.record_access(ProgramId{p}, at_min(p));
+    access(history, oracle, ProgramId{p}, at_min(p));
     oracle.on_admit(ProgramId{p}, at_min(p));
   }
   EXPECT_EQ(oracle.victim(at_min(5)), ProgramId{2});
@@ -267,7 +283,8 @@ TEST(Oracle, ScoresDriftAsWindowSlides) {
   FutureIndex index(1);
   index.add(ProgramId{0}, at_min(100));
   index.freeze();
-  OracleStrategy oracle(index, sim::SimTime::hours(1));
+  AccessHistory history;
+  OracleStrategy oracle(history, index, sim::SimTime::hours(1));
   EXPECT_EQ(oracle.score(ProgramId{0}, at_min(50)).first, 1);
   // By t=101 the access is in the past: zero future value.
   EXPECT_EQ(oracle.score(ProgramId{0}, at_min(101)).first, 0);
@@ -281,11 +298,12 @@ TEST(Oracle, RefreshRerANKSAfterDrift) {
   index.add(ProgramId{1}, at_min(310));
   index.freeze();
 
-  OracleStrategy oracle(index, sim::SimTime::hours(6),
+  AccessHistory history;
+  OracleStrategy oracle(history, index, sim::SimTime::hours(6),
                         /*refresh_interval=*/sim::SimTime::minutes(30));
-  oracle.record_access(ProgramId{0}, at_min(0));
+  access(history, oracle, ProgramId{0}, at_min(0));
   oracle.on_admit(ProgramId{0}, at_min(0));
-  oracle.record_access(ProgramId{1}, at_min(1));
+  access(history, oracle, ProgramId{1}, at_min(1));
   oracle.on_admit(ProgramId{1}, at_min(1));
   // Early: program 1 (2 future) outranks program 0 (1 future).
   EXPECT_EQ(oracle.victim(at_min(2)), ProgramId{0});
@@ -485,11 +503,13 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
 
 // ------------------------------------------------------- GlobalLFU, replay
 
-// One session start as a shard runs it: the cursor first, then the cell.
-void start(ReplayCursor& cursor, GlobalLfuStrategy& cell, std::size_t index,
-           ProgramId program, sim::SimTime t) {
+// One session start as a shard runs it: the cursor first, then the
+// history, then the cell.
+void start(ReplayCursor& cursor, AccessHistory& history,
+           GlobalLfuStrategy& cell, std::size_t index, ProgramId program,
+           sim::SimTime t) {
   cursor.on_session_start(index, program, t);
-  cell.record_access(program, t);
+  access(history, cell, program, t);
 }
 
 TEST(GlobalLfuReplay, SeesAccessesFromOtherNeighborhoods) {
@@ -500,14 +520,15 @@ TEST(GlobalLfuReplay, SeesAccessesFromOtherNeighborhoods) {
       frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
 
   ReplayCursor cursor_a(*board), cursor_b(*board);
-  GlobalLfuStrategy a(cursor_a);
-  GlobalLfuStrategy b(cursor_b);
+  AccessHistory history_a, history_b;
+  GlobalLfuStrategy a(history_a, cursor_a);
+  GlobalLfuStrategy b(history_b, cursor_b);
 
   // Neighborhood A sees lots of program 1; B has never seen it locally.
   for (std::size_t i = 0; i < 5; ++i) {
-    start(cursor_a, a, i, ProgramId{1}, at_min(static_cast<std::int64_t>(i)));
+    start(cursor_a, history_a, a, i, ProgramId{1}, at_min(static_cast<std::int64_t>(i)));
   }
-  start(cursor_b, b, 5, ProgramId{2}, at_min(6));
+  start(cursor_b, history_b, b, 5, ProgramId{2}, at_min(6));
   // B's scoring still ranks 1 above 2 thanks to global data.
   cursor_b.on_boundary(at_min(7));
   EXPECT_GT(b.score(ProgramId{1}, at_min(7)), b.score(ProgramId{2}, at_min(7)));
@@ -522,13 +543,14 @@ TEST(GlobalLfuReplay, ReranksRemoteCachedPrograms) {
       frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
 
   ReplayCursor cursor_a(*board), cursor_b(*board);
-  GlobalLfuStrategy a(cursor_a);
-  GlobalLfuStrategy b(cursor_b);
+  AccessHistory history_a, history_b;
+  GlobalLfuStrategy a(history_a, cursor_a);
+  GlobalLfuStrategy b(history_b, cursor_b);
 
-  start(cursor_b, b, 0, ProgramId{1}, at_min(0));
+  start(cursor_b, history_b, b, 0, ProgramId{1}, at_min(0));
   b.on_admit(ProgramId{1}, at_min(0));
-  start(cursor_b, b, 1, ProgramId{2}, at_min(1));
-  start(cursor_b, b, 2, ProgramId{2}, at_min(1));
+  start(cursor_b, history_b, b, 1, ProgramId{2}, at_min(1));
+  start(cursor_b, history_b, b, 2, ProgramId{2}, at_min(1));
   b.on_admit(ProgramId{2}, at_min(1));
   cursor_b.on_boundary(at_min(2));
   EXPECT_EQ(b.victim(at_min(2)), ProgramId{1});
@@ -536,7 +558,7 @@ TEST(GlobalLfuReplay, ReranksRemoteCachedPrograms) {
   // A's traffic boosts program 1 globally; B's victim flips to 2 without B
   // seeing any local access.
   for (std::size_t i = 0; i < 4; ++i) {
-    start(cursor_a, a, 3 + i, ProgramId{1}, at_min(3));
+    start(cursor_a, history_a, a, 3 + i, ProgramId{1}, at_min(3));
   }
   cursor_b.on_boundary(at_min(4));
   EXPECT_EQ(b.victim(at_min(4)), ProgramId{2});
@@ -553,11 +575,12 @@ TEST(GlobalLfuReplay, ExpiringRemoteAccessDropsCachedRank) {
                                    {at_min(11), ProgramId{2}},
                                    {at_min(12), ProgramId{1}}});
   ReplayCursor cursor(*board);
-  GlobalLfuStrategy b(cursor);
-  start(cursor, b, 2, ProgramId{2}, at_min(10));
+  AccessHistory history;
+  GlobalLfuStrategy b(history, cursor);
+  start(cursor, history, b, 2, ProgramId{2}, at_min(10));
   b.on_admit(ProgramId{2}, at_min(10));
-  start(cursor, b, 3, ProgramId{2}, at_min(11));
-  start(cursor, b, 4, ProgramId{1}, at_min(12));
+  start(cursor, history, b, 3, ProgramId{2}, at_min(11));
+  start(cursor, history, b, 4, ProgramId{1}, at_min(12));
   b.on_admit(ProgramId{1}, at_min(12));
   cursor.on_boundary(at_min(30));
   EXPECT_EQ(b.victim(at_min(30)), ProgramId{2});
@@ -576,13 +599,14 @@ TEST(GlobalLfuReplay, LaggedModeAugmentsSnapshotWithLocal) {
                                    {at_min(3), ProgramId{2}}});
 
   ReplayCursor cursor_a(*board), cursor_b(*board);
-  GlobalLfuStrategy a(cursor_a);
-  GlobalLfuStrategy b(cursor_b);
+  AccessHistory history_a, history_b;
+  GlobalLfuStrategy a(history_a, cursor_a);
+  GlobalLfuStrategy b(history_b, cursor_b);
 
   // Before any batch: A's local accesses count for A but not for B.
-  start(cursor_a, a, 0, ProgramId{1}, at_min(1));
-  start(cursor_a, a, 1, ProgramId{1}, at_min(2));
-  start(cursor_b, b, 2, ProgramId{2}, at_min(3));
+  start(cursor_a, history_a, a, 0, ProgramId{1}, at_min(1));
+  start(cursor_a, history_a, a, 1, ProgramId{1}, at_min(2));
+  start(cursor_b, history_b, b, 2, ProgramId{2}, at_min(3));
 
   cursor_a.on_boundary(at_min(4));
   cursor_b.on_boundary(at_min(4));

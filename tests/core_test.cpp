@@ -42,11 +42,18 @@ struct Fixture {
       : config(cfg),
         media(sim::SimTime::days(1), config.meter_bucket),
         server(NeighborhoodId{0}, config.neighborhood_size, config,
-               test::one_cell(std::make_unique<cache::LruStrategy>()), media,
-               sim::SimTime::days(1)) {}
+               test::one_cell(std::make_unique<cache::LruStrategy>(history)),
+               media, sim::SimTime::days(1)) {}
+
+  // A session start as the shard runs it: the history records it first.
+  std::uint64_t start(ProgramId program, DataSize size, sim::SimTime t) {
+    history.record(program, t);
+    return server.start_session(program, size, t);
+  }
 
   SystemConfig config;
   MediaServer media;
+  cache::AccessHistory history;
   IndexServer server;
 };
 
@@ -54,7 +61,7 @@ struct Fixture {
 
 TEST(IndexServer, ColdMissGoesToServerAndFills) {
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   EXPECT_TRUE(admit);  // LRU admits immediately
 
   const auto result = f.server.serve_segment(
@@ -68,7 +75,7 @@ TEST(IndexServer, ColdMissGoesToServerAndFills) {
 
 TEST(IndexServer, SecondRequestIsPeerHit) {
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   const auto result = f.server.serve_segment(
@@ -83,7 +90,7 @@ TEST(IndexServer, CoaxCarriesHitsAndMissesAlike) {
   // Section VI-B: the broadcast consumes the same coax bandwidth whether a
   // peer or the headend sends it.
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   f.server.serve_segment(PeerId{1}, {ProgramId{0}, 0}, span(400, 700), admit,
@@ -94,7 +101,7 @@ TEST(IndexServer, CoaxCarriesHitsAndMissesAlike) {
 
 TEST(IndexServer, ConservationCoaxEqualsServerPlusPeer) {
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   for (int i = 0; i < 6; ++i) {
     f.server.serve_segment(PeerId{static_cast<std::uint32_t>(i % 4)},
                            {ProgramId{0}, static_cast<std::uint32_t>(i % 2)},
@@ -109,7 +116,7 @@ TEST(IndexServer, BusyPeerTriggersMissAndReplica) {
   auto cfg = small_config();
   cfg.replicate_on_busy = true;  // the replication extension
   Fixture f(cfg);
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   // Fill the segment once (cold miss).
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
@@ -139,7 +146,7 @@ TEST(IndexServer, NoReplicaOnBusyByDefault) {
   // Paper-faithful default: a busy miss is served by the central server and
   // the already-cached segment is left alone.
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   f.server.serve_segment(PeerId{1}, {ProgramId{0}, 0}, span(400, 700), admit,
@@ -154,7 +161,7 @@ TEST(IndexServer, NoReplicaOnBusyByDefault) {
 
 TEST(IndexServer, ViewerPlaybackCountsAgainstServing) {
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   const PeerId storer = f.server.store().locate({ProgramId{0}, 0})[0];
@@ -180,7 +187,7 @@ TEST(IndexServer, NoFillForPartialSlice) {
   // A viewer quitting mid-segment stops the broadcast; the partial segment
   // is not cached.
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 120), admit,
                          /*full_slice=*/false);
   EXPECT_FALSE(f.server.store().contains({ProgramId{0}, 0}));
@@ -196,7 +203,7 @@ TEST(IndexServer, LruEvictionMakesRoom) {
 
   for (std::uint32_t p = 0; p < 2; ++p) {
     const bool admit =
-        f.server.start_session(ProgramId{p}, kOneSegment,
+        f.start(ProgramId{p}, kOneSegment,
                                sim::SimTime::seconds(p * 1000));
     f.server.serve_segment(PeerId{0}, {ProgramId{p}, 0},
                            span(p * 1000, p * 1000 + 300), admit, true);
@@ -206,7 +213,7 @@ TEST(IndexServer, LruEvictionMakesRoom) {
 
   // Program 2 arrives: LRU discards program 0 (least recently accessed).
   const bool admit =
-      f.server.start_session(ProgramId{2}, kOneSegment,
+      f.start(ProgramId{2}, kOneSegment,
                              sim::SimTime::seconds(5000));
   f.server.serve_segment(PeerId{0}, {ProgramId{2}, 0}, span(5000, 5300),
                          admit, true);
@@ -223,7 +230,7 @@ TEST(IndexServer, StrategyAndStoreStayConsistent) {
   Fixture f(config);
   for (std::uint32_t p = 0; p < 6; ++p) {
     const bool admit =
-        f.server.start_session(ProgramId{p}, kOneSegment,
+        f.start(ProgramId{p}, kOneSegment,
                                sim::SimTime::seconds(p * 600));
     f.server.serve_segment(PeerId{p % 2}, {ProgramId{p}, 0},
                            span(p * 600, p * 600 + 300), admit, true);

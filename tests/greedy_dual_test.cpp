@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cache/greedy_dual.hpp"
+#include "test_support.hpp"
 
 namespace vodcache::cache {
 namespace {
@@ -20,14 +21,17 @@ trace::Catalog lengths_minutes(std::initializer_list<int> mins) {
 
 sim::SimTime at(std::int64_t s) { return sim::SimTime::seconds(s); }
 
+using test::access;
+
 TEST(GreedyDual, LongRarelyWatchedProgramEvictsFirst) {
   // Program 0: 120 min, one access.  Program 1: 30 min, one access.
   // Same frequency, but the short program packs 4x the value per byte.
   const auto catalog = lengths_minutes({120, 30});
-  GreedyDualScorer scorer(catalog);
-  scorer.record_access(ProgramId{0}, at(0));
+  AccessHistory history;
+  GreedyDualScorer scorer(history, catalog);
+  access(history, scorer, ProgramId{0}, at(0));
   scorer.on_admit(ProgramId{0}, at(0));
-  scorer.record_access(ProgramId{1}, at(10));
+  access(history, scorer, ProgramId{1}, at(10));
   scorer.on_admit(ProgramId{1}, at(10));
 
   EXPECT_EQ(scorer.victim(at(20)), std::optional<ProgramId>(ProgramId{0}));
@@ -37,11 +41,12 @@ TEST(GreedyDual, FrequencyOvercomesLength) {
   // Four accesses to the 120-min program match one access to the 30-min
   // program per byte; the fifth outranks it.
   const auto catalog = lengths_minutes({120, 30});
-  GreedyDualScorer scorer(catalog);
-  scorer.record_access(ProgramId{1}, at(0));
+  AccessHistory history;
+  GreedyDualScorer scorer(history, catalog);
+  access(history, scorer, ProgramId{1}, at(0));
   scorer.on_admit(ProgramId{1}, at(0));
   for (int i = 0; i < 5; ++i) {
-    scorer.record_access(ProgramId{0}, at(10 + i));
+    access(history, scorer, ProgramId{0}, at(10 + i));
   }
   scorer.on_admit(ProgramId{0}, at(20));
 
@@ -51,10 +56,11 @@ TEST(GreedyDual, FrequencyOvercomesLength) {
 TEST(GreedyDual, RecencyBreaksTies) {
   // Identical length and frequency: least recently accessed leaves first.
   const auto catalog = lengths_minutes({60, 60});
-  GreedyDualScorer scorer(catalog);
-  scorer.record_access(ProgramId{0}, at(0));
+  AccessHistory history;
+  GreedyDualScorer scorer(history, catalog);
+  access(history, scorer, ProgramId{0}, at(0));
   scorer.on_admit(ProgramId{0}, at(0));
-  scorer.record_access(ProgramId{1}, at(10));
+  access(history, scorer, ProgramId{1}, at(10));
   scorer.on_admit(ProgramId{1}, at(10));
 
   EXPECT_EQ(scorer.victim(at(20)), std::optional<ProgramId>(ProgramId{0}));
@@ -62,8 +68,9 @@ TEST(GreedyDual, RecencyBreaksTies) {
 
 TEST(GreedyDual, EvictionRaisesInflation) {
   const auto catalog = lengths_minutes({60, 60});
-  GreedyDualScorer scorer(catalog);
-  scorer.record_access(ProgramId{0}, at(0));
+  AccessHistory history;
+  GreedyDualScorer scorer(history, catalog);
+  access(history, scorer, ProgramId{0}, at(0));
   scorer.on_admit(ProgramId{0}, at(0));
   EXPECT_EQ(scorer.inflation(), 0);
 
@@ -83,13 +90,14 @@ TEST(GreedyDual, InflationAgesStaleResidents) {
   // 1 / 30 min), each of its evictions raises L until a fresh copy prices
   // above the resident's frozen admission-time H.
   const auto catalog = lengths_minutes({30, 120});
-  GreedyDualScorer scorer(catalog);
-  scorer.record_access(ProgramId{0}, at(0));
+  AccessHistory history;
+  GreedyDualScorer scorer(history, catalog);
+  access(history, scorer, ProgramId{0}, at(0));
   scorer.on_admit(ProgramId{0}, at(0));
 
   int rounds = 0;
   for (; rounds < 10; ++rounds) {
-    scorer.record_access(ProgramId{1}, at(100 + rounds));
+    access(history, scorer, ProgramId{1}, at(100 + rounds));
     scorer.on_admit(ProgramId{1}, at(100 + rounds));
     const auto victim = scorer.victim(at(100 + rounds));
     ASSERT_TRUE(victim.has_value());
@@ -104,10 +112,11 @@ TEST(GreedyDual, WipeOfNonMinimalResidentDoesNotInflate) {
   // Failure injection can remove any resident; only minimum-H (victim)
   // evictions may move L, or survivors would violate L <= min H.
   const auto catalog = lengths_minutes({30, 120});
-  GreedyDualScorer scorer(catalog);
-  scorer.record_access(ProgramId{0}, at(0));  // short: high H
+  AccessHistory history;
+  GreedyDualScorer scorer(history, catalog);
+  access(history, scorer, ProgramId{0}, at(0));  // short: high H
   scorer.on_admit(ProgramId{0}, at(0));
-  scorer.record_access(ProgramId{1}, at(10));  // long: low H (the minimum)
+  access(history, scorer, ProgramId{1}, at(10));  // long: low H, the minimum
   scorer.on_admit(ProgramId{1}, at(10));
 
   scorer.on_evict(ProgramId{0});  // wipe the non-minimal resident
@@ -119,8 +128,9 @@ TEST(GreedyDual, WipeOfNonMinimalResidentDoesNotInflate) {
 
 TEST(GreedyDual, ScoreOfCandidateUsesCurrentInflation) {
   const auto catalog = lengths_minutes({30});
-  GreedyDualScorer scorer(catalog);
-  scorer.record_access(ProgramId{0}, at(0));
+  AccessHistory history;
+  GreedyDualScorer scorer(history, catalog);
+  access(history, scorer, ProgramId{0}, at(0));
   const auto before = scorer.score(ProgramId{0}, at(0));
   scorer.on_admit(ProgramId{0}, at(0));
   scorer.on_evict(ProgramId{0});  // victim eviction: L = before.first

@@ -71,14 +71,15 @@ TEST(PolicyRegistry, KeyListsMatchTheRegistries) {
 // plain context; None is the only nullptr.
 TEST(PolicyRegistry, FactoriesProduceTheNamedScorer) {
   const auto catalog = test::uniform_catalog(4, 30);
-  StrategyConfig strategy;
+  SystemConfig config;
   cache::FutureIndex future(catalog.size());
   future.freeze();
   cache::ReplayBoard board(catalog.size(), sim::SimTime::hours(1),
                           sim::SimTime{});
   board.freeze();
   cache::ReplayCursor cursor(board);
-  const ScorerContext context{strategy, catalog, &future, &cursor};
+  cache::AccessHistory history;
+  const PolicyContext context{config, catalog, history, &future, &cursor};
 
   for (const auto& entry : scorer_registry()) {
     const auto scorer = entry.make(context);
@@ -92,8 +93,11 @@ TEST(PolicyRegistry, FactoriesProduceTheNamedScorer) {
 
 TEST(PolicyRegistry, FactoriesProduceTheNamedAdmissionPolicy) {
   SystemConfig config;
+  const auto catalog = test::uniform_catalog(4, 30);
+  cache::AccessHistory history;
+  const PolicyContext context{config, catalog, history};
   for (const auto& entry : admission_registry()) {
-    const auto policy = entry.make(config);
+    const auto policy = entry.make(context);
     if (entry.kind == AdmissionKind::Always) {
       // Always-admit is the index server's null fast path — the
       // pre-refactor code path itself, not a policy object.

@@ -14,6 +14,7 @@
 #include "hfc/settop.hpp"
 #include "reference_sim.hpp"
 #include "sim/rate_meter.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -104,14 +105,15 @@ TEST_P(Seeded, CachedSetMinMatchesBruteForce) {
 TEST_P(Seeded, LfuFrequencyMatchesBruteForce) {
   Rng rng(GetParam());
   const auto history = sim::SimTime::minutes(90);
-  cache::LfuStrategy lfu(history);
+  cache::AccessHistory recorded;
+  cache::LfuStrategy lfu(recorded, history);
   std::vector<std::pair<sim::SimTime, ProgramId>> log;
 
   sim::SimTime now;
   for (int step = 0; step < 2000; ++step) {
     now += sim::SimTime::seconds(rng.uniform_int(1, 300));
     const ProgramId p{static_cast<std::uint32_t>(rng.uniform_u64(12))};
-    lfu.record_access(p, now);
+    test::access(recorded, lfu, p, now);
     log.emplace_back(now, p);
 
     const ProgramId probe{static_cast<std::uint32_t>(rng.uniform_u64(12))};

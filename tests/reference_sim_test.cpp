@@ -5,6 +5,7 @@
 // reading of the semantics; either way, a bug.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/vod_system.hpp"
@@ -125,6 +126,15 @@ struct PolicyCase {
   std::int64_t per_peer_mb;
   bool replicate;
 };
+
+// gtest prints a parameter without a printer as raw bytes, padding
+// included; this keeps each case's listed name readable and stable.
+void PrintTo(const PolicyCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " kind=" << to_string(c.kind)
+      << " admission=" << to_string(c.admission)
+      << " neighborhood=" << c.neighborhood
+      << " per_peer_mb=" << c.per_peer_mb << " replicate=" << c.replicate;
+}
 
 std::string admission_tag(AdmissionKind kind) {
   switch (kind) {

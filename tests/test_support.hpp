@@ -15,6 +15,15 @@
 
 namespace vodcache::test {
 
+// One session start as a shard runs it: the neighborhood's history records
+// the access, then a cell's scorer re-ranks what it moved.
+inline void access(cache::AccessHistory& history,
+                   cache::EvictionScorer& scorer, ProgramId program,
+                   sim::SimTime t) {
+  history.record(program, t);
+  scorer.on_access(program, t);
+}
+
 // An index server's cells for direct construction: `scorer` x `admission`
 // (null = always-admit) alone, as the primary.
 inline cache::ShadowBank::Plan one_cell(
