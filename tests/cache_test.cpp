@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -589,6 +591,83 @@ TEST(GlobalLfuReplay, ExpiringRemoteAccessDropsCachedRank) {
   cursor.on_boundary(later);
   EXPECT_EQ(b.score(ProgramId{1}, later).first, 1);
   EXPECT_EQ(b.victim(later), ProgramId{1});
+}
+
+// Two live GlobalLFU cells on one cursor and one history, as a shard's
+// shadow matrix runs them.  One asks for a victim at every event; the other
+// only every 25 events, after many cursor moves with expiries among them.
+// Both must name the victim a fresh re-score of every cached program names.
+TEST(GlobalLfuReplay, CellsRefreshingAtAnyPaceNameTheFreshVictim) {
+  constexpr std::uint32_t kPrograms = 8;
+  constexpr std::size_t kLazyEvery = 25;
+  const auto window = sim::SimTime::hours(1);
+  Rng rng(23);
+  std::vector<ReplayBoard::Access> accesses;
+  std::vector<bool> own;
+  sim::SimTime t = at_min(1);
+  for (int i = 0; i < 400; ++i) {
+    t += sim::SimTime::seconds(static_cast<std::int64_t>(rng.uniform_u64(300)));
+    accesses.push_back(
+        {t, ProgramId{static_cast<std::uint32_t>(rng.uniform_u64(kPrograms))}});
+    own.push_back(rng.uniform_u64(4) == 0);
+  }
+  const auto board = frozen_board(kPrograms, window, sim::SimTime{}, accesses);
+
+  ReplayCursor cursor(*board);
+  AccessHistory history;
+  GlobalLfuStrategy eager(history, cursor);
+  GlobalLfuStrategy lazy(history, cursor);
+  // Every program but the last is cached in both cells from the start.
+  for (std::uint32_t p = 0; p + 1 < kPrograms; ++p) {
+    eager.on_admit(ProgramId{p}, at_min(0));
+    lazy.on_admit(ProgramId{p}, at_min(0));
+  }
+
+  const auto fresh_victim = [&](sim::SimTime at) {
+    std::optional<std::pair<Score, std::uint32_t>> best;
+    for (std::uint32_t p = 0; p + 1 < kPrograms; ++p) {
+      const std::pair<Score, std::uint32_t> entry{
+          eager.score(ProgramId{p}, at), p};
+      if (!best || entry < *best) best = entry;
+    }
+    return ProgramId{best->second};
+  };
+
+  std::vector<std::int64_t> counts(kPrograms, 0);
+  bool expired_since_lazy = false;
+  std::size_t lazy_checks_after_expiry = 0;
+  std::size_t events = 0;
+  const auto after_event = [&](sim::SimTime at) {
+    for (std::uint32_t p = 0; p < kPrograms; ++p) {
+      const std::int64_t now = cursor.count(ProgramId{p});
+      if (now < counts[p]) expired_since_lazy = true;
+      counts[p] = now;
+    }
+    ASSERT_EQ(eager.victim(at), fresh_victim(at)) << "event " << events;
+    if (++events % kLazyEvery == 0) {
+      ASSERT_EQ(lazy.victim(at), fresh_victim(at)) << "event " << events;
+      if (expired_since_lazy) ++lazy_checks_after_expiry;
+      expired_since_lazy = false;
+    }
+  };
+
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    if (own[i]) {
+      const auto [at, program] = accesses[i];
+      cursor.on_session_start(i, program, at);
+      history.record(program, at);
+      eager.on_access(program, at);
+      lazy.on_access(program, at);
+      after_event(at);
+    }
+    if (i + 1 < accesses.size() &&
+        accesses[i + 1].time - accesses[i].time > sim::SimTime::millis(1)) {
+      const auto mid = accesses[i].time + sim::SimTime::millis(1);
+      cursor.on_boundary(mid);
+      after_event(mid);
+    }
+  }
+  EXPECT_GT(lazy_checks_after_expiry, 0u);
 }
 
 TEST(GlobalLfuReplay, LaggedModeAugmentsSnapshotWithLocal) {

@@ -113,6 +113,57 @@ TEST_P(PreRefactorIdentity, ReportBytesMatchMonolithicStrategy) {
       << "actual hash 0x" << std::hex << report_hash(config);
 }
 
+// GlobalLFU pins beyond always-admit: the cursor's live and lagged counts
+// under the second-hit and sketch-lfu gates, and the live counts under
+// segment-granularity admission.  Recorded before GlobalLFU cells pulled
+// their count changes off the cursor (they were pushed to each cell
+// before); same regeneration rule as above.
+struct GlobalLfuGoldenCase {
+  const char* name;
+  std::int64_t lag_minutes;
+  AdmissionKind gate;
+  CacheAdmission admission;
+  std::uint64_t golden;
+};
+
+void PrintTo(const GlobalLfuGoldenCase& c, std::ostream* os) { *os << c.name; }
+
+const GlobalLfuGoldenCase kGlobalLfuGoldenCases[] = {
+    {"Lag0SecondHit", 0, AdmissionKind::SecondHit,
+     CacheAdmission::WholeProgram, 0x89B5EE7484246DA1ULL},
+    {"Lag30SecondHit", 30, AdmissionKind::SecondHit,
+     CacheAdmission::WholeProgram, 0x2C0C415A350D4DACULL},
+    {"Lag120SecondHit", 120, AdmissionKind::SecondHit,
+     CacheAdmission::WholeProgram, 0x6C1EBB4475A26CF0ULL},
+    {"Lag0SketchLfu", 0, AdmissionKind::SketchLfu,
+     CacheAdmission::WholeProgram, 0xDADF49DCB6A41577ULL},
+    {"Lag30SketchLfu", 30, AdmissionKind::SketchLfu,
+     CacheAdmission::WholeProgram, 0x4827C4AFC0207FCBULL},
+    {"Lag120SketchLfu", 120, AdmissionKind::SketchLfu,
+     CacheAdmission::WholeProgram, 0x0877C9122FCB6BD9ULL},
+    {"Lag0Segment", 0, AdmissionKind::Always, CacheAdmission::Segment,
+     0x2BB10B77D5828F8BULL},
+};
+
+class GlobalLfuIdentity
+    : public ::testing::TestWithParam<GlobalLfuGoldenCase> {};
+
+INSTANTIATE_TEST_SUITE_P(LagsAndGates, GlobalLfuIdentity,
+                         ::testing::ValuesIn(kGlobalLfuGoldenCases),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST_P(GlobalLfuIdentity, ReportBytesArePinned) {
+  const auto& c = GetParam();
+  auto config = pinned_config(StrategyKind::GlobalLfu);
+  config.strategy.global_lag = sim::SimTime::minutes(c.lag_minutes);
+  config.admission_policy.kind = c.gate;
+  config.admission = c.admission;
+  EXPECT_EQ(report_hash(config), c.golden)
+      << "actual hash 0x" << std::hex << std::uppercase << report_hash(config);
+}
+
 // Tiered-report pins: same trace and base config as above, plus a fan-in-2
 // hub level — the tiered walk, prefetch planning, and per-tier breakdown
 // are pinned from the commit that introduced them.  The two-level cases
