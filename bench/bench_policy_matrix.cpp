@@ -14,7 +14,7 @@
 //    so the gate provably fires during evening peaks (the bench exits
 //    nonzero if no row's hit rate moves).
 //
-// Since the shadow-matrix pass (--shadow-matrix, cache/shadow_bank.hpp),
+// Since the shadow-matrix pass (--shadow-matrix, core/index_server.hpp),
 // the whole matrix is measured in TWO replays instead of one per cell:
 //
 //  * pass 1 (default headroom) exists only to read the coax peak off the

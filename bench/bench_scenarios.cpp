@@ -22,7 +22,7 @@
 //    a frequency gate is redundant there).  The bench exits nonzero if
 //    the sketch column does not win that scenario.
 //
-// Since the shadow-matrix pass (cache/shadow_bank.hpp), each scenario
+// Since the shadow-matrix pass (core/index_server.hpp), each scenario
 // costs TWO replays instead of one per matrix cell: a calibration pass
 // reads the peak coax off the (policy-independent) meters, then one
 // shadow pass carries every (scorer x admission) pair and emits the full
@@ -73,7 +73,7 @@ struct ScenarioResult {
   double headroom_fraction;
   std::vector<core::ShadowCellReport> rows;
   // Live-switching pass (neighborhood_skew only): per-neighborhood
-  // promotion off the shadow bank vs the best single fixed pair.
+  // promotion off the shadow matrix vs the best single fixed pair.
   bool has_switching = false;
   std::string best_scorer, best_admission;
   double best_fixed_hit_ratio = 0.0;

@@ -25,9 +25,6 @@ class Ecdf {
 
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  [[nodiscard]] const std::vector<double>& sorted_samples() const {
-    return sorted_;
-  }
 
   struct Jump {
     double value = 0.0;  // sample value where the CDF jumps

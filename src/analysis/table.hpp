@@ -23,8 +23,6 @@ class Table {
   // Renders as CSV.
   void print_csv(std::ostream& out) const;
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -14,11 +14,11 @@
 // moves after construction, so its counters are always a standalone run
 // of its pair.
 //
-// The cell moves no bytes.  A neighborhood's cells live in one
-// cache::ShadowBank; core::IndexServer serves from one of them (the
-// primary) and adds the side effects that are not decisions — coax/peer/
-// tier metering, the tier walk, the media-server serve.  Every cell runs
-// this one code path, which is what makes each cell's counters equal a
+// The cell moves no bytes.  A neighborhood's cells live in one vector
+// owned by core::IndexServer, which serves from one of them (the primary)
+// and adds the side effects that are not decisions — coax/peer/tier
+// metering, the tier walk, the media-server serve.  Every cell runs this
+// one code path, which is what makes each cell's counters equal a
 // standalone run of its pair.
 #pragma once
 
@@ -35,6 +35,10 @@
 #include "util/units.hpp"
 
 namespace vodcache::cache {
+
+// Admit bitmasks (bit c is cell c's decision) cap a neighborhood at 64
+// cells.
+inline constexpr std::size_t kMaxCells = 64;
 
 enum class ServeResult {
   // A peer broadcast the segment from its cache slice.

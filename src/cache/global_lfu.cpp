@@ -3,22 +3,18 @@
 namespace vodcache::cache {
 
 GlobalLfuStrategy::GlobalLfuStrategy(AccessHistory& history,
-                                     ReplayCursor& cursor)
-    : EvictionScorer(history), cursor_(&cursor) {
-  if (cursor.board().lag() == sim::SimTime{}) {
-    dirty_flag_.resize(cursor.board().program_count(), 0);
-    dirty_list_.reserve(cursor.board().program_count());
-    cursor.attach(*this);
-  }
-}
+                                     const ReplayCursor& cursor)
+    : EvictionScorer(history),
+      cursor_(&cursor),
+      seen_ingested_(cursor.ingested()),
+      seen_expired_(cursor.expired()) {}
 
 void GlobalLfuStrategy::refresh(sim::SimTime t) {
   if (cursor_->board().lag() == sim::SimTime{}) {
-    for (const ProgramId program : dirty_list_) {
-      dirty_flag_[program.value()] = 0;
-      if (is_cached(program)) cached().update(program, score(program, t));
-    }
-    dirty_list_.clear();
+    rerank(seen_ingested_, cursor_->ingested(), t);
+    rerank(seen_expired_, cursor_->expired(), t);
+    seen_ingested_ = cursor_->ingested();
+    seen_expired_ = cursor_->expired();
     return;
   }
   if (cursor_->epoch() == seen_epoch_) return;
@@ -26,6 +22,18 @@ void GlobalLfuStrategy::refresh(sim::SimTime t) {
   seen_epoch_ = cursor_->epoch();
   cached().for_each_program(
       [&](ProgramId program) { cached().update(program, score(program, t)); });
+}
+
+void GlobalLfuStrategy::rerank(std::size_t from, std::size_t to,
+                               sim::SimTime t) {
+  if (cached().empty()) return;
+  for (std::size_t i = from; i < to; ++i) {
+    const ProgramId program = cursor_->board().access(i).program;
+    const auto stored = cached().score_of(program);
+    if (stored && stored->first != cursor_->count(program)) {
+      cached().update(program, score(program, t));
+    }
+  }
 }
 
 }  // namespace vodcache::cache

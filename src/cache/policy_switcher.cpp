@@ -12,11 +12,11 @@ PolicySwitcher::PolicySwitcher(sim::SimTime window, int windows_k,
       cell_hits_marks_(cell_count, 0) {
   VODCACHE_EXPECTS(window > sim::SimTime{});
   VODCACHE_EXPECTS(windows_k >= 1);
-  VODCACHE_EXPECTS(cell_count > 0 && cell_count <= ShadowBank::kMaxCells);
+  VODCACHE_EXPECTS(cell_count > 0 && cell_count <= kMaxCells);
 }
 
 std::optional<PolicySwitcher::Decision> PolicySwitcher::evaluate(
-    sim::SimTime t, const ShadowBank& bank, std::size_t primary) {
+    sim::SimTime t, std::span<const CacheCell> cells, std::size_t primary) {
   if (t < window_end_) return std::nullopt;
 
   // Jump the boundary past t arithmetically; every window between the one
@@ -28,7 +28,7 @@ std::optional<PolicySwitcher::Decision> PolicySwitcher::evaluate(
 
   // An empty window (no segment served since the last close) neither ends
   // nor extends the streak — a quiet night is no evidence either way.
-  const std::uint64_t segments = bank.counters(primary).segments;
+  const std::uint64_t segments = cells[primary].counters().segments;
   if (segments == segments_mark_) return std::nullopt;
   segments_mark_ = segments;
 
@@ -38,7 +38,7 @@ std::optional<PolicySwitcher::Decision> PolicySwitcher::evaluate(
   std::uint64_t best_delta = 0;
   std::uint64_t primary_delta = 0;
   for (std::size_t c = 0; c < cell_hits_marks_.size(); ++c) {
-    const std::uint64_t hits = bank.counters(c).hits;
+    const std::uint64_t hits = cells[c].counters().hits;
     const std::uint64_t delta = hits - cell_hits_marks_[c];
     cell_hits_marks_[c] = hits;
     if (c == primary) primary_delta = delta;
@@ -49,7 +49,7 @@ std::optional<PolicySwitcher::Decision> PolicySwitcher::evaluate(
   }
 
   // Only a *strict* lead over the primary counts as a win: the primary is
-  // a cell of the bank too, so an equal-best window must never trigger a
+  // one of the cells too, so an equal-best window must never trigger a
   // self-switch.
   if (best_delta <= primary_delta) {
     streak_ = 0;

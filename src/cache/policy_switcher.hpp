@@ -1,6 +1,6 @@
-// PolicySwitcher: closes the shadow-matrix loop.  The ShadowBank already
-// bookkeeps every registered (scorer x admission) pair against the live
-// session stream with exact standalone-counter equivalence; this class
+// PolicySwitcher: closes the shadow-matrix loop.  The index server's cells
+// already bookkeep every registered (scorer x admission) pair against the
+// live session stream with exact standalone-counter equivalence; this class
 // watches those counters per window and decides when a neighborhood should
 // *switch* its primary to a cell that has been beating it.  The switch
 // itself — the index server serving from the winning cell from then on —
@@ -24,9 +24,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
-#include "cache/shadow_bank.hpp"
+#include "cache/cache_cell.hpp"
 #include "sim/time.hpp"
 
 namespace vodcache::cache {
@@ -50,9 +51,8 @@ class PolicySwitcher {
   // windows.  The caller performs the switch; the streak restarts from
   // zero afterwards (the next switch needs k fresh wins against the new
   // primary).
-  [[nodiscard]] std::optional<Decision> evaluate(sim::SimTime t,
-                                                 const ShadowBank& bank,
-                                                 std::size_t primary);
+  [[nodiscard]] std::optional<Decision> evaluate(
+      sim::SimTime t, std::span<const CacheCell> cells, std::size_t primary);
 
  private:
   static constexpr std::size_t kNoCell = ~std::size_t{0};

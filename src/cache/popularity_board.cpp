@@ -1,6 +1,5 @@
 #include "cache/popularity_board.hpp"
 
-#include "cache/global_lfu.hpp"
 #include "util/assert.hpp"
 
 namespace vodcache::cache {
@@ -25,17 +24,8 @@ void ReplayBoard::freeze() { frozen_ = true; }
 ReplayCursor::ReplayCursor(const ReplayBoard& board)
     : board_(&board), live_(board.program_count(), 0) {}
 
-void ReplayCursor::attach(GlobalLfuStrategy& cell) {
-  VODCACHE_EXPECTS(!lagged());
-  cells_.push_back(&cell);
-}
-
 std::size_t ReplayCursor::bound() const {
   return limit_ == ReplayBoard::kNoLimit ? board_->size() : limit_;
-}
-
-void ReplayCursor::changed(ProgramId program) {
-  for (GlobalLfuStrategy* cell : cells_) cell->on_count_change(program);
 }
 
 void ReplayCursor::ingest_to(std::size_t upto) {
@@ -43,7 +33,6 @@ void ReplayCursor::ingest_to(std::size_t upto) {
     const ProgramId program = board_->access(ingest_).program;
     ++live_[program.value()];
     ++ingest_;
-    changed(program);
   }
 }
 
@@ -61,7 +50,6 @@ void ReplayCursor::expire_to(sim::SimTime cutoff) {
     VODCACHE_ASSERT(live_[program.value()] > 0);
     --live_[program.value()];
     ++expire_;
-    changed(program);
   }
 }
 

@@ -5,8 +5,9 @@
 // deployment.  Two visibility modes:
 //
 //  * lag == 0 ("Global"): neighborhoods see live counts.  Every count
-//    change (new access or window expiry) is reported to the readers so
-//    they can re-rank cached programs exactly.
+//    change (new access or window expiry) is a board entry the reader's
+//    cursor passed, so a reader re-ranks its cached programs exactly by
+//    walking the entries passed since it last looked.
 //  * lag > 0 ("Global, 30 minute lag" / "Global, 2 hour lag"): counts are
 //    frozen at batch boundaries (multiples of the lag); between batches,
 //    neighborhoods see the last batch's counts and augment them with their
@@ -80,8 +81,6 @@ class ReplayBoard {
   bool frozen_ = false;
 };
 
-class GlobalLfuStrategy;
-
 // A shard's read position over a ReplayBoard, moved by the shard's own
 // events and read by every GlobalLFU cell of the shard:
 //
@@ -93,10 +92,13 @@ class GlobalLfuStrategy;
 //     visible.
 //
 // Lag 0: count() is the live in-window count, accesses at or after
-// t - window, and every live-count change is reported to each attached
-// cell.  Lag > 0: with B the last multiple of the lag <= t, count() is the
-// accesses in [B - window, B) plus this shard's own accesses at or after B
-// (an access exactly at B lands after the batch).  The cursor moves only
+// t - window.  Entries [expired(), ingested()) are the ones counted, so
+// every live-count change is an entry that one of the two positions
+// passed; a reader finds what changed since it last looked by walking
+// from the positions it saw then.  Lag > 0: with B the last multiple of
+// the lag <= t, count() is the accesses in [B - window, B) plus this
+// shard's own accesses at or after B (an access exactly at B lands after
+// the batch).  The cursor moves only
 // when B moves; epoch() counts those moves.  Both are pure functions of
 // the trace, never of which shard reads first.
 class ReplayCursor {
@@ -105,7 +107,7 @@ class ReplayCursor {
   // cursor is created before the demux chain has appended anything.  Only
   // the board's configuration (program count, window, lag) is read here.
   explicit ReplayCursor(const ReplayBoard& board);
-  // Cells hold the cursor's address, and it holds theirs.
+  // Cells hold the cursor's address.
   ReplayCursor(const ReplayCursor&) = delete;
   ReplayCursor& operator=(const ReplayCursor&) = delete;
 
@@ -120,13 +122,14 @@ class ReplayCursor {
   // the shard's replay and the prebuilt timeline agree.
   void on_session_start(std::size_t index, ProgramId program, sim::SimTime t);
 
-  // Lag 0 only: `cell` hears of every live-count change from now on.
-  void attach(GlobalLfuStrategy& cell);
-
   [[nodiscard]] std::int64_t count(ProgramId program) const {
     VODCACHE_EXPECTS(program.value() < live_.size());
     return live_[program.value()];
   }
+  // The board positions: entries before ingested() are counted in, and
+  // entries before expired() are counted out again.  Both only grow.
+  [[nodiscard]] std::size_t ingested() const { return ingest_; }
+  [[nodiscard]] std::size_t expired() const { return expire_; }
   // Lag > 0: incremented each time the batch boundary moves.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] const ReplayBoard& board() const { return *board_; }
@@ -140,10 +143,8 @@ class ReplayCursor {
   void expire_to(sim::SimTime cutoff);
   // Lag > 0: moves the batch to the last boundary <= t, if it moved.
   void move_batch(sim::SimTime t);
-  void changed(ProgramId program);
 
   const ReplayBoard* board_;
-  std::vector<GlobalLfuStrategy*> cells_;
   std::vector<std::int64_t> live_;
   std::size_t ingest_ = 0;  // next access index to count in
   std::size_t expire_ = 0;  // next access index to expire out

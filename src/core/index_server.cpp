@@ -23,8 +23,7 @@ cache::CacheCell::Settings cell_settings(const SystemConfig& config) {
 }  // namespace
 
 IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
-                         const SystemConfig& config,
-                         cache::ShadowBank::Plan plan,
+                         const SystemConfig& config, Plan plan,
                          MediaServer& media_server, sim::SimTime horizon,
                          const TierSystem* tiers,
                          std::vector<std::uint32_t> tier_nodes)
@@ -33,12 +32,20 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
       media_server_(media_server),
       coax_meter_(horizon, config.meter_bucket),
       peer_meter_(horizon, config.meter_bucket),
-      cells_(std::move(plan.cells), plan.rows, cell_settings(config),
-             peer_count, &coax_meter_),
+      rows_(plan.rows),
       primary_(plan.primary),
       tiers_(tiers),
       tier_nodes_(std::move(tier_nodes)) {
-  VODCACHE_EXPECTS(primary_ < cells_.cell_count());
+  VODCACHE_EXPECTS(!plan.cells.empty() &&
+                   plan.cells.size() <= cache::kMaxCells);
+  VODCACHE_EXPECTS(rows_ <= plan.cells.size());
+  VODCACHE_EXPECTS(primary_ < plan.cells.size());
+  const cache::CacheCell::Settings settings = cell_settings(config);
+  cells_.reserve(plan.cells.size());
+  for (auto& policy : plan.cells) {
+    cells_.emplace_back(std::move(policy), settings, peer_count,
+                        &coax_meter_);
+  }
   if (tiers_ != nullptr) {
     VODCACHE_EXPECTS(tier_nodes_.size() == tiers_->level_count());
     counters_.tier_hits.assign(tiers_->level_count(), 0);
@@ -52,30 +59,40 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
 std::uint64_t IndexServer::start_session(ProgramId program,
                                          DataSize program_size,
                                          sim::SimTime t) {
-  return cells_.start_session(program, program_size, t);
+  std::uint64_t mask = 0;
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    if (cells_[c].start_session(program, program_size, t)) {
+      mask |= std::uint64_t{1} << c;
+    }
+  }
+  return mask;
 }
 
 void IndexServer::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
   VODCACHE_EXPECTS(viewer.value() < peer_count());
-  cells_.occupy_viewer_slot(viewer, interval);
+  for (auto& cell : cells_) cell.occupy_viewer_slot(viewer, interval);
 }
 
 void IndexServer::fail_peer(PeerId peer) {
-  const DataSize wiped = cells_.fail_peer(peer, primary_);
+  DataSize wiped;
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    const DataSize freed = cells_[c].fail_peer(peer).freed;
+    if (c == primary_) wiped = freed;
+  }
   ++counters_.peer_failures;
   counters_.wiped_bytes += wiped.byte_count();
 }
 
 void IndexServer::promote(std::size_t cell) {
-  VODCACHE_EXPECTS(cell < cells_.cell_count());
-  counters_ += cells_.counters(primary_);
-  counters_ -= cells_.counters(cell);
+  VODCACHE_EXPECTS(cell < cells_.size());
+  counters_ += cells_[primary_].counters();
+  counters_ -= cells_[cell].counters();
   primary_ = cell;
 }
 
 IndexServer::Counters IndexServer::counters() const {
   Counters counters = counters_;
-  counters += cells_.counters(primary_);
+  counters += cells_[primary_].counters();
   return counters;
 }
 
@@ -91,8 +108,13 @@ ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
   // it is sent from a peer or the index server").
   coax_meter_.add(interval, stream_rate_);
 
-  const ServeResult result =
-      cells_.serve_segment(key, interval, admit_mask, full_slice, primary_);
+  ServeResult result = ServeResult::MissCold;
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    const bool admit = (admit_mask >> c) & 1;
+    const ServeResult r =
+        cells_[c].serve_segment(key, interval, admit, full_slice);
+    if (c == primary_) result = r;
+  }
   if (result == ServeResult::PeerHit) {
     peer_meter_.add(interval, stream_rate_);
     return result;

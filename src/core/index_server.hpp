@@ -19,19 +19,34 @@
 // moves.
 //
 // Every placement decision — admit, evict, fill, hit or miss — is made by
-// the neighborhood's cache cells (cache::ShadowBank), which the server
-// owns.  One of them is the primary: the server meters and serves off its
-// classification, and adds only the side effects a shadow must not have —
-// coax, peer and tier metering, the tier walk and media-server serve, and
-// the failure counters.  A policy switch makes another cell the primary.
+// the neighborhood's cache cells (cache::CacheCell), which the server owns
+// in one vector and drives against one session stream, in one pass.  The
+// vector holds the configured pair alone, or — in shadow-matrix and
+// policy-switch runs — one cell per registered (eviction scorer x
+// admission policy) pair, scorer-major in registry order: the matrix's
+// rows (a no-cache primary rides one extra cell after them).  One cell is
+// the primary: the server meters and serves off its classification, and
+// adds only the side effects a shadow must not have — coax, peer and tier
+// metering, the tier walk and media-server serve, and the failure
+// counters.  None of those changes a hit/miss classification or a fill
+// decision, and cells never move, so each cell's counters equal a
+// standalone run of its pair (pinned per replay mode in
+// tests/shadow_bank_test.cpp) and the primary's report stays
+// byte-identical with shadows on.  A policy switch makes another cell the
+// primary and moves no state.
+//
+// Zero steady-state allocations: stores are FlatMap64/PooledArena, stream
+// slots are one fixed table per cell, and the shard's shared access
+// history is flat tables and a fixed sketch (enforced by
+// tests/allocation_audit_test.cpp with shadows on).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cache/cache_cell.hpp"
 #include "cache/segment_store.hpp"
-#include "cache/shadow_bank.hpp"
 #include "core/config.hpp"
 #include "core/media_server.hpp"
 #include "sim/rate_meter.hpp"
@@ -44,6 +59,15 @@ using cache::ServeResult;
 
 class IndexServer {
  public:
+  // A neighborhood's cells before construction, in cell order: the first
+  // `rows` are the shadow matrix's rows (0 when the matrix is off), and
+  // `primary` indexes the cell the server serves from.
+  struct Plan {
+    std::vector<cache::CacheCell::Policy> cells;
+    std::size_t rows = 0;
+    std::size_t primary = 0;
+  };
+
   // Builds the plan's cells and serves from `plan.primary`.  A cell's
   // scorer may be null (StrategyKind::None: no cache at all); its
   // admission may be null, which means always-admit (the paper's
@@ -52,7 +76,7 @@ class IndexServer {
   // multi-tier miss walk; null is the paper's two-level world.
   // `tier_nodes` is this neighborhood's node path, one node id per level.
   IndexServer(NeighborhoodId id, std::uint32_t peer_count,
-              const SystemConfig& config, cache::ShadowBank::Plan plan,
+              const SystemConfig& config, Plan plan,
               MediaServer& media_server, sim::SimTime horizon,
               const TierSystem* tiers = nullptr,
               std::vector<std::uint32_t> tier_nodes = {});
@@ -94,12 +118,16 @@ class IndexServer {
 
   [[nodiscard]] NeighborhoodId id() const { return id_; }
   [[nodiscard]] std::uint32_t peer_count() const {
-    return cells_.cell(primary_).peer_count();
+    return cells_[primary_].peer_count();
   }
-  [[nodiscard]] const cache::ShadowBank& cells() const { return cells_; }
+  [[nodiscard]] std::span<const cache::CacheCell> cells() const {
+    return cells_;
+  }
+  // The shadow matrix's rows: the leading cells, one per registered pair.
+  [[nodiscard]] std::size_t pair_count() const { return rows_; }
   [[nodiscard]] std::size_t primary() const { return primary_; }
   [[nodiscard]] const cache::SegmentStore& store() const {
-    return cells_.cell(primary_).store();
+    return cells_[primary_].store();
   }
   // All traffic on this neighborhood's coax (hits and misses alike).
   [[nodiscard]] const sim::RateMeter& coax_meter() const { return coax_meter_; }
@@ -122,6 +150,10 @@ class IndexServer {
     std::vector<std::uint64_t> tier_hits;
   };
   [[nodiscard]] Counters counters() const;
+  // Cell `cell`'s own counters: a standalone run of its pair.
+  [[nodiscard]] const cache::CellCounters& counters(std::size_t cell) const {
+    return cells_[cell].counters();
+  }
 
  private:
   NeighborhoodId id_;
@@ -129,8 +161,10 @@ class IndexServer {
   MediaServer& media_server_;
   sim::RateMeter coax_meter_;
   sim::RateMeter peer_meter_;
-  // Reads coax_meter_, so it is declared after it.
-  cache::ShadowBank cells_;
+  // Each cell keeps coax_meter_'s address, so the vector never grows after
+  // construction.
+  std::vector<cache::CacheCell> cells_;
+  std::size_t rows_;
   std::size_t primary_;
   const TierSystem* tiers_;
   std::vector<std::uint32_t> tier_nodes_;

@@ -32,11 +32,11 @@ NeighborhoodShard::NeighborhoodShard(
   if (config_.policy_switch) {
     switcher_ = std::make_unique<cache::PolicySwitcher>(
         config_.switch_window, config_.switch_windows_k,
-        server_.cells().cell_count());
+        server_.cells().size());
   }
 }
 
-cache::ShadowBank::Plan NeighborhoodShard::make_cells() {
+IndexServer::Plan NeighborhoodShard::make_cells() {
   // Every cell shares this shard's policy context: one access history, and
   // GlobalLFU cells read the same replay cursor, Oracle cells the same
   // future index — the orchestrator builds both for the matrix because its
@@ -44,7 +44,7 @@ cache::ShadowBank::Plan NeighborhoodShard::make_cells() {
   const PolicyContext context{config_, catalog_, *history_, future_,
                               cursor_.get()};
   const bool matrix = config_.shadow_matrix || config_.policy_switch;
-  cache::ShadowBank::Plan plan;
+  IndexServer::Plan plan;
   for (const auto& scorer : scorer_registry()) {
     if (scorer.kind == StrategyKind::None) continue;
     for (const auto& admission : admission_registry()) {
@@ -78,7 +78,7 @@ void NeighborhoodShard::apply_failures(sim::SimTime now) {
 
 void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   if (switcher_ == nullptr) return;
-  const cache::ShadowBank& cells = server_.cells();
+  const auto cells = server_.cells();
   const auto decision = switcher_->evaluate(t, cells, server_.primary());
   if (!decision) return;
 
@@ -88,8 +88,8 @@ void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   // cell, whose admit bits are already in every live slot's mask, so the
   // primary replays that run's continuation exactly and the snapshots pin
   // the warm switch (tests/policy_switcher_test.cpp).
-  const cache::CacheCell& from = cells.cell(server_.primary());
-  const cache::CacheCell& to = cells.cell(decision->cell);
+  const cache::CacheCell& from = cells[server_.primary()];
+  const cache::CacheCell& to = cells[decision->cell];
   const auto primary = server_.counters();
   switch_log_.push_back({id().value(), t, from.scorer_name(),
                          from.admission_name(), to.scorer_name(),
@@ -139,6 +139,33 @@ void NeighborhoodShard::generate_boundaries(std::uint32_t slot,
     next += segment_ms;
   }
   slot_next_ms_[slot] = next;
+}
+
+void NeighborhoodShard::schedule_boundaries(std::int64_t bound_ms) {
+  scratch_.clear();
+  const auto slot_count = static_cast<std::uint32_t>(slot_start_ms_.size());
+  for (std::uint32_t slot = 0; slot < slot_count; ++slot) {
+    if (slot_start_ms_[slot] == kFreeSlot) continue;
+    generate_boundaries(slot, bound_ms);
+  }
+  // (time, global session index) reproduces the heap's (time, push
+  // sequence) order: simultaneous boundaries were pushed in ascending
+  // session-index order — see the header and ARCHITECTURE.md for the
+  // induction.  Keys are unique (one boundary per session per tick), so
+  // plain sort is deterministic.
+  std::sort(scratch_.begin(), scratch_.end(),
+            [](const BoundaryEvent& a, const BoundaryEvent& b) {
+              return a.time_ms != b.time_ms ? a.time_ms < b.time_ms
+                                            : a.index < b.index;
+            });
+}
+
+void NeighborhoodShard::run_boundary(const BoundaryEvent& event) {
+  const auto t = sim::SimTime::millis(event.time_ms);
+  if (cursor_ != nullptr) cursor_->on_boundary(t);
+  apply_failures(t);
+  maybe_switch(t);
+  play_segment(event.slot, t);
 }
 
 void NeighborhoodShard::start_session(const StreamSession& stream_session,
@@ -206,23 +233,7 @@ void NeighborhoodShard::feed(std::span<const StreamSession> batch) {
   // The seed's heap processed exactly this set within the equivalent feed:
   // any such boundary's predecessor chain also lies <= the bound, so no
   // boundary in range can be left pending by the heap either.
-  scratch_.clear();
-  const auto slot_count = static_cast<std::uint32_t>(slot_start_ms_.size());
-  for (std::uint32_t slot = 0; slot < slot_count; ++slot) {
-    if (slot_start_ms_[slot] == kFreeSlot) continue;
-    generate_boundaries(slot, bound_ms);
-  }
-
-  // (time, global session index) reproduces the heap's (time, push
-  // sequence) order: simultaneous boundaries were pushed in ascending
-  // session-index order — see the header and ARCHITECTURE.md for the
-  // induction.  Keys are unique (one boundary per session per tick), so
-  // plain sort is deterministic.
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const BoundaryEvent& a, const BoundaryEvent& b) {
-              return a.time_ms != b.time_ms ? a.time_ms < b.time_ms
-                                            : a.index < b.index;
-            });
+  schedule_boundaries(bound_ms);
 
   // Merge boundaries against session starts.  Boundaries go first on ties:
   // a boundary event at time t completes a transmission in [.., t), so
@@ -237,12 +248,7 @@ void NeighborhoodShard::feed(std::span<const StreamSession> batch) {
     const ProgramId program = stream_session.record.program;
     const std::int64_t start_ms = start.millis_count();
     while (ei < scratch_.size() && scratch_[ei].time_ms <= start_ms) {
-      const BoundaryEvent& event = scratch_[ei++];
-      const auto t = sim::SimTime::millis(event.time_ms);
-      if (cursor_ != nullptr) cursor_->on_boundary(t);
-      apply_failures(t);
-      maybe_switch(t);
-      play_segment(event.slot, t);
+      run_boundary(scratch_[ei++]);
     }
     if (cursor_ != nullptr) {
       cursor_->on_session_start(static_cast<std::size_t>(stream_session.index),
@@ -262,26 +268,10 @@ void NeighborhoodShard::finish(sim::SimTime failure_flush) {
   VODCACHE_EXPECTS(!finished_);
   finished_ = true;
 
-  // Play out everything still active: generate the remaining boundaries of
-  // every live slot, unbounded.
-  scratch_.clear();
-  const auto slot_count = static_cast<std::uint32_t>(slot_start_ms_.size());
-  for (std::uint32_t slot = 0; slot < slot_count; ++slot) {
-    if (slot_start_ms_[slot] == kFreeSlot) continue;
-    generate_boundaries(slot, std::numeric_limits<std::int64_t>::max());
-  }
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const BoundaryEvent& a, const BoundaryEvent& b) {
-              return a.time_ms != b.time_ms ? a.time_ms < b.time_ms
-                                            : a.index < b.index;
-            });
-  for (const BoundaryEvent& event : scratch_) {
-    const auto t = sim::SimTime::millis(event.time_ms);
-    if (cursor_ != nullptr) cursor_->on_boundary(t);
-    apply_failures(t);
-    maybe_switch(t);
-    play_segment(event.slot, t);
-  }
+  // Play out everything still active: every live slot's remaining
+  // boundaries, unbounded.
+  schedule_boundaries(std::numeric_limits<std::int64_t>::max());
+  for (const BoundaryEvent& event : scratch_) run_boundary(event);
   // The serial engine applies a failure wave at the first event anywhere in
   // the system at or after its time — including waves after this
   // neighborhood's last own event.  Flush those now.

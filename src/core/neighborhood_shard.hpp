@@ -18,7 +18,8 @@
 // that lies before the session end — so instead of a binary heap pushed
 // and popped once per event, feed() generates every boundary due within
 // the batch into a scratch buffer, sorts it once by (time, global session
-// index), and merges it against the session starts.  This is byte-
+// index), and merges it against the session starts; finish() schedules
+// and runs the remaining boundaries the same way.  This is byte-
 // identical to the heap order the seed used (see ARCHITECTURE.md, "Why
 // sorting by global index reproduces the heap"): among simultaneous
 // boundaries the heap's (time, push-sequence) order provably equals
@@ -37,9 +38,14 @@
 //  * global popularity (GlobalLFU): an immutable ReplayBoard prebuilt
 //    from a streaming pass over the same session source; the shard's one
 //    ReplayCursor walks it, moved by the shard's own events, and every
-//    GlobalLFU cell of the shard reads its counts (see
-//    cache/popularity_board.hpp for the position contract); the shard's
-//    one AccessHistory is local popularity, read by every cell alike.
+//    GlobalLFU cell of the shard reads its counts and pulls the board
+//    entries it passed (see cache/popularity_board.hpp for the position
+//    contract); the shard's one AccessHistory is local popularity, read
+//    by every cell alike.
+//
+// The index server owns the neighborhood's cells (the configured pair, or
+// the whole shadow matrix); the shard builds their policies and feeds the
+// server one call per event.
 //
 // A shard touches no mutable state outside itself, so shards can run on
 // any thread, in any order, and produce bit-identical results.
@@ -55,7 +61,6 @@
 #include "cache/future_index.hpp"
 #include "cache/policy_switcher.hpp"
 #include "cache/popularity_board.hpp"
-#include "cache/shadow_bank.hpp"
 #include "core/config.hpp"
 #include "core/index_server.hpp"
 #include "core/media_server.hpp"
@@ -136,11 +141,10 @@ class NeighborhoodShard {
   [[nodiscard]] NeighborhoodId id() const { return server_.id(); }
   [[nodiscard]] const IndexServer& index_server() const { return server_; }
   [[nodiscard]] const MediaServer& media_server() const { return media_; }
-  // The index server's cells as the shadow matrix; null unless
+  // The index server as the owner of the shadow matrix's rows; null unless
   // SystemConfig::shadow_matrix or policy_switch is on.
-  [[nodiscard]] const cache::ShadowBank* shadow_bank() const {
-    const cache::ShadowBank& cells = server_.cells();
-    return cells.pair_count() > 0 ? &cells : nullptr;
+  [[nodiscard]] const IndexServer* shadow_bank() const {
+    return server_.pair_count() > 0 ? &server_ : nullptr;
   }
   // The promotions this neighborhood performed, in event order.  Empty
   // unless SystemConfig::policy_switch is on.
@@ -166,6 +170,12 @@ class NeighborhoodShard {
   // Appends every not-yet-generated boundary of `slot` with time <=
   // `bound_ms` to scratch_.
   void generate_boundaries(std::uint32_t slot, std::int64_t bound_ms);
+  // Fills scratch_ with every live slot's boundaries with time <=
+  // `bound_ms`, in event order.
+  void schedule_boundaries(std::int64_t bound_ms);
+  // One boundary event: moves the cursor, applies due failures, lets the
+  // switcher decide, then plays the segment that begins there.
+  void run_boundary(const BoundaryEvent& event);
   // Plays the segment beginning at `at`; frees the slot after the final
   // slice.  Boundary scheduling is the generator's job, not this one's.
   void play_segment(std::uint32_t slot, sim::SimTime at);
@@ -184,7 +194,7 @@ class NeighborhoodShard {
   // scorer-major in registry order, StrategyKind::None skipped.  The
   // primary is the configured pair's cell; a no-cache primary is one
   // extra cell after the rows.
-  [[nodiscard]] cache::ShadowBank::Plan make_cells();
+  [[nodiscard]] IndexServer::Plan make_cells();
 
   const trace::Catalog& catalog_;
   const SystemConfig& config_;
@@ -217,7 +227,7 @@ class NeighborhoodShard {
   std::vector<std::uint32_t> slot_program_;
   std::vector<std::uint32_t> slot_viewer_;
   // Bit c is cell c's admit decision for the session in this slot
-  // (ShadowBank::kMaxCells bounds the bank at 64).
+  // (cache::kMaxCells bounds a neighborhood at 64 cells).
   std::vector<std::uint64_t> slot_admit_;
   std::vector<std::uint32_t> free_slots_;
 

@@ -33,7 +33,7 @@ struct PolicyContext {
   const trace::Catalog& catalog;
   cache::AccessHistory& history;
   const cache::FutureIndex* future = nullptr;  // Oracle
-  cache::ReplayCursor* cursor = nullptr;       // GlobalLFU
+  const cache::ReplayCursor* cursor = nullptr;  // GlobalLFU
 };
 
 struct ScorerEntry {

@@ -389,15 +389,15 @@ SimulationReport ShardedSimulation::build_report(
   // its cells from the same registry walk and cells never move, so row p
   // means the same (scorer x admission) everywhere, switching or not.
   if (config_.shadow_matrix && !shards_.empty()) {
-    const cache::ShadowBank* first = shards_.front()->shadow_bank();
+    const IndexServer* first = shards_.front()->shadow_bank();
     VODCACHE_ASSERT(first != nullptr);
     report.shadow_matrix.resize(first->pair_count());
     for (std::size_t p = 0; p < first->pair_count(); ++p) {
-      report.shadow_matrix[p].scorer = first->cell(p).scorer_name();
-      report.shadow_matrix[p].admission = first->cell(p).admission_name();
+      report.shadow_matrix[p].scorer = first->cells()[p].scorer_name();
+      report.shadow_matrix[p].admission = first->cells()[p].admission_name();
     }
     for (const auto& shard : shards_) {
-      const cache::ShadowBank* bank = shard->shadow_bank();
+      const IndexServer* bank = shard->shadow_bank();
       VODCACHE_ASSERT(bank != nullptr &&
                       bank->pair_count() == report.shadow_matrix.size());
       for (std::size_t p = 0; p < bank->pair_count(); ++p) {

@@ -25,7 +25,6 @@ class RateMeter {
   void add(Interval interval, DataRate rate);
 
   [[nodiscard]] std::size_t bucket_count() const { return bits_.size(); }
-  [[nodiscard]] SimTime bucket_width() const { return bucket_; }
   [[nodiscard]] SimTime horizon() const { return horizon_; }
 
   [[nodiscard]] SimTime bucket_begin(std::size_t i) const;

@@ -295,7 +295,7 @@ TEST(IndexServerAdmission, RefusalLeavesCacheUntouchedAndCounts) {
                          {sim::SimTime{}, sim::SimTime::seconds(300)}, admit,
                          true);
   EXPECT_EQ(f.server.store().used(), DataSize{});
-  EXPECT_EQ(f.server.cells().cell(f.server.primary()).scorer()->cached_count(),
+  EXPECT_EQ(f.server.cells()[f.server.primary()].scorer()->cached_count(),
             0u);
   EXPECT_EQ(f.server.counters().fills, 0u);
   EXPECT_EQ(f.server.counters().admission_denials, 1u);

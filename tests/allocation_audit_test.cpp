@@ -19,7 +19,7 @@
 // means a real allocation crept into the hot path, never noise.
 //
 // The shadow-matrix case audits every registered scorer and admission at
-// once: the shadow bank rides the same feed() loop, so its 25 (scorer x
+// once: the shadow matrix rides the same feed() loop, so its 25 (scorer x
 // admission) pairs — GlobalLFU's replay cursor, the Oracle's future-index
 // lookups, the TinyLFU sketch, all of them — must be equally
 // allocation-free once warm.  Failure storms stay out of scope

@@ -237,7 +237,7 @@ TEST(IndexServer, StrategyAndStoreStayConsistent) {
   }
   // Every stored program is tracked by the scorer, and the scorer's
   // cached set mirrors the store's whole-program commitments exactly.
-  const auto& scorer = *f.server.cells().cell(f.server.primary()).scorer();
+  const auto& scorer = *f.server.cells()[f.server.primary()].scorer();
   for (const auto program : f.server.store().stored_programs()) {
     EXPECT_TRUE(scorer.is_cached(program));
   }

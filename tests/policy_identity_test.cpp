@@ -116,8 +116,7 @@ TEST_P(PreRefactorIdentity, ReportBytesMatchMonolithicStrategy) {
 // GlobalLFU pins beyond always-admit: the cursor's live and lagged counts
 // under the second-hit and sketch-lfu gates, and the live counts under
 // segment-granularity admission.  Recorded before GlobalLFU cells pulled
-// their count changes off the cursor (they were pushed to each cell
-// before); same regeneration rule as above.
+// their count changes off the cursor; same regeneration rule as above.
 struct GlobalLfuGoldenCase {
   const char* name;
   std::int64_t lag_minutes;

@@ -1,7 +1,7 @@
 // Live policy switching acceptance suite (cache/policy_switcher.hpp,
 // NeighborhoodShard::maybe_switch).
 //
-// The switcher's claim extends the shadow bank's: promotion decisions are
+// The switcher's claim extends the shadow matrix's: promotion decisions are
 // a pure function of the event stream (bit-identical across worker thread
 // counts and stream chunk sizes), and a warm switch hands the winning
 // shadow's cached set to the primary *exactly* — so from the switch point

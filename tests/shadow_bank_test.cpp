@@ -1,6 +1,6 @@
-// Shadow-matrix acceptance suite (cache/shadow_bank.hpp).
+// Shadow-matrix acceptance suite (the cells core/index_server.hpp owns).
 //
-// The shadow bank's whole claim is *exact equivalence*: one pass carrying
+// The shadow matrix's whole claim is *exact equivalence*: one pass carrying
 // every registered (scorer x admission) pair as a shadow cache must emit,
 // per pair, the same hit/miss/denial counters a standalone run of that
 // pair would produce — while the primary policy's report stays

@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "cache/shadow_bank.hpp"
+#include "core/index_server.hpp"
 #include "trace/generator.hpp"
 #include "trace/scaler.hpp"
 #include "trace/session_source.hpp"
@@ -26,10 +26,10 @@ inline void access(cache::AccessHistory& history,
 
 // An index server's cells for direct construction: `scorer` x `admission`
 // (null = always-admit) alone, as the primary.
-inline cache::ShadowBank::Plan one_cell(
+inline core::IndexServer::Plan one_cell(
     std::unique_ptr<cache::EvictionScorer> scorer,
     std::unique_ptr<cache::AdmissionPolicy> admission = nullptr) {
-  cache::ShadowBank::Plan plan;
+  core::IndexServer::Plan plan;
   plan.cells.push_back({"", "", std::move(scorer), std::move(admission)});
   return plan;
 }

@@ -25,7 +25,7 @@ Two file shapes are understood, keyed off their contents:
 
 The band is deliberately wide (default 10%) to absorb runner-to-runner
 variance; an architectural regression (a hash map back in the segment
-path, per-event heap churn, a serialized executor, a shadow bank gone
+path, per-event heap churn, a serialized executor, shadow cells gone
 quadratic) costs far more than that.
 
 Usage: check_throughput.py <measured.json> <baseline.json> [tolerance]
