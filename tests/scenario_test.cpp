@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -17,6 +19,7 @@
 #include "scenario/scenario.hpp"
 #include "test_support.hpp"
 #include "trace/generator.hpp"
+#include "trace/scaler.hpp"
 
 namespace vodcache::scenario {
 namespace {
@@ -431,6 +434,148 @@ TEST(NeighborhoodSkewAdaptor, RejectsTooManyHotNeighborhoods) {
   spec.hot_neighborhoods = 5;  // 10 users / 20 per hood = 1 neighborhood
   spec.population_share = 1.0;
   EXPECT_THROW(NeighborhoodSkewSource(base, spec, 20), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Adaptor goldens
+// ---------------------------------------------------------------------------
+
+// FNV-1a 64-bit over a drained stream: every field of every record, then
+// the record count and the source's four facts (catalog, user count,
+// horizon, session-count hint).  The streamed == materialized pins cannot
+// catch a change in RNG draw order, because materialize() drains the same
+// stream; these fixed digests can.
+class Fnv64 {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFFU;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void add(sim::SimTime time) {
+    add(static_cast<std::uint64_t>(time.millis_count()));
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+std::uint64_t stream_digest(const trace::SessionSource& source) {
+  Fnv64 fnv;
+  std::uint64_t count = 0;
+  auto stream = source.open();
+  trace::SessionRecord record;
+  while (stream->next(record)) {
+    fnv.add(record.start);
+    fnv.add(std::uint64_t{record.user.value()});
+    fnv.add(std::uint64_t{record.program.value()});
+    fnv.add(record.duration);
+    ++count;
+  }
+  fnv.add(count);
+  fnv.add(std::uint64_t{source.catalog().size()});
+  for (const auto& program : source.catalog().programs()) {
+    fnv.add(program.length);
+    fnv.add(program.introduced);
+    fnv.add(program.base_weight);
+    fnv.add(program.fresh_weight);
+  }
+  fnv.add(std::uint64_t{source.user_count()});
+  fnv.add(source.horizon());
+  fnv.add(source.session_count_hint());
+  return fnv.value();
+}
+
+// 200 users, 60 programs (some released mid-run), 3 days.
+trace::GeneratorSource golden_base() {
+  return trace::GeneratorSource(test::small_workload(3, 20070625));
+}
+
+constexpr std::uint32_t kGoldenNeighborhood = 50;  // 4 neighborhoods
+
+FlashCrowdSpec golden_flash_crowd() {
+  FlashCrowdSpec spec;
+  spec.enabled = true;
+  spec.title_rank = 2;
+  spec.start = sim::SimTime::hours(30);
+  spec.duration = sim::SimTime::hours(12);
+  spec.capture = 0.5;
+  return spec;
+}
+
+ReleaseWavesSpec golden_release_waves() {
+  ReleaseWavesSpec spec;
+  spec.enabled = true;
+  spec.period = sim::SimTime::hours(8);
+  spec.window = sim::SimTime::hours(3);
+  spec.wave_size = 5;
+  spec.capture = 0.35;
+  return spec;
+}
+
+NeighborhoodSkewSpec golden_skew() {
+  NeighborhoodSkewSpec spec;
+  spec.enabled = true;
+  spec.hot_neighborhoods = 1;
+  spec.population_share = 0.25;
+  spec.regions = 3;
+  spec.regional_affinity = 0.4;
+  return spec;
+}
+
+TEST(AdaptorGolden, FlashCrowd) {
+  const auto base = golden_base();
+  const FlashCrowdSource crowd(base, golden_flash_crowd());
+  EXPECT_EQ(stream_digest(crowd), 0x7F329B39CA24F088ULL);
+}
+
+TEST(AdaptorGolden, ReleaseWaves) {
+  const auto base = golden_base();
+  const ReleaseWavesSource waves(base, golden_release_waves());
+  EXPECT_EQ(stream_digest(waves), 0xAEDBFAC9A95786EBULL);
+}
+
+TEST(AdaptorGolden, NeighborhoodSkew) {
+  const auto base = golden_base();
+  const NeighborhoodSkewSource skew(base, golden_skew(), kGoldenNeighborhood);
+  EXPECT_EQ(stream_digest(skew), 0x2DEDC38EA055E300ULL);
+}
+
+TEST(AdaptorGolden, NeighborhoodSkewRegionsOnly) {
+  // population_share 0 skips the population draw entirely.
+  const auto base = golden_base();
+  auto spec = golden_skew();
+  spec.population_share = 0.0;
+  const NeighborhoodSkewSource skew(base, spec, kGoldenNeighborhood);
+  EXPECT_EQ(stream_digest(skew), 0xEBF391E903A2A95AULL);
+}
+
+TEST(AdaptorGolden, CatalogScaled) {
+  const auto base = golden_base();
+  // x1 draws nothing and passes the input through.
+  EXPECT_EQ(stream_digest(trace::CatalogScaledSource(base, 1)),
+            0x50D8BA74A1878071ULL);
+  EXPECT_EQ(stream_digest(trace::CatalogScaledSource(base, 3)),
+            0x73220C2FED9C94B1ULL);
+}
+
+TEST(AdaptorGolden, PopulationScaled) {
+  const auto base = golden_base();
+  EXPECT_EQ(stream_digest(trace::PopulationScaledSource(base, 2)),
+            0x19EDA05B497D1ACFULL);
+}
+
+TEST(AdaptorGolden, Stack) {
+  // skew -> release waves -> flash crowd -> catalog x2.
+  const auto base = golden_base();
+  const NeighborhoodSkewSource skew(base, golden_skew(), kGoldenNeighborhood);
+  const ReleaseWavesSource waves(skew, golden_release_waves());
+  const FlashCrowdSource crowd(waves, golden_flash_crowd());
+  const trace::CatalogScaledSource scaled(crowd, 2);
+  EXPECT_EQ(stream_digest(scaled), 0x7026056502895701ULL);
 }
 
 // ---------------------------------------------------------------------------

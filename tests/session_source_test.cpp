@@ -314,6 +314,23 @@ void expect_csv_error(const std::string& path,
   }
 }
 
+TEST_F(CsvSourceTest, RejectsEverySessionRuleByLine) {
+  // The rules RejectsOutOfRangeSessions leaves out.  Program 1 is
+  // introduced at 10 s.
+  const std::string header =
+      "meta,4,86400000\n"
+      "program,0,1800000,0,1\n"
+      "program,1,1800000,10000,1\n";
+  expect_csv_error(write_temp(header + "session,-5,0,0,1000\n"),
+                   {"line 4", "negative start time"});
+  expect_csv_error(write_temp(header + "session,1000,0,0,0\n"),
+                   {"line 4", "non-positive duration"});
+  expect_csv_error(write_temp(header + "session,1000,0,1,1000\n"),
+                   {"line 4", "session precedes program introduction"});
+  expect_csv_error(write_temp(header + "session,1000,0,7,1000\n"),
+                   {"line 4", "program"});  // unknown program
+}
+
 TEST_F(CsvSourceTest, TruncatedFinalLineSaysWhichLineAndWhy) {
   // A copy cut off mid-record (no trailing newline): too few fields.
   expect_csv_error(write_temp("meta,4,86400000\n"
