@@ -234,7 +234,7 @@ void BM_CacheCellServe(benchmark::State& state) {
   if (outcome == 1) {
     // Saturate the storing peer for the whole run.
     for (const PeerId peer : cell.store().locate(stored)) {
-      for (int s = 0; s < settings.peer_stream_limit; ++s) {
+      for (int s = 0; s < hfc::kPeerStreamLimit; ++s) {
         cell.occupy_viewer_slot(
             peer, {sim::SimTime{},
                    sim::SimTime::millis(

@@ -46,8 +46,7 @@ CacheCell::CacheCell(Policy policy, const Settings& settings,
       settings_(settings),
       coax_(coax),
       store_(std::vector<DataSize>(peer_count, settings.per_peer_storage)),
-      slots_(peer_count,
-             scorer_ == nullptr ? 0 : settings.peer_stream_limit) {
+      slots_(peer_count, scorer_ == nullptr ? 0 : hfc::kPeerStreamLimit) {
   VODCACHE_EXPECTS(coax != nullptr);
   VODCACHE_EXPECTS(peer_count > 0);
   VODCACHE_EXPECTS(settings.per_peer_storage >= DataSize{});

@@ -82,7 +82,6 @@ class CacheCell {
   struct Settings {
     bool whole_program = true;  // CacheAdmission::WholeProgram vs Segment
     bool replicate_on_busy = false;
-    int peer_stream_limit = 2;
     DataRate stream_rate;
     DataSize per_peer_storage;
   };

@@ -32,10 +32,7 @@ const char* to_string(CacheAdmission admission) {
 void SystemConfig::validate() const {
   VODCACHE_EXPECTS(neighborhood_size > 0);
   VODCACHE_EXPECTS(per_peer_storage >= DataSize{});
-  VODCACHE_EXPECTS(peer_stream_limit >= 0);
   VODCACHE_EXPECTS(stream_rate.bps() > 0.0);
-  VODCACHE_EXPECTS(segment_duration > sim::SimTime{});
-  VODCACHE_EXPECTS(meter_bucket > sim::SimTime{});
   VODCACHE_EXPECTS(strategy.lfu_history >= sim::SimTime{});
   // A zero window is LFU's pure-LRU point, but the board needs a window.
   VODCACHE_EXPECTS(strategy.lfu_history > sim::SimTime{} ||

@@ -14,7 +14,6 @@ cache::CacheCell::Settings cell_settings(const SystemConfig& config) {
   cache::CacheCell::Settings settings;
   settings.whole_program = config.admission == CacheAdmission::WholeProgram;
   settings.replicate_on_busy = config.replicate_on_busy;
-  settings.peer_stream_limit = config.peer_stream_limit;
   settings.stream_rate = config.stream_rate;
   settings.per_peer_storage = config.per_peer_storage;
   return settings;

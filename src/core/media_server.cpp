@@ -7,14 +7,10 @@ MediaServer::MediaServer(sim::SimTime horizon, sim::SimTime bucket)
 
 void MediaServer::serve(sim::Interval interval, DataRate rate) {
   meter_.add(interval, rate);
-  ++transmissions_;
-  bits_served_ += rate.bps() * interval.duration_seconds();
 }
 
 void MediaServer::merge(const MediaServer& other) {
   meter_.merge(other.meter_);
-  transmissions_ += other.transmissions_;
-  bits_served_ += other.bits_served_;
 }
 
 }  // namespace vodcache::core

@@ -8,8 +8,6 @@
 // into the one server the report describes.
 #pragma once
 
-#include <cstdint>
-
 #include "sim/rate_meter.hpp"
 #include "util/units.hpp"
 
@@ -29,13 +27,9 @@ class MediaServer {
   void merge(const MediaServer& other);
 
   [[nodiscard]] const sim::RateMeter& meter() const { return meter_; }
-  [[nodiscard]] std::uint64_t transmissions() const { return transmissions_; }
-  [[nodiscard]] double bits_served() const { return bits_served_; }
 
  private:
   sim::RateMeter meter_;
-  std::uint64_t transmissions_ = 0;
-  double bits_served_ = 0.0;
 };
 
 }  // namespace vodcache::core

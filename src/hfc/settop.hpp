@@ -14,6 +14,12 @@
 
 namespace vodcache::hfc {
 
+// "Typical set top boxes cannot receive data on more than two logical
+// channels ... limit each set top box so that it can only be active on
+// two streams" (section V-C): how many transmissions one box may serve at
+// once.
+inline constexpr int kPeerStreamLimit = 2;
+
 // Concurrent-transmission bookkeeping for all the boxes of one cache cell,
 // in one flat array of `peer_count * limit` end times.
 //

@@ -1,10 +1,8 @@
 #include "scenario/adaptors.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -24,124 +22,11 @@ void retarget(trace::SessionRecord& record, std::uint32_t program,
   record.duration = std::min(record.duration, catalog.length(record.program));
 }
 
-class FlashCrowdStream final : public trace::SessionStream {
- public:
-  FlashCrowdStream(std::unique_ptr<trace::SessionStream> input,
-                   const FlashCrowdSpec& spec, ProgramId target,
-                   const trace::Catalog& catalog)
-      : input_(std::move(input)),
-        begin_(spec.start),
-        end_(spec.start + spec.duration),
-        capture_(spec.capture),
-        target_(target.value()),
-        catalog_(&catalog),
-        rng_(spec.seed) {}
-
-  bool next(trace::SessionRecord& out) override {
-    if (!input_->next(out)) return false;
-    if (out.start >= begin_ && out.start < end_ &&
-        rng_.uniform_double() < capture_) {
-      retarget(out, target_, *catalog_);
-    }
-    return true;
-  }
-
- private:
-  std::unique_ptr<trace::SessionStream> input_;
-  const sim::SimTime begin_;
-  const sim::SimTime end_;
-  const double capture_;
-  const std::uint32_t target_;
-  const trace::Catalog* catalog_;
-  Rng rng_;
-};
-
-class ReleaseWavesStream final : public trace::SessionStream {
- public:
-  ReleaseWavesStream(std::unique_ptr<trace::SessionStream> input,
-                     const ReleaseWavesSpec& spec,
-                     const std::vector<std::vector<std::uint32_t>>& blocks,
-                     const trace::Catalog& catalog)
-      : input_(std::move(input)),
-        period_ms_(spec.period.millis_count()),
-        window_(spec.window),
-        capture_(spec.capture),
-        blocks_(&blocks),
-        catalog_(&catalog),
-        rng_(spec.seed) {}
-
-  bool next(trace::SessionRecord& out) override {
-    if (!input_->next(out)) return false;
-    const auto k =
-        static_cast<std::size_t>(out.start.millis_count() / period_ms_);
-    const auto wave_begin = sim::SimTime::millis(
-        static_cast<std::int64_t>(k) * period_ms_);
-    const auto& block = (*blocks_)[k];
-    if (out.start - wave_begin < window_ && !block.empty() &&
-        rng_.uniform_double() < capture_) {
-      retarget(out, block[rng_.uniform_u64(block.size())], *catalog_);
-    }
-    return true;
-  }
-
- private:
-  std::unique_ptr<trace::SessionStream> input_;
-  const std::int64_t period_ms_;
-  const sim::SimTime window_;
-  const double capture_;
-  const std::vector<std::vector<std::uint32_t>>* blocks_;
-  const trace::Catalog* catalog_;
-  Rng rng_;
-};
-
-class NeighborhoodSkewStream final : public trace::SessionStream {
- public:
-  NeighborhoodSkewStream(std::unique_ptr<trace::SessionStream> input,
-                         const NeighborhoodSkewSpec& spec,
-                         const hfc::Topology& topology,
-                         const std::vector<std::uint32_t>& hot_users,
-                         const std::vector<std::vector<std::uint32_t>>& regions,
-                         const trace::Catalog& catalog)
-      : input_(std::move(input)),
-        spec_(&spec),
-        topology_(&topology),
-        hot_users_(&hot_users),
-        regions_(&regions),
-        catalog_(&catalog),
-        rng_(spec.seed) {}
-
-  bool next(trace::SessionRecord& out) override {
-    if (!input_->next(out)) return false;
-    if (spec_->population_share > 0.0 &&
-        rng_.uniform_double() < spec_->population_share) {
-      out.user =
-          UserId{(*hot_users_)[rng_.uniform_u64(hot_users_->size())]};
-    }
-    if (spec_->regions > 0) {
-      const auto n = topology_->neighborhood_of(out.user).value();
-      const auto& slice = (*regions_)[n % spec_->regions];
-      if (!slice.empty() && rng_.uniform_double() < spec_->regional_affinity) {
-        retarget(out, slice[rng_.uniform_u64(slice.size())], *catalog_);
-      }
-    }
-    return true;
-  }
-
- private:
-  std::unique_ptr<trace::SessionStream> input_;
-  const NeighborhoodSkewSpec* spec_;
-  const hfc::Topology* topology_;
-  const std::vector<std::uint32_t>* hot_users_;
-  const std::vector<std::vector<std::uint32_t>>* regions_;
-  const trace::Catalog* catalog_;
-  Rng rng_;
-};
-
 }  // namespace
 
 FlashCrowdSource::FlashCrowdSource(const trace::SessionSource& input,
                                    const FlashCrowdSpec& spec)
-    : input_(&input), spec_(spec) {
+    : RemapSource(input, spec.seed), spec_(spec) {
   if (spec.start + spec.duration > input.horizon()) {
     spec_error("flash_crowd window ends past the workload horizon");
   }
@@ -171,14 +56,17 @@ FlashCrowdSource::FlashCrowdSource(const trace::SessionSource& input,
   target_ = ProgramId{available[spec.title_rank - 1]};
 }
 
-std::unique_ptr<trace::SessionStream> FlashCrowdSource::open() const {
-  return std::make_unique<FlashCrowdStream>(input_->open(), spec_, target_,
-                                            input_->catalog());
+void FlashCrowdSource::remap(trace::SessionRecord& record, Rng& rng) const {
+  if (record.start >= spec_.start &&
+      record.start < spec_.start + spec_.duration &&
+      rng.uniform_double() < spec_.capture) {
+    retarget(record, target_.value(), catalog());
+  }
 }
 
 ReleaseWavesSource::ReleaseWavesSource(const trace::SessionSource& input,
                                        const ReleaseWavesSpec& spec)
-    : input_(&input), spec_(spec) {
+    : RemapSource(input, spec.seed), spec_(spec) {
   const auto catalog_size =
       static_cast<std::uint32_t>(input.catalog().size());
   if (spec.wave_size == 0 || spec.wave_size > catalog_size) {
@@ -202,15 +90,24 @@ ReleaseWavesSource::ReleaseWavesSource(const trace::SessionSource& input,
   }
 }
 
-std::unique_ptr<trace::SessionStream> ReleaseWavesSource::open() const {
-  return std::make_unique<ReleaseWavesStream>(input_->open(), spec_, blocks_,
-                                              input_->catalog());
+void ReleaseWavesSource::remap(trace::SessionRecord& record,
+                               Rng& rng) const {
+  const auto period_ms = spec_.period.millis_count();
+  const auto k =
+      static_cast<std::size_t>(record.start.millis_count() / period_ms);
+  const auto wave_begin =
+      sim::SimTime::millis(static_cast<std::int64_t>(k) * period_ms);
+  const auto& block = blocks_[k];
+  if (record.start - wave_begin < spec_.window && !block.empty() &&
+      rng.uniform_double() < spec_.capture) {
+    retarget(record, block[rng.uniform_u64(block.size())], catalog());
+  }
 }
 
 NeighborhoodSkewSource::NeighborhoodSkewSource(
     const trace::SessionSource& input, const NeighborhoodSkewSpec& spec,
     std::uint32_t neighborhood_size)
-    : input_(&input),
+    : RemapSource(input, spec.seed),
       spec_(spec),
       topology_(hfc::Topology::build(input.user_count(), neighborhood_size)) {
   if (spec.hot_neighborhoods == 0 ||
@@ -256,10 +153,19 @@ NeighborhoodSkewSource::NeighborhoodSkewSource(
   }
 }
 
-std::unique_ptr<trace::SessionStream> NeighborhoodSkewSource::open() const {
-  return std::make_unique<NeighborhoodSkewStream>(
-      input_->open(), spec_, topology_, hot_users_, region_programs_,
-      input_->catalog());
+void NeighborhoodSkewSource::remap(trace::SessionRecord& record,
+                                   Rng& rng) const {
+  if (spec_.population_share > 0.0 &&
+      rng.uniform_double() < spec_.population_share) {
+    record.user = UserId{hot_users_[rng.uniform_u64(hot_users_.size())]};
+  }
+  if (spec_.regions > 0) {
+    const auto n = topology_.neighborhood_of(record.user).value();
+    const auto& slice = region_programs_[n % spec_.regions];
+    if (!slice.empty() && rng.uniform_double() < spec_.regional_affinity) {
+      retarget(record, slice[rng.uniform_u64(slice.size())], catalog());
+    }
+  }
 }
 
 }  // namespace vodcache::scenario

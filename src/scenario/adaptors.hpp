@@ -1,15 +1,17 @@
 // Scenario stream adaptors: adversarial workload shapes as single-pass
 // trace::SessionSource wrappers.
 //
-// All three adaptors share one discipline, inherited from the scaling
-// adaptors (trace/scaler.hpp): sessions are transformed record by record,
-// start times are never touched (so no reorder buffer is needed and the
-// sorted contract is preserved), and the RNG is drawn in input order — a
-// deterministic function of the input stream.  Every open() therefore
-// replays the identical sequence, draining equals the materialized twin
-// byte for byte, and the simulation report stays bit-identical across
-// thread counts and streamed-vs-materialized (pinned in
-// tests/scenario_test.cpp).
+// All three adaptors are trace::RemapSource subclasses, like catalog
+// scaling (trace/scaler.hpp): each one only says how to rewrite a single
+// record with the stream's RNG, and the base class owns the stream that
+// pulls, rewrites and forwards.  Start times are never touched (so no
+// reorder buffer is needed and the sorted contract is preserved), and the
+// RNG is drawn in input order — a deterministic function of the input
+// stream.  Every open() therefore replays the identical sequence, draining
+// equals the materialized twin byte for byte, and the simulation report
+// stays bit-identical across thread counts and streamed-vs-materialized
+// (pinned in tests/scenario_test.cpp, which also pins each adaptor's
+// drained stream to a fixed digest).
 //
 // Program remaps always clamp the session duration to the new program's
 // length and only ever target programs already introduced at the session's
@@ -20,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "hfc/topology.hpp"
@@ -34,29 +35,16 @@ namespace vodcache::scenario {
 // the catalog: rank `title_rank` by base weight among programs introduced
 // by the window start.  Construction throws std::runtime_error when the
 // spec does not fit the input (rank beyond catalog, window past horizon).
-class FlashCrowdSource final : public trace::SessionSource {
+class FlashCrowdSource final : public trace::RemapSource {
  public:
   FlashCrowdSource(const trace::SessionSource& input,
                    const FlashCrowdSpec& spec);
 
-  [[nodiscard]] const trace::Catalog& catalog() const override {
-    return input_->catalog();
-  }
-  [[nodiscard]] std::uint32_t user_count() const override {
-    return input_->user_count();
-  }
-  [[nodiscard]] sim::SimTime horizon() const override {
-    return input_->horizon();
-  }
-  [[nodiscard]] std::unique_ptr<trace::SessionStream> open() const override;
-  [[nodiscard]] std::uint64_t session_count_hint() const override {
-    return input_->session_count_hint();
-  }
-
   [[nodiscard]] ProgramId target() const { return target_; }
 
  private:
-  const trace::SessionSource* input_;
+  void remap(trace::SessionRecord& record, Rng& rng) const override;
+
   FlashCrowdSpec spec_;
   ProgramId target_;
 };
@@ -66,24 +54,10 @@ class FlashCrowdSource final : public trace::SessionSource {
 // eligible blocks (block programs already introduced at the wave start)
 // are precomputed — O(horizon/period * wave_size), independent of the
 // session count.
-class ReleaseWavesSource final : public trace::SessionSource {
+class ReleaseWavesSource final : public trace::RemapSource {
  public:
   ReleaseWavesSource(const trace::SessionSource& input,
                      const ReleaseWavesSpec& spec);
-
-  [[nodiscard]] const trace::Catalog& catalog() const override {
-    return input_->catalog();
-  }
-  [[nodiscard]] std::uint32_t user_count() const override {
-    return input_->user_count();
-  }
-  [[nodiscard]] sim::SimTime horizon() const override {
-    return input_->horizon();
-  }
-  [[nodiscard]] std::unique_ptr<trace::SessionStream> open() const override;
-  [[nodiscard]] std::uint64_t session_count_hint() const override {
-    return input_->session_count_hint();
-  }
 
   // Wave k's redirect targets (for tests).
   [[nodiscard]] const std::vector<std::uint32_t>& wave_block(
@@ -93,7 +67,8 @@ class ReleaseWavesSource final : public trace::SessionSource {
   [[nodiscard]] std::size_t wave_count() const { return blocks_.size(); }
 
  private:
-  const trace::SessionSource* input_;
+  void remap(trace::SessionRecord& record, Rng& rng) const override;
+
   ReleaseWavesSpec spec_;
   // blocks_[k]: program ids of wave k's block introduced by k*period.
   std::vector<std::vector<std::uint32_t>> blocks_;
@@ -104,30 +79,17 @@ class ReleaseWavesSource final : public trace::SessionSource {
 // placement the simulation will use — the adaptor must be built with the
 // same neighborhood_size the run's SystemConfig carries, or construction
 // would skew different neighborhoods than the ones simulated.
-class NeighborhoodSkewSource final : public trace::SessionSource {
+class NeighborhoodSkewSource final : public trace::RemapSource {
  public:
   NeighborhoodSkewSource(const trace::SessionSource& input,
                          const NeighborhoodSkewSpec& spec,
                          std::uint32_t neighborhood_size);
 
-  [[nodiscard]] const trace::Catalog& catalog() const override {
-    return input_->catalog();
-  }
-  [[nodiscard]] std::uint32_t user_count() const override {
-    return input_->user_count();
-  }
-  [[nodiscard]] sim::SimTime horizon() const override {
-    return input_->horizon();
-  }
-  [[nodiscard]] std::unique_ptr<trace::SessionStream> open() const override;
-  [[nodiscard]] std::uint64_t session_count_hint() const override {
-    return input_->session_count_hint();
-  }
-
   [[nodiscard]] const hfc::Topology& topology() const { return topology_; }
 
  private:
-  const trace::SessionSource* input_;
+  void remap(trace::SessionRecord& record, Rng& rng) const override;
+
   NeighborhoodSkewSpec spec_;
   hfc::Topology topology_;
   // Subscribers living in the first hot_neighborhoods neighborhoods.

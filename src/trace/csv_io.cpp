@@ -233,13 +233,14 @@ Trace read_csv_file(const std::string& path) {
 
 namespace {
 
-// The session-only replay pass behind CsvSource::open().  Re-checks just
-// the invariants a changed file could break underneath the validated
-// source: session ordering and program-id range.
+// The session-only replay pass behind CsvSource::open().  Re-checks what
+// a file changed underneath the validated source could break — session
+// order and every session_error rule — so a rewrite fails as a named error
+// instead of reaching the simulator.
 class CsvStream final : public SessionStream {
  public:
-  CsvStream(const std::string& path, std::size_t catalog_size)
-      : in_(path), catalog_size_(catalog_size) {
+  CsvStream(const std::string& path, const CsvSource& source)
+      : in_(path), source_(&source) {
     if (!in_) throw std::runtime_error("cannot open for read: " + path);
   }
 
@@ -253,12 +254,14 @@ class CsvStream final : public SessionStream {
       const std::string_view kind = fields[0];
       if (kind != "session") continue;  // header lines: validated up front
       out = parse_session_line(fields, line_number_);
-      if (out.program.value() >= catalog_size_) {
-        parse_error(line_number_, "session references unknown program");
-      }
       if (out.start < last_start_) {
         parse_error(line_number_,
                     "sessions not sorted by start time (file changed?)");
+      }
+      if (const char* error = session_error(
+              out, source_->catalog().programs(), source_->user_count(),
+              source_->horizon())) {
+        parse_error(line_number_, std::string(error) + " (file changed?)");
       }
       last_start_ = out.start;
       return true;
@@ -268,7 +271,7 @@ class CsvStream final : public SessionStream {
 
  private:
   std::ifstream in_;
-  const std::size_t catalog_size_;
+  const CsvSource* source_;
   std::size_t line_number_ = 0;
   sim::SimTime last_start_;
 };
@@ -280,8 +283,8 @@ CsvSource::CsvSource(std::string path) : path_(std::move(path)) {
   if (!in) throw std::runtime_error("cannot open for read: " + path_);
 
   // One full validation pass: header into memory, sessions checked in
-  // stream order (the same invariants Trace::validation_error enforces)
-  // and counted, never stored.
+  // stream order (sorting, then session_error's rules, as
+  // Trace::validation_error checks them) and counted, never stored.
   std::string line;
   std::size_t line_number = 0;
   HeaderState header;
@@ -300,33 +303,15 @@ CsvSource::CsvSource(std::string path) : path_(std::move(path)) {
                   "session (the materialized loader accepts either order)");
     }
     const auto s = parse_session_line(fields, line_number);
-    if (s.program.value() >= header.programs.size()) {
-      parse_error(line_number, "session references unknown program");
-    }
-    const auto& program = header.programs[s.program.value()];
     if (any_session && s.start < last_start) {
       parse_error(line_number,
                   "sessions not sorted by start time; a streaming source "
                   "cannot re-sort — regenerate the file or load it "
                   "materialized (vodcache run --materialize)");
     }
-    if (s.user.value() >= header.user_count) {
-      parse_error(line_number, "user id out of range");
-    }
-    if (s.duration <= sim::SimTime{}) {
-      parse_error(line_number, "non-positive duration");
-    }
-    if (s.duration > program.length) {
-      parse_error(line_number, "duration exceeds program length");
-    }
-    if (s.start < sim::SimTime{}) {
-      parse_error(line_number, "negative start time");
-    }
-    if (s.start >= header.horizon) {
-      parse_error(line_number, "session starts past horizon");
-    }
-    if (s.start < program.introduced) {
-      parse_error(line_number, "session precedes program introduction");
+    if (const char* error = session_error(s, header.programs,
+                                          header.user_count, header.horizon)) {
+      parse_error(line_number, error);
     }
     last_start = s.start;
     any_session = true;
@@ -339,7 +324,7 @@ CsvSource::CsvSource(std::string path) : path_(std::move(path)) {
 }
 
 std::unique_ptr<SessionStream> CsvSource::open() const {
-  return std::make_unique<CsvStream>(path_, catalog_.size());
+  return std::make_unique<CsvStream>(path_, *this);
 }
 
 }  // namespace vodcache::trace

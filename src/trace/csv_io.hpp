@@ -34,13 +34,16 @@ std::uint64_t write_csv(const SessionSource& source, std::ostream& out);
 std::uint64_t write_csv_file(const SessionSource& source,
                              const std::string& path);
 
-// Throws std::runtime_error on malformed input.
+// Throws std::runtime_error on malformed input, or on a session that breaks
+// a session_error rule (an unknown program is reported with its line
+// number; the other rules are checked after the sort, by session index).
 [[nodiscard]] Trace read_csv(std::istream& in);
 [[nodiscard]] Trace read_csv_file(const std::string& path);
 
 // A trace file as a SessionSource: the constructor makes one full pass to
-// parse the header (meta + programs) and validate every session —
-// O(catalog) memory, nothing stored — and each open() re-reads the file,
+// parse the header (meta + programs) and validate every session against
+// the file's order and session_error's rules, each failure naming its line
+// — O(catalog) memory, nothing stored — and each open() re-reads the file,
 // yielding sessions in file order.
 //
 // Two restrictions versus read_csv_file (which materializes and can

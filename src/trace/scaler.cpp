@@ -90,30 +90,6 @@ class PopulationScaledStream final : public SessionStream {
   std::uint64_t seq_ = 0;
 };
 
-class CatalogScaledStream final : public SessionStream {
- public:
-  CatalogScaledStream(std::unique_ptr<SessionStream> input,
-                      std::uint32_t factor, std::uint32_t base_programs,
-                      std::uint64_t seed)
-      : input_(std::move(input)),
-        factor_(factor),
-        base_programs_(base_programs),
-        rng_(seed) {}
-
-  bool next(SessionRecord& out) override {
-    if (!input_->next(out)) return false;
-    const auto k = static_cast<std::uint32_t>(rng_.uniform_u64(factor_));
-    out.program = ProgramId{out.program.value() + k * base_programs_};
-    return true;
-  }
-
- private:
-  std::unique_ptr<SessionStream> input_;
-  const std::uint32_t factor_;
-  const std::uint32_t base_programs_;
-  Rng rng_;
-};
-
 }  // namespace
 
 PopulationScaledSource::PopulationScaledSource(const SessionSource& input,
@@ -140,7 +116,9 @@ std::unique_ptr<SessionStream> PopulationScaledSource::open() const {
 CatalogScaledSource::CatalogScaledSource(const SessionSource& input,
                                          std::uint32_t factor,
                                          std::uint64_t seed)
-    : input_(&input), factor_(factor), seed_(seed) {
+    : RemapSource(input, seed),
+      factor_(factor),
+      base_programs_(static_cast<std::uint32_t>(input.catalog().size())) {
   VODCACHE_EXPECTS(factor >= 1);
   const auto& base = input.catalog().programs();
   VODCACHE_EXPECTS(static_cast<std::uint64_t>(base.size()) * factor <=
@@ -154,10 +132,13 @@ CatalogScaledSource::CatalogScaledSource(const SessionSource& input,
 }
 
 std::unique_ptr<SessionStream> CatalogScaledSource::open() const {
-  if (factor_ == 1) return input_->open();
-  return std::make_unique<CatalogScaledStream>(
-      input_->open(), factor_,
-      static_cast<std::uint32_t>(input_->catalog().size()), seed_);
+  if (factor_ == 1) return input().open();
+  return RemapSource::open();
+}
+
+void CatalogScaledSource::remap(SessionRecord& record, Rng& rng) const {
+  const auto k = static_cast<std::uint32_t>(rng.uniform_u64(factor_));
+  record.program = ProgramId{record.program.value() + k * base_programs_};
 }
 
 }  // namespace vodcache::trace

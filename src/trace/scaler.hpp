@@ -10,6 +10,9 @@
 // Both transforms are streaming adaptors (`PopulationScaledSource`,
 // `CatalogScaledSource`): O(1)-memory `SessionSource` wrappers, the way
 // figure-15 sweeps scale without materializing n copies of the workload.
+// Catalog scaling only rewrites records, so it is a `RemapSource`;
+// population scaling shifts start times and re-sorts through a reorder
+// buffer, so it has a stream of its own.
 // `trace::materialize(adaptor)` is the materialized form (the tests'
 // cross-validation twin).
 #pragma once
@@ -65,30 +68,23 @@ class PopulationScaledSource final : public SessionSource {
 // is built eagerly — it is O(programs) — and every streamed event is
 // remapped to a uniformly-random copy, drawing the RNG in input order
 // exactly like the materialized transform.  Start times are untouched, so
-// the stream needs no reorder buffer.
+// it is a plain RemapSource.  factor == 1 streams the input itself and
+// draws nothing.
 //
 // The input source must outlive the adaptor and its streams.
-class CatalogScaledSource final : public SessionSource {
+class CatalogScaledSource final : public RemapSource {
  public:
   CatalogScaledSource(const SessionSource& input, std::uint32_t factor,
                       std::uint64_t seed = 0xcab1e5);
 
   [[nodiscard]] const Catalog& catalog() const override { return catalog_; }
-  [[nodiscard]] std::uint32_t user_count() const override {
-    return input_->user_count();
-  }
-  [[nodiscard]] sim::SimTime horizon() const override {
-    return input_->horizon();
-  }
   [[nodiscard]] std::unique_ptr<SessionStream> open() const override;
-  [[nodiscard]] std::uint64_t session_count_hint() const override {
-    return input_->session_count_hint();
-  }
 
  private:
-  const SessionSource* input_;
+  void remap(SessionRecord& record, Rng& rng) const override;
+
   std::uint32_t factor_;
-  std::uint64_t seed_;
+  std::uint32_t base_programs_;
   Catalog catalog_;
 };
 

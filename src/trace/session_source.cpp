@@ -29,6 +29,27 @@ std::unique_ptr<SessionStream> TraceSource::open() const {
   return std::make_unique<TraceStream>(*trace_);
 }
 
+class RemapSource::Stream final : public SessionStream {
+ public:
+  Stream(const RemapSource& source, std::unique_ptr<SessionStream> input)
+      : source_(&source), input_(std::move(input)), rng_(source.seed_) {}
+
+  bool next(SessionRecord& out) override {
+    if (!input_->next(out)) return false;
+    source_->remap(out, rng_);
+    return true;
+  }
+
+ private:
+  const RemapSource* source_;
+  std::unique_ptr<SessionStream> input_;
+  Rng rng_;
+};
+
+std::unique_ptr<SessionStream> RemapSource::open() const {
+  return std::make_unique<Stream>(*this, input_->open());
+}
+
 Trace materialize(const SessionSource& source) {
   std::vector<SessionRecord> sessions;
   if (const auto hint = source.session_count_hint(); hint > 0) {

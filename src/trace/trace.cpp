@@ -6,6 +6,26 @@
 
 namespace vodcache::trace {
 
+const char* session_error(const SessionRecord& record,
+                          const std::vector<ProgramInfo>& programs,
+                          std::uint32_t user_count, sim::SimTime horizon) {
+  if (record.user.value() >= user_count) return "user id out of range";
+  if (record.program.value() >= programs.size()) {
+    return "session references unknown program";
+  }
+  const auto& program = programs[record.program.value()];
+  if (record.duration <= sim::SimTime{}) return "non-positive duration";
+  if (record.duration > program.length) {
+    return "duration exceeds program length";
+  }
+  if (record.start < sim::SimTime{}) return "negative start time";
+  if (record.start >= horizon) return "session starts past horizon";
+  if (record.start < program.introduced) {
+    return "session precedes program introduction";
+  }
+  return nullptr;
+}
+
 Trace::Trace(Catalog catalog, std::vector<SessionRecord> sessions,
              std::uint32_t user_count, sim::SimTime horizon)
     : catalog_(std::move(catalog)),
@@ -28,20 +48,9 @@ bool Trace::is_sorted() const {
 std::optional<std::string> Trace::validation_error() const {
   if (!is_sorted()) return "sessions not sorted by start time";
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    const auto& s = sessions_[i];
-    const auto where = " (session " + std::to_string(i) + ")";
-    if (s.user.value() >= user_count_) return "user id out of range" + where;
-    if (s.program.value() >= catalog_.size()) {
-      return "program id out of range" + where;
-    }
-    if (s.duration <= sim::SimTime{}) return "non-positive duration" + where;
-    if (s.duration > catalog_.length(s.program)) {
-      return "duration exceeds program length" + where;
-    }
-    if (s.start < sim::SimTime{}) return "negative start time" + where;
-    if (s.start >= horizon_) return "session starts past horizon" + where;
-    if (s.start < catalog_.introduced(s.program)) {
-      return "session precedes program introduction" + where;
+    if (const char* error = session_error(sessions_[i], catalog_.programs(),
+                                          user_count_, horizon_)) {
+      return std::string(error) + " (session " + std::to_string(i) + ")";
     }
   }
   return std::nullopt;

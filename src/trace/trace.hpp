@@ -2,7 +2,8 @@
 //
 // Layout mirrors the PowerInfo trace the paper uses: each record is
 // (start time, user, program, session duration).  Traces are kept sorted by
-// start time; the simulator and the scaling transforms rely on it.
+// start time; the simulator and the scaling transforms rely on it.  What
+// makes one session valid is stated once, in session_error().
 #pragma once
 
 #include <cstddef>
@@ -25,6 +26,15 @@ struct SessionRecord {
   sim::SimTime duration;
 };
 
+// The rules every session obeys, wherever it comes from: user and program
+// ids in range, a positive duration no longer than the program, a start
+// inside [0, horizon) and not before the program's introduction.  Returns
+// the first rule `record` breaks, or nullptr.  Trace::validation_error and
+// the streaming CSV loader both apply it.
+[[nodiscard]] const char* session_error(
+    const SessionRecord& record, const std::vector<ProgramInfo>& programs,
+    std::uint32_t user_count, sim::SimTime horizon);
+
 class Trace {
  public:
   Trace() = default;
@@ -41,9 +51,9 @@ class Trace {
 
   [[nodiscard]] bool is_sorted() const;
 
-  // First internal-consistency violation, if any: sorting, ids in range,
-  // durations within program lengths, sessions inside [0, horizon), no
-  // pre-release sessions.  Loaders turn this into exceptions.
+  // First internal-consistency violation, if any: sorting, then the first
+  // session that breaks a session_error rule.  Loaders turn this into
+  // exceptions.
   [[nodiscard]] std::optional<std::string> validation_error() const;
 
   // Aborts via contract check on violation (used by generators and tests,

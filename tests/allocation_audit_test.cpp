@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,6 +108,10 @@ struct AuditCase {
   bool replicate_on_busy;
   const char* label;
 };
+
+// gtest would otherwise print the raw bytes, and with them the address of
+// `label`, which moves from run to run: the listed test names would change.
+void PrintTo(const AuditCase& c, std::ostream* os) { *os << c.label; }
 
 class AllocationAudit : public ::testing::TestWithParam<AuditCase> {};
 

@@ -22,7 +22,6 @@ SystemConfig small_config() {
   config.neighborhood_size = 4;
   config.per_peer_storage = DataSize::gigabytes(1);
   config.stream_rate = DataRate::megabits_per_second(8.0);
-  config.segment_duration = sim::SimTime::minutes(5);
   config.strategy.kind = StrategyKind::Lru;
   config.warmup = sim::SimTime{};
   return config;
@@ -67,7 +66,7 @@ TEST(IndexServer, ColdMissGoesToServerAndFills) {
   const auto result = f.server.serve_segment(
       PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit, /*full_slice=*/true);
   EXPECT_EQ(result, ServeResult::MissCold);
-  EXPECT_DOUBLE_EQ(f.media.bits_served(), kSegmentBits);
+  EXPECT_DOUBLE_EQ(f.media.meter().total_bits(), kSegmentBits);
   // The broadcast was cached off the wire.
   EXPECT_TRUE(f.server.store().contains({ProgramId{0}, 0}));
   EXPECT_EQ(f.server.counters().fills, 1u);
@@ -82,7 +81,7 @@ TEST(IndexServer, SecondRequestIsPeerHit) {
       PeerId{1}, {ProgramId{0}, 0}, span(400, 700), admit, true);
   EXPECT_EQ(result, ServeResult::PeerHit);
   // Server served only the first transmission.
-  EXPECT_DOUBLE_EQ(f.media.bits_served(), kSegmentBits);
+  EXPECT_DOUBLE_EQ(f.media.meter().total_bits(), kSegmentBits);
   EXPECT_EQ(f.server.counters().hits, 1u);
 }
 
@@ -108,7 +107,8 @@ TEST(IndexServer, ConservationCoaxEqualsServerPlusPeer) {
                            span(i * 400, i * 400 + 300), admit, true);
   }
   EXPECT_NEAR(f.server.coax_meter().total_bits(),
-              f.media.bits_served() + f.server.peer_meter().total_bits(),
+              f.media.meter().total_bits() +
+                  f.server.peer_meter().total_bits(),
               1.0);
 }
 
@@ -434,21 +434,17 @@ TEST(MediaServerMerge, ZeroSessionShardIsANoOp) {
   MediaServer active(horizon, bucket);
   active.serve({sim::SimTime::seconds(100), sim::SimTime::seconds(700)},
                DataRate::megabits_per_second(8.0));
-  const auto bits_before = active.bits_served();
   const auto meter_bits_before = active.meter().total_bits();
 
   const MediaServer idle(horizon, bucket);
   active.merge(idle);
-  EXPECT_EQ(active.transmissions(), 1u);
-  EXPECT_DOUBLE_EQ(active.bits_served(), bits_before);
   EXPECT_DOUBLE_EQ(active.meter().total_bits(), meter_bits_before);
 
   // The other direction: an empty accumulator absorbing a slice yields
   // exactly that slice.
   MediaServer fresh(horizon, bucket);
   fresh.merge(active);
-  EXPECT_EQ(fresh.transmissions(), active.transmissions());
-  EXPECT_DOUBLE_EQ(fresh.bits_served(), active.bits_served());
+  EXPECT_DOUBLE_EQ(fresh.meter().total_bits(), active.meter().total_bits());
 }
 
 // Two-slice merges commute bit-exactly: per-bucket sums are a + b vs b + a
@@ -476,8 +472,8 @@ TEST(MediaServerMerge, PairwiseMergeOrderIsBitExact) {
   ba.merge(b);
   ba.merge(a);
 
-  EXPECT_EQ(ab.transmissions(), ba.transmissions());
-  EXPECT_EQ(ab.bits_served(), ba.bits_served());  // bit-exact, not NEAR
+  // bit-exact, not NEAR
+  EXPECT_EQ(ab.meter().total_bits(), ba.meter().total_bits());
   ASSERT_EQ(ab.meter().bucket_count(), ba.meter().bucket_count());
   for (std::size_t i = 0; i < ab.meter().bucket_count(); ++i) {
     EXPECT_EQ(ab.meter().bucket_bits(i), ba.meter().bucket_bits(i)) << i;
@@ -503,8 +499,6 @@ TEST(MediaServerMerge, TotalsConserveAcrossManySlices) {
     expected_bits += rate.bps() * 1000.0;
     sum.merge(slice);
   }
-  EXPECT_EQ(sum.transmissions(), 5u);
-  EXPECT_DOUBLE_EQ(sum.bits_served(), expected_bits);
   EXPECT_DOUBLE_EQ(sum.meter().total_bits(), expected_bits);
 }
 

@@ -3,6 +3,7 @@
 // the paper's evaluation rests on, checked on scaled-down workloads.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "analysis/load_analysis.hpp"
@@ -234,6 +235,13 @@ struct SweepCase {
   std::uint32_t neighborhood;
   std::int64_t per_peer_mb;
 };
+
+// gtest would otherwise print the raw bytes, including 4 bytes of
+// uninitialized padding: the listed test names would change from run to
+// run.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "n" << c.neighborhood << "_mb" << c.per_peer_mb;
+}
 
 class CacheSizeSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -328,7 +328,7 @@ TEST_F(CsvSourceTest, RejectsEverySessionRuleByLine) {
   expect_csv_error(write_temp(header + "session,1000,0,1,1000\n"),
                    {"line 4", "session precedes program introduction"});
   expect_csv_error(write_temp(header + "session,1000,0,7,1000\n"),
-                   {"line 4", "program"});  // unknown program
+                   {"line 4", "session references unknown program"});
 }
 
 TEST_F(CsvSourceTest, TruncatedFinalLineSaysWhichLineAndWhy) {
@@ -441,6 +441,37 @@ TEST_F(CsvSourceTest, MidStreamReValidationCatchesChangedFile) {
     EXPECT_NE(std::string(error.what()).find("file changed"),
               std::string::npos)
         << error.what();
+  }
+}
+
+TEST_F(CsvSourceTest, MidStreamReValidationAppliesEverySessionRule) {
+  // A rewrite that keeps the order but breaks a session rule (user 9 of 4)
+  // must also fail as a named error, not as a precondition abort in the
+  // demux.
+  const std::string path = write_temp(
+      "meta,4,86400000\n"
+      "program,0,1800000,0,1\n"
+      "session,1000,0,0,1000\n"
+      "session,5000,1,0,1000\n");
+  const CsvSource source(path);
+  {
+    std::ofstream rewrite(path);
+    rewrite << "meta,4,86400000\n"
+               "program,0,1800000,0,1\n"
+               "session,1000,0,0,1000\n"
+               "session,5000,9,0,1000\n";
+  }
+  auto stream = source.open();
+  SessionRecord record;
+  EXPECT_TRUE(stream->next(record));
+  try {
+    (void)stream->next(record);
+    FAIL() << "expected the re-validation to reject the rewritten file";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("user id out of range"), std::string::npos) << what;
+    EXPECT_NE(what.find("file changed"), std::string::npos) << what;
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "test_support.hpp"
 #include "trace/csv_io.hpp"
@@ -238,6 +239,50 @@ TEST(CsvIo, PreReleaseSessionThrows) {
 TEST(Trace, ValidationErrorDescribesProblem) {
   const auto trace = make_trace(uniform_catalog(1), {{10, 0, 0, 30}}, 1);
   EXPECT_EQ(trace.validation_error(), std::nullopt);
+}
+
+TEST(Trace, SessionErrorNamesTheFirstBrokenRule) {
+  // Two 10-minute programs; program 1 is introduced at 1 hour.  Horizon is
+  // one day, four users.
+  std::vector<ProgramInfo> programs(2);
+  for (auto& program : programs) program.length = sim::SimTime::minutes(10);
+  programs[1].introduced = sim::SimTime::hours(1);
+  const auto horizon = sim::SimTime::days(1);
+  const auto check = [&](SessionRecord record) {
+    return session_error(record, programs, 4, horizon);
+  };
+  const SessionRecord valid{sim::SimTime::hours(2), UserId{3}, ProgramId{1},
+                            sim::SimTime::minutes(10)};
+  EXPECT_EQ(check(valid), nullptr);
+
+  const struct {
+    const char* rule;
+    SessionRecord record;
+  } cases[] = {
+      {"user id out of range",
+       {valid.start, UserId{4}, valid.program, valid.duration}},
+      {"session references unknown program",
+       {valid.start, valid.user, ProgramId{2}, valid.duration}},
+      {"non-positive duration",
+       {valid.start, valid.user, valid.program, sim::SimTime{}}},
+      {"duration exceeds program length",
+       {valid.start, valid.user, valid.program, sim::SimTime::minutes(11)}},
+      {"negative start time",
+       {sim::SimTime::millis(-1), valid.user, ProgramId{0}, valid.duration}},
+      {"session starts past horizon",
+       {horizon, valid.user, valid.program, valid.duration}},
+      {"session precedes program introduction",
+       {sim::SimTime::minutes(59), valid.user, valid.program,
+        valid.duration}},
+      // Two broken rules: the earlier one in the list above is named.
+      {"user id out of range",
+       {sim::SimTime::millis(-1), UserId{9}, ProgramId{5}, sim::SimTime{}}},
+  };
+  for (const auto& c : cases) {
+    const char* error = check(c.record);
+    ASSERT_NE(error, nullptr) << c.rule;
+    EXPECT_STREQ(error, c.rule);
+  }
 }
 
 TEST(CsvIo, RejectsCrlfLineEndings) {
