@@ -84,15 +84,6 @@ inline core::SystemConfig standard_system() {
   return config;
 }
 
-inline core::SimulationReport run_system(const trace::Trace& trace,
-                                         const core::SystemConfig& config) {
-  core::SystemConfig actual = config;
-  actual.threads = static_cast<std::uint32_t>(
-      workload_threads(static_cast<int>(config.threads)));
-  core::VodSystem system(trace, actual);
-  return system.run();
-}
-
 inline core::SimulationReport run_system(const trace::SessionSource& source,
                                          const core::SystemConfig& config) {
   core::SystemConfig actual = config;
@@ -122,8 +113,7 @@ inline double sessions_per_sec(const TimedReport& timed) {
 
 // run_system with the wall clock around it.  The clock wraps construction
 // too: shard setup is part of the cost of serving a workload.
-template <typename TraceOrSource>
-inline TimedReport run_system_timed(const TraceOrSource& input,
+inline TimedReport run_system_timed(const trace::SessionSource& input,
                                     const core::SystemConfig& config) {
   const auto begin = std::chrono::steady_clock::now();
   TimedReport timed;

@@ -2,12 +2,6 @@
 
 namespace vodcache::analysis {
 
-sim::RateMeter demand_meter(const trace::Trace& trace, DataRate rate,
-                            sim::SimTime bucket) {
-  const trace::TraceSource source(trace);
-  return demand_meter(source, rate, bucket);
-}
-
 sim::RateMeter demand_meter(const trace::SessionSource& source, DataRate rate,
                             sim::SimTime bucket) {
   sim::RateMeter meter(source.horizon(), bucket);
@@ -19,20 +13,9 @@ sim::RateMeter demand_meter(const trace::SessionSource& source, DataRate rate,
   return meter;
 }
 
-std::vector<DataRate> demand_hourly_profile(const trace::Trace& trace,
-                                            DataRate rate) {
-  return demand_meter(trace, rate).hourly_profile();
-}
-
 std::vector<DataRate> demand_hourly_profile(const trace::SessionSource& source,
                                             DataRate rate) {
   return demand_meter(source, rate).hourly_profile();
-}
-
-sim::PeakStats demand_peak(const trace::Trace& trace, DataRate rate,
-                           sim::HourWindow window, sim::SimTime from) {
-  const trace::TraceSource source(trace);
-  return demand_peak(source, rate, window, from);
 }
 
 sim::PeakStats demand_peak(const trace::SessionSource& source, DataRate rate,

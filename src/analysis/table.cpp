@@ -48,15 +48,4 @@ void Table::print(std::ostream& out) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::print_csv(std::ostream& out) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out << (c == 0 ? "" : ",") << row[c];
-    }
-    out << '\n';
-  };
-  print_row(header_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 }  // namespace vodcache::analysis

@@ -20,8 +20,6 @@ class Table {
 
   // Renders with aligned columns.
   void print(std::ostream& out) const;
-  // Renders as CSV.
-  void print_csv(std::ostream& out) const;
 
  private:
   std::vector<std::string> header_;

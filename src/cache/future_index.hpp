@@ -29,9 +29,6 @@ class FutureIndex {
   [[nodiscard]] std::int64_t count_in(ProgramId program, sim::SimTime t,
                                       sim::SimTime horizon) const;
 
-  [[nodiscard]] std::size_t program_count() const { return times_.size(); }
-  [[nodiscard]] bool frozen() const { return frozen_; }
-
  private:
   std::vector<std::vector<sim::SimTime>> times_;
   bool frozen_ = false;

@@ -71,7 +71,6 @@ class ReplayBoard {
   [[nodiscard]] std::size_t program_count() const { return program_count_; }
   [[nodiscard]] sim::SimTime window() const { return window_; }
   [[nodiscard]] sim::SimTime lag() const { return lag_; }
-  [[nodiscard]] bool frozen() const { return frozen_; }
 
  private:
   sim::SimTime window_;

@@ -219,14 +219,6 @@ bool SegmentStore::has_commitment(ProgramId program) const {
   return prog != nullptr && prog->commitment_bits != 0;
 }
 
-std::size_t SegmentStore::committed_program_count() const {
-  std::size_t count = 0;
-  programs_.for_each([&count](std::uint64_t, const ProgramEntry& prog) {
-    if (prog.commitment_bits != 0) ++count;
-  });
-  return count;
-}
-
 bool SegmentStore::can_place(SegmentKey key, DataSize bytes) {
   VODCACHE_EXPECTS(bytes > DataSize{});
   return best_peer(bytes, locate(key)).has_value();
@@ -236,39 +228,6 @@ DataSize SegmentStore::peer_used(PeerId peer) const {
   VODCACHE_EXPECTS(peer.value() < contribution_.size());
   return contribution_[peer.value()] -
          DataSize::bits(free_bits_[peer.value()]);
-}
-
-std::size_t SegmentStore::stored_segment_count() const {
-  std::size_t count = 0;
-  programs_.for_each([&count](std::uint64_t, const ProgramEntry& prog) {
-    count += prog.stored;
-  });
-  return count;
-}
-
-DataSize SegmentStore::program_bytes(ProgramId program) const {
-  DataSize total;
-  const ProgramEntry* prog = programs_.find(program.value());
-  if (prog == nullptr || prog->stored == 0) return total;
-  const SegmentEntry* slots = slots_.data(prog->off);
-  for (std::uint32_t i = 0; i < (1u << prog->cap_log2); ++i) {
-    const std::int64_t* bytes = replica_bytes_.data(slots[i].off);
-    for (std::uint16_t r = 0; r < slots[i].count; ++r) {
-      total += DataSize::bits(bytes[r]);
-    }
-  }
-  return total;
-}
-
-std::vector<ProgramId> SegmentStore::stored_programs() const {
-  std::vector<ProgramId> out;
-  programs_.for_each([&out](std::uint64_t key, const ProgramEntry& prog) {
-    if (prog.stored > 0) {
-      out.push_back(ProgramId{static_cast<std::uint32_t>(key)});
-    }
-  });
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace vodcache::cache

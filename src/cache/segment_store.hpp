@@ -82,7 +82,6 @@ class SegmentStore {
   void commit_program(ProgramId program, DataSize full_size);
   [[nodiscard]] bool has_commitment(ProgramId program) const;
   [[nodiscard]] DataSize committed_total() const { return committed_total_; }
-  [[nodiscard]] std::size_t committed_program_count() const;
 
   // Removes every segment of `program` and its commitment; returns bytes
   // freed.
@@ -106,18 +105,6 @@ class SegmentStore {
   [[nodiscard]] DataSize free_space() const { return capacity_ - used_; }
   [[nodiscard]] DataSize peer_used(PeerId peer) const;
   [[nodiscard]] std::size_t peer_count() const { return contribution_.size(); }
-
-  // Distinct segment keys stored (replicas count once).
-  [[nodiscard]] std::size_t stored_segment_count() const;
-  [[nodiscard]] std::size_t replica_count(SegmentKey key) const {
-    return locate(key).size();
-  }
-  [[nodiscard]] std::size_t stored_program_count() const {
-    return stored_programs().size();
-  }
-  [[nodiscard]] DataSize program_bytes(ProgramId program) const;
-  // Programs with at least one stored segment, ascending by id.
-  [[nodiscard]] std::vector<ProgramId> stored_programs() const;
 
  private:
   // Slot of one segment: `count` replica peers at replica arena offset

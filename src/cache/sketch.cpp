@@ -45,7 +45,6 @@ void CountMinSketch::increment(std::uint64_t key) {
     auto& counter = counters_[slot(row, key)];
     if (counter < std::numeric_limits<std::uint32_t>::max()) ++counter;
   }
-  ++increments_;
   if (++since_halve_ >= halve_period_) {
     since_halve_ = 0;
     halve();
@@ -62,7 +61,6 @@ std::uint32_t CountMinSketch::estimate(std::uint64_t key) const {
 
 void CountMinSketch::halve() {
   for (auto& counter : counters_) counter >>= 1;
-  ++halvings_;
 }
 
 }  // namespace vodcache::cache

@@ -33,13 +33,6 @@ class CountMinSketch {
   void increment(std::uint64_t key);
   [[nodiscard]] std::uint32_t estimate(std::uint64_t key) const;
 
-  [[nodiscard]] std::uint32_t width() const { return width_; }
-  [[nodiscard]] std::uint32_t depth() const { return depth_; }
-  // Total increments recorded (not decayed — provenance, not frequency).
-  [[nodiscard]] std::uint64_t increments() const { return increments_; }
-  // How many halvings have fired so far.
-  [[nodiscard]] std::uint64_t halvings() const { return halvings_; }
-
  private:
   [[nodiscard]] std::size_t slot(std::uint32_t row, std::uint64_t key) const;
   void halve();
@@ -47,9 +40,7 @@ class CountMinSketch {
   std::uint32_t width_;
   std::uint32_t depth_;
   std::uint64_t halve_period_;
-  std::uint64_t increments_ = 0;
   std::uint64_t since_halve_ = 0;
-  std::uint64_t halvings_ = 0;
   // Row-major: row r's counters at [r * width_, (r + 1) * width_).
   std::vector<std::uint32_t> counters_;
 };

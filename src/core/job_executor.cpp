@@ -143,10 +143,7 @@ void worker_loop(RunState& state, std::uint32_t self) {
 }  // namespace
 
 JobExecutor::JobExecutor(std::uint32_t workers) : workers_(workers) {
-  if (workers_ == 0) {
-    workers_ = std::thread::hardware_concurrency();
-  }
-  if (workers_ == 0) workers_ = 1;
+  VODCACHE_EXPECTS(workers >= 1);
 }
 
 ExecutorStats JobExecutor::run(JobGraph& graph) {

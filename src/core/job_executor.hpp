@@ -49,8 +49,7 @@ struct ExecutorStats {
 
 class JobExecutor {
  public:
-  // `workers` is clamped to at least 1.  Zero means "hardware
-  // concurrency" (at least 1 even when the runtime reports unknown).
+  // `workers` >= 1 (SystemConfig::validate requires threads >= 1).
   explicit JobExecutor(std::uint32_t workers);
 
   JobExecutor(const JobExecutor&) = delete;

@@ -44,7 +44,6 @@ class JobGraph {
   void depend(JobId parent, JobId child);
 
   [[nodiscard]] std::size_t node_count() const { return fns_.size(); }
-  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
   [[nodiscard]] const std::string& name(JobId id) const { return names_[id]; }
 
   // Compacts edges into CSR form and checks for cycles (throws
@@ -52,7 +51,6 @@ class JobGraph {
   // after a finalize() re-open the graph and the next finalize() redoes
   // the work.
   void finalize();
-  [[nodiscard]] bool finalized() const { return finalized_; }
 
   // Valid only after finalize().
   [[nodiscard]] std::uint32_t dependency_count(JobId id) const {

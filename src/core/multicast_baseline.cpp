@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "core/config.hpp"
 #include "util/assert.hpp"
 
 namespace vodcache::core {
@@ -34,7 +35,6 @@ MulticastReport simulate_multicast(const trace::Trace& trace,
                                    const MulticastConfig& config,
                                    sim::HourWindow window, sim::SimTime from) {
   VODCACHE_EXPECTS(config.batch_window >= sim::SimTime{});
-  VODCACHE_EXPECTS(trace.is_sorted());
 
   MulticastReport report;
   report.sessions = trace.session_count();
@@ -61,7 +61,7 @@ MulticastReport simulate_multicast(const trace::Trace& trace,
   }
   report.batches = batches.size();
 
-  sim::RateMeter meter(trace.horizon(), config.meter_bucket);
+  sim::RateMeter meter(trace.horizon(), SystemConfig::meter_bucket);
   for (const auto& [key, batch] : batches) {
     meter.add({batch.start, batch.end}, config.stream_rate);
   }

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 
-#include "hfc/topology.hpp"
 #include "sim/peak_stats.hpp"
 #include "sim/rate_meter.hpp"
 #include "trace/trace.hpp"
@@ -37,14 +36,13 @@ struct MulticastConfig {
   // stream.  0 = no batching (every session its own stream = unicast).
   sim::SimTime batch_window;
   DataRate stream_rate = DataRate::megabits_per_second(8.06);
-  std::uint32_t neighborhood_size = 1000;
-  sim::SimTime meter_bucket = sim::SimTime::minutes(15);
 };
 
 struct MulticastReport {
   // Central-server (fiber-side) load: one stream per (program, window)
-  // batch per headend... no — per system; the fiber is switched, so the
-  // server emits one stream per batch and the switch fans it out.
+  // batch for the whole system; the fiber is switched, so the server emits
+  // one stream per batch and the switch fans it out.  Metered in
+  // SystemConfig::meter_bucket buckets, like the cached runs.
   sim::PeakStats server_peak;
   double server_bits = 0.0;
   // Unicast demand for comparison (every session separate).

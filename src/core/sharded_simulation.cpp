@@ -24,17 +24,6 @@ ShardedSimulation::ShardedSimulation(const trace::SessionSource& source,
   }
 }
 
-ShardedSimulation::ShardedSimulation(const trace::Trace& trace,
-                                     SystemConfig config)
-    : ShardedSimulation(std::make_unique<trace::TraceSource>(trace),
-                        std::move(config)) {}
-
-ShardedSimulation::ShardedSimulation(
-    std::unique_ptr<trace::SessionSource> owned, SystemConfig config)
-    : ShardedSimulation(*owned, std::move(config)) {
-  owned_source_ = std::move(owned);
-}
-
 ShardedSimulation::Needs ShardedSimulation::needs() const {
   Needs need;
   // Shadow-matrix and policy-switch modes instantiate *every* registered

@@ -7,9 +7,8 @@
 // chunk (`SystemConfig::stream_chunk`) of sessions into per-neighborhood
 // batches, the shards replay that chunk's batches, and the memory
 // high-water mark is a handful of chunks of sessions plus the shards' own
-// state.  A materialized `Trace` is just one more source
-// (`trace::TraceSource`), so both paths share this code and produce
-// identical bytes.
+// state.  A materialized `Trace` is itself a source, so both paths share
+// this code and produce identical bytes.
 //
 // Stream-order products ride on that same pass: the demux appends every
 // session start to GlobalLFU's ReplayBoard and folds it into the
@@ -49,19 +48,15 @@
 #include "core/report.hpp"
 #include "core/tier_system.hpp"
 #include "hfc/topology.hpp"
-#include "trace/session_source.hpp"
 #include "trace/trace.hpp"
 
 namespace vodcache::core {
 
 class ShardedSimulation {
  public:
-  // The source must outlive the simulation.
+  // The source (a Trace or any streaming source) must outlive the
+  // simulation.
   ShardedSimulation(const trace::SessionSource& source, SystemConfig config);
-
-  // Materialized convenience: wraps the trace in a TraceSource.  The trace
-  // must outlive the simulation.
-  ShardedSimulation(const trace::Trace& trace, SystemConfig config);
 
   ShardedSimulation(const ShardedSimulation&) = delete;
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
@@ -82,10 +77,6 @@ class ShardedSimulation {
   }
 
  private:
-  // The Trace form owns its source.
-  ShardedSimulation(std::unique_ptr<trace::SessionSource> owned,
-                    SystemConfig config);
-
   // Which shared products this config needs.  The demux builds the
   // stream-order ones (board, flush); the prepass the whole-trace ones
   // (future, tiers), and it runs only when one of those is needed.
@@ -106,7 +97,6 @@ class ShardedSimulation {
   void run_graph(const Needs& need, MediaServer& media);
   [[nodiscard]] SimulationReport build_report(const MediaServer& media) const;
 
-  std::unique_ptr<trace::SessionSource> owned_source_;  // Trace ctor only
   const trace::SessionSource* source_;
   SystemConfig config_;
   hfc::Topology topology_;

@@ -40,8 +40,6 @@ class FlashCrowdSource final : public trace::RemapSource {
   FlashCrowdSource(const trace::SessionSource& input,
                    const FlashCrowdSpec& spec);
 
-  [[nodiscard]] ProgramId target() const { return target_; }
-
  private:
   void remap(trace::SessionRecord& record, Rng& rng) const override;
 
@@ -58,13 +56,6 @@ class ReleaseWavesSource final : public trace::RemapSource {
  public:
   ReleaseWavesSource(const trace::SessionSource& input,
                      const ReleaseWavesSpec& spec);
-
-  // Wave k's redirect targets (for tests).
-  [[nodiscard]] const std::vector<std::uint32_t>& wave_block(
-      std::size_t k) const {
-    return blocks_[k];
-  }
-  [[nodiscard]] std::size_t wave_count() const { return blocks_.size(); }
 
  private:
   void remap(trace::SessionRecord& record, Rng& rng) const override;
@@ -84,8 +75,6 @@ class NeighborhoodSkewSource final : public trace::RemapSource {
   NeighborhoodSkewSource(const trace::SessionSource& input,
                          const NeighborhoodSkewSpec& spec,
                          std::uint32_t neighborhood_size);
-
-  [[nodiscard]] const hfc::Topology& topology() const { return topology_; }
 
  private:
   void remap(trace::SessionRecord& record, Rng& rng) const override;

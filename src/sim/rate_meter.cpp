@@ -24,16 +24,9 @@ void RateMeter::add(Interval interval, DataRate rate) {
   std::int64_t end_ms = interval.end.millis_count();
   const std::int64_t horizon_ms = horizon_.millis_count();
 
-  // Clip to [0, horizon) and remember how much mass fell outside.
-  if (begin_ms < 0) {
-    clipped_bits_ += rate.bps() * static_cast<double>(std::min(end_ms, std::int64_t{0}) - begin_ms) / 1000.0;
-    begin_ms = 0;
-  }
-  if (end_ms > horizon_ms) {
-    clipped_bits_ +=
-        rate.bps() * static_cast<double>(end_ms - std::max(begin_ms, horizon_ms)) / 1000.0;
-    end_ms = horizon_ms;
-  }
+  // Clip to [0, horizon).
+  begin_ms = std::max(begin_ms, std::int64_t{0});
+  end_ms = std::min(end_ms, horizon_ms);
   if (begin_ms >= end_ms) return;
 
   const std::int64_t bucket_ms = bucket_.millis_count();
@@ -116,7 +109,6 @@ void RateMeter::merge(const RateMeter& other) {
   VODCACHE_EXPECTS(other.bits_.size() == bits_.size());
   VODCACHE_EXPECTS(other.bucket_ == bucket_);
   for (std::size_t i = 0; i < bits_.size(); ++i) bits_[i] += other.bits_[i];
-  clipped_bits_ += other.clipped_bits_;
 }
 
 }  // namespace vodcache::sim

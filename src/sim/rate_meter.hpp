@@ -21,10 +21,9 @@ class RateMeter {
   RateMeter(SimTime horizon, SimTime bucket = SimTime::minutes(15));
 
   // Account a transmission at `rate` over `interval`.  Portions outside the
-  // metered horizon are clipped (and tallied so tests can assert none was).
+  // metered horizon are clipped.
   void add(Interval interval, DataRate rate);
 
-  [[nodiscard]] std::size_t bucket_count() const { return bits_.size(); }
   [[nodiscard]] SimTime horizon() const { return horizon_; }
 
   [[nodiscard]] SimTime bucket_begin(std::size_t i) const;
@@ -46,7 +45,6 @@ class RateMeter {
   [[nodiscard]] DataRate rate_at(SimTime t) const;
 
   [[nodiscard]] double total_bits() const;
-  [[nodiscard]] double clipped_bits() const { return clipped_bits_; }
 
   // Mean rate by hour of day (24 entries), averaged over all simulated days
   // whose buckets start at or after `from` (cache warmup exclusion).
@@ -66,7 +64,6 @@ class RateMeter {
   SimTime horizon_;
   SimTime bucket_;
   std::vector<double> bits_;
-  double clipped_bits_ = 0.0;
 };
 
 }  // namespace vodcache::sim

@@ -44,17 +44,9 @@ class SimTime {
   [[nodiscard]] constexpr double hours_f() const { return seconds_f() / 3600.0; }
   [[nodiscard]] constexpr double days_f() const { return hours_f() / 24.0; }
 
-  // Whole days since epoch (floor).
-  [[nodiscard]] constexpr std::int64_t day_index() const {
-    return ms_ / days(1).millis_count();
-  }
   // Hour of day, 0..23.
   [[nodiscard]] constexpr int hour_of_day() const {
     return static_cast<int>((ms_ / hours(1).millis_count()) % 24);
-  }
-  // Milliseconds past the most recent midnight.
-  [[nodiscard]] constexpr std::int64_t millis_of_day() const {
-    return ms_ % days(1).millis_count();
   }
 
   friend constexpr auto operator<=>(SimTime, SimTime) = default;

@@ -27,14 +27,6 @@ DataSize Catalog::program_size(ProgramId id, DataRate stream_rate) const {
   return stream_rate.over_seconds(length(id).seconds_f());
 }
 
-std::uint32_t Catalog::segment_count(ProgramId id,
-                                     sim::SimTime segment_duration) const {
-  VODCACHE_EXPECTS(segment_duration.millis_count() > 0);
-  const std::int64_t len = length(id).millis_count();
-  const std::int64_t seg = segment_duration.millis_count();
-  return static_cast<std::uint32_t>((len + seg - 1) / seg);
-}
-
 DataSize Catalog::total_size(DataRate stream_rate) const {
   DataSize total;
   for (std::size_t i = 0; i < programs_.size(); ++i) {

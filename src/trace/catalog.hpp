@@ -45,11 +45,6 @@ class Catalog {
   // Bytes occupied by the whole program when encoded at `stream_rate`.
   [[nodiscard]] DataSize program_size(ProgramId id, DataRate stream_rate) const;
 
-  // Number of fixed-duration segments the program divides into (final
-  // partial segment included).
-  [[nodiscard]] std::uint32_t segment_count(ProgramId id,
-                                            sim::SimTime segment_duration) const;
-
   // Aggregate catalog footprint at `stream_rate`.
   [[nodiscard]] DataSize total_size(DataRate stream_rate) const;
 

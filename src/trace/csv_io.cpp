@@ -156,17 +156,6 @@ void finish_header(const HeaderState& header) {
 
 }  // namespace
 
-void write_csv(const Trace& trace, std::ostream& out) {
-  const TraceSource source(trace);
-  write_csv(source, out);
-}
-
-void write_csv_file(const Trace& trace, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for write: " + path);
-  write_csv(trace, out);
-}
-
 std::uint64_t write_csv(const SessionSource& source, std::ostream& out) {
   out << "# vodcache-trace v1\n";
   out << "meta," << source.user_count() << ','

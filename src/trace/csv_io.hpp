@@ -1,4 +1,5 @@
-// Trace (de)serialization.
+// Trace files: one writer for any SessionSource (a Trace included), and two
+// readers — read_csv materializes a Trace, CsvSource streams the file.
 //
 // A single-file line format that a real trace (e.g. PowerInfo, if you have
 // access to it) can be converted into, making the whole evaluation pipeline
@@ -6,7 +7,7 @@
 //
 //   # vodcache-trace v1
 //   meta,<user_count>,<horizon_ms>
-//   program,<id>,<length_ms>,<introduced_ms>,<base_weight>
+//   program,<id>,<length_ms>,<introduced_ms>,<base_weight>[,<fresh_weight>]
 //   session,<start_ms>,<user>,<program>,<duration_ms>
 //
 // Lines starting with '#' are comments.  Programs must appear with
@@ -18,25 +19,22 @@
 #include <memory>
 #include <string>
 
-#include "trace/session_source.hpp"
 #include "trace/trace.hpp"
 
 namespace vodcache::trace {
 
-void write_csv(const Trace& trace, std::ostream& out);
-void write_csv_file(const Trace& trace, const std::string& path);
-
-// Streaming writers: drain the source straight to disk without ever
-// materializing the session vector (how `vodcache gen` writes million-user
-// traces).  Output is byte-identical to write_csv of the materialized
-// trace.  Returns the number of sessions written.
+// Writers: drain the source straight to disk, one session at a time (how
+// `vodcache gen` writes million-user traces without materializing them; a
+// Trace writes the same way).  Returns the number of sessions written.
 std::uint64_t write_csv(const SessionSource& source, std::ostream& out);
 std::uint64_t write_csv_file(const SessionSource& source,
                              const std::string& path);
 
-// Throws std::runtime_error on malformed input, or on a session that breaks
-// a session_error rule (an unknown program is reported with its line
-// number; the other rules are checked after the sort, by session index).
+// Loads the whole file and sorts it, so sessions may appear in any order
+// (the one input CsvSource refuses).  Throws std::runtime_error on
+// malformed input, or on a session that breaks a session_error rule (an
+// unknown program is reported with its line number; the other rules are
+// checked after the sort, by session index).
 [[nodiscard]] Trace read_csv(std::istream& in);
 [[nodiscard]] Trace read_csv_file(const std::string& path);
 

@@ -5,30 +5,6 @@
 
 namespace vodcache::trace {
 
-namespace {
-
-class TraceStream final : public SessionStream {
- public:
-  explicit TraceStream(const Trace& trace) : trace_(&trace) {}
-
-  bool next(SessionRecord& out) override {
-    const auto& sessions = trace_->sessions();
-    if (next_ >= sessions.size()) return false;
-    out = sessions[next_++];
-    return true;
-  }
-
- private:
-  const Trace* trace_;
-  std::size_t next_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<SessionStream> TraceSource::open() const {
-  return std::make_unique<TraceStream>(*trace_);
-}
-
 class RemapSource::Stream final : public SessionStream {
  public:
   Stream(const RemapSource& source, std::unique_ptr<SessionStream> input)

@@ -38,15 +38,31 @@ Trace::Trace(Catalog catalog, std::vector<SessionRecord> sessions,
                    });
 }
 
-bool Trace::is_sorted() const {
-  return std::is_sorted(sessions_.begin(), sessions_.end(),
-                        [](const SessionRecord& a, const SessionRecord& b) {
-                          return a.start < b.start;
-                        });
+namespace {
+
+class TraceStream final : public SessionStream {
+ public:
+  explicit TraceStream(const Trace& trace) : trace_(&trace) {}
+
+  bool next(SessionRecord& out) override {
+    const auto& sessions = trace_->sessions();
+    if (next_ >= sessions.size()) return false;
+    out = sessions[next_++];
+    return true;
+  }
+
+ private:
+  const Trace* trace_;
+  std::size_t next_ = 0;
+};
+
+}  // namespace
+
+std::unique_ptr<SessionStream> Trace::open() const {
+  return std::make_unique<TraceStream>(*this);
 }
 
 std::optional<std::string> Trace::validation_error() const {
-  if (!is_sorted()) return "sessions not sorted by start time";
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
     if (const char* error = session_error(sessions_[i], catalog_.programs(),
                                           user_count_, horizon_)) {

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -13,16 +12,6 @@ double mean(std::span<const double> xs) {
   for (const double x : xs) sum += x;
   return sum / static_cast<double>(xs.size());
 }
-
-double variance(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double sum = 0.0;
-  for (const double x : xs) sum += (x - m) * (x - m);
-  return sum / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
 double quantile_sorted(std::span<const double> sorted, double q) {
   VODCACHE_EXPECTS(q >= 0.0 && q <= 1.0);
@@ -40,21 +29,6 @@ double quantile(std::span<const double> xs, double q) {
   std::vector<double> copy(xs.begin(), xs.end());
   std::sort(copy.begin(), copy.end());
   return quantile_sorted(copy, q);
-}
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  if (xs.empty()) return s;
-  std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  s.count = copy.size();
-  s.mean = mean(copy);
-  s.min = copy.front();
-  s.max = copy.back();
-  s.q05 = quantile_sorted(copy, 0.05);
-  s.median = quantile_sorted(copy, 0.50);
-  s.q95 = quantile_sorted(copy, 0.95);
-  return s;
 }
 
 }  // namespace vodcache

@@ -10,8 +10,6 @@
 namespace vodcache {
 
 [[nodiscard]] double mean(std::span<const double> xs);
-[[nodiscard]] double variance(std::span<const double> xs);  // population
-[[nodiscard]] double stddev(std::span<const double> xs);
 
 // Linear-interpolation quantile (type 7, the numpy/R default).
 // q in [0,1]; xs need not be sorted.
@@ -19,18 +17,5 @@ namespace vodcache {
 
 // Quantile of an already ascending-sorted sample (no copy).
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
-
-// Five-number-style summary of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double min = 0.0;
-  double q05 = 0.0;
-  double median = 0.0;
-  double q95 = 0.0;
-  double max = 0.0;
-};
-
-[[nodiscard]] Summary summarize(std::span<const double> xs);
 
 }  // namespace vodcache

@@ -32,9 +32,6 @@ class DataSize {
   [[nodiscard]] static constexpr DataSize gigabytes(std::int64_t gb) {
     return bytes(gb * 1000 * 1000 * 1000);
   }
-  [[nodiscard]] static constexpr DataSize terabytes(std::int64_t tb) {
-    return gigabytes(tb * 1000);
-  }
 
   [[nodiscard]] constexpr std::int64_t bit_count() const { return bits_; }
   [[nodiscard]] constexpr double byte_count() const {
@@ -45,9 +42,6 @@ class DataSize {
   }
   [[nodiscard]] constexpr double as_terabytes() const {
     return byte_count() / 1e12;
-  }
-  [[nodiscard]] constexpr double as_gigabits() const {
-    return static_cast<double>(bits_) / 1e9;
   }
 
   // True when `*this * n` fits the int64 bit count — callers validating

@@ -251,14 +251,6 @@ TEST(Table, AlignedRendering) {
   EXPECT_NE(text.find("-----"), std::string::npos);
 }
 
-TEST(Table, CsvRendering) {
-  Table table({"a", "b"});
-  table.add_row({"1", "2"});
-  std::ostringstream out;
-  table.print_csv(out);
-  EXPECT_EQ(out.str(), "a,b\n1,2\n");
-}
-
 TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(17.0, 1), "17.0");

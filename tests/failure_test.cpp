@@ -28,7 +28,7 @@ TEST(WipePeer, RemovesOnlyThatPeersReplicas) {
   const auto wiped = store.wipe_peer(*first);
   EXPECT_GE(wiped.freed, kSeg);
   // The second replica survives, so program 1 is still locatable.
-  ASSERT_EQ(store.replica_count({ProgramId{1}, 0}), 1u);
+  ASSERT_EQ(store.locate({ProgramId{1}, 0}).size(), 1u);
   EXPECT_EQ(store.locate({ProgramId{1}, 0})[0], *second);
   EXPECT_EQ(store.peer_used(*first), DataSize{});
 }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,7 +39,6 @@ TEST(JobGraph, CsrAdjacencyMatchesDeclaredEdges) {
   graph.finalize();
 
   EXPECT_EQ(graph.node_count(), 3u);
-  EXPECT_EQ(graph.edge_count(), 3u);
   EXPECT_EQ(graph.dependency_count(a), 0u);
   EXPECT_EQ(graph.dependency_count(b), 1u);
   EXPECT_EQ(graph.dependency_count(c), 2u);
@@ -69,9 +67,8 @@ TEST(JobGraph, MutationAfterFinalizeReopensTheGraph) {
   JobGraph graph;
   const JobId a = graph.add({});
   graph.finalize();
-  EXPECT_TRUE(graph.finalized());
+  EXPECT_TRUE(graph.children(a).empty());
   const JobId b = graph.add({});
-  EXPECT_FALSE(graph.finalized());
   graph.depend(a, b);
   graph.finalize();
   EXPECT_EQ(graph.dependency_count(b), 1u);
@@ -85,13 +82,6 @@ TEST(JobExecutor, EmptyGraphRunsToCompletion) {
   const ExecutorStats stats = executor.run(graph);
   EXPECT_EQ(stats.executed, 0u);
   EXPECT_EQ(stats.cancelled, 0u);
-}
-
-TEST(JobExecutor, ZeroWorkersMeansHardwareConcurrency) {
-  const JobExecutor executor(0);
-  const auto hardware = std::thread::hardware_concurrency();
-  EXPECT_EQ(executor.worker_count(), hardware == 0 ? 1u : hardware);
-  EXPECT_GE(executor.worker_count(), 1u);
 }
 
 TEST(JobExecutor, GraphIsReusableAcrossRuns) {
@@ -247,7 +237,9 @@ TEST(JobExecutor, ExceptionStatsAccountForEveryNode) {
   }
   // The graph must be reusable (and consistent) after a failed run: the
   // executor's per-run state is its own.
-  EXPECT_TRUE(graph.finalized());
+  EXPECT_EQ(graph.node_count(), kChain + 1);
+  EXPECT_EQ(graph.children(boom).size(), 1u);
+  EXPECT_EQ(graph.dependency_count(prev), 1u);
 }
 
 // Pinned regression for the memory-visibility guarantee: a diamond's sink

@@ -46,7 +46,6 @@ TEST_P(Seeded, RateMeterConservesArbitraryIntervals) {
     expected += mbps * 1e6 * len.seconds_f();
   }
   EXPECT_NEAR(meter.total_bits(), expected, expected * 1e-9);
-  EXPECT_DOUBLE_EQ(meter.clipped_bits(), 0.0);
   // Hourly profile re-aggregates to the same total.
   double hourly_bits = 0.0;
   const auto profile = meter.hourly_profile();
@@ -253,7 +252,6 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
     }
     // Model agreement: every key's replicas in insertion order, every
     // program's presence, and commitments (which outlive wipes).
-    std::size_t stored_keys = 0;
     for (std::uint32_t program = 0; program < kPrograms; ++program) {
       for (std::uint32_t seg = 0; seg < kSegments; ++seg) {
         const auto found = placed.find({program, seg});
@@ -264,7 +262,6 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
         for (std::size_t r = 0; r < expect; ++r) {
           ASSERT_EQ(located[r].value(), found->second[r]);
         }
-        stored_keys += expect > 0;
       }
       ASSERT_EQ(store.has_program(ProgramId{program}),
                 model_has_program(program))
@@ -273,7 +270,6 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
                 committed.contains(program))
           << "at step " << step;
     }
-    ASSERT_EQ(store.stored_segment_count(), stored_keys);
     std::int64_t committed_bytes = 0;
     for (const auto& [program, size] : committed) committed_bytes += size;
     ASSERT_EQ(static_cast<std::int64_t>(store.committed_total().byte_count()),

@@ -14,6 +14,7 @@
 
 #include "core/report_json.hpp"
 #include "core/vod_system.hpp"
+#include "hfc/topology.hpp"
 #include "scenario/adaptors.hpp"
 #include "scenario/config_keys.hpp"
 #include "scenario/scenario.hpp"
@@ -317,7 +318,7 @@ TEST(FlashCrowdAdaptor, RedirectsExactlyTheWindowAtFullCapture) {
        {43000, 3, 2, 900},
        {72000, 4, 0, 600}},
       5, 2);
-  const trace::TraceSource base(trace);
+  const trace::SessionSource& base = trace;
   FlashCrowdSpec spec;
   spec.enabled = true;
   spec.title_rank = 1;
@@ -325,13 +326,12 @@ TEST(FlashCrowdAdaptor, RedirectsExactlyTheWindowAtFullCapture) {
   spec.duration = sim::SimTime::hours(4);
   spec.capture = 1.0;
   const FlashCrowdSource crowd(base, spec);
-  // Rank 1 among programs introduced by hour 10 = program 1 (weight 9;
-  // program 3's weight 6 is not introduced yet and must be skipped).
-  EXPECT_EQ(crowd.target(), ProgramId{1});
 
   const auto sessions = drain(crowd);
   ASSERT_EQ(sessions.size(), 5u);
   EXPECT_EQ(sessions[0].program, ProgramId{0});  // before the window
+  // Rank 1 among programs introduced by hour 10 = program 1 (weight 9;
+  // program 3's weight 6 is not introduced yet and must be skipped).
   EXPECT_EQ(sessions[1].program, ProgramId{1});
   // Clamped to the target's 30-minute length.
   EXPECT_EQ(sessions[1].duration, sim::SimTime::minutes(30));
@@ -347,7 +347,7 @@ TEST(FlashCrowdAdaptor, RedirectsExactlyTheWindowAtFullCapture) {
 TEST(FlashCrowdAdaptor, RejectsImpossibleSpecs) {
   const auto trace =
       test::make_trace(weighted_catalog(), {{3600, 0, 0, 600}}, 1, 2);
-  const trace::TraceSource base(trace);
+  const trace::SessionSource& base = trace;
   FlashCrowdSpec spec;
   spec.enabled = true;
   spec.start = sim::SimTime::hours(47);
@@ -360,13 +360,17 @@ TEST(FlashCrowdAdaptor, RejectsImpossibleSpecs) {
 }
 
 TEST(ReleaseWavesAdaptor, BlocksRotateAndRespectIntroduction) {
-  // 10 sessions, one per hour, all on program 0.
+  // 10 sessions, one per hour, all on program 0; then one on program 1 at
+  // the start of wave 3 (hour 12) and one at the start of the last wave,
+  // wave 11 (hour 44).
   std::vector<test::SessionSpec> specs;
   for (int h = 0; h < 10; ++h) {
     specs.push_back({h * 3600, 0, 0, 600});
   }
+  specs.push_back({12 * 3600, 0, 1, 600});
+  specs.push_back({44 * 3600, 0, 1, 600});
   const auto trace = test::make_trace(weighted_catalog(), specs, 1, 2);
-  const trace::TraceSource base(trace);
+  const trace::SessionSource& base = trace;
   ReleaseWavesSpec spec;
   spec.enabled = true;
   spec.period = sim::SimTime::hours(4);
@@ -378,20 +382,17 @@ TEST(ReleaseWavesAdaptor, BlocksRotateAndRespectIntroduction) {
   // 2-day horizon / 4h period = 12 waves; block k is program k mod 4,
   // except program 3 (introduced at hour 60) drops out of waves that
   // begin before its release.
-  ASSERT_EQ(waves.wave_count(), 12u);
-  EXPECT_EQ(waves.wave_block(0), std::vector<std::uint32_t>{0});
-  EXPECT_EQ(waves.wave_block(1), std::vector<std::uint32_t>{1});
-  // Program 3 releases at hour 60, after every wave start in the 2-day
-  // horizon — its waves (k = 3, 7, 11) all have empty blocks.
-  EXPECT_EQ(waves.wave_block(3), std::vector<std::uint32_t>{});
-  EXPECT_EQ(waves.wave_block(11), std::vector<std::uint32_t>{});
-
   const auto sessions = drain(waves);
-  ASSERT_EQ(sessions.size(), 10u);
+  ASSERT_EQ(sessions.size(), 12u);
   for (int h = 0; h < 10; ++h) {
     const auto expected = h < 4 ? 0u : (h < 8 ? 1u : 2u);
     EXPECT_EQ(sessions[h].program, ProgramId{expected}) << "hour " << h;
   }
+  // Program 3 releases at hour 60, after every wave start in the 2-day
+  // horizon — its waves (k = 3, 7, 11) all have empty blocks, so their
+  // sessions keep their program.
+  EXPECT_EQ(sessions[10].program, ProgramId{1});
+  EXPECT_EQ(sessions[11].program, ProgramId{1});
   expect_same_sessions(sessions, trace::materialize(waves).sessions());
 }
 
@@ -403,7 +404,7 @@ TEST(NeighborhoodSkewAdaptor, ConcentratesPopulationAndRegionalizesCatalog) {
     specs.push_back({static_cast<std::int64_t>(3600 + u), u, 2, 600});
   }
   const auto trace = test::make_trace(weighted_catalog(), specs, 60, 1);
-  const trace::TraceSource base(trace);
+  const trace::SessionSource& base = trace;
   NeighborhoodSkewSpec spec;
   spec.enabled = true;
   spec.hot_neighborhoods = 1;
@@ -411,12 +412,14 @@ TEST(NeighborhoodSkewAdaptor, ConcentratesPopulationAndRegionalizesCatalog) {
   spec.regions = 2;
   spec.regional_affinity = 1.0;
   const NeighborhoodSkewSource skew(base, spec, 20);
+  // The placement the run (and so the adaptor) uses for 60 users.
+  const auto topology = hfc::Topology::build(60, 20);
 
   const auto sessions = drain(skew);
   ASSERT_EQ(sessions.size(), 60u);
   for (const auto& session : sessions) {
     // Every session's viewer now lives in neighborhood 0...
-    EXPECT_EQ(skew.topology().neighborhood_of(session.user).value(), 0u);
+    EXPECT_EQ(topology.neighborhood_of(session.user).value(), 0u);
     // ...whose region (0 % 2) owns catalog slice [0, 2): back-catalog
     // programs 0 and 1 only (program 3 is a late release, and slice 1
     // holds {2, 3}).
@@ -428,7 +431,7 @@ TEST(NeighborhoodSkewAdaptor, ConcentratesPopulationAndRegionalizesCatalog) {
 TEST(NeighborhoodSkewAdaptor, RejectsTooManyHotNeighborhoods) {
   const auto trace =
       test::make_trace(weighted_catalog(), {{3600, 0, 0, 600}}, 10, 1);
-  const trace::TraceSource base(trace);
+  const trace::SessionSource& base = trace;
   NeighborhoodSkewSpec spec;
   spec.enabled = true;
   spec.hot_neighborhoods = 5;  // 10 users / 20 per hood = 1 neighborhood

@@ -108,9 +108,8 @@ TEST(SegmentStore, ReplicasGoToDistinctPeers) {
   EXPECT_NE(*first, *second);
   EXPECT_NE(*second, *third);
   EXPECT_NE(*first, *third);
-  EXPECT_EQ(store.replica_count(key), 3u);
-  EXPECT_EQ(store.stored_segment_count(), 1u);  // distinct keys
-  EXPECT_EQ(store.used(), kSeg * 3);
+  EXPECT_EQ(store.locate(key).size(), 3u);
+  EXPECT_EQ(store.used(), kSeg * 3);  // the three replicas, nothing else
 }
 
 TEST(SegmentStore, ReplicaRefusedWhenAllPeersHoldOne) {
@@ -119,7 +118,7 @@ TEST(SegmentStore, ReplicaRefusedWhenAllPeersHoldOne) {
   ASSERT_TRUE(store.store(key, kSeg));
   ASSERT_TRUE(store.store(key, kSeg));
   EXPECT_EQ(store.store(key, kSeg), std::nullopt);
-  EXPECT_EQ(store.replica_count(key), 2u);
+  EXPECT_EQ(store.locate(key).size(), 2u);
 }
 
 TEST(SegmentStore, EvictProgramDropsAllReplicas) {
@@ -129,7 +128,7 @@ TEST(SegmentStore, EvictProgramDropsAllReplicas) {
   ASSERT_TRUE(store.store(key, kSeg));
   const auto freed = store.evict_program(ProgramId{1});
   EXPECT_EQ(freed, kSeg * 2);
-  EXPECT_EQ(store.replica_count(key), 0u);
+  EXPECT_TRUE(store.locate(key).empty());
   EXPECT_EQ(store.used(), DataSize{});
 }
 
@@ -138,17 +137,20 @@ TEST(SegmentStore, ProgramBytesSumsSegmentsAndReplicas) {
   ASSERT_TRUE(store.store({ProgramId{1}, 0}, kSeg));
   ASSERT_TRUE(store.store({ProgramId{1}, 1}, kSeg));
   ASSERT_TRUE(store.store({ProgramId{1}, 0}, kSeg));  // replica
-  EXPECT_EQ(store.program_bytes(ProgramId{1}), kSeg * 3);
-  EXPECT_EQ(store.program_bytes(ProgramId{2}), DataSize{});
+  // Program 1 is all the store holds: two segments, one of them twice.
+  EXPECT_EQ(store.used(), kSeg * 3);
+  EXPECT_EQ(store.locate({ProgramId{1}, 0}).size(), 2u);
+  EXPECT_EQ(store.locate({ProgramId{1}, 1}).size(), 1u);
+  EXPECT_FALSE(store.has_program(ProgramId{2}));
 }
 
 TEST(SegmentStore, StoredProgramsLists) {
   auto store = make_store(4, DataSize::gigabytes(1));
   ASSERT_TRUE(store.store({ProgramId{1}, 0}, kSeg));
   ASSERT_TRUE(store.store({ProgramId{5}, 0}, kSeg));
-  const auto programs = store.stored_programs();
-  EXPECT_EQ(programs.size(), 2u);
-  EXPECT_EQ(store.stored_program_count(), 2u);
+  for (std::uint32_t p = 0; p < 8; ++p) {
+    EXPECT_EQ(store.has_program(ProgramId{p}), p == 1 || p == 5) << p;
+  }
 }
 
 TEST(SegmentStore, ManyOperationsPreserveAccounting) {

@@ -111,22 +111,27 @@ TEST(GeneratorSource, PerNeighborhoodSubsequencesMatch) {
   }
 }
 
-// --------------------------------------------------------- trace source
+// ----------------------------------------------------- trace as a source
 
-TEST(TraceSource, RoundTripsSessionsAndMeta) {
+TEST(Trace, StreamsItsSessionsAndFacts) {
   const auto trace = generate_power_info_like(test::small_workload(2));
-  const TraceSource source(trace);
+  const SessionSource& source = trace;
   expect_same_sessions(drain(source), trace.sessions());
   EXPECT_EQ(source.session_count_hint(), trace.session_count());
+  EXPECT_EQ(source.user_count(), trace.user_count());
+  EXPECT_EQ(source.horizon(), trace.horizon());
+  EXPECT_EQ(&source.catalog(), &trace.catalog());
   const auto copy = materialize(source);
   expect_same_sessions(copy.sessions(), trace.sessions());
+  // A copy is a source of its own, equal to the original.
+  expect_same_sessions(drain(copy), trace.sessions());
 }
 
 // ------------------------------------------------------- scaling adaptors
 
 TEST(PopulationScaledSource, StreamMatchesMaterializedScaler) {
   const auto trace = generate_power_info_like(test::small_workload(2, 5));
-  const TraceSource base(trace);
+  const SessionSource& base = trace;
   for (const std::uint32_t factor : {2U, 4U, 7U}) {
     const PopulationScaledSource scaled(base, factor);
     const auto twin = scale_population(trace, factor);
@@ -137,7 +142,7 @@ TEST(PopulationScaledSource, StreamMatchesMaterializedScaler) {
 
 TEST(PopulationScaledSource, FactorOnePassesThrough) {
   const auto trace = generate_power_info_like(test::small_workload(2, 5));
-  const TraceSource base(trace);
+  const SessionSource& base = trace;
   const PopulationScaledSource scaled(base, 1);
   expect_same_sessions(drain(scaled), trace.sessions());
 }
@@ -162,7 +167,7 @@ TEST(PopulationScaledSource, HorizonEdgeJitterClampDoesNotReorder) {
        {horizon_s - 2, 1, 1, 60},
        {horizon_s - 1, 2, 0, 60}},
       /*user_count=*/4);
-  const TraceSource base(trace);
+  const SessionSource& base = trace;
   for (const std::uint32_t factor : {2U, 8U, 16U}) {
     SCOPED_TRACE("factor " + std::to_string(factor));
     const PopulationScaledSource scaled(base, factor);
@@ -185,7 +190,7 @@ TEST(PopulationScaledSource, HorizonEdgeJitterClampDoesNotReorder) {
 
 TEST(CatalogScaledSource, StreamMatchesMaterializedScaler) {
   const auto trace = generate_power_info_like(test::small_workload(2, 5));
-  const TraceSource base(trace);
+  const SessionSource& base = trace;
   for (const std::uint32_t factor : {2U, 5U}) {
     const CatalogScaledSource scaled(base, factor);
     EXPECT_EQ(scaled.catalog().size(), trace.catalog().size() * factor);
@@ -197,7 +202,7 @@ TEST(CatalogScaledSource, StreamMatchesMaterializedScaler) {
 TEST(ScaledSources, ComposeLikeMaterializedTransforms) {
   // The figure-15 sweep shape: population then catalog, stacked adaptors.
   const auto trace = generate_power_info_like(test::small_workload(2, 31));
-  const TraceSource base(trace);
+  const SessionSource& base = trace;
   const PopulationScaledSource pop(base, 3);
   const CatalogScaledSource both(pop, 2);
   const auto twin = scale_catalog(scale_population(trace, 3), 2);
@@ -250,7 +255,7 @@ TEST_F(CsvSourceTest, StreamingWriterMatchesMaterializedWriter) {
   const std::string via_trace = write_temp("");
   write_csv_file(trace, via_trace);
   const std::string via_source = write_temp("");
-  const TraceSource source(trace);
+  const GeneratorSource source(test::small_workload(2, 23));
   const auto count = write_csv_file(source, via_source);
   EXPECT_EQ(count, trace.session_count());
 

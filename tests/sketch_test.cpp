@@ -5,8 +5,7 @@
 //    so estimate(k) >= the true count of k — an admission threshold on the
 //    estimate can admit early but never starve a genuinely popular program;
 //  * halving is simultaneous and monotone (floor(x/2) commutes with the
-//    row minimum), so decay never reorders two keys' estimates;
-//  * the provenance counters (increments, halvings) tick exactly.
+//    row minimum), so decay never reorders two keys' estimates.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,14 +16,6 @@
 
 namespace vodcache::cache {
 namespace {
-
-TEST(CountMinSketch, GeometryAccessors) {
-  const CountMinSketch sketch(512, 4, 1000);
-  EXPECT_EQ(sketch.width(), 512u);
-  EXPECT_EQ(sketch.depth(), 4u);
-  EXPECT_EQ(sketch.increments(), 0u);
-  EXPECT_EQ(sketch.halvings(), 0u);
-}
 
 TEST(CountMinSketch, UnseenKeyEstimatesZero) {
   CountMinSketch sketch(1024, 4, 1ull << 40);
@@ -44,7 +35,6 @@ TEST(CountMinSketch, ExactWhenSparse) {
   for (std::uint64_t key = 0; key < 8; ++key) {
     EXPECT_EQ(sketch.estimate(key), key + 1) << "key " << key;
   }
-  EXPECT_EQ(sketch.increments(), 8u * 9u / 2u);
 }
 
 TEST(CountMinSketch, OverestimateOnlyUnderHeavyCollision) {
@@ -67,12 +57,11 @@ TEST(CountMinSketch, OverestimateOnlyUnderHeavyCollision) {
 TEST(CountMinSketch, HalvingFiresOnPeriodAndFloorsCounts) {
   CountMinSketch sketch(1024, 4, 10);
   for (int i = 0; i < 9; ++i) sketch.increment(42);
-  EXPECT_EQ(sketch.halvings(), 0u);
-  EXPECT_EQ(sketch.estimate(42), 9u);
+  EXPECT_EQ(sketch.estimate(42), 9u);  // no halving yet
   sketch.increment(42);  // 10th increment crosses the period
-  EXPECT_EQ(sketch.halvings(), 1u);
   EXPECT_EQ(sketch.estimate(42), 5u);  // floor(10 / 2)
-  EXPECT_EQ(sketch.increments(), 10u);  // provenance is never decayed
+  for (int i = 0; i < 9; ++i) sketch.increment(42);
+  EXPECT_EQ(sketch.estimate(42), 14u);  // the period restarts at the halving
 }
 
 TEST(CountMinSketch, HalvingPreservesRelativeOrder) {
@@ -91,7 +80,8 @@ TEST(CountMinSketch, HalvingPreservesRelativeOrder) {
     for (std::size_t n = 0; n < (i + 1) * 5; ++n) decayed.increment(keys[i]);
   }
   for (int i = 0; i < 40; ++i) decayed.increment(999);
-  EXPECT_GE(decayed.halvings(), 4u);
+  // Nine halvings have fired: the hottest key's 20 counts are gone.
+  EXPECT_EQ(decayed.estimate(keys.back()), 0u);
   for (std::size_t i = 1; i < keys.size(); ++i) {
     EXPECT_GE(decayed.estimate(keys[i]), decayed.estimate(keys[i - 1]))
         << "order broken between " << keys[i - 1] << " and " << keys[i];
@@ -106,7 +96,8 @@ TEST(CountMinSketch, DecayForgetsColdKeysButNotHotOnes) {
   CountMinSketch sketch(1024, 4, 50);
   for (int i = 0; i < 40; ++i) sketch.increment(1);  // the one-evening wonder
   for (int i = 0; i < 400; ++i) sketch.increment(2);  // the perennial
-  EXPECT_GE(sketch.halvings(), 8u);
+  // Eight halvings have fired: the perennial sits far below its 400.
+  EXPECT_LT(sketch.estimate(2), 100u);
   EXPECT_LE(sketch.estimate(1), 1u);
   EXPECT_GT(sketch.estimate(2), sketch.estimate(1));
 }

@@ -100,16 +100,14 @@ inline trace::Trace scale_population(const trace::Trace& input,
                                      std::uint32_t factor,
                                      std::uint64_t seed = 0x5ca1ab1e) {
   if (factor == 1) return input;
-  const trace::TraceSource base(input);
-  return trace::materialize(trace::PopulationScaledSource(base, factor, seed));
+  return trace::materialize(trace::PopulationScaledSource(input, factor, seed));
 }
 
 inline trace::Trace scale_catalog(const trace::Trace& input,
                                   std::uint32_t factor,
                                   std::uint64_t seed = 0xcab1e5) {
   if (factor == 1) return input;
-  const trace::TraceSource base(input);
-  return trace::materialize(trace::CatalogScaledSource(base, factor, seed));
+  return trace::materialize(trace::CatalogScaledSource(input, factor, seed));
 }
 
 }  // namespace vodcache::test

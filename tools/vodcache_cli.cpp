@@ -63,21 +63,18 @@ int list_scenarios() {
 // optionally wrapped by the section V-A scaling adaptors.  `parts` keeps
 // every link alive (unique_ptrs, so the pointees — which the links point
 // into — stay put when the chain moves); `tip()` is the composed workload.
-// With `--materialize`, the workload is held as an in-memory Trace and
-// exposed through a TraceSource — byte-identical results, RAM
-// proportional to the session count (the cross-check path).
+// With `--materialize`, the tip is an in-memory Trace (itself a source) —
+// byte-identical results, RAM proportional to the session count (the
+// cross-check path).
 struct SourceChain {
   std::vector<std::unique_ptr<trace::SessionSource>> parts;
-  std::vector<std::unique_ptr<trace::Trace>> traces;  // TraceSource backing
 
   [[nodiscard]] const trace::SessionSource& tip() const {
     return *parts.back();
   }
 
   void materialize_tip() {
-    traces.push_back(
-        std::make_unique<trace::Trace>(trace::materialize(tip())));
-    parts.push_back(std::make_unique<trace::TraceSource>(*traces.back()));
+    parts.push_back(std::make_unique<trace::Trace>(trace::materialize(tip())));
   }
 };
 
@@ -89,10 +86,8 @@ SourceChain open_source(const CliOptions& options) {
     if (config.materialize) {
       // The materialized loader tolerates what a streaming pass cannot
       // (unsorted sessions, meta after sessions): it buffers and re-sorts.
-      chain.traces.push_back(std::make_unique<trace::Trace>(
+      chain.parts.push_back(std::make_unique<trace::Trace>(
           trace::read_csv_file(options.trace_path)));
-      chain.parts.push_back(
-          std::make_unique<trace::TraceSource>(*chain.traces.back()));
     } else {
       chain.parts.push_back(
           std::make_unique<trace::CsvSource>(options.trace_path));
