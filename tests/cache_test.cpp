@@ -670,6 +670,134 @@ TEST(GlobalLfuReplay, CellsRefreshingAtAnyPaceNameTheFreshVictim) {
   EXPECT_GT(lazy_checks_after_expiry, 0u);
 }
 
+// Brute-force property: three neighborhoods replay one random access
+// sequence, each through its own cursor, one history and two GlobalLFU
+// cells.  One cell is checked at every event, the other only every few
+// events, so its refresh spans many cursor moves.  At each check, every
+// cached program's score must equal a count made by scanning every access
+// at the event's (time, global index) cut, and the victim must be the
+// cheapest cached program by those counts.  A third of the gaps are zero,
+// and some accesses are repeated at the same millisecond from a second
+// neighborhood, so ties resolve by global index.
+TEST(GlobalLfuReplay, CachedScoresMatchBruteForceCounts) {
+  constexpr std::uint32_t kPrograms = 7;
+  constexpr std::uint32_t kShards = 3;
+  constexpr std::size_t kCapacity = 4;
+  constexpr std::size_t kLazyEvery = 7;
+  const auto window = sim::SimTime::hours(1);
+  for (const std::uint64_t seed : {5u, 6u, 7u, 8u}) {
+    Rng rng(seed);
+    std::vector<ReplayBoard::Access> accesses;
+    std::vector<std::uint32_t> owner;
+    sim::SimTime t = at_min(1);
+    std::size_t same_ms_pairs = 0;
+    for (int i = 0; i < 500; ++i) {
+      if (rng.uniform_u64(3) != 0) {
+        t += sim::SimTime::seconds(
+            static_cast<std::int64_t>(rng.uniform_u64(240)));
+      }
+      const ProgramId program{
+          static_cast<std::uint32_t>(rng.uniform_u64(kPrograms))};
+      const auto shard = static_cast<std::uint32_t>(rng.uniform_u64(kShards));
+      accesses.push_back({t, program});
+      owner.push_back(shard);
+      if (rng.uniform_u64(6) == 0) {
+        accesses.push_back({t, program});
+        owner.push_back(
+            (shard + 1 + static_cast<std::uint32_t>(
+                             rng.uniform_u64(kShards - 1))) % kShards);
+        ++same_ms_pairs;
+      }
+    }
+    ASSERT_GT(same_ms_pairs, 0u);
+
+    for (const auto lag : {sim::SimTime{}, sim::SimTime::minutes(30)}) {
+      const auto board = frozen_board(kPrograms, window, lag, accesses);
+      for (std::uint32_t s = 0; s < kShards; ++s) {
+        std::vector<bool> own(accesses.size());
+        for (std::size_t i = 0; i < accesses.size(); ++i) {
+          own[i] = owner[i] == s;
+        }
+        ReplayCursor cursor(*board);
+        AccessHistory history;
+        GlobalLfuStrategy eager(history, cursor);
+        GlobalLfuStrategy lazy(history, cursor);
+        Rng actions(seed * 31 + s);
+        std::size_t events = 0;
+
+        const auto check = [&](GlobalLfuStrategy& cell, const char* name,
+                               std::size_t upto, sim::SimTime at) {
+          const std::string repro =
+              "repro: seed=" + std::to_string(seed) + " lag_minutes=" +
+              std::to_string(lag.millis_count() / 60'000) +
+              " shard=" + std::to_string(s) + " cell=" + name +
+              " event=" + std::to_string(events) +
+              " upto=" + std::to_string(upto) +
+              " at_ms=" + std::to_string(at.millis_count());
+          std::optional<std::pair<Score, std::uint32_t>> cheapest;
+          for (std::uint32_t p = 0; p < kPrograms; ++p) {
+            if (!cell.is_cached(ProgramId{p})) continue;
+            const std::int64_t count = brute_force_visible(
+                accesses, own, upto, ProgramId{p}, at, window, lag);
+            ASSERT_EQ(cell.score(ProgramId{p}, at).first, count)
+                << repro << " program=" << p;
+            const std::pair<Score, std::uint32_t> entry{
+                {count, history.recency(ProgramId{p})}, p};
+            if (!cheapest || entry < *cheapest) cheapest = entry;
+          }
+          const auto victim = cell.victim(at);
+          ASSERT_EQ(victim.has_value(), cheapest.has_value()) << repro;
+          if (victim) {
+            ASSERT_EQ(*victim, ProgramId{cheapest->second}) << repro;
+          }
+          // Admit a random program, evicting the victim when full.
+          const ProgramId incoming{
+              static_cast<std::uint32_t>(actions.uniform_u64(kPrograms))};
+          if (actions.uniform_u64(2) == 0 || cell.is_cached(incoming)) return;
+          if (cell.cached_count() == kCapacity) cell.on_evict(*victim);
+          cell.on_admit(incoming, at);
+        };
+        const auto after_event = [&](std::size_t upto, sim::SimTime at) {
+          check(eager, "eager", upto, at);
+          if (++events % kLazyEvery == 0) check(lazy, "lazy", upto, at);
+        };
+
+        for (std::size_t i = 0; i < accesses.size(); ++i) {
+          if (own[i]) {
+            const auto [at, program] = accesses[i];
+            cursor.on_session_start(i, program, at);
+            history.record(program, at);
+            eager.on_access(program, at);
+            lazy.on_access(program, at);
+            after_event(i + 1, at);
+            if (HasFatalFailure()) return;
+          }
+          // A boundary runs before every session start at its own time,
+          // so it may fall anywhere in (t_i, t_{i+1}], the far end
+          // included.
+          if (i + 1 < accesses.size() &&
+              accesses[i + 1].time > accesses[i].time &&
+              actions.uniform_u64(2) == 0) {
+            const std::int64_t gap_ms = (accesses[i + 1].time -
+                                         accesses[i].time).millis_count();
+            const auto at =
+                actions.uniform_u64(3) == 0
+                    ? accesses[i + 1].time
+                    : accesses[i].time +
+                          sim::SimTime::millis(
+                              1 + static_cast<std::int64_t>(
+                                      actions.uniform_u64(
+                                          static_cast<std::uint64_t>(gap_ms))));
+            cursor.on_boundary(at);
+            after_event(i + 1, at);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GlobalLfuReplay, LaggedModeAugmentsSnapshotWithLocal) {
   const auto board = frozen_board(4, sim::SimTime::hours(24),
                                   /*lag=*/sim::SimTime::minutes(30),
