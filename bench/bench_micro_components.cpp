@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot components of the
 // simulator: rate meter, replacement strategies, segment store, one box of
 // a cell's stream-slot table, one cache cell's segment serve, one shard's
-// feed at 1 and 25 cells, one GlobalLFU shard's feed against a 40-shard
-// board, batched boundary generation, workload sampling, and the
-// end-to-end event loop.
+// feed at 1 and 25 cells, building the GlobalLFU board of a 40-shard
+// deployment and one GlobalLFU shard's feed against it, batched boundary
+// generation, workload sampling, and the end-to-end event loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -327,18 +327,43 @@ void BM_ShardFeed(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardFeed)->Arg(1)->Arg(25)->Unit(benchmark::kMillisecond);
 
-// One GlobalLFU shard's feed + finish over neighborhood 0 of a 40,000-user,
-// 40-neighborhood, 3-day trace in hourly batches, reading the whole
-// deployment's board live (arg 0) or with the arg's lag in minutes: the
-// per-shard cost of reading every neighborhood's accesses.  Items are the
-// shard's segment transmissions.
-void BM_GlobalLfuShardFeed(benchmark::State& state) {
+// A 40,000-user, 3-day trace: 40 neighborhoods of 1,000.
+const trace::Trace& global_trace() {
   static const trace::Trace trace = [] {
     trace::GeneratorConfig workload;
     workload.days = 3;
     workload.user_count = 40'000;
     return trace::generate_power_info_like(workload);
   }();
+  return trace;
+}
+
+// Building the GlobalLFU board as the prepass does: add() every session
+// start of global_trace() in trace order, then freeze(), which indexes
+// each program's entries.  Items are board entries.
+void BM_ReplayBoardBuild(benchmark::State& state) {
+  const auto& trace = global_trace();
+  const core::SystemConfig config;
+  for (auto _ : state) {
+    cache::ReplayBoard board(trace.catalog().size(),
+                             config.strategy.lfu_history,
+                             config.strategy.global_lag);
+    board.reserve(trace.sessions().size());
+    for (const auto& r : trace.sessions()) board.add(r.program, r.start);
+    board.freeze();
+    benchmark::DoNotOptimize(board.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(trace.sessions().size()));
+}
+BENCHMARK(BM_ReplayBoardBuild)->Unit(benchmark::kMillisecond);
+
+// One GlobalLFU shard's feed + finish over neighborhood 0 of
+// global_trace() in hourly batches, reading the whole deployment's board
+// live (arg 0) or with the arg's lag in minutes: the per-shard cost of
+// global popularity.  Items are the shard's segment transmissions.
+void BM_GlobalLfuShardFeed(benchmark::State& state) {
+  const auto& trace = global_trace();
   const auto& catalog = trace.catalog();
 
   core::SystemConfig config;

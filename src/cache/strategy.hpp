@@ -58,7 +58,7 @@ class EvictionScorer {
   }
 
   // Store feedback: `program` gained its first stored segment / lost all.
-  void on_admit(ProgramId program, sim::SimTime t) {
+  virtual void on_admit(ProgramId program, sim::SimTime t) {
     refresh(t);
     cached_.insert(program, score(program, t));
   }

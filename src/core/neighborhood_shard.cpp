@@ -19,9 +19,9 @@ NeighborhoodShard::NeighborhoodShard(
       config_(config),
       future_(future),
       board_(std::move(board)),
-      cursor_(board_ != nullptr && config.builds_global_board()
-                  ? std::make_unique<cache::ReplayCursor>(*board_)
-                  : nullptr),
+      view_(board_ != nullptr && config.builds_global_board()
+                ? std::make_unique<cache::ReplayView>(*board_)
+                : nullptr),
       history_(std::make_unique<cache::AccessHistory>()),
       media_(horizon, config.meter_bucket),
       server_(id, peer_count, config, make_cells(), media_, horizon, tiers,
@@ -38,11 +38,11 @@ NeighborhoodShard::NeighborhoodShard(
 
 IndexServer::Plan NeighborhoodShard::make_cells() {
   // Every cell shares this shard's policy context: one access history, and
-  // GlobalLFU cells read the same replay cursor, Oracle cells the same
+  // GlobalLFU cells read the same replay view, Oracle cells the same
   // future index — the orchestrator builds both for the matrix because its
   // needs() treats shadow_matrix like running those strategies.
   const PolicyContext context{config_, catalog_, *history_, future_,
-                              cursor_.get()};
+                              view_.get()};
   const bool matrix = config_.shadow_matrix || config_.policy_switch;
   IndexServer::Plan plan;
   for (const auto& scorer : scorer_registry()) {
@@ -162,7 +162,7 @@ void NeighborhoodShard::schedule_boundaries(std::int64_t bound_ms) {
 
 void NeighborhoodShard::run_boundary(const BoundaryEvent& event) {
   const auto t = sim::SimTime::millis(event.time_ms);
-  if (cursor_ != nullptr) cursor_->on_boundary(t);
+  if (view_ != nullptr) view_->on_boundary(t);
   apply_failures(t);
   maybe_switch(t);
   play_segment(event.slot, t);
@@ -250,9 +250,9 @@ void NeighborhoodShard::feed(std::span<const StreamSession> batch) {
     while (ei < scratch_.size() && scratch_[ei].time_ms <= start_ms) {
       run_boundary(scratch_[ei++]);
     }
-    if (cursor_ != nullptr) {
-      cursor_->on_session_start(static_cast<std::size_t>(stream_session.index),
-                                program, start);
+    if (view_ != nullptr) {
+      view_->on_session_start(static_cast<std::size_t>(stream_session.index),
+                              program, start);
     }
     if (history_ != nullptr) history_->record(program, start);
     apply_failures(start);

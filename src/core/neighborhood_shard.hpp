@@ -35,13 +35,16 @@
 //
 //  * central-server bandwidth: each shard meters misses into its own
 //    MediaServer; the orchestrator reduces them in shard-index order;
-//  * global popularity (GlobalLFU): an immutable ReplayBoard prebuilt
-//    from a streaming pass over the same session source; the shard's one
-//    ReplayCursor walks it, moved by the shard's own events, and every
-//    GlobalLFU cell of the shard reads its counts and pulls the board
-//    entries it passed (see cache/popularity_board.hpp for the position
-//    contract); the shard's one AccessHistory is local popularity, read
-//    by every cell alike.
+//  * global popularity (GlobalLFU): an immutable ReplayBoard — the whole
+//    deployment's access timeline, indexed per program — prebuilt by the
+//    orchestrator's prepass; the shard's one ReplayView holds the two
+//    board positions its own events have reached (the cut and the
+//    expiry), and every GlobalLFU cell of the shard counts a program's
+//    entries between them (see cache/popularity_board.hpp for the
+//    position contract).  Moving the view is a search, not a walk: no
+//    shard touches the entries of other neighborhoods' accesses.  The
+//    shard's one AccessHistory is local popularity, read by every cell
+//    alike.
 //
 // The index server owns the neighborhood's cells (the configured pair, or
 // the whole shadow matrix); the shard builds their policies and feeds the
@@ -93,10 +96,11 @@ class NeighborhoodShard {
 
   // `catalog`, `config`, `future`, and `board` must outlive the shard.
   // `failures` must be in time order.  `future` (never null; empty for
-  // non-Oracle strategies) is held by pointer because under the job-graph
-  // executor the orchestrator's prepass job fills it *after* shard
-  // construction — the Oracle scorer keeps a reference and only reads once
-  // the prepass -> feed#s.0 edge has run.
+  // non-Oracle strategies) and `board` (may be null when no GlobalLFU cell
+  // reads it) may be filled *after* shard construction: under the job-graph
+  // executor the orchestrator's prepass job fills and freezes both, and
+  // the shard's cells only read them once the prepass -> feed#s.0 edge
+  // has run.
   // `tiers` (nullable; owned by the orchestrator like `catalog`) enables
   // the multi-tier miss walk with `tier_nodes` as this neighborhood's node
   // path — read-only prebuilt state, so the no-shared-mutable-state
@@ -129,14 +133,6 @@ class NeighborhoodShard {
   // constructor one because under the job-graph executor the shard is
   // built before the demux has seen the whole trace.
   void finish(sim::SimTime failure_flush);
-
-  // How many ReplayBoard entries this shard's next feed() may scan (the
-  // watermark the demux wrote for that chunk).  A caller that builds
-  // the whole board before feeding never needs this — the default sentinel
-  // reads the whole board.
-  void set_board_visible(std::size_t visible) {
-    if (cursor_ != nullptr) cursor_->set_limit(visible);
-  }
 
   [[nodiscard]] NeighborhoodId id() const { return server_.id(); }
   [[nodiscard]] const IndexServer& index_server() const { return server_; }
@@ -173,7 +169,7 @@ class NeighborhoodShard {
   // Fills scratch_ with every live slot's boundaries with time <=
   // `bound_ms`, in event order.
   void schedule_boundaries(std::int64_t bound_ms);
-  // One boundary event: moves the cursor, applies due failures, lets the
+  // One boundary event: moves the view, applies due failures, lets the
   // switcher decide, then plays the segment that begins there.
   void run_boundary(const BoundaryEvent& event);
   // Plays the segment beginning at `at`; frees the slot after the final
@@ -204,7 +200,7 @@ class NeighborhoodShard {
   std::shared_ptr<const cache::ReplayBoard> board_;    // GlobalLFU
   // Over board_, moved by this shard's events; null unless a GlobalLFU
   // cell reads it.
-  std::unique_ptr<cache::ReplayCursor> cursor_;
+  std::unique_ptr<cache::ReplayView> view_;
   // Null when no cell reads it (a no-cache shard).
   std::unique_ptr<cache::AccessHistory> history_;
 

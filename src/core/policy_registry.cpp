@@ -37,8 +37,8 @@ std::unique_ptr<cache::EvictionScorer> make_oracle(const PolicyContext& ctx) {
 
 std::unique_ptr<cache::EvictionScorer> make_global_lfu(
     const PolicyContext& ctx) {
-  VODCACHE_EXPECTS(ctx.cursor != nullptr);
-  return std::make_unique<cache::GlobalLfuStrategy>(ctx.history, *ctx.cursor);
+  VODCACHE_EXPECTS(ctx.view != nullptr);
+  return std::make_unique<cache::GlobalLfuStrategy>(ctx.history, *ctx.view);
 }
 
 std::unique_ptr<cache::EvictionScorer> make_greedy_dual(

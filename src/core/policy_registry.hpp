@@ -26,14 +26,14 @@
 namespace vodcache::core {
 
 // Everything a policy factory may need.  The access history, future index
-// and replay cursor are shard-local state, owned by the caller; they must
+// and replay view are shard-local state, owned by the caller; they must
 // outlive the policy.
 struct PolicyContext {
   const SystemConfig& config;
   const trace::Catalog& catalog;
   cache::AccessHistory& history;
   const cache::FutureIndex* future = nullptr;  // Oracle
-  const cache::ReplayCursor* cursor = nullptr;  // GlobalLFU
+  const cache::ReplayView* view = nullptr;  // GlobalLFU
 };
 
 struct ScorerEntry {

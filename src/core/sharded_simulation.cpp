@@ -144,10 +144,6 @@ void ShardedSimulation::run_graph(const Needs& need,
   bool more = demux_stream->next(record);
   std::uint64_t index = 0;
   sim::SimTime prev;  // 0: sources must not emit negative starts
-  // watermark[k]: board entries appended by demux chunks 0..k — all
-  // accesses with time < chunk_end(k).  Written by demux#k, read by
-  // feed#s.k through the demux#k -> feed#s.k edge.
-  std::vector<std::size_t> watermark(need.board ? chunks : 0, 0);
   const auto segment_ms = config_.segment_duration.millis_count();
 
   JobGraph graph;
@@ -155,15 +151,14 @@ void ShardedSimulation::run_graph(const Needs& need,
   // Demux nodes: chunk k of the stream into per-shard batches.  Chained —
   // the stream is a single-pass cursor — but free to run ahead of the
   // feeds up to the ring window.  The demux walks the stream in trace
-  // order, so it also builds the two stream-order products: the GlobalLFU
-  // board and the failure flush time.
+  // order, so it also folds every session into the failure flush time.
   std::vector<JobId> demux_id;
   demux_id.reserve(chunks);
   for (std::size_t k = 0; k < chunks; ++k) {
     demux_id.push_back(graph.add(
         [this, &need, &batches, &demux_stream, &record, &more, &index, &prev,
-         &watermark, chunk_end_ms, segment_ms, user_count, catalog_size,
-         window, k, chunks] {
+         chunk_end_ms, segment_ms, user_count, catalog_size, window, k,
+         chunks] {
           auto& slot = batches[k % window];
           for (auto& batch : slot) batch.clear();
           const auto end_ms = chunk_end_ms(k);
@@ -175,7 +170,6 @@ void ShardedSimulation::run_graph(const Needs& need,
             VODCACHE_EXPECTS(record.user.value() < user_count);
             VODCACHE_EXPECTS(record.program.value() < catalog_size);
             prev = record.start;
-            if (need.board) board_->add(record.program, record.start);
             // Failure flush: the latest segment boundary of any session
             // (boundaries fall at start + k * segment for every k with
             // k * segment < duration).  Waves up to this time are applied
@@ -196,22 +190,19 @@ void ShardedSimulation::run_graph(const Needs& need,
             ++index;
             more = demux_stream->next(record);
           }
-          if (need.board) {
-            watermark[k] = board_->size();
-            if (last) board_->freeze();
-          }
         },
         "demux#" + std::to_string(k)));
     if (k > 0) graph.depend(demux_id[k - 1], demux_id[k]);
   }
 
-  // Prepass node: Oracle clairvoyance and tier plans are whole-trace
-  // products — any feed may read them — so one job reads the whole stream
-  // and every shard's first feed waits for it.  Both streams are opened
-  // here, on the calling thread, so sources need not open concurrently.
+  // Prepass node: the GlobalLFU board, Oracle clairvoyance and tier plans
+  // are whole-trace products — any feed may read them — so one job reads
+  // the whole stream and every shard's first feed waits for it.  Both
+  // streams are opened here, on the calling thread, so sources need not
+  // open concurrently.
   std::optional<JobId> prepass;
   std::unique_ptr<trace::SessionStream> pre_stream;
-  if (need.future || need.tiers) {
+  if (need.board || need.future || need.tiers) {
     pre_stream = source_->open();
     prepass = graph.add(
         [this, &need, &pre_stream] {
@@ -219,10 +210,13 @@ void ShardedSimulation::run_graph(const Needs& need,
           if (need.tiers) plans.emplace(topology_, config_, source_->catalog());
           trace::SessionRecord r;
           while (pre_stream->next(r)) {
+            if (need.board) board_->add(r.program, r.start);
+            if (!need.future && !plans) continue;
             const auto n = topology_.neighborhood_of(r.user);
             if (need.future) future_[n.value()].add(r.program, r.start);
             if (plans) plans->observe(n, r.program, r.start);
           }
+          if (need.board) board_->freeze();
           for (auto& future : future_) future.freeze();
           if (plans) tiers_->set_plans(plans->finish(source_->horizon()));
         },
@@ -237,8 +231,7 @@ void ShardedSimulation::run_graph(const Needs& need,
   for (std::size_t s = 0; s < shard_count; ++s) {
     for (std::size_t k = 0; k < chunks; ++k) {
       feed_id[s][k] = graph.add(
-          [this, &need, &batches, &watermark, window, s, k] {
-            if (need.board) shards_[s]->set_board_visible(watermark[k]);
+          [this, &batches, window, s, k] {
             shards_[s]->feed(batches[k % window][s]);
           },
           "feed#" + std::to_string(s) + "." + std::to_string(k));
@@ -254,17 +247,12 @@ void ShardedSimulation::run_graph(const Needs& need,
 
   // Finish nodes: drain boundaries and flush trailing failure waves.  By
   // now the whole demux chain is complete (transitively through the feed
-  // chain), so the board is frozen and the flush time is final.
+  // chain), so the flush time is final.
   std::vector<JobId> finish_id;
   finish_id.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     finish_id.push_back(graph.add(
-        [this, &need, s] {
-          if (need.board) {
-            shards_[s]->set_board_visible(cache::ReplayBoard::kNoLimit);
-          }
-          shards_[s]->finish(failure_flush_);
-        },
+        [this, s] { shards_[s]->finish(failure_flush_); },
         "finish#" + std::to_string(s)));
     graph.depend(feed_id[s].back(), finish_id[s]);
   }

@@ -10,11 +10,11 @@
 // state.  A materialized `Trace` is itself a source, so both paths share
 // this code and produce identical bytes.
 //
-// Stream-order products ride on that same pass: the demux appends every
-// session start to GlobalLFU's ReplayBoard and folds it into the
-// failure-wave flush time.  Only whole-trace products — the oracle's
-// per-neighborhood FutureIndex and tier prefetch plans — need a *prepass*:
-// one job that reads the source once more before any shard replays.
+// The failure-wave flush time rides on that same pass: the demux folds
+// every session into it.  Whole-trace products — GlobalLFU's ReplayBoard,
+// the oracle's per-neighborhood FutureIndex and tier prefetch plans — need
+// a *prepass*: one job that reads the source once more and finishes before
+// any shard replays, so every shard reads them complete and frozen.
 // Every other config reads the workload exactly once.
 //
 // The run is decomposed into an explicit task DAG — demux chunks, the
@@ -78,8 +78,8 @@ class ShardedSimulation {
 
  private:
   // Which shared products this config needs.  The demux builds the
-  // stream-order ones (board, flush); the prepass the whole-trace ones
-  // (future, tiers), and it runs only when one of those is needed.
+  // failure flush; the prepass the whole-trace ones (board, future,
+  // tiers), and it runs only when one of those is needed.
   struct Needs {
     bool board = false;   // GlobalLFU popularity timeline
     bool future = false;  // Oracle clairvoyance
@@ -101,7 +101,7 @@ class ShardedSimulation {
   SystemConfig config_;
   hfc::Topology topology_;
   // GlobalLFU only: the popularity timeline all shards read.  Owned
-  // mutably here so the graph's demux chain can append to it after the
+  // mutably here so the graph's prepass can fill and freeze it after the
   // shards (which hold const views) are built.
   std::shared_ptr<cache::ReplayBoard> board_;
   // Tiered topologies only: the tier specs plus the prepass-built prefetch

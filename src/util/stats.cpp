@@ -24,11 +24,4 @@ double quantile_sorted(std::span<const double> sorted, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double quantile(std::span<const double> xs, double q) {
-  VODCACHE_EXPECTS(!xs.empty());
-  std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  return quantile_sorted(copy, q);
-}
-
 }  // namespace vodcache

@@ -5,17 +5,13 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace vodcache {
 
 [[nodiscard]] double mean(std::span<const double> xs);
 
-// Linear-interpolation quantile (type 7, the numpy/R default).
-// q in [0,1]; xs need not be sorted.
-[[nodiscard]] double quantile(std::span<const double> xs, double q);
-
-// Quantile of an already ascending-sorted sample (no copy).
+// Linear-interpolation quantile (type 7, the numpy/R default) of an
+// ascending-sorted sample; q in [0,1].
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
 
 }  // namespace vodcache

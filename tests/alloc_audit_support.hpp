@@ -53,8 +53,9 @@ inline ShardAuditResult audit_shard_allocations(
 
   // An Oracle primary needs the future index, a GlobalLFU primary the
   // replay board, and shadow-matrix mode instantiates every registered
-  // scorer so it needs both — built here exactly as the orchestrator's
-  // demux and prepass would (outside the measured region either way).
+  // scorer so it needs both — built and frozen here before the shard
+  // replays, exactly as the orchestrator's prepass does (outside the
+  // measured region either way).
   const bool needs_future =
       config.shadow_matrix ||
       config.strategy.kind == core::StrategyKind::Oracle;

@@ -20,7 +20,7 @@
 //
 // The shadow-matrix case audits every registered scorer and admission at
 // once: the shadow matrix rides the same feed() loop, so its 25 (scorer x
-// admission) pairs — GlobalLFU's replay cursor, the Oracle's future-index
+// admission) pairs — GlobalLFU's replay view and heaps, the Oracle's future-index
 // lookups, the TinyLFU sketch, all of them — must be equally
 // allocation-free once warm.  Failure storms stay out of scope
 // (wipe_peer returns the emptied-program vector by design).

@@ -315,11 +315,20 @@ TEST(Oracle, RefreshRerANKSAfterDrift) {
   EXPECT_EQ(oracle.victim(at_min(400)), ProgramId{0});
 }
 
-// ----------------------------------------------- ReplayBoard / ReplayCursor
+// ------------------------------------------------- ReplayBoard / ReplayView
+//
+// The ReplayCursor suite pins the view's counts: the read position a shard
+// keeps over the board, moved by its own events.
+
+// One board entry: a session start.
+struct Access {
+  sim::SimTime time;
+  ProgramId program;
+};
 
 std::shared_ptr<const ReplayBoard> frozen_board(
     std::size_t programs, sim::SimTime window, sim::SimTime lag,
-    const std::vector<ReplayBoard::Access>& accesses) {
+    const std::vector<Access>& accesses) {
   auto board = std::make_shared<ReplayBoard>(programs, window, lag);
   for (const auto& access : accesses) board->add(access.program, access.time);
   board->freeze();
@@ -330,38 +339,38 @@ TEST(ReplayCursor, LiveCountsWithNoLag) {
   const auto board = frozen_board(4, sim::SimTime::hours(1), sim::SimTime{},
                                   {{at_min(0), ProgramId{1}},
                                    {at_min(10), ProgramId{1}}});
-  ReplayCursor cursor(*board);
-  cursor.on_boundary(at_min(20));
-  EXPECT_EQ(cursor.count(ProgramId{1}), 2);
+  ReplayView view(*board);
+  view.on_boundary(at_min(20));
+  EXPECT_EQ(view.count(ProgramId{1}), 2);
   // First access expires at t=60.
-  cursor.on_boundary(at_min(61));
-  EXPECT_EQ(cursor.count(ProgramId{1}), 1);
+  view.on_boundary(at_min(61));
+  EXPECT_EQ(view.count(ProgramId{1}), 1);
 }
 
 TEST(ReplayCursor, VisibilityHonorsTracePosition) {
   // Both accesses are at t=0, but a boundary at t=0 runs before either
   // session starts, and the first session start sees only itself — the
-  // cursor must not count records the replay has not reached yet.
+  // view must not count records the replay has not reached yet.
   const auto board = frozen_board(2, sim::SimTime::hours(1), sim::SimTime{},
                                   {{at_min(0), ProgramId{1}},
                                    {at_min(0), ProgramId{1}}});
-  ReplayCursor cursor(*board);
-  cursor.on_boundary(at_min(0));
-  EXPECT_EQ(cursor.count(ProgramId{1}), 0);
-  cursor.on_session_start(0, ProgramId{1}, at_min(0));
-  EXPECT_EQ(cursor.count(ProgramId{1}), 1);
-  cursor.on_session_start(1, ProgramId{1}, at_min(0));
-  EXPECT_EQ(cursor.count(ProgramId{1}), 2);
+  ReplayView view(*board);
+  view.on_boundary(at_min(0));
+  EXPECT_EQ(view.count(ProgramId{1}), 0);
+  view.on_session_start(0, ProgramId{1}, at_min(0));
+  EXPECT_EQ(view.count(ProgramId{1}), 1);
+  view.on_session_start(1, ProgramId{1}, at_min(0));
+  EXPECT_EQ(view.count(ProgramId{1}), 2);
 }
 
 TEST(ReplayCursor, AccessExactlyOneWindowOldStillCounts) {
   const auto board = frozen_board(1, sim::SimTime::hours(1), sim::SimTime{},
                                   {{at_min(10), ProgramId{0}}});
-  ReplayCursor cursor(*board);
-  cursor.on_boundary(at_min(70));
-  EXPECT_EQ(cursor.count(ProgramId{0}), 1);
-  cursor.on_boundary(at_min(70) + sim::SimTime::millis(1));
-  EXPECT_EQ(cursor.count(ProgramId{0}), 0);
+  ReplayView view(*board);
+  view.on_boundary(at_min(70));
+  EXPECT_EQ(view.count(ProgramId{0}), 1);
+  view.on_boundary(at_min(70) + sim::SimTime::millis(1));
+  EXPECT_EQ(view.count(ProgramId{0}), 0);
 }
 
 TEST(ReplayCursor, LaggedCountsFreezeAtBatch) {
@@ -369,53 +378,59 @@ TEST(ReplayCursor, LaggedCountsFreezeAtBatch) {
                                   /*lag=*/sim::SimTime::minutes(30),
                                   {{at_min(5), ProgramId{0}},
                                    {at_min(40), ProgramId{0}}});
-  ReplayCursor cursor(*board);
+  ReplayView view(*board);
   // Before the first batch boundary, no remote access is visible.
-  cursor.on_boundary(at_min(10));
-  EXPECT_EQ(cursor.count(ProgramId{0}), 0);
+  view.on_boundary(at_min(10));
+  EXPECT_EQ(view.count(ProgramId{0}), 0);
   // After the 30-minute boundary the first access becomes visible.
-  cursor.on_boundary(at_min(31));
-  EXPECT_EQ(cursor.count(ProgramId{0}), 1);
+  view.on_boundary(at_min(31));
+  EXPECT_EQ(view.count(ProgramId{0}), 1);
   // The access at t=40 stays invisible until t=60.
-  cursor.on_boundary(at_min(45));
-  EXPECT_EQ(cursor.count(ProgramId{0}), 1);
-  cursor.on_boundary(at_min(61));
-  EXPECT_EQ(cursor.count(ProgramId{0}), 2);
+  view.on_boundary(at_min(45));
+  EXPECT_EQ(view.count(ProgramId{0}), 1);
+  view.on_boundary(at_min(61));
+  EXPECT_EQ(view.count(ProgramId{0}), 2);
 }
 
 TEST(ReplayCursor, SnapshotEpochAdvancesPerCrossing) {
   const auto board = frozen_board(1, sim::SimTime::hours(24),
-                                  sim::SimTime::minutes(30), {});
-  ReplayCursor cursor(*board);
-  EXPECT_EQ(cursor.epoch(), 0u);
-  cursor.on_boundary(at_min(31));
-  EXPECT_EQ(cursor.epoch(), 1u);
-  // Crossing two boundaries in one move counts once: only the last
-  // boundary's counts matter.
-  cursor.on_boundary(at_min(95));
-  EXPECT_EQ(cursor.epoch(), 2u);
-  // Within a batch nothing moves.
-  cursor.on_boundary(at_min(110));
-  EXPECT_EQ(cursor.epoch(), 2u);
+                                  sim::SimTime::minutes(30),
+                                  {{at_min(10), ProgramId{0}},
+                                   {at_min(40), ProgramId{0}},
+                                   {at_min(70), ProgramId{0}},
+                                   {at_min(100), ProgramId{0}}});
+  ReplayView view(*board);
+  EXPECT_EQ(view.cut(), 0u);
+  view.on_boundary(at_min(31));
+  EXPECT_EQ(view.cut(), 1u);
+  // Crossing two boundaries in one move lands on the last one: the
+  // snapshot is the t=90 batch's.
+  view.on_boundary(at_min(95));
+  EXPECT_EQ(view.cut(), 3u);
+  EXPECT_EQ(view.count(ProgramId{0}), 3);
+  // Within a batch nothing moves, though the t=100 access has passed.
+  view.on_boundary(at_min(110));
+  EXPECT_EQ(view.cut(), 3u);
+  EXPECT_EQ(view.count(ProgramId{0}), 3);
 }
 
 TEST(ReplayCursor, LaggedExpiryHonorsWindowAtBoundary) {
-  const std::vector<ReplayBoard::Access> accesses{{at_min(0), ProgramId{0}}};
+  const std::vector<Access> accesses{{at_min(0), ProgramId{0}}};
   {
     const auto board = frozen_board(1, sim::SimTime::hours(1),
                                     sim::SimTime::minutes(30), accesses);
-    ReplayCursor cursor(*board);
+    ReplayView view(*board);
     // At the t=90 boundary the access is 90 > 60 minutes old: expired.
-    cursor.on_boundary(at_min(95));
-    EXPECT_EQ(cursor.count(ProgramId{0}), 0);
+    view.on_boundary(at_min(95));
+    EXPECT_EQ(view.count(ProgramId{0}), 0);
   }
   {
     const auto board = frozen_board(1, sim::SimTime::hours(1),
                                     sim::SimTime::minutes(30), accesses);
-    ReplayCursor cursor(*board);
+    ReplayView view(*board);
     // At the t=30 boundary it was visible.
-    cursor.on_boundary(at_min(35));
-    EXPECT_EQ(cursor.count(ProgramId{0}), 1);
+    view.on_boundary(at_min(35));
+    EXPECT_EQ(view.count(ProgramId{0}), 1);
   }
 }
 
@@ -425,7 +440,7 @@ TEST(ReplayCursor, LaggedExpiryHonorsWindowAtBoundary) {
 // Lag > 0, with B the last multiple of lag <= t: accesses with time in
 // [B - window, B) (an access exactly at B lands after the batch), plus the
 // neighborhood's own accesses (`own[i]`) at or after B.
-std::int64_t brute_force_visible(const std::vector<ReplayBoard::Access>& accesses,
+std::int64_t brute_force_visible(const std::vector<Access>& accesses,
                                  const std::vector<bool>& own,
                                  std::size_t upto, ProgramId program,
                                  sim::SimTime t, sim::SimTime window,
@@ -448,7 +463,7 @@ std::int64_t brute_force_visible(const std::vector<ReplayBoard::Access>& accesse
   return count;
 }
 
-// Cross-validation of the replay cursor against the brute-force rule: a
+// Cross-validation of the replay view against the brute-force rule: a
 // shard owning a random share of a non-decreasing access sequence must
 // see the same counts at each of its session starts and at a boundary
 // strictly between consecutive starts, live and lagged alike.
@@ -457,7 +472,7 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
   const auto window = sim::SimTime::hours(2);
   for (const std::uint64_t seed : {2026u, 1u, 2u, 3u}) {
     Rng rng(seed);
-    std::vector<ReplayBoard::Access> accesses;
+    std::vector<Access> accesses;
     std::vector<bool> own;
     sim::SimTime t;
     for (int i = 0; i < 300; ++i) {
@@ -473,11 +488,11 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
                                 " lag_minutes=" +
                                 std::to_string(lag.millis_count() / 60'000);
       const auto replay = frozen_board(kPrograms, window, lag, accesses);
-      ReplayCursor cursor(*replay);
+      ReplayView view(*replay);
       const auto check = [&](std::size_t upto, sim::SimTime at,
                              const char* event) {
         for (std::uint32_t p = 0; p < kPrograms; ++p) {
-          ASSERT_EQ(cursor.count(ProgramId{p}),
+          ASSERT_EQ(view.count(ProgramId{p}),
                     brute_force_visible(accesses, own, upto, ProgramId{p}, at,
                                         window, lag))
               << repro << " program " << p << " at " << event << " after "
@@ -486,7 +501,7 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
       };
       for (std::size_t i = 0; i < accesses.size(); ++i) {
         if (own[i]) {
-          cursor.on_session_start(i, accesses[i].program, accesses[i].time);
+          view.on_session_start(i, accesses[i].program, accesses[i].time);
           check(i + 1, accesses[i].time, "a session start");
         }
         if (i + 1 < accesses.size() &&
@@ -495,7 +510,7 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
           const auto mid = sim::SimTime::millis(
               (accesses[i].time.millis_count() +
                accesses[i + 1].time.millis_count()) / 2);
-          cursor.on_boundary(mid);
+          view.on_boundary(mid);
           check(i + 1, mid, "a boundary");
         }
       }
@@ -505,64 +520,64 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
 
 // ------------------------------------------------------- GlobalLFU, replay
 
-// One session start as a shard runs it: the cursor first, then the
+// One session start as a shard runs it: the view first, then the
 // history, then the cell.
-void start(ReplayCursor& cursor, AccessHistory& history,
+void start(ReplayView& view, AccessHistory& history,
            GlobalLfuStrategy& cell, std::size_t index, ProgramId program,
            sim::SimTime t) {
-  cursor.on_session_start(index, program, t);
+  view.on_session_start(index, program, t);
   access(history, cell, program, t);
 }
 
 TEST(GlobalLfuReplay, SeesAccessesFromOtherNeighborhoods) {
-  std::vector<ReplayBoard::Access> accesses;
+  std::vector<Access> accesses;
   for (int i = 0; i < 5; ++i) accesses.push_back({at_min(i), ProgramId{1}});
   accesses.push_back({at_min(6), ProgramId{2}});
   const auto board =
       frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
 
-  ReplayCursor cursor_a(*board), cursor_b(*board);
+  ReplayView view_a(*board), view_b(*board);
   AccessHistory history_a, history_b;
-  GlobalLfuStrategy a(history_a, cursor_a);
-  GlobalLfuStrategy b(history_b, cursor_b);
+  GlobalLfuStrategy a(history_a, view_a);
+  GlobalLfuStrategy b(history_b, view_b);
 
   // Neighborhood A sees lots of program 1; B has never seen it locally.
   for (std::size_t i = 0; i < 5; ++i) {
-    start(cursor_a, history_a, a, i, ProgramId{1}, at_min(static_cast<std::int64_t>(i)));
+    start(view_a, history_a, a, i, ProgramId{1}, at_min(static_cast<std::int64_t>(i)));
   }
-  start(cursor_b, history_b, b, 5, ProgramId{2}, at_min(6));
+  start(view_b, history_b, b, 5, ProgramId{2}, at_min(6));
   // B's scoring still ranks 1 above 2 thanks to global data.
-  cursor_b.on_boundary(at_min(7));
+  view_b.on_boundary(at_min(7));
   EXPECT_GT(b.score(ProgramId{1}, at_min(7)), b.score(ProgramId{2}, at_min(7)));
 }
 
 TEST(GlobalLfuReplay, ReranksRemoteCachedPrograms) {
-  std::vector<ReplayBoard::Access> accesses{{at_min(0), ProgramId{1}},
+  std::vector<Access> accesses{{at_min(0), ProgramId{1}},
                                             {at_min(1), ProgramId{2}},
                                             {at_min(1), ProgramId{2}}};
   for (int i = 0; i < 4; ++i) accesses.push_back({at_min(3), ProgramId{1}});
   const auto board =
       frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
 
-  ReplayCursor cursor_a(*board), cursor_b(*board);
+  ReplayView view_a(*board), view_b(*board);
   AccessHistory history_a, history_b;
-  GlobalLfuStrategy a(history_a, cursor_a);
-  GlobalLfuStrategy b(history_b, cursor_b);
+  GlobalLfuStrategy a(history_a, view_a);
+  GlobalLfuStrategy b(history_b, view_b);
 
-  start(cursor_b, history_b, b, 0, ProgramId{1}, at_min(0));
+  start(view_b, history_b, b, 0, ProgramId{1}, at_min(0));
   b.on_admit(ProgramId{1}, at_min(0));
-  start(cursor_b, history_b, b, 1, ProgramId{2}, at_min(1));
-  start(cursor_b, history_b, b, 2, ProgramId{2}, at_min(1));
+  start(view_b, history_b, b, 1, ProgramId{2}, at_min(1));
+  start(view_b, history_b, b, 2, ProgramId{2}, at_min(1));
   b.on_admit(ProgramId{2}, at_min(1));
-  cursor_b.on_boundary(at_min(2));
+  view_b.on_boundary(at_min(2));
   EXPECT_EQ(b.victim(at_min(2)), ProgramId{1});
 
   // A's traffic boosts program 1 globally; B's victim flips to 2 without B
   // seeing any local access.
   for (std::size_t i = 0; i < 4; ++i) {
-    start(cursor_a, history_a, a, 3 + i, ProgramId{1}, at_min(3));
+    start(view_a, history_a, a, 3 + i, ProgramId{1}, at_min(3));
   }
-  cursor_b.on_boundary(at_min(4));
+  view_b.on_boundary(at_min(4));
   EXPECT_EQ(b.victim(at_min(4)), ProgramId{2});
 }
 
@@ -576,33 +591,33 @@ TEST(GlobalLfuReplay, ExpiringRemoteAccessDropsCachedRank) {
                                    {at_min(10), ProgramId{2}},
                                    {at_min(11), ProgramId{2}},
                                    {at_min(12), ProgramId{1}}});
-  ReplayCursor cursor(*board);
+  ReplayView view(*board);
   AccessHistory history;
-  GlobalLfuStrategy b(history, cursor);
-  start(cursor, history, b, 2, ProgramId{2}, at_min(10));
+  GlobalLfuStrategy b(history, view);
+  start(view, history, b, 2, ProgramId{2}, at_min(10));
   b.on_admit(ProgramId{2}, at_min(10));
-  start(cursor, history, b, 3, ProgramId{2}, at_min(11));
-  start(cursor, history, b, 4, ProgramId{1}, at_min(12));
+  start(view, history, b, 3, ProgramId{2}, at_min(11));
+  start(view, history, b, 4, ProgramId{1}, at_min(12));
   b.on_admit(ProgramId{1}, at_min(12));
-  cursor.on_boundary(at_min(30));
+  view.on_boundary(at_min(30));
   EXPECT_EQ(b.victim(at_min(30)), ProgramId{2});
 
   const auto later = at_min(61) + sim::SimTime::seconds(30);
-  cursor.on_boundary(later);
+  view.on_boundary(later);
   EXPECT_EQ(b.score(ProgramId{1}, later).first, 1);
   EXPECT_EQ(b.victim(later), ProgramId{1});
 }
 
-// Two live GlobalLFU cells on one cursor and one history, as a shard's
+// Two live GlobalLFU cells on one view and one history, as a shard's
 // shadow matrix runs them.  One asks for a victim at every event; the other
-// only every 25 events, after many cursor moves with expiries among them.
+// only every 25 events, after many view moves with expiries among them.
 // Both must name the victim a fresh re-score of every cached program names.
 TEST(GlobalLfuReplay, CellsRefreshingAtAnyPaceNameTheFreshVictim) {
   constexpr std::uint32_t kPrograms = 8;
   constexpr std::size_t kLazyEvery = 25;
   const auto window = sim::SimTime::hours(1);
   Rng rng(23);
-  std::vector<ReplayBoard::Access> accesses;
+  std::vector<Access> accesses;
   std::vector<bool> own;
   sim::SimTime t = at_min(1);
   for (int i = 0; i < 400; ++i) {
@@ -613,10 +628,10 @@ TEST(GlobalLfuReplay, CellsRefreshingAtAnyPaceNameTheFreshVictim) {
   }
   const auto board = frozen_board(kPrograms, window, sim::SimTime{}, accesses);
 
-  ReplayCursor cursor(*board);
+  ReplayView view(*board);
   AccessHistory history;
-  GlobalLfuStrategy eager(history, cursor);
-  GlobalLfuStrategy lazy(history, cursor);
+  GlobalLfuStrategy eager(history, view);
+  GlobalLfuStrategy lazy(history, view);
   // Every program but the last is cached in both cells from the start.
   for (std::uint32_t p = 0; p + 1 < kPrograms; ++p) {
     eager.on_admit(ProgramId{p}, at_min(0));
@@ -639,7 +654,7 @@ TEST(GlobalLfuReplay, CellsRefreshingAtAnyPaceNameTheFreshVictim) {
   std::size_t events = 0;
   const auto after_event = [&](sim::SimTime at) {
     for (std::uint32_t p = 0; p < kPrograms; ++p) {
-      const std::int64_t now = cursor.count(ProgramId{p});
+      const std::int64_t now = view.count(ProgramId{p});
       if (now < counts[p]) expired_since_lazy = true;
       counts[p] = now;
     }
@@ -654,7 +669,7 @@ TEST(GlobalLfuReplay, CellsRefreshingAtAnyPaceNameTheFreshVictim) {
   for (std::size_t i = 0; i < accesses.size(); ++i) {
     if (own[i]) {
       const auto [at, program] = accesses[i];
-      cursor.on_session_start(i, program, at);
+      view.on_session_start(i, program, at);
       history.record(program, at);
       eager.on_access(program, at);
       lazy.on_access(program, at);
@@ -663,7 +678,7 @@ TEST(GlobalLfuReplay, CellsRefreshingAtAnyPaceNameTheFreshVictim) {
     if (i + 1 < accesses.size() &&
         accesses[i + 1].time - accesses[i].time > sim::SimTime::millis(1)) {
       const auto mid = accesses[i].time + sim::SimTime::millis(1);
-      cursor.on_boundary(mid);
+      view.on_boundary(mid);
       after_event(mid);
     }
   }
@@ -671,9 +686,9 @@ TEST(GlobalLfuReplay, CellsRefreshingAtAnyPaceNameTheFreshVictim) {
 }
 
 // Brute-force property: three neighborhoods replay one random access
-// sequence, each through its own cursor, one history and two GlobalLFU
+// sequence, each through its own view, one history and two GlobalLFU
 // cells.  One cell is checked at every event, the other only every few
-// events, so its refresh spans many cursor moves.  At each check, every
+// events, so its refresh spans many view moves.  At each check, every
 // cached program's score must equal a count made by scanning every access
 // at the event's (time, global index) cut, and the victim must be the
 // cheapest cached program by those counts.  A third of the gaps are zero,
@@ -687,7 +702,7 @@ TEST(GlobalLfuReplay, CachedScoresMatchBruteForceCounts) {
   const auto window = sim::SimTime::hours(1);
   for (const std::uint64_t seed : {5u, 6u, 7u, 8u}) {
     Rng rng(seed);
-    std::vector<ReplayBoard::Access> accesses;
+    std::vector<Access> accesses;
     std::vector<std::uint32_t> owner;
     sim::SimTime t = at_min(1);
     std::size_t same_ms_pairs = 0;
@@ -718,10 +733,10 @@ TEST(GlobalLfuReplay, CachedScoresMatchBruteForceCounts) {
         for (std::size_t i = 0; i < accesses.size(); ++i) {
           own[i] = owner[i] == s;
         }
-        ReplayCursor cursor(*board);
+        ReplayView view(*board);
         AccessHistory history;
-        GlobalLfuStrategy eager(history, cursor);
-        GlobalLfuStrategy lazy(history, cursor);
+        GlobalLfuStrategy eager(history, view);
+        GlobalLfuStrategy lazy(history, view);
         Rng actions(seed * 31 + s);
         std::size_t events = 0;
 
@@ -765,7 +780,7 @@ TEST(GlobalLfuReplay, CachedScoresMatchBruteForceCounts) {
         for (std::size_t i = 0; i < accesses.size(); ++i) {
           if (own[i]) {
             const auto [at, program] = accesses[i];
-            cursor.on_session_start(i, program, at);
+            view.on_session_start(i, program, at);
             history.record(program, at);
             eager.on_access(program, at);
             lazy.on_access(program, at);
@@ -788,7 +803,7 @@ TEST(GlobalLfuReplay, CachedScoresMatchBruteForceCounts) {
                               1 + static_cast<std::int64_t>(
                                       actions.uniform_u64(
                                           static_cast<std::uint64_t>(gap_ms))));
-            cursor.on_boundary(at);
+            view.on_boundary(at);
             after_event(i + 1, at);
             if (HasFatalFailure()) return;
           }
@@ -805,24 +820,24 @@ TEST(GlobalLfuReplay, LaggedModeAugmentsSnapshotWithLocal) {
                                    {at_min(2), ProgramId{1}},
                                    {at_min(3), ProgramId{2}}});
 
-  ReplayCursor cursor_a(*board), cursor_b(*board);
+  ReplayView view_a(*board), view_b(*board);
   AccessHistory history_a, history_b;
-  GlobalLfuStrategy a(history_a, cursor_a);
-  GlobalLfuStrategy b(history_b, cursor_b);
+  GlobalLfuStrategy a(history_a, view_a);
+  GlobalLfuStrategy b(history_b, view_b);
 
   // Before any batch: A's local accesses count for A but not for B.
-  start(cursor_a, history_a, a, 0, ProgramId{1}, at_min(1));
-  start(cursor_a, history_a, a, 1, ProgramId{1}, at_min(2));
-  start(cursor_b, history_b, b, 2, ProgramId{2}, at_min(3));
+  start(view_a, history_a, a, 0, ProgramId{1}, at_min(1));
+  start(view_a, history_a, a, 1, ProgramId{1}, at_min(2));
+  start(view_b, history_b, b, 2, ProgramId{2}, at_min(3));
 
-  cursor_a.on_boundary(at_min(4));
-  cursor_b.on_boundary(at_min(4));
+  view_a.on_boundary(at_min(4));
+  view_b.on_boundary(at_min(4));
   EXPECT_EQ(a.score(ProgramId{1}, at_min(4)).first, 2);
   EXPECT_EQ(b.score(ProgramId{1}, at_min(4)).first, 0);
   EXPECT_EQ(b.score(ProgramId{2}, at_min(4)).first, 1);
 
   // After the batch, B sees A's traffic, and its own access counts once.
-  cursor_b.on_boundary(at_min(31));
+  view_b.on_boundary(at_min(31));
   EXPECT_EQ(b.score(ProgramId{1}, at_min(31)).first, 2);
   EXPECT_EQ(b.score(ProgramId{2}, at_min(31)).first, 1);
 }

@@ -79,9 +79,10 @@ SystemConfig failing_config(double fraction, std::int64_t at_hours) {
 }
 
 TEST(FailureInjection, InvariantsSurviveMassFailure) {
-  const auto trace =
-      trace::generate_power_info_like(test::small_workload(3));
+  const auto workload = test::small_workload(3);
+  const auto trace = trace::generate_power_info_like(workload);
   const auto config = failing_config(0.5, 30);
+  SCOPED_TRACE(test::repro_line(workload, config));
   VodSystem system(trace, config);
   const auto report = system.run();
 
@@ -98,12 +99,15 @@ TEST(FailureInjection, InvariantsSurviveMassFailure) {
 }
 
 TEST(FailureInjection, FailuresCostServerTraffic) {
-  const auto trace =
-      trace::generate_power_info_like(test::small_workload(3));
+  const auto workload = test::small_workload(3);
+  const auto trace = trace::generate_power_info_like(workload);
   auto healthy = failing_config(0.0, 30);
   healthy.peer_failures.clear();
+  const auto failing = failing_config(0.6, 30);
+  SCOPED_TRACE(test::repro_line(workload, healthy));
+  SCOPED_TRACE(test::repro_line(workload, failing));
   const auto baseline = VodSystem(trace, healthy).run();
-  const auto failed = VodSystem(trace, failing_config(0.6, 30)).run();
+  const auto failed = VodSystem(trace, failing).run();
   // Losing 60% of disks mid-run must push more traffic to the server.
   EXPECT_GT(failed.server_bits, baseline.server_bits);
   EXPECT_LT(failed.hits, baseline.hits);
@@ -112,9 +116,11 @@ TEST(FailureInjection, FailuresCostServerTraffic) {
 TEST(FailureInjection, CacheSelfHeals) {
   // After the wipe, admitted programs re-fill from miss broadcasts: by the
   // end of the run the cache is populated again.
-  const auto trace =
-      trace::generate_power_info_like(test::small_workload(4));
-  const auto report = VodSystem(trace, failing_config(1.0, 48)).run();
+  const auto workload = test::small_workload(4);
+  const auto trace = trace::generate_power_info_like(workload);
+  const auto config = failing_config(1.0, 48);
+  SCOPED_TRACE(test::repro_line(workload, config));
+  const auto report = VodSystem(trace, config).run();
   DataSize used;
   for (const auto& n : report.neighborhoods) used += n.cache_used;
   EXPECT_GT(used, DataSize{});
@@ -145,9 +151,10 @@ TEST(FailureInjection, RewatchAfterFullWipeMissesAgain) {
 }
 
 TEST(FailureInjection, DeterministicForSeed) {
-  const auto trace =
-      trace::generate_power_info_like(test::small_workload(2));
+  const auto workload = test::small_workload(2);
+  const auto trace = trace::generate_power_info_like(workload);
   const auto config = failing_config(0.3, 24);
+  SCOPED_TRACE(test::repro_line(workload, config));
   const auto a = VodSystem(trace, config).run();
   const auto b = VodSystem(trace, config).run();
   EXPECT_EQ(a.peer_failures, b.peer_failures);
@@ -156,11 +163,12 @@ TEST(FailureInjection, DeterministicForSeed) {
 }
 
 TEST(FailureInjection, MultipleWaves) {
-  const auto trace =
-      trace::generate_power_info_like(test::small_workload(3));
+  const auto workload = test::small_workload(3);
+  const auto trace = trace::generate_power_info_like(workload);
   auto config = failing_config(0.2, 20);
   config.peer_failures.push_back({sim::SimTime::hours(40), 0.2, 8});
   config.peer_failures.push_back({sim::SimTime::hours(60), 0.2, 9});
+  SCOPED_TRACE(test::repro_line(workload, config));
   const auto report = VodSystem(trace, config).run();
   // Three waves over 300 peers at ~20% each.
   EXPECT_GT(report.peer_failures, 100u);

@@ -113,10 +113,10 @@ TEST_P(PreRefactorIdentity, ReportBytesMatchMonolithicStrategy) {
       << "actual hash 0x" << std::hex << report_hash(config);
 }
 
-// GlobalLFU pins beyond always-admit: the cursor's live and lagged counts
+// GlobalLFU pins beyond always-admit: the board's live and lagged counts
 // under the second-hit and sketch-lfu gates, and the live counts under
-// segment-granularity admission.  Recorded before GlobalLFU cells pulled
-// their count changes off the cursor; same regeneration rule as above.
+// segment-granularity admission.  Recorded while every shard still walked
+// the whole board to keep its counts; same regeneration rule as above.
 struct GlobalLfuGoldenCase {
   const char* name;
   std::int64_t lag_minutes;

@@ -77,9 +77,9 @@ TEST(PolicyRegistry, FactoriesProduceTheNamedScorer) {
   cache::ReplayBoard board(catalog.size(), sim::SimTime::hours(1),
                           sim::SimTime{});
   board.freeze();
-  cache::ReplayCursor cursor(board);
+  cache::ReplayView view(board);
   cache::AccessHistory history;
-  const PolicyContext context{config, catalog, history, &future, &cursor};
+  const PolicyContext context{config, catalog, history, &future, &view};
 
   for (const auto& entry : scorer_registry()) {
     const auto scorer = entry.make(context);

@@ -493,11 +493,23 @@ std::uint64_t stream_digest(const trace::SessionSource& source) {
 }
 
 // 200 users, 60 programs (some released mid-run), 3 days.
+trace::GeneratorConfig golden_workload() {
+  return test::small_workload(3, 20070625);
+}
+
 trace::GeneratorSource golden_base() {
-  return trace::GeneratorSource(test::small_workload(3, 20070625));
+  return trace::GeneratorSource(golden_workload());
 }
 
 constexpr std::uint32_t kGoldenNeighborhood = 50;  // 4 neighborhoods
+
+// The golden stream's inputs: the base workload and the adaptor stack,
+// each adaptor with its default seed.
+std::string golden_repro(const char* adaptors) {
+  return test::repro_line(golden_workload()) +
+         " nsize=" + std::to_string(kGoldenNeighborhood) +
+         " adaptors=" + adaptors;
+}
 
 FlashCrowdSpec golden_flash_crowd() {
   FlashCrowdSpec spec;
@@ -532,19 +544,22 @@ NeighborhoodSkewSpec golden_skew() {
 TEST(AdaptorGolden, FlashCrowd) {
   const auto base = golden_base();
   const FlashCrowdSource crowd(base, golden_flash_crowd());
-  EXPECT_EQ(stream_digest(crowd), 0x7F329B39CA24F088ULL);
+  EXPECT_EQ(stream_digest(crowd), 0x7F329B39CA24F088ULL)
+      << golden_repro("flash_crowd");
 }
 
 TEST(AdaptorGolden, ReleaseWaves) {
   const auto base = golden_base();
   const ReleaseWavesSource waves(base, golden_release_waves());
-  EXPECT_EQ(stream_digest(waves), 0xAEDBFAC9A95786EBULL);
+  EXPECT_EQ(stream_digest(waves), 0xAEDBFAC9A95786EBULL)
+      << golden_repro("release_waves");
 }
 
 TEST(AdaptorGolden, NeighborhoodSkew) {
   const auto base = golden_base();
   const NeighborhoodSkewSource skew(base, golden_skew(), kGoldenNeighborhood);
-  EXPECT_EQ(stream_digest(skew), 0x2DEDC38EA055E300ULL);
+  EXPECT_EQ(stream_digest(skew), 0x2DEDC38EA055E300ULL)
+      << golden_repro("neighborhood_skew");
 }
 
 TEST(AdaptorGolden, NeighborhoodSkewRegionsOnly) {
@@ -553,22 +568,26 @@ TEST(AdaptorGolden, NeighborhoodSkewRegionsOnly) {
   auto spec = golden_skew();
   spec.population_share = 0.0;
   const NeighborhoodSkewSource skew(base, spec, kGoldenNeighborhood);
-  EXPECT_EQ(stream_digest(skew), 0xEBF391E903A2A95AULL);
+  EXPECT_EQ(stream_digest(skew), 0xEBF391E903A2A95AULL)
+      << golden_repro("neighborhood_skew(population_share=0)");
 }
 
 TEST(AdaptorGolden, CatalogScaled) {
   const auto base = golden_base();
   // x1 draws nothing and passes the input through.
   EXPECT_EQ(stream_digest(trace::CatalogScaledSource(base, 1)),
-            0x50D8BA74A1878071ULL);
+            0x50D8BA74A1878071ULL)
+      << golden_repro("catalog_scaled(1)");
   EXPECT_EQ(stream_digest(trace::CatalogScaledSource(base, 3)),
-            0x73220C2FED9C94B1ULL);
+            0x73220C2FED9C94B1ULL)
+      << golden_repro("catalog_scaled(3)");
 }
 
 TEST(AdaptorGolden, PopulationScaled) {
   const auto base = golden_base();
   EXPECT_EQ(stream_digest(trace::PopulationScaledSource(base, 2)),
-            0x19EDA05B497D1ACFULL);
+            0x19EDA05B497D1ACFULL)
+      << golden_repro("population_scaled(2)");
 }
 
 TEST(AdaptorGolden, Stack) {
@@ -578,7 +597,9 @@ TEST(AdaptorGolden, Stack) {
   const ReleaseWavesSource waves(skew, golden_release_waves());
   const FlashCrowdSource crowd(waves, golden_flash_crowd());
   const trace::CatalogScaledSource scaled(crowd, 2);
-  EXPECT_EQ(stream_digest(scaled), 0x7026056502895701ULL);
+  EXPECT_EQ(stream_digest(scaled), 0x7026056502895701ULL)
+      << golden_repro(
+             "neighborhood_skew,release_waves,flash_crowd,catalog_scaled(2)");
 }
 
 // ---------------------------------------------------------------------------
@@ -710,6 +731,10 @@ TEST_P(ShippedScenarioIdentity, BitIdenticalAcrossThreadsAndMaterialization) {
   const auto& config = loaded.system;
   const ScenarioWorkload workload(loaded.scenario, config.neighborhood_size);
 
+  const auto repro = [&](const core::SystemConfig& run) {
+    return test::repro_line(loaded.scenario.workload, run) +
+           " scenario=" + GetParam();
+  };
   std::string reference;
   for (const std::uint32_t threads : {1u, 2u, 8u}) {
     auto run = config;
@@ -719,14 +744,14 @@ TEST_P(ShippedScenarioIdentity, BitIdenticalAcrossThreadsAndMaterialization) {
     if (reference.empty()) {
       reference = json;
     } else {
-      EXPECT_EQ(json, reference) << "threads=" << threads;
+      EXPECT_EQ(json, reference) << repro(run);
     }
   }
 
   const auto trace = trace::materialize(workload.source());
   core::VodSystem materialized(trace, config);
   EXPECT_EQ(core::to_json(materialized.run(), true), reference)
-      << "materialized twin diverged";
+      << "materialized twin diverged; " << repro(config);
 }
 
 }  // namespace

@@ -54,6 +54,7 @@ TEST(GeneratorSource, StreamMatchesMaterializedTrace) {
   for (const auto& [days, seed] : std::vector<std::pair<int, std::uint64_t>>{
            {2, 1234}, {4, 99}, {3, 20070625}}) {
     const auto config = test::small_workload(days, seed);
+    SCOPED_TRACE(test::repro_line(config));
     const GeneratorSource source(config);
     const auto trace = generate_power_info_like(config);
     expect_same_sessions(drain(source), trace.sessions());
@@ -65,6 +66,7 @@ TEST(GeneratorSource, StreamMatchesMaterializedTrace) {
 
 TEST(GeneratorSource, CatalogMatchesMaterializedCatalog) {
   const auto config = test::small_workload(2, 7);
+  SCOPED_TRACE(test::repro_line(config));
   const GeneratorSource source(config);
   const auto trace = generate_power_info_like(config);
   const auto& a = source.catalog().programs();
@@ -79,7 +81,9 @@ TEST(GeneratorSource, CatalogMatchesMaterializedCatalog) {
 }
 
 TEST(GeneratorSource, RepeatedOpensReplayIdentically) {
-  const GeneratorSource source(test::small_workload(2, 42));
+  const auto config = test::small_workload(2, 42);
+  SCOPED_TRACE(test::repro_line(config));
+  const GeneratorSource source(config);
   const auto first = drain(source);
   EXPECT_FALSE(first.empty());
   expect_same_sessions(drain(source), first);
@@ -89,6 +93,7 @@ TEST(GeneratorSource, PerNeighborhoodSubsequencesMatch) {
   // What the sharded demux actually consumes: each neighborhood's
   // subsequence of the stream equals its slice of the materialized trace.
   const auto config = test::small_workload(3, 777);
+  SCOPED_TRACE(test::repro_line(config));
   const GeneratorSource source(config);
   const auto trace = generate_power_info_like(config);
   const auto topology = hfc::Topology::build(config.user_count, 50);
@@ -130,9 +135,12 @@ TEST(Trace, StreamsItsSessionsAndFacts) {
 // ------------------------------------------------------- scaling adaptors
 
 TEST(PopulationScaledSource, StreamMatchesMaterializedScaler) {
-  const auto trace = generate_power_info_like(test::small_workload(2, 5));
+  const auto workload = test::small_workload(2, 5);
+  const auto trace = generate_power_info_like(workload);
   const SessionSource& base = trace;
   for (const std::uint32_t factor : {2U, 4U, 7U}) {
+    SCOPED_TRACE(test::repro_line(workload) +
+                 " scale_pop=" + std::to_string(factor));
     const PopulationScaledSource scaled(base, factor);
     const auto twin = scale_population(trace, factor);
     EXPECT_EQ(scaled.user_count(), twin.user_count());
@@ -141,7 +149,9 @@ TEST(PopulationScaledSource, StreamMatchesMaterializedScaler) {
 }
 
 TEST(PopulationScaledSource, FactorOnePassesThrough) {
-  const auto trace = generate_power_info_like(test::small_workload(2, 5));
+  const auto workload = test::small_workload(2, 5);
+  SCOPED_TRACE(test::repro_line(workload) + " scale_pop=1");
+  const auto trace = generate_power_info_like(workload);
   const SessionSource& base = trace;
   const PopulationScaledSource scaled(base, 1);
   expect_same_sessions(drain(scaled), trace.sessions());
@@ -189,9 +199,12 @@ TEST(PopulationScaledSource, HorizonEdgeJitterClampDoesNotReorder) {
 }
 
 TEST(CatalogScaledSource, StreamMatchesMaterializedScaler) {
-  const auto trace = generate_power_info_like(test::small_workload(2, 5));
+  const auto workload = test::small_workload(2, 5);
+  const auto trace = generate_power_info_like(workload);
   const SessionSource& base = trace;
   for (const std::uint32_t factor : {2U, 5U}) {
+    SCOPED_TRACE(test::repro_line(workload) +
+                 " scale_cat=" + std::to_string(factor));
     const CatalogScaledSource scaled(base, factor);
     EXPECT_EQ(scaled.catalog().size(), trace.catalog().size() * factor);
     const auto twin = scale_catalog(trace, factor);
@@ -201,7 +214,9 @@ TEST(CatalogScaledSource, StreamMatchesMaterializedScaler) {
 
 TEST(ScaledSources, ComposeLikeMaterializedTransforms) {
   // The figure-15 sweep shape: population then catalog, stacked adaptors.
-  const auto trace = generate_power_info_like(test::small_workload(2, 31));
+  const auto workload = test::small_workload(2, 31);
+  SCOPED_TRACE(test::repro_line(workload) + " scale_pop=3 scale_cat=2");
+  const auto trace = generate_power_info_like(workload);
   const SessionSource& base = trace;
   const PopulationScaledSource pop(base, 3);
   const CatalogScaledSource both(pop, 2);
@@ -216,9 +231,12 @@ TEST(ScaledSources, ComposeLikeMaterializedTransforms) {
 class CsvSourceTest : public ::testing::Test {
  protected:
   std::string write_temp(const std::string& contents) {
+    // Named by the test, not by an address: ctest runs each test in its
+    // own process, and without address randomization (sanitizer builds)
+    // two processes can see the same fixture address.
     const std::string path =
         testing::TempDir() + "vodcache_csv_source_" +
-        std::to_string(reinterpret_cast<std::uintptr_t>(this)) + "_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
         std::to_string(counter_++) + ".csv";
     std::ofstream out(path);
     out << contents;
@@ -516,8 +534,8 @@ TEST(StreamedSimulation, ReportMatchesMaterializedAcrossStrategies) {
        {core::StrategyKind::None, core::StrategyKind::Lru,
         core::StrategyKind::Lfu, core::StrategyKind::Oracle,
         core::StrategyKind::GlobalLfu}) {
-    SCOPED_TRACE(core::to_string(kind));
-    auto config = small_system(kind);
+    const auto config = small_system(kind);
+    SCOPED_TRACE(test::repro_line(identity_workload(), config));
     core::VodSystem materialized(trace, config);
     const auto expected =
         core::to_json(materialized.run(), /*include_neighborhoods=*/true);
@@ -535,7 +553,7 @@ TEST(StreamedSimulation, ReportInvariantToThreadsAndChunkSize) {
     auto variant = config;
     variant.threads = threads;
     EXPECT_EQ(run_streamed(source, variant), reference)
-        << "threads=" << threads;
+        << test::repro_line(identity_workload(), variant);
   }
   // Chunk edges land mid-hour, mid-day, and beyond the horizon; none of
   // them may show in the bytes.
@@ -546,7 +564,7 @@ TEST(StreamedSimulation, ReportInvariantToThreadsAndChunkSize) {
     variant.stream_chunk = chunk;
     variant.threads = 4;
     EXPECT_EQ(run_streamed(source, variant), reference)
-        << "chunk minutes=" << chunk.minutes_f();
+        << test::repro_line(identity_workload(), variant);
   }
 }
 
@@ -560,11 +578,13 @@ TEST(StreamedSimulation, FailureWavesMatchMaterialized) {
   core::VodSystem materialized(trace, config);
   const auto expected =
       core::to_json(materialized.run(), /*include_neighborhoods=*/true);
-  EXPECT_EQ(run_streamed(source, config), expected);
+  EXPECT_EQ(run_streamed(source, config), expected)
+      << test::repro_line(identity_workload(), config);
   auto threaded = config;
   threaded.threads = 8;
   threaded.stream_chunk = sim::SimTime::minutes(45);
-  EXPECT_EQ(run_streamed(source, threaded), expected);
+  EXPECT_EQ(run_streamed(source, threaded), expected)
+      << test::repro_line(identity_workload(), threaded);
 }
 
 // Forwards to another source and counts how many streams it opens.
@@ -595,31 +615,33 @@ class CountingSource final : public SessionSource {
   mutable std::atomic<int> opens_{0};
 };
 
-// The demux builds the GlobalLFU board and the failure flush time on its
-// own pass; only whole-trace products (Oracle's future index, tier
+// The demux builds the failure flush time on its own pass; only
+// whole-trace products (the GlobalLFU board, Oracle's future index, tier
 // prefetch plans) cost a second read of the workload.
 TEST(StreamedSimulation, ReadsTheWorkloadOnceUnlessAWholeTraceProductIsNeeded) {
   const GeneratorSource base(identity_workload());
-  const auto opens_for = [&](const core::SystemConfig& config) {
+  const auto expect_opens = [&](const core::SystemConfig& config,
+                                 int opens) {
     const CountingSource source(base);
     core::VodSystem system(source, config);
     (void)system.run();
-    return source.opens();
+    EXPECT_EQ(source.opens(), opens)
+        << test::repro_line(identity_workload(), config);
   };
 
-  EXPECT_EQ(opens_for(small_system(core::StrategyKind::GlobalLfu)), 1);
+  expect_opens(small_system(core::StrategyKind::GlobalLfu), 2);
 
   auto failures = small_system(core::StrategyKind::Lru);
   failures.peer_failures.push_back({sim::SimTime::hours(20), 0.4, 11});
-  EXPECT_EQ(opens_for(failures), 1);
+  expect_opens(failures, 1);
 
-  EXPECT_EQ(opens_for(small_system(core::StrategyKind::Oracle)), 2);
+  expect_opens(small_system(core::StrategyKind::Oracle), 2);
 
   auto hub = small_system(core::StrategyKind::Lru);
   hub.prefetch.kind = core::PrefetchKind::TopPopular;
   hub.tiers.push_back(hfc::TierLevelSpec{});
   hub.tiers.back().capacity = DataSize::gigabytes(20);
-  EXPECT_EQ(opens_for(hub), 2);
+  expect_opens(hub, 2);
 }
 
 TEST(StreamedSimulation, ScaledSourceMatchesScaledTrace) {
@@ -633,7 +655,9 @@ TEST(StreamedSimulation, ScaledSourceMatchesScaledTrace) {
   core::VodSystem materialized(trace, config);
   const auto expected =
       core::to_json(materialized.run(), /*include_neighborhoods=*/true);
-  EXPECT_EQ(run_streamed(source, config), expected);
+  EXPECT_EQ(run_streamed(source, config), expected)
+      << test::repro_line(identity_workload(), config)
+      << " scale_pop=2 scale_cat=2";
 }
 
 }  // namespace

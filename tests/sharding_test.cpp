@@ -203,7 +203,7 @@ TEST(FailureFlush, LateWaveHitsIdleNeighborhoods) {
 // pipeline across workers while cold shards starve) and failure_storm
 // (the demux-computed flush time plus pre-rolled failure waves).  Byte-identity
 // across threads 1/2/8/16 and across chunk sizes, under GlobalLFU so the
-// watermark-bounded board reads are on the hook too.
+// prepass-built board and its per-shard views are on the hook too.
 class ScenarioExecutorIdentity : public ::testing::TestWithParam<const char*> {
 };
 

@@ -4,9 +4,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/index_server.hpp"
 #include "trace/generator.hpp"
 #include "trace/scaler.hpp"
@@ -81,6 +84,35 @@ inline trace::GeneratorConfig small_workload(std::int32_t days = 4,
   config.sessions_per_user_per_day = 4.0;
   config.seed = seed;
   return config;
+}
+
+// One line naming a seeded run's inputs — the generated workload and, for
+// a replay, the system it runs through — for SCOPED_TRACE, so a failure's
+// log says how to re-run it.
+inline std::string repro_line(const trace::GeneratorConfig& workload) {
+  std::ostringstream line;
+  line << "repro: seed=" << workload.seed << " days=" << workload.days
+       << " users=" << workload.user_count
+       << " programs=" << workload.program_count
+       << " sessions_per_user_day=" << workload.sessions_per_user_per_day;
+  return line.str();
+}
+
+inline std::string repro_line(const trace::GeneratorConfig& workload,
+                              const core::SystemConfig& config) {
+  std::ostringstream line;
+  line << repro_line(workload) << " threads=" << config.threads
+       << " chunk_s=" << config.stream_chunk.millis_count() / 1000
+       << " strategy=" << core::to_string(config.strategy.kind)
+       << " lag_min=" << config.strategy.global_lag.millis_count() / 60'000
+       << " admission=" << core::to_string(config.admission_policy.kind)
+       << " granularity=" << core::to_string(config.admission)
+       << " nsize=" << config.neighborhood_size
+       << " storage_mb=" << config.per_peer_storage.byte_count() / 1e6
+       << " failure_waves=" << config.peer_failures.size()
+       << " tiers=" << config.tiers.size()
+       << " prefetch=" << core::to_string(config.prefetch.kind);
+  return line.str();
 }
 
 // Total viewer-facing traffic if every session of `trace` streams at

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/policy_registry.hpp"
@@ -218,12 +219,17 @@ TEST(TierSystem, NoPlansMeansOriginAlways) {
 
 // ------------------------------------------------------------- end to end
 
-core::SimulationReport run_small(const SystemConfig& config,
-                                 std::uint64_t seed = 4242) {
-  const auto trace =
-      trace::generate_power_info_like(test::small_workload(3, seed));
+// The end-to-end cases' workload: 3 seeded days of the small population.
+trace::GeneratorConfig tier_workload() { return test::small_workload(3, 4242); }
+
+core::SimulationReport run_small(const SystemConfig& config) {
+  const auto trace = trace::generate_power_info_like(tier_workload());
   core::VodSystem system(trace, config);
   return system.run();
+}
+
+std::string repro(const SystemConfig& config) {
+  return test::repro_line(tier_workload(), config);
 }
 
 SystemConfig small_system() {
@@ -240,6 +246,7 @@ TEST(TieredSimulation, ReportCarriesTierRowsAndConservesBytes) {
   config.tiers.back().fan_in = 2;
   config.tiers.back().capacity = DataSize::gigabytes(20);
   config.prefetch.refresh = sim::SimTime::hours(6);
+  SCOPED_TRACE(repro(config));
   const auto report = run_small(config);
 
   ASSERT_EQ(report.tiers.size(), 2u);  // hub + origin
@@ -277,11 +284,12 @@ TEST(TieredSimulation, ZeroCapacityHubMatchesTwoLevelCore) {
   // A hub that can store nothing must not change a single core number —
   // the walk only redirects misses it can serve.
   auto flat = small_system();
-  const auto flat_report = run_small(flat);
-
   auto tiered = small_system();
   tiered.tiers.push_back(hfc::TierLevelSpec{});
   tiered.tiers.back().capacity = DataSize{};
+  SCOPED_TRACE(repro(flat));
+  SCOPED_TRACE(repro(tiered));
+  const auto flat_report = run_small(flat);
   const auto tiered_report = run_small(tiered);
 
   EXPECT_EQ(tiered_report.hits, flat_report.hits);
@@ -301,11 +309,12 @@ TEST(TieredSimulation, HubAbsorptionLowersTotalCostAtCheaperRate) {
   idle.tiers.push_back(hfc::TierLevelSpec{});
   idle.tiers.back().capacity = DataSize::gigabytes(20);
   idle.prefetch.kind = PrefetchKind::None;
-  const auto idle_report = run_small(idle);
-
   auto active = idle;
   active.prefetch.kind = PrefetchKind::TopPopular;
   active.prefetch.refresh = sim::SimTime::hours(6);
+  SCOPED_TRACE(repro(idle));
+  SCOPED_TRACE(repro(active));
+  const auto idle_report = run_small(idle);
   const auto active_report = run_small(active);
 
   EXPECT_EQ(idle_report.tiers[0].hits, 0u);
@@ -324,11 +333,13 @@ TEST(TieredSimulation, ByteIdenticalAcrossThreadCounts) {
       {sim::SimTime::hours(30), sim::SimTime::hours(4)});
   config.prefetch.refresh = sim::SimTime::hours(6);
 
-  const auto trace = trace::generate_power_info_like(test::small_workload(3));
+  const auto workload = test::small_workload(3);
+  const auto trace = trace::generate_power_info_like(workload);
   std::string reference;
   for (const std::uint32_t threads : {1u, 2u, 8u}) {
     auto run = config;
     run.threads = threads;
+    SCOPED_TRACE(test::repro_line(workload, run));
     core::VodSystem system(trace, run);
     const auto json = core::to_json(system.run(), true);
     if (reference.empty()) {
