@@ -22,9 +22,11 @@
 //
 // Beyond the paper: this harness also owns the engine's own scaling story.
 // It replays the 1x workload at 1/2/4/8 worker threads, checks the reports
-// are byte-identical, and writes wall-clock plus peak-RSS numbers to
-// BENCH_scaling.json (override the path with VODCACHE_SCALING_JSON).
+// are byte-identical, and writes wall-clock, peak-RSS and busy time per
+// job-graph node kind to BENCH_scaling.json (override the path with
+// VODCACHE_SCALING_JSON).
 // VODCACHE_SCALING_ONLY=1 skips the 25-cell paper sweep for CI use.
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <thread>
@@ -32,6 +34,7 @@
 
 #include "bench_support.hpp"
 
+#include "core/job_graph.hpp"
 #include "core/report_json.hpp"
 #include "trace/scaler.hpp"
 
@@ -66,6 +69,7 @@ int run_thread_scaling(const trace::SessionSource& source,
     long peak_rss_kb;
     std::uint64_t steal_count;
     double worker_utilization;
+    std::array<double, core::kJobKinds> kind_busy_ms;
   };
   std::vector<Sample> samples;
   std::string reference_json;
@@ -95,7 +99,7 @@ int run_thread_scaling(const trace::SessionSource& source,
     samples.push_back({threads, wall_ms,
                        bench::sessions_per_sec(report.sessions, wall_ms),
                        bench::peak_rss_kb(), exec.steals,
-                       exec.utilization()});
+                       exec.utilization(), exec.kind_busy_ms});
     table.add_row({std::to_string(threads),
                    analysis::Table::num(wall_ms / 1000.0, 2),
                    analysis::Table::num(samples.front().wall_ms / wall_ms, 2),
@@ -108,6 +112,25 @@ int run_thread_scaling(const trace::SessionSource& source,
                    json == reference_json ? "yes" : "NO"});
   }
   table.print(std::cout);
+
+  // Where each run's busy time went, by job-graph node kind (ARCHITECTURE.md,
+  // "The job graph"): the serial chains (demux, prepass) against the
+  // parallel feeds.
+  std::vector<std::string> kind_columns{"threads"};
+  for (std::size_t k = 0; k < core::kJobKinds; ++k) {
+    kind_columns.push_back(
+        std::string(core::job_kind_name(static_cast<core::JobKind>(k))) +
+        " busy s");
+  }
+  analysis::Table kinds(kind_columns);
+  for (const auto& sample : samples) {
+    std::vector<std::string> row{std::to_string(sample.threads)};
+    for (const double ms : sample.kind_busy_ms) {
+      row.push_back(analysis::Table::num(ms / 1000.0, 3));
+    }
+    kinds.add_row(row);
+  }
+  kinds.print(std::cout);
 
   const char* path_env = std::getenv("VODCACHE_SCALING_JSON");
   const std::string path = path_env != nullptr ? path_env : "BENCH_scaling.json";
@@ -128,7 +151,14 @@ int run_thread_scaling(const trace::SessionSource& source,
         << ",\"sessions_per_sec\":" << samples[i].sessions_per_sec
         << ",\"steal_count\":" << samples[i].steal_count
         << ",\"worker_utilization\":" << samples[i].worker_utilization
-        << ",\"peak_rss_kb\":" << samples[i].peak_rss_kb << '}';
+        << ",\"peak_rss_kb\":" << samples[i].peak_rss_kb
+        << ",\"busy_ms_by_kind\":{";
+    for (std::size_t k = 0; k < core::kJobKinds; ++k) {
+      out << (k ? "," : "") << '"'
+          << core::job_kind_name(static_cast<core::JobKind>(k))
+          << "\":" << samples[i].kind_busy_ms[k];
+    }
+    out << "}}";
   }
   out << "]}\n";
   std::cout << "wrote " << path << '\n';

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/cache_cell.hpp"
@@ -357,6 +358,93 @@ void BM_ReplayBoardBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.sessions().size()));
 }
 BENCHMARK(BM_ReplayBoardBuild)->Unit(benchmark::kMillisecond);
+
+// A board shaped like the 12-day, 166,792-user GlobalLFU run, built once
+// as one piece and once sealed into 16 (the prepass chain's most epochs),
+// plus sampled GlobalLFU count queries: an admission candidate's count
+// between a session start's expiry position (72 h back, the default
+// history) and its cut.
+struct CountBoards {
+  std::unique_ptr<cache::ReplayBoard> one_piece;
+  std::unique_ptr<cache::ReplayBoard> sixteen_pieces;
+  struct Query {
+    ProgramId program;
+    std::size_t from;
+    std::size_t to;
+  };
+  std::vector<Query> queries;
+};
+
+const CountBoards& count_boards() {
+  static const CountBoards boards = [] {
+    trace::GeneratorConfig workload;
+    workload.days = 12;
+    workload.user_count = 166'792;
+    const trace::GeneratorSource source(workload);
+    const core::SystemConfig config;
+    const auto window = config.strategy.lfu_history;
+    CountBoards out;
+    out.one_piece = std::make_unique<cache::ReplayBoard>(
+        source.catalog().size(), window, sim::SimTime{});
+    out.sixteen_pieces = std::make_unique<cache::ReplayBoard>(
+        source.catalog().size(), window, sim::SimTime{});
+    const std::int64_t epoch_ms = source.horizon().millis_count() / 16;
+    std::int64_t next_seal_ms = epoch_ms;
+    // Every 1,000th session start is a query's cut; the program is the
+    // one of the sampled start after it (popularity-weighted, like the
+    // candidates a cell compares).
+    struct Sample {
+      std::size_t index;
+      sim::SimTime t;
+      ProgramId program;
+    };
+    std::vector<Sample> samples;
+    const auto stream = source.open();
+    trace::SessionRecord r;
+    std::size_t index = 0;
+    while (stream->next(r)) {
+      while (r.start.millis_count() >= next_seal_ms) {
+        out.sixteen_pieces->seal(sim::SimTime::millis(next_seal_ms));
+        next_seal_ms += epoch_ms;
+      }
+      out.one_piece->add(r.program, r.start);
+      out.sixteen_pieces->add(r.program, r.start);
+      if (index % 1000 == 0) samples.push_back({index, r.start, r.program});
+      ++index;
+    }
+    out.one_piece->freeze();
+    out.sixteen_pieces->freeze();
+    for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
+      out.queries.push_back(
+          {samples[i + 1].program,
+           out.one_piece->first_at_or_after(samples[i].t - window, 0),
+           samples[i].index + 1});
+    }
+    return out;
+  }();
+  return boards;
+}
+
+// ReplayBoard::count_between, as a GlobalLFU cell scores an uncached
+// candidate: the program's slots at both positions.  Arg: board pieces.
+void BM_BoardCountBetween(benchmark::State& state) {
+  const auto& boards = count_boards();
+  const cache::ReplayBoard& board = state.range(0) == 1
+                                        ? *boards.one_piece
+                                        : *boards.sixteen_pieces;
+  std::size_t q = 0;
+  std::int64_t total = 0;
+  for (auto _ : state) {
+    const auto& query = boards.queries[q];
+    total += board.count_between(query.program, query.from, query.to);
+    if (++q == boards.queries.size()) q = 0;
+  }
+  benchmark::DoNotOptimize(total);
+  state.SetLabel(std::to_string(board.piece_count()) + " pieces, " +
+                 std::to_string(board.size()) + " entries");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BoardCountBetween)->Arg(1)->Arg(16)->Unit(benchmark::kNanosecond);
 
 // One GlobalLFU shard's feed + finish over neighborhood 0 of
 // global_trace() in hourly batches, reading the whole deployment's board

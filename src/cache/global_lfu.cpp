@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <span>
 
 #include "util/assert.hpp"
 
@@ -38,8 +37,7 @@ void GlobalLfuStrategy::refresh(sim::SimTime) {
     marks_.pop_back();
     const ProgramId program{static_cast<std::uint32_t>(mark)};
     Span* span = spans_.find(program.value());
-    if (span == nullptr || span->lapse == kNone ||
-        view_->board().entries(program)[span->lapse] != (mark >> 32)) {
+    if (span == nullptr || span->lapse != (mark >> 32)) {
       continue;  // evicted, or re-stored since
     }
     const std::int64_t count = advance(program, *span);
@@ -62,11 +60,9 @@ void GlobalLfuStrategy::refresh(sim::SimTime) {
 }
 
 std::int64_t GlobalLfuStrategy::advance(ProgramId program, Span& span) const {
-  const auto list = view_->board().entries(program);
-  span.cut = static_cast<std::uint32_t>(
-      gallop(list, span.cut, static_cast<std::uint32_t>(view_->cut())));
-  span.expiry = static_cast<std::uint32_t>(
-      gallop(list, span.expiry, static_cast<std::uint32_t>(view_->expiry())));
+  const ReplayBoard& board = view_->board();
+  span.cut = board.slot_at_or_after(program, view_->cut(), span.cut);
+  span.expiry = board.slot_at_or_after(program, view_->expiry(), span.expiry);
   return span.cut - span.expiry + view_->own(program);
 }
 
@@ -76,11 +72,12 @@ Score GlobalLfuStrategy::bound(ProgramId program, Span& span,
   span.lapse = kNone;
   if (count > slack) {
     // The (slack + 1)-th oldest counted entry.  Counted entries past the
-    // cut (the shard's own at lag > 0) are in the list too, so it exists.
-    const auto list = view_->board().entries(program);
-    span.lapse = span.expiry + static_cast<std::uint32_t>(slack);
-    VODCACHE_ASSERT(span.lapse < list.size());
-    push((static_cast<Mark>(list[span.lapse]) << 32) | program.value());
+    // cut (the shard's own at lag > 0) are in the list too, so it exists,
+    // and it started no later than the event being served.
+    span.lapse = view_->board().position_of(
+        program, span.expiry + static_cast<std::uint32_t>(slack),
+        view_->expiry());
+    push((static_cast<Mark>(span.lapse) << 32) | program.value());
   }
   return {count - slack, recency(program)};
 }
@@ -93,9 +90,7 @@ void GlobalLfuStrategy::push(Mark mark) {
     marks_.clear();
     spans_.for_each([&](std::uint64_t id, const Span& span) {
       if (span.lapse == kNone) return;
-      const auto list =
-          view_->board().entries(ProgramId{static_cast<std::uint32_t>(id)});
-      marks_.push_back((static_cast<Mark>(list[span.lapse]) << 32) | id);
+      marks_.push_back((static_cast<Mark>(span.lapse) << 32) | id);
     });
     std::make_heap(marks_.begin(), marks_.end(), std::greater<>{});
   }

@@ -58,9 +58,9 @@ class GlobalLfuStrategy final : public EvictionScorer {
 
  private:
   // A cached program's entry-list slots as of its stored score: the first
-  // one inside the window and the first one past the cut, and the slot
-  // whose expiry ends the stored bound (kNone: the bound is 0 and never
-  // lapses).
+  // one inside the window and the first one past the cut, and the global
+  // position of the entry whose expiry ends the stored bound (kNone: the
+  // bound is 0 and never lapses).
   struct Span {
     std::uint32_t expiry = 0;
     std::uint32_t cut = 0;
@@ -69,8 +69,8 @@ class GlobalLfuStrategy final : public EvictionScorer {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
   // A heap mark: (global position << 32) | program — the entry whose
   // expiry ends the program's stored bound.  A mark is live while the
-  // program is cached and its span's lapse slot names that position;
-  // others are stale and dropped when popped.
+  // program is cached and its span's lapse is that position; others are
+  // stale and dropped when popped.
   using Mark = std::uint64_t;
 
   // Before a victim decision: re-stores the programs whose bounds lapsed,

@@ -17,14 +17,22 @@
 //    information in batches after a certain length of time has passed".
 //
 // The board is only ever fed at *session starts*, and session starts come
-// straight from the sorted trace, so the orchestrator's prepass builds it
-// in one streaming pass before any shard replays.  Frozen, it is read-only
-// and shared by every shard.  Each shard owns one ReplayView, the two
-// positions its own events have reached, which yields the visible counts
-// without any cross-shard synchronization.
+// straight from the sorted trace, so the orchestrator's prepass chain
+// builds it while the shards replay.  It grows by immutable *pieces*: at
+// the end of each epoch of the chunk grid the prepass seals what it read
+// up to a time T, and from then on reads at event times up to T are
+// answered.  A read at event time t touches only entries at times <= t,
+// or the position just after them, at either lag: the cut and the expiry
+// are positions of times <= t, and the counted entries past the cut (the
+// shard's own at lag > 0) started at or before t.  So a shard's feed of a
+// chunk needs only the piece that seals the chunk's end; every read past
+// the sealed part is a precondition failure, never a silent race.
+// Sealed pieces are read-only and shared by every shard; each shard owns
+// one ReplayView, the two positions its own events have reached, which
+// yields the visible counts without any cross-shard synchronization.
 #pragma once
 
-#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -37,94 +45,156 @@
 
 namespace vodcache::cache {
 
-// The first index i >= from of ascending `values` with values[i] >= key,
-// where every value before `from` is below `key`.  Exponential search from
-// `from`: the cost grows with the log of the distance moved, not with the
-// sequence's length, so a position that only moves forward pays for how
-// far it moves.
-template <typename T>
-[[nodiscard]] std::size_t gallop(std::span<const T> values, std::size_t from,
-                                 T key) {
-  std::size_t lower = from;
-  std::size_t upper = from;
-  std::size_t step = 1;
-  while (upper < values.size() && values[upper] < key) {
-    lower = upper + 1;
-    upper = lower + step;
-    step *= 2;
-  }
-  upper = std::min(upper, values.size());
-  return static_cast<std::size_t>(
-      std::lower_bound(values.begin() + static_cast<std::ptrdiff_t>(lower),
-                       values.begin() + static_cast<std::ptrdiff_t>(upper),
-                       key) -
-      values.begin());
-}
-
 // The trace-ordered access timeline, indexed per program.  add() appends
-// in trace order; freeze() builds, per program, the ascending list of its
-// global entry positions.  Appending in trace order makes each list sorted
-// already, so freeze() is one counting pass and one placement pass, no
-// sort.  The index holds 16 bytes per entry (a time, a program and a list
-// slot) plus one offset per program.
+// in trace order; seal() turns everything added since the last seal into
+// one immutable piece, and freeze() seals whatever is left.  A piece holds
+// its entries' times and programs, and per program the ascending list of
+// its entries' global positions (appending in trace order makes each list
+// sorted already, so sealing is one counting pass and one placement pass,
+// no sort) plus the program's entry count before the piece.  Slot j of a
+// program's whole list is then slot j - base of the piece that holds it.
+// A board frozen once is one piece: 16 bytes per entry (a time, a program
+// and a list slot) plus two words per program.  Each later piece adds two
+// words per program.
+//
+// One writer fills the board while readers query its sealed pieces: a
+// seal publishes its piece with a release store, and a reader's acquire
+// load of the piece count sees every sealed piece whole.  Pieces live in
+// a table sized up front, so a seal never moves one a reader is in.
 class ReplayBoard {
  public:
+  // The most seal() and freeze() calls one board takes.
+  static constexpr std::size_t kMaxPieces = 64;
+
   ReplayBoard(std::size_t program_count, sim::SimTime window,
               sim::SimTime lag);
+  ReplayBoard(const ReplayBoard&) = delete;
+  ReplayBoard& operator=(const ReplayBoard&) = delete;
 
-  // Accesses must arrive in non-decreasing time order (trace order).
+  // Accesses must arrive in non-decreasing time order (trace order), none
+  // before the last seal's time.
   void add(ProgramId program, sim::SimTime t);
+  // Seals every entry added since the last seal as one piece.  Every later
+  // add() is at or after `through`, so reads at event times up to
+  // `through` are answered from here on.
+  void seal(sim::SimTime through);
+  // Seals whatever is left; reads at any time are answered.
   void freeze();
 
   // Sizing hint for streaming construction.
   void reserve(std::size_t count);
 
-  [[nodiscard]] std::size_t size() const { return times_.size(); }
+  // Sealed entries.
+  [[nodiscard]] std::size_t size() const {
+    const std::size_t sealed = sealed_pieces();
+    return sealed == 0 ? 0 : pieces_[sealed - 1].end();
+  }
+  [[nodiscard]] std::size_t piece_count() const { return sealed_pieces(); }
+  // The latest event time whose reads are answered.
+  [[nodiscard]] sim::SimTime sealed_through() const {
+    const std::size_t sealed = sealed_pieces();
+    return sealed == 0 ? sim::SimTime::millis(-1)
+                       : pieces_[sealed - 1].through;
+  }
   [[nodiscard]] sim::SimTime window() const { return window_; }
   [[nodiscard]] sim::SimTime lag() const { return lag_; }
 
-  // Frozen queries.  Positions are global entry indices.
+  // Sealed queries.  Positions are global entry indices; a program's slots
+  // index its ascending list of entries.  Each one requires what it reads
+  // to be sealed.
   //
   // The first position >= from whose time is >= t; every entry before
-  // `from` must be earlier than t.
+  // `from` must be earlier than t, and t at most sealed_through().
   [[nodiscard]] std::size_t first_at_or_after(sim::SimTime t,
-                                              std::size_t from) const {
-    VODCACHE_EXPECTS(frozen_);
-    return gallop(std::span<const sim::SimTime>(times_), from, t);
-  }
-  // `program`'s entries, ascending.
-  [[nodiscard]] std::span<const std::uint32_t> entries(
-      ProgramId program) const {
-    VODCACHE_EXPECTS(frozen_);
-    VODCACHE_EXPECTS(program.value() < program_count_);
-    const std::uint32_t begin = offsets_[program.value()];
-    const std::uint32_t end = offsets_[program.value() + 1];
-    return {positions_.data() + begin, end - begin};
-  }
-  // `program`'s entries in positions [from, to).
+                                              std::size_t from) const;
+  // The first slot >= from of `program`'s list whose entry is at or after
+  // `position` (at most size()); every slot before `from` must be earlier.
+  // The search runs in the one piece that holds `position`: a binary
+  // search without a hint (from == 0), else an exponential one from the
+  // hint, or from the piece's start when the hint is in an earlier piece.
+  [[nodiscard]] std::uint32_t slot_at_or_after(ProgramId program,
+                                               std::size_t position,
+                                               std::uint32_t from = 0) const;
+  // The global position of `program`'s entry in `slot`.  `after` is a
+  // position at or before that entry's: the search for the piece holding
+  // the slot runs onward from the piece holding `after`.
+  [[nodiscard]] std::uint32_t position_of(ProgramId program,
+                                          std::uint32_t slot,
+                                          std::size_t after) const;
+  // `program`'s entries in positions [from, to): a search in the two
+  // pieces at the ends.
   [[nodiscard]] std::int64_t count_between(ProgramId program,
                                            std::size_t from,
-                                           std::size_t to) const;
+                                           std::size_t to) const {
+    VODCACHE_EXPECTS(from <= to);
+    return static_cast<std::int64_t>(slot_at_or_after(program, to)) -
+           static_cast<std::int64_t>(slot_at_or_after(program, from));
+  }
   // Whether entry `index` is `program`'s access at `t`.
   [[nodiscard]] bool holds(std::size_t index, ProgramId program,
                            sim::SimTime t) const;
 
  private:
+  struct Piece {
+    // Entries [begin, end()) on the global timeline, all sealed through
+    // `through`.
+    std::uint32_t begin = 0;
+    sim::SimTime through;
+    std::vector<sim::SimTime> times;
+    std::vector<std::uint32_t> programs;
+    // positions[offsets[p], offsets[p + 1]) are p's entries in this piece,
+    // ascending; base[p] counts p's entries in earlier pieces.
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> positions;
+    std::vector<std::uint32_t> base;
+
+    [[nodiscard]] std::uint32_t end() const {
+      return begin + static_cast<std::uint32_t>(times.size());
+    }
+    [[nodiscard]] std::span<const std::uint32_t> list(
+        std::uint32_t program) const {
+      return {positions.data() + offsets[program],
+              offsets[program + 1] - offsets[program]};
+    }
+  };
+
+  [[nodiscard]] std::size_t sealed_pieces() const {
+    return sealed_.load(std::memory_order_acquire);
+  }
+  // The last of the first `sealed` pieces that begins at or before
+  // `position`.
+  [[nodiscard]] const Piece& piece_at(std::size_t position,
+                                      std::size_t sealed) const;
+  // Appends the unsealed entries as the next piece; the last one takes the
+  // buffers whole.
+  void seal_piece(sim::SimTime through, bool last);
+
+  // Read by every shard.
   sim::SimTime window_;
   sim::SimTime lag_;
   std::size_t program_count_;
-  // By global position.
+  // kMaxPieces slots, the first sealed_ of them published; begins_[i] is
+  // piece i's begin, kept apart so a lookup scans one short array.
+  std::vector<Piece> pieces_;
+  std::vector<std::uint32_t> begins_;
+  std::atomic<std::size_t> sealed_{0};
+
+  // The writer's own state, on cache lines apart from the fields above:
+  // it changes at every add() while shards read those.
+  //
+  // Unsealed entries, by global position from unsealed_begin_, the last
+  // piece's end.
+  alignas(64) std::size_t unsealed_begin_ = 0;
   std::vector<sim::SimTime> times_;
   std::vector<std::uint32_t> programs_;
-  // Frozen: positions_[offsets_[p], offsets_[p + 1]) are p's entries,
-  // ascending.
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::uint32_t> positions_;
+  // The writer's copy of the last seal's time; frozen_ once freeze() ran.
+  sim::SimTime through_ = sim::SimTime::millis(-1);
   bool frozen_ = false;
 };
 
-// A shard's view of a frozen ReplayBoard: the positions its own events
-// have reached, and the counts they imply.
+// A shard's view of a ReplayBoard: the positions its own events have
+// reached, and the counts they imply.  Every event must be sealed on the
+// board (its time at most sealed_through()).
 //
 //   * on_boundary(t) — a segment boundary at t runs after every session
 //     start before t and before any at t, so the cut is the first entry at

@@ -1,5 +1,6 @@
 #include "core/job_executor.hpp"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -51,6 +52,7 @@ struct RunState {
     std::uint64_t executed = 0;
     std::uint64_t cancelled = 0;
     double busy_ms = 0.0;
+    std::array<double, kJobKinds> kind_busy_ms{};
   };
   std::vector<WorkerLocal> locals;
 
@@ -108,9 +110,11 @@ void execute(RunState& state, std::uint32_t self, JobId job) {
       }
       state.cancelled.store(true, std::memory_order_release);
     }
-    local.busy_ms += std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - begin)
-                         .count();
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - begin)
+                          .count();
+    local.busy_ms += ms;
+    local.kind_busy_ms[static_cast<std::size_t>(state.graph.kind(job))] += ms;
   } else {
     ++local.cancelled;
   }
@@ -188,6 +192,9 @@ ExecutorStats JobExecutor::run(JobGraph& graph) {
     stats.executed += local.executed;
     stats.cancelled += local.cancelled;
     stats.worker_busy_ms.push_back(local.busy_ms);
+    for (std::size_t k = 0; k < kJobKinds; ++k) {
+      stats.kind_busy_ms[k] += local.kind_busy_ms[k];
+    }
   }
   VODCACHE_ASSERT(stats.executed + stats.cancelled == graph.node_count());
 

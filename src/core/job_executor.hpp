@@ -23,6 +23,7 @@
 // after the pool settles.  The graph is reusable afterwards.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +38,8 @@ struct ExecutorStats {
   std::uint64_t steals = 0;     // successful pops from another's deque
   double wall_ms = 0.0;
   std::vector<double> worker_busy_ms;  // per worker, closure time only
+  // The same closure time by node kind, indexed by JobKind.
+  std::array<double, kJobKinds> kind_busy_ms{};
 
   // Mean fraction of the run each worker spent inside job closures.
   [[nodiscard]] double utilization() const {

@@ -7,10 +7,27 @@
 
 namespace vodcache::core {
 
-JobId JobGraph::add(JobFn fn, std::string name) {
+const char* job_kind_name(JobKind kind) {
+  switch (kind) {
+    case JobKind::Demux:
+      return "demux";
+    case JobKind::Prepass:
+      return "prepass";
+    case JobKind::Feed:
+      return "feed";
+    case JobKind::Finish:
+      return "finish";
+    case JobKind::Merge:
+      return "merge";
+  }
+  return "?";
+}
+
+JobId JobGraph::add(JobKind kind, JobFn fn, std::string name) {
   finalized_ = false;
   const auto id = static_cast<JobId>(fns_.size());
   fns_.push_back(std::move(fn));
+  kinds_.push_back(kind);
   names_.push_back(std::move(name));
   return id;
 }

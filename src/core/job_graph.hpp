@@ -1,12 +1,13 @@
 // JobGraph: an explicit task DAG for the work-stealing JobExecutor.
 //
-// A node is a closure plus an optional debug name; an edge `depend(a, b)`
-// means b may only start after a has finished.  Construction is two-phase:
-// add()/depend() accumulate nodes and an edge list, and finalize() (called
-// implicitly by the executor) compacts the edges into CSR adjacency and
-// verifies acyclicity with Kahn's algorithm — a cycle is a programming
-// error in graph construction, reported as std::logic_error before any
-// node runs.
+// A node is a closure, its kind and an optional debug name; an edge
+// `depend(a, b)` means b may only start after a has finished.  The kind
+// only labels the node's busy time in the executor's stats.  Construction
+// is two-phase: add()/depend() accumulate nodes and an edge list, and
+// finalize() (called implicitly by the executor) compacts the edges into
+// CSR adjacency and verifies acyclicity with Kahn's algorithm — a cycle
+// is a programming error in graph construction, reported as
+// std::logic_error before any node runs.
 //
 // The graph itself carries no execution state: the executor keeps its own
 // per-run copy of the dependency counts, so one graph can be run many
@@ -31,12 +32,19 @@ namespace vodcache::core {
 
 using JobId = std::uint32_t;
 
+// What a node of the sharded replay does (see ARCHITECTURE.md, "The job
+// graph").
+enum class JobKind : std::uint8_t { Demux, Prepass, Feed, Finish, Merge };
+inline constexpr std::size_t kJobKinds = 5;
+
+[[nodiscard]] const char* job_kind_name(JobKind kind);
+
 class JobGraph {
  public:
   using JobFn = std::function<void()>;
 
   // Adds a node; `fn` may be empty (a pure synchronization point).
-  JobId add(JobFn fn, std::string name = {});
+  JobId add(JobKind kind, JobFn fn, std::string name = {});
 
   // Declares that `child` must wait for `parent`.  Duplicate edges are
   // permitted and counted consistently (the child waits twice), but are
@@ -45,6 +53,7 @@ class JobGraph {
 
   [[nodiscard]] std::size_t node_count() const { return fns_.size(); }
   [[nodiscard]] const std::string& name(JobId id) const { return names_[id]; }
+  [[nodiscard]] JobKind kind(JobId id) const { return kinds_[id]; }
 
   // Compacts edges into CSR form and checks for cycles (throws
   // std::logic_error naming a node on one).  Idempotent; add()/depend()
@@ -66,6 +75,7 @@ class JobGraph {
 
  private:
   std::vector<JobFn> fns_;
+  std::vector<JobKind> kinds_;
   std::vector<std::string> names_;
   std::vector<std::pair<JobId, JobId>> edges_;
 

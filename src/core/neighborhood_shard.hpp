@@ -35,9 +35,10 @@
 //
 //  * central-server bandwidth: each shard meters misses into its own
 //    MediaServer; the orchestrator reduces them in shard-index order;
-//  * global popularity (GlobalLFU): an immutable ReplayBoard — the whole
-//    deployment's access timeline, indexed per program — prebuilt by the
-//    orchestrator's prepass; the shard's one ReplayView holds the two
+//  * global popularity (GlobalLFU): a ReplayBoard — the whole
+//    deployment's access timeline, indexed per program — built by the
+//    orchestrator's prepass chain in immutable pieces, each sealed before
+//    any feed that reads it runs; the shard's one ReplayView holds the two
 //    board positions its own events have reached (the cut and the
 //    expiry), and every GlobalLFU cell of the shard counts a program's
 //    entries between them (see cache/popularity_board.hpp for the
@@ -98,13 +99,14 @@ class NeighborhoodShard {
   // `failures` must be in time order.  `future` (never null; empty for
   // non-Oracle strategies) and `board` (may be null when no GlobalLFU cell
   // reads it) may be filled *after* shard construction: under the job-graph
-  // executor the orchestrator's prepass job fills and freezes both, and
-  // the shard's cells only read them once the prepass -> feed#s.0 edge
-  // has run.
+  // executor the orchestrator's prepass chain fills them, and a feed
+  // reads only what the epochs it waits for have sealed — the board up
+  // to the chunk's last event, the future index whole.
   // `tiers` (nullable; owned by the orchestrator like `catalog`) enables
   // the multi-tier miss walk with `tier_nodes` as this neighborhood's node
-  // path — read-only prebuilt state, so the no-shared-mutable-state
-  // determinism argument is untouched.
+  // path — a feed reads only windows already published, which never
+  // change, so the no-shared-mutable-state determinism argument is
+  // untouched.
   NeighborhoodShard(NeighborhoodId id, std::uint32_t peer_count,
                     const trace::Catalog& catalog, sim::SimTime horizon,
                     const SystemConfig& config,
@@ -120,7 +122,8 @@ class NeighborhoodShard {
   // Replays one batch of this shard's sessions (trace order, starts no
   // earlier than anything previously fed).  The batch is fully consumed;
   // segment boundaries falling after its last session stay pending for the
-  // next feed() or finish().
+  // next feed() or finish().  Every event runs at or before the batch's
+  // last session start, so the board must be sealed past it.
   void feed(std::span<const StreamSession> batch);
 
   // Plays out every still-active session and applies trailing failure

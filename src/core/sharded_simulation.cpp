@@ -1,6 +1,7 @@
 #include "core/sharded_simulation.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -52,6 +53,7 @@ void ShardedSimulation::allocate_products(const Needs& need) {
       board_->reserve(static_cast<std::size_t>(hint));
     }
   }
+  if (need.tiers) tiers_->size_plans(source_->horizon());
   if (need.future) {
     future_.resize(topology_.neighborhood_count());
     for (auto& index : future_) {
@@ -118,6 +120,9 @@ void ShardedSimulation::run_graph(const Needs& need,
         (count_chunks() + kMaxChunks - 1) / kMaxChunks);
   }
   const std::size_t chunks = count_chunks();
+  // The prepass chain seals its products once per epoch, a run of whole
+  // chunks; a few epochs let the feeds start early, and each costs a seal.
+  constexpr std::size_t kMaxEpochs = 16;
   const auto chunk_end_ms = [chunk_ms](std::size_t k) {
     return static_cast<std::int64_t>(k + 1) * chunk_ms;
   };
@@ -156,6 +161,7 @@ void ShardedSimulation::run_graph(const Needs& need,
   demux_id.reserve(chunks);
   for (std::size_t k = 0; k < chunks; ++k) {
     demux_id.push_back(graph.add(
+        JobKind::Demux,
         [this, &need, &batches, &demux_stream, &record, &more, &index, &prev,
          chunk_end_ms, segment_ms, user_count, catalog_size, window, k,
          chunks] {
@@ -195,54 +201,122 @@ void ShardedSimulation::run_graph(const Needs& need,
     if (k > 0) graph.depend(demux_id[k - 1], demux_id[k]);
   }
 
-  // Prepass node: the GlobalLFU board, Oracle clairvoyance and tier plans
-  // are whole-trace products — any feed may read them — so one job reads
-  // the whole stream and every shard's first feed waits for it.  Both
+  // Prepass chain: the GlobalLFU board, Oracle clairvoyance and tier
+  // plans are products of the whole stream, built by a second read of it
+  // beside the demux's.  Epoch e reads the sessions of its run of chunks
+  // and seals what they complete; the last one freezes everything.  Both
   // streams are opened here, on the calling thread, so sources need not
   // open concurrently.
-  std::optional<JobId> prepass;
+  const std::size_t epoch_chunks = (chunks + kMaxEpochs - 1) / kMaxEpochs;
+  const std::size_t epochs = (chunks + epoch_chunks - 1) / epoch_chunks;
+  const auto epoch_end_ms = [&](std::size_t e) {
+    return chunk_end_ms(std::min((e + 1) * epoch_chunks, chunks) - 1);
+  };
+  std::vector<JobId> prepass_id;
   std::unique_ptr<trace::SessionStream> pre_stream;
+  trace::SessionRecord pre_record;
+  bool pre_more = false;
+  std::optional<TierPlanBuilder> plans;
   if (need.board || need.future || need.tiers) {
     pre_stream = source_->open();
-    prepass = graph.add(
-        [this, &need, &pre_stream] {
-          std::optional<TierPlanBuilder> plans;
-          if (need.tiers) plans.emplace(topology_, config_, source_->catalog());
-          trace::SessionRecord r;
-          while (pre_stream->next(r)) {
-            if (need.board) board_->add(r.program, r.start);
-            if (!need.future && !plans) continue;
-            const auto n = topology_.neighborhood_of(r.user);
-            if (need.future) future_[n.value()].add(r.program, r.start);
-            if (plans) plans->observe(n, r.program, r.start);
-          }
-          if (need.board) board_->freeze();
-          for (auto& future : future_) future.freeze();
-          if (plans) tiers_->set_plans(plans->finish(source_->horizon()));
-        },
-        "prepass");
+    pre_more = pre_stream->next(pre_record);
+    if (need.tiers) plans.emplace(topology_, config_, source_->catalog());
+    prepass_id.reserve(epochs);
+    for (std::size_t e = 0; e < epochs; ++e) {
+      prepass_id.push_back(graph.add(
+          JobKind::Prepass,
+          [this, &need, &pre_stream, &pre_record, &pre_more, &plans,
+           epoch_end_ms, e, epochs] {
+            const bool last = e + 1 == epochs;
+            const auto end_ms = epoch_end_ms(e);
+            while (pre_more &&
+                   (last || pre_record.start.millis_count() < end_ms)) {
+              const auto& r = pre_record;
+              if (need.board) board_->add(r.program, r.start);
+              if (need.future || plans) {
+                const auto n = topology_.neighborhood_of(r.user);
+                if (need.future) future_[n.value()].add(r.program, r.start);
+                if (plans) plans->observe(n, r.program, r.start);
+              }
+              pre_more = pre_stream->next(pre_record);
+            }
+            // Every session before `through` is read: the sealed board
+            // answers events up to it, and each tier window planned from
+            // sessions before it is published.
+            const auto through =
+                last ? sim::SimTime::millis(
+                           std::numeric_limits<std::int64_t>::max())
+                     : sim::SimTime::millis(end_ms);
+            if (need.board) {
+              if (last) {
+                board_->freeze();
+              } else {
+                board_->seal(through);
+              }
+            }
+            if (last) {
+              for (auto& future : future_) future.freeze();
+            }
+            if (plans) plans->publish(through, *tiers_);
+          },
+          "prepass#" + std::to_string(e)));
+    }
   }
+
+  // How far past a chunk's end a feed may read: the board answers events
+  // up to its seal and a top-popular plan is published when its window
+  // begins, so neither looks ahead; an oracle plan is packed from its own
+  // window, so it needs one refresh window more; the Oracle's future
+  // index is complete only at the end.
+  const bool oracle_plans =
+      need.tiers && config_.prefetch.kind == PrefetchKind::Oracle;
+  const std::int64_t lookahead_ms =
+      oracle_plans ? config_.prefetch.refresh.millis_count() : 0;
+  const auto epoch_for_chunk = [&](std::size_t k) {
+    if (need.future) return epochs - 1;
+    std::size_t e = std::min(k / epoch_chunks, epochs - 1);
+    while (e + 1 < epochs && epoch_end_ms(e) < chunk_end_ms(k) + lookahead_ms) {
+      ++e;
+    }
+    return e;
+  };
 
   // Feed nodes: shard s replays its slice of chunk k.  feed[s][k-1] ->
   // feed[s][k] keeps each shard's mutable state owned by one task at a
-  // time; which worker runs it is free.
+  // time; which worker runs it is free.  feed[s][k] also waits for the
+  // epoch that seals what it reads; the feed chain carries that edge to
+  // every later chunk of the same epoch.
   std::vector<std::vector<JobId>> feed_id(
       shard_count, std::vector<JobId>(chunks));
   for (std::size_t s = 0; s < shard_count; ++s) {
+    std::optional<std::size_t> sealed_epoch;
     for (std::size_t k = 0; k < chunks; ++k) {
       feed_id[s][k] = graph.add(
+          JobKind::Feed,
           [this, &batches, window, s, k] {
             shards_[s]->feed(batches[k % window][s]);
           },
           "feed#" + std::to_string(s) + "." + std::to_string(k));
       graph.depend(demux_id[k], feed_id[s][k]);
       if (k > 0) graph.depend(feed_id[s][k - 1], feed_id[s][k]);
-      if (prepass && k == 0) graph.depend(*prepass, feed_id[s][k]);
+      if (!prepass_id.empty()) {
+        const std::size_t e = epoch_for_chunk(k);
+        if (sealed_epoch != e) {
+          graph.depend(prepass_id[e], feed_id[s][k]);
+          sealed_epoch = e;
+        }
+      }
       // Ring: chunk k's slot may be overwritten once its feeds are done.
       if (k + window < chunks) {
         graph.depend(feed_id[s][k], demux_id[k + window]);
       }
     }
+  }
+  // The prepass chain's own edges come last, so a worker finishing epoch
+  // e runs e + 1 next (a worker runs the child pushed last first) and the
+  // feeds it released go to the others.
+  for (std::size_t e = 1; e < prepass_id.size(); ++e) {
+    graph.depend(prepass_id[e - 1], prepass_id[e]);
   }
 
   // Finish nodes: drain boundaries and flush trailing failure waves.  By
@@ -252,7 +326,7 @@ void ShardedSimulation::run_graph(const Needs& need,
   finish_id.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     finish_id.push_back(graph.add(
-        [this, s] { shards_[s]->finish(failure_flush_); },
+        JobKind::Finish, [this, s] { shards_[s]->finish(failure_flush_); },
         "finish#" + std::to_string(s)));
     graph.depend(feed_id[s].back(), finish_id[s]);
   }
@@ -261,6 +335,7 @@ void ShardedSimulation::run_graph(const Needs& need,
   // order — fixed order keeps the floating-point sums, and hence the
   // report, bit-identical across thread counts.
   const JobId merge = graph.add(
+      JobKind::Merge,
       [this, &media] {
         for (const auto& shard : shards_) media.merge(shard->media_server());
       },

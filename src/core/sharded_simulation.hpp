@@ -13,26 +13,33 @@
 // The failure-wave flush time rides on that same pass: the demux folds
 // every session into it.  Whole-trace products — GlobalLFU's ReplayBoard,
 // the oracle's per-neighborhood FutureIndex and tier prefetch plans — need
-// a *prepass*: one job that reads the source once more and finishes before
-// any shard replays, so every shard reads them complete and frozen.
-// Every other config reads the workload exactly once.
+// a *prepass*: a chain of jobs, one per epoch of the chunk grid, that
+// reads the source once more beside the demux and seals each product's
+// finished part at the end of its epoch.  A feed waits only for the epoch
+// that seals what it reads: the board and top-popular plans need nothing
+// past the chunk's end, oracle plans one refresh window past it, and the
+// FutureIndex the last epoch.  Every other config reads the workload
+// exactly once.
 //
 // The run is decomposed into an explicit task DAG — demux chunks, the
-// optional prepass, per-(shard x chunk) feed tasks, per-shard finish, and
-// the fixed-order merge sink — and handed to the work-stealing
-// JobExecutor, so a hot shard's chunks pipeline across workers.  With one
-// worker (threads == 1) the executor runs the same graph inline on the
-// calling thread.
+// optional prepass chain, per-(shard x chunk) feed tasks, per-shard
+// finish, and the fixed-order merge sink — and handed to the
+// work-stealing JobExecutor, so a hot shard's chunks pipeline across
+// workers and the second read overlaps the replay.  With one worker
+// (threads == 1) the executor runs the same graph inline on the calling
+// thread.
 // See ARCHITECTURE.md, "The job graph", for the node kinds and edges.
 //
 // Determinism contract: every shard's computation depends only on
-// immutable shared inputs (source, config, topology partition, prebuilt
-// popularity timeline) and its own state; chunk boundaries are invisible
+// shared inputs that are immutable once it may read them (source,
+// config, topology partition, the sealed pieces of the popularity
+// timeline, published tier plans) and its own state; chunk boundaries are invisible
 // to each shard's event order (see NeighborhoodShard::feed); per-shard
 // state is touched by at most one task at a time (each shard's feeds form
 // a dependency chain); and the merge reduces shards in neighborhood-index
-// order.  The report is therefore bit-identical for every thread count and
-// every chunk size — both are purely wall-clock/memory knobs.
+// order.  A sealed product answers exactly as the finished one would, so
+// the report is bit-identical for every thread count, every chunk size
+// and every epoch grid — all purely wall-clock/memory knobs.
 #pragma once
 
 #include <cstddef>
@@ -78,7 +85,7 @@ class ShardedSimulation {
 
  private:
   // Which shared products this config needs.  The demux builds the
-  // failure flush; the prepass the whole-trace ones (board, future,
+  // failure flush; the prepass chain the whole-trace ones (board, future,
   // tiers), and it runs only when one of those is needed.
   struct Needs {
     bool board = false;   // GlobalLFU popularity timeline
@@ -88,8 +95,8 @@ class ShardedSimulation {
   };
   [[nodiscard]] Needs needs() const;
 
-  // Allocate the (empty) shared products the shards point at; the graph's
-  // demux and prepass jobs fill them.
+  // Allocate the (empty) shared products the shards point at, the tier
+  // plan table sized; the graph's demux and prepass jobs fill them.
   void allocate_products(const Needs& need);
   void build_shards();
   // Build the demux/prepass/feed/finish/merge DAG and run it on the
@@ -101,11 +108,12 @@ class ShardedSimulation {
   SystemConfig config_;
   hfc::Topology topology_;
   // GlobalLFU only: the popularity timeline all shards read.  Owned
-  // mutably here so the graph's prepass can fill and freeze it after the
-  // shards (which hold const views) are built.
+  // mutably here so the graph's prepass chain can fill and seal it while
+  // the shards (which hold const views) read its sealed pieces.
   std::shared_ptr<cache::ReplayBoard> board_;
-  // Tiered topologies only: the tier specs plus the prepass-built prefetch
-  // plans, read concurrently by every shard.
+  // Tiered topologies only: the tier specs plus the prefetch plans the
+  // prepass chain publishes window by window, read concurrently by every
+  // shard.
   std::unique_ptr<TierSystem> tiers_;
   // Oracle only: per-neighborhood clairvoyance.  Shards hold pointers into
   // this vector (or at empty_future_), so it lives as long as they do.

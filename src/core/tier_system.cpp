@@ -102,6 +102,32 @@ PeriodSet TierPlanBuilder::pack_window(const hfc::TierLevelSpec& spec,
   return resident;
 }
 
+void TierPlanBuilder::pack(std::vector<LevelPlan>& plans, std::size_t upto) {
+  // The oracle plans window k from its own accesses; top-popular from
+  // window k-1's.  Each flushed window feeds one plan, so it is handed
+  // over, not copied.
+  const bool clairvoyant = config_.prefetch.kind == PrefetchKind::Oracle;
+  static const PeriodSet kEmpty;
+  for (; packed_ < upto; ++packed_) {
+    const std::size_t k = packed_;
+    for (std::size_t l = 0; l < windows_.size(); ++l) {
+      const auto& spec = topology_.tier(l);
+      for (std::size_t node = 0; node < windows_[l].size(); ++node) {
+        auto& flushed = windows_[l][node];
+        std::vector<WindowCount> source;
+        if (clairvoyant) {
+          source = std::move(flushed[k]);
+        } else if (k > 0) {
+          source = std::move(flushed[k - 1]);
+        }
+        auto& node_plan = plans[l][node];
+        node_plan[k] = pack_window(spec, std::move(source),
+                                   k > 0 ? node_plan[k - 1] : kEmpty);
+      }
+    }
+  }
+}
+
 std::vector<LevelPlan> TierPlanBuilder::finish(sim::SimTime horizon) {
   flush_window();
   // One window past the horizon: segment boundaries of sessions straddling
@@ -110,30 +136,30 @@ std::vector<LevelPlan> TierPlanBuilder::finish(sim::SimTime horizon) {
   const std::int64_t needed = horizon.millis_count() / refresh_ms_ + 2;
   while (current_window_ < needed) flush_window();
 
-  const std::size_t window_count = static_cast<std::size_t>(current_window_);
-  // The oracle plans window k from its own accesses; top-popular from
-  // window k-1's.
-  const bool clairvoyant = config_.prefetch.kind == PrefetchKind::Oracle;
+  const auto window_count = static_cast<std::size_t>(current_window_);
   std::vector<LevelPlan> plans(windows_.size());
   for (std::size_t l = 0; l < windows_.size(); ++l) {
-    const auto& spec = topology_.tier(l);
-    plans[l].resize(windows_[l].size());
-    for (std::size_t node = 0; node < windows_[l].size(); ++node) {
-      auto& node_plan = plans[l][node];
-      node_plan.resize(window_count);
-      static const PeriodSet kEmpty;
-      static const std::vector<WindowCount> kNoWindow;
-      for (std::size_t k = 0; k < window_count; ++k) {
-        const auto& source =
-            clairvoyant
-                ? windows_[l][node][k]
-                : (k > 0 ? windows_[l][node][k - 1] : kNoWindow);
-        node_plan[k] = pack_window(spec, source,
-                                   k > 0 ? node_plan[k - 1] : kEmpty);
-      }
-    }
+    plans[l].assign(windows_[l].size(), NodePlan(window_count));
   }
+  pack(plans, window_count);
   return plans;
+}
+
+void TierPlanBuilder::publish(sim::SimTime through, TierSystem& tiers) {
+  VODCACHE_EXPECTS(tiers.topology_ == &topology_);
+  VODCACHE_EXPECTS(!tiers.plans_.empty());
+  const auto table = static_cast<std::int64_t>(tiers.table_windows_);
+  // A window's input is complete once every start before its end is
+  // observed.
+  const std::int64_t complete = through.millis_count() / refresh_ms_;
+  while (current_window_ < table && current_window_ < complete) {
+    flush_window();
+  }
+  const std::int64_t ready =
+      config_.prefetch.kind == PrefetchKind::Oracle ? current_window_
+                                                    : current_window_ + 1;
+  pack(tiers.plans_, static_cast<std::size_t>(std::min(ready, table)));
+  tiers.published_.store(packed_, std::memory_order_release);
 }
 
 TierSystem::TierSystem(const hfc::Topology& topology, sim::SimTime refresh)
@@ -154,6 +180,19 @@ std::vector<std::uint32_t> TierSystem::node_path(NeighborhoodId n) const {
 void TierSystem::set_plans(std::vector<LevelPlan> plans) {
   VODCACHE_EXPECTS(plans.size() == level_count());
   plans_ = std::move(plans);
+  published_.store(std::numeric_limits<std::size_t>::max(),
+                   std::memory_order_release);
+}
+
+void TierSystem::size_plans(sim::SimTime horizon) {
+  table_windows_ =
+      static_cast<std::size_t>(horizon.millis_count() / refresh_ms_ + 2);
+  plans_.assign(level_count(), {});
+  for (std::size_t l = 0; l < level_count(); ++l) {
+    plans_[l].assign(topology_->tier_node_count(l),
+                     NodePlan(table_windows_));
+  }
+  published_.store(0, std::memory_order_release);
 }
 
 std::optional<std::size_t> TierSystem::serving_level(
@@ -162,13 +201,15 @@ std::optional<std::size_t> TierSystem::serving_level(
   if (plans_.empty()) return std::nullopt;  // PrefetchKind::None
   VODCACHE_EXPECTS(nodes.size() == level_count());
   const std::int64_t window = t.millis_count() / refresh_ms_;
+  const std::size_t published = published_.load(std::memory_order_acquire);
   for (std::size_t l = 0; l < plans_.size(); ++l) {
-    if (topology_->tier(l).in_outage(t)) continue;
     const auto& node_plan = plans_[l][nodes[l]];
     if (node_plan.empty()) continue;
     const auto k = static_cast<std::size_t>(
         std::min<std::int64_t>(window,
                                static_cast<std::int64_t>(node_plan.size()) - 1));
+    VODCACHE_EXPECTS(k < published);
+    if (topology_->tier(l).in_outage(t)) continue;
     const auto& resident = node_plan[k];
     if (std::binary_search(resident.begin(), resident.end(), program)) {
       return l;

@@ -2,6 +2,7 @@
 // replacement strategies from the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -516,6 +517,257 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
       }
     }
   }
+}
+
+// ------------------------------------------------------ ReplayBoard pieces
+//
+// The prepass chain seals the board piece by piece while shards read it.
+// These cases pin that sealing changes no answer, and that a read past the
+// sealed part fails loudly instead of racing the writer.
+
+// A random access sequence with zero gaps (same-millisecond ties) and a
+// skewed program mix, spanning about a day.
+std::vector<Access> random_accesses(Rng& rng, std::uint32_t programs,
+                                    int count) {
+  std::vector<Access> accesses;
+  sim::SimTime t = at_min(1);
+  for (int i = 0; i < count; ++i) {
+    if (rng.uniform_u64(4) != 0) {
+      t += sim::SimTime::seconds(
+          static_cast<std::int64_t>(rng.uniform_u64(300)));
+    }
+    const auto a = rng.uniform_u64(programs);
+    const auto b = rng.uniform_u64(programs);
+    accesses.push_back({t, ProgramId{static_cast<std::uint32_t>(
+                               std::min(a, b))}});
+  }
+  return accesses;
+}
+
+// Adds accesses before `through` to `board`, from `added` on, and seals
+// them.
+void seal_through(ReplayBoard& board, const std::vector<Access>& accesses,
+                  std::size_t& added, sim::SimTime through) {
+  while (added < accesses.size() && accesses[added].time < through) {
+    board.add(accesses[added].program, accesses[added].time);
+    ++added;
+  }
+  board.seal(through);
+}
+
+// Random queries answerable from the first `sealed` entries, sealed
+// through `through`: each must match the board frozen once.
+void expect_same_answers(const ReplayBoard& pieces, const ReplayBoard& whole,
+                         const std::vector<Access>& accesses,
+                         std::uint32_t programs, std::size_t sealed,
+                         sim::SimTime through, Rng& rng,
+                         const std::string& repro) {
+  ASSERT_EQ(pieces.size(), sealed) << repro;
+  const auto time_upto = [&](sim::SimTime limit) {
+    return sim::SimTime::millis(static_cast<std::int64_t>(
+        rng.uniform_u64(static_cast<std::uint64_t>(limit.millis_count()) + 1)));
+  };
+  const auto position_upto = [&](std::size_t limit) {
+    return static_cast<std::size_t>(rng.uniform_u64(limit + 1));
+  };
+  for (int q = 0; q < 40; ++q) {
+    const auto t = time_upto(through);
+    const auto from = whole.first_at_or_after(time_upto(t), 0);
+    ASSERT_EQ(pieces.first_at_or_after(t, from),
+              whole.first_at_or_after(t, from))
+        << repro << " first_at_or_after t_ms=" << t.millis_count()
+        << " from=" << from;
+
+    const ProgramId program{
+        static_cast<std::uint32_t>(rng.uniform_u64(programs))};
+    const auto to = position_upto(sealed);
+    const auto low = position_upto(to);
+    ASSERT_EQ(pieces.count_between(program, low, to),
+              whole.count_between(program, low, to))
+        << repro << " count_between program=" << program.value()
+        << " from=" << low << " to=" << to;
+    const auto hint = whole.slot_at_or_after(program, low);
+    ASSERT_EQ(pieces.slot_at_or_after(program, to, hint),
+              whole.slot_at_or_after(program, to, hint))
+        << repro << " slot_at_or_after program=" << program.value()
+        << " position=" << to << " from=" << hint;
+
+    const auto slots = whole.slot_at_or_after(program, sealed);
+    if (slots > 0) {
+      const auto slot = static_cast<std::uint32_t>(rng.uniform_u64(slots));
+      const auto position = pieces.position_of(program, slot, 0);
+      ASSERT_EQ(position, whole.position_of(program, slot, 0))
+          << repro << " position_of program=" << program.value()
+          << " slot=" << slot;
+      const auto after = position_upto(position);
+      ASSERT_EQ(pieces.position_of(program, slot, after), position)
+          << repro << " position_of program=" << program.value()
+          << " slot=" << slot << " after=" << after;
+      ASSERT_EQ(pieces.slot_at_or_after(program, position), slot) << repro;
+    }
+    if (sealed > 0) {
+      const auto index = static_cast<std::size_t>(rng.uniform_u64(sealed));
+      ASSERT_TRUE(pieces.holds(index, accesses[index].program,
+                               accesses[index].time))
+          << repro << " holds index=" << index;
+    }
+  }
+}
+
+TEST(ReplayBoardPieces, SealedPiecesAnswerLikeOneFrozenBoard) {
+  constexpr std::uint32_t kPrograms = 9;
+  const auto window = sim::SimTime::hours(2);
+  const auto chunk = sim::SimTime::minutes(30);
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    Rng rng(seed);
+    const auto accesses = random_accesses(rng, kPrograms, 600);
+    const auto whole =
+        frozen_board(kPrograms, window, sim::SimTime{}, accesses);
+    ReplayBoard pieces(kPrograms, window, sim::SimTime{});
+    std::size_t added = 0;
+    // Seal at a random share of the chunk grid, runs of several chunks
+    // (empty pieces) included.
+    sim::SimTime through = chunk;
+    while (through <= accesses.back().time) {
+      if (rng.uniform_u64(3) != 0) {
+        seal_through(pieces, accesses, added, through);
+        expect_same_answers(pieces, *whole, accesses, kPrograms, added,
+                            through, rng,
+                            "repro: ReplayBoardPieces seed=" +
+                                std::to_string(seed) + " pieces=" +
+                                std::to_string(pieces.piece_count()) +
+                                " through_ms=" +
+                                std::to_string(through.millis_count()));
+        if (HasFatalFailure()) return;
+      }
+      through += chunk;
+    }
+    seal_through(pieces, accesses, added, through);
+    pieces.freeze();
+    ASSERT_GT(pieces.piece_count(), 10u);
+    expect_same_answers(pieces, *whole, accesses, kPrograms, accesses.size(),
+                        accesses.back().time + window, rng,
+                        "repro: ReplayBoardPieces seed=" +
+                            std::to_string(seed) + " frozen");
+  }
+}
+
+// A shard replaying a board that is sealed only just far enough for each
+// event — the prepass chain's lookahead of 0 — must name the same victims
+// as one replaying the board frozen once, live and lagged.
+TEST(ReplayBoardPieces, GlobalLfuVictimsMatchAcrossPieceCounts) {
+  constexpr std::uint32_t kPrograms = 9;
+  constexpr std::size_t kCapacity = 4;
+  const auto window = sim::SimTime::hours(2);
+  const auto chunk = sim::SimTime::minutes(30);
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    for (const auto lag : {sim::SimTime{}, sim::SimTime::hours(1)}) {
+      Rng rng(seed);
+      const auto accesses = random_accesses(rng, kPrograms, 600);
+      std::vector<bool> own;
+      for (std::size_t i = 0; i < accesses.size(); ++i) {
+        own.push_back(rng.uniform_u64(3) == 0);
+      }
+      const auto whole = frozen_board(kPrograms, window, lag, accesses);
+      ReplayBoard pieces(kPrograms, window, lag);
+      std::size_t added = 0;
+      ReplayView whole_view(*whole);
+      ReplayView pieces_view(pieces);
+      AccessHistory whole_history;
+      AccessHistory pieces_history;
+      GlobalLfuStrategy whole_cell(whole_history, whole_view);
+      GlobalLfuStrategy pieces_cell(pieces_history, pieces_view);
+      std::size_t events = 0;
+      std::size_t victims = 0;
+
+      // Seals the chunk holding t, and sometimes a few more.
+      const auto reach = [&](sim::SimTime t) {
+        if (t < pieces.sealed_through()) return;
+        const auto chunks = t.millis_count() / chunk.millis_count() + 1 +
+                            static_cast<std::int64_t>(rng.uniform_u64(3));
+        seal_through(pieces, accesses, added,
+                     sim::SimTime::millis(chunks * chunk.millis_count()));
+      };
+      const auto compare = [&](sim::SimTime at) {
+        const std::string repro =
+            "repro: ReplayBoardPieces seed=" + std::to_string(seed) +
+            " lag_minutes=" + std::to_string(lag.millis_count() / 60'000) +
+            " event=" + std::to_string(events) +
+            " pieces=" + std::to_string(pieces.piece_count()) +
+            " at_ms=" + std::to_string(at.millis_count());
+        ++events;
+        for (std::uint32_t p = 0; p < kPrograms; ++p) {
+          ASSERT_EQ(pieces_cell.score(ProgramId{p}, at),
+                    whole_cell.score(ProgramId{p}, at))
+              << repro << " program=" << p;
+        }
+        const auto victim = whole_cell.victim(at);
+        ASSERT_EQ(pieces_cell.victim(at), victim) << repro;
+        const ProgramId incoming{
+            static_cast<std::uint32_t>(rng.uniform_u64(kPrograms))};
+        if (whole_cell.is_cached(incoming)) return;
+        if (whole_cell.cached_count() == kCapacity) {
+          whole_cell.on_evict(*victim);
+          pieces_cell.on_evict(*victim);
+          ++victims;
+        }
+        whole_cell.on_admit(incoming, at);
+        pieces_cell.on_admit(incoming, at);
+      };
+
+      for (std::size_t i = 0; i < accesses.size(); ++i) {
+        const auto [at, program] = accesses[i];
+        if (own[i]) {
+          reach(at);
+          whole_view.on_session_start(i, program, at);
+          pieces_view.on_session_start(i, program, at);
+          whole_history.record(program, at);
+          pieces_history.record(program, at);
+          compare(at);
+          if (HasFatalFailure()) return;
+        }
+        if (i + 1 < accesses.size() && accesses[i + 1].time > at) {
+          const auto next = accesses[i + 1].time;
+          reach(next);
+          whole_view.on_boundary(next);
+          pieces_view.on_boundary(next);
+          compare(next);
+          if (HasFatalFailure()) return;
+        }
+      }
+      EXPECT_GT(pieces.piece_count(), 10u);
+      EXPECT_GT(victims, 20u);
+    }
+  }
+}
+
+// A missing seal edge reads past the sealed part: every such read is a
+// precondition failure, not a read of entries still being written.
+TEST(ReplayBoardPiecesDeathTest, ReadPastTheSealAborts) {
+  ReplayBoard board(3, sim::SimTime::hours(1), sim::SimTime{});
+  board.add(ProgramId{1}, at_min(0));
+  board.add(ProgramId{2}, at_min(10));
+  board.seal(at_min(30));
+  board.add(ProgramId{1}, at_min(40));
+
+  // Up to the seal, reads are answered.
+  EXPECT_EQ(board.first_at_or_after(at_min(30), 0), 2u);
+  EXPECT_EQ(board.slot_at_or_after(ProgramId{1}, 2), 1u);
+  EXPECT_EQ(board.position_of(ProgramId{1}, 0, 0), 0u);
+  EXPECT_TRUE(board.holds(1, ProgramId{2}, at_min(10)));
+
+  EXPECT_DEATH((void)board.first_at_or_after(at_min(31), 0), "precondition");
+  EXPECT_DEATH((void)board.slot_at_or_after(ProgramId{1}, 3), "precondition");
+  EXPECT_DEATH((void)board.count_between(ProgramId{1}, 0, 3), "precondition");
+  EXPECT_DEATH((void)board.position_of(ProgramId{1}, 1, 0), "precondition");
+  EXPECT_DEATH((void)board.holds(2, ProgramId{1}, at_min(40)),
+               "precondition");
+  ReplayView view(board);
+  EXPECT_DEATH(view.on_boundary(at_min(31)), "precondition");
+
+  // Nothing sealed: nothing is answered.
+  ReplayBoard empty(3, sim::SimTime::hours(1), sim::SimTime{});
+  EXPECT_DEATH((void)empty.first_at_or_after(at_min(0), 0), "precondition");
 }
 
 // ------------------------------------------------------- GlobalLFU, replay

@@ -30,9 +30,9 @@ std::string repro(const char* test, const std::string& draws) {
 
 TEST(JobGraph, CsrAdjacencyMatchesDeclaredEdges) {
   JobGraph graph;
-  const JobId a = graph.add({}, "a");
-  const JobId b = graph.add({}, "b");
-  const JobId c = graph.add({}, "c");
+  const JobId a = graph.add(JobKind::Feed, {}, "a");
+  const JobId b = graph.add(JobKind::Feed, {}, "b");
+  const JobId c = graph.add(JobKind::Feed, {}, "c");
   graph.depend(a, b);
   graph.depend(a, c);
   graph.depend(b, c);
@@ -51,8 +51,8 @@ TEST(JobGraph, CsrAdjacencyMatchesDeclaredEdges) {
 
 TEST(JobGraph, FinalizeThrowsOnCycleNamingANode) {
   JobGraph graph;
-  const JobId a = graph.add({}, "ouroboros-head");
-  const JobId b = graph.add({}, "ouroboros-tail");
+  const JobId a = graph.add(JobKind::Feed, {}, "ouroboros-head");
+  const JobId b = graph.add(JobKind::Feed, {}, "ouroboros-tail");
   graph.depend(a, b);
   graph.depend(b, a);
   try {
@@ -65,10 +65,10 @@ TEST(JobGraph, FinalizeThrowsOnCycleNamingANode) {
 
 TEST(JobGraph, MutationAfterFinalizeReopensTheGraph) {
   JobGraph graph;
-  const JobId a = graph.add({});
+  const JobId a = graph.add(JobKind::Feed, {});
   graph.finalize();
   EXPECT_TRUE(graph.children(a).empty());
-  const JobId b = graph.add({});
+  const JobId b = graph.add(JobKind::Feed, {});
   graph.depend(a, b);
   graph.finalize();
   EXPECT_EQ(graph.dependency_count(b), 1u);
@@ -87,8 +87,8 @@ TEST(JobExecutor, EmptyGraphRunsToCompletion) {
 TEST(JobExecutor, GraphIsReusableAcrossRuns) {
   std::atomic<int> runs{0};
   JobGraph graph;
-  const JobId a = graph.add([&] { runs.fetch_add(1); });
-  const JobId b = graph.add([&] { runs.fetch_add(1); });
+  const JobId a = graph.add(JobKind::Feed, [&] { runs.fetch_add(1); });
+  const JobId b = graph.add(JobKind::Feed, [&] { runs.fetch_add(1); });
   graph.depend(a, b);
   JobExecutor executor(2);
   for (int round = 0; round < 3; ++round) {
@@ -125,7 +125,7 @@ TEST(JobExecutor, RandomDagsRespectTopologicalOrder) {
 
     JobGraph graph;
     for (std::size_t n = 0; n < nodes; ++n) {
-      graph.add([&, n] {
+      graph.add(JobKind::Feed, [&, n] {
         ran[n].fetch_add(1);
         stamp[n] = ticket.fetch_add(1) + 1;
       });
@@ -174,9 +174,9 @@ TEST(JobExecutor, StealsUnderContention) {
                        shape + " iteration=" + std::to_string(attempt)));
     std::atomic<std::uint64_t> sum{0};
     JobGraph graph;
-    const JobId root = graph.add({});
+    const JobId root = graph.add(JobKind::Feed, {});
     for (std::size_t n = 0; n < kTasks; ++n) {
-      const JobId task = graph.add([&sum, n] {
+      const JobId task = graph.add(JobKind::Feed, [&sum, n] {
         // Enough work per task that the horde outlives worker wakeup.
         std::uint64_t h = n;
         for (int i = 0; i < 400; ++i) h = h * 6364136223846793005ull + 1;
@@ -201,13 +201,13 @@ TEST(JobExecutor, ExceptionPropagatesAndCancelsDependents) {
   std::atomic<bool> independent_ran{false};
   JobGraph graph;
   const JobId boom =
-      graph.add([] { throw std::runtime_error("segment fault (the VOD kind)"); });
-  const JobId dependent = graph.add([&] { dependent_ran.store(true); });
+      graph.add(JobKind::Feed, [] { throw std::runtime_error("segment fault (the VOD kind)"); });
+  const JobId dependent = graph.add(JobKind::Feed, [&] { dependent_ran.store(true); });
   graph.depend(boom, dependent);
   // An independent root may or may not run before the failure is noticed —
   // either is fine; the contract is only that *dependents* of the thrower
   // never run.
-  graph.add([&] { independent_ran.store(true); });
+  graph.add(JobKind::Feed, [&] { independent_ran.store(true); });
 
   JobExecutor executor(2);
   try {
@@ -221,11 +221,11 @@ TEST(JobExecutor, ExceptionPropagatesAndCancelsDependents) {
 
 TEST(JobExecutor, ExceptionStatsAccountForEveryNode) {
   JobGraph graph;
-  const JobId boom = graph.add([] { throw std::runtime_error("boom"); });
+  const JobId boom = graph.add(JobKind::Feed, [] { throw std::runtime_error("boom"); });
   JobId prev = boom;
   constexpr std::size_t kChain = 20;
   for (std::size_t n = 0; n < kChain; ++n) {
-    const JobId next = graph.add([] {});
+    const JobId next = graph.add(JobKind::Feed, [] {});
     graph.depend(prev, next);
     prev = next;
   }
@@ -255,10 +255,10 @@ TEST(JobExecutor, DiamondSinkSeesAllPredecessorWrites) {
     std::uint64_t sink_sum = 0;
 
     JobGraph graph;
-    const JobId root = graph.add([&] { root_value = 41; });
-    const JobId left = graph.add([&] { left_value = root_value + 1; });
-    const JobId right = graph.add([&] { right_value = root_value * 2; });
-    const JobId sink = graph.add([&] { sink_sum = left_value + right_value; });
+    const JobId root = graph.add(JobKind::Feed, [&] { root_value = 41; });
+    const JobId left = graph.add(JobKind::Feed, [&] { left_value = root_value + 1; });
+    const JobId right = graph.add(JobKind::Feed, [&] { right_value = root_value * 2; });
+    const JobId sink = graph.add(JobKind::Feed, [&] { sink_sum = left_value + right_value; });
     graph.depend(root, left);
     graph.depend(root, right);
     graph.depend(left, sink);
@@ -278,9 +278,9 @@ TEST(JobExecutor, ChainMutatesSharedStateWithoutSynchronization) {
   constexpr std::size_t kLinks = 500;
   std::uint64_t counter = 0;
   JobGraph graph;
-  JobId prev = graph.add([&] { ++counter; });
+  JobId prev = graph.add(JobKind::Feed, [&] { ++counter; });
   for (std::size_t n = 1; n < kLinks; ++n) {
-    const JobId next = graph.add([&] { ++counter; });
+    const JobId next = graph.add(JobKind::Feed, [&] { ++counter; });
     graph.depend(prev, next);
     prev = next;
   }
@@ -293,7 +293,7 @@ TEST(JobExecutor, ChainMutatesSharedStateWithoutSynchronization) {
 TEST(JobExecutor, UtilizationIsAFractionAndBusyTimeIsTracked) {
   JobGraph graph;
   for (int n = 0; n < 64; ++n) {
-    graph.add([] {
+    graph.add(JobKind::Feed, [] {
       volatile std::uint64_t x = 0;
       for (int i = 0; i < 20000; ++i) x = x + static_cast<std::uint64_t>(i);
     });
@@ -304,6 +304,39 @@ TEST(JobExecutor, UtilizationIsAFractionAndBusyTimeIsTracked) {
   EXPECT_GT(stats.wall_ms, 0.0);
   EXPECT_GT(stats.utilization(), 0.0);
   EXPECT_LE(stats.utilization(), 1.0 + 1e-9);
+}
+
+// Busy time per node kind is the per-worker busy time cut another way:
+// each closure's time lands in its worker's total and its kind's, so the
+// two sums agree, and a kind with no nodes reads 0.
+TEST(JobExecutor, BusyTimeByKindSumsToWorkerBusyTime) {
+  constexpr JobKind kKinds[] = {JobKind::Demux, JobKind::Prepass,
+                                JobKind::Feed, JobKind::Merge};
+  for (const std::uint32_t workers : {1u, 3u}) {
+    SCOPED_TRACE(repro("BusyTimeByKindSumsToWorkerBusyTime",
+                       "workers=" + std::to_string(workers)));
+    JobGraph graph;
+    for (int n = 0; n < 48; ++n) {
+      graph.add(kKinds[n % 4], [] {
+        volatile std::uint64_t x = 0;
+        for (int i = 0; i < 20000; ++i) x = x + static_cast<std::uint64_t>(i);
+      });
+    }
+    JobExecutor executor(workers);
+    const ExecutorStats stats = executor.run(graph);
+    double by_worker = 0.0;
+    for (const double ms : stats.worker_busy_ms) by_worker += ms;
+    double by_kind = 0.0;
+    for (const double ms : stats.kind_busy_ms) by_kind += ms;
+    EXPECT_NEAR(by_kind, by_worker, 1e-9 * by_worker);
+    const auto busy = [&](JobKind kind) {
+      return stats.kind_busy_ms[static_cast<std::size_t>(kind)];
+    };
+    for (const JobKind kind : kKinds) {
+      EXPECT_GT(busy(kind), 0.0) << job_kind_name(kind);
+    }
+    EXPECT_EQ(busy(JobKind::Finish), 0.0);
+  }
 }
 
 }  // namespace

@@ -7,9 +7,13 @@
 // (central-server metering, global popularity, failure waves).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "core/report_json.hpp"
 #include "core/vod_system.hpp"
@@ -31,14 +35,17 @@ SystemConfig sharding_config(StrategyKind kind) {
   return config;
 }
 
+trace::GeneratorConfig sharding_workload() {
+  auto workload = test::small_workload(3, 777);
+  workload.user_count = 300;
+  workload.program_count = 80;
+  workload.sessions_per_user_per_day = 6.0;
+  return workload;
+}
+
 const trace::Trace& sharding_trace() {
-  static const trace::Trace trace = [] {
-    auto workload = test::small_workload(3, 777);
-    workload.user_count = 300;
-    workload.program_count = 80;
-    workload.sessions_per_user_per_day = 6.0;
-    return trace::generate_power_info_like(workload);
-  }();
+  static const trace::Trace trace =
+      trace::generate_power_info_like(sharding_workload());
   return trace;
 }
 
@@ -245,6 +252,130 @@ TEST_P(ScenarioExecutorIdentity, ByteIdenticalAcrossThreadsAndChunks) {
     VodSystem system(workload.source(), run);
     EXPECT_EQ(to_json(system.run(), true), reference)
         << "chunk=" << minutes << "min";
+  }
+}
+
+// The prepass chain seals the GlobalLFU board and publishes tier plans one
+// epoch of the chunk grid at a time, while feeds run; a feed waits only
+// for the epoch that seals what it reads (the board and top-popular plans
+// no lookahead, oracle plans one refresh window, the Oracle's future index
+// the last epoch).  Every product and each lookahead, at several thread
+// counts and chunk sizes (so several epoch grids), against one worker.
+struct PrepassCase {
+  const char* name;
+  void (*apply)(SystemConfig&);
+};
+
+void PrintTo(const PrepassCase& c, std::ostream* os) { *os << c.name; }
+
+void add_hub(SystemConfig& config, PrefetchKind kind) {
+  config.strategy.kind = StrategyKind::Lfu;
+  config.tiers.push_back(hfc::TierLevelSpec{});
+  config.tiers.back().fan_in = 3;
+  config.tiers.back().capacity = DataSize::gigabytes(20);
+  config.prefetch.kind = kind;
+  config.prefetch.refresh = sim::SimTime::hours(5);
+}
+
+// The source with its prepass read held back: every stream after the
+// first (the orchestrator opens the demux's first) pauses every few
+// records, so the feeds run ahead of the prepass chain and a feed that
+// waits for too early an epoch reads past a seal and aborts, instead of
+// passing because the prepass happened to win the race.
+class LaggingPrepassSource final : public trace::SessionSource {
+ public:
+  explicit LaggingPrepassSource(const trace::SessionSource& inner)
+      : inner_(&inner) {}
+
+  [[nodiscard]] const trace::Catalog& catalog() const override {
+    return inner_->catalog();
+  }
+  [[nodiscard]] std::uint32_t user_count() const override {
+    return inner_->user_count();
+  }
+  [[nodiscard]] sim::SimTime horizon() const override {
+    return inner_->horizon();
+  }
+  [[nodiscard]] std::unique_ptr<trace::SessionStream> open() const override {
+    return std::make_unique<Stream>(inner_->open(), opened_++ > 0);
+  }
+
+ private:
+  class Stream final : public trace::SessionStream {
+   public:
+    Stream(std::unique_ptr<trace::SessionStream> inner, bool lagging)
+        : inner_(std::move(inner)), lagging_(lagging) {}
+    bool next(trace::SessionRecord& out) override {
+      if (lagging_ && ++read_ % 50 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+      }
+      return inner_->next(out);
+    }
+
+   private:
+    std::unique_ptr<trace::SessionStream> inner_;
+    bool lagging_;
+    std::uint64_t read_ = 0;
+  };
+
+  const trace::SessionSource* inner_;
+  mutable std::uint32_t opened_ = 0;
+};
+
+class PrepassChainIdentity : public ::testing::TestWithParam<PrepassCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Products, PrepassChainIdentity,
+    ::testing::Values(
+        PrepassCase{"GlobalLfuLive", [](SystemConfig&) {}},
+        PrepassCase{"GlobalLfuLagOneHour",
+                    [](SystemConfig& c) {
+                      c.strategy.global_lag = sim::SimTime::hours(1);
+                    }},
+        PrepassCase{"HubTopPopular",
+                    [](SystemConfig& c) {
+                      add_hub(c, PrefetchKind::TopPopular);
+                    }},
+        PrepassCase{"HubOracle",
+                    [](SystemConfig& c) { add_hub(c, PrefetchKind::Oracle); }},
+        PrepassCase{"ShadowMatrix",
+                    [](SystemConfig& c) {
+                      c.shadow_matrix = true;
+                      c.per_peer_storage = DataSize::megabytes(150);
+                    }}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(PrepassChainIdentity, ByteIdenticalAcrossThreadsAndChunks) {
+  auto config = sharding_config(StrategyKind::GlobalLfu);
+  GetParam().apply(config);
+  config.threads = 1;
+  std::string reference;
+  {
+    SCOPED_TRACE(test::repro_line(sharding_workload(), config));
+    VodSystem system(sharding_trace(), config);
+    const auto report = system.run();
+    if (!config.tiers.empty()) {
+      EXPECT_GT(report.tiers[0].hits, 0u);
+    }
+    reference = to_json(report, /*include_neighborhoods=*/true);
+  }
+  const auto expect_same = [&](const SystemConfig& run) {
+    SCOPED_TRACE(test::repro_line(sharding_workload(), run) +
+                 " prepass_read=lagging");
+    const LaggingPrepassSource source(sharding_trace());
+    VodSystem system(source, run);
+    EXPECT_EQ(to_json(system.run(), true), reference);
+  };
+  for (const std::uint32_t threads : {2u, 4u, 8u}) {
+    auto run = config;
+    run.threads = threads;
+    expect_same(run);
+  }
+  for (const std::int64_t minutes : {30, 180}) {
+    auto run = config;
+    run.threads = 4;
+    run.stream_chunk = sim::SimTime::minutes(minutes);
+    expect_same(run);
   }
 }
 

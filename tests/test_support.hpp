@@ -111,7 +111,8 @@ inline std::string repro_line(const trace::GeneratorConfig& workload,
        << " storage_mb=" << config.per_peer_storage.byte_count() / 1e6
        << " failure_waves=" << config.peer_failures.size()
        << " tiers=" << config.tiers.size()
-       << " prefetch=" << core::to_string(config.prefetch.kind);
+       << " prefetch=" << core::to_string(config.prefetch.kind)
+       << " shadow_matrix=" << config.shadow_matrix;
   return line.str();
 }
 

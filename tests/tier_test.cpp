@@ -5,6 +5,8 @@
 // two-level world, thread invariance).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "core/tier_system.hpp"
 #include "core/vod_system.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace vodcache::core {
 namespace {
@@ -158,6 +161,132 @@ TEST(TierPlanBuilder, DemandStaysPerNode) {
   EXPECT_EQ(tiers.serving_level(tiers.node_path(NeighborhoodId{1}),
                                 ProgramId{4}, in_window(1)),
             std::nullopt);
+}
+
+// Plans published window by window, as the prepass chain seals epochs,
+// must equal the plans finish() packs at once: same resident set at every
+// node and window, for both prefetch kinds, with capacity and budget
+// binding.
+TEST(TierPlanBuilder, PublishedWindowsMatchFinishedPlans) {
+  for (const auto kind : {PrefetchKind::TopPopular, PrefetchKind::Oracle}) {
+    for (const std::uint64_t seed : {31u, 32u, 33u}) {
+      auto config = tier_config(4 * kProgramBits, kind);
+      config.tiers.back().fan_in = 1;
+      config.tiers.back().uplink =
+          DataRate::bits_per_second(2.5 * kProgramBits / 3600.0);
+      const auto topology = hfc::Topology::build(300, 100, config.tiers);
+      const auto catalog = ten_minute_catalog(12);
+      const auto horizon = sim::SimTime::hours(10);
+      const std::string repro =
+          std::string("repro: TierPlanBuilder.PublishedWindowsMatchFinishedPlans"
+                      " prefetch=") +
+          (kind == PrefetchKind::Oracle ? "oracle" : "top-popular") +
+          " seed=" + std::to_string(seed);
+
+      Rng rng(seed);
+      struct Observation {
+        NeighborhoodId neighborhood;
+        ProgramId program;
+        sim::SimTime t;
+      };
+      std::vector<Observation> observations;
+      sim::SimTime t;
+      while (true) {
+        t += sim::SimTime::seconds(
+            static_cast<std::int64_t>(rng.uniform_u64(240)));
+        if (t >= horizon) break;
+        const auto a = rng.uniform_u64(12);
+        const auto b = rng.uniform_u64(12);
+        observations.push_back(
+            {NeighborhoodId{static_cast<std::uint32_t>(rng.uniform_u64(3))},
+             ProgramId{static_cast<std::uint32_t>(std::min(a, b))}, t});
+      }
+
+      TierPlanBuilder finished(topology, config, catalog);
+      for (const auto& o : observations) {
+        finished.observe(o.neighborhood, o.program, o.t);
+      }
+      TierSystem reference(topology, config.prefetch.refresh);
+      reference.set_plans(finished.finish(horizon));
+
+      TierPlanBuilder published(topology, config, catalog);
+      TierSystem tiers(topology, config.prefetch.refresh);
+      tiers.size_plans(horizon);
+      std::size_t next = 0;
+      // Seal at random half-hour points; each publish answers lookups up
+      // to its time (plus a window ahead for top-popular).
+      for (auto through = sim::SimTime::minutes(30); through < horizon;
+           through += sim::SimTime::minutes(30)) {
+        if (rng.uniform_u64(2) == 0) continue;
+        while (next < observations.size() && observations[next].t < through) {
+          const auto& o = observations[next++];
+          published.observe(o.neighborhood, o.program, o.t);
+        }
+        published.publish(through, tiers);
+        // Oracle plans cover only windows already over.
+        const auto last = kind == PrefetchKind::Oracle
+                              ? through - config.prefetch.refresh
+                              : through;
+        for (auto at = sim::SimTime::minutes(10); at <= last;
+             at += sim::SimTime::minutes(20)) {
+          for (std::uint32_t n = 0; n < 3; ++n) {
+            const auto path = tiers.node_path(NeighborhoodId{n});
+            for (std::uint32_t p = 0; p < 12; ++p) {
+              ASSERT_EQ(tiers.serving_level(path, ProgramId{p}, at),
+                        reference.serving_level(path, ProgramId{p}, at))
+                  << repro << " through_ms=" << through.millis_count()
+                  << " at_ms=" << at.millis_count() << " node=" << n
+                  << " program=" << p;
+            }
+          }
+        }
+      }
+      while (next < observations.size()) {
+        const auto& o = observations[next++];
+        published.observe(o.neighborhood, o.program, o.t);
+      }
+      published.publish(
+          sim::SimTime::millis(std::numeric_limits<std::int64_t>::max()),
+          tiers);
+      std::size_t served = 0;
+      for (auto at = sim::SimTime::minutes(10);
+           at < horizon + sim::SimTime::hours(3);
+           at += sim::SimTime::minutes(20)) {
+        for (std::uint32_t n = 0; n < 3; ++n) {
+          const auto path = tiers.node_path(NeighborhoodId{n});
+          for (std::uint32_t p = 0; p < 12; ++p) {
+            const auto level = tiers.serving_level(path, ProgramId{p}, at);
+            ASSERT_EQ(level, reference.serving_level(path, ProgramId{p}, at))
+                << repro << " at_ms=" << at.millis_count() << " node=" << n
+                << " program=" << p;
+            served += level.has_value() ? 1 : 0;
+          }
+        }
+      }
+      EXPECT_GT(served, 0u) << repro;
+    }
+  }
+}
+
+// A shard that reads a window the prepass has not published yet — a
+// missing seal edge — fails loudly.
+TEST(TierPlanBuilderDeathTest, LookupOfAnUnpublishedWindowAborts) {
+  const auto config = tier_config(10 * kProgramBits);
+  const auto topology = one_hub_topology(config);
+  const auto catalog = ten_minute_catalog(20);
+
+  TierPlanBuilder builder(topology, config, catalog);
+  TierSystem tiers(topology, config.prefetch.refresh);
+  tiers.size_plans(sim::SimTime::hours(3));
+  builder.observe(NeighborhoodId{0}, ProgramId{5}, in_window(0));
+  // Every session before 1 h is read: top-popular windows 0 and 1 are
+  // packed from complete input.
+  builder.publish(sim::SimTime::hours(1), tiers);
+
+  const auto path = tiers.node_path(NeighborhoodId{0});
+  EXPECT_EQ(tiers.serving_level(path, ProgramId{5}, in_window(1)), 0u);
+  EXPECT_DEATH((void)tiers.serving_level(path, ProgramId{5}, in_window(2)),
+               "precondition");
 }
 
 // ------------------------------------------------------------- TierSystem
