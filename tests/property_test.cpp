@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,6 +100,85 @@ TEST_P(Seeded, CachedSetMinMatchesBruteForce) {
       ASSERT_EQ(set.min(), std::nullopt);
     }
     ASSERT_EQ(set.size(), model.size());
+  }
+}
+
+// CachedSet::min equals the first entry of an exact ordered set of
+// (score, program) under random inserts, erases, rises, falls and ties.
+// min() is asked only every `stride` steps, so stale heap entries pile up
+// between questions and the heap compacts many times per round.
+TEST_P(Seeded, CachedSetMinMatchesOrderedSet) {
+  using Score = cache::CachedSet::Score;
+  Rng rng(GetParam());
+  for (int round = 0; round < 24; ++round) {
+    const std::uint64_t universe =
+        1 + rng.uniform_u64(rng.bernoulli(0.5) ? 8 : 300);
+    const std::uint64_t stride = 1 + rng.uniform_u64(40);
+    cache::CachedSet set;
+    std::map<std::uint32_t, Score> scores;
+    std::set<std::pair<Score, std::uint32_t>> ordered;
+    const auto assign = [&](std::uint32_t program, Score score) {
+      ordered.erase({scores[program], program});
+      scores[program] = score;
+      ordered.emplace(score, program);
+    };
+    // A step of up to 3 in one component; small ranges make ties common.
+    const auto nudge = [&](Score score, std::int64_t sign) {
+      const std::int64_t by = sign * rng.uniform_int(1, 3);
+      if (rng.bernoulli(0.5)) return Score{score.first + by, score.second};
+      return Score{score.first, score.second + by};
+    };
+    for (int step = 0; step < 2000; ++step) {
+      const auto repro = [&] {
+        return "repro: --gtest_filter='Seeds/Seeded."
+               "CachedSetMinMatchesOrderedSet/seed" +
+               std::to_string(GetParam()) + "' round=" +
+               std::to_string(round) + " step=" + std::to_string(step) +
+               " universe=" + std::to_string(universe) +
+               " stride=" + std::to_string(stride);
+      };
+      const auto program = static_cast<std::uint32_t>(rng.uniform_u64(universe));
+      const ProgramId id{program};
+      const std::uint64_t action = rng.uniform_u64(10);
+      if (!scores.contains(program)) {
+        const Score score{rng.uniform_int(-10, 10), rng.uniform_int(0, 3)};
+        if (action < 6) {
+          set.insert(id, score);
+          assign(program, score);
+        } else {
+          set.update(id, score);  // absent: no-op
+        }
+      } else if (action < 2) {
+        set.erase(id);
+        ordered.erase({scores[program], program});
+        scores.erase(program);
+      } else {
+        Score next = scores[program];
+        if (action < 5) {
+          next = nudge(next, +1);
+        } else if (action < 8) {
+          next = nudge(next, -1);
+        } else if (action == 8) {
+          // Tie: take another cached program's score.
+          auto other = ordered.begin();
+          std::advance(other, rng.uniform_u64(ordered.size()));
+          next = other->first;
+        }  // action 9 re-sends the current score
+        set.update(id, next);
+        assign(program, next);
+      }
+      ASSERT_EQ(set.size(), ordered.size()) << repro();
+      ASSERT_EQ(set.score_of(id),
+                scores.contains(program) ? std::optional{scores[program]}
+                                         : std::nullopt)
+          << repro();
+      if (step % stride != 0) continue;
+      if (ordered.empty()) {
+        ASSERT_EQ(set.min(), std::nullopt) << repro();
+      } else {
+        ASSERT_EQ(set.min(), ProgramId{ordered.begin()->second}) << repro();
+      }
+    }
   }
 }
 
