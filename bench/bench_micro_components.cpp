@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) for the hot components of the
 // simulator: rate meter, replacement strategies, segment store, one box of
-// a cell's stream-slot table, one cache cell's segment serve, one shard's
-// feed at 1 and 25 cells, building the GlobalLFU board of a 40-shard
-// deployment and one GlobalLFU shard's feed against it, batched boundary
-// generation, workload sampling, and the end-to-end event loop.
+// a cell's stream-slot table, one cache cell's segment serve and its fill
+// at capacity, one shard's feed at 1 and 25 cells, building the GlobalLFU
+// board of a 40-shard deployment and one GlobalLFU shard's feed against
+// it, batched boundary generation, workload sampling, and the end-to-end
+// event loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -266,6 +267,53 @@ void BM_CacheCellServe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheCellServe)->Arg(0)->Arg(1)->Arg(2);
+
+// One new program's session in a CacheCell already at capacity: the
+// admission evicts the LRU victim (its commitment and its one stored
+// segment), then the session's first segment is a cold miss that fills.
+// Programs cycle through 4,096 ids, far more than the ~550 that fit, so
+// each returns long after its eviction.
+void BM_CacheCellFill(benchmark::State& state) {
+  constexpr std::uint32_t kPeers = 1000;
+  constexpr std::uint32_t kPrograms = 4096;
+  constexpr std::int64_t kSegmentMs = 300'000;
+  cache::CacheCell::Settings settings;
+  settings.stream_rate = DataRate::megabits_per_second(8.06);
+  settings.per_peer_storage = DataSize::gigabytes(1);
+  const sim::RateMeter coax(sim::SimTime::days(28),
+                            sim::SimTime::minutes(15));
+  cache::AccessHistory history;
+  cache::CacheCell cell({"LRU", "always",
+                         std::make_unique<cache::LruStrategy>(history),
+                         nullptr},
+                        settings, kPeers, &coax);
+  const DataSize program_size = settings.stream_rate.over_seconds(1800);
+  std::uint32_t next = 0;
+  std::int64_t t = 0;
+  const auto session = [&] {
+    const ProgramId program{next++ % kPrograms};
+    const auto start = sim::SimTime::millis(t);
+    history.record(program, start);
+    const bool admit = cell.start_session(program, program_size, start);
+    (void)cell.serve_segment({program, 0},
+                             {start, start + sim::SimTime::millis(kSegmentMs)},
+                             admit, true);
+    t += kSegmentMs;
+  };
+  // Fill to capacity: from here on every admission evicts.
+  while (cell.counters().evictions == 0) session();
+  const auto before = cell.counters();
+  for (auto _ : state) session();
+  const auto& after = cell.counters();
+  const auto iterations = static_cast<std::uint64_t>(state.iterations());
+  if (after.fills - before.fills != iterations ||
+      after.cold_misses - before.cold_misses != iterations ||
+      after.evictions - before.evictions < iterations) {
+    state.SkipWithError("a session did not evict, miss cold and fill");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheCellFill);
 
 // One neighborhood shard's feed + finish over two days of its sessions in
 // hourly batches (the orchestrator's default chunk), with 1 cell (LFU

@@ -120,11 +120,10 @@ void CacheCell::try_fill(SegmentKey key, DataSize bytes, sim::SimTime t) {
     // mid-session (or replication pushed past its commitment).
     return;
   }
-  // Per-peer placement: aggregate free space is not enough.
-  const auto no_place = [&] { return !store_.can_place(key, bytes); };
-  if (!make_room(key.program, t, no_place)) return;
-  const auto peer = store_.store(key, bytes);
-  VODCACHE_ASSERT(peer.has_value());  // make_room guaranteed placement
+  // Each try is the placement itself (per-peer, so aggregate free space
+  // is not enough): make_room evicts until one stores the segment.
+  const auto unplaced = [&] { return !store_.store(key, bytes).has_value(); };
+  if (!make_room(key.program, t, unplaced)) return;
   if (store_.has_program(key.program) && !scorer_->is_cached(key.program)) {
     scorer_->on_admit(key.program, t);
   }

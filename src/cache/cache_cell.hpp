@@ -143,9 +143,11 @@ class CacheCell {
   // The admission policy's verdict for `program` at `t` (counts a
   // denial).  True when no policy is configured.
   [[nodiscard]] bool admission_allows(ProgramId program, sim::SimTime t);
-  // Evicts the scorer's victims while `full()` holds.  Returns false —
-  // leaving the cache short — once nothing is left to evict, the victim is
-  // `incoming` itself, or `incoming` stops strictly outranking it.
+  // Evicts the scorer's victims while `full()` holds; `full` may itself
+  // do the work it waits on, as try_fill's placement does.  Returns
+  // false — leaving the cache short — once nothing is left to evict, the
+  // victim is `incoming` itself, or `incoming` stops strictly outranking
+  // it.
   template <class Full>
   [[nodiscard]] bool make_room(ProgramId incoming, sim::SimTime t, Full full);
   void try_fill(SegmentKey key, DataSize bytes, sim::SimTime t);

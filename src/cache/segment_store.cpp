@@ -13,6 +13,7 @@ constexpr std::uint8_t kMinSlotsLog2 = 3;
 SegmentStore::SegmentStore(std::vector<DataSize> peer_contributions)
     : contribution_(std::move(peer_contributions)) {
   VODCACHE_EXPECTS(!contribution_.empty());
+  VODCACHE_EXPECTS(contribution_.size() <= SegmentEntry::kCountMask);
   while (leaves_ < contribution_.size()) leaves_ *= 2;
   free_bits_.assign(leaves_, -1);
   tree_.assign(leaves_, 0);
@@ -83,9 +84,10 @@ std::span<const PeerId> SegmentStore::locate(SegmentKey key) const {
       (key.index >> prog->cap_log2) != 0) {
     return {};
   }
-  // An empty slot has count 0: an empty span.
   const SegmentEntry& slot = slots_.data(prog->off)[key.index];
-  return {replica_peers_.data(slot.off), slot.count};
+  if (slot.spilled()) return {replica_peers_.data(slot.word), slot.count()};
+  // Inline: the slot's own peer, or nothing when the slot is empty.
+  return {&slot.peer, slot.word != 0 ? 1u : 0u};
 }
 
 bool SegmentStore::has_program(ProgramId program) const {
@@ -104,26 +106,51 @@ std::optional<PeerId> SegmentStore::store(SegmentKey key, DataSize bytes) {
 
   ProgramEntry& prog = program_entry(key.program);
   SegmentEntry& slot = slot_for(prog, key.index);
-  if (slot.count == 0) {
-    slot.cap_log2 = 0;
-    slot.off = replica_peers_.allocate(0);
-    // The bytes arena mirrors the peers arena class for class, so the two
-    // blocks always share one offset.
-    const std::uint32_t bytes_off = replica_bytes_.allocate(0);
-    VODCACHE_ASSERT(bytes_off == slot.off);
+  const std::int64_t bits = bytes.bit_count();
+  if (slot.empty()) {
     ++prog.stored;
-  } else if (slot.count == (1u << slot.cap_log2)) {
-    const std::uint32_t old_off = slot.off;
-    slot.off = replica_peers_.grow(old_off, slot.cap_log2, slot.count);
-    const std::uint32_t bytes_off =
-        replica_bytes_.grow(old_off, slot.cap_log2, slot.count);
-    VODCACHE_ASSERT(bytes_off == slot.off);
-    ++slot.cap_log2;
+    if (bits <= std::int64_t{UINT32_MAX}) {
+      slot.word = static_cast<std::uint32_t>(bits);
+      slot.peer = *peer;
+      return peer;
+    }
   }
-  replica_peers_.data(slot.off)[slot.count] = *peer;
-  replica_bytes_.data(slot.off)[slot.count] = bytes.bit_count();
-  ++slot.count;
+  append_spilled(slot, *peer, bits);
   return peer;
+}
+
+void SegmentStore::append_spilled(SegmentEntry& slot, PeerId peer,
+                                  std::int64_t bits) {
+  // The bytes arena mirrors the peers arena class for class, so the two
+  // blocks always share one offset.
+  if (!slot.spilled()) {
+    // An empty slot takes a one-replica block; an inline one moves its
+    // replica to the front of a two-replica block.
+    const std::uint8_t cap_log2 = slot.empty() ? 0 : 1;
+    const std::uint32_t off = replica_peers_.allocate(cap_log2);
+    const std::uint32_t bytes_off = replica_bytes_.allocate(cap_log2);
+    VODCACHE_ASSERT(bytes_off == off);
+    std::uint32_t count = 0;
+    if (!slot.empty()) {
+      replica_peers_.data(off)[0] = slot.peer;
+      replica_bytes_.data(off)[0] = slot.word;
+      count = 1;
+    }
+    slot.set_spilled(off, cap_log2, count);
+  } else if (slot.count() == (1u << slot.cap_log2())) {
+    const std::uint32_t old_off = slot.word;
+    const std::uint8_t cap_log2 = slot.cap_log2();
+    const std::uint32_t off =
+        replica_peers_.grow(old_off, cap_log2, slot.count());
+    const std::uint32_t bytes_off =
+        replica_bytes_.grow(old_off, cap_log2, slot.count());
+    VODCACHE_ASSERT(bytes_off == off);
+    slot.set_spilled(off, static_cast<std::uint8_t>(cap_log2 + 1), slot.count());
+  }
+  const std::uint32_t count = slot.count();
+  replica_peers_.data(slot.word)[count] = peer;
+  replica_bytes_.data(slot.word)[count] = bits;
+  slot.set_spilled(slot.word, slot.cap_log2(), count + 1);
 }
 
 DataSize SegmentStore::evict_program(ProgramId program) {
@@ -137,16 +164,22 @@ DataSize SegmentStore::evict_program(ProgramId program) {
     const SegmentEntry* slots = slots_.data(prog->off);
     for (std::uint32_t i = 0; i < (1u << prog->cap_log2); ++i) {
       const SegmentEntry& slot = slots[i];
-      if (slot.count == 0) continue;
-      const PeerId* peers = replica_peers_.data(slot.off);
-      const std::int64_t* bytes = replica_bytes_.data(slot.off);
-      for (std::uint16_t r = 0; r < slot.count; ++r) {
+      if (!slot.spilled()) {
+        if (slot.word == 0) continue;  // empty
+        const auto p = slot.peer.value();
+        set_free(p, free_bits_[p] + slot.word);
+        freed += DataSize::bits(slot.word);
+        continue;
+      }
+      const PeerId* peers = replica_peers_.data(slot.word);
+      const std::int64_t* bytes = replica_bytes_.data(slot.word);
+      for (std::uint32_t r = 0; r < slot.count(); ++r) {
         const auto p = peers[r].value();
         set_free(p, free_bits_[p] + bytes[r]);
         freed += DataSize::bits(bytes[r]);
       }
-      replica_peers_.release(slot.off, slot.cap_log2);
-      replica_bytes_.release(slot.off, slot.cap_log2);
+      replica_peers_.release(slot.word, slot.cap_log2());
+      replica_bytes_.release(slot.word, slot.cap_log2());
     }
     slots_.release(prog->off, prog->cap_log2);
   }
@@ -176,21 +209,32 @@ SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
     SegmentEntry* slots = slots_.data(prog.off);
     for (std::uint32_t i = 0; i < (1u << prog.cap_log2); ++i) {
       SegmentEntry& slot = slots[i];
-      PeerId* peers = replica_peers_.data(slot.off);
-      std::int64_t* bytes = replica_bytes_.data(slot.off);
-      std::uint16_t r = 0;
-      while (r < slot.count && peers[r] != peer) ++r;
-      if (r == slot.count) continue;  // this replica set survives the wipe
+      if (!slot.spilled()) {
+        if (slot.word == 0 || slot.peer != peer) continue;
+        result.freed += DataSize::bits(slot.word);
+        slot = SegmentEntry{};
+        --prog.stored;
+        continue;
+      }
+      PeerId* peers = replica_peers_.data(slot.word);
+      std::int64_t* bytes = replica_bytes_.data(slot.word);
+      const std::uint32_t count = slot.count();
+      std::uint32_t r = 0;
+      while (r < count && peers[r] != peer) ++r;
+      if (r == count) continue;  // this replica set survives the wipe
       result.freed += DataSize::bits(bytes[r]);
       // Survivors keep their insertion order: locate() reports it.
-      for (std::uint16_t j = r + 1; j < slot.count; ++j) {
+      for (std::uint32_t j = r + 1; j < count; ++j) {
         peers[j - 1] = peers[j];
         bytes[j - 1] = bytes[j];
       }
-      if (--slot.count == 0) {
-        replica_peers_.release(slot.off, slot.cap_log2);
-        replica_bytes_.release(slot.off, slot.cap_log2);
+      if (count == 1) {
+        replica_peers_.release(slot.word, slot.cap_log2());
+        replica_bytes_.release(slot.word, slot.cap_log2());
+        slot = SegmentEntry{};
         --prog.stored;
+      } else {
+        slot.set_spilled(slot.word, slot.cap_log2(), count - 1);
       }
     }
     if (prog.stored == 0) {
@@ -217,11 +261,6 @@ void SegmentStore::commit_program(ProgramId program, DataSize full_size) {
 bool SegmentStore::has_commitment(ProgramId program) const {
   const ProgramEntry* prog = programs_.find(program.value());
   return prog != nullptr && prog->commitment_bits != 0;
-}
-
-bool SegmentStore::can_place(SegmentKey key, DataSize bytes) {
-  VODCACHE_EXPECTS(bytes > DataSize{});
-  return best_peer(bytes, locate(key)).has_value();
 }
 
 DataSize SegmentStore::peer_used(PeerId peer) const {

@@ -11,20 +11,24 @@
 // pooled arrays (util/flat_map.hpp) —
 //
 //   programs_ : program -> its commitment, its stored-segment count and a
-//               dense block of segment slots indexed by segment number, so
-//               the program is looked up once and a segment is an array
-//               index.  A slot's replica peers are one contiguous run in a
-//               pooled arena, so locate() returns a span without
-//               allocating; per-replica byte counts ride in a parallel
-//               arena block.  An entry lives while the program has a
+//               dense block of 8-byte segment slots indexed by segment
+//               number, so the program is looked up once and a segment is
+//               an array index.  A slot holds its segment's one replica
+//               itself: the peer and, when it fits 32 bits, the size in
+//               bits.  Only a second replica (replicate_on_busy) or a
+//               larger size spills the slot to a contiguous run of peers
+//               in a pooled arena, with the sizes in a parallel arena
+//               block.  Either way locate() returns a span without
+//               allocating.  An entry lives while the program has a
 //               commitment or a stored segment.
 //
-// Evict and failure-wipe release blocks back onto the arenas' freelists, so
-// steady-state churn stores and evicts without heap traffic.  Placement
-// reads a tournament tree over the peers: every node holds the peer with
-// the most free space beneath it, ties to the larger id.  The tree is a pure
-// function of the peers' free space, so the order in which updates arrive
-// cannot change any placement decision.
+// Evict and failure-wipe release blocks back onto the arenas' freelists
+// (an inline slot has none to release), so steady-state churn stores and
+// evicts without heap traffic.  Placement reads a tournament tree over the
+// peers: every node holds the peer with the most free space beneath it,
+// ties to the larger id.  The tree is a pure function of the peers' free
+// space, so the order in which updates arrive cannot change any placement
+// decision.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +59,8 @@ class SegmentStore {
     return !locate(key).empty();
   }
   // All peers holding a replica of the segment (possibly empty), in the
-  // order the replicas were stored.  The span points into the replica
-  // arena: valid until the next store/evict/wipe.
+  // order the replicas were stored.  The span points into the slot or the
+  // replica arena: valid until the next store/evict/wipe.
   [[nodiscard]] std::span<const PeerId> locate(SegmentKey key) const;
 
   // True if any segment of the program is stored.
@@ -64,16 +68,13 @@ class SegmentStore {
 
   // Stores a replica on the peer with most free space that does not already
   // hold one.  Returns the chosen peer, or nullopt if no eligible peer can
-  // hold `bytes` (caller is expected to evict first).  Replicas of hot
+  // hold `bytes` — placement is per-peer, so aggregate free space can
+  // exceed `bytes` while no single peer fits it (fragmentation).  The
+  // caller is expected to evict and try again.  Replicas of hot
   // segments arise when every existing copy's peer is stream-saturated: the
   // index server tells one more peer to read the (anyway happening) miss
   // broadcast off the wire.
   std::optional<PeerId> store(SegmentKey key, DataSize bytes);
-
-  // True iff store(key, bytes) would find a peer right now.  Placement is
-  // per-peer: aggregate free space can exceed `bytes` while no single peer
-  // fits it (fragmentation), in which case eviction is still required.
-  [[nodiscard]] bool can_place(SegmentKey key, DataSize bytes);
 
   // Whole-program admission accounting (paper section IV-B.1: the index
   // server admits and deletes *programs*; segments then materialize from
@@ -107,15 +108,41 @@ class SegmentStore {
   [[nodiscard]] std::size_t peer_count() const { return contribution_.size(); }
 
  private:
-  // Slot of one segment: `count` replica peers at replica arena offset
-  // `off`, with the per-replica byte counts at the same offset in the
-  // parallel bytes arena; both blocks hold 2^cap_log2 entries.  count == 0
-  // marks an empty slot.
+  // Slot of one segment, 8 bytes, in one of three forms:
+  //  - empty: `word` 0 and no kSpilled tag;
+  //  - inline, one replica whose size fits 32 bits (every replica unless
+  //    replicate_on_busy adds a second): `peer` is the replica's peer and
+  //    `word` its size in bits, never 0;
+  //  - spilled: `peer` is no peer but kSpilled | cap_log2 << 24 | count,
+  //    and `word` the offset of `count` replica peers in a block of
+  //    2^cap_log2, with their sizes in bits at the same offset in the
+  //    parallel bytes arena.
+  // Peer ids stay below 2^24 (the constructor checks), so a peer never
+  // carries the tag and a count always fits.
   struct SegmentEntry {
-    std::uint32_t off = 0;
-    std::uint16_t count = 0;
-    std::uint8_t cap_log2 = 0;
+    static constexpr std::uint32_t kSpilled = 1u << 31;
+    static constexpr std::uint32_t kCountMask = (1u << 24) - 1;
+
+    std::uint32_t word = 0;
+    PeerId peer;
+
+    [[nodiscard]] bool spilled() const {
+      return (peer.value() & kSpilled) != 0;
+    }
+    [[nodiscard]] bool empty() const { return word == 0 && !spilled(); }
+    [[nodiscard]] std::uint32_t count() const {
+      return peer.value() & kCountMask;
+    }
+    [[nodiscard]] std::uint8_t cap_log2() const {
+      return static_cast<std::uint8_t>((peer.value() & ~kSpilled) >> 24);
+    }
+    void set_spilled(std::uint32_t off, std::uint8_t cap_log2,
+                     std::uint32_t count) {
+      word = off;
+      peer = PeerId{kSpilled | std::uint32_t{cap_log2} << 24 | count};
+    }
   };
+  static_assert(sizeof(SegmentEntry) == 8);
   // One program: commitment bits (0 = none), and while `stored` > 0 a
   // block of 2^cap_log2 segment slots at slot arena offset `off`.
   struct ProgramEntry {
@@ -129,6 +156,9 @@ class SegmentStore {
   ProgramEntry& program_entry(ProgramId program);
   // The program's slot for `index`, allocating or growing its block.
   SegmentEntry& slot_for(ProgramEntry& prog, std::uint32_t index);
+  // Adds a replica to a slot that already holds one or whose size needs
+  // more than 32 bits, spilling it to (or growing) its arena blocks.
+  void append_spilled(SegmentEntry& slot, PeerId peer, std::int64_t bits);
 
   [[nodiscard]] std::optional<PeerId> best_peer(
       DataSize bytes, std::span<const PeerId> exclude);

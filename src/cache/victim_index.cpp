@@ -40,8 +40,11 @@ void CachedSet::update(ProgramId program, Score score) {
   Score* current = by_program_.find(program.value());
   if (current == nullptr) return;
   if (*current == score) return;
+  const bool falls = score < *current;
   *current = score;
-  push_entry(score, program.value());
+  // A rise keeps the program's older, lower entry as its bound; min()
+  // re-pushes it at its current score if that entry surfaces.
+  if (falls) push_entry(score, program.value());
 }
 
 bool CachedSet::contains(ProgramId program) const {
@@ -56,11 +59,18 @@ std::optional<CachedSet::Score> CachedSet::score_of(ProgramId program) const {
 
 std::optional<ProgramId> CachedSet::min() const {
   while (!heap_.empty()) {
-    const auto& [score, program] = heap_.front();
+    const auto [score, program] = heap_.front();
     const Score* current = by_program_.find(program);
     if (current != nullptr && *current == score) return ProgramId{program};
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
+    if (current != nullptr && score < *current) {
+      // The program's score rose since this entry was pushed, and it may
+      // be the program's only entry: put it back at the current score.
+      heap_.back() = {*current, program};
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    } else {
+      heap_.pop_back();
+    }
   }
   return std::nullopt;
 }

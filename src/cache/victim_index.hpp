@@ -3,16 +3,19 @@
 // A flat hash table (program -> score) plus a lazy min-heap of
 // (score, program) entries.  Strategy scores can *decrease* (LFU history
 // expiry, oracle horizon drift), which breaks a plain pop-and-revalidate
-// heap — unless every score change pushes a fresh entry, which is what
-// update() does.  With that discipline the entry carrying the current
-// (score, program) minimum is always somewhere in the heap; min() pops
-// entries whose score no longer matches the table until it finds a live
-// one.  The heap is bounded: when stale entries accumulate past
-// ~2x the table size it is rebuilt from the table (one entry per program),
-// which preserves the multiset of live entries and therefore every
-// subsequent min() answer.  min() stays O(log n) amortized and the hot
-// update path is allocation-free once the containers reach their
-// high-water marks.
+// heap.  The discipline here: every cached program keeps at least one
+// heap entry at or below its current score.  insert() and a falling
+// update() push an entry at the new score; a rising update() pushes
+// nothing, since the older, lower entry still bounds it.  min() pops
+// entries that no longer match the table; when the popped entry is a
+// cached program's bound from before a rise, it goes back in at the
+// current score.  So the entry carrying the current (score, program)
+// minimum is always in the heap and min() finds it.  The heap is bounded:
+// when stale entries accumulate past ~2x the table size it is rebuilt
+// from the table (one entry per program at its current score), which
+// keeps the discipline and therefore every subsequent min() answer.
+// min() stays O(log n) amortized and the hot update path is
+// allocation-free once the containers reach their high-water marks.
 #pragma once
 
 #include <cstdint>

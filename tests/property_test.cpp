@@ -137,7 +137,8 @@ TEST_P(Seeded, CachedSetMinMatchesOrderedSet) {
                " universe=" + std::to_string(universe) +
                " stride=" + std::to_string(stride);
       };
-      const auto program = static_cast<std::uint32_t>(rng.uniform_u64(universe));
+      const auto program =
+          static_cast<std::uint32_t>(rng.uniform_u64(universe));
       const ProgramId id{program};
       const std::uint64_t action = rng.uniform_u64(10);
       if (!scores.contains(program)) {
@@ -363,6 +364,132 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
       total += store.peer_used(PeerId{peer});
     }
     ASSERT_EQ(total, store.used());
+  }
+}
+
+// SegmentStore against a brute-force model where slots spill: replica
+// sizes fall on both sides of 2^32 bits (the most a slot holds inline), a
+// segment gets up to 3 replicas, and peer wipes and program evictions
+// interleave with the stores.  Every size stays exact in bits.
+TEST_P(Seeded, SegmentStoreSpillsMatchBruteForce) {
+  Rng rng(GetParam());
+  constexpr std::uint32_t kPeers = 5;
+  constexpr std::uint32_t kPrograms = 8;
+  constexpr std::uint32_t kSegments = 12;
+  constexpr std::int64_t kInlineLimit = std::int64_t{1} << 32;
+  const auto per_peer = DataSize::bits(kInlineLimit * 6);
+  cache::SegmentStore store(std::vector<DataSize>(kPeers, per_peer));
+  struct Replica {
+    std::uint32_t peer;
+    std::int64_t bits;
+  };
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Replica>>
+      placed;  // (program, seg) -> replicas in insertion order
+  std::vector<std::int64_t> used(kPeers, 0);
+  const auto model_has_program = [&](std::uint32_t program) {
+    for (const auto& [key, replicas] : placed) {
+      if (key.first == program && !replicas.empty()) return true;
+    }
+    return false;
+  };
+
+  for (int step = 0; step < 1500; ++step) {
+    const auto repro = [&] {
+      return "repro: --gtest_filter='Seeds/Seeded."
+             "SegmentStoreSpillsMatchBruteForce/seed" +
+             std::to_string(GetParam()) + "' step=" + std::to_string(step);
+    };
+    const std::uint64_t action = rng.uniform_u64(20);
+    const auto program =
+        static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
+    if (action < 14) {
+      const auto seg = static_cast<std::uint32_t>(rng.uniform_u64(kSegments));
+      auto& replicas = placed[{program, seg}];
+      if (replicas.size() == 3) continue;
+      // Sizes within a few bits of the inline limit, or anywhere up to
+      // twice it.
+      const std::int64_t bits =
+          rng.bernoulli(0.3)
+              ? kInlineLimit + rng.uniform_int(-2, 2)
+              : rng.uniform_int(1, 2 * kInlineLimit);
+      std::int64_t best_free = -1;
+      std::uint32_t best_peer = 0;
+      for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
+        if (std::any_of(replicas.begin(), replicas.end(),
+                        [&](const Replica& r) { return r.peer == peer; })) {
+          continue;
+        }
+        const std::int64_t free = per_peer.bit_count() - used[peer];
+        if (free >= best_free) {
+          best_free = free;
+          best_peer = peer;
+        }
+      }
+      const auto result =
+          store.store({ProgramId{program}, seg}, DataSize::bits(bits));
+      ASSERT_EQ(result.has_value(), best_free >= bits) << repro();
+      if (result) {
+        ASSERT_EQ(result->value(), best_peer) << repro();
+        used[best_peer] += bits;
+        replicas.push_back({best_peer, bits});
+      }
+    } else if (action < 17) {
+      std::int64_t expect_freed = 0;
+      for (auto& [key, replicas] : placed) {
+        if (key.first != program) continue;
+        for (const Replica& r : replicas) {
+          expect_freed += r.bits;
+          used[r.peer] -= r.bits;
+        }
+        replicas.clear();
+      }
+      ASSERT_EQ(store.evict_program(ProgramId{program}).bit_count(),
+                expect_freed)
+          << repro();
+    } else {
+      const auto peer = static_cast<std::uint32_t>(rng.uniform_u64(kPeers));
+      std::vector<ProgramId> expect_emptied;
+      std::int64_t expect_freed = 0;
+      for (std::uint32_t p = 0; p < kPrograms; ++p) {
+        if (!model_has_program(p)) continue;
+        for (auto& [key, replicas] : placed) {
+          if (key.first != p) continue;
+          std::erase_if(replicas, [&](const Replica& r) {
+            if (r.peer != peer) return false;
+            expect_freed += r.bits;
+            return true;
+          });
+        }
+        if (!model_has_program(p)) expect_emptied.push_back(ProgramId{p});
+      }
+      const auto wiped = store.wipe_peer(PeerId{peer});
+      ASSERT_EQ(wiped.freed.bit_count(), expect_freed) << repro();
+      ASSERT_EQ(wiped.emptied_programs, expect_emptied) << repro();
+      ASSERT_EQ(used[peer], expect_freed) << repro();
+      used[peer] = 0;
+    }
+    // Every key's replicas in insertion order, presence, exact usage.
+    for (std::uint32_t p = 0; p < kPrograms; ++p) {
+      for (std::uint32_t seg = 0; seg < kSegments; ++seg) {
+        const auto found = placed.find({p, seg});
+        const auto located = store.locate({ProgramId{p}, seg});
+        const std::size_t expect =
+            found == placed.end() ? 0 : found->second.size();
+        ASSERT_EQ(located.size(), expect) << repro();
+        for (std::size_t r = 0; r < expect; ++r) {
+          ASSERT_EQ(located[r].value(), found->second[r].peer) << repro();
+        }
+      }
+      ASSERT_EQ(store.has_program(ProgramId{p}), model_has_program(p))
+          << repro();
+    }
+    std::int64_t total = 0;
+    for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
+      ASSERT_EQ(store.peer_used(PeerId{peer}).bit_count(), used[peer])
+          << repro();
+      total += used[peer];
+    }
+    ASSERT_EQ(store.used().bit_count(), total) << repro();
   }
 }
 

@@ -2,6 +2,8 @@
 // replicas, whole-program eviction.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/segment_store.hpp"
 
 namespace vodcache::cache {
@@ -151,6 +153,74 @@ TEST(SegmentStore, StoredProgramsLists) {
   for (std::uint32_t p = 0; p < 8; ++p) {
     EXPECT_EQ(store.has_program(ProgramId{p}), p == 1 || p == 5) << p;
   }
+}
+
+// 2^32 bits: the smallest replica size a slot cannot hold inline.
+constexpr auto kWide = DataSize::bits(std::int64_t{1} << 32);
+
+TEST(SegmentStore, SecondReplicaSpillsAnInlineSlot) {
+  auto store = make_store(3, DataSize::gigabytes(1));
+  const SegmentKey key{ProgramId{1}, 0};
+  const auto first = store.store(key, kSeg);
+  ASSERT_TRUE(first);
+  ASSERT_EQ(store.locate(key).size(), 1u);
+  EXPECT_EQ(store.locate(key)[0], *first);
+  // The second replica moves the inline one into the arena, first.
+  const auto second = store.store(key, DataSize::megabytes(200));
+  ASSERT_TRUE(second);
+  const auto replicas = store.locate(key);
+  ASSERT_EQ(replicas.size(), 2u);
+  EXPECT_EQ(replicas[0], *first);
+  EXPECT_EQ(replicas[1], *second);
+  EXPECT_EQ(store.peer_used(*first), kSeg);
+  EXPECT_EQ(store.peer_used(*second), DataSize::megabytes(200));
+  EXPECT_EQ(store.used(), kSeg + DataSize::megabytes(200));
+  EXPECT_EQ(store.evict_program(ProgramId{1}),
+            kSeg + DataSize::megabytes(200));
+  EXPECT_EQ(store.used(), DataSize{});
+}
+
+TEST(SegmentStore, WipeOfOneOfTwoReplicasKeepsTheSurvivor) {
+  auto store = make_store(3, DataSize::gigabytes(1));
+  const SegmentKey key{ProgramId{1}, 0};
+  const auto first = store.store(key, kSeg);
+  const auto second = store.store(key, kSeg);
+  ASSERT_TRUE(first && second);
+  const auto wiped = store.wipe_peer(*first);
+  EXPECT_EQ(wiped.freed, kSeg);
+  EXPECT_TRUE(wiped.emptied_programs.empty());
+  ASSERT_EQ(store.locate(key).size(), 1u);
+  EXPECT_EQ(store.locate(key)[0], *second);
+  EXPECT_TRUE(store.has_program(ProgramId{1}));
+  EXPECT_EQ(store.used(), kSeg);
+  // The survivor's wipe empties the program.
+  const auto last = store.wipe_peer(*second);
+  EXPECT_EQ(last.freed, kSeg);
+  EXPECT_EQ(last.emptied_programs, std::vector<ProgramId>{ProgramId{1}});
+  EXPECT_TRUE(store.locate(key).empty());
+  EXPECT_EQ(store.used(), DataSize{});
+}
+
+TEST(SegmentStore, SizeOver32BitsStaysExact) {
+  auto store = make_store(2, DataSize::gigabytes(2));
+  const auto wide = kWide;  // exactly 2^32 bits
+  const SegmentKey key{ProgramId{4}, 1};
+  const auto peer = store.store(key, wide);
+  ASSERT_TRUE(peer);
+  ASSERT_EQ(store.locate(key).size(), 1u);
+  EXPECT_EQ(store.locate(key)[0], *peer);
+  EXPECT_EQ(store.used(), wide);
+  EXPECT_EQ(store.peer_used(*peer), wide);
+  // One bit short of 2^32 fits inline, beside it on the other peer.
+  const auto narrow = kWide - DataSize::bits(1);
+  const auto other = store.store({ProgramId{4}, 0}, narrow);
+  ASSERT_TRUE(other);
+  EXPECT_NE(*other, *peer);
+  EXPECT_EQ(store.peer_used(*other), narrow);
+  EXPECT_EQ(store.used(), wide + narrow);
+  EXPECT_EQ(store.evict_program(ProgramId{4}), wide + narrow);
+  EXPECT_EQ(store.peer_used(*peer), DataSize{});
+  EXPECT_EQ(store.used(), DataSize{});
 }
 
 TEST(SegmentStore, ManyOperationsPreserveAccounting) {
