@@ -5,15 +5,20 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/ecdf.hpp"
+#include "cache/cache_cell.hpp"
+#include "cache/future_index.hpp"
 #include "cache/lfu.hpp"
+#include "cache/popularity_board.hpp"
 #include "cache/segment_store.hpp"
 #include "cache/victim_index.hpp"
+#include "core/policy_registry.hpp"
 #include "hfc/settop.hpp"
 #include "reference_sim.hpp"
 #include "sim/rate_meter.hpp"
@@ -490,6 +495,180 @@ TEST_P(Seeded, SegmentStoreSpillsMatchBruteForce) {
       total += used[peer];
     }
     ASSERT_EQ(store.used().bit_count(), total) << repro();
+  }
+}
+
+// Every registered (scorer x admission) pair, under both admission
+// granularities and with and without replicate_on_busy, keeps its
+// scorer's cached set and its store in step through random sessions, full
+// and partial segment serves (whose fills evict) and peer wipes.  After
+// every call: a program with a located segment is cached; under segment
+// granularity a cached program has a located segment; under whole-program
+// admission the cached programs' full sizes fit the capacity; and no peer
+// holds more than it contributes.
+TEST_P(Seeded, CacheCellMembershipHolds) {
+  Rng rng(GetParam());
+  constexpr std::uint32_t kPeers = 4;
+  constexpr std::uint32_t kPrograms = 12;
+  constexpr std::uint32_t kMaxSegments = 4;
+  constexpr int kEvents = 500;
+  const auto segment = core::SystemConfig::segment_duration;
+
+  core::SystemConfig config;
+  // Two segments per peer, nine in the neighborhood: fills evict.
+  config.per_peer_storage = DataSize::megabytes(700);
+  // A couple of concurrent streams fill this much of the coax: the
+  // headroom gates refuse some sessions.
+  config.admission_policy.headroom_fraction = 0.01;
+  std::vector<trace::ProgramInfo> infos(kPrograms);
+  for (auto& info : infos) {
+    info.length = sim::SimTime::millis(segment.millis_count() *
+                                       rng.uniform_int(1, kMaxSegments));
+    info.base_weight = 1.0;
+  }
+  const trace::Catalog catalog(std::move(infos));
+
+  // The script, in strictly increasing time.  Its session starts fill the
+  // global board and the oracle's future index before any cell runs.
+  enum class Kind { Start, Serve, Fail };
+  struct Event {
+    Kind kind;
+    sim::SimTime t;
+    std::uint32_t program = 0;
+    std::uint32_t arg = 0;  // viewer (Start), segment (Serve), peer (Fail)
+    sim::SimTime length;    // session (Start) or transmission (Serve)
+  };
+  std::vector<Event> script;
+  auto board = std::make_shared<cache::ReplayBoard>(
+      kPrograms, config.strategy.lfu_history, config.strategy.global_lag);
+  cache::FutureIndex future(kPrograms);
+  sim::SimTime t;
+  for (int i = 0; i < kEvents; ++i) {
+    t += sim::SimTime::seconds(rng.uniform_int(1, 240));
+    const auto program = static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
+    const sim::SimTime length = catalog.length(ProgramId{program});
+    const std::uint64_t action = rng.uniform_u64(20);
+    if (action < 6) {
+      script.push_back({Kind::Start, t, program,
+                        static_cast<std::uint32_t>(rng.uniform_u64(kPeers)),
+                        length});
+      board->add(ProgramId{program}, t);
+      future.add(ProgramId{program}, t);
+    } else if (action < 19) {
+      const auto segments = static_cast<std::uint32_t>(
+          length.millis_count() / segment.millis_count());
+      const bool full = rng.bernoulli(0.8);
+      script.push_back(
+          {Kind::Serve, t, program,
+           static_cast<std::uint32_t>(rng.uniform_u64(segments)),
+           full ? segment
+                : sim::SimTime::seconds(rng.uniform_int(
+                      1, segment.millis_count() / 1000 - 1))});
+    } else {
+      script.push_back({Kind::Fail, t, 0,
+                        static_cast<std::uint32_t>(rng.uniform_u64(kPeers)),
+                        sim::SimTime{}});
+    }
+  }
+  board->freeze();
+  future.freeze();
+
+  cache::AccessHistory history;
+  cache::ReplayView view(*board);
+  sim::RateMeter coax(t + sim::SimTime::days(1), config.meter_bucket);
+  const core::PolicyContext context{config, catalog, history, &future, &view};
+  std::vector<cache::CacheCell> cells;
+  std::vector<std::string> labels;
+  cells.reserve(100);
+  for (const auto& scorer : core::scorer_registry()) {
+    if (scorer.kind == core::StrategyKind::None) continue;
+    for (const auto& admission : core::admission_registry()) {
+      for (const bool whole_program : {true, false}) {
+        for (const bool replicate : {false, true}) {
+          const cache::CacheCell::Settings settings{
+              whole_program, replicate, config.stream_rate,
+              config.per_peer_storage};
+          cells.emplace_back(
+              cache::CacheCell::Policy{scorer.display, admission.display,
+                                       scorer.make(context),
+                                       admission.make(context)},
+              settings, kPeers, &coax);
+          labels.push_back(std::string(scorer.key) + "/" + admission.key +
+                           (whole_program ? "/whole" : "/segment") +
+                           (replicate ? "/replicate" : ""));
+        }
+      }
+    }
+  }
+  // admit[c * kPrograms + p]: cell c's decision for p's latest session.
+  std::vector<char> admit(cells.size() * kPrograms, 0);
+
+  std::size_t session = 0;
+  for (int step = 0; step < kEvents; ++step) {
+    const Event& e = script[static_cast<std::size_t>(step)];
+    const ProgramId program{e.program};
+    const sim::Interval tx{e.t, e.t + e.length};
+    if (e.kind == Kind::Start) {
+      history.record(program, e.t);
+      view.on_session_start(session++, program, e.t);
+    } else if (e.kind == Kind::Serve) {
+      view.on_boundary(e.t);
+      coax.add(tx, config.stream_rate);
+    }
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      cache::CacheCell& cell = cells[c];
+      const bool whole_program = labels[c].find("/whole") != std::string::npos;
+      switch (e.kind) {
+        case Kind::Start:
+          admit[c * kPrograms + e.program] = cell.start_session(
+              program, catalog.program_size(program, config.stream_rate),
+              e.t);
+          cell.occupy_viewer_slot(PeerId{e.arg}, tx);
+          break;
+        case Kind::Serve:
+          (void)cell.serve_segment({program, e.arg}, tx,
+                                   admit[c * kPrograms + e.program] != 0,
+                                   e.length == segment);
+          break;
+        case Kind::Fail:
+          (void)cell.fail_peer(PeerId{e.arg});
+          break;
+      }
+      const auto repro = [&] {
+        return "repro: --gtest_filter='Seeds/Seeded."
+               "CacheCellMembershipHolds/seed" +
+               std::to_string(GetParam()) + "' step=" + std::to_string(step) +
+               " cell=" + labels[c];
+      };
+      const cache::SegmentStore& store = cell.store();
+      const cache::EvictionScorer& scorer = *cell.scorer();
+      std::size_t cached = 0;
+      DataSize cached_bytes;
+      for (std::uint32_t p = 0; p < kPrograms; ++p) {
+        bool located = false;
+        for (std::uint32_t seg = 0; seg < kMaxSegments; ++seg) {
+          located = located || !store.locate({ProgramId{p}, seg}).empty();
+        }
+        const bool is_cached = scorer.is_cached(ProgramId{p});
+        ASSERT_TRUE(is_cached || !located) << "program " << p << " " << repro();
+        if (!whole_program) {
+          ASSERT_TRUE(located || !is_cached)
+              << "program " << p << " " << repro();
+        }
+        if (is_cached) {
+          ++cached;
+          cached_bytes += catalog.program_size(ProgramId{p}, config.stream_rate);
+        }
+      }
+      ASSERT_EQ(scorer.cached_count(), cached) << repro();
+      if (whole_program) {
+        ASSERT_LE(cached_bytes, store.capacity()) << repro();
+      }
+      for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
+        ASSERT_LE(store.peer_used(PeerId{peer}), config.per_peer_storage)
+            << repro();
+      }
+    }
   }
 }
 
