@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_cell.hpp"
@@ -26,6 +27,7 @@
 #include "hfc/settop.hpp"
 #include "hfc/topology.hpp"
 #include "sim/rate_meter.hpp"
+#include "trace/catalog.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
 
@@ -203,6 +205,16 @@ void BM_StreamSlotsTryAcquire(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamSlotsTryAcquire);
 
+// `n` programs of 30 minutes each, introduced at time 0.
+trace::Catalog half_hour_catalog(std::uint32_t n) {
+  std::vector<trace::ProgramInfo> programs(n);
+  for (auto& program : programs) {
+    program.length = sim::SimTime::minutes(30);
+    program.base_weight = 1.0;
+  }
+  return trace::Catalog(std::move(programs));
+}
+
 // One CacheCell::serve_segment, by outcome: 0 = peer hit, 1 = busy miss
 // (the only replica's peer is at its stream limit), 2 = cold miss.  The
 // misses pass admit = false, so they classify without filling.
@@ -217,17 +229,17 @@ void BM_CacheCellServe(benchmark::State& state) {
   settings.per_peer_storage = DataSize::gigabytes(10);
   const sim::RateMeter coax(sim::SimTime::days(28),
                             sim::SimTime::minutes(15));
+  const trace::Catalog catalog = half_hour_catalog(501);
   cache::AccessHistory history;
   cache::CacheCell cell({"LRU", "always",
                          std::make_unique<cache::LruStrategy>(history),
                          nullptr},
-                        settings, kPeers, &coax);
+                        settings, kPeers, &coax, catalog);
   // Cache one segment of each of 200 programs, one program per session.
   for (std::uint32_t p = 0; p < 200; ++p) {
     const auto t = sim::SimTime::millis(p * kSegmentMs);
     history.record(ProgramId{p}, t);
-    const bool admit = cell.start_session(
-        ProgramId{p}, settings.stream_rate.over_seconds(1800), t);
+    const bool admit = cell.start_session(ProgramId{p}, t);
     (void)cell.serve_segment({ProgramId{p}, 0},
                              {t, t + sim::SimTime::millis(kSegmentMs)}, admit,
                              true);
@@ -269,8 +281,9 @@ void BM_CacheCellServe(benchmark::State& state) {
 BENCHMARK(BM_CacheCellServe)->Arg(0)->Arg(1)->Arg(2);
 
 // One new program's session in a CacheCell already at capacity: the
-// admission evicts the LRU victim (its commitment and its one stored
-// segment), then the session's first segment is a cold miss that fills.
+// admission evicts the LRU victim (its whole-program admission and its one
+// stored segment), then the session's first segment is a cold miss that
+// fills.
 // Programs cycle through 4,096 ids, far more than the ~550 that fit, so
 // each returns long after its eviction.
 void BM_CacheCellFill(benchmark::State& state) {
@@ -282,19 +295,19 @@ void BM_CacheCellFill(benchmark::State& state) {
   settings.per_peer_storage = DataSize::gigabytes(1);
   const sim::RateMeter coax(sim::SimTime::days(28),
                             sim::SimTime::minutes(15));
+  const trace::Catalog catalog = half_hour_catalog(kPrograms);
   cache::AccessHistory history;
   cache::CacheCell cell({"LRU", "always",
                          std::make_unique<cache::LruStrategy>(history),
                          nullptr},
-                        settings, kPeers, &coax);
-  const DataSize program_size = settings.stream_rate.over_seconds(1800);
+                        settings, kPeers, &coax, catalog);
   std::uint32_t next = 0;
   std::int64_t t = 0;
   const auto session = [&] {
     const ProgramId program{next++ % kPrograms};
     const auto start = sim::SimTime::millis(t);
     history.record(program, start);
-    const bool admit = cell.start_session(program, program_size, start);
+    const bool admit = cell.start_session(program, start);
     (void)cell.serve_segment({program, 0},
                              {start, start + sim::SimTime::millis(kSegmentMs)},
                              admit, true);

@@ -38,13 +38,15 @@ CellCounters& CellCounters::operator-=(const CellCounters& other) {
 // admission_ == nullptr is the always-admit fast path: no virtual call, no
 // rate-meter query — byte-for-byte the pre-policy-engine request flow.
 CacheCell::CacheCell(Policy policy, const Settings& settings,
-                     std::uint32_t peer_count, const sim::RateMeter* coax)
+                     std::uint32_t peer_count, const sim::RateMeter* coax,
+                     const trace::Catalog& catalog)
     : scorer_display_(policy.scorer_display),
       admission_display_(policy.admission_display),
       scorer_(std::move(policy.scorer)),
       admission_(std::move(policy.admission)),
       settings_(settings),
       coax_(coax),
+      catalog_(&catalog),
       store_(std::vector<DataSize>(peer_count, settings.per_peer_storage)),
       slots_(peer_count, scorer_ == nullptr ? 0 : hfc::kPeerStreamLimit) {
   VODCACHE_EXPECTS(coax != nullptr);
@@ -70,37 +72,35 @@ bool CacheCell::make_room(ProgramId incoming, sim::SimTime t, Full full) {
     }
     store_.evict_program(*victim);
     scorer_->on_evict(*victim);
+    if (settings_.whole_program) committed_ -= program_size(*victim);
     ++counters_.evictions;
   }
   return true;
 }
 
-bool CacheCell::start_session(ProgramId program, DataSize program_size,
-                              sim::SimTime t) {
+bool CacheCell::start_session(ProgramId program, sim::SimTime t) {
   ++counters_.sessions;
   if (scorer_ == nullptr) return false;  // StrategyKind::None
   scorer_->on_access(program, t);
+  // Already admitted: keep filling it.
+  if (scorer_->is_cached(program)) return true;
+  if (!admission_allows(program, t)) return false;
 
   if (settings_.whole_program) {
-    // Already admitted: keep filling it.
-    if (store_.has_commitment(program)) return true;
-    if (!admission_allows(program, t)) return false;
     // Charge the whole program against capacity now, evicting victims the
     // scorer ranks below it ("it locates a collection of peers to store
     // the segments ... instruct peers to delete programs").
+    const DataSize size = program_size(program);
     const auto over_capacity = [&] {
-      return store_.committed_total() + program_size > store_.capacity();
+      return committed_ + size > store_.capacity();
     };
     if (!make_room(program, t, over_capacity)) return false;
-    store_.commit_program(program, program_size);
+    committed_ += size;
     scorer_->on_admit(program, t);
     return true;
   }
 
-  // Segment-granularity ablation.
-  // Already (partially) cached: keep filling it.
-  if (store_.has_program(program)) return true;
-  if (!admission_allows(program, t)) return false;
+  // Segment-granularity ablation: the first stored segment admits.
   // Free space: caching one more program costs nothing.
   if (store_.free_space() > DataSize{}) return true;
   // Full: admit only if the program outranks the current victim.
@@ -115,18 +115,17 @@ void CacheCell::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
 
 void CacheCell::try_fill(SegmentKey key, DataSize bytes, sim::SimTime t) {
   if (scorer_ == nullptr) return;
-  if (settings_.whole_program && !store_.has_commitment(key.program)) {
-    // The session's admit decision went stale: the program was evicted
-    // mid-session (or replication pushed past its commitment).
-    return;
-  }
+  const bool cached = scorer_->is_cached(key.program);
+  // Whole-program: the session's admit decision went stale, the program
+  // was evicted mid-session.
+  if (settings_.whole_program && !cached) return;
   // Each try is the placement itself (per-peer, so aggregate free space
-  // is not enough): make_room evicts until one stores the segment.
+  // is not enough): make_room evicts until one stores the segment.  It
+  // never evicts key.program itself.
   const auto unplaced = [&] { return !store_.store(key, bytes).has_value(); };
   if (!make_room(key.program, t, unplaced)) return;
-  if (store_.has_program(key.program) && !scorer_->is_cached(key.program)) {
-    scorer_->on_admit(key.program, t);
-  }
+  // Segment granularity: the program's first stored segment admits it.
+  if (!cached) scorer_->on_admit(key.program, t);
   ++counters_.fills;
 }
 
@@ -174,7 +173,8 @@ SegmentStore::WipeResult CacheCell::fail_peer(PeerId peer) {
   auto wiped = store_.wipe_peer(peer);
   if (scorer_ != nullptr && !settings_.whole_program) {
     for (const ProgramId program : wiped.emptied_programs) {
-      if (scorer_->is_cached(program)) scorer_->on_evict(program);
+      VODCACHE_ASSERT(scorer_->is_cached(program));
+      scorer_->on_evict(program);
     }
   }
   return wiped;

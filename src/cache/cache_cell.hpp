@@ -14,6 +14,17 @@
 // moves after construction, so its counters are always a standalone run
 // of its pair.
 //
+// Admission has one owner, the scorer's cached set.  Section IV-B
+// separates admitting and deleting whole programs from placing and
+// locating segments, and so does the cell: a program is admitted exactly
+// while the scorer holds it (on_admit / on_evict), and the SegmentStore
+// only says where the segments are.  Whole-program admission charges the
+// program's full size — read from the run's catalog — against capacity
+// at admission, before any segment is stored; the cell keeps that
+// committed total itself.  Under segment granularity a program is
+// admitted by its first stored segment and leaves the cached set with
+// its last, so there the cached set and the store's programs coincide.
+//
 // The cell moves no bytes.  A neighborhood's cells live in one vector
 // owned by core::IndexServer, which serves from one of them (the primary)
 // and adds the side effects that are not decisions — coax/peer/tier
@@ -31,6 +42,7 @@
 #include "hfc/settop.hpp"
 #include "sim/rate_meter.hpp"
 #include "sim/time.hpp"
+#include "trace/catalog.hpp"
 #include "util/ids.hpp"
 #include "util/units.hpp"
 
@@ -97,20 +109,20 @@ class CacheCell {
   };
 
   // `coax` is the owning neighborhood's coax meter (fed by the primary);
-  // headroom-gated admissions read it.  It must outlive the cell.  Coax
-  // metering is policy-independent — every transmission is metered once
-  // whatever policy runs — so every cell of a neighborhood reads the rate
-  // a standalone run of its pair would have read.
+  // headroom-gated admissions read it.  Coax metering is
+  // policy-independent — every transmission is metered once whatever
+  // policy runs — so every cell of a neighborhood reads the rate a
+  // standalone run of its pair would have read.  `catalog` gives each
+  // program's length, so its full size at the stream rate.  Both must
+  // outlive the cell.
   CacheCell(Policy policy, const Settings& settings, std::uint32_t peer_count,
-            const sim::RateMeter* coax);
+            const sim::RateMeter* coax, const trace::Catalog& catalog);
 
   // Session begins, and the access history holds it: decides whether this
-  // program should (now) be in the cache.  `program_size` is the program's
-  // full footprint at the stream rate (whole-program admission charges it
-  // against capacity immediately).  The decision holds for the whole
-  // session's opportunistic fills.
-  [[nodiscard]] bool start_session(ProgramId program, DataSize program_size,
-                                   sim::SimTime t);
+  // program should (now) be in the cache.  Whole-program admission
+  // charges the program's full size against capacity immediately.  The
+  // decision holds for the whole session's opportunistic fills.
+  [[nodiscard]] bool start_session(ProgramId program, sim::SimTime t);
 
   // Viewer playback occupies a slot on the viewer's box for the whole
   // session (it counts against the limit when the box is asked to serve).
@@ -124,9 +136,10 @@ class CacheCell {
                             bool admit, bool full_slice);
 
   // Failure injection: the peer's disk contents are lost.  Whole-program
-  // admissions survive (the cell re-fills from future broadcasts); under
-  // segment-granularity admission, programs that lost their last segment
-  // leave the scorer's cached set.  Returns what was wiped.
+  // admissions survive (the cell re-fills from future broadcasts with no
+  // new admission decision); under segment-granularity admission,
+  // programs that lost their last segment leave the scorer's cached set.
+  // Returns what was wiped.
   SegmentStore::WipeResult fail_peer(PeerId peer);
 
   [[nodiscard]] const char* scorer_name() const { return scorer_display_; }
@@ -143,6 +156,9 @@ class CacheCell {
   // The admission policy's verdict for `program` at `t` (counts a
   // denial).  True when no policy is configured.
   [[nodiscard]] bool admission_allows(ProgramId program, sim::SimTime t);
+  [[nodiscard]] DataSize program_size(ProgramId program) const {
+    return catalog_->program_size(program, settings_.stream_rate);
+  }
   // Evicts the scorer's victims while `full()` holds; `full` may itself
   // do the work it waits on, as try_fill's placement does.  Returns
   // false — leaving the cache short — once nothing is left to evict, the
@@ -158,7 +174,10 @@ class CacheCell {
   std::unique_ptr<AdmissionPolicy> admission_;
   Settings settings_;
   const sim::RateMeter* coax_;
+  const trace::Catalog* catalog_;
   SegmentStore store_;
+  // Whole-program admission: the full sizes of the admitted programs.
+  DataSize committed_;
   // Every box's stream occupancy in one table.  The no-cache cell's has
   // limit 0 and keeps nothing: it stores no segment, so none of its boxes
   // is ever asked to serve, and viewer playback needs no record.

@@ -55,11 +55,6 @@ std::optional<PeerId> SegmentStore::best_peer(DataSize bytes,
   return PeerId{best};
 }
 
-SegmentStore::ProgramEntry& SegmentStore::program_entry(ProgramId program) {
-  ProgramEntry* prog = programs_.find(program.value());
-  return prog != nullptr ? *prog : programs_.insert(program.value(), {});
-}
-
 SegmentStore::SegmentEntry& SegmentStore::slot_for(ProgramEntry& prog,
                                                    std::uint32_t index) {
   if (prog.stored == 0) {
@@ -78,37 +73,38 @@ SegmentStore::SegmentEntry& SegmentStore::slot_for(ProgramEntry& prog,
   return slots_.data(prog.off)[index];
 }
 
-std::span<const PeerId> SegmentStore::locate(SegmentKey key) const {
-  const ProgramEntry* prog = programs_.find(key.program.value());
-  if (prog == nullptr || prog->stored == 0 ||
-      (key.index >> prog->cap_log2) != 0) {
-    return {};
-  }
-  const SegmentEntry& slot = slots_.data(prog->off)[key.index];
+std::span<const PeerId> SegmentStore::replicas(const ProgramEntry& prog,
+                                               std::uint32_t index) const {
+  if ((index >> prog.cap_log2) != 0) return {};
+  const SegmentEntry& slot = slots_.data(prog.off)[index];
   if (slot.spilled()) return {replica_peers_.data(slot.word), slot.count()};
   // Inline: the slot's own peer, or nothing when the slot is empty.
   return {&slot.peer, slot.word != 0 ? 1u : 0u};
 }
 
-bool SegmentStore::has_program(ProgramId program) const {
-  const ProgramEntry* prog = programs_.find(program.value());
-  return prog != nullptr && prog->stored > 0;
+std::span<const PeerId> SegmentStore::locate(SegmentKey key) const {
+  const ProgramEntry* prog = programs_.find(key.program.value());
+  if (prog == nullptr) return {};
+  return replicas(*prog, key.index);
 }
 
 std::optional<PeerId> SegmentStore::store(SegmentKey key, DataSize bytes) {
   VODCACHE_EXPECTS(bytes > DataSize{});
-  const auto peer = best_peer(bytes, locate(key));
+  ProgramEntry* prog = programs_.find(key.program.value());
+  const auto peer = best_peer(
+      bytes, prog != nullptr ? replicas(*prog, key.index)
+                             : std::span<const PeerId>{});
   if (!peer) return std::nullopt;
 
   const auto p = peer->value();
   set_free(p, free_bits_[p] - bytes.bit_count());
   used_ += bytes;
 
-  ProgramEntry& prog = program_entry(key.program);
-  SegmentEntry& slot = slot_for(prog, key.index);
+  if (prog == nullptr) prog = &programs_.insert(key.program.value(), {});
+  SegmentEntry& slot = slot_for(*prog, key.index);
   const std::int64_t bits = bytes.bit_count();
   if (slot.empty()) {
-    ++prog.stored;
+    ++prog->stored;
     if (bits <= std::int64_t{UINT32_MAX}) {
       slot.word = static_cast<std::uint32_t>(bits);
       slot.peer = *peer;
@@ -156,33 +152,28 @@ void SegmentStore::append_spilled(SegmentEntry& slot, PeerId peer,
 DataSize SegmentStore::evict_program(ProgramId program) {
   const ProgramEntry* prog = programs_.find(program.value());
   if (prog == nullptr) return DataSize{};
-  // Release the whole-program commitment (if any) even when no segment has
-  // materialized yet.
-  committed_total_ -= DataSize::bits(prog->commitment_bits);
   DataSize freed;
-  if (prog->stored > 0) {
-    const SegmentEntry* slots = slots_.data(prog->off);
-    for (std::uint32_t i = 0; i < (1u << prog->cap_log2); ++i) {
-      const SegmentEntry& slot = slots[i];
-      if (!slot.spilled()) {
-        if (slot.word == 0) continue;  // empty
-        const auto p = slot.peer.value();
-        set_free(p, free_bits_[p] + slot.word);
-        freed += DataSize::bits(slot.word);
-        continue;
-      }
-      const PeerId* peers = replica_peers_.data(slot.word);
-      const std::int64_t* bytes = replica_bytes_.data(slot.word);
-      for (std::uint32_t r = 0; r < slot.count(); ++r) {
-        const auto p = peers[r].value();
-        set_free(p, free_bits_[p] + bytes[r]);
-        freed += DataSize::bits(bytes[r]);
-      }
-      replica_peers_.release(slot.word, slot.cap_log2());
-      replica_bytes_.release(slot.word, slot.cap_log2());
+  const SegmentEntry* slots = slots_.data(prog->off);
+  for (std::uint32_t i = 0; i < (1u << prog->cap_log2); ++i) {
+    const SegmentEntry& slot = slots[i];
+    if (!slot.spilled()) {
+      if (slot.word == 0) continue;  // empty
+      const auto p = slot.peer.value();
+      set_free(p, free_bits_[p] + slot.word);
+      freed += DataSize::bits(slot.word);
+      continue;
     }
-    slots_.release(prog->off, prog->cap_log2);
+    const PeerId* peers = replica_peers_.data(slot.word);
+    const std::int64_t* bytes = replica_bytes_.data(slot.word);
+    for (std::uint32_t r = 0; r < slot.count(); ++r) {
+      const auto p = peers[r].value();
+      set_free(p, free_bits_[p] + bytes[r]);
+      freed += DataSize::bits(bytes[r]);
+    }
+    replica_peers_.release(slot.word, slot.cap_log2());
+    replica_bytes_.release(slot.word, slot.cap_log2());
   }
+  slots_.release(prog->off, prog->cap_log2);
   programs_.erase(program.value());
   used_ -= freed;
   VODCACHE_ENSURES(used_ >= DataSize{});
@@ -197,10 +188,8 @@ SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
   // report driving segment-admission untracking — a pure function of the
   // stored contents.
   wipe_programs_.clear();
-  programs_.for_each([this](std::uint64_t key, const ProgramEntry& prog) {
-    if (prog.stored > 0) {
-      wipe_programs_.push_back(static_cast<std::uint32_t>(key));
-    }
+  programs_.for_each([this](std::uint64_t key, const ProgramEntry&) {
+    wipe_programs_.push_back(static_cast<std::uint32_t>(key));
   });
   std::sort(wipe_programs_.begin(), wipe_programs_.end());
 
@@ -240,8 +229,7 @@ SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
     if (prog.stored == 0) {
       result.emptied_programs.push_back(ProgramId{program});
       slots_.release(prog.off, prog.cap_log2);
-      // A commitment outlives the wipe of all its segments.
-      if (prog.commitment_bits == 0) programs_.erase(program);
+      programs_.erase(program);
     }
   }
 
@@ -249,18 +237,6 @@ SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
   used_ -= result.freed;
   VODCACHE_ENSURES(peer_used(peer) >= DataSize{});
   return result;
-}
-
-void SegmentStore::commit_program(ProgramId program, DataSize full_size) {
-  VODCACHE_EXPECTS(full_size > DataSize{});
-  VODCACHE_EXPECTS(!has_commitment(program));
-  program_entry(program).commitment_bits = full_size.bit_count();
-  committed_total_ += full_size;
-}
-
-bool SegmentStore::has_commitment(ProgramId program) const {
-  const ProgramEntry* prog = programs_.find(program.value());
-  return prog != nullptr && prog->commitment_bits != 0;
 }
 
 DataSize SegmentStore::peer_used(PeerId peer) const {

@@ -5,30 +5,24 @@
 // the index server places data to balance load, and keeps track of where
 // each program is located": each incoming segment goes to the peer with the
 // most free contributed storage; eviction is whole-program and frees every
-// peer's slice.
+// peer's slice.  The store keeps segments only: which programs are
+// admitted is the cache cell's scorer's cached set (cache/cache_cell.hpp).
 //
 // Layout: everything the event loop touches lives in one flat table and
 // pooled arrays (util/flat_map.hpp) —
 //
-//   programs_ : program -> its commitment, its stored-segment count and a
-//               dense block of 8-byte segment slots indexed by segment
-//               number, so the program is looked up once and a segment is
-//               an array index.  A slot holds its segment's one replica
-//               itself: the peer and, when it fits 32 bits, the size in
-//               bits.  Only a second replica (replicate_on_busy) or a
-//               larger size spills the slot to a contiguous run of peers
-//               in a pooled arena, with the sizes in a parallel arena
-//               block.  Either way locate() returns a span without
-//               allocating.  An entry lives while the program has a
-//               commitment or a stored segment.
+//   programs_ : program -> its stored-segment count and a dense block of
+//               8-byte segment slots indexed by segment number, so the
+//               program is looked up once and a segment is an array
+//               index.  A slot holds its segment's one replica itself:
+//               the peer and, when it fits 32 bits, the size in bits.
+//               Only a second replica (replicate_on_busy) or a larger
+//               size spills the slot to a contiguous run of peers in a
+//               pooled arena, with the sizes in a parallel arena block.
+//               Either way locate() returns a span without allocating.
+//               An entry exists exactly while the program has a stored
+//               segment.
 //
-// Evict and failure-wipe release blocks back onto the arenas' freelists
-// (an inline slot has none to release), so steady-state churn stores and
-// evicts without heap traffic.  Placement reads a tournament tree over the
-// peers: every node holds the peer with the most free space beneath it,
-// ties to the larger id.  The tree is a pure function of the peers' free
-// space, so the order in which updates arrive cannot change any placement
-// decision.
 #pragma once
 
 #include <cstdint>
@@ -55,16 +49,10 @@ class SegmentStore {
   // One entry per peer: its contributed storage.
   explicit SegmentStore(std::vector<DataSize> peer_contributions);
 
-  [[nodiscard]] bool contains(SegmentKey key) const {
-    return !locate(key).empty();
-  }
   // All peers holding a replica of the segment (possibly empty), in the
   // order the replicas were stored.  The span points into the slot or the
   // replica arena: valid until the next store/evict/wipe.
   [[nodiscard]] std::span<const PeerId> locate(SegmentKey key) const;
-
-  // True if any segment of the program is stored.
-  [[nodiscard]] bool has_program(ProgramId program) const;
 
   // Stores a replica on the peer with most free space that does not already
   // hold one.  Returns the chosen peer, or nullopt if no eligible peer can
@@ -76,25 +64,14 @@ class SegmentStore {
   // broadcast off the wire.
   std::optional<PeerId> store(SegmentKey key, DataSize bytes);
 
-  // Whole-program admission accounting (paper section IV-B.1: the index
-  // server admits and deletes *programs*; segments then materialize from
-  // broadcasts).  A commitment charges the program's full size against
-  // capacity regardless of how many segments are stored yet.
-  void commit_program(ProgramId program, DataSize full_size);
-  [[nodiscard]] bool has_commitment(ProgramId program) const;
-  [[nodiscard]] DataSize committed_total() const { return committed_total_; }
-
-  // Removes every segment of `program` and its commitment; returns bytes
-  // freed.
+  // Removes every segment of `program`; returns bytes freed.
   DataSize evict_program(ProgramId program);
 
   // Failure injection: drop every replica stored on `peer` (disk loss /
-  // box swap).  Whole-program commitments are left in place — the index
-  // server still considers those programs admitted and will re-fill them
-  // from future miss broadcasts.  Returns the programs that lost their
-  // *last* stored segment (callers running segment-granularity admission
-  // need to un-track those) and the bytes freed.  Programs are visited —
-  // and emptied programs reported — in ascending id order.
+  // box swap).  Returns the programs that lost their *last* stored segment
+  // (callers running segment-granularity admission need to un-track
+  // those) and the bytes freed.  Programs are visited — and emptied
+  // programs reported — in ascending id order.
   struct WipeResult {
     DataSize freed;
     std::vector<ProgramId> emptied_programs;
@@ -143,17 +120,17 @@ class SegmentStore {
     }
   };
   static_assert(sizeof(SegmentEntry) == 8);
-  // One program: commitment bits (0 = none), and while `stored` > 0 a
-  // block of 2^cap_log2 segment slots at slot arena offset `off`.
+  // One program: `stored` (> 0) segments in a block of 2^cap_log2 segment
+  // slots at slot arena offset `off`.
   struct ProgramEntry {
-    std::int64_t commitment_bits = 0;
     std::uint32_t off = 0;
     std::uint32_t stored = 0;
     std::uint8_t cap_log2 = 0;
   };
 
-  // The program's entry, inserted empty when absent.
-  ProgramEntry& program_entry(ProgramId program);
+  // The replicas in the program's slot for `index` (possibly none).
+  [[nodiscard]] std::span<const PeerId> replicas(const ProgramEntry& prog,
+                                                 std::uint32_t index) const;
   // The program's slot for `index`, allocating or growing its block.
   SegmentEntry& slot_for(ProgramEntry& prog, std::uint32_t index);
   // Adds a replica to a slot that already holds one or whose size needs
@@ -178,7 +155,6 @@ class SegmentStore {
   DataSize used_;
 
   util::FlatMap64<ProgramEntry> programs_;
-  DataSize committed_total_;
 
   util::PooledArena<SegmentEntry> slots_;
   util::PooledArena<PeerId> replica_peers_;

@@ -22,7 +22,8 @@ cache::CacheCell::Settings cell_settings(const SystemConfig& config) {
 }  // namespace
 
 IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
-                         const SystemConfig& config, Plan plan,
+                         const SystemConfig& config,
+                         const trace::Catalog& catalog, Plan plan,
                          MediaServer& media_server, sim::SimTime horizon,
                          const TierSystem* tiers,
                          std::vector<std::uint32_t> tier_nodes)
@@ -43,7 +44,7 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
   cells_.reserve(plan.cells.size());
   for (auto& policy : plan.cells) {
     cells_.emplace_back(std::move(policy), settings, peer_count,
-                        &coax_meter_);
+                        &coax_meter_, catalog);
   }
   if (tiers_ != nullptr) {
     VODCACHE_EXPECTS(tier_nodes_.size() == tiers_->level_count());
@@ -56,11 +57,10 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
 }
 
 std::uint64_t IndexServer::start_session(ProgramId program,
-                                         DataSize program_size,
                                          sim::SimTime t) {
   std::uint64_t mask = 0;
   for (std::size_t c = 0; c < cells_.size(); ++c) {
-    if (cells_[c].start_session(program, program_size, t)) {
+    if (cells_[c].start_session(program, t)) {
       mask |= std::uint64_t{1} << c;
     }
   }

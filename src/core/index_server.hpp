@@ -20,7 +20,10 @@
 //
 // Every placement decision — admit, evict, fill, hit or miss — is made by
 // the neighborhood's cache cells (cache::CacheCell), which the server owns
-// in one vector and drives against one session stream, in one pass.  The
+// in one vector and drives against one session stream, in one pass.  In
+// each cell the scorer's cached set says which programs are admitted and
+// the SegmentStore says where their segments are; the cells read program
+// sizes from the run's catalog.  The
 // vector holds the configured pair alone, or — in shadow-matrix and
 // policy-switch runs — one cell per registered (eviction scorer x
 // admission policy) pair, scorer-major in registry order: the matrix's
@@ -50,6 +53,7 @@
 #include "core/config.hpp"
 #include "core/media_server.hpp"
 #include "sim/rate_meter.hpp"
+#include "trace/catalog.hpp"
 
 namespace vodcache::core {
 
@@ -71,12 +75,14 @@ class IndexServer {
   // Builds the plan's cells and serves from `plan.primary`.  A cell's
   // scorer may be null (StrategyKind::None: no cache at all); its
   // admission may be null, which means always-admit (the paper's
-  // behaviour).
+  // behaviour).  The cells read program sizes from `catalog`, which must
+  // outlive the server.
   // `tiers` (owned by the orchestrator, outliving the server) enables the
   // multi-tier miss walk; null is the paper's two-level world.
   // `tier_nodes` is this neighborhood's node path, one node id per level.
   IndexServer(NeighborhoodId id, std::uint32_t peer_count,
-              const SystemConfig& config, Plan plan,
+              const SystemConfig& config, const trace::Catalog& catalog,
+              Plan plan,
               MediaServer& media_server, sim::SimTime horizon,
               const TierSystem* tiers = nullptr,
               std::vector<std::uint32_t> tier_nodes = {});
@@ -89,7 +95,6 @@ class IndexServer {
   // Every cell's session admit decision (cache::CacheCell::start_session):
   // bit c is cell c's.
   [[nodiscard]] std::uint64_t start_session(ProgramId program,
-                                            DataSize program_size,
                                             sim::SimTime t);
 
   // Serve one segment transmission for a viewer in this neighborhood:

@@ -24,8 +24,8 @@ NeighborhoodShard::NeighborhoodShard(
                 : nullptr),
       history_(std::make_unique<cache::AccessHistory>()),
       media_(horizon, config.meter_bucket),
-      server_(id, peer_count, config, make_cells(), media_, horizon, tiers,
-              std::move(tier_nodes)),
+      server_(id, peer_count, config, catalog, make_cells(), media_, horizon,
+              tiers, std::move(tier_nodes)),
       failures_(std::move(failures)) {
   VODCACHE_EXPECTS(future_ != nullptr);
   if (history_->empty()) history_.reset();
@@ -171,10 +171,7 @@ void NeighborhoodShard::run_boundary(const BoundaryEvent& event) {
 void NeighborhoodShard::start_session(const StreamSession& stream_session,
                                       std::uint32_t slot) {
   const auto& record = stream_session.record;
-  const DataSize program_size =
-      catalog_.program_size(record.program, config_.stream_rate);
-  slot_admit_[slot] =
-      server_.start_session(record.program, program_size, record.start);
+  slot_admit_[slot] = server_.start_session(record.program, record.start);
   server_.occupy_viewer_slot(
       stream_session.viewer,
       {record.start, sim::SimTime::millis(slot_end_ms_[slot])});

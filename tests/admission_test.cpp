@@ -256,27 +256,28 @@ SystemConfig gated_config() {
   return config;
 }
 
-constexpr auto kProgramSize = DataSize::megabytes(600);
-
-// `make_admission` builds the gate over the fixture's access history.
+// `make_admission` builds the gate over the fixture's access history.  The
+// catalog's programs are 10 minutes long: 600 MB at 8 Mb/s.
 struct GatedFixture {
   template <typename MakeAdmission>
   explicit GatedFixture(MakeAdmission make_admission,
                         SystemConfig cfg = gated_config())
       : config(cfg),
+        catalog(test::uniform_catalog(4, 10)),
         media(sim::SimTime::days(1), config.meter_bucket),
-        server(NeighborhoodId{0}, config.neighborhood_size, config,
+        server(NeighborhoodId{0}, config.neighborhood_size, config, catalog,
                test::one_cell(std::make_unique<cache::LruStrategy>(history),
                               make_admission(history)),
                media, sim::SimTime::days(1)) {}
 
   // A session start as the shard runs it: the history records it first.
-  std::uint64_t start(ProgramId program, DataSize size, sim::SimTime t) {
+  std::uint64_t start(ProgramId program, sim::SimTime t) {
     history.record(program, t);
-    return server.start_session(program, size, t);
+    return server.start_session(program, t);
   }
 
   SystemConfig config;
+  trace::Catalog catalog;
   MediaServer media;
   cache::AccessHistory history;
   IndexServer server;
@@ -289,7 +290,7 @@ TEST(IndexServerAdmission, RefusalLeavesCacheUntouchedAndCounts) {
 
   // First-ever session: second-hit refuses, nothing fills.
   const bool admit =
-      f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+      f.start(ProgramId{0}, sim::SimTime{});
   EXPECT_FALSE(admit);
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0},
                          {sim::SimTime{}, sim::SimTime::seconds(300)}, admit,
@@ -301,8 +302,7 @@ TEST(IndexServerAdmission, RefusalLeavesCacheUntouchedAndCounts) {
   EXPECT_EQ(f.server.counters().admission_denials, 1u);
 
   // Second session for the same program: admitted, fills.
-  const bool admit2 = f.start(ProgramId{0}, kProgramSize,
-                                             sim::SimTime::seconds(400));
+  const bool admit2 = f.start(ProgramId{0}, sim::SimTime::seconds(400));
   EXPECT_TRUE(admit2);
   f.server.serve_segment(
       PeerId{1}, {ProgramId{0}, 0},
@@ -324,19 +324,17 @@ TEST(IndexServerAdmission, CoaxGateClosesUnderLoadAndReopens) {
 
   // Idle coax: admitted.
   const bool admit =
-      f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+      f.start(ProgramId{0}, sim::SimTime{});
   EXPECT_TRUE(admit);
   // One full-bucket transmission pushes the first bucket's average to
   // 8 Mb/s, past the 5 Mb/s threshold...
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0},
                          {sim::SimTime{}, sim::SimTime::minutes(15)}, admit,
                          false);
-  EXPECT_FALSE(f.start(ProgramId{1}, kProgramSize,
-                                      sim::SimTime::minutes(5)));
+  EXPECT_FALSE(f.start(ProgramId{1}, sim::SimTime::minutes(5)));
   EXPECT_EQ(f.server.counters().admission_denials, 1u);
   // ...but the next bucket is quiet again: the gate reopens.
-  EXPECT_TRUE(f.start(ProgramId{2}, kProgramSize,
-                                     sim::SimTime::minutes(20)));
+  EXPECT_TRUE(f.start(ProgramId{2}, sim::SimTime::minutes(20)));
 }
 
 // ---------------------------------------------------------- system level

@@ -32,25 +32,30 @@ sim::Interval span(std::int64_t from_s, std::int64_t to_s) {
 }
 
 constexpr double kSegmentBits = 8e6 * 300;
-// Two-segment program footprint used by the direct IndexServer tests.
-constexpr auto kProgramSize = DataSize::megabytes(600);
-constexpr auto kOneSegment = DataSize::megabytes(300);
+// Program lengths of the direct IndexServer tests: at 8 Mb/s, a
+// two-segment program is 600 MB and a one-segment program 300 MB.
+constexpr int kProgramMinutes = 10;
+constexpr int kOneSegmentMinutes = 5;
 
+// Eight programs of `program_minutes` each.
 struct Fixture {
-  explicit Fixture(SystemConfig cfg = small_config())
+  explicit Fixture(SystemConfig cfg = small_config(),
+                   int program_minutes = kProgramMinutes)
       : config(cfg),
+        catalog(uniform_catalog(8, program_minutes)),
         media(sim::SimTime::days(1), config.meter_bucket),
-        server(NeighborhoodId{0}, config.neighborhood_size, config,
+        server(NeighborhoodId{0}, config.neighborhood_size, config, catalog,
                test::one_cell(std::make_unique<cache::LruStrategy>(history)),
                media, sim::SimTime::days(1)) {}
 
   // A session start as the shard runs it: the history records it first.
-  std::uint64_t start(ProgramId program, DataSize size, sim::SimTime t) {
+  std::uint64_t start(ProgramId program, sim::SimTime t) {
     history.record(program, t);
-    return server.start_session(program, size, t);
+    return server.start_session(program, t);
   }
 
   SystemConfig config;
+  trace::Catalog catalog;
   MediaServer media;
   cache::AccessHistory history;
   IndexServer server;
@@ -60,7 +65,7 @@ struct Fixture {
 
 TEST(IndexServer, ColdMissGoesToServerAndFills) {
   Fixture f;
-  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, sim::SimTime{});
   EXPECT_TRUE(admit);  // LRU admits immediately
 
   const auto result = f.server.serve_segment(
@@ -68,13 +73,13 @@ TEST(IndexServer, ColdMissGoesToServerAndFills) {
   EXPECT_EQ(result, ServeResult::MissCold);
   EXPECT_DOUBLE_EQ(f.media.meter().total_bits(), kSegmentBits);
   // The broadcast was cached off the wire.
-  EXPECT_TRUE(f.server.store().contains({ProgramId{0}, 0}));
+  EXPECT_FALSE(f.server.store().locate({ProgramId{0}, 0}).empty());
   EXPECT_EQ(f.server.counters().fills, 1u);
 }
 
 TEST(IndexServer, SecondRequestIsPeerHit) {
   Fixture f;
-  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   const auto result = f.server.serve_segment(
@@ -89,7 +94,7 @@ TEST(IndexServer, CoaxCarriesHitsAndMissesAlike) {
   // Section VI-B: the broadcast consumes the same coax bandwidth whether a
   // peer or the headend sends it.
   Fixture f;
-  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   f.server.serve_segment(PeerId{1}, {ProgramId{0}, 0}, span(400, 700), admit,
@@ -100,7 +105,7 @@ TEST(IndexServer, CoaxCarriesHitsAndMissesAlike) {
 
 TEST(IndexServer, ConservationCoaxEqualsServerPlusPeer) {
   Fixture f;
-  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, sim::SimTime{});
   for (int i = 0; i < 6; ++i) {
     f.server.serve_segment(PeerId{static_cast<std::uint32_t>(i % 4)},
                            {ProgramId{0}, static_cast<std::uint32_t>(i % 2)},
@@ -116,7 +121,7 @@ TEST(IndexServer, BusyPeerTriggersMissAndReplica) {
   auto cfg = small_config();
   cfg.replicate_on_busy = true;  // the replication extension
   Fixture f(cfg);
-  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, sim::SimTime{});
   // Fill the segment once (cold miss).
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
@@ -146,7 +151,7 @@ TEST(IndexServer, NoReplicaOnBusyByDefault) {
   // Paper-faithful default: a busy miss is served by the central server and
   // the already-cached segment is left alone.
   Fixture f;
-  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   f.server.serve_segment(PeerId{1}, {ProgramId{0}, 0}, span(400, 700), admit,
@@ -161,7 +166,7 @@ TEST(IndexServer, NoReplicaOnBusyByDefault) {
 
 TEST(IndexServer, ViewerPlaybackCountsAgainstServing) {
   Fixture f;
-  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   const PeerId storer = f.server.store().locate({ProgramId{0}, 0})[0];
@@ -179,7 +184,7 @@ TEST(IndexServer, NoFillWithoutAdmission) {
   Fixture f;
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300),
                          /*admit=*/false, /*full_slice=*/true);
-  EXPECT_FALSE(f.server.store().contains({ProgramId{0}, 0}));
+  EXPECT_TRUE(f.server.store().locate({ProgramId{0}, 0}).empty());
   EXPECT_EQ(f.server.counters().fills, 0u);
 }
 
@@ -187,10 +192,10 @@ TEST(IndexServer, NoFillForPartialSlice) {
   // A viewer quitting mid-segment stops the broadcast; the partial segment
   // is not cached.
   Fixture f;
-  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 120), admit,
                          /*full_slice=*/false);
-  EXPECT_FALSE(f.server.store().contains({ProgramId{0}, 0}));
+  EXPECT_TRUE(f.server.store().locate({ProgramId{0}, 0}).empty());
 }
 
 TEST(IndexServer, LruEvictionMakesRoom) {
@@ -199,27 +204,25 @@ TEST(IndexServer, LruEvictionMakesRoom) {
   // evictions on the third distinct program.
   config.neighborhood_size = 1;
   config.per_peer_storage = DataSize::bytes(2 * 300 * 1'000'000);
-  Fixture f(config);
+  Fixture f(config, kOneSegmentMinutes);
 
   for (std::uint32_t p = 0; p < 2; ++p) {
     const bool admit =
-        f.start(ProgramId{p}, kOneSegment,
-                               sim::SimTime::seconds(p * 1000));
+        f.start(ProgramId{p}, sim::SimTime::seconds(p * 1000));
     f.server.serve_segment(PeerId{0}, {ProgramId{p}, 0},
                            span(p * 1000, p * 1000 + 300), admit, true);
   }
-  EXPECT_TRUE(f.server.store().has_program(ProgramId{0}));
-  EXPECT_TRUE(f.server.store().has_program(ProgramId{1}));
+  EXPECT_FALSE(f.server.store().locate({ProgramId{0}, 0}).empty());
+  EXPECT_FALSE(f.server.store().locate({ProgramId{1}, 0}).empty());
 
   // Program 2 arrives: LRU discards program 0 (least recently accessed).
   const bool admit =
-      f.start(ProgramId{2}, kOneSegment,
-                             sim::SimTime::seconds(5000));
+      f.start(ProgramId{2}, sim::SimTime::seconds(5000));
   f.server.serve_segment(PeerId{0}, {ProgramId{2}, 0}, span(5000, 5300),
                          admit, true);
-  EXPECT_FALSE(f.server.store().has_program(ProgramId{0}));
-  EXPECT_TRUE(f.server.store().has_program(ProgramId{1}));
-  EXPECT_TRUE(f.server.store().has_program(ProgramId{2}));
+  EXPECT_TRUE(f.server.store().locate({ProgramId{0}, 0}).empty());
+  EXPECT_FALSE(f.server.store().locate({ProgramId{1}, 0}).empty());
+  EXPECT_FALSE(f.server.store().locate({ProgramId{2}, 0}).empty());
   EXPECT_EQ(f.server.counters().evictions, 1u);
 }
 
@@ -227,26 +230,32 @@ TEST(IndexServer, StrategyAndStoreStayConsistent) {
   auto config = small_config();
   config.neighborhood_size = 2;
   config.per_peer_storage = DataSize::bytes(300 * 1'000'000);
-  Fixture f(config);
+  Fixture f(config, kOneSegmentMinutes);
   for (std::uint32_t p = 0; p < 6; ++p) {
     const bool admit =
-        f.start(ProgramId{p}, kOneSegment,
-                               sim::SimTime::seconds(p * 600));
+        f.start(ProgramId{p}, sim::SimTime::seconds(p * 600));
     f.server.serve_segment(PeerId{p % 2}, {ProgramId{p}, 0},
                            span(p * 600, p * 600 + 300), admit, true);
   }
-  // Every stored program is tracked by the scorer, and the scorer's
-  // cached set mirrors the store's whole-program commitments exactly.
+  // Every stored program is admitted: the scorer's cached set holds it.
+  // The admitted programs are all the set holds, and their full sizes fit
+  // the capacity.
   const auto& scorer = *f.server.cells()[f.server.primary()].scorer();
   const auto& store = f.server.store();
-  std::size_t committed = 0;
+  std::size_t admitted = 0;
+  DataSize admitted_size;
   for (std::uint32_t p = 0; p < 6; ++p) {
-    if (store.has_program(ProgramId{p})) {
-      EXPECT_TRUE(scorer.is_cached(ProgramId{p}));
+    const ProgramId program{p};
+    if (!store.locate({program, 0}).empty()) {
+      EXPECT_TRUE(scorer.is_cached(program));
     }
-    committed += store.has_commitment(ProgramId{p});
+    if (scorer.is_cached(program)) {
+      ++admitted;
+      admitted_size += f.catalog.program_size(program, f.config.stream_rate);
+    }
   }
-  EXPECT_EQ(scorer.cached_count(), committed);
+  EXPECT_EQ(scorer.cached_count(), admitted);
+  EXPECT_LE(admitted_size, store.capacity());
 }
 
 // ------------------------------------------------------- VodSystem runs

@@ -4,6 +4,10 @@
 // the cooperative cache degrades gracefully and self-heals.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "cache/cache_cell.hpp"
+#include "cache/lru.hpp"
 #include "cache/segment_store.hpp"
 #include "core/vod_system.hpp"
 #include "test_support.hpp"
@@ -41,20 +45,62 @@ TEST(WipePeer, ReportsEmptiedPrograms) {
   const auto wiped = store.wipe_peer(PeerId{0});
   ASSERT_EQ(wiped.emptied_programs.size(), 1u);
   EXPECT_EQ(wiped.emptied_programs[0], ProgramId{5});
-  EXPECT_FALSE(store.has_program(ProgramId{5}));
+  EXPECT_TRUE(store.locate({ProgramId{5}, 0}).empty());
+  EXPECT_TRUE(store.locate({ProgramId{5}, 1}).empty());
   EXPECT_EQ(store.used(), DataSize{});
 }
 
+// Admits the first request and refuses every later one; counts them all.
+class AdmitOnce final : public cache::AdmissionPolicy {
+ public:
+  explicit AdmitOnce(int& asked) : asked_(asked) {}
+  [[nodiscard]] bool admit(const cache::AdmissionRequest&) override {
+    return ++asked_ == 1;
+  }
+
+ private:
+  int& asked_;
+};
+
+// A whole-program admission outlives the wipe of its segments: the cell
+// refills the program on the next full-slice miss, and neither that fill
+// nor a later session asks the admission policy again.
 TEST(WipePeer, CommitmentsSurvive) {
-  cache::SegmentStore store(
-      std::vector<DataSize>(1, DataSize::gigabytes(1)));
-  store.commit_program(ProgramId{5}, kSeg * 2);
-  ASSERT_TRUE(store.store({ProgramId{5}, 0}, kSeg));
-  (void)store.wipe_peer(PeerId{0});
-  EXPECT_TRUE(store.has_commitment(ProgramId{5}));
-  EXPECT_EQ(store.committed_total(), kSeg * 2);
-  // The freed space is reusable immediately.
-  EXPECT_TRUE(store.store({ProgramId{5}, 0}, kSeg));
+  const auto catalog = test::uniform_catalog(1, 10);  // two segments
+  cache::CacheCell::Settings settings;
+  settings.stream_rate = DataRate::megabits_per_second(8.0);
+  settings.per_peer_storage = DataSize::gigabytes(1);
+  const sim::RateMeter coax(sim::SimTime::days(1));
+  cache::AccessHistory history;
+  int asked = 0;
+  cache::CacheCell cell({"LRU", "once",
+                         std::make_unique<cache::LruStrategy>(history),
+                         std::make_unique<AdmitOnce>(asked)},
+                        settings, /*peer_count=*/1, &coax, catalog);
+  const ProgramId program{0};
+  const auto at = [](std::int64_t s) { return sim::SimTime::seconds(s); };
+
+  history.record(program, at(0));
+  const bool admit = cell.start_session(program, at(0));
+  ASSERT_TRUE(admit);
+  EXPECT_EQ(cell.serve_segment({program, 0}, {at(0), at(300)}, admit, true),
+            ServeResult::MissCold);
+  ASSERT_EQ(cell.store().locate({program, 0}).size(), 1u);
+
+  const auto wiped = cell.fail_peer(PeerId{0});
+  EXPECT_EQ(wiped.freed, kSeg);
+  EXPECT_TRUE(cell.store().locate({program, 0}).empty());
+  EXPECT_TRUE(cell.scorer()->is_cached(program));  // still admitted
+
+  // The freed space is reused by the next full-slice miss.
+  EXPECT_EQ(cell.serve_segment({program, 0}, {at(300), at(600)}, admit, true),
+            ServeResult::MissCold);
+  EXPECT_EQ(cell.store().locate({program, 0}).size(), 1u);
+  EXPECT_EQ(cell.counters().fills, 2u);
+  history.record(program, at(600));
+  EXPECT_TRUE(cell.start_session(program, at(600)));
+  EXPECT_EQ(asked, 1);
+  EXPECT_EQ(cell.counters().admission_denials, 0u);
 }
 
 TEST(WipePeer, EmptyPeerIsNoOp) {

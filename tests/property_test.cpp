@@ -228,7 +228,6 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
       placed;  // (program, seg) -> peers
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::int64_t>>
       placed_bytes;  // (program, seg) -> replica bytes, parallel to `placed`
-  std::map<std::uint32_t, std::int64_t> committed;  // program -> bytes
   const auto model_has_program = [&](std::uint32_t program) {
     for (const auto& [key, peers] : placed) {
       if (key.first == program && !peers.empty()) return true;
@@ -237,7 +236,7 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
   };
 
   for (int step = 0; step < 1500; ++step) {
-    const std::uint64_t action = rng.uniform_u64(20);
+    const std::uint64_t action = rng.uniform_u64(18);
     if (action < 12) {
       const std::uint32_t program =
           static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
@@ -290,7 +289,6 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
       }
       const DataSize freed = store.evict_program(ProgramId{program});
       ASSERT_EQ(static_cast<std::int64_t>(freed.byte_count()), expect_freed);
-      committed.erase(program);
       for (auto& [key, peers] : placed) {
         if (key.first != program) continue;
         peers.clear();
@@ -299,14 +297,6 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
       for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
         used[peer] = static_cast<std::int64_t>(
             store.peer_used(PeerId{peer}).byte_count());
-      }
-    } else if (action < 18) {
-      const std::uint32_t program =
-          static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
-      if (!committed.contains(program)) {
-        const auto size = DataSize::megabytes(rng.uniform_int(500, 3000));
-        store.commit_program(ProgramId{program}, size);
-        committed[program] = static_cast<std::int64_t>(size.byte_count());
       }
     } else {
       const std::uint32_t peer =
@@ -338,8 +328,7 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
       used[peer] -= expect_freed;
       ASSERT_EQ(used[peer], 0);
     }
-    // Model agreement: every key's replicas in insertion order, every
-    // program's presence, and commitments (which outlive wipes).
+    // Model agreement: every key's replicas in insertion order.
     for (std::uint32_t program = 0; program < kPrograms; ++program) {
       for (std::uint32_t seg = 0; seg < kSegments; ++seg) {
         const auto found = placed.find({program, seg});
@@ -351,17 +340,7 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
           ASSERT_EQ(located[r].value(), found->second[r]);
         }
       }
-      ASSERT_EQ(store.has_program(ProgramId{program}),
-                model_has_program(program))
-          << "at step " << step;
-      ASSERT_EQ(store.has_commitment(ProgramId{program}),
-                committed.contains(program))
-          << "at step " << step;
     }
-    std::int64_t committed_bytes = 0;
-    for (const auto& [program, size] : committed) committed_bytes += size;
-    ASSERT_EQ(static_cast<std::int64_t>(store.committed_total().byte_count()),
-              committed_bytes);
     // Global invariants.
     DataSize total;
     for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
@@ -473,7 +452,7 @@ TEST_P(Seeded, SegmentStoreSpillsMatchBruteForce) {
       ASSERT_EQ(used[peer], expect_freed) << repro();
       used[peer] = 0;
     }
-    // Every key's replicas in insertion order, presence, exact usage.
+    // Every key's replicas in insertion order, exact usage.
     for (std::uint32_t p = 0; p < kPrograms; ++p) {
       for (std::uint32_t seg = 0; seg < kSegments; ++seg) {
         const auto found = placed.find({p, seg});
@@ -485,8 +464,6 @@ TEST_P(Seeded, SegmentStoreSpillsMatchBruteForce) {
           ASSERT_EQ(located[r].value(), found->second[r].peer) << repro();
         }
       }
-      ASSERT_EQ(store.has_program(ProgramId{p}), model_has_program(p))
-          << repro();
     }
     std::int64_t total = 0;
     for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
@@ -592,7 +569,7 @@ TEST_P(Seeded, CacheCellMembershipHolds) {
               cache::CacheCell::Policy{scorer.display, admission.display,
                                        scorer.make(context),
                                        admission.make(context)},
-              settings, kPeers, &coax);
+              settings, kPeers, &coax, catalog);
           labels.push_back(std::string(scorer.key) + "/" + admission.key +
                            (whole_program ? "/whole" : "/segment") +
                            (replicate ? "/replicate" : ""));
@@ -620,9 +597,7 @@ TEST_P(Seeded, CacheCellMembershipHolds) {
       const bool whole_program = labels[c].find("/whole") != std::string::npos;
       switch (e.kind) {
         case Kind::Start:
-          admit[c * kPrograms + e.program] = cell.start_session(
-              program, catalog.program_size(program, config.stream_rate),
-              e.t);
+          admit[c * kPrograms + e.program] = cell.start_session(program, e.t);
           cell.occupy_viewer_slot(PeerId{e.arg}, tx);
           break;
         case Kind::Serve:

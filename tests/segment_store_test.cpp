@@ -26,10 +26,9 @@ TEST(SegmentStore, CapacityIsSumOfContributions) {
 TEST(SegmentStore, StoreAndLocate) {
   auto store = make_store(4, DataSize::gigabytes(1));
   const SegmentKey key{ProgramId{1}, 0};
-  EXPECT_FALSE(store.contains(key));
+  EXPECT_TRUE(store.locate(key).empty());
   const auto peer = store.store(key, kSeg);
   ASSERT_TRUE(peer.has_value());
-  EXPECT_TRUE(store.contains(key));
   ASSERT_EQ(store.locate(key).size(), 1u);
   EXPECT_EQ(store.locate(key)[0], *peer);
   EXPECT_EQ(store.used(), kSeg);
@@ -68,7 +67,7 @@ TEST(SegmentStore, RefusesWhenNoPeerFits) {
   // cannot be placed even though aggregate free space suffices.
   EXPECT_EQ(store.store({ProgramId{1}, 2}, DataSize::megabytes(150)),
             std::nullopt);
-  EXPECT_FALSE(store.contains({ProgramId{1}, 2}));
+  EXPECT_TRUE(store.locate({ProgramId{1}, 2}).empty());
 }
 
 TEST(SegmentStore, EvictProgramFreesEverything) {
@@ -80,10 +79,10 @@ TEST(SegmentStore, EvictProgramFreesEverything) {
   const auto freed = store.evict_program(ProgramId{7});
   EXPECT_EQ(freed, kSeg * 6);
   EXPECT_EQ(store.used(), kSeg);
-  EXPECT_FALSE(store.contains({ProgramId{7}, 0}));
-  EXPECT_TRUE(store.contains({ProgramId{8}, 0}));
-  EXPECT_FALSE(store.has_program(ProgramId{7}));
-  EXPECT_TRUE(store.has_program(ProgramId{8}));
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    EXPECT_TRUE(store.locate({ProgramId{7}, i}).empty()) << i;
+  }
+  EXPECT_FALSE(store.locate({ProgramId{8}, 0}).empty());
 }
 
 TEST(SegmentStore, EvictAbsentProgramIsNoOp) {
@@ -143,7 +142,7 @@ TEST(SegmentStore, ProgramBytesSumsSegmentsAndReplicas) {
   EXPECT_EQ(store.used(), kSeg * 3);
   EXPECT_EQ(store.locate({ProgramId{1}, 0}).size(), 2u);
   EXPECT_EQ(store.locate({ProgramId{1}, 1}).size(), 1u);
-  EXPECT_FALSE(store.has_program(ProgramId{2}));
+  EXPECT_TRUE(store.locate({ProgramId{2}, 0}).empty());
 }
 
 TEST(SegmentStore, StoredProgramsLists) {
@@ -151,7 +150,7 @@ TEST(SegmentStore, StoredProgramsLists) {
   ASSERT_TRUE(store.store({ProgramId{1}, 0}, kSeg));
   ASSERT_TRUE(store.store({ProgramId{5}, 0}, kSeg));
   for (std::uint32_t p = 0; p < 8; ++p) {
-    EXPECT_EQ(store.has_program(ProgramId{p}), p == 1 || p == 5) << p;
+    EXPECT_EQ(store.locate({ProgramId{p}, 0}).empty(), p != 1 && p != 5) << p;
   }
 }
 
@@ -191,7 +190,6 @@ TEST(SegmentStore, WipeOfOneOfTwoReplicasKeepsTheSurvivor) {
   EXPECT_TRUE(wiped.emptied_programs.empty());
   ASSERT_EQ(store.locate(key).size(), 1u);
   EXPECT_EQ(store.locate(key)[0], *second);
-  EXPECT_TRUE(store.has_program(ProgramId{1}));
   EXPECT_EQ(store.used(), kSeg);
   // The survivor's wipe empties the program.
   const auto last = store.wipe_peer(*second);
