@@ -7,6 +7,8 @@
 
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/vod_system.hpp"
 #include "reference_sim.hpp"
@@ -146,6 +148,117 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{6, StrategyKind::GlobalLfu, 40, 400, false},
                       Case{6, StrategyKind::GlobalLfu, 40, 400, false, 30}),
     case_name);
+
+// Tie-heavy workloads: every start and duration snapped to a 60 s grid, so
+// segment boundaries fall on the same instants as each other and as session
+// starts, and transmissions end exactly when others begin.  In 10-peer
+// neighborhoods the peers' stream limits are contended, so the order in
+// which simultaneous events run decides hit versus busy miss.  The
+// reference's queue is a (time, push order) multimap run boundaries-first;
+// the engine must match it at every demux chunk and thread count.
+struct TieCase {
+  std::uint64_t seed;
+  StrategyKind kind;
+  std::int64_t chunk_minutes;
+  std::uint32_t threads;
+};
+
+void PrintTo(const TieCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " kind=" << to_string(c.kind)
+      << " chunk_minutes=" << c.chunk_minutes << " threads=" << c.threads;
+}
+
+std::string tie_case_name(const ::testing::TestParamInfo<TieCase>& info) {
+  const auto& c = info.param;
+  return std::string(to_string(c.kind)) + "_s" + std::to_string(c.seed) +
+         "_chunk" + std::to_string(c.chunk_minutes) + "m_t" +
+         std::to_string(c.threads);
+}
+
+// `trace` with every start rounded up and every duration of a minute or
+// more rounded down to whole minutes; rounding up keeps a start at or after
+// its program's introduction, and a start pushed to the horizon is dropped.
+trace::Trace snap_to_minutes(const trace::Trace& trace) {
+  constexpr std::int64_t kMinuteMs = 60'000;
+  std::vector<trace::SessionRecord> sessions;
+  sessions.reserve(trace.session_count());
+  for (auto record : trace.sessions()) {
+    const std::int64_t start_ms = record.start.millis_count();
+    record.start = sim::SimTime::millis((start_ms + kMinuteMs - 1) /
+                                        kMinuteMs * kMinuteMs);
+    if (record.start >= trace.horizon()) continue;
+    const std::int64_t duration_ms = record.duration.millis_count();
+    if (duration_ms >= kMinuteMs) {
+      record.duration =
+          sim::SimTime::millis(duration_ms / kMinuteMs * kMinuteMs);
+    }
+    sessions.push_back(record);
+  }
+  trace::Trace snapped(trace.catalog(), std::move(sessions),
+                       trace.user_count(), trace.horizon());
+  snapped.validate();
+  return snapped;
+}
+
+class TieHeavyCrossValidation : public ::testing::TestWithParam<TieCase> {};
+
+TEST_P(TieHeavyCrossValidation, MatchesReferenceExactly) {
+  const auto& param = GetParam();
+  SCOPED_TRACE("repro: seed=" + std::to_string(param.seed) + " kind=" +
+               to_string(param.kind) + " neighborhood=10 per_peer_mb=800" +
+               " grid_s=60 chunk_minutes=" +
+               std::to_string(param.chunk_minutes) +
+               " threads=" + std::to_string(param.threads));
+
+  auto workload = test::small_workload(3, param.seed);
+  workload.user_count = 300;
+  workload.program_count = 80;
+  workload.sessions_per_user_per_day = 8.0;
+  const auto trace =
+      snap_to_minutes(trace::generate_power_info_like(workload));
+
+  SystemConfig config;
+  config.neighborhood_size = 10;
+  config.per_peer_storage = DataSize::megabytes(800);
+  config.strategy.kind = param.kind;
+  config.strategy.lfu_history = sim::SimTime::hours(24);
+  config.warmup = sim::SimTime{};
+  config.threads = param.threads;
+  config.stream_chunk = sim::SimTime::minutes(param.chunk_minutes);
+
+  VodSystem system(trace, config);
+  const auto report = system.run();
+  const auto reference = test::reference_simulate(trace, config);
+
+  EXPECT_GT(reference.busy_misses, 0u);
+  EXPECT_EQ(report.hits, reference.hits);
+  EXPECT_EQ(report.cold_misses, reference.cold_misses);
+  EXPECT_EQ(report.busy_misses, reference.busy_misses);
+  EXPECT_EQ(report.evictions, reference.evictions);
+  EXPECT_EQ(report.fills, reference.fills);
+  EXPECT_NEAR(report.server_bits, reference.server_bits,
+              1.0 + report.server_bits * 1e-12);
+  EXPECT_NEAR(report.coax_bits, reference.coax_bits,
+              1.0 + report.coax_bits * 1e-12);
+}
+
+std::vector<TieCase> tie_cases() {
+  std::vector<TieCase> cases;
+  std::uint64_t seed = 11;
+  for (const auto kind :
+       {StrategyKind::Lru, StrategyKind::Lfu, StrategyKind::GlobalLfu}) {
+    for (const std::int64_t chunk_minutes : {5, 7, 60}) {
+      for (const std::uint32_t threads : {1u, 4u}) {
+        cases.push_back({seed, kind, chunk_minutes, threads});
+      }
+    }
+    ++seed;
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(SnappedWorkloads, TieHeavyCrossValidation,
+                         ::testing::ValuesIn(tie_cases()), tie_case_name);
 
 // Admission gates and GreedyDual, whole-program admission.  A separate
 // suite, so the cases above keep their names.
