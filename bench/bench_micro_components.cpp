@@ -3,8 +3,7 @@
 // a cell's stream-slot table, one cache cell's segment serve and its fill
 // at capacity, one shard's feed at 1 and 25 cells, building the GlobalLFU
 // board of a 40-shard deployment and one GlobalLFU shard's feed against
-// it, batched boundary generation, workload sampling, and the end-to-end
-// event loop.
+// it, workload sampling, and the end-to-end event loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -562,45 +561,6 @@ void BM_GlobalLfuShardFeed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(segments));
 }
 BENCHMARK(BM_GlobalLfuShardFeed)->Arg(0)->Arg(30)->Unit(benchmark::kMillisecond);
-
-void BM_BoundaryBatchMerge(benchmark::State& state) {
-  // The shard's batched-boundary pattern in isolation: generate every
-  // session's segment boundaries into a scratch buffer, sort once by
-  // (time, global index), scan — the shard's replacement for a per-event
-  // (time, push-sequence) heap; ARCHITECTURE.md proves the two orders
-  // equal.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  struct Boundary {
-    std::int64_t time_ms;
-    std::uint64_t index;
-  };
-  Rng rng(8);
-  std::vector<std::int64_t> starts(n / 16 + 1);
-  for (auto& s : starts) {
-    s = static_cast<std::int64_t>(rng.uniform_u64(1'000'000));
-  }
-  std::vector<Boundary> scratch;
-  for (auto _ : state) {
-    scratch.clear();
-    // ~16 boundaries per session, 5-minute segments — the shard's shape.
-    for (std::size_t s = 0; scratch.size() < n; ++s) {
-      const auto base = starts[s % starts.size()];
-      for (std::int64_t k = 1; k <= 16 && scratch.size() < n; ++k) {
-        scratch.push_back({base + k * 300'000, s});
-      }
-    }
-    std::sort(scratch.begin(), scratch.end(),
-              [](const Boundary& a, const Boundary& b) {
-                if (a.time_ms != b.time_ms) return a.time_ms < b.time_ms;
-                return a.index < b.index;
-              });
-    std::int64_t checksum = 0;
-    for (const auto& b : scratch) checksum += b.time_ms;
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * 2);
-}
-BENCHMARK(BM_BoundaryBatchMerge)->Arg(1024)->Arg(65536);
 
 void BM_TraceGeneration(benchmark::State& state) {
   trace::GeneratorConfig config;

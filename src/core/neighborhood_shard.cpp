@@ -101,88 +101,40 @@ void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   server_.promote(decision->cell);
 }
 
-std::uint32_t NeighborhoodShard::assign_slot(const StreamSession& session) {
+void NeighborhoodShard::run_next_boundary() {
+  const Boundary due = boundaries_.front();
+  boundaries_.pop_front();
+  const auto t = sim::SimTime::millis(due.time_ms);
+  if (view_ != nullptr) view_->on_boundary(t);
+  apply_failures(t);
+  maybe_switch(t);
+  play_segment(due.slot, t);
+}
+
+void NeighborhoodShard::start_session(const StreamSession& stream_session) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slot_start_ms_.size());
-    slot_start_ms_.push_back(0);
-    slot_end_ms_.push_back(0);
-    slot_next_ms_.push_back(0);
-    slot_index_.push_back(0);
-    slot_program_.push_back(0);
-    slot_viewer_.push_back(0);
-    slot_admit_.push_back(0);
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  const auto& record = session.record;
-  const std::int64_t start_ms = record.start.millis_count();
-  slot_start_ms_[slot] = start_ms;
-  slot_end_ms_[slot] = (record.start + record.duration).millis_count();
-  // First boundary; admission happens when the start event runs.
-  slot_next_ms_[slot] = start_ms + config_.segment_duration.millis_count();
-  slot_index_[slot] = session.index;
-  slot_program_[slot] = record.program.value();
-  slot_viewer_[slot] = session.viewer.value();
-  slot_admit_[slot] = 0;
-  return slot;
-}
-
-void NeighborhoodShard::generate_boundaries(std::uint32_t slot,
-                                            std::int64_t bound_ms) {
-  const std::int64_t end_ms = slot_end_ms_[slot];
-  const std::int64_t segment_ms = config_.segment_duration.millis_count();
-  std::int64_t next = slot_next_ms_[slot];
-  while (next < end_ms && next <= bound_ms) {
-    scratch_.push_back({next, slot_index_[slot], slot});
-    next += segment_ms;
-  }
-  slot_next_ms_[slot] = next;
-}
-
-void NeighborhoodShard::schedule_boundaries(std::int64_t bound_ms) {
-  scratch_.clear();
-  const auto slot_count = static_cast<std::uint32_t>(slot_start_ms_.size());
-  for (std::uint32_t slot = 0; slot < slot_count; ++slot) {
-    if (slot_start_ms_[slot] == kFreeSlot) continue;
-    generate_boundaries(slot, bound_ms);
-  }
-  // (time, global session index) reproduces the heap's (time, push
-  // sequence) order: simultaneous boundaries were pushed in ascending
-  // session-index order — see the header and ARCHITECTURE.md for the
-  // induction.  Keys are unique (one boundary per session per tick), so
-  // plain sort is deterministic.
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const BoundaryEvent& a, const BoundaryEvent& b) {
-              return a.time_ms != b.time_ms ? a.time_ms < b.time_ms
-                                            : a.index < b.index;
-            });
-}
-
-void NeighborhoodShard::run_boundary(const BoundaryEvent& event) {
-  const auto t = sim::SimTime::millis(event.time_ms);
-  if (view_ != nullptr) view_->on_boundary(t);
-  apply_failures(t);
-  maybe_switch(t);
-  play_segment(event.slot, t);
-}
-
-void NeighborhoodShard::start_session(const StreamSession& stream_session,
-                                      std::uint32_t slot) {
   const auto& record = stream_session.record;
-  slot_admit_[slot] = server_.start_session(record.program, record.start);
-  server_.occupy_viewer_slot(
-      stream_session.viewer,
-      {record.start, sim::SimTime::millis(slot_end_ms_[slot])});
+  const sim::SimTime end = record.start + record.duration;
+  slots_[slot] = {record.start.millis_count(), end.millis_count(),
+                  record.program.value(), stream_session.viewer.value(),
+                  server_.start_session(record.program, record.start)};
+  server_.occupy_viewer_slot(stream_session.viewer, {record.start, end});
 
   play_segment(slot, record.start);
 }
 
 void NeighborhoodShard::play_segment(std::uint32_t slot, sim::SimTime at) {
-  const sim::SimTime start = sim::SimTime::millis(slot_start_ms_[slot]);
-  const sim::SimTime end = sim::SimTime::millis(slot_end_ms_[slot]);
-  const ProgramId program{slot_program_[slot]};
+  const Slot& session = slots_[slot];
+  const sim::SimTime start = sim::SimTime::millis(session.start_ms);
+  const sim::SimTime end = sim::SimTime::millis(session.end_ms);
+  const ProgramId program{session.program};
   VODCACHE_ASSERT(at < end);
 
   const auto segment_ms = config_.segment_duration.millis_count();
@@ -201,51 +153,39 @@ void NeighborhoodShard::play_segment(std::uint32_t slot, sim::SimTime at) {
   const sim::SimTime nominal_end = std::min(boundary, start + program_length);
   const bool full_slice = tx_end >= nominal_end;
 
-  server_.serve_segment(PeerId{slot_viewer_[slot]},
+  server_.serve_segment(PeerId{session.viewer},
                         cache::SegmentKey{program, segment_index},
-                        {at, tx_end}, slot_admit_[slot], full_slice);
+                        {at, tx_end}, session.admit, full_slice);
 
   if (tx_end >= end) {
-    // Final slice: the session is over.  The slot returns to the freelist
-    // but is only handed out again by a *later* feed's assignment pass, so
-    // boundary events already generated this batch keep valid slots.
-    slot_start_ms_[slot] = kFreeSlot;
+    // Final slice: the session is over and has nothing queued, so its
+    // slot may be reused at once.
     free_slots_.push_back(slot);
+    return;
   }
+  // Every event is a segment start, so the next boundary is one segment
+  // on; the queue's order rests on this.
+  VODCACHE_ASSERT(boundary == at + config_.segment_duration);
+  boundaries_.push_back({boundary.millis_count(), slot});
 }
 
 void NeighborhoodShard::feed(std::span<const StreamSession> batch) {
   VODCACHE_EXPECTS(!finished_);
-  if (batch.empty()) return;
-  const std::int64_t bound_ms = batch.back().record.start.millis_count();
-
-  // Pre-assign slots so every boundary due within this batch — including
-  // those of sessions the batch itself starts — can be generated up front.
-  new_slots_.clear();
   for (const auto& stream_session : batch) {
-    new_slots_.push_back(assign_slot(stream_session));
-  }
-
-  // Generate every boundary with time <= the batch's last session start.
-  // The seed's heap processed exactly this set within the equivalent feed:
-  // any such boundary's predecessor chain also lies <= the bound, so no
-  // boundary in range can be left pending by the heap either.
-  schedule_boundaries(bound_ms);
-
-  // Merge boundaries against session starts.  Boundaries go first on ties:
-  // a boundary event at time t completes a transmission in [.., t), so
-  // running it before a session that begins at t matches wall-clock
-  // causality (and keeps fills from "future" transmissions out of the
-  // picture).  Either order would be deterministic; this one is the
-  // seed's.
-  std::size_t ei = 0;
-  for (std::size_t s = 0; s < batch.size(); ++s) {
-    const auto& stream_session = batch[s];
     const auto start = stream_session.record.start;
     const ProgramId program = stream_session.record.program;
     const std::int64_t start_ms = start.millis_count();
-    while (ei < scratch_.size() && scratch_[ei].time_ms <= start_ms) {
-      run_boundary(scratch_[ei++]);
+    // The queue stays in time order only while no start precedes an event
+    // already run.
+    VODCACHE_EXPECTS(start_ms >= last_start_ms_);
+    last_start_ms_ = start_ms;
+    // Boundaries go first on ties: a boundary event at time t completes a
+    // transmission in [.., t), so running it before a session that begins
+    // at t matches wall-clock causality (and keeps fills from "future"
+    // transmissions out of the picture).  Either order would be
+    // deterministic; this one is the seed's.
+    while (!boundaries_.empty() && boundaries_.front().time_ms <= start_ms) {
+      run_next_boundary();
     }
     if (view_ != nullptr) {
       view_->on_session_start(static_cast<std::size_t>(stream_session.index),
@@ -254,21 +194,16 @@ void NeighborhoodShard::feed(std::span<const StreamSession> batch) {
     if (history_ != nullptr) history_->record(program, start);
     apply_failures(start);
     maybe_switch(start);
-    start_session(stream_session, new_slots_[s]);
+    start_session(stream_session);
   }
-  // Every generated boundary lies at or before the last session start, so
-  // the merge must have consumed the whole scratch buffer.
-  VODCACHE_ASSERT(ei == scratch_.size());
 }
 
 void NeighborhoodShard::finish(sim::SimTime failure_flush) {
   VODCACHE_EXPECTS(!finished_);
   finished_ = true;
 
-  // Play out everything still active: every live slot's remaining
-  // boundaries, unbounded.
-  schedule_boundaries(std::numeric_limits<std::int64_t>::max());
-  for (const BoundaryEvent& event : scratch_) run_boundary(event);
+  // Play out everything still active.
+  while (!boundaries_.empty()) run_next_boundary();
   // The serial engine applies a failure wave at the first event anywhere in
   // the system at or after its time — including waves after this
   // neighborhood's last own event.  Flush those now.

@@ -13,23 +13,18 @@
 // order, because a boundary past the last-fed session simply waits for the
 // next batch (or finish()).
 //
-// Boundary events are *batched*, not queued.  A session's boundary times
-// are fully determined at its start — start + k*segment for k >= 1 while
-// that lies before the session end — so instead of a binary heap pushed
-// and popped once per event, feed() generates every boundary due within
-// the batch into a scratch buffer, sorts it once by (time, global session
-// index), and merges it against the session starts; finish() schedules
-// and runs the remaining boundaries the same way.  This is byte-
-// identical to the heap order the seed used (see ARCHITECTURE.md, "Why
-// sorting by global index reproduces the heap"): among simultaneous
-// boundaries the heap's (time, push-sequence) order provably equals
-// ascending global session index, and the boundaries-first tie rule
-// against session starts is applied by the same comparison either way.
+// Segment boundaries wait in one FIFO.  The segment length is a
+// constant, so playing a segment at time t queues the session's next
+// boundary at t + segment; events run in time order, so the queued times
+// never decrease and the FIFO pops them in (time, push order) — the seed's
+// heap order, with no heap and no sort (see ARCHITECTURE.md, "Why a FIFO
+// is the heap").  feed() runs every queued boundary due at or before each
+// session start, boundaries first on ties; finish() drains the rest.
 //
-// Session slots are parallel arrays (structure-of-arrays): the boundary
-// generator scans only the session clocks — three int64 lanes — without
-// dragging the rest of each session through the cache, and a freed slot is
-// recycled through a freelist, so the steady-state loop allocates nothing.
+// A session holds one slot from its start to its final slice; a freed slot
+// goes on a freelist and may be reused at once, since a session in its
+// final slice has no boundary left in the queue.  Slots and the queue keep
+// their high-water capacity, so the steady-state loop allocates nothing.
 //
 // The two cross-shard couplings are decoupled up front:
 //
@@ -71,6 +66,7 @@
 #include "core/report.hpp"
 #include "trace/catalog.hpp"
 #include "trace/trace.hpp"
+#include "util/flat_map.hpp"
 
 namespace vodcache::core {
 
@@ -119,11 +115,12 @@ class NeighborhoodShard {
   NeighborhoodShard(const NeighborhoodShard&) = delete;
   NeighborhoodShard& operator=(const NeighborhoodShard&) = delete;
 
-  // Replays one batch of this shard's sessions (trace order, starts no
-  // earlier than anything previously fed).  The batch is fully consumed;
-  // segment boundaries falling after its last session stay pending for the
-  // next feed() or finish().  Every event runs at or before the batch's
-  // last session start, so the board must be sealed past it.
+  // Replays one batch of this shard's sessions in trace order.  A start
+  // before the last one fed breaks the boundary queue's order, so it is a
+  // precondition violation, never a silent reorder.  The batch is fully
+  // consumed; segment boundaries falling after its last session stay
+  // pending for the next feed() or finish().  Every event runs at or before
+  // the batch's last session start, so the board must be sealed past it.
   void feed(std::span<const StreamSession> batch);
 
   // Plays out every still-active session and applies trailing failure
@@ -152,31 +149,22 @@ class NeighborhoodShard {
   }
 
  private:
-  // A segment boundary due within the current batch.  Sorted by
-  // (time_ms, index); `index` is the owning session's global trace index,
-  // which reproduces the seed's heap tie order exactly.
-  struct BoundaryEvent {
+  // A queued segment boundary: the live session in `slot` plays its next
+  // segment at `time_ms`.
+  struct Boundary {
     std::int64_t time_ms = 0;
-    std::uint64_t index = 0;
     std::uint32_t slot = 0;
   };
 
-  // Claims a slot (freelist first) and writes the session into the SoA
-  // lanes; does not touch the index server.
-  [[nodiscard]] std::uint32_t assign_slot(const StreamSession& session);
-  // Admits the session with the index server and plays its first segment.
-  void start_session(const StreamSession& session, std::uint32_t slot);
-  // Appends every not-yet-generated boundary of `slot` with time <=
-  // `bound_ms` to scratch_.
-  void generate_boundaries(std::uint32_t slot, std::int64_t bound_ms);
-  // Fills scratch_ with every live slot's boundaries with time <=
-  // `bound_ms`, in event order.
-  void schedule_boundaries(std::int64_t bound_ms);
-  // One boundary event: moves the view, applies due failures, lets the
-  // switcher decide, then plays the segment that begins there.
-  void run_boundary(const BoundaryEvent& event);
-  // Plays the segment beginning at `at`; frees the slot after the final
-  // slice.  Boundary scheduling is the generator's job, not this one's.
+  // Claims a slot (freelist first) for the session, admits it with the
+  // index server and plays its first segment.
+  void start_session(const StreamSession& session);
+  // Pops the earliest queued boundary and runs it: moves the view, applies
+  // due failures, lets the switcher decide, then plays the segment that
+  // begins there.
+  void run_next_boundary();
+  // Plays the segment beginning at `at`, then queues the session's next
+  // boundary, or frees its slot after the final slice.
   void play_segment(std::uint32_t slot, sim::SimTime at);
   // Applies pre-rolled peer failures whose time has come (<= now).
   void apply_failures(sim::SimTime now);
@@ -213,26 +201,23 @@ class NeighborhoodShard {
   std::unique_ptr<cache::PolicySwitcher> switcher_;
   std::vector<PolicySwitchRecord> switch_log_;
 
-  // Session slots, structure-of-arrays.  A free slot holds kFreeSlot in
-  // its start lane; live slots keep the next boundary still to generate in
-  // slot_next_ms_ (a value at or past the end lane means the session's
-  // remaining events are all generated already).
-  static constexpr std::int64_t kFreeSlot =
-      std::numeric_limits<std::int64_t>::min();
-  std::vector<std::int64_t> slot_start_ms_;
-  std::vector<std::int64_t> slot_end_ms_;
-  std::vector<std::int64_t> slot_next_ms_;
-  std::vector<std::uint64_t> slot_index_;
-  std::vector<std::uint32_t> slot_program_;
-  std::vector<std::uint32_t> slot_viewer_;
-  // Bit c is cell c's admit decision for the session in this slot
-  // (cache::kMaxCells bounds a neighborhood at 64 cells).
-  std::vector<std::uint64_t> slot_admit_;
+  // A live session's clock, program, viewer and admit bits; bit c of
+  // `admit` is cell c's admit decision (cache::kMaxCells bounds a
+  // neighborhood at 64 cells).
+  struct Slot {
+    std::int64_t start_ms = 0;
+    std::int64_t end_ms = 0;
+    std::uint32_t program = 0;
+    std::uint32_t viewer = 0;
+    std::uint64_t admit = 0;
+  };
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-
-  // Per-feed scratch (high-water capacity, reused every batch).
-  std::vector<BoundaryEvent> scratch_;
-  std::vector<std::uint32_t> new_slots_;
+  // Every live session's next boundary, in event order.
+  util::RingBuffer<Boundary> boundaries_;
+  // The latest session start fed; every event run so far is at or before
+  // it, so a later start may not precede it.
+  std::int64_t last_start_ms_ = std::numeric_limits<std::int64_t>::min();
 
   std::vector<PendingFailure> failures_;
   std::size_t next_failure_ = 0;

@@ -12,7 +12,7 @@
 // Each session of length L plays ceil(L / 300 s) consecutive segments; each
 // segment transmission runs at the 8.06 Mb/s playback rate for
 // min(300 s, remaining).  Session starts come straight from the (sorted)
-// trace; segment boundaries are generated in deterministic batches.
+// trace; each neighborhood queues its segment boundaries in one FIFO.
 //
 // The engine itself is sharded by neighborhood (see NeighborhoodShard and
 // ShardedSimulation): VodSystem is the stable facade name for it.  With

@@ -33,9 +33,8 @@ struct ShardAuditResult {
 
 // Replays neighborhood 0's slice of `trace` through one NeighborhoodShard
 // in small batches; allocations are counted for every feed() at or after
-// `warmup_end` (the cut lands on a batch boundary).  finish() runs outside
-// the measured region: the terminal drain legitimately grows the boundary
-// scratch past any per-batch high-water mark.
+// `warmup_end` (the cut lands on a batch boundary).  The audited claim is
+// about feed(), so finish() runs outside the measured region.
 inline ShardAuditResult audit_shard_allocations(
     const trace::Trace& trace, const core::SystemConfig& config,
     sim::SimTime warmup_end) {

@@ -4,10 +4,12 @@
 
 #include <memory>
 
+#include "cache/future_index.hpp"
 #include "cache/lfu.hpp"
 #include "cache/lru.hpp"
 #include "core/index_server.hpp"
 #include "core/media_server.hpp"
+#include "core/neighborhood_shard.hpp"
 #include "core/vod_system.hpp"
 #include "test_support.hpp"
 
@@ -533,6 +535,48 @@ TEST(VodSystem, SessionEndClampsAndBoundaryEndStartsNoExtraSegment) {
     EXPECT_EQ(report.segments, 1u);
     EXPECT_DOUBLE_EQ(report.coax_bits, 8e6 * 300);
   }
+}
+
+// The shard's boundary queue pops in time order only while starts never
+// go back in time, so a session that starts before the last one fed aborts
+// — across batches or within one — instead of being replayed out of order.
+// A start equal to the last one is a tie, not a regression.
+TEST(NeighborhoodShard, StartBeforeLastFedSessionAborts) {
+  const auto catalog = uniform_catalog(1);
+  const auto config = small_config();
+  const cache::FutureIndex future(0);
+  const auto session = [](std::int64_t start_s) {
+    return NeighborhoodShard::StreamSession{
+        {sim::SimTime::seconds(start_s), UserId{0}, ProgramId{0},
+         sim::SimTime::minutes(20)},
+        0,
+        PeerId{0}};
+  };
+  const auto make_shard = [&] {
+    return std::make_unique<NeighborhoodShard>(
+        NeighborhoodId{0}, 1, catalog, sim::SimTime::days(1), config,
+        &future, nullptr, std::vector<NeighborhoodShard::PendingFailure>{});
+  };
+
+  const NeighborhoodShard::StreamSession at_600[] = {session(600)};
+  const NeighborhoodShard::StreamSession at_300[] = {session(300)};
+  const NeighborhoodShard::StreamSession backwards[] = {session(600),
+                                                        session(300)};
+  {
+    auto shard = make_shard();
+    shard->feed(at_600);
+    shard->feed(at_600);
+    shard->finish(sim::SimTime::seconds(600));
+    EXPECT_GT(shard->index_server().counters().cold_misses, 0u);
+  }
+  EXPECT_DEATH(
+      {
+        auto shard = make_shard();
+        shard->feed(at_600);
+        shard->feed(at_300);
+      },
+      "precondition");
+  EXPECT_DEATH(make_shard()->feed(backwards), "precondition");
 }
 
 }  // namespace
