@@ -481,8 +481,10 @@ TEST_P(Seeded, SegmentStoreSpillsMatchBruteForce) {
 // and partial segment serves (whose fills evict) and peer wipes.  After
 // every call: a program with a located segment is cached; under segment
 // granularity a cached program has a located segment; under whole-program
-// admission the cached programs' full sizes fit the capacity; and no peer
-// holds more than it contributes.
+// admission the cached programs' full sizes fit the capacity; no peer
+// holds more than it contributes; and the store's usage, in total and per
+// peer, is the sum of the catalog's nominal sizes of the located replicas
+// (programs end in partial segments, so last segments are shorter).
 TEST_P(Seeded, CacheCellMembershipHolds) {
   Rng rng(GetParam());
   constexpr std::uint32_t kPeers = 4;
@@ -499,11 +501,21 @@ TEST_P(Seeded, CacheCellMembershipHolds) {
   config.admission_policy.headroom_fraction = 0.01;
   std::vector<trace::ProgramInfo> infos(kPrograms);
   for (auto& info : infos) {
-    info.length = sim::SimTime::millis(segment.millis_count() *
-                                       rng.uniform_int(1, kMaxSegments));
+    // Whole segments, then a last one of 1 s up to a full segment.
+    info.length =
+        sim::SimTime::millis(segment.millis_count() *
+                             rng.uniform_int(0, kMaxSegments - 1)) +
+        sim::SimTime::seconds(rng.uniform_int(1, segment.millis_count() / 1000));
     info.base_weight = 1.0;
   }
   const trace::Catalog catalog(std::move(infos));
+  // The nominal slice of a segment: a full segment, or the program's
+  // shorter remainder.
+  const auto nominal = [&](std::uint32_t program, std::uint32_t seg) {
+    return std::min(segment, catalog.length(ProgramId{program}) -
+                                 sim::SimTime::millis(segment.millis_count() *
+                                                      seg));
+  };
 
   // The script, in strictly increasing time.  Its session starts fill the
   // global board and the oracle's future index before any cell runs.
@@ -533,14 +545,14 @@ TEST_P(Seeded, CacheCellMembershipHolds) {
       future.add(ProgramId{program}, t);
     } else if (action < 19) {
       const auto segments = static_cast<std::uint32_t>(
-          length.millis_count() / segment.millis_count());
-      const bool full = rng.bernoulli(0.8);
-      script.push_back(
-          {Kind::Serve, t, program,
-           static_cast<std::uint32_t>(rng.uniform_u64(segments)),
-           full ? segment
-                : sim::SimTime::seconds(rng.uniform_int(
-                      1, segment.millis_count() / 1000 - 1))});
+          (length.millis_count() + segment.millis_count() - 1) /
+          segment.millis_count());
+      const auto seg = static_cast<std::uint32_t>(rng.uniform_u64(segments));
+      const auto slice_s = nominal(program, seg).millis_count() / 1000;
+      const bool full = slice_s == 1 || rng.bernoulli(0.8);
+      script.push_back({Kind::Serve, t, program, seg,
+                        sim::SimTime::seconds(
+                            full ? slice_s : rng.uniform_int(1, slice_s - 1))});
     } else {
       script.push_back({Kind::Fail, t, 0,
                         static_cast<std::uint32_t>(rng.uniform_u64(kPeers)),
@@ -603,7 +615,7 @@ TEST_P(Seeded, CacheCellMembershipHolds) {
         case Kind::Serve:
           (void)cell.serve_segment({program, e.arg}, tx,
                                    admit[c * kPrograms + e.program] != 0,
-                                   e.length == segment);
+                                   e.length == nominal(e.program, e.arg));
           break;
         case Kind::Fail:
           (void)cell.fail_peer(PeerId{e.arg});
@@ -619,10 +631,19 @@ TEST_P(Seeded, CacheCellMembershipHolds) {
       const cache::EvictionScorer& scorer = *cell.scorer();
       std::size_t cached = 0;
       DataSize cached_bytes;
+      DataSize located_bytes;
+      std::vector<DataSize> peer_bytes(kPeers);
       for (std::uint32_t p = 0; p < kPrograms; ++p) {
         bool located = false;
         for (std::uint32_t seg = 0; seg < kMaxSegments; ++seg) {
-          located = located || !store.locate({ProgramId{p}, seg}).empty();
+          const auto replicas = store.locate({ProgramId{p}, seg});
+          located = located || !replicas.empty();
+          for (const PeerId replica : replicas) {
+            const DataSize bytes = config.stream_rate.over_seconds(
+                nominal(p, seg).seconds_f());
+            located_bytes += bytes;
+            peer_bytes[replica.value()] += bytes;
+          }
         }
         const bool is_cached = scorer.is_cached(ProgramId{p});
         ASSERT_TRUE(is_cached || !located) << "program " << p << " " << repro();
@@ -639,9 +660,12 @@ TEST_P(Seeded, CacheCellMembershipHolds) {
       if (whole_program) {
         ASSERT_LE(cached_bytes, store.capacity()) << repro();
       }
+      ASSERT_EQ(store.used(), located_bytes) << repro();
       for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
         ASSERT_LE(store.peer_used(PeerId{peer}), config.per_peer_storage)
             << repro();
+        ASSERT_EQ(store.peer_used(PeerId{peer}), peer_bytes[peer])
+            << "peer " << peer << " " << repro();
       }
     }
   }
