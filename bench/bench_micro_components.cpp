@@ -111,20 +111,34 @@ void BM_OracleStrategy(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleStrategy);
 
+// `n` programs of `minutes` each, introduced at time 0.
+trace::Catalog uniform_catalog(std::uint32_t n, int minutes) {
+  std::vector<trace::ProgramInfo> programs(n);
+  for (auto& program : programs) {
+    program.length = sim::SimTime::minutes(minutes);
+    program.base_weight = 1.0;
+  }
+  return trace::Catalog(std::move(programs));
+}
+
 void BM_SegmentStoreChurn(benchmark::State& state) {
-  cache::SegmentStore store(
-      std::vector<DataSize>(1000, DataSize::gigabytes(10)));
-  const auto seg = DataSize::megabytes(302);
+  // Ten 302 MB segments per program; ids cycle through the catalog, so an
+  // id is evicted before it is stored again.
+  constexpr std::uint32_t kPrograms = 1u << 16;
+  const trace::Catalog catalog = uniform_catalog(kPrograms, 50);
+  cache::SegmentStore store(1000, DataSize::gigabytes(10), catalog,
+                            DataRate::megabits_per_second(8.06));
   Rng rng(6);
-  std::uint32_t next_program = 0;
+  std::uint64_t next = 0;
   for (auto _ : state) {
-    const ProgramId p{next_program++};
+    const ProgramId p{static_cast<std::uint32_t>(next++ % kPrograms)};
+    store.evict_program(p);
     for (std::uint32_t s = 0; s < 10; ++s) {
-      if (!store.store({p, s}, seg)) {
+      if (!store.store({p, s})) {
         // Full: evict a random earlier program and retry once.
-        store.evict_program(
-            ProgramId{static_cast<std::uint32_t>(rng.uniform_u64(next_program))});
-        (void)store.store({p, s}, seg);
+        store.evict_program(ProgramId{static_cast<std::uint32_t>(
+            rng.uniform_u64(std::min<std::uint64_t>(next, kPrograms)))});
+        (void)store.store({p, s});
       }
     }
   }
@@ -135,13 +149,13 @@ BENCHMARK(BM_SegmentStoreChurn);
 void BM_SegmentStoreLocate(benchmark::State& state) {
   // The read side of every segment request: locate() must return its
   // replica span without touching the allocator.  ~2000 programs x 10
-  // segments resident, random lookups, ~half of them misses.
-  cache::SegmentStore store(
-      std::vector<DataSize>(1000, DataSize::gigabytes(10)));
-  const auto seg = DataSize::megabytes(3);
+  // 3 MB segments resident, random lookups, ~half of them misses.
+  const trace::Catalog catalog = uniform_catalog(2000, 50);
+  cache::SegmentStore store(1000, DataSize::gigabytes(10), catalog,
+                            DataRate::megabits_per_second(0.08));
   for (std::uint32_t p = 0; p < 2000; ++p) {
     for (std::uint32_t s = 0; s < 10; ++s) {
-      (void)store.store({ProgramId{p}, s}, seg);
+      (void)store.store({ProgramId{p}, s});
     }
   }
   Rng rng(7);
@@ -156,14 +170,14 @@ void BM_SegmentStoreLocate(benchmark::State& state) {
 BENCHMARK(BM_SegmentStoreLocate);
 
 void BM_SegmentStoreEvict(benchmark::State& state) {
-  // Steady store/evict cycle on one program: ten segments in, program out,
-  // arena blocks and table slots recycled every iteration.
-  cache::SegmentStore store(
-      std::vector<DataSize>(100, DataSize::gigabytes(10)));
-  const auto seg = DataSize::megabytes(302);
+  // Steady store/evict cycle on one program: ten 302 MB segments in,
+  // program out, arena blocks and table slots recycled every iteration.
+  const trace::Catalog catalog = uniform_catalog(1, 50);
+  cache::SegmentStore store(100, DataSize::gigabytes(10), catalog,
+                            DataRate::megabits_per_second(8.06));
   for (auto _ : state) {
     for (std::uint32_t s = 0; s < 10; ++s) {
-      (void)store.store({ProgramId{0}, s}, seg);
+      (void)store.store({ProgramId{0}, s});
     }
     store.evict_program(ProgramId{0});
   }
@@ -204,16 +218,6 @@ void BM_StreamSlotsTryAcquire(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamSlotsTryAcquire);
 
-// `n` programs of 30 minutes each, introduced at time 0.
-trace::Catalog half_hour_catalog(std::uint32_t n) {
-  std::vector<trace::ProgramInfo> programs(n);
-  for (auto& program : programs) {
-    program.length = sim::SimTime::minutes(30);
-    program.base_weight = 1.0;
-  }
-  return trace::Catalog(std::move(programs));
-}
-
 // One CacheCell::serve_segment, by outcome: 0 = peer hit, 1 = busy miss
 // (the only replica's peer is at its stream limit), 2 = cold miss.  The
 // misses pass admit = false, so they classify without filling.
@@ -228,7 +232,7 @@ void BM_CacheCellServe(benchmark::State& state) {
   settings.per_peer_storage = DataSize::gigabytes(10);
   const sim::RateMeter coax(sim::SimTime::days(28),
                             sim::SimTime::minutes(15));
-  const trace::Catalog catalog = half_hour_catalog(501);
+  const trace::Catalog catalog = uniform_catalog(501, 30);
   cache::AccessHistory history;
   cache::CacheCell cell({"LRU", "always",
                          std::make_unique<cache::LruStrategy>(history),
@@ -294,7 +298,7 @@ void BM_CacheCellFill(benchmark::State& state) {
   settings.per_peer_storage = DataSize::gigabytes(1);
   const sim::RateMeter coax(sim::SimTime::days(28),
                             sim::SimTime::minutes(15));
-  const trace::Catalog catalog = half_hour_catalog(kPrograms);
+  const trace::Catalog catalog = uniform_catalog(kPrograms, 30);
   cache::AccessHistory history;
   cache::CacheCell cell({"LRU", "always",
                          std::make_unique<cache::LruStrategy>(history),

@@ -1,7 +1,6 @@
 #include "cache/cache_cell.hpp"
 
 #include <utility>
-#include <vector>
 
 #include "util/assert.hpp"
 
@@ -47,7 +46,8 @@ CacheCell::CacheCell(Policy policy, const Settings& settings,
       settings_(settings),
       coax_(coax),
       catalog_(&catalog),
-      store_(std::vector<DataSize>(peer_count, settings.per_peer_storage)),
+      store_(peer_count, settings.per_peer_storage, catalog,
+             settings.stream_rate),
       slots_(peer_count, scorer_ == nullptr ? 0 : hfc::kPeerStreamLimit) {
   VODCACHE_EXPECTS(coax != nullptr);
   VODCACHE_EXPECTS(peer_count > 0);
@@ -113,7 +113,7 @@ void CacheCell::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
   slots_.acquire_unchecked(viewer.value(), interval);
 }
 
-void CacheCell::try_fill(SegmentKey key, DataSize bytes, sim::SimTime t) {
+void CacheCell::try_fill(SegmentKey key, sim::SimTime t) {
   if (scorer_ == nullptr) return;
   const bool cached = scorer_->is_cached(key.program);
   // Whole-program: the session's admit decision went stale, the program
@@ -122,7 +122,7 @@ void CacheCell::try_fill(SegmentKey key, DataSize bytes, sim::SimTime t) {
   // Each try is the placement itself (per-peer, so aggregate free space
   // is not enough): make_room evicts until one stores the segment.  It
   // never evicts key.program itself.
-  const auto unplaced = [&] { return !store_.store(key, bytes).has_value(); };
+  const auto unplaced = [&] { return !store_.store(key).has_value(); };
   if (!make_room(key.program, t, unplaced)) return;
   // Segment granularity: the program's first stored segment admits it.
   if (!cached) scorer_->on_admit(key.program, t);
@@ -161,9 +161,7 @@ ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
   // a *replica* — every existing copy's peer was stream-saturated — which
   // is only done when the replication extension is on.
   if (admit && full_slice && (!was_cached || settings_.replicate_on_busy)) {
-    const DataSize segment_bytes =
-        settings_.stream_rate.over_seconds(interval.duration_seconds());
-    try_fill(key, segment_bytes, interval.begin);
+    try_fill(key, interval.begin);
   }
   return was_cached ? ServeResult::MissBusy : ServeResult::MissCold;
 }

@@ -166,7 +166,7 @@ class CacheCell {
   // it.
   template <class Full>
   [[nodiscard]] bool make_room(ProgramId incoming, sim::SimTime t, Full full);
-  void try_fill(SegmentKey key, DataSize bytes, sim::SimTime t);
+  void try_fill(SegmentKey key, sim::SimTime t);
 
   const char* scorer_display_;
   const char* admission_display_;

@@ -1,7 +1,6 @@
 #include "cache/segment_store.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace vodcache::cache {
 
@@ -10,19 +9,32 @@ namespace {
 constexpr std::uint8_t kMinSlotsLog2 = 3;
 }  // namespace
 
-SegmentStore::SegmentStore(std::vector<DataSize> peer_contributions)
-    : contribution_(std::move(peer_contributions)) {
-  VODCACHE_EXPECTS(!contribution_.empty());
-  VODCACHE_EXPECTS(contribution_.size() <= SegmentEntry::kCountMask);
-  while (leaves_ < contribution_.size()) leaves_ *= 2;
+SegmentStore::SegmentStore(std::uint32_t peer_count, DataSize per_peer,
+                           const trace::Catalog& catalog,
+                           DataRate stream_rate)
+    : peer_count_(peer_count),
+      per_peer_(per_peer),
+      catalog_(&catalog),
+      stream_rate_(stream_rate),
+      full_segment_bits_(
+          stream_rate.over_seconds(trace::kSegmentDuration.seconds_f())
+              .bit_count()) {
+  VODCACHE_EXPECTS(peer_count > 0);
+  VODCACHE_EXPECTS(peer_count <= SegmentEntry::kCountMask);
+  VODCACHE_EXPECTS(per_peer >= DataSize{});
+  while (leaves_ < peer_count) leaves_ *= 2;
   free_bits_.assign(leaves_, -1);
   tree_.assign(leaves_, 0);
-  for (std::size_t i = 0; i < contribution_.size(); ++i) {
-    VODCACHE_EXPECTS(contribution_[i] >= DataSize{});
-    capacity_ += contribution_[i];
-    free_bits_[i] = contribution_[i].bit_count();
-  }
+  std::fill_n(free_bits_.begin(), peer_count, per_peer.bit_count());
   for (std::size_t i = leaves_ - 1; i > 0; --i) pull(i);
+}
+
+std::pair<std::uint32_t, std::int64_t> SegmentStore::last_segment(
+    ProgramId program) const {
+  const auto last = static_cast<std::uint32_t>(
+      (catalog_->length(program).millis_count() - 1) /
+      trace::kSegmentDuration.millis_count());
+  return {last, catalog_->segment_size(program, last, stream_rate_).bit_count()};
 }
 
 void SegmentStore::pull(std::size_t node) {
@@ -73,13 +85,16 @@ SegmentStore::SegmentEntry& SegmentStore::slot_for(ProgramEntry& prog,
   return slots_.data(prog.off)[index];
 }
 
+std::span<const PeerId> SegmentStore::replicas(const SegmentEntry& slot) const {
+  if (slot.spilled()) return {replica_peers_.data(slot.word), slot.count()};
+  // Inline: `word` counts the slot's own peer, or is 0 when it is empty.
+  return {&slot.peer, slot.word};
+}
+
 std::span<const PeerId> SegmentStore::replicas(const ProgramEntry& prog,
                                                std::uint32_t index) const {
   if ((index >> prog.cap_log2) != 0) return {};
-  const SegmentEntry& slot = slots_.data(prog.off)[index];
-  if (slot.spilled()) return {replica_peers_.data(slot.word), slot.count()};
-  // Inline: the slot's own peer, or nothing when the slot is empty.
-  return {&slot.peer, slot.word != 0 ? 1u : 0u};
+  return replicas(slots_.data(prog.off)[index]);
 }
 
 std::span<const PeerId> SegmentStore::locate(SegmentKey key) const {
@@ -88,8 +103,9 @@ std::span<const PeerId> SegmentStore::locate(SegmentKey key) const {
   return replicas(*prog, key.index);
 }
 
-std::optional<PeerId> SegmentStore::store(SegmentKey key, DataSize bytes) {
-  VODCACHE_EXPECTS(bytes > DataSize{});
+std::optional<PeerId> SegmentStore::store(SegmentKey key) {
+  const DataSize bytes =
+      catalog_->segment_size(key.program, key.index, stream_rate_);
   ProgramEntry* prog = programs_.find(key.program.value());
   const auto peer = best_peer(
       bytes, prog != nullptr ? replicas(*prog, key.index)
@@ -102,86 +118,53 @@ std::optional<PeerId> SegmentStore::store(SegmentKey key, DataSize bytes) {
 
   if (prog == nullptr) prog = &programs_.insert(key.program.value(), {});
   SegmentEntry& slot = slot_for(*prog, key.index);
-  const std::int64_t bits = bytes.bit_count();
   if (slot.empty()) {
     ++prog->stored;
-    if (bits <= std::int64_t{UINT32_MAX}) {
-      slot.word = static_cast<std::uint32_t>(bits);
-      slot.peer = *peer;
-      return peer;
-    }
+    slot.word = 1;
+    slot.peer = *peer;
+    return peer;
   }
-  append_spilled(slot, *peer, bits);
-  return peer;
-}
-
-void SegmentStore::append_spilled(SegmentEntry& slot, PeerId peer,
-                                  std::int64_t bits) {
-  // The bytes arena mirrors the peers arena class for class, so the two
-  // blocks always share one offset.
+  // A further replica: an inline one moves to the front of a two-replica
+  // arena block; a full block grows.
   if (!slot.spilled()) {
-    // An empty slot takes a one-replica block; an inline one moves its
-    // replica to the front of a two-replica block.
-    const std::uint8_t cap_log2 = slot.empty() ? 0 : 1;
-    const std::uint32_t off = replica_peers_.allocate(cap_log2);
-    const std::uint32_t bytes_off = replica_bytes_.allocate(cap_log2);
-    VODCACHE_ASSERT(bytes_off == off);
-    std::uint32_t count = 0;
-    if (!slot.empty()) {
-      replica_peers_.data(off)[0] = slot.peer;
-      replica_bytes_.data(off)[0] = slot.word;
-      count = 1;
-    }
-    slot.set_spilled(off, cap_log2, count);
+    const std::uint32_t off = replica_peers_.allocate(1);
+    replica_peers_.data(off)[0] = slot.peer;
+    slot.set_spilled(off, 1, 1);
   } else if (slot.count() == (1u << slot.cap_log2())) {
-    const std::uint32_t old_off = slot.word;
     const std::uint8_t cap_log2 = slot.cap_log2();
-    const std::uint32_t off =
-        replica_peers_.grow(old_off, cap_log2, slot.count());
-    const std::uint32_t bytes_off =
-        replica_bytes_.grow(old_off, cap_log2, slot.count());
-    VODCACHE_ASSERT(bytes_off == off);
-    slot.set_spilled(off, static_cast<std::uint8_t>(cap_log2 + 1), slot.count());
+    slot.set_spilled(replica_peers_.grow(slot.word, cap_log2, slot.count()),
+                     static_cast<std::uint8_t>(cap_log2 + 1), slot.count());
   }
   const std::uint32_t count = slot.count();
-  replica_peers_.data(slot.word)[count] = peer;
-  replica_bytes_.data(slot.word)[count] = bits;
+  replica_peers_.data(slot.word)[count] = *peer;
   slot.set_spilled(slot.word, slot.cap_log2(), count + 1);
+  return peer;
 }
 
 DataSize SegmentStore::evict_program(ProgramId program) {
   const ProgramEntry* prog = programs_.find(program.value());
   if (prog == nullptr) return DataSize{};
-  DataSize freed;
+  const auto [last, last_bits] = last_segment(program);
+  std::int64_t freed = 0;
   const SegmentEntry* slots = slots_.data(prog->off);
   for (std::uint32_t i = 0; i < (1u << prog->cap_log2); ++i) {
     const SegmentEntry& slot = slots[i];
-    if (!slot.spilled()) {
-      if (slot.word == 0) continue;  // empty
-      const auto p = slot.peer.value();
-      set_free(p, free_bits_[p] + slot.word);
-      freed += DataSize::bits(slot.word);
-      continue;
+    const std::int64_t size = i < last ? full_segment_bits_ : last_bits;
+    for (const PeerId peer : replicas(slot)) {
+      set_free(peer.value(), free_bits_[peer.value()] + size);
+      freed += size;
     }
-    const PeerId* peers = replica_peers_.data(slot.word);
-    const std::int64_t* bytes = replica_bytes_.data(slot.word);
-    for (std::uint32_t r = 0; r < slot.count(); ++r) {
-      const auto p = peers[r].value();
-      set_free(p, free_bits_[p] + bytes[r]);
-      freed += DataSize::bits(bytes[r]);
-    }
-    replica_peers_.release(slot.word, slot.cap_log2());
-    replica_bytes_.release(slot.word, slot.cap_log2());
+    if (slot.spilled()) replica_peers_.release(slot.word, slot.cap_log2());
   }
   slots_.release(prog->off, prog->cap_log2);
   programs_.erase(program.value());
-  used_ -= freed;
+  used_ -= DataSize::bits(freed);
   VODCACHE_ENSURES(used_ >= DataSize{});
-  return freed;
+  return DataSize::bits(freed);
 }
 
 SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
-  VODCACHE_EXPECTS(peer.value() < contribution_.size());
+  VODCACHE_EXPECTS(peer.value() < peer_count_);
   WipeResult result;
   // Flat-table slot order depends on insert/erase history; visiting
   // programs in ascending id order keeps the wipe — and the emptied-program
@@ -195,35 +178,24 @@ SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
 
   for (const std::uint32_t program : wipe_programs_) {
     ProgramEntry& prog = *programs_.find(program);
+    const auto [last, last_bits] = last_segment(ProgramId{program});
     SegmentEntry* slots = slots_.data(prog.off);
     for (std::uint32_t i = 0; i < (1u << prog.cap_log2); ++i) {
       SegmentEntry& slot = slots[i];
-      if (!slot.spilled()) {
-        if (slot.word == 0 || slot.peer != peer) continue;
-        result.freed += DataSize::bits(slot.word);
-        slot = SegmentEntry{};
-        --prog.stored;
-        continue;
-      }
-      PeerId* peers = replica_peers_.data(slot.word);
-      std::int64_t* bytes = replica_bytes_.data(slot.word);
-      const std::uint32_t count = slot.count();
-      std::uint32_t r = 0;
-      while (r < count && peers[r] != peer) ++r;
-      if (r == count) continue;  // this replica set survives the wipe
-      result.freed += DataSize::bits(bytes[r]);
-      // Survivors keep their insertion order: locate() reports it.
-      for (std::uint32_t j = r + 1; j < count; ++j) {
-        peers[j - 1] = peers[j];
-        bytes[j - 1] = bytes[j];
-      }
-      if (count == 1) {
-        replica_peers_.release(slot.word, slot.cap_log2());
-        replica_bytes_.release(slot.word, slot.cap_log2());
+      const auto held = replicas(slot);
+      const auto r = static_cast<std::uint32_t>(
+          std::find(held.begin(), held.end(), peer) - held.begin());
+      if (r == held.size()) continue;  // no replica on this peer
+      result.freed += DataSize::bits(i < last ? full_segment_bits_ : last_bits);
+      if (held.size() == 1) {
+        if (slot.spilled()) replica_peers_.release(slot.word, slot.cap_log2());
         slot = SegmentEntry{};
         --prog.stored;
       } else {
-        slot.set_spilled(slot.word, slot.cap_log2(), count - 1);
+        // Survivors keep their insertion order: locate() reports it.
+        PeerId* const peers = replica_peers_.data(slot.word);
+        std::copy(peers + r + 1, peers + held.size(), peers + r);
+        slot.set_spilled(slot.word, slot.cap_log2(), slot.count() - 1);
       }
     }
     if (prog.stored == 0) {
@@ -240,9 +212,8 @@ SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
 }
 
 DataSize SegmentStore::peer_used(PeerId peer) const {
-  VODCACHE_EXPECTS(peer.value() < contribution_.size());
-  return contribution_[peer.value()] -
-         DataSize::bits(free_bits_[peer.value()]);
+  VODCACHE_EXPECTS(peer.value() < peer_count_);
+  return per_peer_ - DataSize::bits(free_bits_[peer.value()]);
 }
 
 }  // namespace vodcache::cache

@@ -8,28 +8,33 @@
 // peer's slice.  The store keeps segments only: which programs are
 // admitted is the cache cell's scorer's cached set (cache/cache_cell.hpp).
 //
+// A segment's size has one owner, trace::Catalog::segment_size.  The
+// store records only where each replica is and derives the size it
+// charges and frees; a fill copies exactly that off the broadcast, as it
+// needs the whole slice and no session outlasts its program.
+//
 // Layout: everything the event loop touches lives in one flat table and
 // pooled arrays (util/flat_map.hpp) —
 //
 //   programs_ : program -> its stored-segment count and a dense block of
 //               8-byte segment slots indexed by segment number, so the
 //               program is looked up once and a segment is an array
-//               index.  A slot holds its segment's one replica itself:
-//               the peer and, when it fits 32 bits, the size in bits.
-//               Only a second replica (replicate_on_busy) or a larger
-//               size spills the slot to a contiguous run of peers in a
-//               pooled arena, with the sizes in a parallel arena block.
-//               Either way locate() returns a span without allocating.
-//               An entry exists exactly while the program has a stored
-//               segment.
+//               index.  A slot holds its segment's one replica's peer
+//               itself.  Only a second replica (replicate_on_busy)
+//               spills the slot to a contiguous run of peers in a pooled
+//               arena.  Either way locate() returns a span without
+//               allocating.  An entry exists exactly while the program
+//               has a stored segment.
 //
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "trace/catalog.hpp"
 #include "util/assert.hpp"
 #include "util/flat_map.hpp"
 #include "util/ids.hpp"
@@ -46,8 +51,10 @@ struct SegmentKey {
 
 class SegmentStore {
  public:
-  // One entry per peer: its contributed storage.
-  explicit SegmentStore(std::vector<DataSize> peer_contributions);
+  // `peer_count` peers, each contributing `per_peer`; segments are sized
+  // from `catalog` (which must outlive the store) at `stream_rate`.
+  SegmentStore(std::uint32_t peer_count, DataSize per_peer,
+               const trace::Catalog& catalog, DataRate stream_rate);
 
   // All peers holding a replica of the segment (possibly empty), in the
   // order the replicas were stored.  The span points into the slot or the
@@ -56,13 +63,13 @@ class SegmentStore {
 
   // Stores a replica on the peer with most free space that does not already
   // hold one.  Returns the chosen peer, or nullopt if no eligible peer can
-  // hold `bytes` — placement is per-peer, so aggregate free space can
-  // exceed `bytes` while no single peer fits it (fragmentation).  The
+  // hold the segment — placement is per-peer, so aggregate free space can
+  // exceed its size while no single peer fits it (fragmentation).  The
   // caller is expected to evict and try again.  Replicas of hot
   // segments arise when every existing copy's peer is stream-saturated: the
   // index server tells one more peer to read the (anyway happening) miss
   // broadcast off the wire.
-  std::optional<PeerId> store(SegmentKey key, DataSize bytes);
+  std::optional<PeerId> store(SegmentKey key);
 
   // Removes every segment of `program`; returns bytes freed.
   DataSize evict_program(ProgramId program);
@@ -79,21 +86,19 @@ class SegmentStore {
   WipeResult wipe_peer(PeerId peer);
 
   [[nodiscard]] DataSize used() const { return used_; }
-  [[nodiscard]] DataSize capacity() const { return capacity_; }
-  [[nodiscard]] DataSize free_space() const { return capacity_ - used_; }
+  [[nodiscard]] DataSize capacity() const { return per_peer_ * peer_count_; }
+  [[nodiscard]] DataSize free_space() const { return capacity() - used_; }
   [[nodiscard]] DataSize peer_used(PeerId peer) const;
-  [[nodiscard]] std::size_t peer_count() const { return contribution_.size(); }
+  [[nodiscard]] std::size_t peer_count() const { return peer_count_; }
 
  private:
   // Slot of one segment, 8 bytes, in one of three forms:
   //  - empty: `word` 0 and no kSpilled tag;
-  //  - inline, one replica whose size fits 32 bits (every replica unless
-  //    replicate_on_busy adds a second): `peer` is the replica's peer and
-  //    `word` its size in bits, never 0;
+  //  - inline, one replica (every replica unless replicate_on_busy adds a
+  //    second): `peer` is the replica's peer and `word` 1, the count;
   //  - spilled: `peer` is no peer but kSpilled | cap_log2 << 24 | count,
   //    and `word` the offset of `count` replica peers in a block of
-  //    2^cap_log2, with their sizes in bits at the same offset in the
-  //    parallel bytes arena.
+  //    2^cap_log2.
   // Peer ids stay below 2^24 (the constructor checks), so a peer never
   // carries the tag and a count always fits.
   struct SegmentEntry {
@@ -128,14 +133,17 @@ class SegmentStore {
     std::uint8_t cap_log2 = 0;
   };
 
+  // The program's last segment index and that segment's size in bits;
+  // every earlier segment is full_segment_bits_.
+  [[nodiscard]] std::pair<std::uint32_t, std::int64_t> last_segment(
+      ProgramId program) const;
+  // The replicas a slot holds (possibly none).
+  [[nodiscard]] std::span<const PeerId> replicas(const SegmentEntry& slot) const;
   // The replicas in the program's slot for `index` (possibly none).
   [[nodiscard]] std::span<const PeerId> replicas(const ProgramEntry& prog,
                                                  std::uint32_t index) const;
   // The program's slot for `index`, allocating or growing its block.
   SegmentEntry& slot_for(ProgramEntry& prog, std::uint32_t index);
-  // Adds a replica to a slot that already holds one or whose size needs
-  // more than 32 bits, spilling it to (or growing) its arena blocks.
-  void append_spilled(SegmentEntry& slot, PeerId peer, std::int64_t bits);
 
   [[nodiscard]] std::optional<PeerId> best_peer(
       DataSize bytes, std::span<const PeerId> exclude);
@@ -150,15 +158,17 @@ class SegmentStore {
   // Sets the peer's free bits and recomputes its path to the root.
   void set_free(std::uint32_t peer, std::int64_t free_bits);
 
-  std::vector<DataSize> contribution_;
-  DataSize capacity_;
+  std::uint32_t peer_count_;
+  DataSize per_peer_;
   DataSize used_;
+  const trace::Catalog* catalog_;
+  DataRate stream_rate_;
+  std::int64_t full_segment_bits_;
 
   util::FlatMap64<ProgramEntry> programs_;
 
   util::PooledArena<SegmentEntry> slots_;
   util::PooledArena<PeerId> replica_peers_;
-  util::PooledArena<std::int64_t> replica_bytes_;
 
   // Tournament tree over (free bits, peer), heap-indexed from 1: tree_[i]
   // for i < leaves_ is the winning peer of node i.  free_bits_ holds the

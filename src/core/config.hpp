@@ -12,6 +12,7 @@
 #include "hfc/settop.hpp"
 #include "hfc/topology.hpp"
 #include "sim/time.hpp"
+#include "trace/catalog.hpp"
 #include "util/units.hpp"
 
 namespace vodcache::core {
@@ -156,8 +157,8 @@ struct SystemConfig {
   };
   std::vector<PeerFailure> peer_failures;
 
-  // "Programs are divided into 5 minute segments."
-  static constexpr sim::SimTime segment_duration = sim::SimTime::minutes(5);
+  // "Programs are divided into 5 minute segments" (the catalog's constant).
+  static constexpr sim::SimTime segment_duration = trace::kSegmentDuration;
 
   StrategyConfig strategy;
 

@@ -178,6 +178,8 @@ void NeighborhoodShard::feed(std::span<const StreamSession> batch) {
     // The queue stays in time order only while no start precedes an event
     // already run.
     VODCACHE_EXPECTS(start_ms >= last_start_ms_);
+    VODCACHE_EXPECTS(stream_session.record.duration <=
+                     catalog_.length(program));
     last_start_ms_ = start_ms;
     // Boundaries go first on ties: a boundary event at time t completes a
     // transmission in [.., t), so running it before a session that begins

@@ -117,10 +117,12 @@ class NeighborhoodShard {
 
   // Replays one batch of this shard's sessions in trace order.  A start
   // before the last one fed breaks the boundary queue's order, so it is a
-  // precondition violation, never a silent reorder.  The batch is fully
-  // consumed; segment boundaries falling after its last session stay
-  // pending for the next feed() or finish().  Every event runs at or before
-  // the batch's last session start, so the board must be sealed past it.
+  // precondition violation, never a silent reorder; so is a session that
+  // outlasts its program (fills store the catalog's segment sizes).  The
+  // batch is fully consumed; segment boundaries falling after its last
+  // session stay pending for the next feed() or finish().  Every event runs
+  // at or before the batch's last session start, so the board must be
+  // sealed past it.
   void feed(std::span<const StreamSession> batch);
 
   // Plays out every still-active session and applies trailing failure

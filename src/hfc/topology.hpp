@@ -100,9 +100,6 @@ class Topology {
                         std::vector<TierLevelSpec> tiers);
 
   [[nodiscard]] std::uint32_t user_count() const { return user_count_; }
-  [[nodiscard]] std::uint32_t neighborhood_size() const {
-    return neighborhood_size_;
-  }
   [[nodiscard]] std::uint32_t neighborhood_count() const {
     return neighborhood_count_;
   }
@@ -114,9 +111,6 @@ class Topology {
 
   // ---- tier tree (empty in the two-level world) ----
   [[nodiscard]] std::size_t tier_count() const { return tiers_.size(); }
-  [[nodiscard]] const std::vector<TierLevelSpec>& tiers() const {
-    return tiers_;
-  }
   [[nodiscard]] const TierLevelSpec& tier(std::size_t level) const;
   // Number of nodes at `level`: ceil(neighborhood_count / prod(fan_in)).
   [[nodiscard]] std::uint32_t tier_node_count(std::size_t level) const;

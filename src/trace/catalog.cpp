@@ -1,5 +1,7 @@
 #include "trace/catalog.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace vodcache::trace {
@@ -25,6 +27,14 @@ sim::SimTime Catalog::introduced(ProgramId id) const {
 
 DataSize Catalog::program_size(ProgramId id, DataRate stream_rate) const {
   return stream_rate.over_seconds(length(id).seconds_f());
+}
+
+DataSize Catalog::segment_size(ProgramId id, std::uint32_t index,
+                               DataRate stream_rate) const {
+  const sim::SimTime rest =
+      length(id) - sim::SimTime::millis(kSegmentDuration.millis_count() * index);
+  VODCACHE_EXPECTS(rest > sim::SimTime{});
+  return stream_rate.over_seconds(std::min(kSegmentDuration, rest).seconds_f());
 }
 
 DataSize Catalog::total_size(DataRate stream_rate) const {

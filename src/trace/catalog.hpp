@@ -17,6 +17,9 @@
 
 namespace vodcache::trace {
 
+// "Programs are divided into 5 minute segments" (section IV-B.1).
+inline constexpr sim::SimTime kSegmentDuration = sim::SimTime::minutes(5);
+
 struct ProgramInfo {
   // Full playback length.
   sim::SimTime length;
@@ -44,6 +47,12 @@ class Catalog {
 
   // Bytes occupied by the whole program when encoded at `stream_rate`.
   [[nodiscard]] DataSize program_size(ProgramId id, DataRate stream_rate) const;
+
+  // Bytes of segment `index` (which must start inside the program) at
+  // `stream_rate`: a full kSegmentDuration, or the shorter remainder for
+  // the last one.  The caches derive every stored replica's size from it.
+  [[nodiscard]] DataSize segment_size(ProgramId id, std::uint32_t index,
+                                      DataRate stream_rate) const;
 
   // Aggregate catalog footprint at `stream_rate`.
   [[nodiscard]] DataSize total_size(DataRate stream_rate) const;

@@ -579,5 +579,37 @@ TEST(NeighborhoodShard, StartBeforeLastFedSessionAborts) {
   EXPECT_DEATH(make_shard()->feed(backwards), "precondition");
 }
 
+// A fill stores the catalog's size for its segment, which is the
+// transmitted slice only while a session ends within its program: a
+// session longer than its program aborts.  Exactly the program's length
+// is fine.
+TEST(NeighborhoodShard, SessionLongerThanItsProgramAborts) {
+  const auto catalog = uniform_catalog(1, 7);
+  const auto config = small_config();
+  const cache::FutureIndex future(0);
+  const auto session = [](sim::SimTime duration) {
+    return NeighborhoodShard::StreamSession{
+        {sim::SimTime::seconds(60), UserId{0}, ProgramId{0}, duration}, 0,
+        PeerId{0}};
+  };
+  const auto make_shard = [&] {
+    return std::make_unique<NeighborhoodShard>(
+        NeighborhoodId{0}, 1, catalog, sim::SimTime::days(1), config,
+        &future, nullptr, std::vector<NeighborhoodShard::PendingFailure>{});
+  };
+
+  const NeighborhoodShard::StreamSession whole[] = {
+      session(sim::SimTime::minutes(7))};
+  const NeighborhoodShard::StreamSession longer[] = {
+      session(sim::SimTime::minutes(7) + sim::SimTime::millis(1))};
+  {
+    auto shard = make_shard();
+    shard->feed(whole);
+    shard->finish(sim::SimTime::seconds(60));
+    EXPECT_EQ(shard->index_server().counters().cold_misses, 2u);
+  }
+  EXPECT_DEATH(make_shard()->feed(longer), "precondition");
+}
+
 }  // namespace
 }  // namespace vodcache::core

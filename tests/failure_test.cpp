@@ -16,17 +16,19 @@
 namespace vodcache::core {
 namespace {
 
+// A full segment at 8 Mb/s.
 constexpr auto kSeg = DataSize::megabytes(300);
+const auto k8Mbps = DataRate::megabits_per_second(8.0);
 
 // ------------------------------------------------------- SegmentStore wipe
 
 TEST(WipePeer, RemovesOnlyThatPeersReplicas) {
-  cache::SegmentStore store(
-      std::vector<DataSize>(3, DataSize::gigabytes(1)));
+  const auto catalog = test::uniform_catalog(3, 5);
+  cache::SegmentStore store(3, DataSize::gigabytes(1), catalog, k8Mbps);
   // Two replicas of one segment on distinct peers + one other segment.
-  const auto first = store.store({ProgramId{1}, 0}, kSeg);
-  const auto second = store.store({ProgramId{1}, 0}, kSeg);
-  const auto other = store.store({ProgramId{2}, 0}, kSeg);
+  const auto first = store.store({ProgramId{1}, 0});
+  const auto second = store.store({ProgramId{1}, 0});
+  const auto other = store.store({ProgramId{2}, 0});
   ASSERT_TRUE(first && second && other);
 
   const auto wiped = store.wipe_peer(*first);
@@ -38,10 +40,10 @@ TEST(WipePeer, RemovesOnlyThatPeersReplicas) {
 }
 
 TEST(WipePeer, ReportsEmptiedPrograms) {
-  cache::SegmentStore store(
-      std::vector<DataSize>(1, DataSize::gigabytes(1)));
-  ASSERT_TRUE(store.store({ProgramId{5}, 0}, kSeg));
-  ASSERT_TRUE(store.store({ProgramId{5}, 1}, kSeg));
+  const auto catalog = test::uniform_catalog(6, 10);  // two segments
+  cache::SegmentStore store(1, DataSize::gigabytes(1), catalog, k8Mbps);
+  ASSERT_TRUE(store.store({ProgramId{5}, 0}));
+  ASSERT_TRUE(store.store({ProgramId{5}, 1}));
   const auto wiped = store.wipe_peer(PeerId{0});
   ASSERT_EQ(wiped.emptied_programs.size(), 1u);
   EXPECT_EQ(wiped.emptied_programs[0], ProgramId{5});
@@ -68,7 +70,7 @@ class AdmitOnce final : public cache::AdmissionPolicy {
 TEST(WipePeer, CommitmentsSurvive) {
   const auto catalog = test::uniform_catalog(1, 10);  // two segments
   cache::CacheCell::Settings settings;
-  settings.stream_rate = DataRate::megabits_per_second(8.0);
+  settings.stream_rate = k8Mbps;
   settings.per_peer_storage = DataSize::gigabytes(1);
   const sim::RateMeter coax(sim::SimTime::days(1));
   cache::AccessHistory history;
@@ -104,8 +106,8 @@ TEST(WipePeer, CommitmentsSurvive) {
 }
 
 TEST(WipePeer, EmptyPeerIsNoOp) {
-  cache::SegmentStore store(
-      std::vector<DataSize>(2, DataSize::gigabytes(1)));
+  const auto catalog = test::uniform_catalog(1, 5);
+  cache::SegmentStore store(2, DataSize::gigabytes(1), catalog, k8Mbps);
   const auto wiped = store.wipe_peer(PeerId{1});
   EXPECT_EQ(wiped.freed, DataSize{});
   EXPECT_TRUE(wiped.emptied_programs.empty());

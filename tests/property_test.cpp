@@ -212,8 +212,30 @@ TEST_P(Seeded, LfuFrequencyMatchesBruteForce) {
   }
 }
 
+// The model's segment sizes: a full segment, or the program's shorter
+// remainder, at exactly `bits_per_ms` bits a millisecond.
+struct SegmentModel {
+  const trace::Catalog& catalog;
+  std::int64_t bits_per_ms;
+
+  [[nodiscard]] std::uint32_t segments(std::uint32_t program) const {
+    const std::int64_t segment_ms = trace::kSegmentDuration.millis_count();
+    return static_cast<std::uint32_t>(
+        (catalog.length(ProgramId{program}).millis_count() + segment_ms - 1) /
+        segment_ms);
+  }
+  [[nodiscard]] std::int64_t bits(std::uint32_t program,
+                                  std::uint32_t seg) const {
+    const std::int64_t segment_ms = trace::kSegmentDuration.millis_count();
+    const std::int64_t rest =
+        catalog.length(ProgramId{program}).millis_count() - segment_ms * seg;
+    return bits_per_ms * std::min(segment_ms, rest);
+  }
+};
+
 // SegmentStore per-peer accounting equals a brute-force model under random
 // store/evict churn; placement always picks a maximal-free eligible peer.
+// Sizes are the catalog's: full segments and shorter last ones.
 TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
   Rng rng(GetParam());
   constexpr std::uint32_t kPeers = 6;
@@ -222,12 +244,22 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
   // draws arrive out of order.
   constexpr std::uint32_t kSegments = 40;
   const auto per_peer = DataSize::megabytes(1000);
-  cache::SegmentStore store(std::vector<DataSize>(kPeers, per_peer));
+  // Up to kSegments segments, the last one 1 ms up to a full segment long.
+  // 8 Mb/s: 8,000 bits a millisecond, a full segment 300 MB.
+  const std::int64_t segment_ms = trace::kSegmentDuration.millis_count();
+  std::vector<trace::ProgramInfo> infos(kPrograms);
+  for (auto& info : infos) {
+    info.length = sim::SimTime::millis(
+        segment_ms * rng.uniform_int(0, kSegments - 1) +
+        rng.uniform_int(1, segment_ms));
+  }
+  const trace::Catalog catalog(std::move(infos));
+  const SegmentModel model{catalog, 8'000};
+  cache::SegmentStore store(kPeers, per_peer, catalog,
+                            DataRate::megabits_per_second(8.0));
   std::vector<std::int64_t> used(kPeers, 0);
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::uint32_t>>
       placed;  // (program, seg) -> peers
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::int64_t>>
-      placed_bytes;  // (program, seg) -> replica bytes, parallel to `placed`
   const auto model_has_program = [&](std::uint32_t program) {
     for (const auto& [key, peers] : placed) {
       if (key.first == program && !peers.empty()) return true;
@@ -240,10 +272,9 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
     if (action < 12) {
       const std::uint32_t program =
           static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
-      const std::uint32_t seg =
-          static_cast<std::uint32_t>(rng.uniform_u64(kSegments));
-      const auto bytes =
-          DataSize::megabytes(rng.uniform_int(50, 400));
+      const std::uint32_t seg = static_cast<std::uint32_t>(
+          rng.uniform_u64(model.segments(program)));
+      const std::int64_t bits = model.bits(program, seg);
       const auto& existing = placed[{program, seg}];
 
       // Brute-force eligibility: max free among peers without this key,
@@ -255,48 +286,40 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
             existing.end()) {
           continue;
         }
-        const std::int64_t free = per_peer.bit_count() / 8 - used[peer];
+        const std::int64_t free = per_peer.bit_count() - used[peer];
         if (free >= best_free) {
           best_free = free;
           best_peer = peer;
         }
       }
-      const bool expect_success = best_free >= bytes.byte_count();
+      const bool expect_success = best_free >= bits;
 
-      const auto result = store.store({ProgramId{program}, seg}, bytes);
+      const auto result = store.store({ProgramId{program}, seg});
       ASSERT_EQ(result.has_value(), expect_success) << "at step " << step;
       if (result) {
         const auto chosen = result->value();
         // Chosen peer had the maximal free space among eligible peers.
-        ASSERT_EQ(per_peer.bit_count() / 8 - used[chosen] >=
-                      static_cast<std::int64_t>(bytes.byte_count()),
-                  true);
-        ASSERT_EQ(per_peer.bit_count() / 8 - used[chosen], best_free);
+        ASSERT_GE(per_peer.bit_count() - used[chosen], bits);
+        ASSERT_EQ(per_peer.bit_count() - used[chosen], best_free);
         ASSERT_EQ(chosen, best_peer) << "at step " << step;
-        used[chosen] += static_cast<std::int64_t>(bytes.byte_count());
+        used[chosen] += bits;
         placed[{program, seg}].push_back(chosen);
-        placed_bytes[{program, seg}].push_back(
-            static_cast<std::int64_t>(bytes.byte_count()));
       }
     } else if (action < 16) {
       const std::uint32_t program =
           static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
       std::int64_t expect_freed = 0;
-      for (auto& [key, sizes] : placed_bytes) {
-        if (key.first != program) continue;
-        for (const std::int64_t size : sizes) expect_freed += size;
-        sizes.clear();
-      }
-      const DataSize freed = store.evict_program(ProgramId{program});
-      ASSERT_EQ(static_cast<std::int64_t>(freed.byte_count()), expect_freed);
       for (auto& [key, peers] : placed) {
         if (key.first != program) continue;
+        expect_freed += model.bits(key.first, key.second) *
+                        static_cast<std::int64_t>(peers.size());
         peers.clear();
       }
+      const DataSize freed = store.evict_program(ProgramId{program});
+      ASSERT_EQ(freed.bit_count(), expect_freed);
       // Recompute brute-force usage from scratch via store introspection.
       for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
-        used[peer] = static_cast<std::int64_t>(
-            store.peer_used(PeerId{peer}).byte_count());
+        used[peer] = store.peer_used(PeerId{peer}).bit_count();
       }
     } else {
       const std::uint32_t peer =
@@ -311,19 +334,14 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
       for (auto& [key, peers] : placed) {
         const auto it = std::find(peers.begin(), peers.end(), peer);
         if (it == peers.end()) continue;
-        auto& sizes = placed_bytes[key];
-        const auto r = it - peers.begin();
-        expect_freed += sizes[r];
+        expect_freed += model.bits(key.first, key.second);
         peers.erase(it);
-        sizes.erase(sizes.begin() + r);
       }
       std::erase_if(expect_emptied, [&](ProgramId program) {
         return model_has_program(program.value());
       });
       const auto wiped = store.wipe_peer(PeerId{peer});
-      ASSERT_EQ(static_cast<std::int64_t>(wiped.freed.byte_count()),
-                expect_freed)
-          << "at step " << step;
+      ASSERT_EQ(wiped.freed.bit_count(), expect_freed) << "at step " << step;
       ASSERT_EQ(wiped.emptied_programs, expect_emptied) << "at step " << step;
       used[peer] -= expect_freed;
       ASSERT_EQ(used[peer], 0);
@@ -351,18 +369,33 @@ TEST_P(Seeded, SegmentStoreMatchesBruteForce) {
   }
 }
 
-// SegmentStore against a brute-force model where slots spill: replica
-// sizes fall on both sides of 2^32 bits (the most a slot holds inline), a
-// segment gets up to 3 replicas, and peer wipes and program evictions
-// interleave with the stores.  Every size stays exact in bits.
+// SegmentStore against a brute-force model where slots spill: a segment
+// gets up to 3 replicas, and peer wipes and program evictions interleave
+// with the stores.  At 20 Mb/s a full segment is 6e9 bits and last
+// segments fall on both sides of 2^32 bits; every size stays exact in
+// bits.
 TEST_P(Seeded, SegmentStoreSpillsMatchBruteForce) {
   Rng rng(GetParam());
   constexpr std::uint32_t kPeers = 5;
   constexpr std::uint32_t kPrograms = 8;
   constexpr std::uint32_t kSegments = 12;
-  constexpr std::int64_t kInlineLimit = std::int64_t{1} << 32;
-  const auto per_peer = DataSize::bits(kInlineLimit * 6);
-  cache::SegmentStore store(std::vector<DataSize>(kPeers, per_peer));
+  constexpr std::int64_t k32Bits = std::int64_t{1} << 32;
+  const auto per_peer = DataSize::bits(k32Bits * 6);
+  // 20 Mb/s: 20,000 bits a millisecond.  Some last segments are within a
+  // millisecond of 2^32 bits (214.748 s or 214.749 s), the rest anywhere.
+  const std::int64_t segment_ms = trace::kSegmentDuration.millis_count();
+  std::vector<trace::ProgramInfo> infos(kPrograms);
+  for (auto& info : infos) {
+    const std::int64_t last_ms = rng.bernoulli(0.3)
+                                     ? rng.uniform_int(214'748, 214'749)
+                                     : rng.uniform_int(1, segment_ms);
+    info.length = sim::SimTime::millis(
+        segment_ms * rng.uniform_int(0, kSegments - 1) + last_ms);
+  }
+  const trace::Catalog catalog(std::move(infos));
+  const SegmentModel model{catalog, 20'000};
+  cache::SegmentStore store(kPeers, per_peer, catalog,
+                            DataRate::megabits_per_second(20.0));
   struct Replica {
     std::uint32_t peer;
     std::int64_t bits;
@@ -387,15 +420,11 @@ TEST_P(Seeded, SegmentStoreSpillsMatchBruteForce) {
     const auto program =
         static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
     if (action < 14) {
-      const auto seg = static_cast<std::uint32_t>(rng.uniform_u64(kSegments));
+      const auto seg = static_cast<std::uint32_t>(
+          rng.uniform_u64(model.segments(program)));
       auto& replicas = placed[{program, seg}];
       if (replicas.size() == 3) continue;
-      // Sizes within a few bits of the inline limit, or anywhere up to
-      // twice it.
-      const std::int64_t bits =
-          rng.bernoulli(0.3)
-              ? kInlineLimit + rng.uniform_int(-2, 2)
-              : rng.uniform_int(1, 2 * kInlineLimit);
+      const std::int64_t bits = model.bits(program, seg);
       std::int64_t best_free = -1;
       std::uint32_t best_peer = 0;
       for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
@@ -409,8 +438,7 @@ TEST_P(Seeded, SegmentStoreSpillsMatchBruteForce) {
           best_peer = peer;
         }
       }
-      const auto result =
-          store.store({ProgramId{program}, seg}, DataSize::bits(bits));
+      const auto result = store.store({ProgramId{program}, seg});
       ASSERT_EQ(result.has_value(), best_free >= bits) << repro();
       if (result) {
         ASSERT_EQ(result->value(), best_peer) << repro();
