@@ -113,8 +113,8 @@ class CacheCell {
   // policy-independent — every transmission is metered once whatever
   // policy runs — so every cell of a neighborhood reads the rate a
   // standalone run of its pair would have read.  `catalog` gives each
-  // program's length, so its full size at the stream rate.  Both must
-  // outlive the cell.
+  // program's length, so its full size and each segment's at the stream
+  // rate (the store sizes fills by it).  Both must outlive the cell.
   CacheCell(Policy policy, const Settings& settings, std::uint32_t peer_count,
             const sim::RateMeter* coax, const trace::Catalog& catalog);
 

@@ -163,7 +163,7 @@ class SegmentStore {
   DataSize used_;
   const trace::Catalog* catalog_;
   DataRate stream_rate_;
-  std::int64_t full_segment_bits_;
+  std::int64_t full_segment_bits_;  // any segment but a program's last
 
   util::FlatMap64<ProgramEntry> programs_;
 

@@ -22,8 +22,8 @@
 // the neighborhood's cache cells (cache::CacheCell), which the server owns
 // in one vector and drives against one session stream, in one pass.  In
 // each cell the scorer's cached set says which programs are admitted and
-// the SegmentStore says where their segments are; the cells read program
-// sizes from the run's catalog.  The
+// the SegmentStore says where their segments are; program and segment
+// sizes come from the run's catalog.  The
 // vector holds the configured pair alone, or — in shadow-matrix and
 // policy-switch runs — one cell per registered (eviction scorer x
 // admission policy) pair, scorer-major in registry order: the matrix's

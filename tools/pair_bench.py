@@ -17,8 +17,9 @@ verdict, by the rule of docs/BENCHMARKS.md:
 
   worse       B's median is worse than A's by more than the metric's
               bound in BENCHMARK.json;
-  better      B is better in at least 9 of every 10 pairs, and the medians
-              differ by more than A's interquartile range;
+  better      B is better in at least 9 of every 10 pairs, at least 10
+              pairs ran, and the medians differ by more than A's
+              interquartile range;
   unresolved  A's interquartile range is wider than the difference;
   same        otherwise.
 
@@ -39,6 +40,9 @@ import tempfile
 from pathlib import Path
 
 WIN_SHARE = 0.9
+# Fewer pairs cannot resolve a gain: 5 of 5 wins happen by chance in one
+# metric of every 32 that did not change.
+MIN_PAIRS = 10
 
 
 def quartiles(values):
@@ -67,7 +71,8 @@ def verdict(a, b, better, bound):
              "change": gain / ma if ma else 0.0}
     if ma and gain / ma < -bound:
         return "worse", stats
-    if pairs and wins >= WIN_SHARE * len(pairs) and gain > q3 - q1:
+    if len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs) and \
+            gain > q3 - q1:
         return "better", stats
     if q3 - q1 > abs(mb - ma):
         return "unresolved", stats
@@ -97,7 +102,7 @@ def run_once(tree, workload, run_args):
     return {k: m["value"] for k, m in result["metrics"].items()}
 
 
-def measure(trees, spec, workloads, pairs, run_args):
+def measure(trees, workloads, pairs, run_args):
     """{workload: {side: [values or None, one per pair]}}."""
     samples = {w: {"A": [], "B": []} for w in workloads}
     for i in range(pairs):
@@ -161,8 +166,12 @@ def self_test():
          "higher", 0.25, "better"),
         ("gain inside A's spread", [80.0, 120.0, 90.0, 110.0, 100.0],
          [85.0, 125.0, 95.0, 115.0, 105.0], "higher", 0.25, "unresolved"),
-        ("failed runs are skipped", base[:9] + [None],
-         [x * 1.1 for x in base[:9]] + [None], "higher", 0.25, "better"),
+        ("five pairs cannot resolve a gain", base[:5],
+         [x * 1.1 for x in base[:5]], "higher", 0.25, "same"),
+        ("failed runs are skipped", base + [None], [x * 1.1 for x in base] +
+         [50.0], "higher", 0.25, "better"),
+        ("a failed run leaves too few pairs", base[:9] + [None],
+         [x * 1.1 for x in base[:9]] + [110.0], "higher", 0.25, "same"),
         ("no samples", [None], [None], "higher", 0.25, "unresolved"),
     ]
     misses = 0
@@ -219,7 +228,7 @@ def main():
         print(f"A = {args.rev_a} ({revs['A'][:12]}), "
               f"B = {args.rev_b} ({revs['B'][:12]}), {args.pairs} pairs, "
               f"run.py {' '.join(rest)}, {os.cpu_count()} CPUs")
-        samples = measure(trees, spec, picked or names, args.pairs, rest)
+        samples = measure(trees, picked or names, args.pairs, rest)
         return 0 if report(spec, samples) else 1
     finally:
         for tree in trees.values():
