@@ -219,5 +219,22 @@ TEST_P(TieredIdentity, TieredReportBytesArePinned) {
       << "actual hash 0x" << std::hex << report_hash(config);
 }
 
+// The no-cache baseline under everything that touches a neighborhood
+// without a cache: two failure waves and a hub tier whose misses walk up
+// before the origin serves them.  Same regeneration rule as above.
+TEST(NoCacheIdentity, FailureWavesAndHubTierArePinned) {
+  auto config = pinned_config(StrategyKind::None);
+  config.peer_failures.push_back({sim::SimTime::hours(20), 0.4, 11});
+  config.peer_failures.push_back({sim::SimTime::hours(50), 0.3, 12});
+  hfc::TierLevelSpec hub;
+  hub.fan_in = 2;
+  hub.capacity = DataSize::gigabytes(10);
+  config.tiers.push_back(hub);
+  config.prefetch.kind = PrefetchKind::TopPopular;
+  config.prefetch.refresh = sim::SimTime::hours(12);
+  EXPECT_EQ(report_hash(config), 0x9E7A74DADEF7E234ULL)
+      << "actual hash 0x" << std::hex << std::uppercase << report_hash(config);
+}
+
 }  // namespace
 }  // namespace vodcache::core

@@ -218,28 +218,33 @@ TEST(ShadowBank, MatrixIsBitIdenticalAcrossThreadCounts) {
 // Shadows observe; they must not perturb.  Stripping the shadow section
 // from a shadow-on report leaves exactly the bytes of a shadow-off run —
 // the primary's placement, metering, and counters are untouched — at
-// every thread count.
+// every thread count, for a caching primary and for the no-cache one.
 TEST(ShadowBank, PrimaryReportByteIdenticalWithShadowsOn) {
   const auto trace = shadow_trace();
-  auto config = shadow_config();
+  for (const StrategyKind kind : {StrategyKind::Lfu, StrategyKind::None}) {
+    auto config = shadow_config();
+    config.strategy.kind = kind;
 
-  config.shadow_matrix = false;
-  config.threads = 1;
-  VodSystem baseline_system(trace, config);
-  const auto baseline = baseline_system.run();
-  const std::string baseline_json = to_json(baseline);
-  const std::string baseline_text = baseline.to_string();
+    config.shadow_matrix = false;
+    config.threads = 1;
+    VodSystem baseline_system(trace, config);
+    const auto baseline = baseline_system.run();
+    const std::string baseline_json = to_json(baseline);
+    const std::string baseline_text = baseline.to_string();
 
-  for (const std::uint32_t threads : {1u, 2u, 8u, 16u}) {
-    auto shadow_cfg = config;
-    shadow_cfg.shadow_matrix = true;
-    shadow_cfg.threads = threads;
-    VodSystem system(trace, shadow_cfg);
-    auto report = system.run();
-    EXPECT_FALSE(report.shadow_matrix.empty());
-    report.shadow_matrix.clear();
-    EXPECT_EQ(to_json(report), baseline_json) << "threads=" << threads;
-    EXPECT_EQ(report.to_string(), baseline_text) << "threads=" << threads;
+    for (const std::uint32_t threads : {1u, 2u, 8u, 16u}) {
+      auto shadow_cfg = config;
+      shadow_cfg.shadow_matrix = true;
+      shadow_cfg.threads = threads;
+      VodSystem system(trace, shadow_cfg);
+      auto report = system.run();
+      const std::string label = std::string(to_string(kind)) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_FALSE(report.shadow_matrix.empty()) << label;
+      report.shadow_matrix.clear();
+      EXPECT_EQ(to_json(report), baseline_json) << label;
+      EXPECT_EQ(report.to_string(), baseline_text) << label;
+    }
   }
 }
 
