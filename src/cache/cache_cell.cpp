@@ -48,7 +48,8 @@ CacheCell::CacheCell(Policy policy, const Settings& settings,
       catalog_(&catalog),
       store_(peer_count, settings.per_peer_storage, catalog,
              settings.stream_rate),
-      slots_(peer_count, scorer_ == nullptr ? 0 : hfc::kPeerStreamLimit) {
+      slots_(peer_count, hfc::kPeerStreamLimit) {
+  VODCACHE_EXPECTS(scorer_ != nullptr);
   VODCACHE_EXPECTS(coax != nullptr);
   VODCACHE_EXPECTS(peer_count > 0);
   VODCACHE_EXPECTS(settings.per_peer_storage >= DataSize{});
@@ -79,8 +80,6 @@ bool CacheCell::make_room(ProgramId incoming, sim::SimTime t, Full full) {
 }
 
 bool CacheCell::start_session(ProgramId program, sim::SimTime t) {
-  ++counters_.sessions;
-  if (scorer_ == nullptr) return false;  // StrategyKind::None
   scorer_->on_access(program, t);
   // Already admitted: keep filling it.
   if (scorer_->is_cached(program)) return true;
@@ -114,7 +113,6 @@ void CacheCell::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
 }
 
 void CacheCell::try_fill(SegmentKey key, sim::SimTime t) {
-  if (scorer_ == nullptr) return;
   const bool cached = scorer_->is_cached(key.program);
   // Whole-program: the session's admit decision went stale, the program
   // was evicted mid-session.
@@ -131,7 +129,6 @@ void CacheCell::try_fill(SegmentKey key, sim::SimTime t) {
 
 ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
                                      bool admit, bool full_slice) {
-  ++counters_.segments;
   const double bits =
       settings_.stream_rate.bps() * interval.duration_seconds();
 
@@ -148,11 +145,7 @@ ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
   }
 
   const bool was_cached = !replicas.empty();
-  if (was_cached) {
-    ++counters_.busy_misses;
-  } else {
-    ++counters_.cold_misses;
-  }
+  if (was_cached) ++counters_.busy_misses;
   counters_.miss_bits += bits;
   if (admission_ != nullptr) admission_->on_serve(false, interval.begin);
 
@@ -169,7 +162,7 @@ ServeResult CacheCell::serve_segment(SegmentKey key, sim::Interval interval,
 SegmentStore::WipeResult CacheCell::fail_peer(PeerId peer) {
   VODCACHE_EXPECTS(peer.value() < slots_.peer_count());
   auto wiped = store_.wipe_peer(peer);
-  if (scorer_ != nullptr && !settings_.whole_program) {
+  if (!settings_.whole_program) {
     for (const ProgramId program : wiped.emptied_programs) {
       VODCACHE_ASSERT(scorer_->is_cached(program));
       scorer_->on_evict(program);

@@ -12,7 +12,7 @@
 // placement and slot contention, so membership alone cannot reproduce
 // them).  It also owns the counters those decisions bump: a cell never
 // moves after construction, so its counters are always a standalone run
-// of its pair.
+// of its pair.  The no-cache baseline decides nothing: it is no cell.
 //
 // Admission has one owner, the scorer's cached set.  Section IV-B
 // separates admitting and deleting whole programs from placing and
@@ -63,8 +63,9 @@ enum class ServeResult {
   MissBusy,
 };
 
-// The policy-dependent counters of one cell's replay.  Policy-independent
-// ones (peer failures, wiped bytes, metered totals) are the primary's.
+// The counters of one cell's replay.  A cell bumps only what its pair
+// decides; sessions, segments and cold_misses (their difference) are the
+// same in every cell, so core::IndexServer fills them in.
 struct CellCounters {
   std::uint64_t sessions = 0;
   std::uint64_t segments = 0;
@@ -99,8 +100,7 @@ class CacheCell {
   };
 
   // The pair and the registry display names that label it in reports and
-  // switch logs.  `scorer` may be null only for the no-cache primary
-  // (StrategyKind::None), which then admits and stores nothing.
+  // switch logs.  `scorer` is never null.
   struct Policy {
     const char* scorer_display = "";
     const char* admission_display = "";
@@ -147,9 +147,7 @@ class CacheCell {
     return admission_display_;
   }
   [[nodiscard]] const CellCounters& counters() const { return counters_; }
-  [[nodiscard]] std::uint32_t peer_count() const { return slots_.peer_count(); }
   [[nodiscard]] const SegmentStore& store() const { return store_; }
-  // Null only for the no-cache primary.
   [[nodiscard]] const EvictionScorer* scorer() const { return scorer_.get(); }
 
  private:
@@ -178,9 +176,7 @@ class CacheCell {
   SegmentStore store_;
   // Whole-program admission: the full sizes of the admitted programs.
   DataSize committed_;
-  // Every box's stream occupancy in one table.  The no-cache cell's has
-  // limit 0 and keeps nothing: it stores no segment, so none of its boxes
-  // is ever asked to serve, and viewer playback needs no record.
+  // Every box's stream occupancy in one table.
   hfc::StreamSlots slots_;
   CellCounters counters_;
 };

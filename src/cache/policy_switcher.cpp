@@ -16,7 +16,8 @@ PolicySwitcher::PolicySwitcher(sim::SimTime window, int windows_k,
 }
 
 std::optional<PolicySwitcher::Decision> PolicySwitcher::evaluate(
-    sim::SimTime t, std::span<const CacheCell> cells, std::size_t primary) {
+    sim::SimTime t, std::uint64_t segments, std::span<const CacheCell> cells,
+    std::size_t primary) {
   if (t < window_end_) return std::nullopt;
 
   // Jump the boundary past t arithmetically; every window between the one
@@ -28,7 +29,6 @@ std::optional<PolicySwitcher::Decision> PolicySwitcher::evaluate(
 
   // An empty window (no segment served since the last close) neither ends
   // nor extends the streak — a quiet night is no evidence either way.
-  const std::uint64_t segments = cells[primary].counters().segments;
   if (segments == segments_mark_) return std::nullopt;
   segments_mark_ = segments;
 

@@ -44,15 +44,17 @@ class PolicySwitcher {
   // Windows of `window` must be won `windows_k` consecutive times.
   PolicySwitcher(sim::SimTime window, int windows_k, std::size_t cell_count);
 
-  // Called at every shard event *before* the event is processed.  Closes
-  // the pending window when `t` reached its boundary, compares every
-  // cell's hit delta with cell `primary`'s, and returns the cell to
+  // Called at every shard event *before* the event is processed, with the
+  // neighborhood's `segments` served so far.  Closes the pending window
+  // when `t` reached its boundary, compares every cell's hit delta with
+  // cell `primary`'s, and returns the cell to
   // promote when the same cell's strict lead has lasted k data-carrying
   // windows.  The caller performs the switch; the streak restarts from
   // zero afterwards (the next switch needs k fresh wins against the new
   // primary).
   [[nodiscard]] std::optional<Decision> evaluate(
-      sim::SimTime t, std::span<const CacheCell> cells, std::size_t primary);
+      sim::SimTime t, std::uint64_t segments, std::span<const CacheCell> cells,
+      std::size_t primary);
 
  private:
   static constexpr std::size_t kNoCell = ~std::size_t{0};
@@ -61,8 +63,7 @@ class PolicySwitcher {
   int windows_k_;
   sim::SimTime window_end_;
   // Cumulative-counter marks taken at the last window close; the next
-  // window's score is the delta against them.  Every cell serves every
-  // segment, so one segments mark covers them all.
+  // window's score is the delta against them.
   std::uint64_t segments_mark_ = 0;
   std::vector<std::uint64_t> cell_hits_marks_;
   std::size_t streak_cell_ = kNoCell;

@@ -20,7 +20,7 @@ SegmentStore::SegmentStore(std::uint32_t peer_count, DataSize per_peer,
           stream_rate.over_seconds(trace::kSegmentDuration.seconds_f())
               .bit_count()) {
   VODCACHE_EXPECTS(peer_count > 0);
-  VODCACHE_EXPECTS(peer_count <= SegmentEntry::kCountMask);
+  VODCACHE_EXPECTS(peer_count <= kMaxPeers);
   VODCACHE_EXPECTS(per_peer >= DataSize{});
   while (leaves_ < peer_count) leaves_ *= 2;
   free_bits_.assign(leaves_, -1);

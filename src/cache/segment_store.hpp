@@ -42,6 +42,10 @@
 
 namespace vodcache::cache {
 
+// The most peers one store (one neighborhood) holds, and the mask of a
+// segment slot's low 24 bits, which keep a peer id or a replica count.
+inline constexpr std::uint32_t kMaxPeers = (1u << 24) - 1;
+
 struct SegmentKey {
   ProgramId program;
   std::uint32_t index = 0;
@@ -99,11 +103,10 @@ class SegmentStore {
   //  - spilled: `peer` is no peer but kSpilled | cap_log2 << 24 | count,
   //    and `word` the offset of `count` replica peers in a block of
   //    2^cap_log2.
-  // Peer ids stay below 2^24 (the constructor checks), so a peer never
-  // carries the tag and a count always fits.
+  // Peer ids stay below kMaxPeers (the constructor checks), so a peer
+  // never carries the tag and a count always fits.
   struct SegmentEntry {
     static constexpr std::uint32_t kSpilled = 1u << 31;
-    static constexpr std::uint32_t kCountMask = (1u << 24) - 1;
 
     std::uint32_t word = 0;
     PeerId peer;
@@ -113,7 +116,7 @@ class SegmentStore {
     }
     [[nodiscard]] bool empty() const { return word == 0 && !spilled(); }
     [[nodiscard]] std::uint32_t count() const {
-      return peer.value() & kCountMask;
+      return peer.value() & kMaxPeers;
     }
     [[nodiscard]] std::uint8_t cap_log2() const {
       return static_cast<std::uint8_t>((peer.value() & ~kSpilled) >> 24);

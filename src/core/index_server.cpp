@@ -28,6 +28,7 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
                          const TierSystem* tiers,
                          std::vector<std::uint32_t> tier_nodes)
     : id_(id),
+      peer_count_(peer_count),
       stream_rate_(config.stream_rate),
       media_server_(media_server),
       coax_meter_(horizon, config.meter_bucket),
@@ -36,10 +37,10 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
       primary_(plan.primary),
       tiers_(tiers),
       tier_nodes_(std::move(tier_nodes)) {
-  VODCACHE_EXPECTS(!plan.cells.empty() &&
-                   plan.cells.size() <= cache::kMaxCells);
+  VODCACHE_EXPECTS(peer_count > 0);
+  VODCACHE_EXPECTS(plan.cells.size() <= cache::kMaxCells);
   VODCACHE_EXPECTS(rows_ <= plan.cells.size());
-  VODCACHE_EXPECTS(primary_ < plan.cells.size());
+  VODCACHE_EXPECTS(primary_ <= plan.cells.size());
   const cache::CacheCell::Settings settings = cell_settings(config);
   cells_.reserve(plan.cells.size());
   for (auto& policy : plan.cells) {
@@ -58,6 +59,7 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
 
 std::uint64_t IndexServer::start_session(ProgramId program,
                                          sim::SimTime t) {
+  ++counters_.sessions;
   std::uint64_t mask = 0;
   for (std::size_t c = 0; c < cells_.size(); ++c) {
     if (cells_[c].start_session(program, t)) {
@@ -83,16 +85,25 @@ void IndexServer::fail_peer(PeerId peer) {
 }
 
 void IndexServer::promote(std::size_t cell) {
-  VODCACHE_EXPECTS(cell < cells_.size());
+  VODCACHE_EXPECTS(primary_ < cells_.size() && cell < cells_.size());
   counters_ += cells_[primary_].counters();
   counters_ -= cells_[cell].counters();
   primary_ = cell;
 }
 
 IndexServer::Counters IndexServer::counters() const {
-  Counters counters = counters_;
-  counters += cells_[primary_].counters();
-  return counters;
+  Counters c = counters_;
+  if (primary_ < cells_.size()) c += cells_[primary_].counters();
+  c.cold_misses = c.segments - c.hits - c.busy_misses;
+  return c;
+}
+
+cache::CellCounters IndexServer::counters(std::size_t cell) const {
+  cache::CellCounters c = cells_[cell].counters();
+  c.sessions = counters_.sessions;
+  c.segments = counters_.segments;
+  c.cold_misses = c.segments - c.hits - c.busy_misses;
+  return c;
 }
 
 ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
@@ -106,6 +117,7 @@ ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
   // (paper section VI-B: "each file must consume the same bandwidth whether
   // it is sent from a peer or the index server").
   coax_meter_.add(interval, stream_rate_);
+  ++counters_.segments;
 
   ServeResult result = ServeResult::MissCold;
   for (std::size_t c = 0; c < cells_.size(); ++c) {

@@ -20,23 +20,23 @@
 //
 // Every placement decision — admit, evict, fill, hit or miss — is made by
 // the neighborhood's cache cells (cache::CacheCell), which the server owns
-// in one vector and drives against one session stream, in one pass.  In
-// each cell the scorer's cached set says which programs are admitted and
-// the SegmentStore says where their segments are; program and segment
-// sizes come from the run's catalog.  The
-// vector holds the configured pair alone, or — in shadow-matrix and
-// policy-switch runs — one cell per registered (eviction scorer x
-// admission policy) pair, scorer-major in registry order: the matrix's
-// rows (a no-cache primary rides one extra cell after them).  One cell is
-// the primary: the server meters and serves off its classification, and
-// adds only the side effects a shadow must not have — coax, peer and tier
-// metering, the tier walk and media-server serve, and the failure
-// counters.  None of those changes a hit/miss classification or a fill
-// decision, and cells never move, so each cell's counters equal a
+// in one vector and drives against one session stream, in one pass.  In each
+// cell the scorer's cached set says which programs are admitted and the
+// SegmentStore says where their segments are; program and segment sizes come
+// from the run's catalog.  The vector holds the configured pair alone, or —
+// in shadow-matrix and policy-switch runs — one cell per registered
+// (eviction scorer x admission policy) pair, scorer-major in registry order:
+// the matrix's rows.  One cell is the primary (none under
+// StrategyKind::None, where every segment is a cold miss): the server meters
+// and serves off its classification, counts the sessions and segments every
+// cell shares, and adds only the side effects a shadow must not have — coax,
+// peer and tier metering, the tier walk and media-server serve, and the
+// failure counters.  None of those changes a hit/miss classification or a
+// fill decision, and cells never move, so each cell's counters equal a
 // standalone run of its pair (pinned per replay mode in
-// tests/shadow_bank_test.cpp) and the primary's report stays
-// byte-identical with shadows on.  A policy switch makes another cell the
-// primary and moves no state.
+// tests/shadow_bank_test.cpp) and the primary's report stays byte-identical
+// with shadows on.  A policy switch makes another cell the primary and moves
+// no state.
 //
 // Zero steady-state allocations: stores are FlatMap64/PooledArena, stream
 // slots are one fixed table per cell, and the shard's shared access
@@ -65,7 +65,8 @@ class IndexServer {
  public:
   // A neighborhood's cells before construction, in cell order: the first
   // `rows` are the shadow matrix's rows (0 when the matrix is off), and
-  // `primary` indexes the cell the server serves from.
+  // `primary` indexes the cell the server serves from; `cells.size()`
+  // means none, and the origin serves every segment.
   struct Plan {
     std::vector<cache::CacheCell::Policy> cells;
     std::size_t rows = 0;
@@ -73,7 +74,6 @@ class IndexServer {
   };
 
   // Builds the plan's cells and serves from `plan.primary`.  A cell's
-  // scorer may be null (StrategyKind::None: no cache at all); its
   // admission may be null, which means always-admit (the paper's
   // behaviour).  The cells read program sizes from `catalog`, which must
   // outlive the server.
@@ -122,9 +122,7 @@ class IndexServer {
   void promote(std::size_t cell);
 
   [[nodiscard]] NeighborhoodId id() const { return id_; }
-  [[nodiscard]] std::uint32_t peer_count() const {
-    return cells_[primary_].peer_count();
-  }
+  [[nodiscard]] std::uint32_t peer_count() const { return peer_count_; }
   [[nodiscard]] std::span<const cache::CacheCell> cells() const {
     return cells_;
   }
@@ -132,6 +130,7 @@ class IndexServer {
   [[nodiscard]] std::size_t pair_count() const { return rows_; }
   [[nodiscard]] std::size_t primary() const { return primary_; }
   [[nodiscard]] const cache::SegmentStore& store() const {
+    VODCACHE_EXPECTS(primary_ < cells_.size());
     return cells_[primary_].store();
   }
   // All traffic on this neighborhood's coax (hits and misses alike).
@@ -155,13 +154,13 @@ class IndexServer {
     std::vector<std::uint64_t> tier_hits;
   };
   [[nodiscard]] Counters counters() const;
-  // Cell `cell`'s own counters: a standalone run of its pair.
-  [[nodiscard]] const cache::CellCounters& counters(std::size_t cell) const {
-    return cells_[cell].counters();
-  }
+  [[nodiscard]] std::uint64_t segments() const { return counters_.segments; }
+  // Cell `cell`'s counters: a standalone run of its pair.
+  [[nodiscard]] cache::CellCounters counters(std::size_t cell) const;
 
  private:
   NeighborhoodId id_;
+  std::uint32_t peer_count_;
   DataRate stream_rate_;
   MediaServer& media_server_;
   sim::RateMeter coax_meter_;
@@ -174,9 +173,9 @@ class IndexServer {
   const TierSystem* tiers_;
   std::vector<std::uint32_t> tier_nodes_;
   std::vector<sim::RateMeter> tier_meters_;
-  // The primary-only counters; the CellCounters base holds the offset that
-  // makes counters() continuous: what earlier primaries counted, minus
-  // what the current primary cell had counted when it was promoted.
+  // The primary-only counters; the CellCounters base holds the sessions,
+  // the segments, and the offset that keeps counters() continuous: earlier
+  // primaries' counts minus the current primary cell's at its promotion.
   Counters counters_;
 };
 

@@ -59,9 +59,7 @@ IndexServer::Plan NeighborhoodShard::make_cells() {
   }
   if (matrix) plan.rows = plan.cells.size();
   if (config_.strategy.kind == StrategyKind::None) {
-    // No cache, no admission question: a cell with neither.
     plan.primary = plan.cells.size();
-    plan.cells.emplace_back();
   }
   return plan;
 }
@@ -79,7 +77,8 @@ void NeighborhoodShard::apply_failures(sim::SimTime now) {
 void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   if (switcher_ == nullptr) return;
   const auto cells = server_.cells();
-  const auto decision = switcher_->evaluate(t, cells, server_.primary());
+  const auto decision =
+      switcher_->evaluate(t, server_.segments(), cells, server_.primary());
   if (!decision) return;
 
   // Both sides' cumulative counts at the switch instant: the primary's
@@ -91,13 +90,13 @@ void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   const cache::CacheCell& from = cells[server_.primary()];
   const cache::CacheCell& to = cells[decision->cell];
   const auto primary = server_.counters();
+  const auto winner = server_.counters(decision->cell);
   switch_log_.push_back({id().value(), t, from.scorer_name(),
                          from.admission_name(), to.scorer_name(),
                          to.admission_name(), decision->window_primary_hits,
                          decision->window_winner_hits, primary.hits,
                          primary.cold_misses, primary.busy_misses,
-                         to.counters().hits, to.counters().cold_misses,
-                         to.counters().busy_misses});
+                         winner.hits, winner.cold_misses, winner.busy_misses});
   server_.promote(decision->cell);
 }
 

@@ -181,8 +181,8 @@ class NeighborhoodShard {
   // context): the configured pair alone, or — with the shadow matrix or
   // policy switching on — every registered (scorer x admission) pair,
   // scorer-major in registry order, StrategyKind::None skipped.  The
-  // primary is the configured pair's cell; a no-cache primary is one
-  // extra cell after the rows.
+  // primary is the configured pair's cell; a no-cache primary is none
+  // (Plan::primary == cells.size()).
   [[nodiscard]] IndexServer::Plan make_cells();
 
   const trace::Catalog& catalog_;

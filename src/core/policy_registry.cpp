@@ -11,10 +11,6 @@ namespace vodcache::core {
 
 namespace {
 
-std::unique_ptr<cache::EvictionScorer> make_none(const PolicyContext&) {
-  return nullptr;
-}
-
 std::unique_ptr<cache::EvictionScorer> make_lru(const PolicyContext& ctx) {
   return std::make_unique<cache::LruStrategy>(ctx.history);
 }
@@ -48,7 +44,7 @@ std::unique_ptr<cache::EvictionScorer> make_greedy_dual(
 
 constexpr ScorerEntry kScorers[] = {
     {StrategyKind::None, "none", "None",
-     "no caching; every request hits the central server", make_none},
+     "no caching; every request hits the central server", nullptr},
     {StrategyKind::Lru, "lru", "LRU",
      "evict the least recently used program", make_lru},
     {StrategyKind::Lfu, "lfu", "LFU",

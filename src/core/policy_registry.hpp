@@ -44,7 +44,7 @@ struct ScorerEntry {
   const char* display;
   // One-liner for --list-strategies.
   const char* summary;
-  // Returns nullptr only for StrategyKind::None (no cache at all).
+  // Null only for StrategyKind::None: no cache, so no cell to build.
   std::unique_ptr<cache::EvictionScorer> (*make)(const PolicyContext&);
 };
 

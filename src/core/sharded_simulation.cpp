@@ -361,8 +361,7 @@ SimulationReport ShardedSimulation::build_report(
     const MediaServer& media) const {
   SimulationReport report;
   report.strategy = config_.strategy.kind;
-  // No cache, no admission decisions: a none-strategy run must not claim
-  // a policy that was never instantiated (make_admission returns null).
+  // No cache, no cell, no admission decisions.
   report.admission_policy = config_.strategy.kind == StrategyKind::None
                                 ? AdmissionKind::Always
                                 : config_.admission_policy.kind;
@@ -412,8 +411,10 @@ SimulationReport ShardedSimulation::build_report(
     n.cold_misses = c.cold_misses;
     n.busy_misses = c.busy_misses;
     n.admission_denials = c.admission_denials;
-    n.cache_used = server.store().used();
-    n.cache_capacity = server.store().capacity();
+    n.cache_used = server.primary() < server.cells().size()
+                       ? server.store().used()
+                       : DataSize{};
+    n.cache_capacity = config_.per_peer_storage * server.peer_count();
     report.neighborhoods.push_back(n);
 
     report.sessions += c.sessions;

@@ -17,7 +17,7 @@ constexpr sim::SimTime kNever =
 
 StreamSlots::StreamSlots(std::uint32_t peer_count, int limit)
     : peer_count_(peer_count), limit_(limit) {
-  VODCACHE_EXPECTS(limit >= 0);
+  VODCACHE_EXPECTS(limit >= 1);
   ends_.assign(static_cast<std::size_t>(peer_count) *
                    static_cast<std::size_t>(limit),
                kNever);
@@ -34,7 +34,6 @@ sim::SimTime* StreamSlots::earliest(std::uint32_t peer) {
 bool StreamSlots::try_acquire(std::uint32_t peer, sim::Interval interval) {
   VODCACHE_EXPECTS(interval.valid());
   VODCACHE_EXPECTS(peer < peer_count_);
-  if (limit_ == 0) return false;
   sim::SimTime* slot = earliest(peer);
   if (*slot > interval.begin) return false;
   *slot = interval.end;
@@ -45,7 +44,6 @@ void StreamSlots::acquire_unchecked(std::uint32_t peer,
                                     sim::Interval interval) {
   VODCACHE_EXPECTS(interval.valid());
   VODCACHE_EXPECTS(peer < peer_count_);
-  if (limit_ == 0) return;
   sim::SimTime* slot = earliest(peer);
   if (interval.end > *slot) *slot = interval.end;
 }

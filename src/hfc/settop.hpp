@@ -21,7 +21,7 @@ namespace vodcache::hfc {
 inline constexpr int kPeerStreamLimit = 2;
 
 // Concurrent-transmission bookkeeping for all the boxes of one cache cell,
-// in one flat array of `peer_count * limit` end times.
+// in one flat array of `peer_count * limit` end times (`limit >= 1`).
 //
 // A box refuses a serve at `begin` exactly when at least `limit` of its
 // transmissions end after `begin` — that is, when its `limit`-th latest end
@@ -50,7 +50,7 @@ class StreamSlots {
   [[nodiscard]] std::uint32_t peer_count() const { return peer_count_; }
 
  private:
-  // The earliest of `peer`'s kept ends; `limit_ > 0`.
+  // The earliest of `peer`'s kept ends.
   [[nodiscard]] sim::SimTime* earliest(std::uint32_t peer);
 
   std::uint32_t peer_count_;

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "cache/segment_store.hpp"
 #include "core/policy_registry.hpp"
 #include "util/parse.hpp"
 
@@ -80,7 +81,7 @@ constexpr ConfigKey kKeys[] = {
     {"--materialize", nullptr, nullptr, K::Flag, {},
      "buffer the trace in memory (the report is byte-identical)",
      [](auto& c, auto& v) { c.materialize = v.integer != 0; }},
-    {"--neighborhood", "system", "neighborhood", K::Int, {1, kMaxCount},
+    {"--neighborhood", "system", "neighborhood", K::Int, {1, cache::kMaxPeers},
      "subscribers per neighborhood",
      [](auto& c, auto& v) { c.system.neighborhood_size = u32(v); }},
     {"--per-peer-gb", "system", "per_peer_gb", K::Int, {1, kMaxGigabytes},

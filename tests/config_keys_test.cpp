@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/segment_store.hpp"
 #include "core/config.hpp"
 #include "scenario/config_keys.hpp"
 #include "util/rng.hpp"
@@ -282,6 +283,25 @@ TEST(CrossFieldChecks, OverflowGuardsAreNamedOnBothSurfaces) {
                          "--hub-fan-in", "4000000000"});
       },
       {"hub_capacity_gb x hub_fan_in"});
+}
+
+// A neighborhood is one SegmentStore, which holds at most
+// cache::kMaxPeers peers: one more is a named error on both surfaces, not
+// an abort when the store is built.
+TEST(ConfigKeyTable, NeighborhoodIsBoundedByTheStoresPeerLimit) {
+  EXPECT_EQ(cache::kMaxPeers, 16'777'215u);
+  EXPECT_EQ(parse_cli({"run", "--neighborhood", "16777215"})
+                .config.system.neighborhood_size,
+            16'777'215u);
+  EXPECT_EQ(parse_text("[system]\nneighborhood = 16777215\n")
+                .system.neighborhood_size,
+            16'777'215u);
+  expect_config_error(
+      [] { (void)parse_cli({"run", "--neighborhood", "16777216"}); },
+      {"'--neighborhood' must be in [1, 16777215]"});
+  expect_config_error(
+      [] { (void)parse_text("[system]\nneighborhood = 16777216\n"); },
+      {"line 2", "[1, 16777215]"});
 }
 
 // --hub-* flags and a [tiers] section configure one hub, later settings

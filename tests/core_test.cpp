@@ -7,9 +7,11 @@
 #include "cache/future_index.hpp"
 #include "cache/lfu.hpp"
 #include "cache/lru.hpp"
+#include "cache/popularity_board.hpp"
 #include "core/index_server.hpp"
 #include "core/media_server.hpp"
 #include "core/neighborhood_shard.hpp"
+#include "core/policy_registry.hpp"
 #include "core/vod_system.hpp"
 #include "test_support.hpp"
 
@@ -609,6 +611,73 @@ TEST(NeighborhoodShard, SessionLongerThanItsProgramAborts) {
     EXPECT_EQ(shard->index_server().counters().cold_misses, 2u);
   }
   EXPECT_DEATH(make_shard()->feed(longer), "precondition");
+}
+
+// The no-cache baseline decides nothing, so it is no cell: the index
+// server has none without the matrix and exactly the matrix's rows with
+// it, the primary index is one past them, and every segment is a cold
+// miss.  Every row counts the neighborhood's own sessions and segments.
+TEST(NeighborhoodShard, NoCacheNeighborhoodHasNoCell) {
+  const auto catalog = uniform_catalog(2, 10);
+  // Session `index` (its board entry) is viewer `index`'s.
+  const auto session = [](std::uint32_t index, std::int64_t start_s,
+                          std::uint32_t program) {
+    return NeighborhoodShard::StreamSession{
+        {sim::SimTime::seconds(start_s), UserId{index}, ProgramId{program},
+         sim::SimTime::minutes(10)},
+        index,
+        PeerId{index}};
+  };
+  // Program 0 twice, on two boxes: the caching rows fill, then hit.
+  const NeighborhoodShard::StreamSession sessions[] = {
+      session(0, 0, 0), session(1, 900, 0), session(2, 1800, 1)};
+  const SystemConfig defaults;
+  auto board = std::make_shared<cache::ReplayBoard>(
+      catalog.size(), defaults.strategy.lfu_history,
+      defaults.strategy.global_lag);
+  cache::FutureIndex future(catalog.size());
+  for (const auto& s : sessions) {
+    board->add(s.record.program, s.record.start);
+    future.add(s.record.program, s.record.start);
+  }
+  board->freeze();
+  future.freeze();
+
+  for (const bool matrix : {false, true}) {
+    SCOPED_TRACE(matrix ? "matrix" : "no matrix");
+    auto config = small_config();
+    config.strategy.kind = StrategyKind::None;
+    config.shadow_matrix = matrix;
+    NeighborhoodShard shard(NeighborhoodId{0}, 4, catalog,
+                            sim::SimTime::days(1), config, &future, board,
+                            {});
+    shard.feed(sessions);
+    shard.finish(sim::SimTime::seconds(1800));
+
+    const IndexServer& server = shard.index_server();
+    const std::size_t rows =
+        matrix ? (scorer_registry().size() - 1) * admission_registry().size()
+               : 0;
+    EXPECT_EQ(server.cells().size(), rows);
+    EXPECT_EQ(server.pair_count(), rows);
+    EXPECT_EQ(server.primary(), rows);
+    const auto primary = server.counters();
+    EXPECT_EQ(primary.sessions, 3u);
+    EXPECT_EQ(primary.segments, 6u);
+    EXPECT_EQ(primary.cold_misses, primary.segments);
+    EXPECT_EQ(primary.hits, 0u);
+    EXPECT_EQ(primary.busy_misses, 0u);
+    std::uint64_t row_hits = 0;
+    for (std::size_t p = 0; p < rows; ++p) {
+      const auto row = server.counters(p);
+      EXPECT_EQ(row.sessions, primary.sessions) << p;
+      EXPECT_EQ(row.segments, primary.segments) << p;
+      EXPECT_EQ(row.hits + row.cold_misses + row.busy_misses, row.segments)
+          << p;
+      row_hits += row.hits;
+    }
+    EXPECT_EQ(row_hits > 0, matrix);
+  }
 }
 
 }  // namespace

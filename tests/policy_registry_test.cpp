@@ -67,8 +67,8 @@ TEST(PolicyRegistry, KeyListsMatchTheRegistries) {
             "always|second-hit|coax-headroom|sketch-lfu|adaptive-headroom");
 }
 
-// Every scorer factory builds (or deliberately declines to build) from a
-// plain context; None is the only nullptr.
+// Every scorer factory builds from a plain context; None, which is no
+// cache and so no cell, is the only row without a factory.
 TEST(PolicyRegistry, FactoriesProduceTheNamedScorer) {
   const auto catalog = test::uniform_catalog(4, 30);
   SystemConfig config;
@@ -82,12 +82,12 @@ TEST(PolicyRegistry, FactoriesProduceTheNamedScorer) {
   const PolicyContext context{config, catalog, history, &future, &view};
 
   for (const auto& entry : scorer_registry()) {
-    const auto scorer = entry.make(context);
     if (entry.kind == StrategyKind::None) {
-      EXPECT_EQ(scorer, nullptr);
+      EXPECT_EQ(entry.make, nullptr);
       continue;
     }
-    EXPECT_NE(scorer, nullptr) << entry.key;
+    ASSERT_NE(entry.make, nullptr) << entry.key;
+    EXPECT_NE(entry.make(context), nullptr) << entry.key;
   }
 }
 

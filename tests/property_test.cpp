@@ -707,7 +707,7 @@ TEST_P(Seeded, StreamSlotsMatchReferencePeer) {
   Rng rng(GetParam());
   for (int round = 0; round < 40; ++round) {
     const auto peers = static_cast<std::uint32_t>(1 + rng.uniform_u64(8));
-    const int limit = static_cast<int>(rng.uniform_u64(5));
+    const int limit = static_cast<int>(1 + rng.uniform_u64(4));
     hfc::StreamSlots slots(peers, limit);
     std::vector<test::detail::RefPeer> model(peers);
     std::int64_t now = 0;
