@@ -43,8 +43,8 @@
 //    alike.
 //
 // The index server owns the neighborhood's cells (the configured pair, or
-// the whole shadow matrix); the shard builds their policies and feeds the
-// server one call per event.
+// the whole shadow matrix; no cell stands for no cache); the shard builds
+// their policies and feeds the server one call per event.
 //
 // A shard touches no mutable state outside itself, so shards can run on
 // any thread, in any order, and produce bit-identical results.
