@@ -9,12 +9,14 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/ecdf.hpp"
 #include "cache/cache_cell.hpp"
 #include "cache/future_index.hpp"
 #include "cache/lfu.hpp"
+#include "cache/oracle.hpp"
 #include "cache/popularity_board.hpp"
 #include "cache/segment_store.hpp"
 #include "cache/victim_index.hpp"
@@ -696,6 +698,172 @@ TEST_P(Seeded, CacheCellMembershipHolds) {
             << "peer " << peer << " " << repro();
       }
     }
+  }
+}
+
+// FutureIndex::count_in equals a scan of the log it was fed: accesses of
+// few programs in any order (or already sorted, as the prepass adds them),
+// many at equal times, queried at and around access times so both ends of
+// (t, t + horizon] land on accesses.  Some programs have no access at all.
+TEST_P(Seeded, FutureIndexCountsMatchScan) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 20; ++round) {
+    const auto programs = static_cast<std::uint32_t>(1 + rng.uniform_u64(12));
+    const auto accesses = rng.uniform_u64(300);
+    const bool sorted = rng.bernoulli(0.3);
+    std::vector<std::pair<std::uint32_t, std::int64_t>> log;
+    for (std::uint64_t i = 0; i < accesses; ++i) {
+      log.emplace_back(static_cast<std::uint32_t>(rng.uniform_u64(programs)),
+                       rng.uniform_int(0, 60));
+    }
+    if (sorted) {
+      std::stable_sort(log.begin(), log.end(), [](const auto& a,
+                                                  const auto& b) {
+        return a.second < b.second;
+      });
+    }
+    cache::FutureIndex index(programs);
+    for (const auto& [program, minute] : log) {
+      index.add(ProgramId{program}, sim::SimTime::minutes(minute));
+    }
+    index.freeze();
+    for (int query = 0; query < 200; ++query) {
+      const auto program = static_cast<std::uint32_t>(rng.uniform_u64(programs));
+      // Times on the access grid, one past either end, and between
+      // minutes; horizons of zero, of whole minutes (an end on an access)
+      // and of odd milliseconds.
+      const std::int64_t t_ms = rng.uniform_int(-1, 61) * 60'000 +
+                                (rng.bernoulli(0.2) ? 30'000 : 0);
+      const std::int64_t horizon_ms =
+          rng.bernoulli(0.1) ? 0
+                             : rng.uniform_int(0, 62) * 60'000 +
+                                   (rng.bernoulli(0.2) ? 1 : 0);
+      std::int64_t expect = 0;
+      for (const auto& [p, minute] : log) {
+        const std::int64_t ms = minute * 60'000;
+        if (p == program && ms > t_ms && ms <= t_ms + horizon_ms) ++expect;
+      }
+      ASSERT_EQ(index.count_in(ProgramId{program}, sim::SimTime::millis(t_ms),
+                               sim::SimTime::millis(horizon_ms)),
+                expect)
+          << "repro: --gtest_filter='Seeds/Seeded.FutureIndexCountsMatchScan/"
+             "seed"
+          << GetParam() << "' round=" << round << " program=" << program
+          << " t_ms=" << t_ms << " horizon_ms=" << horizon_ms
+          << (sorted ? " sorted" : " any-order");
+    }
+  }
+}
+
+// The Oracle ranks its cached set by the future as of its last refresh: a
+// random script of accesses, admissions, evictions and wipes drives an
+// OracleStrategy the way a cache cell does, against a model that keeps
+// each cached program's score as a scan of the future log — taken at the
+// cell's last refresh, or at the program's own later access or admission.
+// Every victim is the model's minimum (score, then program id); a wipe
+// evicts victims until the set is empty, so it checks the whole order.
+TEST_P(Seeded, OracleVictimMatchesFutureScan) {
+  Rng rng(GetParam());
+  constexpr std::uint32_t kPrograms = 24;
+  const auto lookahead = sim::SimTime::minutes(rng.uniform_int(30, 600));
+  const auto refresh = sim::SimTime::minutes(rng.uniform_int(5, 120));
+
+  enum class Kind { Access, Admit, Evict, Wipe };
+  struct Event {
+    Kind kind;
+    sim::SimTime t;
+    std::uint32_t program = 0;
+  };
+  std::vector<Event> script;
+  std::vector<std::pair<std::uint32_t, sim::SimTime>> future;
+  sim::SimTime t;
+  for (int i = 0; i < 1500; ++i) {
+    // Equal times are common: several events at one instant.
+    t += sim::SimTime::minutes(rng.uniform_int(0, 15));
+    const auto program = static_cast<std::uint32_t>(rng.uniform_u64(kPrograms));
+    const std::uint64_t action = rng.uniform_u64(20);
+    const Kind kind = action < 10   ? Kind::Access
+                      : action < 16 ? Kind::Admit
+                      : action < 19 ? Kind::Evict
+                                    : Kind::Wipe;
+    script.push_back({kind, t, program});
+    if (kind == Kind::Access) future.emplace_back(program, t);
+  }
+  cache::FutureIndex index(kPrograms);
+  std::vector<std::pair<std::uint32_t, sim::SimTime>> shuffled = future;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const auto& [program, at] : shuffled) index.add(ProgramId{program}, at);
+  index.freeze();
+
+  cache::AccessHistory history;
+  cache::OracleStrategy oracle(history, index, lookahead, refresh);
+  std::map<std::uint32_t, cache::Score> model;  // cached program -> score
+  sim::SimTime next_refresh;
+  const auto scan = [&](std::uint32_t program, sim::SimTime now) {
+    std::int64_t count = 0;
+    for (const auto& [p, at] : future) {
+      if (p == program && at > now && at <= now + lookahead) ++count;
+    }
+    return cache::Score{count, history.recency(ProgramId{program})};
+  };
+  const auto maybe_refresh = [&](sim::SimTime now) {
+    if (now < next_refresh) return;
+    next_refresh = now + refresh;
+    for (auto& [program, score] : model) score = scan(program, now);
+  };
+  const auto model_victim = [&]() -> std::optional<ProgramId> {
+    const auto best = std::min_element(
+        model.begin(), model.end(), [](const auto& a, const auto& b) {
+          return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+        });
+    if (best == model.end()) return std::nullopt;
+    return ProgramId{best->first};
+  };
+
+  for (std::size_t step = 0; step < script.size(); ++step) {
+    const Event& e = script[step];
+    const ProgramId program{e.program};
+    const auto repro = [&] {
+      return "repro: --gtest_filter='Seeds/Seeded."
+             "OracleVictimMatchesFutureScan/seed" +
+             std::to_string(GetParam()) + "' step=" + std::to_string(step) +
+             " lookahead_min=" + std::to_string(lookahead.millis_count() / 60'000) +
+             " refresh_min=" + std::to_string(refresh.millis_count() / 60'000);
+    };
+    const auto check_victim = [&] {
+      maybe_refresh(e.t);
+      const auto want = model_victim();
+      ASSERT_EQ(oracle.victim(e.t), want) << repro();
+      if (want) {
+        oracle.on_evict(*want);
+        model.erase(want->value());
+      }
+    };
+    switch (e.kind) {
+      case Kind::Access:
+        history.record(program, e.t);
+        oracle.on_access(program, e.t);
+        maybe_refresh(e.t);
+        if (model.contains(e.program)) model[e.program] = scan(e.program, e.t);
+        break;
+      case Kind::Admit:
+        if (model.contains(e.program)) break;
+        oracle.on_admit(program, e.t);
+        maybe_refresh(e.t);
+        model[e.program] = scan(e.program, e.t);
+        break;
+      case Kind::Evict:
+        check_victim();
+        break;
+      case Kind::Wipe:
+        while (!model.empty()) {
+          check_victim();
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        break;
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(oracle.cached_count(), model.size()) << repro();
   }
 }
 

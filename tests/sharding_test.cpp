@@ -338,6 +338,10 @@ INSTANTIATE_TEST_SUITE_P(
                     }},
         PrepassCase{"HubOracle",
                     [](SystemConfig& c) { add_hub(c, PrefetchKind::Oracle); }},
+        PrepassCase{"OraclePrimary",
+                    [](SystemConfig& c) {
+                      c.strategy.kind = StrategyKind::Oracle;
+                    }},
         PrepassCase{"ShadowMatrix",
                     [](SystemConfig& c) {
                       c.shadow_matrix = true;
