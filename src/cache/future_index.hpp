@@ -5,6 +5,13 @@
 // to implement ... presented as an example of ideal cache performance".
 // The VoD system builds one per neighborhood from that neighborhood's slice
 // of the trace.
+//
+// Layout: add() appends (program, time) to one flat log; freeze() groups
+// the log by program with the counting placement the popularity board's
+// pieces use (util/group_by_key.hpp) and sorts each program's run.  A
+// frozen index is one time array, 8 bytes per access, and one offsets
+// table, a word per program plus one — no per-program container, so a
+// catalog of programs a neighborhood never watches costs it 4 bytes each.
 #pragma once
 
 #include <cstdint>
@@ -17,20 +24,29 @@ namespace vodcache::cache {
 
 class FutureIndex {
  public:
+  // Allocates nothing until the first add() or freeze().
   FutureIndex() = default;
-  explicit FutureIndex(std::size_t program_count);
+  explicit FutureIndex(std::size_t program_count)
+      : program_count_(program_count) {}
 
-  // Accesses may be appended in any order; call freeze() once before
-  // querying.
+  // Accesses may be appended in any order; call freeze() exactly once
+  // before querying.
   void add(ProgramId program, sim::SimTime t);
   void freeze();
 
-  // Accesses strictly after `t`, up to and including `t + horizon`.
+  // Accesses strictly after `t`, up to and including `t + horizon`: two
+  // binary searches in `program`'s run.
   [[nodiscard]] std::int64_t count_in(ProgramId program, sim::SimTime t,
                                       sim::SimTime horizon) const;
 
  private:
-  std::vector<std::vector<sim::SimTime>> times_;
+  std::size_t program_count_ = 0;
+  // Before freeze(), the log in add() order: times_[i] is an access of
+  // programs_[i].  After, times_ holds each program's accesses ascending,
+  // program p's in [offsets_[p], offsets_[p + 1]), and programs_ is gone.
+  std::vector<sim::SimTime> times_;
+  std::vector<std::uint32_t> programs_;
+  std::vector<std::uint32_t> offsets_;
   bool frozen_ = false;
 };
 

@@ -20,7 +20,8 @@ namespace vodcache::cache {
 
 class OracleStrategy final : public EvictionScorer {
  public:
-  // `future` must outlive the strategy and be frozen.
+  // `future` must outlive the strategy and be frozen before the first
+  // score.
   OracleStrategy(AccessHistory& history, const FutureIndex& future,
                  sim::SimTime lookahead,
                  sim::SimTime refresh_interval = sim::SimTime::hours(1));

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/group_by_key.hpp"
 
 namespace vodcache::cache {
 
@@ -104,21 +105,13 @@ void ReplayBoard::seal_piece(sim::SimTime through, bool last) {
                       previous.offsets[p];
     }
   }
-  // Counting placement: trace order is each program's ascending order.
-  piece.offsets.assign(program_count_ + 1, 0);
-  for (const std::uint32_t program : piece.programs) {
-    ++piece.offsets[program + 1];
-  }
-  for (std::size_t p = 0; p < program_count_; ++p) {
-    piece.offsets[p + 1] += piece.offsets[p];
-  }
+  // Trace order is each program's ascending order.
   piece.positions.resize(piece.programs.size());
-  std::vector<std::uint32_t> next(piece.offsets.begin(),
-                                  piece.offsets.end() - 1);
-  for (std::size_t i = 0; i < piece.programs.size(); ++i) {
-    piece.positions[next[piece.programs[i]]++] =
-        piece.begin + static_cast<std::uint32_t>(i);
-  }
+  util::group_by_key(piece.programs, program_count_, piece.offsets,
+                     [&](std::uint32_t slot, std::size_t i) {
+                       piece.positions[slot] =
+                           piece.begin + static_cast<std::uint32_t>(i);
+                     });
   begins_[n] = piece.begin;
   unsealed_begin_ = piece.end();
   through_ = through;

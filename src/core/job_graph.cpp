@@ -54,8 +54,11 @@ void JobGraph::finalize() {
     child_offset_[n + 1] += child_offset_[n];
   }
   child_list_.resize(edges_.size());
-  // Fill per-parent runs back to front so child order ends up reversed per
-  // parent — order among a node's children is irrelevant to scheduling.
+  // Fill each parent's run front to back, so its children keep depend()
+  // order.  The executor pushes a finished node's children in that order
+  // and a worker pops its own deque's last push first, so the replay
+  // declares the prepass chain's edges last to run epoch e + 1 right
+  // after epoch e.
   std::vector<std::uint32_t> cursor(child_offset_.begin(),
                                     child_offset_.end() - 1);
   for (const auto& [parent, child] : edges_) {

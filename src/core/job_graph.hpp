@@ -61,7 +61,8 @@ class JobGraph {
   // the work.
   void finalize();
 
-  // Valid only after finalize().
+  // Valid only after finalize().  children() lists a node's children in
+  // depend() order.
   [[nodiscard]] std::uint32_t dependency_count(JobId id) const {
     return dep_count_[id];
   }

@@ -27,7 +27,6 @@ NeighborhoodShard::NeighborhoodShard(
       server_(id, peer_count, config, catalog, make_cells(), media_, horizon,
               tiers, std::move(tier_nodes)),
       failures_(std::move(failures)) {
-  VODCACHE_EXPECTS(future_ != nullptr);
   if (history_->empty()) history_.reset();
   if (config_.policy_switch) {
     switcher_ = std::make_unique<cache::PolicySwitcher>(

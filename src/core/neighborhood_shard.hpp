@@ -92,8 +92,8 @@ class NeighborhoodShard {
   };
 
   // `catalog`, `config`, `future`, and `board` must outlive the shard.
-  // `failures` must be in time order.  `future` (never null; empty for
-  // non-Oracle strategies) and `board` (may be null when no GlobalLFU cell
+  // `failures` must be in time order.  `future` (may be null when no
+  // Oracle cell reads it) and `board` (may be null when no GlobalLFU cell
   // reads it) may be filled *after* shard construction: under the job-graph
   // executor the orchestrator's prepass chain fills them, and a feed
   // reads only what the epochs it waits for have sealed — the board up
@@ -189,7 +189,7 @@ class NeighborhoodShard {
   const SystemConfig& config_;
 
   // Strategy backing state; must precede server_ (make_cells reads it).
-  const cache::FutureIndex* future_;                   // Oracle
+  const cache::FutureIndex* future_;  // Oracle; null without an Oracle cell
   std::shared_ptr<const cache::ReplayBoard> board_;    // GlobalLFU
   // Over board_, moved by this shard's events; null unless a GlobalLFU
   // cell reads it.

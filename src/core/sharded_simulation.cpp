@@ -41,6 +41,17 @@ ShardedSimulation::Needs ShardedSimulation::needs() const {
       tiers_ != nullptr && config_.prefetch.kind != PrefetchKind::None &&
       std::any_of(config_.tiers.begin(), config_.tiers.end(),
                   [](const auto& t) { return t.capacity > DataSize{}; });
+  // How far past a chunk's end its feed reads each product: the board
+  // answers events up to its seal and a top-popular plan is published
+  // when its window begins, so neither looks ahead; an oracle plan is
+  // packed from its own window, so it needs one refresh window more; the
+  // future index is read whole, so its lookahead is the whole trace.
+  if (need.tiers && config_.prefetch.kind == PrefetchKind::Oracle) {
+    need.lookahead = config_.prefetch.refresh;
+  }
+  if (need.future) {
+    need.lookahead = std::max(need.lookahead, source_->horizon());
+  }
   return need;
 }
 
@@ -92,7 +103,7 @@ void ShardedSimulation::build_shards() {
     const NeighborhoodId id{n};
     shards_.push_back(std::make_unique<NeighborhoodShard>(
         id, topology_.size_of(id), source_->catalog(), source_->horizon(),
-        config_, n < future_.size() ? &future_[n] : &empty_future_, board_,
+        config_, n < future_.size() ? &future_[n] : nullptr, board_,
         std::move(failures[n]), tiers_.get(),
         tiers_ != nullptr ? tiers_->node_path(id)
                           : std::vector<std::uint32_t>{}));
@@ -122,7 +133,11 @@ void ShardedSimulation::run_graph(const Needs& need,
   const std::size_t chunks = count_chunks();
   // The prepass chain seals its products once per epoch, a run of whole
   // chunks; a few epochs let the feeds start early, and each costs a seal.
+  // A lookahead of the whole trace leaves every feed waiting for the last
+  // epoch, so the chain is then one job that freezes everything once.
   constexpr std::size_t kMaxEpochs = 16;
+  const std::size_t max_epochs =
+      need.lookahead >= source_->horizon() ? 1 : kMaxEpochs;
   const auto chunk_end_ms = [chunk_ms](std::size_t k) {
     return static_cast<std::int64_t>(k + 1) * chunk_ms;
   };
@@ -207,7 +222,7 @@ void ShardedSimulation::run_graph(const Needs& need,
   // and seals what they complete; the last one freezes everything.  Both
   // streams are opened here, on the calling thread, so sources need not
   // open concurrently.
-  const std::size_t epoch_chunks = (chunks + kMaxEpochs - 1) / kMaxEpochs;
+  const std::size_t epoch_chunks = (chunks + max_epochs - 1) / max_epochs;
   const std::size_t epochs = (chunks + epoch_chunks - 1) / epoch_chunks;
   const auto epoch_end_ms = [&](std::size_t e) {
     return chunk_end_ms(std::min((e + 1) * epoch_chunks, chunks) - 1);
@@ -263,17 +278,10 @@ void ShardedSimulation::run_graph(const Needs& need,
     }
   }
 
-  // How far past a chunk's end a feed may read: the board answers events
-  // up to its seal and a top-popular plan is published when its window
-  // begins, so neither looks ahead; an oracle plan is packed from its own
-  // window, so it needs one refresh window more; the Oracle's future
-  // index is complete only at the end.
-  const bool oracle_plans =
-      need.tiers && config_.prefetch.kind == PrefetchKind::Oracle;
-  const std::int64_t lookahead_ms =
-      oracle_plans ? config_.prefetch.refresh.millis_count() : 0;
+  // The first epoch that seals what chunk k's feed reads: everything up
+  // to the chunk's end plus the lookahead.
+  const std::int64_t lookahead_ms = need.lookahead.millis_count();
   const auto epoch_for_chunk = [&](std::size_t k) {
-    if (need.future) return epochs - 1;
     std::size_t e = std::min(k / epoch_chunks, epochs - 1);
     while (e + 1 < epochs && epoch_end_ms(e) < chunk_end_ms(k) + lookahead_ms) {
       ++e;

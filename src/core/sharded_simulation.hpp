@@ -18,8 +18,10 @@
 // finished part at the end of its epoch.  A feed waits only for the epoch
 // that seals what it reads: the board and top-popular plans need nothing
 // past the chunk's end, oracle plans one refresh window past it, and the
-// FutureIndex the last epoch.  Every other config reads the workload
-// exactly once.
+// FutureIndex the whole trace — a run that reads it waits for the last
+// epoch everywhere, so its prepass is one job that freezes everything
+// once (needs() states each lookahead).  Every other config reads the
+// workload exactly once.
 //
 // The run is decomposed into an explicit task DAG — demux chunks, the
 // optional prepass chain, per-(shard x chunk) feed tasks, per-shard
@@ -92,6 +94,9 @@ class ShardedSimulation {
     bool future = false;  // Oracle clairvoyance
     bool flush = false;   // failure waves: last-event flush time
     bool tiers = false;   // tier prefetch plans
+    // How far past a chunk's end its feed reads the prepass products: the
+    // longest lookahead among those needed.
+    sim::SimTime lookahead;
   };
   [[nodiscard]] Needs needs() const;
 
@@ -116,9 +121,8 @@ class ShardedSimulation {
   // shard.
   std::unique_ptr<TierSystem> tiers_;
   // Oracle only: per-neighborhood clairvoyance.  Shards hold pointers into
-  // this vector (or at empty_future_), so it lives as long as they do.
+  // this vector (null when it is empty), so it lives as long as they do.
   std::vector<cache::FutureIndex> future_;
-  cache::FutureIndex empty_future_;
   // Failure waves only: time of the last event anywhere in the system.
   sim::SimTime failure_flush_ = sim::SimTime::millis(-1);
   std::vector<std::unique_ptr<NeighborhoodShard>> shards_;

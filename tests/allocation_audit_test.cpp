@@ -40,6 +40,7 @@
 
 #include "alloc_audit_support.hpp"
 #include "alloc_probe.hpp"
+#include "cache/future_index.hpp"
 #include "test_support.hpp"
 #include "trace/generator.hpp"
 
@@ -156,6 +157,18 @@ TEST_P(AllocationAudit, SteadyStateShardLoopIsAllocationFree) {
   EXPECT_EQ(result.steady_allocs, 0u)
       << result.steady_allocs << " heap allocations across "
       << result.steady_sessions << " steady-state sessions";
+}
+
+// A neighborhood's future index costs nothing before its first access:
+// constructing one for the paper's 8,278-program catalog allocates
+// nothing, so no per-program container comes back.
+TEST(AllocationProbe, FutureIndexConstructionAllocatesNothing) {
+  const auto before = test::alloc_count();
+  cache::FutureIndex index(8278);
+  const auto after = test::alloc_count();
+  EXPECT_EQ(after, before);
+  index.freeze();
+  EXPECT_EQ(index.count_in(ProgramId{8277}, {}, sim::SimTime::days(3)), 0);
 }
 
 // The probe itself must count: otherwise a broken override would make the

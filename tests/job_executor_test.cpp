@@ -49,6 +49,34 @@ TEST(JobGraph, CsrAdjacencyMatchesDeclaredEdges) {
   EXPECT_EQ(graph.name(b), "b");
 }
 
+// finalize() keeps each node's children in depend() order, whatever other
+// parents' edges fall between.  The replay relies on it: it declares the
+// prepass chain's edges last, so a worker finishing epoch e (it runs the
+// child pushed last first) runs epoch e + 1 next.
+TEST(JobGraph, ChildrenKeepDependOrder) {
+  JobGraph graph;
+  const JobId parent = graph.add(JobKind::Prepass, {}, "parent");
+  const JobId other = graph.add(JobKind::Demux, {}, "other");
+  std::vector<JobId> kids;
+  for (int i = 0; i < 5; ++i) {
+    kids.push_back(graph.add(JobKind::Feed, {}, "kid" + std::to_string(i)));
+  }
+  graph.depend(parent, kids[3]);
+  graph.depend(other, kids[0]);
+  graph.depend(parent, kids[1]);
+  graph.depend(parent, kids[4]);
+  graph.depend(other, kids[2]);
+  graph.depend(parent, kids[0]);
+  graph.finalize();
+
+  const auto children = graph.children(parent);
+  EXPECT_EQ(std::vector<JobId>(children.begin(), children.end()),
+            (std::vector<JobId>{kids[3], kids[1], kids[4], kids[0]}));
+  const auto others = graph.children(other);
+  EXPECT_EQ(std::vector<JobId>(others.begin(), others.end()),
+            (std::vector<JobId>{kids[0], kids[2]}));
+}
+
 TEST(JobGraph, FinalizeThrowsOnCycleNamingANode) {
   JobGraph graph;
   const JobId a = graph.add(JobKind::Feed, {}, "ouroboros-head");

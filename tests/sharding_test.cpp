@@ -383,6 +383,49 @@ TEST_P(PrepassChainIdentity, ByteIdenticalAcrossThreadsAndChunks) {
   }
 }
 
+// The jobs of a run with a single prepass job: every chunk's demux, every
+// shard's feed of every chunk, one finish per shard, the merge and the
+// prepass.
+std::uint64_t jobs_with_one_prepass(const VodSystem& system,
+                                    const SystemConfig& config) {
+  const std::uint64_t chunks =
+      static_cast<std::uint64_t>(sharding_trace().horizon().millis_count() /
+                                 config.stream_chunk.millis_count()) +
+      1;
+  const std::uint64_t shards = system.topology().neighborhood_count();
+  return chunks + shards * chunks + shards + 2;
+}
+
+// A product read whole — the Oracle's future index, which the shadow
+// matrix builds too — leaves every feed waiting for the prepass's last
+// epoch, so the prepass is one job that freezes everything once.
+TEST(PrepassEpochs, WholeTraceLookaheadIsOnePrepassJob) {
+  for (const bool matrix : {false, true}) {
+    auto config = sharding_config(StrategyKind::Oracle);
+    config.shadow_matrix = matrix;
+    config.threads = 2;
+    SCOPED_TRACE(test::repro_line(sharding_workload(), config));
+    VodSystem system(sharding_trace(), config);
+    (void)system.run();
+    EXPECT_EQ(system.executor_stats().executed,
+              jobs_with_one_prepass(system, config));
+  }
+}
+
+// Products that look no further than a chunk's end keep the epoch grid:
+// the feeds of early chunks start before the prepass has read the rest.
+TEST(PrepassEpochs, TopPopularHubKeepsSeveralEpochs) {
+  auto config = sharding_config(StrategyKind::GlobalLfu);
+  add_hub(config, PrefetchKind::TopPopular);
+  config.strategy.kind = StrategyKind::GlobalLfu;
+  config.threads = 2;
+  SCOPED_TRACE(test::repro_line(sharding_workload(), config));
+  VodSystem system(sharding_trace(), config);
+  (void)system.run();
+  EXPECT_GT(system.executor_stats().executed,
+            jobs_with_one_prepass(system, config));
+}
+
 // A wave dated after the last event in the whole system never fires — the
 // serial engine has no event left to apply it at.
 TEST(FailureFlush, WaveAfterLastEventNeverFires) {
