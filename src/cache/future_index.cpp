@@ -12,7 +12,6 @@ namespace vodcache::cache {
 void FutureIndex::add(ProgramId program, sim::SimTime t) {
   VODCACHE_EXPECTS(!frozen_);
   VODCACHE_EXPECTS(program.value() < program_count_);
-  // Offsets are 32-bit.
   VODCACHE_EXPECTS(times_.size() < std::numeric_limits<std::uint32_t>::max());
   times_.push_back(t);
   programs_.push_back(program.value());
@@ -25,8 +24,7 @@ void FutureIndex::freeze() {
                      [&](std::uint32_t slot, std::size_t i) {
                        grouped[slot] = times_[i];
                      });
-  // Runs of a log added in time order, as the prepass adds it, are sorted
-  // already.
+  // The prepass adds in time order, so its runs are sorted already.
   for (std::size_t p = 0; p < program_count_; ++p) {
     const auto first = grouped.begin() + offsets_[p];
     const auto last = grouped.begin() + offsets_[p + 1];

@@ -4,14 +4,8 @@
 // This is the clairvoyance backing the paper's Oracle strategy, "impossible
 // to implement ... presented as an example of ideal cache performance".
 // The VoD system builds one per neighborhood from that neighborhood's slice
-// of the trace.
-//
-// Layout: add() appends (program, time) to one flat log; freeze() groups
-// the log by program with the counting placement the popularity board's
-// pieces use (util/group_by_key.hpp) and sorts each program's run.  A
-// frozen index is one time array, 8 bytes per access, and one offsets
-// table, a word per program plus one — no per-program container, so a
-// catalog of programs a neighborhood never watches costs it 4 bytes each.
+// of the trace: add() appends to one flat log, and freeze() groups it by
+// program (util/group_by_key.hpp) into one time array and one offsets table.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +28,14 @@ class FutureIndex {
   void add(ProgramId program, sim::SimTime t);
   void freeze();
 
-  // Accesses strictly after `t`, up to and including `t + horizon`: two
-  // binary searches in `program`'s run.
+  // Accesses strictly after `t`, up to and including `t + horizon`.
   [[nodiscard]] std::int64_t count_in(ProgramId program, sim::SimTime t,
                                       sim::SimTime horizon) const;
 
  private:
   std::size_t program_count_ = 0;
-  // Before freeze(), the log in add() order: times_[i] is an access of
-  // programs_[i].  After, times_ holds each program's accesses ascending,
-  // program p's in [offsets_[p], offsets_[p + 1]), and programs_ is gone.
+  // Before freeze(), times_[i] is an access of programs_[i]; after, program
+  // p's accesses, ascending, are times_[offsets_[p], offsets_[p + 1]).
   std::vector<sim::SimTime> times_;
   std::vector<std::uint32_t> programs_;
   std::vector<std::uint32_t> offsets_;

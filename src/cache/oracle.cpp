@@ -13,9 +13,8 @@ OracleStrategy::OracleStrategy(AccessHistory& history,
       lookahead_(lookahead),
       refresh_interval_(refresh_interval) {
   // `future` need not be frozen yet: under the job-graph executor the
-  // prepass chain fills and freezes it after the strategy is built — one
-  // job, since the future's lookahead is the whole trace — and every feed
-  // waits for that job.  count_in() still asserts frozen at use.
+  // prepass job fills and freezes it after the strategy is built, and
+  // every feed waits for that job.  count_in() still asserts frozen.
   VODCACHE_EXPECTS(lookahead > sim::SimTime{});
   VODCACHE_EXPECTS(refresh_interval > sim::SimTime{});
 }

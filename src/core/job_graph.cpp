@@ -54,11 +54,8 @@ void JobGraph::finalize() {
     child_offset_[n + 1] += child_offset_[n];
   }
   child_list_.resize(edges_.size());
-  // Fill each parent's run front to back, so its children keep depend()
-  // order.  The executor pushes a finished node's children in that order
-  // and a worker pops its own deque's last push first, so the replay
-  // declares the prepass chain's edges last to run epoch e + 1 right
-  // after epoch e.
+  // Fill each parent's run front to back: children keep depend() order,
+  // which the replay relies on (a worker runs the child pushed last first).
   std::vector<std::uint32_t> cursor(child_offset_.begin(),
                                     child_offset_.end() - 1);
   for (const auto& [parent, child] : edges_) {

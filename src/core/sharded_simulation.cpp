@@ -49,9 +49,7 @@ ShardedSimulation::Needs ShardedSimulation::needs() const {
   if (need.tiers && config_.prefetch.kind == PrefetchKind::Oracle) {
     need.lookahead = config_.prefetch.refresh;
   }
-  if (need.future) {
-    need.lookahead = std::max(need.lookahead, source_->horizon());
-  }
+  if (need.future) need.lookahead = source_->horizon();
   return need;
 }
 
@@ -278,8 +276,7 @@ void ShardedSimulation::run_graph(const Needs& need,
     }
   }
 
-  // The first epoch that seals what chunk k's feed reads: everything up
-  // to the chunk's end plus the lookahead.
+  // The first epoch that seals chunk k's end plus the lookahead.
   const std::int64_t lookahead_ms = need.lookahead.millis_count();
   const auto epoch_for_chunk = [&](std::size_t k) {
     std::size_t e = std::min(k / epoch_chunks, epochs - 1);

@@ -18,10 +18,8 @@
 // finished part at the end of its epoch.  A feed waits only for the epoch
 // that seals what it reads: the board and top-popular plans need nothing
 // past the chunk's end, oracle plans one refresh window past it, and the
-// FutureIndex the whole trace — a run that reads it waits for the last
-// epoch everywhere, so its prepass is one job that freezes everything
-// once (needs() states each lookahead).  Every other config reads the
-// workload exactly once.
+// FutureIndex the whole trace, so a run that reads it has a one-job
+// prepass.  Every other config reads the workload exactly once.
 //
 // The run is decomposed into an explicit task DAG — demux chunks, the
 // optional prepass chain, per-(shard x chunk) feed tasks, per-shard
@@ -94,9 +92,7 @@ class ShardedSimulation {
     bool future = false;  // Oracle clairvoyance
     bool flush = false;   // failure waves: last-event flush time
     bool tiers = false;   // tier prefetch plans
-    // How far past a chunk's end its feed reads the prepass products: the
-    // longest lookahead among those needed.
-    sim::SimTime lookahead;
+    sim::SimTime lookahead;  // the longest a needed product has
   };
   [[nodiscard]] Needs needs() const;
 

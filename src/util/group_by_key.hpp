@@ -1,7 +1,5 @@
-// Counting placement: the stable grouping of a log of keyed items by key,
-// one counting pass and one placement pass, no sort.  The popularity
-// board groups each sealed piece's entries by program with it, and the
-// Oracle's future index its access log.
+// Counting placement: a stable grouping of keyed items by key in one
+// counting pass and one placement pass, with no comparison sort.
 #pragma once
 
 #include <cstdint>

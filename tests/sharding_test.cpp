@@ -259,8 +259,9 @@ TEST_P(ScenarioExecutorIdentity, ByteIdenticalAcrossThreadsAndChunks) {
 // epoch of the chunk grid at a time, while feeds run; a feed waits only
 // for the epoch that seals what it reads (the board and top-popular plans
 // no lookahead, oracle plans one refresh window, the Oracle's future index
-// the last epoch).  Every product and each lookahead, at several thread
-// counts and chunk sizes (so several epoch grids), against one worker.
+// the whole trace, which makes the prepass one job).  Every product and
+// each lookahead, at several thread counts and chunk sizes (so several
+// epoch grids), against one worker.
 struct PrepassCase {
   const char* name;
   void (*apply)(SystemConfig&);
